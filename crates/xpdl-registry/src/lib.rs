@@ -34,5 +34,5 @@ pub use protocol::{
     parse_event, parse_request, parse_response, ClusterStatus, Event, NodeEntry, RegistryError,
     RegistryMethod, RegistryReply, Request, Response, PROTOCOL_VERSION,
 };
-pub use ring::{fnv1a, parse_epoch_hex, HashRing, RingInfo, DEFAULT_REPLICATION, DEFAULT_VNODES};
+pub use ring::{parse_epoch_hex, HashRing, RingInfo, DEFAULT_REPLICATION, DEFAULT_VNODES};
 pub use server::{RegistryOptions, RegistryServer, RegistryState, RegistryStats};

@@ -25,6 +25,10 @@
 //! epoch, and nobody rebalances. Epochs travel on the wire as 16-digit
 //! hex strings (JSON numbers are capped at 2^53 by the parser).
 
+// FNV-1a comes from the disk cache, which the serve tier's model
+// fingerprints use too: one hash for the cache, serve and registry tiers.
+use xpdl_repo::diskcache::fnv1a64;
+
 /// Default replication factor: every key is owned by this many nodes.
 pub const DEFAULT_REPLICATION: usize = 2;
 
@@ -33,24 +37,13 @@ pub const DEFAULT_REPLICATION: usize = 2;
 /// ring stays a few hundred points.
 pub const DEFAULT_VNODES: usize = 32;
 
-/// FNV-1a over `bytes` — the same constants the serve tier uses for
-/// model fingerprints, so there is exactly one hash in the system.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Ring position of a key or virtual point: FNV-1a pushed through a
 /// splitmix64-style finalizer. Raw FNV of short strings ("n1#7") leaves
 /// the high bits — which decide ring order — strongly correlated, so
 /// vnodes of one member clump together and ownership skews badly; the
 /// finalizer's avalanche spreads them uniformly.
 fn position(bytes: &[u8]) -> u64 {
-    let mut h = fnv1a(bytes);
+    let mut h = fnv1a64(bytes);
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
@@ -116,7 +109,7 @@ fn ring_epoch(sorted_nodes: &[String], replication: usize, vnodes: usize) -> u64
         canon.push('|');
         canon.push_str(n);
     }
-    fnv1a(canon.as_bytes())
+    fnv1a64(canon.as_bytes())
 }
 
 /// The materialized consistent-hash ring: an ordered point list plus

@@ -461,10 +461,9 @@ fn with_len_prefix(body: Vec<u8>) -> Vec<u8> {
 
 // ---- requests ----
 
-/// Encode one request into a complete frame (length prefix included).
-pub fn encode_request(req: &Request, strings: &mut StrEncoder) -> Vec<u8> {
-    let mut b = Vec::with_capacity(32);
-    b.push(match &req.method {
+/// The frame code of a request method (its [`METHOD_TABLE`] row).
+pub fn method_code(method: &Method) -> u8 {
+    match method {
         Method::Ping => M_PING,
         Method::Health => M_HEALTH,
         Method::ModelInfo => M_MODEL_INFO,
@@ -486,7 +485,13 @@ pub fn encode_request(req: &Request, strings: &mut StrEncoder) -> Vec<u8> {
         Method::Sleep { .. } => M_SLEEP,
         Method::Shards => M_SHARDS,
         Method::Hello { .. } => M_HELLO,
-    });
+    }
+}
+
+/// Encode one request into a complete frame (length prefix included).
+pub fn encode_request(req: &Request, strings: &mut StrEncoder) -> Vec<u8> {
+    let mut b = Vec::with_capacity(32);
+    b.push(method_code(&req.method));
     b.extend_from_slice(&req.id.to_le_bytes());
     write_opt_str(&mut b, strings, req.shard_key.as_deref());
     match &req.method {

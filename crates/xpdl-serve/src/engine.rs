@@ -13,10 +13,9 @@ use crate::protocol::{
 use crate::shard::ShardManager;
 use crate::snapshot::{fingerprint_model, ServeSnapshot, SnapshotRegistry};
 use crate::stats::ServeStats;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use xpdl_obs::{trace, Histogram, MetricsRegistry};
 use xpdl_repo::Repository;
@@ -110,8 +109,9 @@ pub struct Engine {
     /// a hung or reset connection.
     draining: AtomicBool,
     /// Per-method handler-time histograms (`serve.method.<name>.time_us`),
-    /// created lazily on a method's first request.
-    method_hist: parking_lot::Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
+    /// indexed by the method's wire code (one slot per possible `u8`)
+    /// and registered lazily on a method's first request.
+    method_hist: [OnceLock<Arc<Histogram>>; 256],
     /// Shard state for sharded fleets (`None` on single-model nodes).
     /// Requests carrying a shard key answer from the shard's snapshot
     /// instead of the primary [`SnapshotRegistry`].
@@ -129,7 +129,7 @@ impl Engine {
             options,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            method_hist: parking_lot::Mutex::new(BTreeMap::new()),
+            method_hist: std::array::from_fn(|_| OnceLock::new()),
             shards: parking_lot::Mutex::new(None),
         })
     }
@@ -218,16 +218,15 @@ impl Engine {
         let latency_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.stats.record(latency_us, result.is_err());
         self.stats.handler_time_us.record(latency_us);
-        self.method_histogram(name).record(latency_us);
+        self.method_histogram(&req.method).record(latency_us);
         Response { id: req.id, result }
     }
 
     /// The `serve.method.<name>.time_us` histogram, created on first use.
-    fn method_histogram(&self, name: &'static str) -> Arc<Histogram> {
-        let mut map = self.method_hist.lock();
-        Arc::clone(map.entry(name).or_insert_with(|| {
-            MetricsRegistry::global().histogram(&format!("serve.method.{name}.time_us"))
-        }))
+    fn method_histogram(&self, method: &Method) -> &Histogram {
+        self.method_hist[usize::from(crate::codec::method_code(method))].get_or_init(|| {
+            MetricsRegistry::global().histogram(&format!("serve.method.{}.time_us", method.name()))
+        })
     }
 
     /// Convenience: parse one request line and handle it. Parse errors

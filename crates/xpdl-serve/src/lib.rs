@@ -17,19 +17,20 @@
 //!   `[u32 len][u8 method][payload]` frames with per-connection interned
 //!   string ids, entered by a `hello` handshake and falling back to
 //!   JSON-lines in both directions (spec: `docs/WIRE.md`).
-//! - [`snapshot`] — the epoch-based [`SnapshotRegistry`]: readers take an
-//!   `Arc` snapshot with one atomic load and never block on a reload;
-//!   the reload path compiles off to the side and installs atomically.
+//! - [`snapshot`] — the epoch-based [`SnapshotRegistry`]: readers clone
+//!   the current `Arc` snapshot and never wait on a reload's compile;
+//!   the reload path compiles off to the side and swaps one pointer.
 //! - [`stats`] — lock-free counters, a latency ring with on-demand
 //!   percentiles, and the RAII [`InflightPermit`] admission gate.
 //! - [`engine`] — the socket-free core: [`ModelSource`] (file, repository
 //!   key, or in-memory), hot [`Engine::reload`] with content
 //!   fingerprinting, and [`Engine::handle`] dispatching every protocol
 //!   method. `xpdlc query` drives this directly; the daemon wraps it.
-//! - [`server`] — the TCP layer: accept loop, per-connection reader and
-//!   writer threads, a bounded worker pool, admission control before
-//!   queueing (`S420`), queue deadlines (`S421`), and SIGTERM-driven
-//!   clean shutdown.
+//! - [`server`] — the TCP layer: accept loop, one reader thread per
+//!   connection that executes cheap methods inline in either encoding,
+//!   a bounded worker pool for `sleep`/`reload`/`shutdown`, admission
+//!   control before execution (`S420`), queue deadlines for pool
+//!   methods (`S421`), and SIGTERM-driven clean shutdown.
 //! - [`cluster`] — the fleet-aware client: routing table from
 //!   `xpdl-registry`, per-request timeouts, automatic failover on
 //!   connection errors and `S5xx`, and degradation to a local fallback

@@ -1,32 +1,29 @@
 //! The TCP daemon: listener, worker pool, admission control, deadlines.
 //!
 //! Thread model: one accept loop (nonblocking listener polled so it can
-//! observe shutdown), one reader thread plus one writer thread per
-//! connection, and a global bounded worker pool that executes parsed
-//! requests against the [`Engine`]. Responses flow back to each
-//! connection's writer through an `mpsc` channel, so pipelined requests
-//! from one client may complete out of order — the protocol's `id`
-//! correlation is what makes that safe.
+//! observe shutdown), one reader thread per connection, and a global
+//! bounded worker pool. Every request, in either encoding, takes the
+//! same path on its connection's reader thread: read one line or frame,
+//! decode, admit, execute, encode, write. Cheap methods execute right
+//! there; only methods that block or rebuild the model (`sleep`,
+//! `reload`, `shutdown`) are handed to the worker pool, and the worker
+//! that runs one writes its reply itself. Pool replies may therefore
+//! overtake or trail inline ones — the protocol's `id` correlation is
+//! what makes that safe. The socket's write half sits behind a mutex
+//! shared by the reader and the workers, so replies never tear.
 //!
 //! Every connection starts in JSON-lines; a `hello` as the very first
 //! message may switch it to the binary framing of [`crate::codec`]
-//! (spec: `docs/WIRE.md`). Binary connections take an inline fast path:
-//! the reader thread executes cheap methods directly against the engine
-//! and writes the response frame itself, skipping two thread hops and
-//! the worker queue. Only methods that block or rebuild the model
-//! (`sleep`, `reload`, `shutdown`) still travel through the worker pool,
-//! which is also where every JSON request runs — the JSON path is
-//! byte-for-byte the pre-negotiation behavior. The socket's write half
-//! sits behind a mutex shared by the writer thread and the reader's
-//! inline path, so interleaved frames never tear.
+//! (spec: `docs/WIRE.md`). Only framing, decode and encode depend on the
+//! encoding, and JSON replies are byte-for-byte the pre-negotiation wire.
 //!
-//! Admission control happens *before* a request is enqueued or executed
-//! inline: if the in-flight gauge is at `max_inflight` the request is
+//! Admission control happens *before* a request is executed or
+//! enqueued: if the in-flight gauge is at `max_inflight` the request is
 //! shed immediately with `S420` rather than queued behind work the
-//! server cannot finish in time. Admitted requests carry their arrival
-//! instant; a worker that dequeues one past its deadline answers `S421`
-//! without touching the model. Load is therefore bounded in both depth
-//! (permits) and time (deadline), and overload degrades into fast,
+//! server cannot finish in time. Requests handed to the pool carry their
+//! arrival instant; a worker that dequeues one past its deadline answers
+//! `S421` without touching the model. Load is therefore bounded in both
+//! depth (permits) and time (deadline), and overload degrades into fast,
 //! explicit errors instead of unbounded queueing.
 
 use crate::codec::{self, Encoding, StrDecoder, StrEncoder};
@@ -43,12 +40,12 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Worker threads executing requests (min 1).
+    /// Worker threads executing `sleep`/`reload`/`shutdown` (min 1).
     pub workers: usize,
     /// Maximum requests admitted concurrently; beyond this, shed `S420`.
     pub max_inflight: usize,
-    /// Per-request deadline measured from admission; exceeded in queue →
-    /// `S421`. `None` disables queue deadlines.
+    /// Deadline for pool requests measured from admission; exceeded in
+    /// queue → `S421`. `None` disables queue deadlines.
     pub deadline: Option<Duration>,
     /// Longest accepted request line — or binary frame body — in bytes
     /// (`S414` beyond).
@@ -66,9 +63,8 @@ impl Default for ServerOptions {
     }
 }
 
-/// The socket's write half. The per-connection writer thread and the
-/// reader's binary inline path both write through this lock, so frames
-/// from the two paths interleave whole, never torn.
+/// The socket's write half. The reader thread and pool workers both
+/// write through this lock, so replies interleave whole, never torn.
 type WriteHalf = Arc<parking_lot::Mutex<TcpStream>>;
 
 /// One admitted request travelling to the worker pool.
@@ -79,7 +75,8 @@ struct Job {
     /// a connection's encoding can only change on its first message, and
     /// by then no job from it can be in flight.
     enc: Encoding,
-    reply_to: mpsc::Sender<Vec<u8>>,
+    /// The connection the worker writes its reply to.
+    write_half: WriteHalf,
 }
 
 /// A running daemon. Dropping it (or calling [`Server::shutdown`] and
@@ -187,7 +184,7 @@ impl Drop for Server {
     }
 }
 
-/// Accept connections until shutdown, spawning reader/writer pairs.
+/// Accept connections until shutdown, spawning one reader per connection.
 fn accept_loop(
     listener: &TcpListener,
     engine: &Arc<Engine>,
@@ -238,19 +235,21 @@ struct ConnState {
     enc: Encoding,
     /// Whether any message (even an unparseable one) has been received.
     /// `hello` may only negotiate while this is false — after any other
-    /// traffic a response could still be queued behind the writer thread,
-    /// and switching encodings under it would corrupt the stream.
+    /// traffic a pool reply could still be in flight, and switching
+    /// encodings under it would corrupt the stream.
     saw_traffic: bool,
     /// Request-direction intern table (client-driven defines).
     req_strings: StrDecoder,
     /// Response-direction intern table. Reader-thread exclusive: inline
-    /// responses intern through it; worker responses are encoded
-    /// inline-only so they never touch (or depend on) this table.
+    /// replies intern through it; worker replies are encoded inline-only
+    /// so they never touch (or depend on) this table.
     resp_strings: StrEncoder,
+    /// Shared with every pool job this connection enqueues.
+    write_half: WriteHalf,
 }
 
-/// Serve one connection: read lines or frames, admit, execute inline or
-/// enqueue; a paired writer thread streams worker responses back.
+/// Serve one connection until the client leaves, framing is lost, or
+/// the server stops.
 fn connection_loop(
     stream: TcpStream,
     engine: &Arc<Engine>,
@@ -265,327 +264,157 @@ fn connection_loop(
         Ok(s) => Arc::new(parking_lot::Mutex::new(s)),
         Err(_) => return,
     };
-
-    let (resp_tx, resp_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = {
-        let write_half = Arc::clone(&write_half);
-        std::thread::Builder::new()
-            .name("xpdl-serve-write".to_string())
-            .spawn(move || writer_loop(&write_half, &resp_rx))
-            .expect("spawn writer")
-    };
-
     let mut conn = ConnState {
         enc: Encoding::Json,
         saw_traffic: false,
         req_strings: StrDecoder::new(),
         resp_strings: StrEncoder::new(),
+        write_half,
     };
     let mut reader = BufReader::new(stream);
     // Partial-message accumulator. It persists across read timeouts so a
     // line or frame split by TCP segmentation (or a slow sender) is
     // reassembled rather than truncated at the first `WouldBlock`.
     let mut acc: Vec<u8> = Vec::new();
-    loop {
-        if stop.load(Ordering::Acquire) || engine.shutdown_requested() {
-            break;
-        }
-        let keep_going = match conn.enc {
-            Encoding::Json => json_read_step(
-                &mut reader,
-                &mut acc,
-                &mut conn,
-                engine,
-                options,
-                job_tx,
-                &resp_tx,
-                &write_half,
-            ),
-            Encoding::Binary => binary_read_step(
-                &mut reader,
-                &mut acc,
-                &mut conn,
-                engine,
-                options,
-                job_tx,
-                &resp_tx,
-                &write_half,
-            ),
-        };
-        if !keep_going {
-            break;
-        }
-    }
-    // Closing resp_tx lets the writer drain pending responses and exit.
-    drop(resp_tx);
-    let _ = writer.join();
+    while !(stop.load(Ordering::Acquire) || engine.shutdown_requested())
+        && serve_step(&mut reader, &mut acc, &mut conn, engine, options, job_tx)
+    {}
 }
 
-/// One JSON-lines read iteration. Returns false when the connection is
-/// done.
-#[allow(clippy::too_many_arguments)]
-fn json_read_step(
+/// Read, decode and answer (or enqueue) one message in the connection's
+/// current encoding. Returns false when the connection is done.
+fn serve_step(
     reader: &mut BufReader<TcpStream>,
     acc: &mut Vec<u8>,
     conn: &mut ConnState,
     engine: &Arc<Engine>,
     options: &ServerOptions,
     job_tx: &mpsc::Sender<Job>,
-    resp_tx: &mpsc::Sender<Vec<u8>>,
-    write_half: &WriteHalf,
 ) -> bool {
-    match read_line_capped(reader, acc, options.max_line_bytes) {
-        Ok(LineRead::Eof) => false, // client closed
-        Ok(LineRead::Line) => {
-            let line = String::from_utf8_lossy(acc).into_owned();
-            acc.clear();
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                return true;
-            }
-            let request = match parse_request(trimmed) {
-                Ok(r) => r,
-                Err((id, e)) => {
-                    conn.saw_traffic = true;
-                    engine.stats().record(0, true);
-                    let _ = resp_tx.send(json_bytes(&Response::err(id.unwrap_or(0), e)));
-                    return true;
+    let read = match conn.enc {
+        Encoding::Json => read_line_capped(reader, acc, options.max_line_bytes),
+        Encoding::Binary => read_frame_capped(reader, acc, options.max_line_bytes),
+    };
+    let decoded = match read {
+        Ok(Framed::Message) => {
+            let decoded = match conn.enc {
+                Encoding::Json => {
+                    let line = String::from_utf8_lossy(acc);
+                    let trimmed = line.trim();
+                    if trimmed.is_empty() {
+                        // Empty lines are ignored and are not traffic.
+                        acc.clear();
+                        return true;
+                    }
+                    parse_request(trimmed)
                 }
+                Encoding::Binary => codec::decode_request(&acc[4..], &mut conn.req_strings),
             };
-            if matches!(request.method, Method::Hello { .. }) {
-                handle_hello(&request, conn, engine, resp_tx, write_half);
-                return true;
-            }
-            conn.saw_traffic = true;
-            admit_and_enqueue(request, Encoding::Json, engine, options, job_tx, resp_tx);
-            true
-        }
-        Err(LineError::TooLong) => {
-            engine.stats().record(0, true);
-            let err = ServeError::new(
-                codes::LINE_TOO_LONG,
-                format!("request line exceeds {} bytes", options.max_line_bytes),
-            );
-            let _ = resp_tx.send(json_bytes(&Response::err(0, err)));
-            false // framing is lost; drop the connection
-        }
-        Err(LineError::Io(e))
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            true
-        }
-        Err(LineError::Io(_)) => false,
-    }
-}
-
-/// One binary-frame read iteration. Returns false when the connection is
-/// done. Cheap methods run inline on this (reader) thread — no queue, no
-/// thread hop; only blocking/model-rebuilding methods go to the workers.
-#[allow(clippy::too_many_arguments)]
-fn binary_read_step(
-    reader: &mut BufReader<TcpStream>,
-    acc: &mut Vec<u8>,
-    conn: &mut ConnState,
-    engine: &Arc<Engine>,
-    options: &ServerOptions,
-    job_tx: &mpsc::Sender<Job>,
-    resp_tx: &mpsc::Sender<Vec<u8>>,
-    write_half: &WriteHalf,
-) -> bool {
-    match read_frame_capped(reader, acc, options.max_line_bytes) {
-        Ok(FrameRead::Eof) => false, // client closed (partial frames drop with it)
-        Ok(FrameRead::Frame) => {
-            let decoded = codec::decode_request(&acc[4..], &mut conn.req_strings);
             acc.clear();
-            conn.saw_traffic = true;
-            match decoded {
-                Ok(request) => match request.method {
-                    // A second hello can never renegotiate (saw_traffic
-                    // is already true); answered for the error message.
-                    Method::Hello { .. } => {
-                        handle_hello(&request, conn, engine, resp_tx, write_half);
-                        true
-                    }
-                    // Blocking or model-rebuilding: keep off the reader.
-                    Method::Sleep { .. } | Method::Reload | Method::Shutdown => {
-                        admit_and_enqueue(
-                            request,
-                            Encoding::Binary,
-                            engine,
-                            options,
-                            job_tx,
-                            resp_tx,
-                        );
-                        true
-                    }
-                    _ => inline_execute(&request, conn, engine, options, write_half),
-                },
-                Err((id, e)) => {
-                    engine.stats().record(0, true);
-                    // S412 (well-framed, bad params) keeps the connection;
-                    // S415 means framing is lost — report, then close.
-                    let fatal = e.code == codes::BAD_FRAME;
-                    let sent =
-                        write_inline(&Response::err(id.unwrap_or(0), e), conn, write_half);
-                    sent && !fatal
-                }
-            }
+            decoded
         }
-        Err(FrameError::TooLong(len)) => {
+        Ok(Framed::Eof) => return false, // client closed (partial messages drop with it)
+        Err(ReadError::TooLong(message)) => {
             engine.stats().record(0, true);
-            let err = ServeError::new(
-                codes::LINE_TOO_LONG,
-                format!("frame of {len} bytes exceeds {} byte cap", options.max_line_bytes),
-            );
-            let _ = write_inline(&Response::err(0, err), conn, write_half);
-            false
+            let err = ServeError::new(codes::LINE_TOO_LONG, message);
+            let _ = reply(&Response::err(0, err), conn);
+            return false; // framing is lost; drop the connection
         }
-        Err(FrameError::Io(e))
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            true
+        Err(ReadError::Io(e)) => {
+            return matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )
         }
-        Err(FrameError::Io(_)) => false,
+    };
+    let request = match decoded {
+        Ok(r) => r,
+        Err((id, e)) => {
+            conn.saw_traffic = true;
+            engine.stats().record(0, true);
+            // S412 (well-framed, bad params) keeps the connection; S415
+            // means binary framing is lost — report, then close.
+            let fatal = e.code == codes::BAD_FRAME;
+            return reply(&Response::err(id.unwrap_or(0), e), conn) && !fatal;
+        }
+    };
+    if matches!(request.method, Method::Hello { .. }) {
+        return handle_hello(&request, conn, engine);
     }
+    conn.saw_traffic = true;
+    dispatch(request, conn, engine, options, job_tx)
 }
 
 /// Handle a `hello`. Negotiation is only allowed as the connection's
-/// first message: by then nothing can be queued behind the writer
-/// thread, so the ack (always in the pre-switch encoding) can be written
-/// directly under the write lock and every later frame is guaranteed to
-/// land after it. After any traffic, `hello` answers `S412` and the
-/// encoding stays put.
-fn handle_hello(
-    request: &Request,
-    conn: &mut ConnState,
-    engine: &Arc<Engine>,
-    resp_tx: &mpsc::Sender<Vec<u8>>,
-    write_half: &WriteHalf,
-) {
+/// first message: then no pool reply can be in flight, so the ack
+/// (always in the pre-switch encoding) is the last byte in the old
+/// encoding and every later reply lands after it. After any traffic,
+/// `hello` answers `S412` and the encoding stays put.
+fn handle_hello(request: &Request, conn: &mut ConnState, engine: &Arc<Engine>) -> bool {
     if conn.saw_traffic {
         engine.stats().record(0, true);
         let err =
             ServeError::invalid_params("hello must be the first request on a connection");
-        let resp = Response::err(request.id, err);
-        match conn.enc {
-            Encoding::Json => {
-                let _ = resp_tx.send(json_bytes(&resp));
-            }
-            Encoding::Binary => {
-                let _ = write_inline(&resp, conn, write_half);
-            }
-        }
-        return;
+        return reply(&Response::err(request.id, err), conn);
     }
     conn.saw_traffic = true;
-    // First message: the engine negotiates (S412 when no overlap). The
-    // ack goes out in the *current* encoding — JSON, since a switch can
-    // only have happened here.
+    // The engine negotiates (S412 when no overlap).
     let resp = engine.handle(request);
-    {
-        let mut w = write_half.lock();
-        if w.write_all(&json_bytes(&resp)).is_err() {
-            return;
-        }
-        let _ = w.flush();
+    if !reply(&resp, conn) {
+        return false;
     }
     if let Ok(Reply::Hello { encoding }) = &resp.result {
         if encoding == codec::BINARY {
             conn.enc = Encoding::Binary;
         }
     }
-}
-
-/// Execute one request on the reader thread (binary fast path): admit,
-/// run, encode with the connection's interning table, write under the
-/// shared lock. Returns false when the socket is gone.
-fn inline_execute(
-    request: &Request,
-    conn: &mut ConnState,
-    engine: &Arc<Engine>,
-    options: &ServerOptions,
-    write_half: &WriteHalf,
-) -> bool {
-    let resp = match InflightPermit::try_acquire(engine.stats(), options.max_inflight) {
-        Ok(permit) => {
-            // Inline execution never queues; the zero keeps the
-            // queue-wait histogram honest about what this path skips.
-            engine.stats().queue_wait_us.record(0);
-            let resp = engine.handle(request);
-            drop(permit);
-            resp
-        }
-        Err(shed) => {
-            // Shed at the door: rejected, never served — keep it out of
-            // the served-latency percentiles (see ServeStats docs).
-            engine.stats().record_rejected(0);
-            Response::err(request.id, shed)
-        }
-    };
-    write_inline(&resp, conn, write_half)
-}
-
-/// Encode a response with the reader-owned interning table and write it
-/// under the shared lock. Reader-thread only — interleaving with
-/// worker-produced inline-only frames is safe because only this thread
-/// ever *defines* string ids, in the order it writes them.
-fn write_inline(resp: &Response, conn: &mut ConnState, write_half: &WriteHalf) -> bool {
-    let frame = codec::encode_response(resp, &mut conn.resp_strings);
-    let mut w = write_half.lock();
-    if w.write_all(&frame).is_err() {
-        return false;
-    }
-    let _ = w.flush();
     true
 }
 
-/// Admit and enqueue one parsed request for the worker pool (or answer
-/// its shed/shutdown error in the connection's encoding).
-fn admit_and_enqueue(
+/// Admit one request, then execute it inline and reply, or hand it to
+/// the worker pool. Returns false when the socket is gone.
+fn dispatch(
     request: Request,
-    enc: Encoding,
+    conn: &mut ConnState,
     engine: &Arc<Engine>,
     options: &ServerOptions,
     job_tx: &mpsc::Sender<Job>,
-    resp_tx: &mpsc::Sender<Vec<u8>>,
-) {
-    // Admission control: refuse before queueing. The permit is consumed
-    // here and re-acquired conceptually by the worker via the job itself —
-    // we keep it simple by shedding on the gauge and letting the worker's
-    // handling decrement when the job completes.
-    match InflightPermit::try_acquire(engine.stats(), options.max_inflight) {
-        Ok(permit) => {
-            // The job owns the in-flight slot until a worker finishes it;
-            // permits are scoped to this function, so transfer the count
-            // manually: forget the RAII guard and decrement in the worker.
-            std::mem::forget(permit);
-            let job = Job {
-                request,
-                admitted_at: Instant::now(),
-                enc,
-                reply_to: resp_tx.clone(),
-            };
-            if job_tx.send(job).is_err() {
-                // Worker pool gone (shutdown): undo the in-flight claim.
-                engine.stats().inflight.dec();
-                engine.stats().record(0, true);
-                let resp = Response::err(
-                    0,
-                    ServeError::new(codes::SHUTTING_DOWN, "server is stopping"),
-                );
-                let _ = resp_tx.send(encode_for(&resp, enc));
-            }
-        }
+) -> bool {
+    let permit = match InflightPermit::try_acquire(engine.stats(), options.max_inflight) {
+        Ok(permit) => permit,
         Err(shed) => {
             // Shed at the door: rejected, never served — keep it out of
             // the served-latency percentiles (see ServeStats docs).
             engine.stats().record_rejected(0);
-            let resp = Response::err(request.id, shed);
-            let _ = resp_tx.send(encode_for(&resp, enc));
+            return reply(&Response::err(request.id, shed), conn);
         }
+    };
+    if !matches!(request.method, Method::Sleep { .. } | Method::Reload | Method::Shutdown) {
+        // Inline execution never queues; the zero keeps the queue-wait
+        // histogram honest about what this path skips.
+        engine.stats().queue_wait_us.record(0);
+        let resp = engine.handle(&request);
+        drop(permit);
+        return reply(&resp, conn);
     }
+    // Blocking or model-rebuilding: keep off the reader. The job owns
+    // the in-flight slot until a worker finishes it, so forget the RAII
+    // guard here; the worker decrements the gauge.
+    std::mem::forget(permit);
+    let job = Job {
+        request,
+        admitted_at: Instant::now(),
+        enc: conn.enc,
+        write_half: Arc::clone(&conn.write_half),
+    };
+    if job_tx.send(job).is_ok() {
+        return true;
+    }
+    // Worker pool gone (shutdown): undo the in-flight claim.
+    engine.stats().inflight.dec();
+    engine.stats().record(0, true);
+    let resp = Response::err(0, ServeError::new(codes::SHUTTING_DOWN, "server is stopping"));
+    reply(&resp, conn)
 }
 
 /// Worker: dequeue jobs, enforce deadlines, run the engine, reply.
@@ -630,51 +459,49 @@ fn worker_loop(
             }
             _ => engine.handle(&job.request),
         };
-        // The job held the in-flight slot transferred in admit_and_enqueue.
+        // The job held the in-flight slot transferred in `dispatch`.
         engine.stats().inflight.dec();
-        let _ = job.reply_to.send(encode_for(&response, job.enc));
+        // Inline-only binary frames never define string ids, so they are
+        // valid against the client's decoder however they interleave
+        // with the reader's interned frames.
+        let bytes = encode(&response, job.enc, &mut StrEncoder::inline_only());
+        let _ = job.write_half.lock().write_all(&bytes);
     }
 }
 
-/// Writer: serialize responses onto the socket in completion order. The
-/// shared lock keeps worker frames whole against the reader's inline
-/// binary writes.
-fn writer_loop(stream: &WriteHalf, resp_rx: &mpsc::Receiver<Vec<u8>>) {
-    while let Ok(bytes) = resp_rx.recv() {
-        let mut s = stream.lock();
-        if s.write_all(&bytes).is_err() {
-            return; // client gone; drain silently via channel close
-        }
-        let _ = s.flush();
-    }
-}
-
-/// A response as JSON-lines wire bytes (newline included).
-fn json_bytes(resp: &Response) -> Vec<u8> {
-    let mut out = resp.to_json().into_bytes();
-    out.push(b'\n');
-    out
-}
-
-/// Serialize a response in the given encoding, off the reader thread.
-/// Binary frames from here never intern (see [`StrEncoder::inline_only`]),
-/// so they are valid against the client's decoder regardless of how they
-/// interleave with the reader's interned frames.
-fn encode_for(resp: &Response, enc: Encoding) -> Vec<u8> {
+/// Serialize a response for the wire: a JSON line (newline included) or
+/// a binary frame interned through `strings`.
+fn encode(resp: &Response, enc: Encoding, strings: &mut StrEncoder) -> Vec<u8> {
     match enc {
-        Encoding::Json => json_bytes(resp),
-        Encoding::Binary => codec::encode_response(resp, &mut StrEncoder::inline_only()),
+        Encoding::Json => {
+            let mut out = resp.to_json().into_bytes();
+            out.push(b'\n');
+            out
+        }
+        Encoding::Binary => codec::encode_response(resp, strings),
     }
 }
 
-enum LineError {
-    TooLong,
+/// Encode a response with the reader-owned interning table and write it
+/// under the shared lock. Reader-thread only — interleaving with
+/// worker-produced inline-only frames is safe because only this thread
+/// ever *defines* string ids, in the order it writes them. Returns false
+/// when the socket is gone.
+fn reply(resp: &Response, conn: &mut ConnState) -> bool {
+    let bytes = encode(resp, conn.enc, &mut conn.resp_strings);
+    conn.write_half.lock().write_all(&bytes).is_ok()
+}
+
+enum ReadError {
+    /// The message exceeds the byte cap; carries the `S414` message.
+    TooLong(String),
     Io(std::io::Error),
 }
 
-enum LineRead {
-    /// A full line landed in the accumulator (newline stripped).
-    Line,
+enum Framed {
+    /// A full message landed in the accumulator: a line with its newline
+    /// stripped, or a frame with its length prefix (body is `acc[4..]`).
+    Message,
     /// The peer closed the connection.
     Eof,
 }
@@ -688,50 +515,25 @@ fn read_line_capped(
     reader: &mut BufReader<TcpStream>,
     acc: &mut Vec<u8>,
     cap: usize,
-) -> Result<LineRead, LineError> {
+) -> Result<Framed, ReadError> {
     loop {
-        let available = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) => return Err(LineError::Io(e)),
-        };
+        let available = reader.fill_buf().map_err(ReadError::Io)?;
         if available.is_empty() {
             // EOF: a dangling partial line (no trailing newline) is
             // not a valid frame — drop it with the connection.
-            return Ok(LineRead::Eof);
+            return Ok(Framed::Eof);
         }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                acc.extend_from_slice(&available[..pos]);
-                reader.consume(pos + 1);
-                if acc.len() > cap {
-                    return Err(LineError::TooLong);
-                }
-                return Ok(LineRead::Line);
-            }
-            None => {
-                let n = available.len();
-                acc.extend_from_slice(available);
-                reader.consume(n);
-                if acc.len() > cap {
-                    return Err(LineError::TooLong);
-                }
-            }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(available.len());
+        acc.extend_from_slice(&available[..take]);
+        reader.consume(take + usize::from(newline.is_some()));
+        if acc.len() > cap {
+            return Err(ReadError::TooLong(format!("request line exceeds {cap} bytes")));
+        }
+        if newline.is_some() {
+            return Ok(Framed::Message);
         }
     }
-}
-
-enum FrameError {
-    /// The frame declares a body longer than the cap.
-    TooLong(usize),
-    Io(std::io::Error),
-}
-
-enum FrameRead {
-    /// A complete frame (length prefix *included*) landed in `acc`; the
-    /// body is `acc[4..]`.
-    Frame,
-    /// The peer closed the connection.
-    Eof,
 }
 
 /// Read one binary frame into `acc` (prefix plus body). Mirrors
@@ -742,28 +544,27 @@ fn read_frame_capped(
     reader: &mut BufReader<TcpStream>,
     acc: &mut Vec<u8>,
     cap: usize,
-) -> Result<FrameRead, FrameError> {
+) -> Result<Framed, ReadError> {
     loop {
         let target = if acc.len() >= 4 {
             let len = u32::from_le_bytes(acc[..4].try_into().expect("4 bytes")) as usize;
             if len > cap {
-                return Err(FrameError::TooLong(len));
+                return Err(ReadError::TooLong(format!(
+                    "frame of {len} bytes exceeds {cap} byte cap"
+                )));
             }
             4 + len
         } else {
             4
         };
         if acc.len() >= 4 && acc.len() == target {
-            return Ok(FrameRead::Frame);
+            return Ok(Framed::Message);
         }
-        let available = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) => return Err(FrameError::Io(e)),
-        };
+        let available = reader.fill_buf().map_err(ReadError::Io)?;
         if available.is_empty() {
             // EOF: a partial frame is not a valid message — drop it with
             // the connection, as the line path drops dangling partials.
-            return Ok(FrameRead::Eof);
+            return Ok(Framed::Eof);
         }
         let n = (target - acc.len()).min(available.len());
         acc.extend_from_slice(&available[..n]);

@@ -4,19 +4,15 @@
 //! (`Arc<RuntimeModel>` plus metadata). A reload builds the replacement
 //! model entirely off to the side — repository fetch, elaboration,
 //! flattening, fingerprinting all happen before the registry is touched —
-//! and then *installs* it: the new `Arc` is written into the slot for
-//! epoch `e+1` and the epoch counter is advanced with a release store.
+//! and then *installs* it: under the registry's write lock the epoch is
+//! bumped and the current `Arc` is swapped for the new one.
 //!
-//! Readers do the inverse: one acquire load of the epoch, one clone of
-//! the `Arc` in that epoch's slot. The slot array is a ring of
-//! [`SLOTS`] entries, so a reader and the installer only ever touch the
-//! same slot if the server hot-reloads [`SLOTS`] times during one
-//! reader's two-instruction critical section — and even then the slot's
-//! own lock keeps the clone atomic, so the reader gets a newer (but
-//! never torn) snapshot. There is no point at which a reader waits for
-//! model compilation, and in-flight queries keep their `Arc` across any
-//! number of swaps: an old epoch's model is freed when its last query
-//! completes, never before.
+//! Readers do the inverse: one clone of the current `Arc` under the read
+//! lock. A reader can wait for at most one install's pointer swap, never
+//! for model compilation, and in-flight queries keep their `Arc` across
+//! any number of swaps: an old epoch's model is freed when its last query
+//! completes, never before — and the registry itself holds no superseded
+//! model.
 //!
 //! # Example
 //!
@@ -42,15 +38,10 @@
 //! assert_eq!(held.epoch, 0);            // the held snapshot stays valid
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use xpdl_codegen::plan::CompiledGetters;
 use xpdl_runtime::{format, RuntimeModel, XpdlHandle};
-
-/// Ring size (power of two). A reader would have to stall for this many
-/// consecutive hot reloads before it could contend with the installer.
-pub const SLOTS: usize = 64;
 
 /// One immutable, shareable serving unit.
 #[derive(Debug, Clone)]
@@ -104,21 +95,13 @@ impl ServeSnapshot {
 
 /// FNV-1a over the model's canonical encoding.
 pub fn fingerprint_model(model: &RuntimeModel) -> u64 {
-    let bytes = format::encode(model);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes.as_ref() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    xpdl_repo::diskcache::fnv1a64(format::encode(model).as_ref())
 }
 
 /// The swap point between the reload path and every reader.
 #[derive(Debug)]
 pub struct SnapshotRegistry {
-    epoch: AtomicU64,
-    slots: Box<[parking_lot::RwLock<Arc<ServeSnapshot>>]>,
-    install_lock: parking_lot::Mutex<()>,
+    current: parking_lot::RwLock<Arc<ServeSnapshot>>,
 }
 
 impl SnapshotRegistry {
@@ -126,38 +109,36 @@ impl SnapshotRegistry {
     pub fn new(initial: ServeSnapshot) -> SnapshotRegistry {
         let mut initial = initial;
         initial.epoch = 0;
-        let first = Arc::new(initial);
-        SnapshotRegistry {
-            epoch: AtomicU64::new(0),
-            slots: (0..SLOTS).map(|_| parking_lot::RwLock::new(Arc::clone(&first))).collect(),
-            install_lock: parking_lot::Mutex::new(()),
-        }
+        SnapshotRegistry { current: parking_lot::RwLock::new(Arc::new(initial)) }
     }
 
     /// The epoch currently being served.
     pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.current.read().epoch
     }
 
-    /// Take the current snapshot. Never blocks on a reload: the cost is
-    /// one atomic load plus one `Arc` clone under an uncontended slot
-    /// lock. The returned snapshot stays valid (and its epoch stays
-    /// meaningful) for as long as the caller holds it, regardless of how
-    /// many reloads happen meanwhile.
+    /// Take the current snapshot: one `Arc` clone under the read lock,
+    /// which waits at most for one install's pointer swap, never for a
+    /// reload's compilation. The returned snapshot stays valid (and its
+    /// epoch stays meaningful) for as long as the caller holds it,
+    /// regardless of how many reloads happen meanwhile.
     pub fn load(&self) -> Arc<ServeSnapshot> {
-        let e = self.epoch.load(Ordering::Acquire);
-        self.slots[(e as usize) & (SLOTS - 1)].read().clone()
+        self.current.read().clone()
     }
 
     /// Install a new snapshot, returning the epoch it was assigned.
-    /// Installs are serialized internally; readers are never paused.
+    /// Installs are serialized by the write lock, which is held only for
+    /// the epoch bump and the pointer swap.
     pub fn install(&self, mut snapshot: ServeSnapshot) -> u64 {
-        let _guard = self.install_lock.lock();
-        let next = self.epoch.load(Ordering::Relaxed) + 1;
-        snapshot.epoch = next;
         snapshot.loaded_at = Instant::now();
-        *self.slots[(next as usize) & (SLOTS - 1)].write() = Arc::new(snapshot);
-        self.epoch.store(next, Ordering::Release);
+        let mut current = self.current.write();
+        let next = current.epoch + 1;
+        snapshot.epoch = next;
+        let displaced = std::mem::replace(&mut *current, Arc::new(snapshot));
+        drop(current);
+        // Freeing the old model (if no query still holds it) happens
+        // after readers are let back in.
+        drop(displaced);
         next
     }
 }
@@ -192,13 +173,16 @@ mod tests {
     fn old_snapshot_survives_many_installs() {
         let reg = SnapshotRegistry::new(ServeSnapshot::initial(model(3), "t"));
         let pinned = reg.load();
-        for i in 0..(SLOTS * 2) {
+        for i in 0..128 {
             reg.install(ServeSnapshot::initial(model(4 + i % 2), "t"));
         }
-        // The pinned Arc still reads the epoch-0 model, untouched.
+        // The pinned Arc still reads the epoch-0 model, untouched, and
+        // the registry holds only the newest snapshot besides it.
         assert_eq!(pinned.epoch, 0);
         assert_eq!(pinned.handle.num_cores(), 3);
-        assert_eq!(reg.current_epoch(), (SLOTS * 2) as u64);
+        assert_eq!(Arc::strong_count(&pinned), 1);
+        assert_eq!(reg.current_epoch(), 128);
+        assert_eq!(Arc::strong_count(&reg.load()), 2);
     }
 
     #[test]

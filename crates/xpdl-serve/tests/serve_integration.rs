@@ -168,10 +168,11 @@ fn queued_requests_past_their_deadline_get_s421() {
         },
     );
     let mut client = Client::connect(&server);
-    // One sleep monopolizes the only worker; the pinged request sits in
-    // the queue past its 100ms deadline.
+    // One sleep monopolizes the only worker; the second sleep sits in
+    // the queue past its 100ms deadline. (Cheap methods run inline on
+    // the reader thread and never queue, so only pool methods expire.)
     client.send(r#"{"v":1,"id":1,"method":"sleep","params":{"ms":500}}"#);
-    client.send(r#"{"v":1,"id":2,"method":"ping"}"#);
+    client.send(r#"{"v":1,"id":2,"method":"sleep","params":{"ms":1}}"#);
     let mut by_id = std::collections::BTreeMap::new();
     for _ in 0..2 {
         let resp = client.recv();
@@ -184,6 +185,25 @@ fn queued_requests_past_their_deadline_get_s421() {
         server.engine().stats().deadline_exceeded.get(),
         1
     );
+}
+
+#[test]
+fn json_cheap_calls_do_not_queue_behind_the_pool() {
+    let server = start_server(
+        EngineOptions { allow_debug: true, allow_shutdown: true },
+        ServerOptions { workers: 1, ..Default::default() },
+    );
+    let mut client = Client::connect(&server);
+    // The sleep occupies the only worker; the ping behind it on the same
+    // JSON connection runs inline and must be answered first.
+    client.send(r#"{"v":1,"id":1,"method":"sleep","params":{"ms":300}}"#);
+    client.send(r#"{"v":1,"id":2,"method":"ping"}"#);
+    let first = client.recv();
+    assert_eq!(first.id, 2, "ping waited behind the sleep");
+    assert_eq!(first.result.unwrap(), Reply::Pong);
+    let second = client.recv();
+    assert_eq!(second.id, 1);
+    assert_eq!(second.result.unwrap(), Reply::Slept { ms: 300 });
 }
 
 #[test]
