@@ -125,17 +125,7 @@ fn bench_query_api(c: &mut Criterion) {
     g.bench_function("find_by_ident", |b| {
         b.iter(|| rt.find(black_box("gpu1")).unwrap())
     });
-    g.bench_function("num_cores_cold", |b| {
-        b.iter_batched(
-            || rt.clone(),
-            |m| m.num_cores(),
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("num_cores_memoized", |b| {
-        rt.num_cores();
-        b.iter(|| black_box(&rt).num_cores())
-    });
+    g.bench_function("num_cores", |b| b.iter(|| black_box(&rt).num_cores()));
     g.bench_function("attr_getter", |b| {
         let node = rt.find("gpu1").unwrap();
         b.iter(|| node.attr(black_box("compute_capability")))

@@ -22,11 +22,9 @@
 //! * [`ident`] — identifier conversion (`power_state_machine` →
 //!   `PowerStateMachine`, attribute names → `get_*` getters) with keyword
 //!   escaping.
-//! * [`plan`] — the runtime flavour of generation: compiles a loaded
-//!   [`xpdl_runtime::RuntimeModel`] into [`plan::CompiledGetters`],
-//!   pre-resolved index tables (ident → node, attr arenas, parsed
-//!   numerics, per-kind element lists, precomputed analyses) so the serve
-//!   hot path is an index lookup plus bounds check instead of a tree walk.
+//! * [`plan`] — re-exports the runtime's load-time index builder,
+//!   [`xpdl_runtime::ModelIndex`], for callers that name it as a query
+//!   plan; a loaded model already answers every getter from it.
 
 pub mod c_gen;
 pub mod ident;
@@ -36,6 +34,5 @@ pub mod uml;
 
 pub use c_gen::generate_c_header;
 pub use ident::{camel_case, getter_name, sanitize_snake};
-pub use plan::CompiledGetters;
 pub use rust_gen::generate_rust_api;
 pub use uml::{model_to_plantuml, schema_to_plantuml};

@@ -1,423 +1,5 @@
-//! Compiled query plans: pre-resolved getters over a loaded model.
-//!
-//! The paper's generated query API (and [`rust_gen`](crate::rust_gen))
-//! resolves every call by walking the element tree and comparing strings.
-//! That is fine for offline tooling but is the dominant cost on the serve
-//! hot path, where the same handful of getters run millions of times
-//! against an immutable snapshot. [`CompiledGetters`] is the runtime
-//! flavour of code generation: at snapshot-install time it compiles a
-//! [`RuntimeModel`] into flat index tables —
-//!
-//! * a **per-snapshot string table** (a copy of the model's interner) with
-//!   an open-addressed hash for O(1) string → id lookup,
-//! * an **ident → node** table and per-node kind/ident/type ids,
-//! * **attribute arenas** (`attr_start` spans over parallel key/value id
-//!   arrays) with numerics pre-parsed per string id,
-//! * **per-kind element lists** (document order, named idents split out),
-//! * and the analysis results (`num_cores`, `num_cuda_devices`,
-//!   `total_static_power_w`) plus the installed-software type list,
-//!
-//! so a query is an index lookup plus bounds check, not a path walk. The
-//! semantics are bit-for-bit those of the dynamic walk (same document
-//! order, same `str::trim().parse::<f64>()` numeric rule, same first-wins
-//! ident resolution); the test suite sweeps a model through both paths.
-//!
-//! A `CompiledGetters` is fully self-contained (it owns its string table),
-//! so a serving snapshot can hand it out without also pinning the model.
+//! Query plans over a loaded model are the model's own load-time indexes:
+//! [`xpdl_runtime::ModelIndex::compile`] is the builder every
+//! [`xpdl_runtime::RuntimeModel`] constructor runs.
 
-use xpdl_runtime::RuntimeModel;
-
-/// Sentinel for "no string" / "no node" in the index tables.
-const NONE: u32 = u32::MAX;
-
-/// All elements of one kind, pre-collected in document order.
-#[derive(Debug, Clone)]
-pub struct KindGroup {
-    /// Kind string id.
-    kind: u32,
-    /// String ids of the identifiers of *named* members, document order.
-    idents: Vec<u32>,
-    /// Total member count, including anonymous elements.
-    count: u64,
-}
-
-/// Pre-resolved getters compiled from one [`RuntimeModel`].
-///
-/// Built once per snapshot install; immutable and cheap to share
-/// afterwards. All accessors are bounds-checked index lookups.
-#[derive(Debug)]
-pub struct CompiledGetters {
-    /// The per-snapshot string table (same index space as the model's).
-    strings: Vec<String>,
-    /// Open-addressed hash over `strings`: slot → string id.
-    slots: Vec<u32>,
-    /// ident string id → node index (first occurrence wins, as in the
-    /// model's ident index).
-    ident_node: Vec<u32>,
-    node_kind: Vec<u32>,
-    node_ident: Vec<u32>,
-    node_type: Vec<u32>,
-    /// Attribute arena spans: node `i` owns `attr_start[i]..attr_start[i+1]`.
-    attr_start: Vec<u32>,
-    attr_keys: Vec<u32>,
-    attr_vals: Vec<u32>,
-    /// `strings[i].trim().parse::<f64>()` result per string id.
-    num_val: Vec<f64>,
-    num_ok: Vec<bool>,
-    /// Sorted by kind id for binary search.
-    kinds: Vec<KindGroup>,
-    /// `type=` string ids of `installed` elements, document order.
-    installed_types: Vec<u32>,
-    num_cores: u64,
-    num_cuda_devices: u64,
-    total_static_power_w: f64,
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-impl CompiledGetters {
-    /// Compile a model into flat getter tables. Cost is one pass over the
-    /// nodes plus one parse attempt per interned string; called once per
-    /// snapshot install, never on the query path.
-    pub fn compile(model: &RuntimeModel) -> CompiledGetters {
-        let strings: Vec<String> = model.strings().to_vec();
-
-        // String → id hash: open addressing, linear probing, power-of-two
-        // capacity at least twice the population.
-        let cap = (strings.len().max(4) * 2).next_power_of_two();
-        let mut slots = vec![NONE; cap];
-        let mask = cap - 1;
-        for (id, s) in strings.iter().enumerate() {
-            let mut slot = (fnv1a(s) as usize) & mask;
-            while slots[slot] != NONE {
-                slot = (slot + 1) & mask;
-            }
-            slots[slot] = id as u32;
-        }
-
-        let n = model.len();
-        let mut ident_node = vec![NONE; strings.len()];
-        let mut node_kind = Vec::with_capacity(n);
-        let mut node_ident = Vec::with_capacity(n);
-        let mut node_type = Vec::with_capacity(n);
-        let mut attr_start = Vec::with_capacity(n + 1);
-        let mut attr_keys = Vec::new();
-        let mut attr_vals = Vec::new();
-        let mut kinds: Vec<KindGroup> = Vec::new();
-        let mut installed_types = Vec::new();
-        let installed_kind = "installed";
-
-        for idx in 0..n as u32 {
-            let node = model.node_at(idx).expect("index in range");
-            let kind = node.kind_id();
-            let ident = node.ident_id();
-            node_kind.push(kind);
-            node_ident.push(ident.unwrap_or(NONE));
-            node_type.push(node.type_ref_id().unwrap_or(NONE));
-            attr_start.push(attr_keys.len() as u32);
-            for &(k, v) in node.attr_ids() {
-                attr_keys.push(k);
-                attr_vals.push(v);
-            }
-            if let Some(id) = ident {
-                if ident_node[id as usize] == NONE {
-                    ident_node[id as usize] = idx;
-                }
-            }
-            let group = match kinds.binary_search_by_key(&kind, |g| g.kind) {
-                Ok(i) => &mut kinds[i],
-                Err(i) => {
-                    kinds.insert(i, KindGroup { kind, idents: Vec::new(), count: 0 });
-                    &mut kinds[i]
-                }
-            };
-            group.count += 1;
-            if let Some(id) = ident {
-                group.idents.push(id);
-            }
-            if strings[kind as usize] == installed_kind {
-                if let Some(t) = node.type_ref_id() {
-                    installed_types.push(t);
-                }
-            }
-        }
-        attr_start.push(attr_keys.len() as u32);
-
-        // Pre-parse every interned string with the exact numeric rule of
-        // the dynamic walk ("NaN" parses Ok; "1e3" parses; "2 GHz" does
-        // not), so `get_number` is a table load.
-        let mut num_val = Vec::with_capacity(strings.len());
-        let mut num_ok = Vec::with_capacity(strings.len());
-        for s in &strings {
-            match s.trim().parse::<f64>() {
-                Ok(v) => {
-                    num_val.push(v);
-                    num_ok.push(true);
-                }
-                Err(_) => {
-                    num_val.push(0.0);
-                    num_ok.push(false);
-                }
-            }
-        }
-
-        // Analyses are delegated to the model's own (memoized) walks at
-        // compile time — exact parity by construction.
-        CompiledGetters {
-            num_cores: model.num_cores() as u64,
-            num_cuda_devices: model.num_cuda_devices() as u64,
-            total_static_power_w: model.total_static_power_w(),
-            strings,
-            slots,
-            ident_node,
-            node_kind,
-            node_ident,
-            node_type,
-            attr_start,
-            attr_keys,
-            attr_vals,
-            num_val,
-            num_ok,
-            kinds,
-            installed_types,
-        }
-    }
-
-    /// String → id, O(1) expected.
-    pub fn str_id(&self, s: &str) -> Option<u32> {
-        let mask = self.slots.len() - 1;
-        let mut slot = (fnv1a(s) as usize) & mask;
-        loop {
-            let id = self.slots[slot];
-            if id == NONE {
-                return None;
-            }
-            if self.strings[id as usize] == s {
-                return Some(id);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Id → string (panics on an id not from this table).
-    pub fn resolve(&self, id: u32) -> &str {
-        &self.strings[id as usize]
-    }
-
-    /// Number of entries in the per-snapshot string table.
-    pub fn string_count(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Node index for an identifier (first occurrence in document order).
-    pub fn find(&self, ident: &str) -> Option<u32> {
-        let id = self.str_id(ident)?;
-        let node = self.ident_node[id as usize];
-        (node != NONE).then_some(node)
-    }
-
-    /// Kind string of a node.
-    pub fn node_kind(&self, node: u32) -> &str {
-        self.resolve(self.node_kind[node as usize])
-    }
-
-    /// Identifier string of a node, if named.
-    pub fn node_ident(&self, node: u32) -> Option<&str> {
-        let id = self.node_ident[node as usize];
-        (id != NONE).then(|| self.resolve(id))
-    }
-
-    /// `type=` reference of a node, if any.
-    pub fn node_type_ref(&self, node: u32) -> Option<&str> {
-        let id = self.node_type[node as usize];
-        (id != NONE).then(|| self.resolve(id))
-    }
-
-    /// Attributes of a node in document order.
-    pub fn node_attrs(&self, node: u32) -> impl Iterator<Item = (&str, &str)> + '_ {
-        let lo = self.attr_start[node as usize] as usize;
-        let hi = self.attr_start[node as usize + 1] as usize;
-        (lo..hi).map(|i| {
-            (self.resolve(self.attr_keys[i]), self.resolve(self.attr_vals[i]))
-        })
-    }
-
-    /// Raw attribute lookup: first matching key in document order.
-    pub fn get_attr(&self, ident: &str, attr: &str) -> Option<&str> {
-        let node = self.find(ident)?;
-        let key = self.str_id(attr)?;
-        let lo = self.attr_start[node as usize] as usize;
-        let hi = self.attr_start[node as usize + 1] as usize;
-        for i in lo..hi {
-            if self.attr_keys[i] == key {
-                return Some(self.resolve(self.attr_vals[i]));
-            }
-        }
-        None
-    }
-
-    /// Numeric attribute via the pre-parsed table (same trim+parse rule as
-    /// the dynamic walk).
-    pub fn get_number(&self, ident: &str, attr: &str) -> Option<f64> {
-        let node = self.find(ident)?;
-        let key = self.str_id(attr)?;
-        let lo = self.attr_start[node as usize] as usize;
-        let hi = self.attr_start[node as usize + 1] as usize;
-        for i in lo..hi {
-            if self.attr_keys[i] == key {
-                let v = self.attr_vals[i] as usize;
-                return self.num_ok[v].then(|| self.num_val[v]);
-            }
-        }
-        None
-    }
-
-    /// Pre-collected elements of a kind: `(named idents in document
-    /// order, total count including anonymous)`.
-    pub fn elements_of_kind(&self, kind: &str) -> (Vec<&str>, u64) {
-        let Some(id) = self.str_id(kind) else { return (Vec::new(), 0) };
-        match self.kinds.binary_search_by_key(&id, |g| g.kind) {
-            Ok(i) => {
-                let g = &self.kinds[i];
-                (g.idents.iter().map(|&s| self.resolve(s)).collect(), g.count)
-            }
-            Err(_) => (Vec::new(), 0),
-        }
-    }
-
-    /// Precomputed core count.
-    pub fn num_cores(&self) -> u64 {
-        self.num_cores
-    }
-
-    /// Precomputed CUDA-capable device count.
-    pub fn num_cuda_devices(&self) -> u64 {
-        self.num_cuda_devices
-    }
-
-    /// Precomputed total static power, watts.
-    pub fn total_static_power_w(&self) -> f64 {
-        self.total_static_power_w
-    }
-
-    /// Installed-software availability check over the pre-collected
-    /// `installed` type list.
-    pub fn has_installed(&self, pred: impl Fn(&str) -> bool) -> bool {
-        self.installed_types.iter().any(|&t| pred(self.resolve(t)))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xpdl_core::XpdlDocument;
-
-    fn model() -> RuntimeModel {
-        let doc = XpdlDocument::parse_str(
-            r#"<system id="srv">
-                 <cpu id="h" type="Xeon" static_power="15" static_power_unit="W">
-                   <core id="c0" frequency="2" frequency_unit="GHz"/>
-                   <core id="c1" frequency="2" frequency_unit="GHz"/>
-                 </cpu>
-                 <device id="gpu1" static_power="8" static_power_unit="W" note="NaN">
-                   <programming_model type="cuda6.0,opencl"/>
-                   <core id="sm0"/>
-                   <core/>
-                 </device>
-                 <software>
-                   <installed type="CUBLAS_6.0" path="/opt/cublas"/>
-                   <installed type="StarPU_1.0" path="/opt/starpu"/>
-                 </software>
-               </system>"#,
-        )
-        .unwrap();
-        RuntimeModel::from_element(doc.root())
-    }
-
-    #[test]
-    fn every_getter_matches_the_dynamic_walk() {
-        let m = model();
-        let p = CompiledGetters::compile(&m);
-
-        // Every string resolves to its own id; unknown strings miss.
-        for (i, s) in m.strings().iter().enumerate() {
-            assert_eq!(p.str_id(s), Some(i as u32), "string {s:?}");
-            assert_eq!(p.resolve(i as u32), s);
-        }
-        assert_eq!(p.str_id("no-such-string-anywhere"), None);
-        assert_eq!(p.string_count(), m.strings().len());
-
-        // Node-level parity over the whole model.
-        for idx in 0..m.len() as u32 {
-            let walk = m.node_at(idx).unwrap();
-            assert_eq!(p.node_kind(idx), walk.kind());
-            assert_eq!(p.node_ident(idx), walk.ident());
-            assert_eq!(p.node_type_ref(idx), walk.type_ref());
-            let pa: Vec<_> = p.node_attrs(idx).collect();
-            let wa: Vec<_> = walk.attrs().collect();
-            assert_eq!(pa, wa);
-        }
-
-        // find + attribute getters for every named node and every key.
-        for idx in 0..m.len() as u32 {
-            let walk = m.node_at(idx).unwrap();
-            let Some(ident) = walk.ident() else { continue };
-            assert_eq!(p.find(ident), m.find(ident).map(|n| n.index()));
-            let target = m.find(ident).unwrap();
-            for (k, _) in target.attrs() {
-                assert_eq!(p.get_attr(ident, k), target.attr(k), "{ident}.{k}");
-                let pn = p.get_number(ident, k);
-                let wn = target.number(k);
-                // NaN != NaN: compare via bit pattern.
-                assert_eq!(pn.map(f64::to_bits), wn.map(f64::to_bits), "{ident}.{k}");
-            }
-            assert_eq!(p.get_attr(ident, "missing"), None);
-        }
-        assert_eq!(p.find("nobody"), None);
-        assert_eq!(p.get_attr("nobody", "frequency"), None);
-
-        // NaN attribute parses Ok in both paths.
-        assert!(p.get_number("gpu1", "note").unwrap().is_nan());
-
-        // Per-kind lists: idents + counts, document order, anonymous
-        // members counted.
-        for kind in ["core", "cpu", "device", "installed", "nope"] {
-            let (idents, count) = p.elements_of_kind(kind);
-            let walk: Vec<_> = m.nodes_of_kind(kind).collect();
-            let wi: Vec<_> = walk.iter().filter_map(|n| n.ident()).collect();
-            assert_eq!(idents, wi, "kind {kind}");
-            assert_eq!(count, walk.len() as u64, "kind {kind}");
-        }
-
-        // Analyses and availability predicates.
-        assert_eq!(p.num_cores(), m.num_cores() as u64);
-        assert_eq!(p.num_cuda_devices(), m.num_cuda_devices() as u64);
-        assert_eq!(p.total_static_power_w(), m.total_static_power_w());
-        assert!(p.has_installed(|t| t.starts_with("CUBLAS")));
-        assert!(p.has_installed(|t| t.contains("StarPU")));
-        assert!(!p.has_installed(|t| t.contains("cusparse")));
-    }
-
-    #[test]
-    fn duplicate_idents_resolve_first_in_document_order() {
-        let doc = XpdlDocument::parse_str(
-            r#"<system id="s">
-                 <cpu id="dup" type="A"/>
-                 <cpu id="dup" type="B"/>
-               </system>"#,
-        )
-        .unwrap();
-        let m = RuntimeModel::from_element(doc.root());
-        let p = CompiledGetters::compile(&m);
-        assert_eq!(p.find("dup"), m.find("dup").map(|n| n.index()));
-        assert_eq!(p.get_attr("dup", "type"), None); // type= is not an attr
-        assert_eq!(p.node_type_ref(p.find("dup").unwrap()), Some("A"));
-    }
-}
+pub use xpdl_runtime::ModelIndex as CompiledGetters;

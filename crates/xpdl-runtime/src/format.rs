@@ -34,7 +34,8 @@ pub enum FormatError {
     Truncated,
     /// A string index points outside the string table.
     BadStringRef(u32),
-    /// A child/parent index points outside the node table.
+    /// A child/parent index points outside the node table, or a child
+    /// link is not a forward tree edge (a cycle or a shared child).
     BadNodeRef(u32),
     /// A string is not valid UTF-8.
     BadUtf8,
@@ -49,7 +50,7 @@ impl fmt::Display for FormatError {
             FormatError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             FormatError::Truncated => write!(f, "file truncated"),
             FormatError::BadStringRef(i) => write!(f, "string index {i} out of range"),
-            FormatError::BadNodeRef(i) => write!(f, "node index {i} out of range"),
+            FormatError::BadNodeRef(i) => write!(f, "bad node reference {i}"),
             FormatError::BadUtf8 => write!(f, "invalid UTF-8 in string table"),
             FormatError::Empty => write!(f, "model contains no nodes"),
         }
@@ -249,10 +250,13 @@ pub fn decode(mut data: &[u8]) -> Result<RuntimeModel, FormatError> {
             parent,
         });
     }
-    // Validate node cross-references.
-    for n in &nodes {
+    // Validate node cross-references. A child must come after its parent
+    // and point back at it, so the children edges form a forest and every
+    // walk over them terminates.
+    for (i, n) in nodes.iter().enumerate() {
         for &c in &n.children {
-            if c as usize >= nodes.len() {
+            let back = nodes.get(c as usize).and_then(|child| child.parent);
+            if c as usize <= i || back != Some(i as u32) {
                 return Err(FormatError::BadNodeRef(c));
             }
         }
@@ -262,7 +266,7 @@ pub fn decode(mut data: &[u8]) -> Result<RuntimeModel, FormatError> {
             }
         }
     }
-    Ok(RuntimeModel::from_parts(strings, nodes))
+    Ok(RuntimeModel::new(strings, nodes))
 }
 
 /// Write a model to a file.
@@ -374,6 +378,41 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes()); // no strings
         buf.extend_from_slice(&0u32.to_le_bytes()); // no nodes
         assert_eq!(decode(&buf).unwrap_err(), FormatError::Empty);
+    }
+
+    /// A string table of one kind and the given `(children, parent)`
+    /// node records, all of that kind, with no attributes.
+    fn raw_model(nodes: &[(&[u32], Option<u32>)]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&4u32.to_le_bytes());
+        buf.extend_from_slice(b"node");
+        buf.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+        for (children, parent) in nodes {
+            buf.extend_from_slice(&0u32.to_le_bytes()); // kind
+            buf.push(0); // flags
+            buf.extend_from_slice(&0u16.to_le_bytes()); // attrs
+            buf.extend_from_slice(&(children.len() as u32).to_le_bytes());
+            for c in *children {
+                buf.extend_from_slice(&c.to_le_bytes());
+            }
+            buf.extend_from_slice(&parent.unwrap_or(u32::MAX).to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn cyclic_trees_rejected() {
+        assert_eq!(decode(&raw_model(&[(&[1], None), (&[], Some(0))])).unwrap().len(), 2);
+        // A root that lists itself as its child.
+        let self_loop = raw_model(&[(&[0], None)]);
+        assert_eq!(decode(&self_loop).unwrap_err(), FormatError::BadNodeRef(0));
+        // A child that lists its parent as its own child.
+        let back_edge = raw_model(&[(&[1], None), (&[0], Some(0))]);
+        assert_eq!(decode(&back_edge).unwrap_err(), FormatError::BadNodeRef(0));
+        // A child whose parent field names another node.
+        let orphan = raw_model(&[(&[1], None), (&[], None)]);
+        assert_eq!(decode(&orphan).unwrap_err(), FormatError::BadNodeRef(1));
     }
 
     #[test]

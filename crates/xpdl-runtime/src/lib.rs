@@ -10,11 +10,11 @@
 //! * [`mod@format`] — the versioned binary file format (string-interned flat
 //!   tree, little-endian, built on `bytes`). Loading performs no XML
 //!   parsing, which is the point: startup cost is one buffer scan.
-//! * [`model`] — [`RuntimeModel`]: the flat tree with identifier and kind
-//!   indices, navigation (parent/children), typed getters, and the
-//!   analysis functions of the paper's category 4 (`num_cores`,
-//!   `num_cuda_devices`, `total_static_power`) with a thread-safe memo
-//!   cache.
+//! * [`model`] — [`RuntimeModel`]: the flat tree with navigation
+//!   (parent/children) and typed getters, plus a [`ModelIndex`] built once
+//!   at load: the identifier index, per-kind node lists, and the analysis
+//!   results of the paper's category 4 (`num_cores`, `num_cuda_devices`,
+//!   `total_static_power`), so every getter is an index lookup.
 //! * [`query`] — the C-style façade mirroring the paper's function list:
 //!   `xpdl_init`, `xpdl_root`, `xpdl_find`, `xpdl_get_attr`,
 //!   `xpdl_num_cores`, ….
@@ -44,5 +44,5 @@ pub mod query;
 
 pub use estimate::{estimate_accelerator_use, estimate_static_energy, estimate_transfer, AcceleratorEstimate, TransferEstimate};
 pub use format::{decode, encode, FormatError, LoadError};
-pub use model::{NodeRef, RuntimeModel};
+pub use model::{ModelIndex, NodeRef, RuntimeModel};
 pub use query::XpdlHandle;

@@ -1,7 +1,6 @@
 //! The flat runtime model with navigation, getters and analyses.
 
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use xpdl_core::units::Quantity;
 use xpdl_core::{ModelKind, XpdlElement};
 
@@ -24,23 +23,67 @@ pub(crate) struct RtNode {
     pub parent: Option<u32>,
 }
 
-/// The loaded runtime model.
-#[derive(Debug)]
+/// The loaded runtime model: immutable once built, with its query indexes
+/// built in the one constructor that [`RuntimeModel::from_element`] and
+/// [`crate::format::decode`] share.
+#[derive(Debug, Clone)]
 pub struct RuntimeModel {
     pub(crate) strings: Vec<String>,
     pub(crate) nodes: Vec<RtNode>,
-    ident_index: BTreeMap<String, u32>,
-    analysis_cache: RwLock<BTreeMap<&'static str, f64>>,
+    index: ModelIndex,
 }
 
-impl Clone for RuntimeModel {
-    fn clone(&self) -> Self {
-        RuntimeModel {
-            strings: self.strings.clone(),
-            nodes: self.nodes.clone(),
-            ident_index: self.ident_index.clone(),
-            analysis_cache: RwLock::new(self.analysis_cache.read().clone()),
+/// The query indexes of one [`RuntimeModel`], built once at load: the
+/// identifier index, per-kind node lists, and the category-4 analyses.
+#[derive(Debug, Clone, Default)]
+pub struct ModelIndex {
+    /// Identifier → node; the first occurrence in document order wins.
+    ident: HashMap<String, u32>,
+    /// Kind → every node of that kind (anonymous ones included), in
+    /// document order.
+    kinds: BTreeMap<String, Vec<u32>>,
+    num_cores: usize,
+    num_cuda_devices: usize,
+    total_static_power_w: f64,
+}
+
+impl ModelIndex {
+    /// Index a model: the identifier and kind indexes in one pass over its
+    /// nodes, then the analyses. Reads only the model's tree, never its
+    /// own index.
+    pub fn compile(model: &RuntimeModel) -> ModelIndex {
+        let mut ident = HashMap::new();
+        // Group by interned kind id first: a vector index per node instead
+        // of a string-keyed map lookup.
+        let mut by_kind = vec![Vec::new(); model.strings.len()];
+        for (idx, n) in model.nodes.iter().enumerate() {
+            if let Some(id) = n.ident {
+                ident.entry(model.strings[id as usize].clone()).or_insert(idx as u32);
+            }
+            by_kind[n.kind as usize].push(idx as u32);
         }
+        let kinds: BTreeMap<String, Vec<u32>> = by_kind
+            .into_iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(kind, list)| (model.strings[kind].clone(), list))
+            .collect();
+        let total_static_power_w = (0..model.nodes.len() as u32)
+            .filter_map(|idx| NodeRef { model, idx }.quantity("static_power"))
+            .map(|q| q.to_base())
+            .sum();
+        let of_kind = |kind: &str| kinds.get(kind).map_or(&[][..], Vec::as_slice);
+        let num_cores = of_kind("core").len();
+        let num_cuda_devices = of_kind("device")
+            .iter()
+            .filter(|&&idx| {
+                NodeRef { model, idx }.descendants().into_iter().any(|n| {
+                    n.kind() == "programming_model"
+                        && n.type_ref().is_some_and(|t| t.contains("cuda"))
+                })
+            })
+            .count();
+        ModelIndex { ident, kinds, num_cores, num_cuda_devices, total_static_power_w }
     }
 }
 
@@ -49,43 +92,19 @@ impl RuntimeModel {
     pub fn from_element(root: &XpdlElement) -> RuntimeModel {
         let mut b = Builder { strings: Vec::new(), interner: BTreeMap::new(), nodes: Vec::new() };
         b.add(root, None);
-        let mut ident_index = BTreeMap::new();
-        for (i, n) in b.nodes.iter().enumerate() {
-            if let Some(id) = n.ident {
-                ident_index
-                    .entry(b.strings[id as usize].clone())
-                    .or_insert(i as u32);
-            }
-        }
-        RuntimeModel {
-            strings: b.strings,
-            nodes: b.nodes,
-            ident_index,
-            analysis_cache: RwLock::new(BTreeMap::new()),
-        }
+        RuntimeModel::new(b.strings, b.nodes)
     }
 
-    pub(crate) fn from_parts(strings: Vec<String>, nodes: Vec<RtNode>) -> RuntimeModel {
-        let mut ident_index = BTreeMap::new();
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some(id) = n.ident {
-                ident_index.entry(strings[id as usize].clone()).or_insert(i as u32);
-            }
-        }
-        RuntimeModel { strings, nodes, ident_index, analysis_cache: RwLock::new(BTreeMap::new()) }
+    /// The one constructor: takes a validated flat tree and indexes it.
+    pub(crate) fn new(strings: Vec<String>, nodes: Vec<RtNode>) -> RuntimeModel {
+        let mut model = RuntimeModel { strings, nodes, index: ModelIndex::default() };
+        model.index = ModelIndex::compile(&model);
+        model
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The interned string table. Kinds, identifiers, type references and
-    /// attribute keys/values all index into this one shared table; the
-    /// id-level accessors on [`NodeRef`] return indices into it. Compiled
-    /// query plans (xpdl-codegen) snapshot this table at install time.
-    pub fn strings(&self) -> &[String] {
-        &self.strings
     }
 
     /// Node by flat index, if in range. Indices are stable for the
@@ -110,66 +129,37 @@ impl RuntimeModel {
 
     /// Find a node by identifier (category 2 of the query API).
     pub fn find(&self, ident: &str) -> Option<NodeRef<'_>> {
-        self.ident_index.get(ident).map(|&idx| NodeRef { model: self, idx })
+        self.index.ident.get(ident).map(|&idx| NodeRef { model: self, idx })
     }
 
     /// All nodes of a kind, in document order.
-    pub fn nodes_of_kind<'m>(&'m self, kind: &'m str) -> impl Iterator<Item = NodeRef<'m>> + 'm {
-        (0..self.nodes.len() as u32)
-            .map(move |idx| NodeRef { model: self, idx })
-            .filter(move |n| n.kind() == kind)
+    pub fn nodes_of_kind(&self, kind: &str) -> impl ExactSizeIterator<Item = NodeRef<'_>> + '_ {
+        let list = self.index.kinds.get(kind).map_or(&[][..], Vec::as_slice);
+        list.iter().map(move |&idx| NodeRef { model: self, idx })
     }
 
     // ---- category 4: analysis functions for derived attributes ----
 
-    /// Total number of cores (memoized).
+    /// Total number of cores.
     pub fn num_cores(&self) -> usize {
-        self.cached("num_cores", |m| m.nodes_of_kind("core").count() as f64) as usize
+        self.index.num_cores
     }
 
-    /// Number of CUDA-capable devices (memoized).
+    /// Number of CUDA-capable devices.
     pub fn num_cuda_devices(&self) -> usize {
-        self.cached("num_cuda_devices", |m| {
-            m.nodes_of_kind("device")
-                .filter(|d| {
-                    d.descendants().into_iter().any(|n| {
-                        n.kind() == "programming_model"
-                            && n.type_ref().is_some_and(|t| t.contains("cuda"))
-                    })
-                })
-                .count() as f64
-        }) as usize
+        self.index.num_cuda_devices
     }
 
-    /// Sum of in-line `static_power` metrics over the whole model, watts
-    /// (memoized).
+    /// Sum of in-line `static_power` metrics over the whole model, watts.
     pub fn total_static_power_w(&self) -> f64 {
-        self.cached("total_static_power_w", |m| {
-            m.root()
-                .descendants()
-                .into_iter()
-                .filter_map(|n| n.quantity("static_power"))
-                .map(|q| q.to_base())
-                .sum()
-        })
+        self.index.total_static_power_w
     }
 
     /// Whether any installed software entry matches a predicate — the
     /// conditional-composition availability check ("constraints on
     /// availability of specific libraries … in the target system").
     pub fn has_installed(&self, pred: impl Fn(&str) -> bool) -> bool {
-        self.nodes_of_kind("installed")
-            .filter_map(|n| n.type_ref().map(str::to_string))
-            .any(|t| pred(&t))
-    }
-
-    fn cached(&self, key: &'static str, f: impl Fn(&Self) -> f64) -> f64 {
-        if let Some(v) = self.analysis_cache.read().get(key) {
-            return *v;
-        }
-        let v = f(self);
-        self.analysis_cache.write().insert(key, v);
-        v
+        self.nodes_of_kind("installed").filter_map(|n| n.type_ref()).any(pred)
     }
 }
 
@@ -250,26 +240,6 @@ impl<'m> NodeRef<'m> {
     /// Kind/tag string (`m.get_kind()`).
     pub fn kind(&self) -> &'m str {
         self.s(self.node().kind)
-    }
-
-    /// Kind/tag as an index into [`RuntimeModel::strings`].
-    pub fn kind_id(&self) -> u32 {
-        self.node().kind
-    }
-
-    /// Identifier as a string-table index, if any.
-    pub fn ident_id(&self) -> Option<u32> {
-        self.node().ident
-    }
-
-    /// `type=` reference as a string-table index, if any.
-    pub fn type_ref_id(&self) -> Option<u32> {
-        self.node().type_ref
-    }
-
-    /// Attribute (key, value) string-table index pairs in document order.
-    pub fn attr_ids(&self) -> &'m [(u32, u32)] {
-        &self.node().attrs
     }
 
     /// Identifier (`m.get_id()`), if any.
@@ -400,9 +370,6 @@ mod tests {
         assert_eq!(m.num_cores(), 3);
         assert_eq!(m.num_cuda_devices(), 1);
         assert_eq!(m.total_static_power_w(), 23.0);
-        // Memoized: second call hits the cache (observable via timing in
-        // benches; here just assert stability).
-        assert_eq!(m.num_cores(), 3);
     }
 
     #[test]
@@ -435,6 +402,82 @@ mod tests {
         assert_eq!(core_count, 1);
         let ghz = m.strings.iter().filter(|s| s.as_str() == "GHz").count();
         assert_eq!(ghz, 1);
+    }
+
+    /// A model built from elements and its `decode(encode(..))` twin:
+    /// the two ways a model reaches the one indexing constructor.
+    fn both_builds(xml: &str) -> [RuntimeModel; 2] {
+        let m = RuntimeModel::from_element(XpdlDocument::parse_str(xml).unwrap().root());
+        let back = crate::format::decode(&crate::format::encode(&m)).unwrap();
+        [m, back]
+    }
+
+    const SWEEP: &str = r#"<system id="srv">
+         <cpu id="h" type="Xeon" static_power="15" static_power_unit="W">
+           <core id="c0" frequency="2" frequency_unit="GHz"/>
+           <core id="c1" frequency="2" frequency_unit="GHz"/>
+         </cpu>
+         <device id="gpu1" static_power="8" static_power_unit="W" note="NaN">
+           <programming_model type="cuda6.0,opencl"/>
+           <core id="sm0"/>
+           <core/>
+         </device>
+         <device id="fpga" static_power="0.5" static_power_unit="W"/>
+         <software>
+           <installed type="CUBLAS_6.0" path="/opt/cublas"/>
+           <installed type="StarPU_1.0" path="/opt/starpu"/>
+         </software>
+       </system>"#;
+
+    #[test]
+    fn kind_lists_equal_a_full_scan() {
+        for m in both_builds(SWEEP) {
+            // Every interned string is tried as a kind, plus one that is
+            // not in the model at all.
+            for kind in m.strings.iter().map(String::as_str).chain(["nope"]) {
+                let indexed: Vec<u32> = m.nodes_of_kind(kind).map(|n| n.index()).collect();
+                let scanned: Vec<u32> = (0..m.len() as u32)
+                    .filter(|&i| m.node_at(i).unwrap().kind() == kind)
+                    .collect();
+                assert_eq!(indexed, scanned, "kind {kind}");
+            }
+            // The anonymous core is a member of its kind's list.
+            assert_eq!(m.nodes_of_kind("core").len(), 4);
+            assert_eq!(m.nodes_of_kind("core").filter(|n| n.ident().is_none()).count(), 1);
+        }
+    }
+
+    #[test]
+    fn duplicate_ident_resolves_to_first_occurrence() {
+        let xml = r#"<system id="s"><cpu id="dup" type="A"/><cpu id="dup" type="B"/></system>"#;
+        for m in both_builds(xml) {
+            let first = m.find("dup").unwrap();
+            assert_eq!(first.index(), 1);
+            assert_eq!(first.type_ref(), Some("A"));
+            assert!(m.find("nobody").is_none());
+        }
+    }
+
+    #[test]
+    fn nan_attribute_parses_through_number() {
+        for m in both_builds(SWEEP) {
+            let gpu = m.find("gpu1").unwrap();
+            assert!(gpu.number("note").unwrap().is_nan());
+            assert_eq!(gpu.number("static_power"), Some(8.0));
+        }
+    }
+
+    #[test]
+    fn analyses_match_between_builds() {
+        let [m, back] = both_builds(SWEEP);
+        for x in [&m, &back] {
+            assert_eq!(x.num_cores(), 4);
+            assert_eq!(x.num_cuda_devices(), 1);
+            assert_eq!(x.total_static_power_w(), 23.5);
+            assert!(x.has_installed(|t| t.starts_with("CUBLAS")));
+            assert!(!x.has_installed(|t| t.contains("cusparse")));
+        }
+        assert_eq!(back.total_static_power_w().to_bits(), m.total_static_power_w().to_bits());
     }
 
     #[test]

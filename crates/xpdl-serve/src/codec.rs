@@ -15,8 +15,8 @@
 //! per-connection table, or a bare id reference — so hot idents like
 //! `"gpu1"` cost 5 bytes instead of re-sending the text. Request and
 //! response directions keep **separate** tables, each driven by its
-//! sender; neither is related to the per-snapshot string table behind the
-//! compiled getters (`xpdl_codegen::plan`), which never leaves the server.
+//! sender; neither is related to the served model's own string table,
+//! which never leaves the server.
 //!
 //! The normative specification — frame grammar, negotiation state
 //! machine, method/error-code tables, versioning rules — is

@@ -276,10 +276,6 @@ impl Engine {
             _ => self.registry.load(),
         };
         let h = &snap.handle;
-        // The query getters below serve from the snapshot's compiled
-        // plans (index lookups); `h` remains for the estimators and for
-        // introspection over the raw model.
-        let p = &snap.plans;
         Ok(match method {
             Method::Ping => Reply::Pong,
             Method::Health => {
@@ -302,28 +298,29 @@ impl Engine {
                     fingerprint: format!("{:016x}", snap.fingerprint),
                 }
             }
-            Method::Find { ident } => Reply::Node(p.find(ident).map(|n| NodeInfo {
-                kind: p.node_kind(n).to_string(),
-                ident: p.node_ident(n).map(str::to_string),
-                type_ref: p.node_type_ref(n).map(str::to_string),
-                attrs: p.node_attrs(n).map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            Method::Find { ident } => Reply::Node(h.find(ident).map(|n| NodeInfo {
+                kind: n.kind().to_string(),
+                ident: n.ident().map(str::to_string),
+                type_ref: n.type_ref().map(str::to_string),
+                attrs: n.attrs().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
             })),
             Method::GetAttr { ident, attr } => {
-                Reply::Attr(p.get_attr(ident, attr).map(str::to_string))
+                Reply::Attr(h.get_attr(ident, attr).map(str::to_string))
             }
-            Method::GetNumber { ident, attr } => Reply::Number(p.get_number(ident, attr)),
+            Method::GetNumber { ident, attr } => Reply::Number(h.get_number(ident, attr)),
             Method::ElementsOfKind { kind } => {
-                let (idents, count) = p.elements_of_kind(kind);
+                let nodes = h.model().nodes_of_kind(kind);
+                let count = nodes.len() as u64;
                 Reply::Idents {
-                    idents: idents.into_iter().map(str::to_string).collect(),
+                    idents: nodes.filter_map(|n| n.ident()).map(str::to_string).collect(),
                     count,
                 }
             }
-            Method::NumCores => Reply::Count(p.num_cores()),
-            Method::NumCudaDevices => Reply::Count(p.num_cuda_devices()),
-            Method::TotalStaticPower => Reply::Power(p.total_static_power_w()),
+            Method::NumCores => Reply::Count(h.num_cores() as u64),
+            Method::NumCudaDevices => Reply::Count(h.num_cuda_devices() as u64),
+            Method::TotalStaticPower => Reply::Power(h.total_static_power_w()),
             Method::HasInstalled { prefix } => {
-                Reply::Flag(p.has_installed(|t| t.starts_with(prefix.as_str())))
+                Reply::Flag(h.has_installed(|t| t.starts_with(prefix.as_str())))
             }
             Method::EstimateTransfer { link, bytes } => Reply::Transfer(
                 estimate::estimate_transfer(h.model(), link, *bytes).map(|e| TransferInfo {
@@ -420,7 +417,7 @@ mod tests {
         let doc = XpdlDocument::parse_str(
             r#"<system id="s">
                  <cpu id="h" static_power="15" static_power_unit="W">
-                   <core id="c0"/><core id="c1"/>
+                   <core id="c0"/><core id="c1"/><core/>
                  </cpu>
                  <device id="g"><programming_model type="cuda6.0"/></device>
                  <software><installed type="CUBLAS_6.0" path="/opt"/></software>
@@ -443,7 +440,7 @@ mod tests {
     fn query_surface_matches_handle() {
         let e = fixed_engine();
         assert_eq!(ok(&e, Method::Ping), Reply::Pong);
-        assert_eq!(ok(&e, Method::NumCores), Reply::Count(2));
+        assert_eq!(ok(&e, Method::NumCores), Reply::Count(3));
         assert_eq!(ok(&e, Method::NumCudaDevices), Reply::Count(1));
         assert_eq!(ok(&e, Method::TotalStaticPower), Reply::Power(15.0));
         assert_eq!(
@@ -469,8 +466,9 @@ mod tests {
         assert_eq!(ok(&e, Method::Find { ident: "ghost".into() }), Reply::Node(None));
         match ok(&e, Method::ElementsOfKind { kind: "core".into() }) {
             Reply::Idents { idents, count } => {
+                // The anonymous core is counted but has no ident to list.
                 assert_eq!(idents, ["c0", "c1"]);
-                assert_eq!(count, 2);
+                assert_eq!(count, 3);
             }
             other => panic!("{other:?}"),
         }
@@ -572,7 +570,7 @@ mod tests {
         assert!(matches!(ok(&e, Method::Stats), Reply::Stats(_)));
         // Leaving drain mode restores the query surface.
         e.set_draining(false);
-        assert_eq!(ok(&e, Method::NumCores), Reply::Count(2));
+        assert_eq!(ok(&e, Method::NumCores), Reply::Count(3));
     }
 
     #[test]

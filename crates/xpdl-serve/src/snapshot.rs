@@ -40,7 +40,6 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use xpdl_codegen::plan::CompiledGetters;
 use xpdl_runtime::{format, RuntimeModel, XpdlHandle};
 
 /// One immutable, shareable serving unit.
@@ -48,7 +47,9 @@ use xpdl_runtime::{format, RuntimeModel, XpdlHandle};
 pub struct ServeSnapshot {
     /// The epoch this snapshot was installed at (0 = initial load).
     pub epoch: u64,
-    /// The query handle (cheap to clone; shares the model).
+    /// The query handle (cheap to clone; shares the model). Every query
+    /// method answers from it: the model's load-time indexes make the
+    /// getters index lookups.
     pub handle: XpdlHandle,
     /// FNV-1a fingerprint of the encoded model — reloads that produce
     /// the same bytes are recognized and skipped.
@@ -57,12 +58,6 @@ pub struct ServeSnapshot {
     pub source: String,
     /// When this snapshot was installed.
     pub loaded_at: Instant,
-    /// Compiled query plans over this snapshot's model: per-snapshot
-    /// string table plus pre-resolved index tables, built once at
-    /// install time (see `xpdl_codegen::plan`). The query hot path
-    /// serves from these; the `handle` walk stays for estimators and
-    /// introspection.
-    pub plans: Arc<CompiledGetters>,
 }
 
 impl ServeSnapshot {
@@ -81,14 +76,12 @@ impl ServeSnapshot {
         fingerprint: u64,
         source: impl Into<String>,
     ) -> ServeSnapshot {
-        let plans = Arc::new(CompiledGetters::compile(&model));
         ServeSnapshot {
             epoch: 0,
             handle: XpdlHandle::from_model(model),
             fingerprint,
             source: source.into(),
             loaded_at: Instant::now(),
-            plans,
         }
     }
 }
