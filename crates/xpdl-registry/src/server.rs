@@ -3,14 +3,21 @@
 //!
 //! Thread model: registry operations are table mutations measured in
 //! nanoseconds, so there is no worker pool — each connection gets one
-//! reader thread that executes requests inline plus one writer thread
-//! fed by an `mpsc` channel. The channel exists because a connection's
-//! socket has *two* producers once it subscribes: its own responses and
-//! push invalidations fanned out by whichever thread handled the
-//! `announce`. A sweeper thread expires stale leases every
-//! [`RegistryOptions::sweep_interval`], so a SIGKILLed node disappears
-//! from the routing table within `ttl + sweep_interval` even though it
-//! never said goodbye.
+//! thread that reads a request, executes it inline and writes the reply.
+//! Once a connection subscribes, its socket has a second producer: the
+//! thread handling an `announce` or a membership change writes the push
+//! straight to it. Replies and pushes share the connection's write
+//! mutex, so lines never tear, and every write times out after 50 ms: a
+//! subscriber that stops reading is shut down and dropped from the push
+//! list instead of stalling the pusher. A sweeper thread expires stale
+//! leases every [`RegistryOptions::sweep_interval`], so a SIGKILLed node
+//! disappears from the routing table within `ttl + sweep_interval` even
+//! though it never said goodbye.
+//!
+//! All socket I/O blocks, and stopping wakes it rather than a timer:
+//! [`wake_accept`] unblocks the listener, and [`accept_loop`] then shuts
+//! down the read half of every live connection, whose blocked `read`
+//! returns EOF. The serve daemon runs the same accept loop.
 //!
 //! All instruments register under `registry.*` in the global
 //! [`xpdl_obs`] metrics registry, and every handled request opens a
@@ -22,13 +29,22 @@ use crate::protocol::{
     RegistryReply, Request, Response,
 };
 use crate::ring::{RingInfo, DEFAULT_REPLICATION, DEFAULT_VNODES};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use xpdl_obs::{Counter, Gauge, MetricsRegistry};
+
+/// How long one reply or push may block on a peer that stopped reading
+/// before that connection is shut down. A ring push runs inside another
+/// node's `register` or `heartbeat` call, so this sits well under the
+/// agent's 250 ms I/O floor (DESIGN.md §16).
+const WRITE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// A connection's write half. Every reply — and, in the registry, every
+/// push — is written through this lock, so lines and frames never tear.
+pub type WriteHalf = Arc<parking_lot::Mutex<TcpStream>>;
 
 /// Tuning knobs for [`RegistryServer::start`].
 #[derive(Debug, Clone)]
@@ -120,7 +136,7 @@ impl RegistryStats {
 pub struct RegistryState {
     table: parking_lot::Mutex<LeaseTable>,
     version: parking_lot::Mutex<Option<String>>,
-    subscribers: parking_lot::Mutex<Vec<(String, mpsc::Sender<String>)>>,
+    subscribers: parking_lot::Mutex<Vec<(String, WriteHalf)>>,
     /// Epoch of the last ring published (None before the first member).
     ring_epoch: parking_lot::Mutex<Option<u64>>,
     stats: RegistryStats,
@@ -153,13 +169,13 @@ impl RegistryState {
         &self.stats
     }
 
-    /// Execute one method against the state. `subscribe_tx` is the
-    /// calling connection's outbound line channel — only `subscribe`
-    /// uses it (in-process callers may pass a detached channel).
+    /// Execute one method against the state. `conn` is the calling
+    /// connection's write half — only `subscribe` uses it, adding it to
+    /// the push list.
     pub fn dispatch(
         &self,
         method: &RegistryMethod,
-        subscribe_tx: &mpsc::Sender<String>,
+        conn: &WriteHalf,
     ) -> Result<RegistryReply, RegistryError> {
         let mut span = xpdl_obs::span("registry.request");
         span.record_attr("method", method.name());
@@ -257,17 +273,11 @@ impl RegistryState {
                 }
                 *self.version.lock() = Some(version.clone());
                 self.stats.announcements.inc();
-                let line = Event::Invalidate { version: version.clone() }.to_json();
-                let mut subs = self.subscribers.lock();
-                // Push to every live subscriber; drop the ones whose
-                // connection has gone away (their channel is closed).
-                subs.retain(|(_, tx)| tx.send(line.clone()).is_ok());
-                let delivered = subs.len() as u64;
-                self.stats.pushes.add(delivered);
+                let delivered = self.push(&Event::Invalidate { version: version.clone() });
                 Ok(RegistryReply::Announced { subscribers: delivered })
             }
             RegistryMethod::Subscribe { node } => {
-                self.subscribers.lock().push((node.clone(), subscribe_tx.clone()));
+                self.subscribers.lock().push((node.clone(), Arc::clone(conn)));
                 Ok(RegistryReply::Subscribed { version: self.version.lock().clone() })
             }
             RegistryMethod::Stats => {
@@ -347,11 +357,22 @@ impl RegistryState {
         }
         self.stats.ring_changes.inc();
         if let Some(ring) = ring {
-            let line = Event::Ring { ring: ring.clone() }.to_json();
-            let mut subs = self.subscribers.lock();
-            subs.retain(|(_, tx)| tx.send(line.clone()).is_ok());
-            self.stats.pushes.add(subs.len() as u64);
+            self.push(&Event::Ring { ring: ring.clone() });
         }
+    }
+
+    /// Write `event` to every subscriber and return how many it reached.
+    /// A subscriber whose write fails or times out has had its socket
+    /// shut down and leaves the list; its agent reconnects and catches up
+    /// from the version echoed on `subscribe` and from its next lease.
+    fn push(&self, event: &Event) -> u64 {
+        let mut line = event.to_json();
+        line.push('\n');
+        let mut subs = self.subscribers.lock();
+        subs.retain(|(_, conn)| write_or_shutdown(conn, line.as_bytes()));
+        let delivered = subs.len() as u64;
+        self.stats.pushes.add(delivered);
+        delivered
     }
 
     /// One sweeper pass: expire stale leases at `now`. Returns the
@@ -404,7 +425,6 @@ impl RegistryServer {
     pub fn start(addr: &str, options: RegistryOptions) -> std::io::Result<RegistryServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let state = Arc::new(RegistryState::new(options.clone()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -418,8 +438,10 @@ impl RegistryServer {
                 std::thread::Builder::new()
                     .name("xpdl-registry-sweep".to_string())
                     .spawn(move || {
+                        // `shutdown` unparks this thread, so stopping
+                        // never waits out a sweep interval.
                         while !stop.load(Ordering::Acquire) {
-                            std::thread::sleep(interval);
+                            std::thread::park_timeout(interval);
                             state.sweep(Instant::now());
                         }
                     })
@@ -433,7 +455,18 @@ impl RegistryServer {
             threads.push(
                 std::thread::Builder::new()
                     .name("xpdl-registry-accept".to_string())
-                    .spawn(move || accept_loop(&listener, &state, &stop))
+                    .spawn(move || {
+                        accept_loop(
+                            &listener,
+                            "xpdl-registry-conn",
+                            WRITE_TIMEOUT,
+                            || stop.load(Ordering::Acquire),
+                            move |stream, conn| {
+                                state.stats.connections.inc();
+                                connection_loop(stream, &conn, &state);
+                            },
+                        )
+                    })
                     .expect("spawn accept loop"),
             );
         }
@@ -451,9 +484,13 @@ impl RegistryServer {
         &self.state
     }
 
-    /// Ask all daemon threads to wind down.
+    /// Ask all daemon threads to wind down, waking the ones that block.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
+        for t in &self.threads {
+            t.thread().unpark();
+        }
+        wake_accept(self.addr);
     }
 
     /// Whether shutdown has been requested.
@@ -471,198 +508,174 @@ impl RegistryServer {
 
 impl Drop for RegistryServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        if self.threads.is_empty() {
+            return; // already joined
+        }
+        self.shutdown();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<RegistryState>, stop: &Arc<AtomicBool>) {
-    let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
+/// The accept loop both daemons run (the serve daemon reuses it).
+///
+/// Blocks in `accept` and checks `stopping()` each time one returns;
+/// [`wake_accept`] makes one return. Each accepted socket gets
+/// `TCP_NODELAY` and `write_timeout`, and `serve(read_half, write_half)`
+/// runs it on a thread named `name`. On exit, the read half of every
+/// live connection is shut down — its blocked `read` returns EOF while
+/// writes, and so in-flight replies, still go through — and every
+/// connection thread is joined.
+pub fn accept_loop<F>(
+    listener: &TcpListener,
+    name: &str,
+    write_timeout: Duration,
+    stopping: impl Fn() -> bool,
+    serve: F,
+) where
+    F: Fn(TcpStream, WriteHalf) + Clone + Send + 'static,
+{
+    // Weak, so a finished connection's socket closes when its last
+    // user lets go instead of waiting for this loop to prune it.
+    let mut live: Vec<(Weak<parking_lot::Mutex<TcpStream>>, std::thread::JoinHandle<()>)> =
+        Vec::new();
+    for stream in listener.incoming() {
+        if stopping() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                state.stats.connections.inc();
-                let state = Arc::clone(state);
-                let stop = Arc::clone(stop);
-                conn_threads.retain(|t| !t.is_finished());
-                conn_threads.push(
-                    std::thread::Builder::new()
-                        .name("xpdl-registry-conn".to_string())
-                        .spawn(move || connection_loop(stream, &state, &stop))
-                        .expect("spawn connection"),
-                );
-            }
-            // Registry clients are one-connection-per-call, so the
-            // accept poll is a direct latency floor on every RPC.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        // A failed accept (a peer that reset while queued, fd pressure)
+        // is retried.
+        let Ok(stream) = stream else { continue };
+        let Ok(write_half) = stream.try_clone() else { continue };
+        // Replies are small and latency-bound; without this, Nagle +
+        // delayed ACK adds ~40ms per round trip.
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(write_timeout));
+        let conn: WriteHalf = Arc::new(parking_lot::Mutex::new(write_half));
+        live.retain(|(_, t)| !t.is_finished());
+        let weak = Arc::downgrade(&conn);
+        let serve = serve.clone();
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || serve(stream, conn))
+            .expect("spawn connection");
+        live.push((weak, thread));
+    }
+    for (conn, _) in &live {
+        if let Some(conn) = conn.upgrade() {
+            let _ = conn.lock().shutdown(Shutdown::Read);
         }
     }
-    for t in conn_threads {
+    for (_, t) in live {
         let _ = t.join();
     }
 }
 
-fn connection_loop(stream: TcpStream, state: &Arc<RegistryState>, stop: &Arc<AtomicBool>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
+/// Make a blocked [`accept_loop`] on `addr` return by connecting to it
+/// once. An unspecified bind address (`0.0.0.0`, `::`) is reached over
+/// loopback.
+pub fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
 
-    let (line_tx, line_rx) = mpsc::channel::<String>();
-    // `line_tx` clones outlive this connection when it subscribes (the
-    // fan-out list in `RegistryState` keeps one), so the writer cannot
-    // rely on channel disconnection alone to stop — `done` is the
-    // reader's explicit teardown signal.
-    let done = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let done = Arc::clone(&done);
-        std::thread::Builder::new()
-            .name("xpdl-registry-write".to_string())
-            .spawn(move || writer_loop(write_half, &line_rx, &done))
-            .expect("spawn writer")
-    };
+/// Write one whole reply or event under `conn`'s lock. A write that
+/// fails or times out shuts the socket down, so the peer sees EOF rather
+/// than a torn line or frame, and every later write fails fast. Returns
+/// whether the bytes went out.
+pub fn write_or_shutdown(conn: &WriteHalf, bytes: &[u8]) -> bool {
+    let mut stream = conn.lock();
+    let ok = stream.write_all(bytes).is_ok();
+    if !ok {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    ok
+}
 
+/// Serve one connection — read a request, execute it, write the reply —
+/// until the peer leaves, a write fails, or framing is lost.
+fn connection_loop(stream: TcpStream, conn: &WriteHalf, state: &RegistryState) {
     let cap = state.options.max_line_bytes;
     let mut reader = BufReader::new(stream);
-    let mut acc: Vec<u8> = Vec::new();
+    let mut line = Vec::new();
     loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        match read_line_capped(&mut reader, &mut acc, cap) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::Line) => {
-                let line = String::from_utf8_lossy(&acc).into_owned();
-                acc.clear();
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let response = match parse_request(trimmed) {
-                    Ok(Request { id, method }) => match state.dispatch(&method, &line_tx) {
-                        Ok(reply) => Response::ok(id, reply),
-                        Err(e) => {
-                            state.stats.errors.inc();
-                            Response::err(id, e)
-                        }
-                    },
-                    Err((id, e)) => {
-                        state.stats.errors.inc();
-                        Response::err(id.unwrap_or(0), e)
-                    }
-                };
-                if line_tx.send(response.to_json()).is_err() {
-                    break; // writer gone: the peer hung up
-                }
-            }
-            Err(LineError::TooLong) => {
+        line.clear();
+        match (&mut reader).take(cap as u64 + 1).read_until(b'\n', &mut line) {
+            Ok(_) if line.ends_with(b"\n") => {}
+            Ok(_) if line.len() > cap => {
                 state.stats.errors.inc();
                 let err = RegistryError::new(
                     codes::LINE_TOO_LONG,
                     format!("request line exceeds {cap} bytes"),
                 );
-                let _ = line_tx.send(Response::err(0, err).to_json());
+                write_line(conn, Response::err(0, err).to_json());
                 break; // framing is lost; drop the connection
             }
-            Err(LineError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(LineError::Io(_)) => break,
+            // EOF (a dangling partial line drops with it) or a dead socket.
+            _ => break,
         }
-    }
-    drop(line_tx);
-    done.store(true, Ordering::Release);
-    let _ = writer.join();
-}
-
-fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<String>, done: &AtomicBool) {
-    loop {
-        let line = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(line) => line,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if done.load(Ordering::Acquire) {
-                    return;
+        let text = String::from_utf8_lossy(&line);
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let response = match parse_request(trimmed) {
+            Ok(Request { id, method }) => match state.dispatch(&method, conn) {
+                Ok(reply) => Response::ok(id, reply),
+                Err(e) => {
+                    state.stats.errors.inc();
+                    Response::err(id, e)
                 }
-                continue;
+            },
+            Err((id, e)) => {
+                state.stats.errors.inc();
+                Response::err(id.unwrap_or(0), e)
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
-        if stream.write_all(line.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
-            return;
-        }
-        let _ = stream.flush();
-    }
-}
-
-enum LineError {
-    TooLong,
-    Io(std::io::Error),
-}
-
-enum LineRead {
-    Line,
-    Eof,
-}
-
-/// Read into `acc` until a newline with a hard byte cap, resuming the
-/// same partial line across read timeouts (same discipline as the serve
-/// daemon — see DESIGN.md §13).
-fn read_line_capped(
-    reader: &mut BufReader<TcpStream>,
-    acc: &mut Vec<u8>,
-    cap: usize,
-) -> Result<LineRead, LineError> {
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) => return Err(LineError::Io(e)),
-        };
-        if available.is_empty() {
-            return Ok(LineRead::Eof);
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                acc.extend_from_slice(&available[..pos]);
-                reader.consume(pos + 1);
-                if acc.len() > cap {
-                    return Err(LineError::TooLong);
-                }
-                return Ok(LineRead::Line);
-            }
-            None => {
-                let n = available.len();
-                acc.extend_from_slice(available);
-                reader.consume(n);
-                if acc.len() > cap {
-                    return Err(LineError::TooLong);
-                }
-            }
+        if !write_line(conn, response.to_json()) {
+            break;
         }
     }
+    // The push list may still hold `conn`: shut the socket down so a
+    // subscriber's agent sees EOF now; the next push prunes the entry.
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
+}
+
+/// [`write_or_shutdown`] for one JSON line.
+fn write_line(conn: &WriteHalf, mut json: String) -> bool {
+    json.push('\n');
+    write_or_shutdown(conn, json.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{parse_event, parse_response};
 
-    fn detached() -> mpsc::Sender<String> {
-        mpsc::channel().0
+    /// A connected loopback pair: the daemon-side write half `dispatch`
+    /// takes, and the peer reading whatever is pushed to it.
+    fn socket_pair() -> (WriteHalf, BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (daemon_side, _) = listener.accept().unwrap();
+        (Arc::new(parking_lot::Mutex::new(daemon_side)), BufReader::new(peer))
+    }
+
+    fn next_event(peer: &mut BufReader<TcpStream>) -> Event {
+        let mut line = String::new();
+        peer.read_line(&mut line).unwrap();
+        parse_event(line.trim()).unwrap().expect("an event line")
     }
 
     fn register(state: &RegistryState, node: &str, addr: &str, ttl_ms: u64) -> RegistryReply {
+        let (conn, _peer) = socket_pair();
         state
             .dispatch(
                 &RegistryMethod::Register {
@@ -673,14 +686,70 @@ mod tests {
                     inflight: 0,
                     ttl_ms,
                 },
-                &detached(),
+                &conn,
             )
             .unwrap()
+    }
+
+    /// A client connection to a running daemon that sorts what it reads
+    /// into replies and pushed events.
+    struct Peer {
+        writer: TcpStream,
+        reader: BufReader<TcpStream>,
+    }
+
+    impl Peer {
+        fn connect(addr: SocketAddr) -> Peer {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            Peer { writer: stream.try_clone().unwrap(), reader: BufReader::new(stream) }
+        }
+
+        /// Send one request and read until its reply, handing every event
+        /// read on the way to `on_event`. Every line must parse whole.
+        fn call(
+            &mut self,
+            id: u64,
+            method: RegistryMethod,
+            mut on_event: impl FnMut(Event),
+        ) -> Response {
+            let mut req = Request { id, method }.to_json();
+            req.push('\n');
+            self.writer.write_all(req.as_bytes()).unwrap();
+            loop {
+                let mut line = String::new();
+                assert!(self.reader.read_line(&mut line).unwrap() > 0, "daemon hung up");
+                let line = line.trim();
+                match parse_event(line) {
+                    Ok(Some(event)) => on_event(event),
+                    Ok(None) => {
+                        let resp = parse_response(line)
+                            .unwrap_or_else(|e| panic!("torn line {line:?}: {e}"));
+                        assert_eq!(resp.id, id, "reply to the wrong request");
+                        return resp;
+                    }
+                    Err(e) => panic!("torn line {line:?}: {e}"),
+                }
+            }
+        }
+    }
+
+    /// Run `f` on its own thread and fail if it outlives `limit`, so a
+    /// missing wake fails the test instead of hanging it.
+    fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+        let t = std::thread::spawn(f);
+        let start = Instant::now();
+        while !t.is_finished() {
+            assert!(start.elapsed() < limit, "still blocked after {limit:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        t.join().unwrap();
     }
 
     #[test]
     fn register_heartbeat_nodes_deregister() {
         let state = RegistryState::new(RegistryOptions::default());
+        let (conn, _peer) = socket_pair();
         let lease = register(&state, "n1", "127.0.0.1:7001", 1000);
         assert!(matches!(lease, RegistryReply::Lease { generation: 1, ttl_ms: 1000, .. }));
         let hb = state
@@ -691,11 +760,11 @@ mod tests {
                     fingerprint: "g".into(),
                     inflight: 3,
                 },
-                &detached(),
+                &conn,
             )
             .unwrap();
         assert!(matches!(hb, RegistryReply::Lease { generation: 1, .. }));
-        match state.dispatch(&RegistryMethod::Nodes, &detached()).unwrap() {
+        match state.dispatch(&RegistryMethod::Nodes, &conn).unwrap() {
             RegistryReply::Nodes { nodes, .. } => {
                 assert_eq!(nodes.len(), 1);
                 assert_eq!(nodes[0].epoch, 2);
@@ -703,7 +772,7 @@ mod tests {
             }
             other => panic!("unexpected reply {other:?}"),
         }
-        match state.dispatch(&RegistryMethod::Deregister { node: "n1".into() }, &detached()) {
+        match state.dispatch(&RegistryMethod::Deregister { node: "n1".into() }, &conn) {
             Ok(RegistryReply::Deregistered { removed }) => assert!(removed),
             other => panic!("unexpected reply {other:?}"),
         }
@@ -713,6 +782,7 @@ mod tests {
     #[test]
     fn heartbeat_without_lease_is_unknown_node() {
         let state = RegistryState::new(RegistryOptions::default());
+        let (conn, _peer) = socket_pair();
         let err = state
             .dispatch(
                 &RegistryMethod::Heartbeat {
@@ -721,7 +791,7 @@ mod tests {
                     fingerprint: String::new(),
                     inflight: 0,
                 },
-                &detached(),
+                &conn,
             )
             .unwrap_err();
         assert_eq!(err.code, codes::UNKNOWN_NODE);
@@ -747,27 +817,23 @@ mod tests {
     #[test]
     fn announce_pushes_to_subscribers_and_prunes_dead() {
         let state = RegistryState::new(RegistryOptions::default());
-        let (live_tx, live_rx) = mpsc::channel::<String>();
-        state.dispatch(&RegistryMethod::Subscribe { node: "n1".into() }, &live_tx).unwrap();
-        // A subscriber whose connection has gone away.
-        let (dead_tx, dead_rx) = mpsc::channel::<String>();
-        state.dispatch(&RegistryMethod::Subscribe { node: "n2".into() }, &dead_tx).unwrap();
-        drop(dead_rx);
-        match state
-            .dispatch(&RegistryMethod::Announce { version: "v7".into() }, &detached())
-            .unwrap()
+        let (live, mut live_peer) = socket_pair();
+        state.dispatch(&RegistryMethod::Subscribe { node: "n1".into() }, &live).unwrap();
+        // A subscriber whose connection has ended: its handler shut the
+        // socket down, so the next push fails and prunes it.
+        let (dead, _dead_peer) = socket_pair();
+        state.dispatch(&RegistryMethod::Subscribe { node: "n2".into() }, &dead).unwrap();
+        dead.lock().shutdown(Shutdown::Both).unwrap();
+        let (caller, _caller_peer) = socket_pair();
+        match state.dispatch(&RegistryMethod::Announce { version: "v7".into() }, &caller).unwrap()
         {
             RegistryReply::Announced { subscribers } => assert_eq!(subscribers, 1),
             other => panic!("unexpected reply {other:?}"),
         }
-        let line = live_rx.try_recv().unwrap();
-        assert_eq!(
-            crate::protocol::parse_event(&line).unwrap(),
-            Some(Event::Invalidate { version: "v7".into() })
-        );
+        assert_eq!(next_event(&mut live_peer), Event::Invalidate { version: "v7".into() });
         // Late subscribers catch up via the version echoed on subscribe.
-        let (tx, _rx) = mpsc::channel::<String>();
-        match state.dispatch(&RegistryMethod::Subscribe { node: "n3".into() }, &tx).unwrap() {
+        let (late, _late_peer) = socket_pair();
+        match state.dispatch(&RegistryMethod::Subscribe { node: "n3".into() }, &late).unwrap() {
             RegistryReply::Subscribed { version } => assert_eq!(version.as_deref(), Some("v7")),
             other => panic!("unexpected reply {other:?}"),
         }
@@ -776,14 +842,14 @@ mod tests {
     #[test]
     fn empty_announce_rejected_without_touching_state() {
         let state = RegistryState::new(RegistryOptions::default());
-        state.dispatch(&RegistryMethod::Announce { version: "v1".into() }, &detached()).unwrap();
+        let (conn, _peer) = socket_pair();
+        state.dispatch(&RegistryMethod::Announce { version: "v1".into() }, &conn).unwrap();
         let err = state
-            .dispatch(&RegistryMethod::Announce { version: String::new() }, &detached())
+            .dispatch(&RegistryMethod::Announce { version: String::new() }, &conn)
             .unwrap_err();
         assert_eq!(err.code, codes::INVALID_PARAMS);
         // The last good version survives for subscriber catch-up.
-        let (tx, _rx) = mpsc::channel::<String>();
-        match state.dispatch(&RegistryMethod::Subscribe { node: "n9".into() }, &tx).unwrap() {
+        match state.dispatch(&RegistryMethod::Subscribe { node: "n9".into() }, &conn).unwrap() {
             RegistryReply::Subscribed { version } => assert_eq!(version.as_deref(), Some("v1")),
             other => panic!("unexpected reply {other:?}"),
         }
@@ -792,8 +858,8 @@ mod tests {
     #[test]
     fn lease_and_status_carry_the_ring_and_membership_changes_push_it() {
         let state = RegistryState::new(RegistryOptions::default());
-        let (tx, rx) = mpsc::channel::<String>();
-        state.dispatch(&RegistryMethod::Subscribe { node: "watcher".into() }, &tx).unwrap();
+        let (watcher, mut peer) = socket_pair();
+        state.dispatch(&RegistryMethod::Subscribe { node: "watcher".into() }, &watcher).unwrap();
         match register(&state, "n1", "a", 1000) {
             RegistryReply::Lease { ring: Some(r), .. } => {
                 assert_eq!(r.nodes, vec!["n1".to_string()]);
@@ -802,29 +868,24 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         // First member → a ring event.
-        let line = rx.try_recv().unwrap();
-        assert!(matches!(
-            crate::protocol::parse_event(&line).unwrap(),
-            Some(Event::Ring { .. })
-        ));
+        assert!(matches!(next_event(&mut peer), Event::Ring { .. }));
         register(&state, "n2", "b", 1000);
-        match crate::protocol::parse_event(&rx.try_recv().unwrap()).unwrap() {
-            Some(Event::Ring { ring }) => {
+        match next_event(&mut peer) {
+            Event::Ring { ring } => {
                 assert_eq!(ring.nodes, vec!["n1".to_string(), "n2".to_string()])
             }
             other => panic!("unexpected event {other:?}"),
         }
-        // Re-registering an existing member does not move the ring.
+        // Re-registering an existing member does not move the ring, so
+        // the next event on the wire is the deregistration's.
         register(&state, "n2", "b", 1000);
-        assert!(rx.try_recv().is_err());
-        // Deregistration shrinks the membership → another push.
-        state.dispatch(&RegistryMethod::Deregister { node: "n2".into() }, &detached()).unwrap();
-        match crate::protocol::parse_event(&rx.try_recv().unwrap()).unwrap() {
-            Some(Event::Ring { ring }) => assert_eq!(ring.nodes, vec!["n1".to_string()]),
+        state.dispatch(&RegistryMethod::Deregister { node: "n2".into() }, &watcher).unwrap();
+        match next_event(&mut peer) {
+            Event::Ring { ring } => assert_eq!(ring.nodes, vec!["n1".to_string()]),
             other => panic!("unexpected event {other:?}"),
         }
         // `status` reports the table with lease deadlines plus the ring.
-        match state.dispatch(&RegistryMethod::Status, &detached()).unwrap() {
+        match state.dispatch(&RegistryMethod::Status, &watcher).unwrap() {
             RegistryReply::Status(st) => {
                 assert_eq!(st.nodes.len(), 1);
                 assert_eq!(st.nodes[0].ttl_ms, 1000);
@@ -839,12 +900,12 @@ mod tests {
         let state = RegistryState::new(RegistryOptions::default());
         register(&state, "doomed", "a", 100);
         register(&state, "survivor", "b", 60_000);
-        let (tx, rx) = mpsc::channel::<String>();
-        state.dispatch(&RegistryMethod::Subscribe { node: "watcher".into() }, &tx).unwrap();
+        let (watcher, mut peer) = socket_pair();
+        state.dispatch(&RegistryMethod::Subscribe { node: "watcher".into() }, &watcher).unwrap();
         let dead = state.sweep(Instant::now() + Duration::from_millis(200));
         assert_eq!(dead, vec!["doomed".to_string()]);
-        match crate::protocol::parse_event(&rx.try_recv().unwrap()).unwrap() {
-            Some(Event::Ring { ring }) => assert_eq!(ring.nodes, vec!["survivor".to_string()]),
+        match next_event(&mut peer) {
+            Event::Ring { ring } => assert_eq!(ring.nodes, vec!["survivor".to_string()]),
             other => panic!("unexpected event {other:?}"),
         }
         assert_eq!(state.current_ring().unwrap().nodes, vec!["survivor".to_string()]);
@@ -857,21 +918,11 @@ mod tests {
             RegistryOptions { sweep_interval: Duration::from_millis(20), ..Default::default() },
         )
         .unwrap();
-        let addr = server.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut send = |req: &Request| -> Response {
-            let mut s = stream.try_clone().unwrap();
-            s.write_all(req.to_json().as_bytes()).unwrap();
-            s.write_all(b"\n").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            crate::protocol::parse_response(line.trim()).unwrap()
-        };
-        let resp = send(&Request {
-            id: 1,
-            method: RegistryMethod::Register {
+        let mut peer = Peer::connect(server.local_addr());
+        let no_events = |e: Event| panic!("unexpected push {e:?}");
+        let resp = peer.call(
+            1,
+            RegistryMethod::Register {
                 node: "n1".into(),
                 addr: "127.0.0.1:7001".into(),
                 epoch: 0,
@@ -879,21 +930,138 @@ mod tests {
                 inflight: 0,
                 ttl_ms: 100,
             },
-        });
+            no_events,
+        );
         assert!(matches!(resp.result, Ok(RegistryReply::Lease { generation: 1, .. })));
-        let resp = send(&Request { id: 2, method: RegistryMethod::Nodes });
-        match resp.result {
+        match peer.call(2, RegistryMethod::Nodes, no_events).result {
             Ok(RegistryReply::Nodes { nodes, .. }) => assert_eq!(nodes.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
         // Let the lease expire; the sweeper empties the routing table.
         std::thread::sleep(Duration::from_millis(250));
-        let resp = send(&Request { id: 3, method: RegistryMethod::Nodes });
-        match resp.result {
+        match peer.call(3, RegistryMethod::Nodes, no_events).result {
             Ok(RegistryReply::Nodes { nodes, .. }) => assert!(nodes.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
         server.shutdown();
         server.join();
+    }
+
+    #[test]
+    fn concurrent_pushes_and_replies_arrive_whole() {
+        const ANNOUNCERS: usize = 4;
+        const PER_ANNOUNCER: usize = 200;
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let addr = server.local_addr();
+        let mut sub = Peer::connect(addr);
+        let mut seen = std::collections::HashSet::new();
+        let mut record = |e: Event| match e {
+            Event::Invalidate { version } => assert!(seen.insert(version), "pushed twice"),
+            other => panic!("unexpected event {other:?}"),
+        };
+        let resp = sub.call(1, RegistryMethod::Subscribe { node: "sub".into() }, &mut record);
+        assert!(matches!(resp.result, Ok(RegistryReply::Subscribed { version: None })));
+        let start = Arc::new(std::sync::Barrier::new(ANNOUNCERS + 1));
+        let announcers: Vec<_> = (0..ANNOUNCERS)
+            .map(|t| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut peer = Peer::connect(addr);
+                    start.wait();
+                    for i in 0..PER_ANNOUNCER {
+                        let version = format!("t{t}-{i}");
+                        let resp = peer.call(i as u64, RegistryMethod::Announce { version }, |e| {
+                            panic!("announcer got a push {e:?}")
+                        });
+                        assert!(matches!(
+                            resp.result,
+                            Ok(RegistryReply::Announced { subscribers: 1 })
+                        ));
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        // The subscriber's own calls interleave with the pushes on its
+        // socket.
+        let mut id = 2;
+        while !announcers.iter().all(|a| a.is_finished()) {
+            let resp = sub.call(id, RegistryMethod::Nodes, &mut record);
+            assert!(matches!(resp.result, Ok(RegistryReply::Nodes { .. })));
+            id += 1;
+        }
+        for a in announcers {
+            a.join().unwrap();
+        }
+        // Each push is written before its announce is answered, so every
+        // one precedes this reply.
+        sub.call(id, RegistryMethod::Ping, &mut record);
+        assert_eq!(seen.len(), ANNOUNCERS * PER_ANNOUNCER);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn a_subscriber_that_stops_reading_is_dropped() {
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let addr = server.local_addr();
+        let mut stalled = Peer::connect(addr);
+        stalled.call(1, RegistryMethod::Subscribe { node: "stalled".into() }, |_| {});
+        // From here on the stalled client only writes: it pipelines
+        // requests and never reads a reply or a push. The timeout restarts
+        // whenever a write makes progress, and a stalled peer's kernel
+        // still absorbs a little now and then, so allow a few.
+        let limit = WRITE_TIMEOUT * 4 + Duration::from_secs(5);
+        let started = Instant::now();
+        let mut writer = stalled.writer.try_clone().unwrap();
+        writer.set_write_timeout(Some(Duration::from_secs(20))).unwrap();
+        let flood = std::thread::spawn(move || loop {
+            if let Err(e) = writer.write_all(b"{\"v\":1,\"id\":2,\"method\":\"status\"}\n") {
+                return e.kind();
+            }
+        });
+        // A second client keeps getting answers, and its announces stop
+        // counting the stalled subscriber once the daemon drops it.
+        let mut other = Peer::connect(addr);
+        let version = "x".repeat(16 * 1024);
+        let mut id = 0;
+        loop {
+            id += 1;
+            let announce = RegistryMethod::Announce { version: version.clone() };
+            match other.call(id, announce, |_| {}).result {
+                Ok(RegistryReply::Announced { subscribers: 0 }) => break,
+                Ok(RegistryReply::Announced { subscribers: 1 }) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+            assert!(started.elapsed() < limit, "stalled subscriber kept");
+        }
+        let kind = flood.join().unwrap();
+        assert!(
+            !matches!(kind, std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the stalled client was never disconnected"
+        );
+        assert!(started.elapsed() < limit, "disconnected after {:?}", started.elapsed());
+        assert!(matches!(
+            other.call(id + 1, RegistryMethod::Ping, |_| {}).result,
+            Ok(RegistryReply::Pong)
+        ));
+        within(Duration::from_secs(5), move || {
+            server.shutdown();
+            server.join();
+        });
+    }
+
+    #[test]
+    fn join_wakes_an_idle_subscriber_with_eof() {
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let mut idle = Peer::connect(server.local_addr());
+        let resp = idle.call(1, RegistryMethod::Subscribe { node: "idle".into() }, |_| {});
+        assert!(matches!(resp.result, Ok(RegistryReply::Subscribed { .. })));
+        within(Duration::from_secs(5), move || {
+            server.shutdown();
+            server.join();
+        });
+        let mut line = String::new();
+        assert_eq!(idle.reader.read_line(&mut line).unwrap(), 0, "expected EOF, read {line:?}");
     }
 }

@@ -1,16 +1,24 @@
 //! The TCP daemon: listener, worker pool, admission control, deadlines.
 //!
-//! Thread model: one accept loop (nonblocking listener polled so it can
-//! observe shutdown), one reader thread per connection, and a global
-//! bounded worker pool. Every request, in either encoding, takes the
-//! same path on its connection's reader thread: read one line or frame,
-//! decode, admit, execute, encode, write. Cheap methods execute right
-//! there; only methods that block or rebuild the model (`sleep`,
+//! Thread model: one accept loop, one reader thread per connection, and
+//! a global bounded worker pool. Every request, in either encoding,
+//! takes the same path on its connection's reader thread: read one line
+//! or frame, decode, admit, execute, encode, write. Cheap methods execute
+//! right there; only methods that block or rebuild the model (`sleep`,
 //! `reload`, `shutdown`) are handed to the worker pool, and the worker
 //! that runs one writes its reply itself. Pool replies may therefore
 //! overtake or trail inline ones — the protocol's `id` correlation is
 //! what makes that safe. The socket's write half sits behind a mutex
-//! shared by the reader and the workers, so replies never tear.
+//! shared by the reader and the workers, so replies never tear, and
+//! every write is bounded by [`WRITE_TIMEOUT`].
+//!
+//! All socket I/O blocks, and stopping wakes it rather than a timer:
+//! [`Server::shutdown`], or the worker that runs the protocol
+//! `shutdown`, connects once to unblock `accept`; the accept loop (shared
+//! with the registry daemon, [`xpdl_registry::server::accept_loop`])
+//! then shuts down the read half of every live connection, whose reader
+//! sees EOF while in-flight replies still go out. Workers block on the
+//! job queue and exit when its last sender, a connection, is gone.
 //!
 //! Every connection starts in JSON-lines; a `hello` as the very first
 //! message may switch it to the binary framing of [`crate::codec`]
@@ -30,12 +38,20 @@ use crate::codec::{self, Encoding, StrDecoder, StrEncoder};
 use crate::engine::Engine;
 use crate::protocol::{codes, parse_request, Method, Reply, Request, Response, ServeError};
 use crate::stats::InflightPermit;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use xpdl_registry::server::{accept_loop, wake_accept, write_or_shutdown, WriteHalf};
+
+/// How long one reply may block on a client that stopped reading before
+/// that connection is shut down. A reading client drains its socket
+/// buffer far faster; without a bound, a stalled client pins its reader
+/// thread, or the pool worker answering its `sleep`/`reload`, and
+/// [`Server::join`] never returns.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -63,10 +79,6 @@ impl Default for ServerOptions {
     }
 }
 
-/// The socket's write half. The reader thread and pool workers both
-/// write through this lock, so replies interleave whole, never torn.
-type WriteHalf = Arc<parking_lot::Mutex<TcpStream>>;
-
 /// One admitted request travelling to the worker pool.
 struct Job {
     request: Request,
@@ -84,7 +96,6 @@ struct Job {
 pub struct Server {
     engine: Arc<Engine>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -107,10 +118,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        // Nonblocking so the accept loop can poll the shutdown flag.
-        listener.set_nonblocking(true)?;
 
-        let stop = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(parking_lot::Mutex::new(job_rx));
         let mut threads = Vec::new();
@@ -118,29 +126,38 @@ impl Server {
         for w in 0..options.workers.max(1) {
             let engine = Arc::clone(&engine);
             let job_rx = Arc::clone(&job_rx);
-            let stop = Arc::clone(&stop);
             let deadline = options.deadline;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("xpdl-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&engine, &job_rx, &stop, deadline))
+                    .spawn(move || worker_loop(&engine, &job_rx, deadline, local))
                     .expect("spawn worker"),
             );
         }
 
         {
             let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            let opts = options.clone();
+            let conn_engine = Arc::clone(&engine);
             threads.push(
                 std::thread::Builder::new()
                     .name("xpdl-serve-accept".to_string())
-                    .spawn(move || accept_loop(&listener, &engine, &stop, &opts, &job_tx))
+                    .spawn(move || {
+                        accept_loop(
+                            &listener,
+                            "xpdl-serve-conn",
+                            WRITE_TIMEOUT,
+                            || engine.shutdown_requested(),
+                            move |stream, conn| {
+                                conn_engine.stats().connections.inc();
+                                connection_loop(stream, conn, &conn_engine, &options, &job_tx);
+                            },
+                        )
+                    })
                     .expect("spawn accept loop"),
             );
         }
 
-        Ok(Server { engine, addr: local, stop, threads })
+        Ok(Server { engine, addr: local, threads })
     }
 
     /// The address actually bound (resolves `:0` to the real port).
@@ -156,13 +173,13 @@ impl Server {
     /// Whether the server has been asked to stop (locally or via the
     /// protocol `shutdown` method).
     pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire) || self.engine.shutdown_requested()
+        self.engine.shutdown_requested()
     }
 
-    /// Ask all server threads to wind down.
+    /// Ask all server threads to wind down, waking the blocked accept.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
         self.engine.request_shutdown();
+        wake_accept(self.addr);
     }
 
     /// Block until every server thread has exited. Call
@@ -176,56 +193,13 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.engine.request_shutdown();
+        if self.threads.is_empty() {
+            return; // already joined
+        }
+        self.shutdown();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-    }
-}
-
-/// Accept connections until shutdown, spawning one reader per connection.
-fn accept_loop(
-    listener: &TcpListener,
-    engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
-    options: &ServerOptions,
-    job_tx: &mpsc::Sender<Job>,
-) {
-    let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if stop.load(Ordering::Acquire) || engine.shutdown_requested() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Responses are small and latency-bound; without this,
-                // Nagle + delayed ACK adds ~40ms per round trip.
-                let _ = stream.set_nodelay(true);
-                engine.stats().connections.inc();
-                let engine = Arc::clone(engine);
-                let stop = Arc::clone(stop);
-                let job_tx = job_tx.clone();
-                let opts = options.clone();
-                conn_threads.retain(|t| !t.is_finished());
-                conn_threads.push(
-                    std::thread::Builder::new()
-                        .name("xpdl-serve-conn".to_string())
-                        .spawn(move || connection_loop(stream, &engine, &stop, &opts, &job_tx))
-                        .expect("spawn connection"),
-                );
-            }
-            // 1 ms poll: clients that open a connection per call (the
-            // cluster failover path) pay half this interval on every
-            // request, so the accept poll is a direct latency floor.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
-    for t in conn_threads {
-        let _ = t.join();
     }
 }
 
@@ -248,22 +222,15 @@ struct ConnState {
     write_half: WriteHalf,
 }
 
-/// Serve one connection until the client leaves, framing is lost, or
-/// the server stops.
+/// Serve one connection until the client leaves, framing is lost, a
+/// write fails, or the server stops.
 fn connection_loop(
     stream: TcpStream,
+    write_half: WriteHalf,
     engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
     options: &ServerOptions,
     job_tx: &mpsc::Sender<Job>,
 ) {
-    // Read timeout so the reader notices shutdown even on an idle
-    // connection; WouldBlock/TimedOut just re-checks the flag.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let write_half: WriteHalf = match stream.try_clone() {
-        Ok(s) => Arc::new(parking_lot::Mutex::new(s)),
-        Err(_) => return,
-    };
     let mut conn = ConnState {
         enc: Encoding::Json,
         saw_traffic: false,
@@ -272,69 +239,56 @@ fn connection_loop(
         write_half,
     };
     let mut reader = BufReader::new(stream);
-    // Partial-message accumulator. It persists across read timeouts so a
-    // line or frame split by TCP segmentation (or a slow sender) is
-    // reassembled rather than truncated at the first `WouldBlock`.
-    let mut acc: Vec<u8> = Vec::new();
-    while !(stop.load(Ordering::Acquire) || engine.shutdown_requested())
-        && serve_step(&mut reader, &mut acc, &mut conn, engine, options, job_tx)
-    {}
+    let mut line = Vec::new();
+    while serve_step(&mut reader, &mut line, &mut conn, engine, options, job_tx) {}
 }
 
 /// Read, decode and answer (or enqueue) one message in the connection's
 /// current encoding. Returns false when the connection is done.
 fn serve_step(
     reader: &mut BufReader<TcpStream>,
-    acc: &mut Vec<u8>,
+    line: &mut Vec<u8>,
     conn: &mut ConnState,
     engine: &Arc<Engine>,
     options: &ServerOptions,
     job_tx: &mpsc::Sender<Job>,
 ) -> bool {
-    let read = match conn.enc {
-        Encoding::Json => read_line_capped(reader, acc, options.max_line_bytes),
-        Encoding::Binary => read_frame_capped(reader, acc, options.max_line_bytes),
-    };
-    let decoded = match read {
-        Ok(Framed::Message) => {
-            let decoded = match conn.enc {
-                Encoding::Json => {
-                    let line = String::from_utf8_lossy(acc);
-                    let trimmed = line.trim();
+    let cap = options.max_line_bytes;
+    let too_long = |message: String| Err((None, ServeError::new(codes::LINE_TOO_LONG, message)));
+    let decoded = match conn.enc {
+        Encoding::Json => {
+            line.clear();
+            match reader.take(cap as u64 + 1).read_until(b'\n', line) {
+                Ok(_) if line.ends_with(b"\n") => {
+                    let text = String::from_utf8_lossy(line);
+                    let trimmed = text.trim();
                     if trimmed.is_empty() {
                         // Empty lines are ignored and are not traffic.
-                        acc.clear();
                         return true;
                     }
                     parse_request(trimmed)
                 }
-                Encoding::Binary => codec::decode_request(&acc[4..], &mut conn.req_strings),
-            };
-            acc.clear();
-            decoded
+                Ok(_) if line.len() > cap => too_long(format!("request line exceeds {cap} bytes")),
+                // EOF (a dangling partial line drops with it) or a dead socket.
+                _ => return false,
+            }
         }
-        Ok(Framed::Eof) => return false, // client closed (partial messages drop with it)
-        Err(ReadError::TooLong(message)) => {
-            engine.stats().record(0, true);
-            let err = ServeError::new(codes::LINE_TOO_LONG, message);
-            let _ = reply(&Response::err(0, err), conn);
-            return false; // framing is lost; drop the connection
-        }
-        Err(ReadError::Io(e)) => {
-            return matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            )
-        }
+        Encoding::Binary => match codec::read_frame(reader, cap) {
+            Ok(Some(body)) => codec::decode_request(&body, &mut conn.req_strings),
+            // The declared length is over the cap; refused before buffering.
+            Err(e) if e.kind() == ErrorKind::InvalidData => too_long(e.to_string()),
+            // EOF (a partial frame drops with it) or a dead socket.
+            _ => return false,
+        },
     };
     let request = match decoded {
         Ok(r) => r,
         Err((id, e)) => {
             conn.saw_traffic = true;
             engine.stats().record(0, true);
-            // S412 (well-framed, bad params) keeps the connection; S415
-            // means binary framing is lost — report, then close.
-            let fatal = e.code == codes::BAD_FRAME;
+            // S412 (well-framed, bad params) keeps the connection; S414
+            // and S415 mean framing is lost — report, then close.
+            let fatal = e.code == codes::BAD_FRAME || e.code == codes::LINE_TOO_LONG;
             return reply(&Response::err(id.unwrap_or(0), e), conn) && !fatal;
         }
     };
@@ -410,7 +364,8 @@ fn dispatch(
     if job_tx.send(job).is_ok() {
         return true;
     }
-    // Worker pool gone (shutdown): undo the in-flight claim.
+    // Every worker is gone (they outlive the senders, so only panics get
+    // here): undo the in-flight claim.
     engine.stats().inflight.dec();
     engine.stats().record(0, true);
     let resp = Response::err(0, ServeError::new(codes::SHUTTING_DOWN, "server is stopping"));
@@ -420,25 +375,20 @@ fn dispatch(
 /// Worker: dequeue jobs, enforce deadlines, run the engine, reply.
 fn worker_loop(
     engine: &Arc<Engine>,
-    job_rx: &Arc<parking_lot::Mutex<mpsc::Receiver<Job>>>,
-    stop: &Arc<AtomicBool>,
+    job_rx: &parking_lot::Mutex<mpsc::Receiver<Job>>,
     deadline: Option<Duration>,
+    addr: SocketAddr,
 ) {
     loop {
-        if stop.load(Ordering::Acquire) || engine.shutdown_requested() {
-            break;
-        }
         // Hold the receiver lock only for the dequeue, never during
-        // request execution.
-        let job = {
-            let rx = job_rx.lock();
-            rx.recv_timeout(Duration::from_millis(100))
-        };
-        let job = match job {
-            Ok(j) => j,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
+        // request execution. `recv` fails once every sender — the accept
+        // loop and its connections — is gone.
+        let Ok(job) = job_rx.lock().recv() else { return };
+        if engine.shutdown_requested() {
+            // Dequeued after stop: dropped unanswered.
+            engine.stats().inflight.dec();
+            continue;
+        }
         let queue_wait = job.admitted_at.elapsed();
         let wait_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
         engine.stats().queue_wait_us.record(wait_us);
@@ -465,7 +415,11 @@ fn worker_loop(
         // valid against the client's decoder however they interleave
         // with the reader's interned frames.
         let bytes = encode(&response, job.enc, &mut StrEncoder::inline_only());
-        let _ = job.write_half.lock().write_all(&bytes);
+        write_or_shutdown(&job.write_half, &bytes);
+        if matches!(response.result, Ok(Reply::ShuttingDown)) {
+            // The engine flag cannot reach a blocked `accept`.
+            wake_accept(addr);
+        }
     }
 }
 
@@ -489,87 +443,7 @@ fn encode(resp: &Response, enc: Encoding, strings: &mut StrEncoder) -> Vec<u8> {
 /// when the socket is gone.
 fn reply(resp: &Response, conn: &mut ConnState) -> bool {
     let bytes = encode(resp, conn.enc, &mut conn.resp_strings);
-    conn.write_half.lock().write_all(&bytes).is_ok()
-}
-
-enum ReadError {
-    /// The message exceeds the byte cap; carries the `S414` message.
-    TooLong(String),
-    Io(std::io::Error),
-}
-
-enum Framed {
-    /// A full message landed in the accumulator: a line with its newline
-    /// stripped, or a frame with its length prefix (body is `acc[4..]`).
-    Message,
-    /// The peer closed the connection.
-    Eof,
-}
-
-/// Read into `acc` until a newline, with a hard byte cap — a single
-/// over-long line answers `S414` and drops the connection instead of
-/// buffering unboundedly. On a read timeout (`WouldBlock`/`TimedOut`)
-/// the bytes consumed so far stay in `acc`, and the next call resumes
-/// the same line.
-fn read_line_capped(
-    reader: &mut BufReader<TcpStream>,
-    acc: &mut Vec<u8>,
-    cap: usize,
-) -> Result<Framed, ReadError> {
-    loop {
-        let available = reader.fill_buf().map_err(ReadError::Io)?;
-        if available.is_empty() {
-            // EOF: a dangling partial line (no trailing newline) is
-            // not a valid frame — drop it with the connection.
-            return Ok(Framed::Eof);
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(available.len());
-        acc.extend_from_slice(&available[..take]);
-        reader.consume(take + usize::from(newline.is_some()));
-        if acc.len() > cap {
-            return Err(ReadError::TooLong(format!("request line exceeds {cap} bytes")));
-        }
-        if newline.is_some() {
-            return Ok(Framed::Message);
-        }
-    }
-}
-
-/// Read one binary frame into `acc` (prefix plus body). Mirrors
-/// [`read_line_capped`]: on a read timeout the bytes consumed so far
-/// stay in `acc` and the next call resumes the same frame; an oversized
-/// declared length fails before buffering the body.
-fn read_frame_capped(
-    reader: &mut BufReader<TcpStream>,
-    acc: &mut Vec<u8>,
-    cap: usize,
-) -> Result<Framed, ReadError> {
-    loop {
-        let target = if acc.len() >= 4 {
-            let len = u32::from_le_bytes(acc[..4].try_into().expect("4 bytes")) as usize;
-            if len > cap {
-                return Err(ReadError::TooLong(format!(
-                    "frame of {len} bytes exceeds {cap} byte cap"
-                )));
-            }
-            4 + len
-        } else {
-            4
-        };
-        if acc.len() >= 4 && acc.len() == target {
-            return Ok(Framed::Message);
-        }
-        let available = reader.fill_buf().map_err(ReadError::Io)?;
-        if available.is_empty() {
-            // EOF: a partial frame is not a valid message — drop it with
-            // the connection, as the line path drops dangling partials.
-            return Ok(Framed::Eof);
-        }
-        let n = (target - acc.len()).min(available.len());
-        acc.extend_from_slice(&available[..n]);
-        reader.consume(n);
-    }
+    write_or_shutdown(&conn.write_half, &bytes)
 }
 
 /// Spawn a thread that calls [`Engine::reload`] every `interval` until

@@ -2,13 +2,15 @@
 //! query API, protocol error handling, backpressure, queue deadlines,
 //! hot reload under live traffic, and clean remote shutdown.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xpdl_runtime::{RuntimeModel, XpdlHandle};
+use xpdl_serve::server::WRITE_TIMEOUT;
 use xpdl_serve::{
-    codes, parse_response, Engine, EngineOptions, ModelSource, Reply, Server, ServerOptions,
+    codec, codes, parse_response, Engine, EngineOptions, ModelSource, Reply, Server,
+    ServerOptions,
 };
 
 /// The paper's GPU server model (Listing 7 lineage): 2500 cores, one
@@ -55,6 +57,18 @@ impl Client {
         self.send(line);
         self.recv()
     }
+}
+
+/// Run `f` on its own thread and fail if it outlives `limit`, so a
+/// missing wake fails the test instead of hanging it.
+fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+    let t = std::thread::spawn(f);
+    let start = Instant::now();
+    while !t.is_finished() {
+        assert!(start.elapsed() < limit, "still blocked after {limit:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    t.join().unwrap();
 }
 
 #[test]
@@ -287,11 +301,63 @@ fn remote_shutdown_drains_cleanly() {
         EngineOptions { allow_debug: false, allow_shutdown: true },
         ServerOptions::default(),
     );
+    // One idle connection per encoding, each with its reader blocked in
+    // `read`: the protocol `shutdown` alone must wake them and the
+    // accept loop.
+    let mut idle_json = Client::connect(&server);
+    assert_eq!(idle_json.call(r#"{"v":1,"id":1,"method":"ping"}"#).result.unwrap(), Reply::Pong);
+    let mut idle_binary = Client::connect(&server);
+    let ack = idle_binary.call(&codec::client_hello(1).to_json());
+    assert_eq!(ack.result.unwrap(), Reply::Hello { encoding: codec::BINARY.to_string() });
     let mut client = Client::connect(&server);
     let resp = client.call(r#"{"v":1,"id":1,"method":"shutdown"}"#);
     assert_eq!(resp.result.unwrap(), Reply::ShuttingDown);
     assert!(server.stopping());
-    server.join(); // must terminate, not hang
+    within(Duration::from_secs(5), move || server.join());
+    let mut rest = Vec::new();
+    assert_eq!(idle_json.reader.read_to_end(&mut rest).unwrap(), 0);
+    assert_eq!(idle_binary.reader.read_to_end(&mut rest).unwrap(), 0);
+}
+
+#[test]
+fn a_client_that_stops_reading_is_disconnected() {
+    let server = start_server(EngineOptions::default(), ServerOptions::default());
+    // Pipeline requests with large replies and never read one: the
+    // daemon's writes to this socket stall once the buffers fill.
+    let stalled = TcpStream::connect(server.local_addr()).expect("connect");
+    stalled.set_write_timeout(Some(Duration::from_secs(20))).unwrap();
+    let started = Instant::now();
+    let flood = std::thread::spawn(move || {
+        let req = concat!(
+            r#"{"v":1,"id":1,"method":"elements_of_kind","params":{"kind":"core"}}"#,
+            "\n"
+        );
+        loop {
+            if let Err(e) = (&stalled).write_all(req.as_bytes()) {
+                return e.kind();
+            }
+        }
+    });
+    // Meanwhile a second client keeps getting answers.
+    let mut other = Client::connect(&server);
+    while !flood.is_finished() {
+        assert!(started.elapsed() < Duration::from_secs(30), "flood never ended");
+        assert_eq!(other.call(r#"{"v":1,"id":2,"method":"ping"}"#).result.unwrap(), Reply::Pong);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let kind = flood.join().unwrap();
+    assert!(
+        !matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "the stalled client was never disconnected"
+    );
+    // The timeout restarts whenever a write makes progress, and a
+    // stalled peer's kernel still absorbs a little now and then, so a
+    // reply can wait out a few timeouts before one passes with none.
+    let limit = WRITE_TIMEOUT * 4 + Duration::from_secs(5);
+    assert!(started.elapsed() < limit, "disconnected after {:?}", started.elapsed());
+    assert_eq!(other.call(r#"{"v":1,"id":3,"method":"ping"}"#).result.unwrap(), Reply::Pong);
+    server.shutdown();
+    within(Duration::from_secs(5), move || server.join());
 }
 
 #[test]
