@@ -138,18 +138,27 @@ fn abl() {
 }
 
 fn tc1() {
-    println!("== TC1: toolchain scaling (compose / runtime vs XML round-trip) ==");
+    println!("== TC1: toolchain scaling, per-stage medians of 21 runs ==");
     println!(
-        "{:>12} {:>9} {:>12} {:>12} {:>12} {:>8}",
-        "nodes x cores", "elements", "compose", "rt encode+dec", "xml ser+parse", "rt/xml"
+        "{:>13} {:>8} {:>10} {:>10} {:>10} {:>10} {:>13} {:>7}",
+        "nodes x cores",
+        "elements",
+        "resolve",
+        "elaborate",
+        "flatten",
+        "rt enc+dec",
+        "xml ser+parse",
+        "xml/rt"
     );
-    for r in toolchain_scaling(&[(1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 32)]) {
+    for r in toolchain_scaling(&[(1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 32)], 21) {
         println!(
-            "{:>7} x {:>3} {:>9} {:>12.2?} {:>12.2?} {:>12.2?} {:>7.2}x",
+            "{:>7} x {:>3} {:>8} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>13.2?} {:>6.2}x",
             r.config.0,
             r.config.1,
             r.elements,
-            r.compose,
+            r.resolve,
+            r.elaborate,
+            r.from_element,
             r.rt_roundtrip,
             r.xml_roundtrip,
             r.xml_roundtrip.as_secs_f64() / r.rt_roundtrip.as_secs_f64().max(1e-12),

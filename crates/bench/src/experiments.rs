@@ -1,6 +1,7 @@
 //! The experiment implementations behind EXPERIMENTS.md.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 use xpdl_composition::{spmv_component, CallContext, Dispatcher, SpmvPlatform};
 use xpdl_core::{ElementKind, XpdlDocument};
 use xpdl_hwsim::kernels::KernelSpec;
@@ -440,50 +441,76 @@ pub fn inheritance_ablation() -> InheritanceAblation {
 
 // ---------------------------------------------------------------- TC1 ----
 
-/// One toolchain-scaling measurement.
+/// One toolchain-scaling measurement: the median of each stage over the
+/// repetitions.
 #[derive(Debug, Clone)]
 pub struct ToolchainRow {
     /// Nodes × cores configuration.
     pub config: (usize, usize),
     /// Expanded element count.
     pub elements: usize,
-    /// Composition wall time.
-    pub compose: std::time::Duration,
+    /// `resolve_recursive` over a fresh repository (fetch + parse).
+    pub resolve: Duration,
+    /// Elaboration of the resolved set.
+    pub elaborate: Duration,
+    /// `RuntimeModel::from_element` on the elaborated tree.
+    pub from_element: Duration,
     /// Runtime binary encode+decode wall time.
-    pub rt_roundtrip: std::time::Duration,
+    pub rt_roundtrip: Duration,
     /// XML serialize+reparse wall time (the ablation baseline).
-    pub xml_roundtrip: std::time::Duration,
+    pub xml_roundtrip: Duration,
 }
 
-/// TC1: scale the synthetic model and time the pipeline stages once each
-/// (criterion benches repeat these precisely; this gives the table).
-pub fn toolchain_scaling(configs: &[(usize, usize)]) -> Vec<ToolchainRow> {
+/// TC1: scale the synthetic model and time each pipeline stage `reps`
+/// times, reporting per-stage medians (criterion benches give the
+/// distributions; this gives the table).
+pub fn toolchain_scaling(configs: &[(usize, usize)], reps: usize) -> Vec<ToolchainRow> {
+    fn median(mut v: Vec<Duration>) -> Duration {
+        v.sort();
+        v[v.len() / 2]
+    }
     configs
         .iter()
         .map(|&(nodes, cores)| {
-            let repo = crate::synth::synthetic_repository(nodes, cores);
-            let t0 = std::time::Instant::now();
-            let set = repo.resolve_recursive("synth").unwrap();
-            let model = xpdl_elab::elaborate(&set).unwrap();
-            let compose = t0.elapsed();
+            let mut stages: [Vec<Duration>; 5] = Default::default();
+            let mut elements = 0;
+            for _ in 0..reps.max(1) {
+                // A fresh repository per repetition, so resolution fetches
+                // and parses every document instead of hitting its cache.
+                let repo = crate::synth::synthetic_repository(nodes, cores);
+                let t0 = Instant::now();
+                let set = repo.resolve_recursive("synth").unwrap();
+                let t1 = Instant::now();
+                let model = xpdl_elab::elaborate(&set).unwrap();
+                let t2 = Instant::now();
+                let rt = RuntimeModel::from_element(&model.root);
+                let t3 = Instant::now();
+                let bytes = xpdl_runtime::encode(&rt);
+                let back = xpdl_runtime::decode(&bytes).unwrap();
+                let t4 = Instant::now();
+                let xml = xpdl_xml::write_element(
+                    &model.root.to_xml(),
+                    &xpdl_xml::WriteOptions::compact(),
+                );
+                let reparsed = XpdlDocument::parse_str(&xml).unwrap();
+                let t5 = Instant::now();
 
-            let rt = RuntimeModel::from_element(&model.root);
-            let t1 = std::time::Instant::now();
-            let bytes = xpdl_runtime::encode(&rt);
-            let back = xpdl_runtime::decode(&bytes).unwrap();
-            let rt_roundtrip = t1.elapsed();
-
-            let t2 = std::time::Instant::now();
-            let xml = xpdl_xml::write_element(&model.root.to_xml(), &xpdl_xml::WriteOptions::compact());
-            let reparsed = XpdlDocument::parse_str(&xml).unwrap();
-            let xml_roundtrip = t2.elapsed();
-
-            assert_eq!(back.len(), rt.len());
-            assert_eq!(reparsed.root().subtree_size(), model.root.subtree_size());
+                assert_eq!(back.len(), rt.len());
+                assert_eq!(reparsed.root().subtree_size(), model.root.subtree_size());
+                elements = model.root.subtree_size();
+                let times = [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4];
+                for (stage, d) in stages.iter_mut().zip(times) {
+                    stage.push(d);
+                }
+            }
+            let [resolve, elaborate, from_element, rt_roundtrip, xml_roundtrip] =
+                stages.map(median);
             ToolchainRow {
                 config: (nodes, cores),
-                elements: model.root.subtree_size(),
-                compose,
+                elements,
+                resolve,
+                elaborate,
+                from_element,
                 rt_roundtrip,
                 xml_roundtrip,
             }
@@ -607,8 +634,9 @@ mod tests {
 
     #[test]
     fn toolchain_scaling_monotone_in_elements() {
-        let rows = toolchain_scaling(&[(1, 2), (4, 4), (16, 8)]);
+        let rows = toolchain_scaling(&[(1, 2), (4, 4), (16, 8)], 3);
         assert!(rows.windows(2).all(|w| w[0].elements < w[1].elements));
+        assert!(rows.iter().all(|r| r.elaborate > Duration::ZERO && r.resolve > Duration::ZERO));
     }
 
     #[test]

@@ -37,71 +37,66 @@ pub fn bandwidth_downgrade(
     root: &mut XpdlElement,
     diags: &mut Vec<Diagnostic>,
 ) -> Vec<LinkAnalysis> {
-    // Collect endpoint caps first (immutably), then annotate.
-    let endpoint_cap = |root: &XpdlElement, ident: &str| -> Option<(f64, String)> {
-        let e = root.find_ident(ident)?;
-        bandwidth_of(e).map(|b| (b, format!("{}[{}]", e.kind.tag(), ident)))
-    };
-
-    let mut plans: Vec<(String, LinkAnalysis)> = Vec::new();
-    {
-        let snapshot = root.clone();
-        for ic in snapshot.find_kind(ElementKind::Interconnect) {
-            let Some(id) = ic.instance_id() else { continue };
-            let head = ic.attr("head").map(str::to_string);
-            let tail = ic.attr("tail").map(str::to_string);
-            let mut caps: Vec<(f64, String)> = Vec::new();
-            if let Some(own) = bandwidth_of(ic) {
-                caps.push((own, format!("interconnect[{id}]")));
+    let tree: &XpdlElement = root;
+    let mut plans: Vec<LinkAnalysis> = Vec::new();
+    for ic in tree.find_kind(ElementKind::Interconnect) {
+        let Some(id) = ic.instance_id() else { continue };
+        let head = ic.attr("head").map(str::to_string);
+        let tail = ic.attr("tail").map(str::to_string);
+        let mut caps: Vec<(f64, String)> = Vec::new();
+        if let Some(own) = bandwidth_of(ic) {
+            caps.push((own, format!("interconnect[{id}]")));
+        }
+        for ch in ic.children_of_kind(ElementKind::Channel) {
+            if let Some(b) = bandwidth_of(ch) {
+                let cname = ch.ident().unwrap_or("channel");
+                caps.push((b, format!("channel[{cname}]")));
             }
-            for ch in ic.children_of_kind(ElementKind::Channel) {
-                if let Some(b) = bandwidth_of(ch) {
-                    let cname = ch.ident().unwrap_or("channel");
-                    caps.push((b, format!("channel[{cname}]")));
-                }
-            }
-            for ep in [&head, &tail].into_iter().flatten() {
-                match snapshot.find_ident(ep) {
-                    Some(_) => {
-                        if let Some(cap) = endpoint_cap(&snapshot, ep) {
-                            caps.push(cap);
-                        }
+        }
+        for ep in [&head, &tail].into_iter().flatten() {
+            match tree.find_ident(ep) {
+                Some(e) => {
+                    if let Some(b) = bandwidth_of(e) {
+                        caps.push((b, format!("{}[{ep}]", e.kind.tag())));
                     }
-                    None => diags.push(
-                        Diagnostic::error(
-                            format!("interconnect[{id}]"),
-                            format!("endpoint '{ep}' does not exist in the model"),
-                        )
-                        .with_code("E213")
-                        .with_span(ic.span),
-                    ),
+                }
+                None => diags.push(
+                    Diagnostic::error(
+                        format!("interconnect[{id}]"),
+                        format!("endpoint '{ep}' does not exist in the model"),
+                    )
+                    .with_code("E213")
+                    .with_span(ic.span),
+                ),
+            }
+        }
+        // total_cmp, not partial_cmp: `max_bandwidth="NaN"` parses as a
+        // number, and untrusted descriptors must not panic the analysis.
+        let min = caps.iter().min_by(|a, b| a.0.total_cmp(&b.0)).cloned();
+        plans.push(LinkAnalysis {
+            id: id.to_string(),
+            head,
+            tail,
+            effective_bandwidth: min.as_ref().map(|m| m.0),
+            limited_by: min.map(|m| m.1),
+        });
+    }
+    // Annotate each analysed interconnect itself: the same pre-order walk
+    // meets them in the same order, so plan k belongs to the k-th one.
+    fn annotate<'p>(e: &mut XpdlElement, plans: &mut impl Iterator<Item = &'p LinkAnalysis>) {
+        for c in &mut e.children {
+            if c.kind == ElementKind::Interconnect && c.instance_id().is_some() {
+                let plan = plans.next().expect("one plan per analysed interconnect");
+                if let Some(bw) = plan.effective_bandwidth {
+                    c.set_attr("effective_bandwidth", format!("{bw}"));
+                    c.set_attr("effective_bandwidth_unit", "B/s");
                 }
             }
-            // total_cmp, not partial_cmp: `max_bandwidth="NaN"` parses as a
-            // number, and untrusted descriptors must not panic the analysis.
-            let min = caps.iter().min_by(|a, b| a.0.total_cmp(&b.0)).cloned();
-            plans.push((
-                id.to_string(),
-                LinkAnalysis {
-                    id: id.to_string(),
-                    head,
-                    tail,
-                    effective_bandwidth: min.as_ref().map(|m| m.0),
-                    limited_by: min.map(|m| m.1),
-                },
-            ));
+            annotate(c, plans);
         }
     }
-    // Annotate.
-    for (id, analysis) in &plans {
-        if let Some(bw) = analysis.effective_bandwidth {
-            if let Some(ic) = find_ident_mut(root, id) {
-                ic.set_attr("effective_bandwidth", format!("{bw}"));
-                ic.set_attr("effective_bandwidth_unit", "B/s");
-            }
-        }
-    }
-    plans.into_iter().map(|(_, a)| a).collect()
+    annotate(root, &mut plans.iter());
+    plans
 }
 
 /// Read an element's `max_bandwidth` in B/s.
@@ -111,19 +106,6 @@ fn bandwidth_of(e: &XpdlElement) -> Option<f64> {
         Ok(Some(q)) if q.dimension() == Dimension::Dimensionless => Some(q.to_base()),
         _ => None,
     }
-}
-
-/// Mutable identifier lookup.
-fn find_ident_mut<'a>(root: &'a mut XpdlElement, ident: &str) -> Option<&'a mut XpdlElement> {
-    if root.ident() == Some(ident) {
-        return Some(root);
-    }
-    for c in &mut root.children {
-        if let Some(found) = find_ident_mut(c, ident) {
-            return Some(found);
-        }
-    }
-    None
 }
 
 /// Summed static power of the default power domain (everything not inside
@@ -223,6 +205,30 @@ mod tests {
         let links = bandwidth_downgrade(&mut root, &mut diags);
         assert_eq!(links[0].effective_bandwidth, None);
         assert!(root.find_ident("c1").unwrap().attr("effective_bandwidth").is_none());
+    }
+
+    #[test]
+    fn annotation_lands_on_the_analysed_interconnect() {
+        // A memory declared first shares the interconnect's id: the
+        // annotation must still go to the interconnect, not the memory.
+        let mut root = parse(
+            r#"<system id="s">
+                 <memory id="l" size="1" unit="GB"/>
+                 <cpu id="a"/><device id="b"/>
+                 <interconnects>
+                   <interconnect id="l" head="a" tail="b" max_bandwidth="6" max_bandwidth_unit="GB/s"/>
+                 </interconnects>
+               </system>"#,
+        );
+        let mut diags = Vec::new();
+        let links = bandwidth_downgrade(&mut root, &mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(links[0].effective_bandwidth, Some(6e9));
+        let mem = root.children_of_kind(ElementKind::Memory).next().unwrap();
+        assert!(mem.attr("effective_bandwidth").is_none());
+        let ic = root.find_kind(ElementKind::Interconnect).next().unwrap();
+        assert_eq!(ic.attr("effective_bandwidth"), Some("6000000000"));
+        assert_eq!(ic.attr("effective_bandwidth_unit"), Some("B/s"));
     }
 
     #[test]

@@ -131,8 +131,8 @@ pub fn elaborate_with(set: &ResolvedSet, opts: &ElabOptions) -> ElabResult<Elabo
         let _xsp = trace::span("elab.expand");
         expander.expand_root(set.root().root(), &referenced)?
     };
-    let mut diagnostics = expander.diags.clone();
-    let poisoned = expander.poisoned.clone();
+    let mut diagnostics = std::mem::take(&mut expander.diags);
+    let poisoned = std::mem::take(&mut expander.poisoned);
     for key in &set.missing {
         diagnostics.push(
             Diagnostic::warning(
@@ -356,6 +356,53 @@ mod tests {
         assert_eq!(model.poisoned.len(), 2);
         assert!(model.find("c").is_some());
         assert_eq!(model.find("a").unwrap().attr("poisoned"), Some("true"));
+    }
+
+    #[test]
+    fn keep_going_diagnostic_paths_are_exact() {
+        // Wrapper members, single-element members nested in them, an
+        // ungrouped group, a poisoned group and a poisoned type.
+        let mut m = MemoryStore::new();
+        m.insert(
+            "s",
+            r#"<system id="s">
+                 <group prefix="n" quantity="2">
+                   <node>
+                     <const name="t" value="1"/>
+                     <constraints><constraint expr="t == 2"/></constraints>
+                     <group prefix="c" quantity="2"><core><param name="unset"/></core></group>
+                   </node>
+                   <memory/>
+                 </group>
+                 <group id="g1"><device id="d"><param name="u2"/></device></group>
+                 <group prefix="bad" quantity="nope"><core/></group>
+                 <device id="x" type="Ghost"/>
+               </system>"#,
+        );
+        let set = Repository::new()
+            .with_store(m)
+            .resolve_with("s", &ResolveOptions { allow_missing: true, ..Default::default() })
+            .unwrap();
+        let model =
+            elaborate_with(&set, &ElabOptions { keep_going: true, ..Default::default() }).unwrap();
+        let got: Vec<(&str, &str)> =
+            model.diagnostics.iter().map(|d| (d.code.as_str(), d.path.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                ("E204", "system[s]/group[n0]/node[n0.node]"),
+                ("E208", "system[s]/group[n0]/node[n0.node]/core[n0.c0]"),
+                ("E208", "system[s]/group[n0]/node[n0.node]/core[n0.c1]"),
+                ("E204", "system[s]/group[n1]/node[n1.node]"),
+                ("E208", "system[s]/group[n1]/node[n1.node]/core[n1.c0]"),
+                ("E208", "system[s]/group[n1]/node[n1.node]/core[n1.c1]"),
+                ("E208", "system[s]/group[g1]/device[d]"),
+                ("E203", "system[s]/group"),
+                ("E201", "system[s]/device[x]"),
+                ("E214", "system[s]"),
+            ]
+        );
+        assert_eq!(model.poisoned, ["system[s]/group", "system[s]/device[x]"]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::constraints::{check_constraints, check_param_ranges};
 use crate::error::{ElabError, ElabResult};
 use crate::inherit::{instantiate_ref, MetaTable};
 use crate::scope::Scope;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use xpdl_core::{ElementKind, ModelKind, XpdlElement};
 use xpdl_schema::Diagnostic;
 
@@ -48,11 +48,15 @@ const NON_SUBSTITUTABLE: &[&str] = &[
 ];
 
 /// Walk state.
-pub struct Expander<'t> {
-    table: &'t mut MetaTable,
+pub struct Expander<'t, 'a> {
+    table: &'t mut MetaTable<'a>,
     opts: ExpandOptions,
     produced: usize,
     depth: usize,
+    /// Display path of the element being expanded (`system[s]/cpu[h]`):
+    /// one segment is appended on entering an element and truncated on
+    /// leaving it, so a path is copied only into what reports it.
+    path: String,
     /// Diagnostics collected during expansion (constraint violations,
     /// unbound parameters, …).
     pub diags: Vec<Diagnostic>,
@@ -63,14 +67,15 @@ pub struct Expander<'t> {
     consumed_defs: BTreeSet<String>,
 }
 
-impl<'t> Expander<'t> {
+impl<'t, 'a> Expander<'t, 'a> {
     /// Create an expander over a meta table.
-    pub fn new(table: &'t mut MetaTable, opts: ExpandOptions) -> Expander<'t> {
+    pub fn new(table: &'t mut MetaTable<'a>, opts: ExpandOptions) -> Expander<'t, 'a> {
         Expander {
             table,
             opts,
             produced: 0,
             depth: 0,
+            path: String::new(),
             diags: Vec::new(),
             poisoned: Vec::new(),
             consumed_defs: BTreeSet::new(),
@@ -87,9 +92,9 @@ impl<'t> Expander<'t> {
         referenced_types: &BTreeSet<String>,
     ) -> ElabResult<XpdlElement> {
         self.consumed_defs = referenced_types.clone();
+        self.path.clear();
         let mut scope = Scope::new();
-        let path = display_path("", root);
-        self.expand_element(root.clone(), &mut scope, "", &path, false)
+        self.expand_element(root.clone(), &mut scope, "", false)
     }
 
     fn budget(&mut self) -> ElabResult<()> {
@@ -103,11 +108,28 @@ impl<'t> Expander<'t> {
         Ok(())
     }
 
+    /// Append `e`'s segment (`kind[ident]`, or `kind` when anonymous) to
+    /// the path; returns the length to truncate back to on leaving `e`.
+    fn enter(&mut self, e: &XpdlElement) -> usize {
+        let mark = self.path.len();
+        if mark > 0 {
+            self.path.push('/');
+        }
+        self.path.push_str(e.kind.tag());
+        if let Some(id) = e.ident() {
+            self.path.push('[');
+            self.path.push_str(id);
+            self.path.push(']');
+        }
+        mark
+    }
+
     /// Mark `e` poisoned: record the error as a diagnostic (anchored at the
     /// most precise span available), tag the element with
-    /// `poisoned="true"`, and remember its path. The caller must not
-    /// recurse into the returned element — its subtree is quarantined.
-    fn poison(&mut self, mut e: XpdlElement, path: &str, err: &ElabError) -> XpdlElement {
+    /// `poisoned="true"`, and remember its path (the current one). The
+    /// caller must not recurse into the returned element — its subtree is
+    /// quarantined.
+    fn poison(&mut self, mut e: XpdlElement, err: &ElabError) -> XpdlElement {
         let span = match err {
             ElabError::UnknownType { .. } | ElabError::Linearization { .. } => {
                 e.span_for_attr("type")
@@ -116,12 +138,12 @@ impl<'t> Expander<'t> {
             _ => e.span,
         };
         self.diags.push(
-            err.to_diagnostic(path)
+            err.to_diagnostic(&self.path)
                 .with_span(span)
                 .with_note("subtree quarantined; sibling elaboration continues"),
         );
         e.set_attr("poisoned", "true");
-        self.poisoned.push(path.to_string());
+        self.poisoned.push(self.path.clone());
         e
     }
 
@@ -130,21 +152,22 @@ impl<'t> Expander<'t> {
         e: XpdlElement,
         scope: &mut Scope,
         qualifier: &str,
-        path: &str,
         in_power_domain: bool,
     ) -> ElabResult<XpdlElement> {
+        let mark = self.enter(&e);
         self.depth += 1;
         let result = if self.depth > self.opts.max_depth {
-            let err = ElabError::TooDeep { path: path.to_string(), limit: self.opts.max_depth };
+            let err = ElabError::TooDeep { path: self.path.clone(), limit: self.opts.max_depth };
             if self.opts.keep_going {
-                Ok(self.poison(e, path, &err))
+                Ok(self.poison(e, &err))
             } else {
                 Err(err)
             }
         } else {
-            self.expand_element_inner(e, scope, qualifier, path, in_power_domain)
+            self.expand_element_inner(e, scope, qualifier, in_power_domain)
         };
         self.depth -= 1;
+        self.path.truncate(mark);
         result
     }
 
@@ -153,7 +176,6 @@ impl<'t> Expander<'t> {
         mut e: XpdlElement,
         scope: &mut Scope,
         qualifier: &str,
-        path: &str,
         in_power_domain: bool,
     ) -> ElabResult<XpdlElement> {
         self.budget()?;
@@ -169,7 +191,7 @@ impl<'t> Expander<'t> {
                 // cannot be expanded, so the element is kept as written but
                 // poisoned and its subtree skipped.
                 if self.opts.keep_going {
-                    return Ok(self.poison(e, path, &err));
+                    return Ok(self.poison(e, &err));
                 }
                 return Err(err);
             }
@@ -181,7 +203,7 @@ impl<'t> Expander<'t> {
         for name in &unbound {
             self.diags.push(
                 Diagnostic::warning(
-                    path,
+                    &self.path,
                     format!("parameter '{name}' is declared but never bound"),
                 )
                 .with_code("E208")
@@ -211,8 +233,8 @@ impl<'t> Expander<'t> {
         }
 
         // 4. Constraint and range checking in the current scope.
-        check_constraints(&e, scope, path, &mut self.diags);
-        check_param_ranges(&e, scope, path, &mut self.diags);
+        check_constraints(&e, scope, &self.path, &mut self.diags);
+        check_param_ranges(&e, scope, &self.path, &mut self.diags);
 
         // 5. Children: drop consumed inline definitions, expand groups,
         //    recurse into the rest.
@@ -226,11 +248,9 @@ impl<'t> Expander<'t> {
                 }
             }
             if child.kind == ElementKind::Group {
-                self.expand_group(child, &mut e, scope, qualifier, path, in_power_domain)?;
+                self.expand_group(child, &mut e, scope, qualifier, in_power_domain)?;
             } else {
-                let child_path = display_path(path, &child);
-                let expanded =
-                    self.expand_element(child, scope, qualifier, &child_path, in_power_domain)?;
+                let expanded = self.expand_element(child, scope, qualifier, in_power_domain)?;
                 e.children.push(expanded);
             }
         }
@@ -238,18 +258,17 @@ impl<'t> Expander<'t> {
         Ok(e)
     }
 
-    /// Expand a `group` child into `parent`'s children.
-    #[allow(clippy::too_many_arguments)]
+    /// Expand a `group` child into `parent`'s children. Each member gets
+    /// its own copy of the group's content; the last member takes the
+    /// original.
     fn expand_group(
         &mut self,
         mut group: XpdlElement,
         parent: &mut XpdlElement,
         scope: &mut Scope,
         qualifier: &str,
-        path: &str,
         in_power_domain: bool,
     ) -> ElabResult<()> {
-        let group_path = display_path(path, &group);
         // Resolve the quantity, possibly through a parameter (Listing 8:
         // quantity="num_SM").
         let quantity: Option<usize> = match group.attr("quantity") {
@@ -257,18 +276,21 @@ impl<'t> Expander<'t> {
             Some(raw) => match scope.resolve_numeric(raw) {
                 Some(pv) if pv.value >= 0.0 && pv.value.fract() == 0.0 => Some(pv.value as usize),
                 _ => {
+                    let mark = self.enter(&group);
                     let err = ElabError::UnresolvedQuantity {
-                        group: group_path.clone(),
+                        group: self.path.clone(),
                         raw: raw.to_string(),
                     };
-                    if self.opts.keep_going {
+                    let result = if self.opts.keep_going {
                         // The member count is unknowable, so no member can
                         // be produced: poison the group and move on.
-                        let poisoned = self.poison(group, &group_path, &err);
-                        parent.children.push(poisoned);
-                        return Ok(());
-                    }
-                    return Err(err);
+                        parent.children.push(self.poison(group, &err));
+                        Ok(())
+                    } else {
+                        Err(err)
+                    };
+                    self.path.truncate(mark);
+                    return result;
                 }
             },
         };
@@ -276,113 +298,118 @@ impl<'t> Expander<'t> {
         let Some(n) = quantity else {
             // Ungrouped `group` (Listing 11 `<group id="cpu1">`): keep the
             // element, expand its content in place.
-            let expanded =
-                self.expand_element(group, scope, qualifier, &group_path, in_power_domain)?;
+            let expanded = self.expand_element(group, scope, qualifier, in_power_domain)?;
             parent.children.push(expanded);
             return Ok(());
         };
 
         let prefix = group.group_prefix().unwrap_or("member").to_string();
-        group.remove_attr_quantity();
-        let content: Vec<XpdlElement> = std::mem::take(&mut group.children);
+        let mut content = std::mem::take(&mut group.children);
         // Single-element content: each member *is* that element, with the
         // generated id (paper: "identifiers … assigned as core0, core1,
         // core2 and core3"). Multi-element content keeps a group wrapper
         // per member so siblings stay associated (core + its private L1).
+        if content.len() == 1 && content[0].kind != ElementKind::Group {
+            // The member's own ids (and intra-member references) get
+            // qualified so expanded copies stay globally unique.
+            let local = local_instance_ids(&content[0].children);
+            for i in 0..n {
+                let member_id = format!("{qualifier}{prefix}{i}");
+                let member_qualifier = format!("{member_id}.");
+                let mut member = if i + 1 == n {
+                    content.pop().expect("one element")
+                } else {
+                    content[0].clone()
+                };
+                qualify_member_ids(&mut member.children, &member_qualifier, &local);
+                if member.ident().is_none() {
+                    member.model_kind = ModelKind::Instance(member_id);
+                }
+                let expanded =
+                    self.expand_element(member, scope, &member_qualifier, in_power_domain)?;
+                parent.children.push(expanded);
+            }
+            return Ok(());
+        }
+
+        // Anonymous hardware parts get a member-qualified id; same-kind
+        // siblings get an occurrence suffix (`cache0`, `cache1`).
+        let part_ids = anonymous_part_ids(&content);
+        let local = local_instance_ids(&content);
         for i in 0..n {
             let member_id = format!("{qualifier}{prefix}{i}");
             let member_qualifier = format!("{member_id}.");
-            if content.len() == 1 && content[0].kind != ElementKind::Group {
-                let mut member = content[0].clone();
-                // The member's own ids (and intra-member references) get
-                // qualified so expanded copies stay globally unique.
-                let mut inner = std::mem::take(&mut member.children);
-                qualify_member_ids(&mut inner, &member_qualifier);
-                member.children = inner;
-                if member.ident().is_none() {
-                    member.model_kind = ModelKind::Instance(member_id.clone());
-                }
-                let member_path = display_path(path, &member);
-                let expanded = self.expand_element(
-                    member,
-                    scope,
-                    &member_qualifier,
-                    &member_path,
-                    in_power_domain,
-                )?;
-                parent.children.push(expanded);
-            } else {
-                let mut wrapper = XpdlElement::new(ElementKind::Group);
-                wrapper.model_kind = ModelKind::Instance(member_id.clone());
-                let member_path = display_path(path, &wrapper);
-                let mut content = content.clone();
-                qualify_member_ids(&mut content, &member_qualifier);
-                scope.push();
-                let mut kind_counts: std::collections::BTreeMap<&str, usize> =
-                    std::collections::BTreeMap::new();
-                for c in &content {
-                    if c.kind == ElementKind::Group {
-                        self.expand_group(
-                            c.clone(),
-                            &mut wrapper,
-                            scope,
-                            &member_qualifier,
-                            &member_path,
-                            in_power_domain,
-                        )?;
-                    } else {
-                        let mut cc = c.clone();
-                        if cc.ident().is_none() && cc.kind.is_hardware() {
-                            // Qualify anonymous member parts for unique ids;
-                            // same-kind siblings get an occurrence suffix.
-                            let occ = kind_counts.entry(c.kind.tag()).or_insert(0);
-                            let id = if content
-                                .iter()
-                                .filter(|x| x.kind == cc.kind && x.ident().is_none())
-                                .count()
-                                > 1
-                            {
-                                format!("{member_qualifier}{}{}", cc.kind.tag(), occ)
-                            } else {
-                                format!("{member_qualifier}{}", cc.kind.tag())
-                            };
-                            *occ += 1;
-                            cc.model_kind = ModelKind::Instance(id);
-                        }
-                        let cp = display_path(&member_path, &cc);
-                        let expanded = self.expand_element(
-                            cc,
-                            scope,
-                            &member_qualifier,
-                            &cp,
-                            in_power_domain,
-                        )?;
-                        wrapper.children.push(expanded);
+            let mut wrapper = XpdlElement::new(ElementKind::Group);
+            wrapper.model_kind = ModelKind::Instance(member_id);
+            let mut members =
+                if i + 1 == n { std::mem::take(&mut content) } else { content.clone() };
+            qualify_member_ids(&mut members, &member_qualifier, &local);
+            let mark = self.enter(&wrapper);
+            scope.push();
+            for (mut c, part_id) in members.into_iter().zip(&part_ids) {
+                if c.kind == ElementKind::Group {
+                    self.expand_group(c, &mut wrapper, scope, &member_qualifier, in_power_domain)?;
+                } else {
+                    if let Some(part_id) = part_id {
+                        c.model_kind = ModelKind::Instance(format!("{member_qualifier}{part_id}"));
                     }
+                    let expanded =
+                        self.expand_element(c, scope, &member_qualifier, in_power_domain)?;
+                    wrapper.children.push(expanded);
                 }
-                scope.pop();
-                parent.children.push(wrapper);
             }
+            scope.pop();
+            self.path.truncate(mark);
+            parent.children.push(wrapper);
         }
         Ok(())
     }
 }
 
-/// Qualify the explicit instance ids of a copied member subtree with the
+/// The member-local id of each anonymous hardware part of a group's
+/// content (`None` for every other element): the kind tag, with an
+/// occurrence suffix when the content holds more than one anonymous part
+/// of that kind.
+fn anonymous_part_ids(content: &[XpdlElement]) -> Vec<Option<String>> {
+    let anonymous = |c: &XpdlElement| c.ident().is_none() && c.kind.is_hardware();
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+    content
+        .iter()
+        .map(|c| {
+            if !anonymous(c) {
+                return None;
+            }
+            let tag = c.kind.tag();
+            let occ = seen.entry(tag).or_insert(0);
+            let same_kind = content.iter().filter(|x| x.kind == c.kind && x.ident().is_none());
+            let id = if same_kind.count() > 1 { format!("{tag}{occ}") } else { tag.to_string() };
+            *occ += 1;
+            Some(id)
+        })
+        .collect()
+}
+
+/// The explicit instance ids declared inside a group's content: the ids a
+/// member copy qualifies.
+fn local_instance_ids(content: &[XpdlElement]) -> BTreeSet<String> {
+    let mut local = BTreeSet::new();
+    for e in content {
+        collect_instance_ids(e, &mut local);
+    }
+    local
+}
+
+/// Qualify the `local` instance ids of a copied member subtree with the
 /// member qualifier, and rewrite intra-member `head`/`tail` references to
 /// match. Without this, Listing 11's node template (`<device id="gpu1">`,
 /// `<interconnect head="cpu1" tail="gpu1">`) would produce four colliding
 /// `gpu1`s across `n0..n3`.
-fn qualify_member_ids(subtree: &mut [XpdlElement], qualifier: &str) {
-    let mut local = BTreeSet::new();
-    for e in subtree.iter() {
-        collect_instance_ids(e, &mut local);
-    }
+fn qualify_member_ids(subtree: &mut [XpdlElement], qualifier: &str, local: &BTreeSet<String>) {
     if local.is_empty() {
         return;
     }
     for e in subtree.iter_mut() {
-        rewrite_ids(e, qualifier, &local);
+        rewrite_ids(e, qualifier, local);
     }
 }
 
@@ -417,29 +444,6 @@ fn fmt_num(n: f64) -> String {
         format!("{}", n as i64)
     } else {
         format!("{n}")
-    }
-}
-
-fn display_path(parent: &str, e: &XpdlElement) -> String {
-    let seg = match e.ident() {
-        Some(id) => format!("{}[{}]", e.kind.tag(), id),
-        None => e.kind.tag().to_string(),
-    };
-    if parent.is_empty() {
-        seg
-    } else {
-        format!("{parent}/{seg}")
-    }
-}
-
-/// Helper on `XpdlElement` used by the expander.
-trait RemoveQuantity {
-    fn remove_attr_quantity(&mut self);
-}
-
-impl RemoveQuantity for XpdlElement {
-    fn remove_attr_quantity(&mut self) {
-        self.attrs.retain(|(k, _)| k != "quantity");
     }
 }
 

@@ -3,35 +3,39 @@
 use crate::error::{ElabError, ElabResult};
 use crate::linearize::{linearize, Hierarchy};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use xpdl_core::{ElementKind, ModelKind, XpdlElement};
 use xpdl_repo::ResolvedSet;
 
 /// An index of meta-model definitions (by `name`) over a resolved set,
 /// with memoized *effective* (inheritance-merged) forms.
-pub struct MetaTable {
-    defs: BTreeMap<String, XpdlElement>,
-    effective: BTreeMap<String, XpdlElement>,
+///
+/// Definitions are borrowed from the set; each effective form is merged
+/// once per name and shared by every lookup.
+pub struct MetaTable<'a> {
+    defs: BTreeMap<&'a str, &'a XpdlElement>,
+    effective: BTreeMap<&'a str, Rc<XpdlElement>>,
 }
 
-impl MetaTable {
+impl<'a> MetaTable<'a> {
     /// Build the definition index from a resolved set.
     ///
     /// Document roots take precedence; in-line definitions (named elements
     /// nested inside another descriptor, paper §III-A "Embedded
     /// definition") register only if no root claims the name.
-    pub fn new(set: &ResolvedSet) -> MetaTable {
-        let mut defs: BTreeMap<String, XpdlElement> = BTreeMap::new();
+    pub fn new(set: &'a ResolvedSet) -> MetaTable<'a> {
+        let mut defs: BTreeMap<&'a str, &'a XpdlElement> = BTreeMap::new();
         // Pass 1: roots.
         for (_, doc) in set.documents() {
             if let Some(name) = doc.root().meta_name() {
-                defs.entry(name.to_string()).or_insert_with(|| doc.root().clone());
+                defs.entry(name).or_insert(doc.root());
             }
         }
         // Pass 2: inline definitions.
         for (_, doc) in set.documents() {
             for e in doc.root().descendants().skip(1) {
                 if let Some(name) = e.meta_name() {
-                    defs.entry(name.to_string()).or_insert_with(|| e.clone());
+                    defs.entry(name).or_insert(e);
                 }
             }
         }
@@ -54,33 +58,33 @@ impl MetaTable {
     }
 
     /// The raw (unmerged) definition.
-    pub fn raw(&self, name: &str) -> Option<&XpdlElement> {
-        self.defs.get(name)
+    pub fn raw(&self, name: &str) -> Option<&'a XpdlElement> {
+        self.defs.get(name).copied()
     }
 
     /// The effective definition: the raw definition with all inherited
     /// attributes and children merged in, following the C3 linearization.
-    pub fn effective(&mut self, name: &str) -> ElabResult<Option<XpdlElement>> {
+    /// Merged on the first lookup of a name; later lookups share it.
+    pub fn effective(&mut self, name: &str) -> ElabResult<Option<Rc<XpdlElement>>> {
         if let Some(done) = self.effective.get(name) {
-            return Ok(Some(done.clone()));
+            return Ok(Some(Rc::clone(done)));
         }
-        if !self.defs.contains_key(name) {
-            return Ok(None);
-        }
+        let Some((&key, &def)) = self.defs.get_key_value(name) else { return Ok(None) };
         let order = linearize(name, self)?;
-        let mut result = self.defs[name].clone();
+        let mut result = def.clone();
         result.extends.clear();
         for ancestor in order.iter().skip(1) {
-            if let Some(base) = self.defs.get(ancestor) {
+            if let Some(base) = self.defs.get(ancestor.as_str()) {
                 merge_into(&mut result, base);
             }
         }
-        self.effective.insert(name.to_string(), result.clone());
+        let result = Rc::new(result);
+        self.effective.insert(key, Rc::clone(&result));
         Ok(Some(result))
     }
 }
 
-impl Hierarchy for MetaTable {
+impl Hierarchy for MetaTable<'_> {
     fn supers(&self, name: &str) -> Vec<String> {
         self.defs.get(name).map(|d| d.extends.clone()).unwrap_or_default()
     }
@@ -114,14 +118,7 @@ pub fn merge_into(derived: &mut XpdlElement, base: &XpdlElement) {
     }
     for bc in &base.children {
         match merge_target(derived, bc) {
-            MergeTarget::Into(idx) => {
-                let mut slot = std::mem::replace(
-                    &mut derived.children[idx],
-                    XpdlElement::new(ElementKind::Other(String::new())),
-                );
-                merge_into(&mut slot, bc);
-                derived.children[idx] = slot;
-            }
+            MergeTarget::Into(idx) => merge_into(&mut derived.children[idx], bc),
             MergeTarget::Append => derived.children.push(bc.clone()),
             MergeTarget::Skip => {}
         }
@@ -159,31 +156,29 @@ fn merge_target(derived: &XpdlElement, base_child: &XpdlElement) -> MergeTarget 
 
 /// Instantiate a `type=` reference: merge the effective meta-model into an
 /// instance element. The instance keeps its `id`; the meta `name` is not
-/// copied onto the instance.
+/// copied onto the instance ([`merge_into`] never touches `model_kind`).
 pub fn instantiate(instance: &mut XpdlElement, meta: &XpdlElement) {
-    let keep_model_kind = instance.model_kind.clone();
     merge_into(instance, meta);
-    instance.model_kind = keep_model_kind;
 }
 
 /// Instantiate by name through the table, erroring on unknown types when
 /// `strict` is set.
 pub fn instantiate_ref(
     instance: &mut XpdlElement,
-    table: &mut MetaTable,
+    table: &mut MetaTable<'_>,
     strict: bool,
 ) -> ElabResult<bool> {
     if !xpdl_repo::repository::type_is_model_ref(&instance.kind) {
         return Ok(false);
     }
-    let Some(ty) = instance.type_ref.clone() else { return Ok(false) };
-    match table.effective(&ty)? {
+    let Some(ty) = instance.type_ref.as_deref() else { return Ok(false) };
+    match table.effective(ty)? {
         Some(meta) => {
             instantiate(instance, &meta);
             Ok(true)
         }
         None if strict => Err(ElabError::UnknownType {
-            name: ty,
+            name: ty.to_string(),
             referrer: match &instance.model_kind {
                 ModelKind::Instance(id) => format!("{}[{}]", instance.kind.tag(), id),
                 ModelKind::Meta(n) => format!("{}[{}]", instance.kind.tag(), n),
@@ -293,6 +288,8 @@ mod tests {
         let a = t.effective("Nvidia_K20c").unwrap().unwrap();
         let b = t.effective("Nvidia_K20c").unwrap().unwrap();
         assert_eq!(a, b);
+        // One merge per name: both lookups share one allocation.
+        assert!(Rc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -47,15 +47,12 @@ impl ParamValue {
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
     frames: Vec<BTreeMap<String, ParamValue>>,
-    /// Declared-but-unbound parameter names (e.g. `num_SM` on Kepler before
-    /// K20c binds it), tracked for diagnostics.
-    pub declared: Vec<String>,
 }
 
 impl Scope {
     /// An empty scope with one root frame.
     pub fn new() -> Scope {
-        Scope { frames: vec![BTreeMap::new()], declared: Vec::new() }
+        Scope { frames: vec![BTreeMap::new()] }
     }
 
     /// Enter a nested frame.
@@ -112,7 +109,6 @@ impl Scope {
                 }
             }
         }
-        self.declared.extend(unbound.iter().cloned());
         unbound
     }
 

@@ -90,7 +90,7 @@ impl ModelIndex {
 impl RuntimeModel {
     /// Build from an (elaborated) element tree.
     pub fn from_element(root: &XpdlElement) -> RuntimeModel {
-        let mut b = Builder { strings: Vec::new(), interner: BTreeMap::new(), nodes: Vec::new() };
+        let mut b = Builder { strings: Vec::new(), interner: HashMap::new(), nodes: Vec::new() };
         b.add(root, None);
         RuntimeModel::new(b.strings, b.nodes)
     }
@@ -163,24 +163,26 @@ impl RuntimeModel {
     }
 }
 
-struct Builder {
+/// Flattens an element tree. The interner is keyed by the tree's own
+/// strings, so each distinct string is copied once, into `strings`, in
+/// first-seen order.
+struct Builder<'e> {
     strings: Vec<String>,
-    interner: BTreeMap<String, u32>,
+    interner: HashMap<&'e str, u32>,
     nodes: Vec<RtNode>,
 }
 
-impl Builder {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.interner.get(s) {
-            return i;
+impl<'e> Builder<'e> {
+    fn intern(&mut self, s: &'e str) -> u32 {
+        let next = self.strings.len() as u32;
+        let i = *self.interner.entry(s).or_insert(next);
+        if i == next {
+            self.strings.push(s.to_string());
         }
-        let i = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.interner.insert(s.to_string(), i);
         i
     }
 
-    fn add(&mut self, e: &XpdlElement, parent: Option<u32>) -> u32 {
+    fn add(&mut self, e: &'e XpdlElement, parent: Option<u32>) -> u32 {
         let idx = self.nodes.len() as u32;
         let kind = self.intern(e.kind.tag());
         let (ident, is_instance) = match &e.model_kind {
@@ -204,7 +206,7 @@ impl Builder {
             is_instance,
             type_ref,
             attrs,
-            children: Vec::new(),
+            children: Vec::with_capacity(e.children.len()),
             parent,
         });
         for c in &e.children {

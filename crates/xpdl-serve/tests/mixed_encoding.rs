@@ -149,12 +149,16 @@ fn binary_answers_match_json_answers() {
         assert_eq!(via_binary.id, id);
         match (&method, via_json.result, via_binary.result) {
             // Metrics counters move between the two calls (each call is
-            // itself counted); compare shape, not values.
+            // itself counted); compare shape, not values. Only the
+            // daemon's own `serve.` instruments: the registry is
+            // process-wide, and other tests in this binary add `repo.`
+            // instruments to it while they build their fixtures.
             (Method::Metrics, Ok(Reply::Metrics(a)), Ok(Reply::Metrics(b))) => {
+                let serve = |k: &&String| k.starts_with("serve.");
                 let keys = |m: &xpdl_obs::MetricsSnapshot| {
                     (
-                        m.counters.keys().cloned().collect::<Vec<_>>(),
-                        m.histograms.keys().cloned().collect::<Vec<_>>(),
+                        m.counters.keys().filter(serve).cloned().collect::<Vec<_>>(),
+                        m.histograms.keys().filter(serve).cloned().collect::<Vec<_>>(),
                     )
                 };
                 assert_eq!(keys(&a), keys(&b), "metrics shape for {method:?}");

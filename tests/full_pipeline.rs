@@ -9,6 +9,7 @@ use xpdl::hwsim::{GroundTruth, SimMachine};
 use xpdl::mb::{bootstrap_energy_table, MicrobenchmarkSuite};
 use xpdl::models::paper_repository;
 use xpdl::power::{InstructionEnergyTable, PowerStateMachine, WorkloadEnergy};
+use xpdl::repo::diskcache::fnv1a64;
 use xpdl::runtime::{format, RuntimeModel, XpdlHandle};
 
 /// The whole §IV pipeline in one test: browse → parse → compose → analyze
@@ -27,8 +28,12 @@ fn toolchain_pipeline_descriptor_to_query() {
     let effective = model.links[0].effective_bandwidth.unwrap();
     assert!(effective <= 6.0 * 1024f64.powi(3) + 1.0, "downgraded to the slowest hop");
 
-    // Stage 4: the run-time data structure written to a file.
+    // Stage 4: the run-time data structure written to a file, pinned to
+    // the bytes this library has always encoded to.
     let rt = RuntimeModel::from_element(&model.root);
+    let bytes = format::encode(&rt);
+    assert_eq!(bytes.len(), 175_783);
+    assert_eq!(format!("{:016x}", fnv1a64(&bytes)), "61211eee8e9a179f");
     let dir = std::env::temp_dir().join(format!("xpdl_it_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("server.xpdlrt");
@@ -192,6 +197,9 @@ fn generated_fleet_matches_golden_summary() {
     // and the model survives the runtime binary format.
     let rt = RuntimeModel::from_element(&model.root);
     assert_eq!(rt.num_cores() as usize, fleet.expected_cores());
-    let back = format::decode(&format::encode(&rt)).unwrap();
+    let bytes = format::encode(&rt);
+    assert_eq!(bytes.len(), 55_631);
+    assert_eq!(format!("{:016x}", fnv1a64(&bytes)), "9abdfe533a00baed");
+    let back = format::decode(&bytes).unwrap();
     assert_eq!(back.len(), rt.len());
 }
