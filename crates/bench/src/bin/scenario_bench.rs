@@ -558,7 +558,7 @@ fn start_shard_node(i: usize, reg_addr: &str, universe: &[String], ttl: Duration
     });
     // The default (unsharded) snapshot never answers shard traffic; any
     // compilable model will do as the placeholder.
-    let (placeholder, _) = ModelSource::Repo {
+    let (placeholder, _, _) = ModelSource::Repo {
         key: universe[0].clone(),
         repo: Box::new(xpdl_models::paper_repository()),
     }

@@ -43,16 +43,11 @@ impl PlatformParams {
     pub fn from_handle(h: &XpdlHandle) -> PlatformParams {
         let core_freq = |ident: Option<&str>| -> (usize, f64) {
             let Some(node) = ident.and_then(|i| h.find(i)) else { return (0, 0.0) };
-            let cores: Vec<_> = node
-                .descendants()
-                .into_iter()
-                .filter(|n| n.kind() == "core")
-                .collect();
-            let freq = cores
-                .iter()
+            let cores = || node.descendants().filter(|n| n.kind() == "core");
+            let freq = cores()
                 .find_map(|c| c.quantity("frequency").map(|q| q.to_base()))
                 .unwrap_or(1e9);
-            (cores.len(), freq)
+            (cores().count(), freq)
         };
         // Conventional ids from the paper's GPU-server model (Listing 7);
         // fall back to the first cpu/device in the model.

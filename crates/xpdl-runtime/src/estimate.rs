@@ -35,34 +35,58 @@ pub fn estimate_transfer(
     ident: &str,
     bytes: u64,
 ) -> Option<TransferEstimate> {
-    let ic = model.find(ident)?;
-    if ic.kind() != "interconnect" {
-        return None;
+    Some(LinkCosts::of(model, ident)?.transfer(bytes))
+}
+
+/// An interconnect's cost parameters, read once and applied to any
+/// number of transfer sizes.
+struct LinkCosts<'m> {
+    link: NodeRef<'m>,
+    bandwidth: f64,
+    time_offset: f64,
+    energy_offset: f64,
+    energy_per_byte: f64,
+}
+
+impl<'m> LinkCosts<'m> {
+    fn of(model: &'m RuntimeModel, ident: &str) -> Option<LinkCosts<'m>> {
+        let link = model.find(ident)?;
+        if link.kind() != "interconnect" {
+            return None;
+        }
+        let channels = || link.children().filter(|c| c.kind() == "channel");
+        let bandwidth = link
+            .quantity("effective_bandwidth")
+            .or_else(|| link.quantity("max_bandwidth"))
+            .map(|q| q.to_base())
+            .or_else(|| {
+                channels()
+                    .filter_map(|c| c.quantity("max_bandwidth").map(|q| q.to_base()))
+                    .fold(None, |acc: Option<f64>, b| Some(acc.map_or(b, |a| a.max(b))))
+            })?;
+        if bandwidth <= 0.0 {
+            return None;
+        }
+        // Each cost is the largest value any channel gives (0 when none
+        // does), folded over the channels in document order in one walk.
+        let metrics = ["time_offset_per_message", "energy_offset_per_message", "energy_per_byte"];
+        let mut costs = [0.0f64; 3];
+        for c in channels() {
+            for (cost, metric) in costs.iter_mut().zip(metrics) {
+                if let Some(q) = c.quantity(metric) {
+                    *cost = cost.max(q.to_base());
+                }
+            }
+        }
+        let [time_offset, energy_offset, energy_per_byte] = costs;
+        Some(LinkCosts { link, bandwidth, time_offset, energy_offset, energy_per_byte })
     }
-    let channels: Vec<NodeRef<'_>> =
-        ic.children().filter(|c| c.kind() == "channel").collect();
-    let bandwidth = ic
-        .quantity("effective_bandwidth")
-        .or_else(|| ic.quantity("max_bandwidth"))
-        .map(|q| q.to_base())
-        .or_else(|| {
-            channels
-                .iter()
-                .filter_map(|c| c.quantity("max_bandwidth").map(|q| q.to_base()))
-                .fold(None, |acc: Option<f64>, b| Some(acc.map_or(b, |a| a.max(b))))
-        })?;
-    if bandwidth <= 0.0 {
-        return None;
+
+    fn transfer(&self, bytes: u64) -> TransferEstimate {
+        let time = self.time_offset + bytes as f64 / self.bandwidth;
+        let energy = self.energy_offset + bytes as f64 * self.energy_per_byte;
+        TransferEstimate { time_s: time, energy_j: energy, bandwidth_bps: self.bandwidth }
     }
-    let chan = |metric: &str| -> f64 {
-        channels
-            .iter()
-            .filter_map(|c| c.quantity(metric).map(|q| q.to_base()))
-            .fold(0.0f64, f64::max)
-    };
-    let time = chan("time_offset_per_message") + bytes as f64 / bandwidth;
-    let energy = chan("energy_offset_per_message") + bytes as f64 * chan("energy_per_byte");
-    Some(TransferEstimate { time_s: time, energy_j: energy, bandwidth_bps: bandwidth })
 }
 
 /// Expected energy cost of *using an accelerator* for a task: ship
@@ -87,16 +111,11 @@ pub fn estimate_accelerator_use(
     compute_s: f64,
     dynamic_power_w: f64,
 ) -> Option<AcceleratorEstimate> {
-    let up = estimate_transfer(model, link_ident, upload_bytes)?;
-    let down = estimate_transfer(model, link_ident, download_bytes)?;
-    let link = model.find(link_ident)?;
-    let device = link.attr("tail").and_then(|t| model.find(t))?;
-    let static_w = device
-        .descendants()
-        .into_iter()
-        .filter_map(|n| n.quantity("static_power").map(|q| q.to_base()))
-        .sum::<f64>();
-    let compute_j = (static_w + dynamic_power_w) * compute_s;
+    let costs = LinkCosts::of(model, link_ident)?;
+    let up = costs.transfer(upload_bytes);
+    let down = costs.transfer(download_bytes);
+    let device = costs.link.attr("tail").and_then(|t| model.find(t))?;
+    let compute_j = (device.subtree_static_power_w() + dynamic_power_w) * compute_s;
     Some(AcceleratorEstimate {
         time_s: up.time_s + compute_s + down.time_s,
         energy_j: up.energy_j + compute_j + down.energy_j,
@@ -180,6 +199,28 @@ mod tests {
         let m = model();
         assert_eq!(estimate_static_energy(&m, 2.0), 2.0 * 23.0);
         assert_eq!(estimate_static_energy(&m, 0.0), 0.0);
+    }
+
+    /// Bit patterns of the library answers for 1 MiB up, 64 KiB down,
+    /// 0.01 s of compute at 50 W: any change to the float expressions or
+    /// their order moves them.
+    #[test]
+    fn library_accelerator_answers_pinned() {
+        let cases = [
+            ("liu_gpu_server", "connection1", 0x3f84d58bf258bf25u64, 0x3fe28f6eda08dbd0u64, None),
+            ("XScluster", "conn3", 0x3f84d1d3f2b0e20b, 0x3ff020d2a0743645, Some(0x4069666666666664u64)),
+            ("myriad_server", "connect4", 0x3fd2773e24febd0a, 0x3fe01cac083126ea, Some(0x403059999999999a)),
+        ];
+        for (key, link, time_bits, energy_bits, total_bits) in cases {
+            let elaborated = xpdl_models::loader::elaborate_system(key).unwrap();
+            let m = RuntimeModel::from_element(&elaborated.root);
+            let est = estimate_accelerator_use(&m, link, 1 << 20, 64 << 10, 0.01, 50.0).unwrap();
+            assert_eq!(est.time_s.to_bits(), time_bits, "{key} time {est:?}");
+            assert_eq!(est.energy_j.to_bits(), energy_bits, "{key} energy {est:?}");
+            if let Some(bits) = total_bits {
+                assert_eq!(m.total_static_power_w().to_bits(), bits, "{key} total");
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,28 @@
 //!   parent u32 (u32::MAX = none)
 //! flags: bit0 = has ident, bit1 = is_instance, bit2 = has type_ref
 //! ```
+//!
+//! # The pre-order contract
+//!
+//! Node records come in pre-order: node 0 is the one root (parent
+//! `u32::MAX`), a node's first child is the next record, and each later
+//! child follows its previous sibling's whole subtree. [`decode`] checks
+//! this with a stack of open nodes: each record must be the next listed
+//! child of the innermost node still expecting one and name it as its
+//! parent, and every listed child must arrive. Anything else — a cycle, a
+//! shared or orphaned node, a second root, a child list out of order — is
+//! [`FormatError::BadNodeRef`]. Only [`encode`] writes this format, and it
+//! has always written pre-order; the check makes the contract explicit.
+//!
+//! It is what lets the loaded [`RuntimeModel`] drop the child lists: a
+//! subtree is the index range from its node to its end, so `decode` fills
+//! the model's flat arrays directly and `encode` derives each child list
+//! from the subtree ends, writing the same bytes.
 
-use crate::model::{RtNode, RuntimeModel};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::model::{Node, RuntimeModel, Strings, NONE};
+use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
+use std::ops::Range;
 
 /// The 8-byte magic: name + format version 1.
 pub const MAGIC: &[u8; 8] = b"XPDLRT\x01\x00";
@@ -127,48 +145,62 @@ impl LoadError {
 
 /// Encode a model to bytes.
 pub fn encode(model: &RuntimeModel) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1024 + model.len() * 32);
+    let (strings, nodes, attrs) = (&model.strings, &model.nodes, &model.attrs);
+    // An upper bound, so the buffer never grows: a node record is at most
+    // 23 bytes plus its attributes, and all child lists together hold
+    // one entry per non-root node.
+    let cap = 16 + 4 * strings.len() + strings.blob_len() + 27 * nodes.len() + 8 * attrs.len();
+    let mut buf = Vec::with_capacity(cap);
     buf.put_slice(MAGIC);
-    buf.put_u32_le(model.strings.len() as u32);
-    for s in &model.strings {
+    buf.put_u32_le(strings.len() as u32);
+    for i in 0..strings.len() as u32 {
+        let s = strings.bytes(i);
         buf.put_u32_le(s.len() as u32);
-        buf.put_slice(s.as_bytes());
+        buf.put_slice(s);
     }
-    buf.put_u32_le(model.nodes.len() as u32);
-    for n in &model.nodes {
+    buf.put_u32_le(nodes.len() as u32);
+    for (idx, n) in (0u32..).zip(nodes) {
         buf.put_u32_le(n.kind);
         let mut flags = 0u8;
-        if n.ident.is_some() {
+        if n.ident != NONE {
             flags |= 1;
         }
         if n.is_instance {
             flags |= 2;
         }
-        if n.type_ref.is_some() {
+        if n.type_ref != NONE {
             flags |= 4;
         }
         buf.put_u8(flags);
-        if let Some(i) = n.ident {
-            buf.put_u32_le(i);
+        if n.ident != NONE {
+            buf.put_u32_le(n.ident);
         }
-        if let Some(t) = n.type_ref {
-            buf.put_u32_le(t);
+        if n.type_ref != NONE {
+            buf.put_u32_le(n.type_ref);
         }
-        buf.put_u16_le(n.attrs.len() as u16);
-        for (k, v) in &n.attrs {
-            buf.put_u32_le(*k);
-            buf.put_u32_le(*v);
+        let node_attrs = &attrs[model.attr_range(idx)];
+        buf.put_u16_le(node_attrs.len() as u16);
+        for &(k, v) in node_attrs {
+            // The key, then the value, each little-endian: one write.
+            buf.put_u64_le(u64::from(k) | u64::from(v) << 32);
         }
-        buf.put_u32_le(n.children.len() as u32);
-        for c in &n.children {
-            buf.put_u32_le(*c);
+        // The child list in one pass over the subtree ends: write a
+        // placeholder count, then patch it.
+        let count_at = buf.len();
+        buf.put_u32_le(0);
+        let mut count = 0u32;
+        for c in model.child_indices(idx) {
+            buf.put_u32_le(c);
+            count += 1;
         }
-        buf.put_u32_le(n.parent.unwrap_or(u32::MAX));
+        buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        buf.put_u32_le(n.parent);
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
-/// Decode a model from bytes, validating all cross-references.
+/// Decode a model from bytes, validating all cross-references and that
+/// the nodes form one tree in pre-order.
 pub fn decode(mut data: &[u8]) -> Result<RuntimeModel, FormatError> {
     if data.len() < 8 {
         return Err(FormatError::BadMagic);
@@ -188,85 +220,100 @@ pub fn decode(mut data: &[u8]) -> Result<RuntimeModel, FormatError> {
     }
     data.advance(8);
 
+    // Counts come from the file: bound each preallocation by the bytes
+    // left, at the smallest record size (4 per string, 15 per node).
     let n_strings = read_u32(&mut data)? as usize;
-    let mut strings = Vec::with_capacity(n_strings.min(1 << 20));
+    let mut strings = Strings::with_capacity(n_strings.min(data.remaining() / 4));
     for _ in 0..n_strings {
         let len = read_u32(&mut data)? as usize;
         if data.remaining() < len {
             return Err(FormatError::Truncated);
         }
-        let bytes = &data[..len];
-        let s = std::str::from_utf8(bytes).map_err(|_| FormatError::BadUtf8)?.to_string();
+        strings.push(std::str::from_utf8(&data[..len]).map_err(|_| FormatError::BadUtf8)?);
         data.advance(len);
-        strings.push(s);
     }
 
     let n_nodes = read_u32(&mut data)? as usize;
     if n_nodes == 0 {
         return Err(FormatError::Empty);
     }
-    let check_str = |i: u32, strings: &[String]| -> Result<u32, FormatError> {
-        if (i as usize) < strings.len() {
+    let check_str = |i: u32| -> Result<u32, FormatError> {
+        if (i as usize) < n_strings {
             Ok(i)
         } else {
             Err(FormatError::BadStringRef(i))
         }
     };
-    let mut nodes = Vec::with_capacity(n_nodes.min(1 << 20));
-    for _ in 0..n_nodes {
-        let kind = check_str(read_u32(&mut data)?, &strings)?;
+    let mut nodes: Vec<Node> = Vec::with_capacity(n_nodes.min(data.remaining() / 15));
+    let mut attrs = Vec::new();
+    // The listed children of every node read so far, and the open nodes
+    // (innermost last), each with the range of its listed children still
+    // to be matched. In pre-order, the next node read must be the next
+    // listed child of the innermost node that still expects one.
+    let mut kids: Vec<u32> = Vec::new();
+    let mut open: Vec<(u32, Range<usize>)> = Vec::new();
+    for i in 0..n_nodes as u32 {
+        let kind = check_str(read_u32(&mut data)?)?;
         let flags = read_u8(&mut data)?;
-        let ident = if flags & 1 != 0 {
-            Some(check_str(read_u32(&mut data)?, &strings)?)
-        } else {
-            None
-        };
-        let type_ref = if flags & 4 != 0 {
-            Some(check_str(read_u32(&mut data)?, &strings)?)
-        } else {
-            None
-        };
-        let n_attrs = read_u16(&mut data)? as usize;
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let k = check_str(read_u32(&mut data)?, &strings)?;
-            let v = check_str(read_u32(&mut data)?, &strings)?;
+        let ident = if flags & 1 != 0 { check_str(read_u32(&mut data)?)? } else { NONE };
+        let type_ref = if flags & 4 != 0 { check_str(read_u32(&mut data)?)? } else { NONE };
+        let first_attr = attrs.len() as u32;
+        for _ in 0..read_u16(&mut data)? {
+            let k = check_str(read_u32(&mut data)?)?;
+            let v = check_str(read_u32(&mut data)?)?;
             attrs.push((k, v));
         }
-        let n_children = read_u32(&mut data)? as usize;
-        let mut children = Vec::with_capacity(n_children.min(1 << 20));
-        for _ in 0..n_children {
-            children.push(read_u32(&mut data)?);
+        let kids_start = kids.len();
+        for _ in 0..read_u32(&mut data)? {
+            kids.push(read_u32(&mut data)?);
         }
-        let parent_raw = read_u32(&mut data)?;
-        let parent = (parent_raw != u32::MAX).then_some(parent_raw);
-        nodes.push(RtNode {
+        let parent = read_u32(&mut data)?;
+        // Every open node with no child left to match ends here.
+        while let Some((p, pending)) = open.last() {
+            if !pending.is_empty() {
+                break;
+            }
+            nodes[*p as usize].end = i;
+            open.pop();
+        }
+        match open.last_mut() {
+            None if i == 0 => {
+                if parent != NONE {
+                    return Err(FormatError::BadNodeRef(parent));
+                }
+            }
+            // A second root, or a node no open node lists.
+            None => return Err(FormatError::BadNodeRef(i)),
+            Some((p, pending)) => {
+                let expected = kids[pending.start];
+                if expected != i {
+                    return Err(FormatError::BadNodeRef(expected));
+                }
+                if parent != *p {
+                    return Err(FormatError::BadNodeRef(i));
+                }
+                pending.start += 1;
+            }
+        }
+        nodes.push(Node {
             kind,
             ident,
-            is_instance: flags & 2 != 0,
             type_ref,
-            attrs,
-            children,
             parent,
+            end: NONE,
+            first_attr,
+            is_instance: flags & 2 != 0,
         });
+        open.push((i, kids_start..kids.len()));
     }
-    // Validate node cross-references. A child must come after its parent
-    // and point back at it, so the children edges form a forest and every
-    // walk over them terminates.
-    for (i, n) in nodes.iter().enumerate() {
-        for &c in &n.children {
-            let back = nodes.get(c as usize).and_then(|child| child.parent);
-            if c as usize <= i || back != Some(i as u32) {
-                return Err(FormatError::BadNodeRef(c));
-            }
+    // The nodes are exhausted: a child still expected is missing.
+    while let Some((p, pending)) = open.pop() {
+        if !pending.is_empty() {
+            return Err(FormatError::BadNodeRef(kids[pending.start]));
         }
-        if let Some(p) = n.parent {
-            if p as usize >= nodes.len() {
-                return Err(FormatError::BadNodeRef(p));
-            }
-        }
+        nodes[p as usize].end = n_nodes as u32;
     }
-    Ok(RuntimeModel::new(strings, nodes))
+    Ok(RuntimeModel::new(strings, nodes, attrs))
 }
 
 /// Write a model to a file.
@@ -304,7 +351,9 @@ fn read_u8(data: &mut &[u8]) -> Result<u8, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpdl_core::XpdlDocument;
+    use std::collections::{BTreeMap, HashMap};
+    use xpdl_core::units::Quantity;
+    use xpdl_core::{ModelKind, XpdlDocument, XpdlElement};
 
     fn model() -> RuntimeModel {
         let doc = XpdlDocument::parse_str(
@@ -363,7 +412,7 @@ mod tests {
         // table; smash it to a huge value.
         // Find offset: 8 magic + 4 count + strings…
         let mut off = 12;
-        for s in &m.strings {
+        for s in m.strings.iter() {
             off += 4 + s.len();
         }
         off += 4; // node count
@@ -416,6 +465,28 @@ mod tests {
     }
 
     #[test]
+    fn trees_not_in_pre_order_rejected() {
+        let pre_order = raw_model(&[(&[1, 3], None), (&[2], Some(0)), (&[], Some(1)), (&[], Some(0))]);
+        assert_eq!(decode(&pre_order).unwrap().len(), 4);
+        let bad: [&[(&[u32], Option<u32>)]; 5] = [
+            // A root whose parent field names its own child.
+            &[(&[1], Some(1)), (&[], Some(0))],
+            // An orphan that no parent lists.
+            &[(&[1], None), (&[], Some(0)), (&[], Some(0))],
+            // A second root.
+            &[(&[1], None), (&[], Some(0)), (&[], None)],
+            // A child order that is not pre-order.
+            &[(&[1, 2], None), (&[3], Some(0)), (&[], Some(0)), (&[], Some(1))],
+            // Siblings listed out of order, with consistent parent fields.
+            &[(&[2, 1], None), (&[], Some(0)), (&[], Some(0))],
+        ];
+        for nodes in bad {
+            let err = decode(&raw_model(nodes)).unwrap_err();
+            assert!(matches!(err, FormatError::BadNodeRef(_)), "{nodes:?}: {err:?}");
+        }
+    }
+
+    #[test]
     fn file_save_load() {
         let dir = std::env::temp_dir().join(format!("xpdl_rt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -450,19 +521,28 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// One generated element: kind, ident suffix, attributes, and how
-        /// many open elements to close after it.
+        /// One generated element: kind, ident, attributes, and how many
+        /// open elements to close after it.
         type NodeScript = (String, String, Vec<(String, String)>, usize);
 
         /// Build well-formed XML from a flat node script: each entry
-        /// opens an element (kind, ident suffix, attributes), then
-        /// closes `pops` of the currently open elements, so arbitrary
-        /// tree shapes emerge from flat generated data.
-        fn random_model_xml(nodes: &[NodeScript]) -> String {
+        /// opens an element (kind, ident, attributes), then closes `pops`
+        /// of the currently open elements, so arbitrary tree shapes
+        /// emerge from flat generated data. With `unique_idents` each
+        /// ident gets its entry's index as a suffix; without, idents are
+        /// used as given (so they may repeat) and an empty one leaves the
+        /// element anonymous.
+        fn random_model_xml(nodes: &[NodeScript], unique_idents: bool) -> String {
             let mut xml = String::from("<system id=\"root\">");
             let mut stack: Vec<String> = Vec::new();
             for (i, (kind, ident, attrs, pops)) in nodes.iter().enumerate() {
-                xml.push_str(&format!("<{kind} id=\"{ident}_{i}\""));
+                if unique_idents {
+                    xml.push_str(&format!("<{kind} id=\"{ident}_{i}\""));
+                } else if ident.is_empty() {
+                    xml.push_str(&format!("<{kind}"));
+                } else {
+                    xml.push_str(&format!("<{kind} id=\"{ident}\""));
+                }
                 let mut seen = std::collections::BTreeSet::new();
                 for (k, v) in attrs {
                     // Dodge the reserved names (a second `id` would be a
@@ -504,7 +584,7 @@ mod tests {
                     1..32,
                 ),
             ) {
-                let xml = random_model_xml(&nodes);
+                let xml = random_model_xml(&nodes, true);
                 let doc = XpdlDocument::parse_str(&xml)
                     .unwrap_or_else(|e| panic!("generated XML must parse: {e}\n{xml}"));
                 let m = RuntimeModel::from_element(doc.root());
@@ -514,6 +594,43 @@ mod tests {
                 prop_assert_eq!(back.root().ident(), m.root().ident());
                 // Byte-identical re-encode proves every field survived.
                 prop_assert_eq!(encode(&back).as_ref(), bytes.as_ref());
+            }
+
+            /// Both build paths of random trees, with repeated idents and
+            /// anonymous nodes, agree node by node with the source tree.
+            #[test]
+            fn flat_model_matches_tree_walk(
+                nodes in proptest::collection::vec(
+                    (
+                        prop_oneof![Just("core".to_string()), Just("device".to_string()), "[a-c]{2}"],
+                        "[a-c]?",
+                        proptest::collection::vec(
+                            (
+                                prop_oneof![
+                                    Just("static_power".to_string()),
+                                    Just("static_power_unit".to_string()),
+                                    "[a-z]{2,5}",
+                                ],
+                                prop_oneof![
+                                    "[0-9]{1,3}",
+                                    "[0-9]{1,2}\\.[0-9]{1,3}",
+                                    Just("mW".to_string()),
+                                    Just("kW".to_string()),
+                                ],
+                            ),
+                            0..4,
+                        ),
+                        0usize..3,
+                    ),
+                    1..48,
+                ),
+            ) {
+                let xml = random_model_xml(&nodes, false);
+                let doc = XpdlDocument::parse_str(&xml)
+                    .unwrap_or_else(|e| panic!("generated XML must parse: {e}\n{xml}"));
+                let m = RuntimeModel::from_element(doc.root());
+                check_against_tree(&m, doc.root());
+                check_against_tree(&decode(&encode(&m)).unwrap(), doc.root());
             }
 
             /// Corrupting any byte of the magic/version header is
@@ -547,6 +664,94 @@ mod tests {
                     err
                 );
             }
+        }
+    }
+
+    /// Checks every node of `m` against a pre-order walk of `root`, the
+    /// tree it was built from, and the model's indexes against scans.
+    fn check_against_tree(m: &RuntimeModel, root: &XpdlElement) {
+        let mut next = 0;
+        let mut power = Vec::new();
+        walk(m, root, None, &mut next, &mut power);
+        assert_eq!(next as usize, m.len());
+        assert_eq!(m.total_static_power_w().to_bits(), power.iter().sum::<f64>().to_bits());
+        let mut first: HashMap<&str, u32> = HashMap::new();
+        let mut kinds: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
+        for idx in 0..m.len() as u32 {
+            let n = m.node_at(idx).unwrap();
+            if let Some(id) = n.ident() {
+                first.entry(id).or_insert(idx);
+            }
+            kinds.entry(n.kind()).or_default().push(idx);
+        }
+        for (id, idx) in &first {
+            assert_eq!(m.find(id).map(|n| n.index()), Some(*idx), "find {id}");
+        }
+        assert!(m.find("no such ident").is_none());
+        for (kind, scanned) in &kinds {
+            let listed = m.nodes_of_kind(kind);
+            assert_eq!(listed.len(), scanned.len(), "kind {kind}");
+            assert!(listed.map(|n| n.index()).eq(scanned.iter().copied()), "kind {kind}");
+        }
+        assert_eq!(m.nodes_of_kind("no such kind").len(), 0);
+        assert_eq!(m.num_cores(), kinds.get("core").map_or(0, Vec::len));
+        let cuda = root
+            .descendants()
+            .filter(|e| e.kind.tag() == "device")
+            .filter(|d| {
+                d.descendants().any(|e| {
+                    e.kind.tag() == "programming_model"
+                        && e.type_ref.as_deref().is_some_and(|t| t.contains("cuda"))
+                })
+            })
+            .count();
+        assert_eq!(m.num_cuda_devices(), cuda);
+    }
+
+    /// Checks node `*next` against `e`, then `e`'s subtree, in pre-order;
+    /// appends the subtree's `static_power` values to `power` in document
+    /// order, and checks the node's subtree sum against theirs.
+    fn walk(
+        m: &RuntimeModel,
+        e: &XpdlElement,
+        parent: Option<u32>,
+        next: &mut u32,
+        power: &mut Vec<f64>,
+    ) {
+        let idx = *next;
+        *next += 1;
+        let n = m.node_at(idx).expect("node in range");
+        assert_eq!(n.kind(), e.kind.tag(), "node {idx}");
+        assert_eq!(n.ident(), e.ident(), "node {idx}");
+        assert_eq!(n.is_instance(), matches!(e.model_kind, ModelKind::Instance(_)));
+        assert_eq!(n.type_ref(), e.type_ref.as_deref(), "node {idx}");
+        assert!(n.attrs().eq(e.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()))));
+        assert_eq!(n.parent().map(|p| p.index()), parent, "node {idx}");
+        let own = power.len();
+        let watts = e.attr("static_power").and_then(|v| v.trim().parse::<f64>().ok());
+        let unit = e.attr("static_power_unit").unwrap_or("");
+        if let Some(q) = watts.and_then(|v| Quantity::parse(v, unit).ok()) {
+            power.push(q.to_base());
+        }
+        let mut children = Vec::new();
+        for c in &e.children {
+            children.push(*next);
+            walk(m, c, Some(idx), next, power);
+        }
+        assert!(n.children().map(|c| c.index()).eq(children), "node {idx}");
+        assert_eq!(n.descendants().len(), (*next - idx) as usize);
+        assert!(n.descendants().map(|d| d.index()).eq(idx..*next), "node {idx}");
+        let want: f64 = power[own..].iter().sum();
+        assert_eq!(n.subtree_static_power_w().to_bits(), want.to_bits(), "node {idx}");
+    }
+
+    #[test]
+    fn library_models_match_tree_walk() {
+        for key in ["liu_gpu_server", "XScluster", "myriad_server"] {
+            let elaborated = xpdl_models::loader::elaborate_system(key).unwrap();
+            let m = RuntimeModel::from_element(&elaborated.root);
+            check_against_tree(&m, &elaborated.root);
+            check_against_tree(&decode(&encode(&m)).unwrap(), &elaborated.root);
         }
     }
 

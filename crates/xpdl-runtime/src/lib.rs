@@ -8,13 +8,22 @@
 //! platform-aware dynamic optimizations such as conditional composition.
 //!
 //! * [`mod@format`] — the versioned binary file format (string-interned flat
-//!   tree, little-endian, built on `bytes`). Loading performs no XML
-//!   parsing, which is the point: startup cost is one buffer scan.
-//! * [`model`] — [`RuntimeModel`]: the flat tree with navigation
-//!   (parent/children) and typed getters, plus a [`ModelIndex`] built once
-//!   at load: the identifier index, per-kind node lists, and the analysis
-//!   results of the paper's category 4 (`num_cores`, `num_cuda_devices`,
-//!   `total_static_power`), so every getter is an index lookup.
+//!   tree in pre-order, little-endian, built on `bytes`). Loading performs
+//!   no XML parsing, which is the point: startup cost is one buffer scan
+//!   that fills the model's arrays and checks the nodes form one pre-order
+//!   tree.
+//! * [`model`] — [`RuntimeModel`]: a handful of flat arrays whatever the
+//!   model's size — one string blob with offsets, fixed-size node records
+//!   in pre-order (kind, ident, type, parent, subtree end, first
+//!   attribute), one shared attribute array — so every subtree is an
+//!   index range and a child walk needs no stored list. Navigation
+//!   (parent/children/descendants) and typed getters read those arrays. A
+//!   [`ModelIndex`] built once at load adds the identifier and kind table
+//!   (keyed by string id, hashed with std's `RandomState`), per-kind node
+//!   lists, the document-order list of in-line static powers that subtree
+//!   sums read, and the analysis results of the paper's category 4
+//!   (`num_cores`, `num_cuda_devices`, `total_static_power`), so every
+//!   getter is an index lookup.
 //! * [`query`] — the C-style façade mirroring the paper's function list:
 //!   `xpdl_init`, `xpdl_root`, `xpdl_find`, `xpdl_get_attr`,
 //!   `xpdl_num_cores`, ….

@@ -1,26 +1,107 @@
 //! The flat runtime model with navigation, getters and analyses.
+//!
+//! Nodes are numbered in pre-order (document order, root at 0), so every
+//! subtree is the index range `i..end`: the first child of node `i` is
+//! `i + 1`, each later child starts where its previous sibling's subtree
+//! ends, and no child list is stored. A model is a handful of flat
+//! arrays — the string blob and its offsets, the node records, one shared
+//! attribute array — plus the [`ModelIndex`], whatever its size.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::ops::Range;
 use xpdl_core::units::Quantity;
 use xpdl_core::{ModelKind, XpdlElement};
 
-/// A node in the flat tree.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RtNode {
-    /// Tag/kind string index.
+/// The "no index" sentinel of the `u32` fields of [`Node`].
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Interned strings: one UTF-8 blob and the offset where each string
+/// starts, followed by a final end, so string `i` is
+/// `blob[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Strings {
+    blob: String,
+    offsets: Vec<u32>,
+}
+
+impl Strings {
+    /// An empty table with room for `n` strings.
+    pub(crate) fn with_capacity(n: usize) -> Strings {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Strings { blob: String::new(), offsets }
+    }
+
+    /// Number of strings.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Total bytes of all strings.
+    pub(crate) fn blob_len(&self) -> usize {
+        self.blob.len()
+    }
+
+    /// Append a string; returns its id.
+    pub(crate) fn push(&mut self, s: &str) -> u32 {
+        let id = self.len() as u32;
+        self.blob.push_str(s);
+        self.offsets.push(self.blob.len() as u32);
+        id
+    }
+
+    #[inline]
+    fn range(&self, i: u32) -> Range<usize> {
+        self.offsets[i as usize] as usize..self.offsets[i as usize + 1] as usize
+    }
+
+    /// String `i`.
+    #[inline]
+    fn get(&self, i: u32) -> &str {
+        &self.blob[self.range(i)]
+    }
+
+    /// Whether string `i` is `text`: lengths first, bytes only on a tie.
+    #[inline]
+    fn eq(&self, i: u32, text: &str) -> bool {
+        let r = self.range(i);
+        r.len() == text.len() && &self.blob.as_bytes()[r] == text.as_bytes()
+    }
+
+    /// String `i` as bytes: comparing or copying these skips the `str`
+    /// slicing checks.
+    #[inline]
+    pub(crate) fn bytes(&self, i: u32) -> &[u8] {
+        &self.blob.as_bytes()[self.range(i)]
+    }
+
+    /// Every string, in id order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len() as u32).map(|i| self.get(i))
+    }
+}
+
+/// One node record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    /// Tag/kind string id.
     pub kind: u32,
-    /// Identifier string index (`name` or `id`), if any.
-    pub ident: Option<u32>,
+    /// Identifier string id (`name` or `id`), or [`NONE`].
+    pub ident: u32,
+    /// `type=` string id, or [`NONE`].
+    pub type_ref: u32,
+    /// Parent node, or [`NONE`] for the root.
+    pub parent: u32,
+    /// One past the last node of this node's subtree.
+    pub end: u32,
+    /// This node's first entry in the shared attribute array; its
+    /// attributes run up to the next node's first entry.
+    pub first_attr: u32,
     /// Whether `ident` came from `id` (instance) rather than `name`.
     pub is_instance: bool,
-    /// `type=` string index.
-    pub type_ref: Option<u32>,
-    /// Attribute (key, value) string-index pairs in document order.
-    pub attrs: Vec<(u32, u32)>,
-    /// Child node indices.
-    pub children: Vec<u32>,
-    /// Parent node index (`None` for the root).
-    pub parent: Option<u32>,
 }
 
 /// The loaded runtime model: immutable once built, with its query indexes
@@ -28,76 +109,204 @@ pub(crate) struct RtNode {
 /// [`crate::format::decode`] share.
 #[derive(Debug, Clone)]
 pub struct RuntimeModel {
-    pub(crate) strings: Vec<String>,
-    pub(crate) nodes: Vec<RtNode>,
+    pub(crate) strings: Strings,
+    /// Node records in pre-order.
+    pub(crate) nodes: Vec<Node>,
+    /// Attribute (key, value) string-id pairs of every node, in node order
+    /// and document order within a node.
+    pub(crate) attrs: Vec<(u32, u32)>,
     index: ModelIndex,
 }
 
 /// The query indexes of one [`RuntimeModel`], built once at load: the
-/// identifier index, per-kind node lists, and the category-4 analyses.
+/// identifier and kind table, the per-kind node lists, the static-power
+/// list and the category-4 analyses.
 #[derive(Debug, Clone, Default)]
 pub struct ModelIndex {
-    /// Identifier → node; the first occurrence in document order wins.
-    ident: HashMap<String, u32>,
-    /// Kind → every node of that kind (anonymous ones included), in
-    /// document order.
-    kinds: BTreeMap<String, Vec<u32>>,
+    /// Identifier or kind text → its first node and its kind's run.
+    table: StrTable,
+    /// Every node, grouped by kind, in document order within a kind.
+    by_kind: Vec<u32>,
+    /// `(node, watts)` for every node with an in-line `static_power`, in
+    /// document order: a subtree's entries are one contiguous run.
+    static_power: Vec<(u32, f64)>,
     num_cores: usize,
     num_cuda_devices: usize,
     total_static_power_w: f64,
 }
 
 impl ModelIndex {
-    /// Index a model: the identifier and kind indexes in one pass over its
-    /// nodes, then the analyses. Reads only the model's tree, never its
-    /// own index.
+    /// Index a model: the identifier and kind table, the per-kind lists
+    /// (a counting sort of the nodes by kind), the static-power list, then
+    /// the analyses. Reads only the model's tree, never its own index.
     pub fn compile(model: &RuntimeModel) -> ModelIndex {
-        let mut ident = HashMap::new();
-        // Group by interned kind id first: a vector index per node instead
-        // of a string-keyed map lookup.
-        let mut by_kind = vec![Vec::new(); model.strings.len()];
-        for (idx, n) in model.nodes.iter().enumerate() {
-            if let Some(id) = n.ident {
-                ident.entry(model.strings[id as usize].clone()).or_insert(idx as u32);
+        let (strings, nodes) = (&model.strings, &model.nodes);
+        // Every string id used as an identifier or kind, mapped to its
+        // text's slot (0 marks an id as used until the table assigns its
+        // slot). A model may hold one text under several ids (a decoded
+        // file need not deduplicate); those share a slot.
+        let mut slot_of = vec![NONE; strings.len()];
+        let mut used = Vec::new();
+        for n in nodes {
+            for id in [n.kind, n.ident] {
+                if id != NONE && slot_of[id as usize] == NONE {
+                    slot_of[id as usize] = 0;
+                    used.push(id);
+                }
             }
-            by_kind[n.kind as usize].push(idx as u32);
         }
-        let kinds: BTreeMap<String, Vec<u32>> = by_kind
-            .into_iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(kind, list)| (model.strings[kind].clone(), list))
+        let mut table = StrTable::with_capacity(used.len());
+        for id in used {
+            slot_of[id as usize] = table.insert(strings, id) as u32;
+        }
+        // In document order: the first node per identifier, and a count
+        // per kind, kept in `kind_end`.
+        for (idx, n) in (0u32..).zip(nodes) {
+            if n.ident != NONE {
+                let first = &mut table.slots[slot_of[n.ident as usize] as usize].first_node;
+                if *first == NONE {
+                    *first = idx;
+                }
+            }
+            table.slots[slot_of[n.kind as usize] as usize].kind_end += 1;
+        }
+        // Counts become runs; placing each node advances `kind_end` from
+        // its run's start back to its end.
+        let mut start = 0;
+        for e in &mut table.slots {
+            let count = e.kind_end;
+            e.kind_start = start;
+            e.kind_end = start;
+            start += count;
+        }
+        let mut by_kind = vec![0u32; nodes.len()];
+        for (idx, n) in (0u32..).zip(nodes) {
+            let end = &mut table.slots[slot_of[n.kind as usize] as usize].kind_end;
+            by_kind[*end as usize] = idx;
+            *end += 1;
+        }
+        let static_power: Vec<(u32, f64)> = (0..nodes.len() as u32)
+            .filter_map(|idx| {
+                NodeRef { model, idx }.quantity("static_power").map(|q| (idx, q.to_base()))
+            })
             .collect();
-        let total_static_power_w = (0..model.nodes.len() as u32)
-            .filter_map(|idx| NodeRef { model, idx }.quantity("static_power"))
-            .map(|q| q.to_base())
-            .sum();
-        let of_kind = |kind: &str| kinds.get(kind).map_or(&[][..], Vec::as_slice);
-        let num_cores = of_kind("core").len();
-        let num_cuda_devices = of_kind("device")
+        let mut index = ModelIndex {
+            table,
+            by_kind,
+            total_static_power_w: static_power.iter().map(|&(_, w)| w).sum(),
+            static_power,
+            num_cores: 0,
+            num_cuda_devices: 0,
+        };
+        index.num_cores = index.of_kind(strings, "core").len();
+        index.num_cuda_devices = index
+            .of_kind(strings, "device")
             .iter()
             .filter(|&&idx| {
-                NodeRef { model, idx }.descendants().into_iter().any(|n| {
+                NodeRef { model, idx }.descendants().any(|n| {
                     n.kind() == "programming_model"
                         && n.type_ref().is_some_and(|t| t.contains("cuda"))
                 })
             })
             .count();
-        ModelIndex { ident, kinds, num_cores, num_cuda_devices, total_static_power_w }
+        index
+    }
+
+    /// The first node (document order) with identifier `ident`.
+    #[inline]
+    fn first_node(&self, strings: &Strings, ident: &str) -> Option<u32> {
+        self.table.get(strings, ident).map(|e| e.first_node).filter(|&n| n != NONE)
+    }
+
+    /// Every node of a kind, in document order.
+    #[inline]
+    fn of_kind(&self, strings: &Strings, kind: &str) -> &[u32] {
+        match self.table.get(strings, kind) {
+            Some(e) => &self.by_kind[e.kind_start as usize..e.kind_end as usize],
+            None => &[],
+        }
+    }
+}
+
+/// One identifier or kind text in the [`StrTable`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// A string id holding the text, or [`NONE`] for an empty slot.
+    text: u32,
+    /// The first node (document order) with this identifier, or [`NONE`].
+    first_node: u32,
+    /// This kind's nodes are `by_kind[kind_start..kind_end]`.
+    kind_start: u32,
+    kind_end: u32,
+}
+
+/// Text → [`Entry`]: open addressing with linear probing over a
+/// power-of-two slot array at most half full. It hashes with std's
+/// randomly keyed [`RandomState`], as `HashMap` does, because models
+/// decoded from descriptor stores carry outside strings, and a fixed-key
+/// hash would let a crafted descriptor force collisions.
+#[derive(Debug, Clone, Default)]
+struct StrTable {
+    hasher: RandomState,
+    slots: Vec<Entry>,
+}
+
+impl StrTable {
+    fn with_capacity(n: usize) -> StrTable {
+        let empty = Entry { text: NONE, first_node: NONE, kind_start: 0, kind_end: 0 };
+        StrTable { hasher: RandomState::new(), slots: vec![empty; (2 * n).next_power_of_two()] }
+    }
+
+    /// The slot of string `id`'s text, claimed for `id` if the text is
+    /// new.
+    fn insert(&mut self, strings: &Strings, id: u32) -> usize {
+        match self.probe(strings, strings.get(id)) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                self.slots[slot].text = id;
+                slot
+            }
+        }
+    }
+
+    /// `Ok(slot)` holding `text`, or `Err(slot)`: the empty slot where it
+    /// belongs.
+    #[inline]
+    fn probe(&self, strings: &Strings, text: &str) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(text) as usize & mask;
+        loop {
+            match self.slots[slot].text {
+                NONE => return Err(slot),
+                id if strings.bytes(id) == text.as_bytes() => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, strings: &Strings, text: &str) -> Option<&Entry> {
+        self.probe(strings, text).ok().map(|slot| &self.slots[slot])
     }
 }
 
 impl RuntimeModel {
     /// Build from an (elaborated) element tree.
     pub fn from_element(root: &XpdlElement) -> RuntimeModel {
-        let mut b = Builder { strings: Vec::new(), interner: HashMap::new(), nodes: Vec::new() };
-        b.add(root, None);
-        RuntimeModel::new(b.strings, b.nodes)
+        let mut b = Builder {
+            strings: Strings::with_capacity(0),
+            interner: HashMap::new(),
+            nodes: Vec::new(),
+            attrs: Vec::new(),
+        };
+        b.add(root, NONE);
+        RuntimeModel::new(b.strings, b.nodes, b.attrs)
     }
 
-    /// The one constructor: takes a validated flat tree and indexes it.
-    pub(crate) fn new(strings: Vec<String>, nodes: Vec<RtNode>) -> RuntimeModel {
-        let mut model = RuntimeModel { strings, nodes, index: ModelIndex::default() };
+    /// The one constructor: takes a validated pre-order tree and indexes
+    /// it.
+    pub(crate) fn new(strings: Strings, nodes: Vec<Node>, attrs: Vec<(u32, u32)>) -> RuntimeModel {
+        let mut model = RuntimeModel { strings, nodes, attrs, index: ModelIndex::default() };
         model.index = ModelIndex::compile(&model);
         model
     }
@@ -127,15 +336,16 @@ impl RuntimeModel {
         NodeRef { model: self, idx: 0 }
     }
 
-    /// Find a node by identifier (category 2 of the query API).
+    /// Find a node by identifier (category 2 of the query API); the first
+    /// occurrence in document order wins.
     pub fn find(&self, ident: &str) -> Option<NodeRef<'_>> {
-        self.index.ident.get(ident).map(|&idx| NodeRef { model: self, idx })
+        let idx = self.index.first_node(&self.strings, ident)?;
+        Some(NodeRef { model: self, idx })
     }
 
     /// All nodes of a kind, in document order.
     pub fn nodes_of_kind(&self, kind: &str) -> impl ExactSizeIterator<Item = NodeRef<'_>> + '_ {
-        let list = self.index.kinds.get(kind).map_or(&[][..], Vec::as_slice);
-        list.iter().map(move |&idx| NodeRef { model: self, idx })
+        self.index.of_kind(&self.strings, kind).iter().map(move |&idx| NodeRef { model: self, idx })
     }
 
     // ---- category 4: analysis functions for derived attributes ----
@@ -161,15 +371,50 @@ impl RuntimeModel {
     pub fn has_installed(&self, pred: impl Fn(&str) -> bool) -> bool {
         self.nodes_of_kind("installed").filter_map(|n| n.type_ref()).any(pred)
     }
+
+    /// The children of node `idx`.
+    pub(crate) fn child_indices(&self, idx: u32) -> ChildIndices<'_> {
+        ChildIndices { nodes: &self.nodes, next: idx + 1, end: self.nodes[idx as usize].end }
+    }
+
+    /// Node `idx`'s entries in the shared attribute array.
+    #[inline]
+    pub(crate) fn attr_range(&self, idx: u32) -> Range<usize> {
+        let i = idx as usize;
+        let end = self.nodes.get(i + 1).map_or(self.attrs.len(), |n| n.first_attr as usize);
+        self.nodes[i].first_attr as usize..end
+    }
 }
 
-/// Flattens an element tree. The interner is keyed by the tree's own
-/// strings, so each distinct string is copied once, into `strings`, in
-/// first-seen order.
+/// The children of one node: the first is the node after it, and each
+/// next one starts where the previous one's subtree ends.
+pub(crate) struct ChildIndices<'m> {
+    nodes: &'m [Node],
+    next: u32,
+    end: u32,
+}
+
+impl Iterator for ChildIndices<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let c = self.next;
+        if c >= self.end {
+            return None;
+        }
+        self.next = self.nodes[c as usize].end;
+        Some(c)
+    }
+}
+
+/// Flattens an element tree in pre-order. The interner is keyed by the
+/// tree's own strings, so each distinct string is copied once, into the
+/// blob, in first-seen order.
 struct Builder<'e> {
-    strings: Vec<String>,
+    strings: Strings,
     interner: HashMap<&'e str, u32>,
-    nodes: Vec<RtNode>,
+    nodes: Vec<Node>,
+    attrs: Vec<(u32, u32)>,
 }
 
 impl<'e> Builder<'e> {
@@ -177,44 +422,40 @@ impl<'e> Builder<'e> {
         let next = self.strings.len() as u32;
         let i = *self.interner.entry(s).or_insert(next);
         if i == next {
-            self.strings.push(s.to_string());
+            self.strings.push(s);
         }
         i
     }
 
-    fn add(&mut self, e: &'e XpdlElement, parent: Option<u32>) -> u32 {
+    fn add(&mut self, e: &'e XpdlElement, parent: u32) {
         let idx = self.nodes.len() as u32;
         let kind = self.intern(e.kind.tag());
         let (ident, is_instance) = match &e.model_kind {
-            ModelKind::Meta(n) => (Some(self.intern(n)), false),
-            ModelKind::Instance(i) => (Some(self.intern(i)), true),
-            ModelKind::Anonymous => (None, false),
+            ModelKind::Meta(n) => (self.intern(n), false),
+            ModelKind::Instance(i) => (self.intern(i), true),
+            ModelKind::Anonymous => (NONE, false),
         };
-        let type_ref = e.type_ref.as_deref().map(|t| self.intern(t));
-        let attrs = e
-            .attrs
-            .iter()
-            .map(|(k, v)| {
-                let ki = self.intern(k);
-                let vi = self.intern(v);
-                (ki, vi)
-            })
-            .collect();
-        self.nodes.push(RtNode {
-            kind,
-            ident,
-            is_instance,
-            type_ref,
-            attrs,
-            children: Vec::with_capacity(e.children.len()),
-            parent,
-        });
-        for c in &e.children {
-            let ci = self.add(c, Some(idx));
-            self.nodes[idx as usize].children.push(ci);
+        let type_ref = e.type_ref.as_deref().map_or(NONE, |t| self.intern(t));
+        let first_attr = self.attrs.len() as u32;
+        for (k, v) in &e.attrs {
+            let pair = (self.intern(k), self.intern(v));
+            self.attrs.push(pair);
         }
-        idx
+        self.nodes.push(Node { kind, ident, type_ref, parent, end: NONE, first_attr, is_instance });
+        for c in &e.children {
+            self.add(c, idx);
+        }
+        self.nodes[idx as usize].end = self.nodes.len() as u32;
     }
+}
+
+/// Whether attribute `key` is `metric`'s unit attribute
+/// ([`XpdlElement::unit_attr_for`]), checked without building its name.
+fn is_unit_attr(key: &[u8], metric: &str) -> bool {
+    if metric == "size" {
+        return key == b"unit";
+    }
+    key.len() == metric.len() + 5 && key.starts_with(metric.as_bytes()) && key.ends_with(b"_unit")
 }
 
 /// A borrowed reference to one node — the object the generated getters of
@@ -226,12 +467,18 @@ pub struct NodeRef<'m> {
 }
 
 impl<'m> NodeRef<'m> {
-    fn node(&self) -> &'m RtNode {
+    #[inline]
+    fn node(&self) -> &'m Node {
         &self.model.nodes[self.idx as usize]
     }
 
-    fn s(&self, i: u32) -> &'m str {
-        &self.model.strings[i as usize]
+    #[inline]
+    fn s(&self, i: u32) -> Option<&'m str> {
+        (i != NONE).then(|| self.model.strings.get(i))
+    }
+
+    fn at(&self, idx: u32) -> NodeRef<'m> {
+        NodeRef { model: self.model, idx }
     }
 
     /// The node's index (stable within one model).
@@ -241,12 +488,12 @@ impl<'m> NodeRef<'m> {
 
     /// Kind/tag string (`m.get_kind()`).
     pub fn kind(&self) -> &'m str {
-        self.s(self.node().kind)
+        self.model.strings.get(self.node().kind)
     }
 
     /// Identifier (`m.get_id()`), if any.
     pub fn ident(&self) -> Option<&'m str> {
-        self.node().ident.map(|i| self.s(i))
+        self.s(self.node().ident)
     }
 
     /// Whether this is an instance (`id=`) rather than a meta name.
@@ -256,21 +503,27 @@ impl<'m> NodeRef<'m> {
 
     /// `type=` reference.
     pub fn type_ref(&self) -> Option<&'m str> {
-        self.node().type_ref.map(|i| self.s(i))
+        self.s(self.node().type_ref)
+    }
+
+    #[inline]
+    fn attr_ids(&self) -> &'m [(u32, u32)] {
+        &self.model.attrs[self.model.attr_range(self.idx)]
     }
 
     /// Attribute getter (`m.get_<attr>()`).
     pub fn attr(&self, key: &str) -> Option<&'m str> {
-        let n = self.node();
-        n.attrs
+        let strings = &self.model.strings;
+        self.attr_ids()
             .iter()
-            .find(|(k, _)| self.s(*k) == key)
-            .map(|(_, v)| self.s(*v))
+            .find(|&&(k, _)| strings.eq(k, key))
+            .map(|&(_, v)| strings.get(v))
     }
 
     /// All attributes in document order.
     pub fn attrs(&self) -> impl Iterator<Item = (&'m str, &'m str)> + '_ {
-        self.node().attrs.iter().map(|(k, v)| (self.s(*k), self.s(*v)))
+        let strings = &self.model.strings;
+        self.attr_ids().iter().map(|&(k, v)| (strings.get(k), strings.get(v)))
     }
 
     /// Numeric attribute.
@@ -281,19 +534,24 @@ impl<'m> NodeRef<'m> {
     /// Metric with the `metric_unit` convention, as a typed quantity.
     pub fn quantity(&self, metric: &str) -> Option<Quantity> {
         let v = self.number(metric)?;
-        let unit_attr = XpdlElement::unit_attr_for(metric);
-        let unit = self.attr(&unit_attr).unwrap_or("");
+        let strings = &self.model.strings;
+        let unit = self
+            .attr_ids()
+            .iter()
+            .find(|&&(k, _)| is_unit_attr(strings.bytes(k), metric))
+            .map_or("", |&(_, v)| strings.get(v));
         Quantity::parse(v, unit).ok()
     }
 
     /// Parent node (model browsing, category 2).
     pub fn parent(&self) -> Option<NodeRef<'m>> {
-        self.node().parent.map(|p| NodeRef { model: self.model, idx: p })
+        let p = self.node().parent;
+        (p != NONE).then(|| self.at(p))
     }
 
     /// Children in document order.
     pub fn children(&self) -> impl Iterator<Item = NodeRef<'m>> + '_ {
-        self.node().children.iter().map(|&c| NodeRef { model: self.model, idx: c })
+        self.model.child_indices(self.idx).map(|c| self.at(c))
     }
 
     /// First child of a kind.
@@ -301,17 +559,23 @@ impl<'m> NodeRef<'m> {
         self.children().find(|c| c.kind() == kind)
     }
 
-    /// Depth-first descendants including self.
-    pub fn descendants(&self) -> Vec<NodeRef<'m>> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.idx];
-        while let Some(i) = stack.pop() {
-            out.push(NodeRef { model: self.model, idx: i });
-            for &c in self.model.nodes[i as usize].children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+    /// Depth-first descendants including self: the index range of this
+    /// node's subtree.
+    pub fn descendants(&self) -> impl ExactSizeIterator<Item = NodeRef<'m>> {
+        let model = self.model;
+        (self.idx..self.node().end).map(move |idx| NodeRef { model, idx })
+    }
+
+    /// Sum of in-line `static_power` metrics over this node's subtree
+    /// (itself included), watts — §III-D's hierarchical static power.
+    /// It adds the subtree's entries in document order, as a walk would;
+    /// a difference of prefix sums would round differently.
+    pub fn subtree_static_power_w(&self) -> f64 {
+        let list = &self.model.index.static_power;
+        let end = self.node().end;
+        let lo = list.partition_point(|&(n, _)| n < self.idx);
+        let len = list[lo..].partition_point(|&(n, _)| n < end);
+        list[lo..lo + len].iter().map(|&(_, w)| w).sum()
     }
 }
 
@@ -393,16 +657,16 @@ mod tests {
     fn descendants_cover_subtree() {
         let m = model();
         let cpu = m.find("h").unwrap();
-        let kinds: Vec<_> = cpu.descendants().iter().map(|n| n.kind()).collect();
+        let kinds: Vec<_> = cpu.descendants().map(|n| n.kind()).collect();
         assert_eq!(kinds, ["cpu", "core", "core"]);
     }
 
     #[test]
     fn string_interning_dedups() {
         let m = model();
-        let core_count = m.strings.iter().filter(|s| s.as_str() == "core").count();
+        let core_count = m.strings.iter().filter(|&s| s == "core").count();
         assert_eq!(core_count, 1);
-        let ghz = m.strings.iter().filter(|s| s.as_str() == "GHz").count();
+        let ghz = m.strings.iter().filter(|&s| s == "GHz").count();
         assert_eq!(ghz, 1);
     }
 
@@ -436,7 +700,7 @@ mod tests {
         for m in both_builds(SWEEP) {
             // Every interned string is tried as a kind, plus one that is
             // not in the model at all.
-            for kind in m.strings.iter().map(String::as_str).chain(["nope"]) {
+            for kind in m.strings.iter().chain(["nope"]) {
                 let indexed: Vec<u32> = m.nodes_of_kind(kind).map(|n| n.index()).collect();
                 let scanned: Vec<u32> = (0..m.len() as u32)
                     .filter(|&i| m.node_at(i).unwrap().kind() == kind)
@@ -480,6 +744,17 @@ mod tests {
             assert!(!x.has_installed(|t| t.contains("cusparse")));
         }
         assert_eq!(back.total_static_power_w().to_bits(), m.total_static_power_w().to_bits());
+    }
+
+    #[test]
+    fn unit_attr_matches_the_naming_convention() {
+        for metric in ["size", "static_power", "frequency", "s", ""] {
+            let name = XpdlElement::unit_attr_for(metric);
+            assert!(is_unit_attr(name.as_bytes(), metric), "{metric}");
+            for other in [metric, "unit", "_unit", "size_unit", "static_power_units", "frequency_unit"] {
+                assert_eq!(is_unit_attr(other.as_bytes(), metric), other == name, "{metric} {other}");
+            }
+        }
     }
 
     #[test]

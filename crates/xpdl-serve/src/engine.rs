@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use xpdl_obs::{trace, Histogram, MetricsRegistry};
+use xpdl_repo::diskcache::fnv1a64;
 use xpdl_repo::Repository;
 use xpdl_runtime::{estimate, format, RuntimeModel};
 
@@ -53,14 +54,22 @@ impl std::fmt::Debug for ModelSource {
 }
 
 impl ModelSource {
-    /// Compile the source into a fresh runtime model (never touches the
-    /// registry — this is the off-to-the-side half of a hot reload).
-    pub fn compile(&self) -> Result<(RuntimeModel, String), ServeError> {
+    /// Compile the source into a fresh runtime model, its description and
+    /// its fingerprint (never touches the registry — this is the
+    /// off-to-the-side half of a hot reload). A file is fingerprinted by
+    /// the bytes just read and decoded; every file this toolchain writes
+    /// is the model's encoding, so that equals [`fingerprint_model`]
+    /// without encoding the model again.
+    pub fn compile(&self) -> Result<(RuntimeModel, String, u64), ServeError> {
         match self {
             ModelSource::File(path) => {
-                let model = format::load_file(path)
-                    .map_err(|e| ServeError::new(e.code(), e.to_string()))?;
-                Ok((model, format!("file:{}", path.display())))
+                let read = || -> Result<_, format::LoadError> {
+                    let bytes = std::fs::read(path)?;
+                    Ok((format::decode(&bytes)?, fnv1a64(&bytes)))
+                };
+                let (model, fingerprint) =
+                    read().map_err(|e| ServeError::new(e.code(), e.to_string()))?;
+                Ok((model, format!("file:{}", path.display()), fingerprint))
             }
             ModelSource::Repo { key, repo } => {
                 // Drop the in-memory parse cache so a changed descriptor
@@ -72,9 +81,13 @@ impl ModelSource {
                 let model = xpdl_elab::elaborate(&set).map_err(|e| {
                     ServeError::new(codes::COMPILE_FAILED, format!("elaborate '{key}': {e}"))
                 })?;
-                Ok((RuntimeModel::from_element(&model.root), format!("repo:{key}")))
+                let model = RuntimeModel::from_element(&model.root);
+                let fingerprint = fingerprint_model(&model);
+                Ok((model, format!("repo:{key}"), fingerprint))
             }
-            ModelSource::Fixed(model) => Ok(((**model).clone(), "memory".to_string())),
+            ModelSource::Fixed(model) => {
+                Ok(((**model).clone(), "memory".to_string(), fingerprint_model(model)))
+            }
         }
     }
 }
@@ -121,9 +134,13 @@ pub struct Engine {
 impl Engine {
     /// Compile the source once and stand up an engine serving it.
     pub fn new(source: ModelSource, options: EngineOptions) -> Result<Engine, ServeError> {
-        let (model, desc) = source.compile()?;
+        let (model, desc, fingerprint) = source.compile()?;
         Ok(Engine {
-            registry: SnapshotRegistry::new(ServeSnapshot::initial(model, desc)),
+            registry: SnapshotRegistry::new(ServeSnapshot::with_fingerprint(
+                model,
+                fingerprint,
+                desc,
+            )),
             stats: ServeStats::new(),
             source: parking_lot::Mutex::new(source),
             options,
@@ -186,7 +203,7 @@ impl Engine {
         // are untouched (they only ever see the registry).
         let guard = self.source.lock();
         let compiled = guard.compile();
-        let (model, desc) = match compiled {
+        let (model, desc, fingerprint) = match compiled {
             Ok(ok) => ok,
             Err(e) => {
                 self.stats.reload_failures.inc();
@@ -196,7 +213,6 @@ impl Engine {
                 ));
             }
         };
-        let fingerprint = fingerprint_model(&model);
         let current = self.registry.load();
         if fingerprint == current.fingerprint {
             return Ok((current.epoch, false));
@@ -529,6 +545,28 @@ mod tests {
         assert!(err.message.contains("S401") || err.message.contains("decode"), "{err}");
         assert_eq!(ok(&e, Method::NumCores), Reply::Count(2));
         assert_eq!(e.stats().reload_failures.get(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_source_fingerprint_is_the_file_bytes() {
+        let dir = std::env::temp_dir().join(format!("xpdl_serve_fp_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gpu.xpdlrt");
+        let elaborated = xpdl_models::loader::elaborate_system("liu_gpu_server").unwrap();
+        let model = RuntimeModel::from_element(&elaborated.root);
+        format::save_file(&model, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(fnv1a64(&bytes), fingerprint_model(&model));
+        let e = Engine::new(ModelSource::File(path.clone()), EngineOptions::default()).unwrap();
+        assert_eq!(e.registry().load().fingerprint, fnv1a64(&bytes));
+        match ok(&e, Method::ModelInfo) {
+            Reply::ModelInfo { fingerprint, .. } => {
+                assert_eq!(fingerprint, format!("{:016x}", fnv1a64(&bytes)));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(e.reload().unwrap(), (0, false));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

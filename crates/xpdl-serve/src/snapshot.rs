@@ -51,8 +51,9 @@ pub struct ServeSnapshot {
     /// method answers from it: the model's load-time indexes make the
     /// getters index lookups.
     pub handle: XpdlHandle,
-    /// FNV-1a fingerprint of the encoded model — reloads that produce
-    /// the same bytes are recognized and skipped.
+    /// FNV-1a fingerprint of the encoded model (for a file source, of the
+    /// bytes read) — reloads that produce the same bytes are recognized
+    /// and skipped.
     pub fingerprint: u64,
     /// Human-readable description of where the model came from.
     pub source: String,
