@@ -27,6 +27,7 @@ pub mod lease;
 pub mod protocol;
 pub mod ring;
 pub mod server;
+pub mod wire;
 
 pub use client::{ClientError, HealthFn, InvalidateFn, NodeAgent, NodeConfig, RegistryClient, RingFn};
 pub use lease::{HeartbeatOutcome, Lease, LeaseTable, NodeReport};

@@ -33,6 +33,7 @@
 //! ```
 
 use crate::ring::{parse_epoch_hex, RingInfo};
+use crate::wire::{self, Dir, Envelope, Field, Obj};
 use std::fmt;
 use xpdl_core::diag::json::{self, JsonValue};
 
@@ -83,14 +84,6 @@ impl RegistryError {
         RegistryError { code: code.to_string(), message: message.into() }
     }
 
-    pub(crate) fn bad_request(detail: impl fmt::Display) -> RegistryError {
-        RegistryError::new(codes::BAD_REQUEST, format!("malformed request: {detail}"))
-    }
-
-    pub(crate) fn invalid_params(detail: impl fmt::Display) -> RegistryError {
-        RegistryError::new(codes::INVALID_PARAMS, format!("invalid params: {detail}"))
-    }
-
     /// The "re-register" signal sent to heartbeats without a live lease.
     pub fn unknown_node(node: &str) -> RegistryError {
         RegistryError::new(
@@ -107,175 +100,6 @@ pub struct Request {
     pub id: u64,
     /// What to do.
     pub method: RegistryMethod,
-}
-
-/// Every method of registry protocol version 1.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RegistryMethod {
-    /// Liveness check.
-    Ping,
-    /// Grant (or re-grant) a TTL lease for a serving node.
-    Register {
-        /// The node's stable self-chosen identity.
-        node: String,
-        /// Address clients should connect to (`host:port`).
-        addr: String,
-        /// Snapshot epoch the node currently serves.
-        epoch: u64,
-        /// Model fingerprint (hex) the node currently serves.
-        fingerprint: String,
-        /// Requests in flight on the node right now.
-        inflight: u64,
-        /// Requested lease TTL in milliseconds.
-        ttl_ms: u64,
-    },
-    /// Renew a lease and refresh the node's serving report.
-    Heartbeat {
-        /// The node's identity.
-        node: String,
-        /// Snapshot epoch the node currently serves.
-        epoch: u64,
-        /// Model fingerprint (hex) the node currently serves.
-        fingerprint: String,
-        /// Requests in flight on the node right now.
-        inflight: u64,
-    },
-    /// Drop a lease immediately (the node is draining).
-    Deregister {
-        /// The node's identity.
-        node: String,
-    },
-    /// The current routing table: all live leases.
-    Nodes,
-    /// Announce a new model version; pushed to every subscriber.
-    Announce {
-        /// Opaque version label (typically a model fingerprint).
-        version: String,
-    },
-    /// Turn this connection into a push-invalidation subscriber.
-    Subscribe {
-        /// The subscribing node's identity (for logs/metrics).
-        node: String,
-    },
-    /// Registry statistics.
-    Stats,
-    /// Full cluster status: routing table with lease deadlines, the
-    /// current shard ring, last announced version, uptime.
-    Status,
-}
-
-impl RegistryMethod {
-    /// The wire name of this method.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RegistryMethod::Ping => "ping",
-            RegistryMethod::Register { .. } => "register",
-            RegistryMethod::Heartbeat { .. } => "heartbeat",
-            RegistryMethod::Deregister { .. } => "deregister",
-            RegistryMethod::Nodes => "nodes",
-            RegistryMethod::Announce { .. } => "announce",
-            RegistryMethod::Subscribe { .. } => "subscribe",
-            RegistryMethod::Stats => "stats",
-            RegistryMethod::Status => "status",
-        }
-    }
-}
-
-/// One live routing-table entry, as carried by the `nodes` reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeEntry {
-    /// Node identity.
-    pub node: String,
-    /// Address clients should connect to.
-    pub addr: String,
-    /// Snapshot epoch the node last reported.
-    pub epoch: u64,
-    /// Model fingerprint the node last reported.
-    pub fingerprint: String,
-    /// In-flight count the node last reported.
-    pub inflight: u64,
-    /// Lease generation (re-registrations increment it).
-    pub generation: u64,
-    /// Milliseconds since the lease was last renewed.
-    pub age_ms: u64,
-    /// The lease's granted TTL in milliseconds — `ttl_ms - age_ms` is
-    /// the time left until the sweeper reaps it.
-    pub ttl_ms: u64,
-}
-
-/// The `status` reply body: the operator's one-call cluster view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterStatus {
-    /// Live leases in node-id order (with deadlines via `ttl_ms`).
-    pub nodes: Vec<NodeEntry>,
-    /// The shard ring over that membership (`None` when empty).
-    pub ring: Option<RingInfo>,
-    /// The most recently announced model version, if any.
-    pub version: Option<String>,
-    /// Milliseconds since the registry started.
-    pub uptime_ms: u64,
-}
-
-/// The success payload of a registry response, tagged by `kind`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RegistryReply {
-    /// `ping` succeeded.
-    Pong,
-    /// `register` / `heartbeat` succeeded: the lease terms.
-    Lease {
-        /// Lease generation (restart detector).
-        generation: u64,
-        /// Granted TTL in milliseconds.
-        ttl_ms: u64,
-        /// The most recently announced model version, if any — lets a
-        /// late-joining node catch up without waiting for a push.
-        version: Option<String>,
-        /// The current shard ring — lets the node recompute its shard
-        /// set on every lease grant/renewal without a second round trip.
-        ring: Option<RingInfo>,
-    },
-    /// `deregister` result.
-    Deregistered {
-        /// Whether the node held a lease to remove.
-        removed: bool,
-    },
-    /// `nodes` result: the live routing table.
-    Nodes {
-        /// Live leases in node-id order.
-        nodes: Vec<NodeEntry>,
-        /// The most recently announced model version, if any.
-        version: Option<String>,
-        /// The shard ring over that membership, so clients route
-        /// shard-aware from the table they already fetch.
-        ring: Option<RingInfo>,
-    },
-    /// `announce` result.
-    Announced {
-        /// Subscribers the invalidation was pushed to.
-        subscribers: u64,
-    },
-    /// `subscribe` acknowledged; event lines follow on this connection.
-    Subscribed {
-        /// The most recently announced model version, if any.
-        version: Option<String>,
-    },
-    /// `stats` result.
-    Stats {
-        /// Live leases right now.
-        nodes: u64,
-        /// Registrations granted since start.
-        registers: u64,
-        /// Heartbeats renewed since start.
-        heartbeats: u64,
-        /// Leases expired by the sweeper or lazy reaping since start.
-        expirations: u64,
-        /// Version announcements since start.
-        announcements: u64,
-        /// Milliseconds since the registry started.
-        uptime_ms: u64,
-    },
-    /// `status` result.
-    Status(ClusterStatus),
 }
 
 /// One registry response: echoed id + reply or structured error.
@@ -299,489 +123,272 @@ impl Response {
     }
 }
 
-/// An unsolicited push line sent to subscribed connections.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A new model version was announced: reload now.
-    Invalidate {
-        /// The announced version label.
-        version: String,
-    },
-    /// Cluster membership changed: this is the new shard ring. Every
-    /// subscribed node recomputes its shard set and starts a rebalance.
-    Ring {
-        /// The ring over the new membership.
-        ring: RingInfo,
-    },
-}
+crate::wire_messages! {
+    /// One live routing-table entry, as carried by the `nodes` reply.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct NodeEntry {
+        /// Node identity.
+        pub node: String,
+        /// Address clients should connect to.
+        pub addr: String,
+        /// Snapshot epoch the node last reported.
+        pub epoch: u64,
+        /// Model fingerprint the node last reported.
+        pub fingerprint: String,
+        /// In-flight count the node last reported.
+        pub inflight: u64,
+        /// Lease generation (re-registrations increment it).
+        pub generation: u64,
+        /// Milliseconds since the lease was last renewed.
+        pub age_ms: u64,
+        /// The lease's granted TTL in milliseconds — `ttl_ms - age_ms` is
+        /// the time left until the sweeper reaps it.
+        pub ttl_ms: u64,
+    }
 
-// ---- serialization ----
+    /// The `status` reply body: the operator's one-call cluster view.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub flat struct ClusterStatus {
+        /// Live leases in node-id order (with deadlines via `ttl_ms`).
+        pub nodes: Vec<NodeEntry>,
+        /// The shard ring over that membership (`None` when empty).
+        pub ring: Option<RingInfo>,
+        /// The most recently announced model version, if any.
+        pub version: Option<String>,
+        /// Milliseconds since the registry started.
+        pub uptime_ms: u64,
+    }
 
-fn push_opt_str(out: &mut String, v: &Option<String>) {
-    match v {
-        Some(s) => json::escape_into(out, s),
-        None => out.push_str("null"),
+    /// Every method of registry protocol version 1.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RegistryMethod: Request {
+        /// Liveness check.
+        Ping "ping",
+        /// Grant (or re-grant) a TTL lease for a serving node.
+        Register "register" {
+            /// The node's stable self-chosen identity.
+            node: String,
+            /// Address clients should connect to (`host:port`).
+            addr: String,
+            /// Snapshot epoch the node currently serves.
+            epoch: u64,
+            /// Model fingerprint (hex) the node currently serves.
+            fingerprint: String,
+            /// Requests in flight on the node right now.
+            inflight: u64,
+            /// Requested lease TTL in milliseconds.
+            ttl_ms: u64,
+        },
+        /// Renew a lease and refresh the node's serving report.
+        Heartbeat "heartbeat" {
+            /// The node's identity.
+            node: String,
+            /// Snapshot epoch the node currently serves.
+            epoch: u64,
+            /// Model fingerprint (hex) the node currently serves.
+            fingerprint: String,
+            /// Requests in flight on the node right now.
+            inflight: u64,
+        },
+        /// Drop a lease immediately (the node is draining).
+        Deregister "deregister" {
+            /// The node's identity.
+            node: String,
+        },
+        /// The current routing table: all live leases.
+        Nodes "nodes",
+        /// Announce a new model version; pushed to every subscriber.
+        Announce "announce" {
+            /// Opaque version label (typically a model fingerprint).
+            version: String,
+        },
+        /// Turn this connection into a push-invalidation subscriber.
+        Subscribe "subscribe" {
+            /// The subscribing node's identity (for logs/metrics).
+            node: String,
+        },
+        /// Registry statistics.
+        Stats "stats",
+        /// Full cluster status: routing table with lease deadlines, the
+        /// current shard ring, last announced version, uptime.
+        Status "status",
+    }
+
+    /// The success payload of a registry response, tagged by `kind`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RegistryReply: Reply {
+        /// `ping` succeeded.
+        Pong "pong",
+        /// `register` / `heartbeat` succeeded: the lease terms.
+        Lease "lease" {
+            /// Lease generation (restart detector).
+            generation: u64,
+            /// Granted TTL in milliseconds.
+            ttl_ms: u64,
+            /// The most recently announced model version, if any — lets a
+            /// late-joining node catch up without waiting for a push.
+            version: Option<String>,
+            /// The current shard ring — lets the node recompute its shard
+            /// set on every lease grant/renewal without a second round trip.
+            ring: Option<RingInfo>,
+        },
+        /// `deregister` result.
+        Deregistered "deregistered" {
+            /// Whether the node held a lease to remove.
+            removed: bool,
+        },
+        /// `nodes` result: the live routing table.
+        Nodes "nodes" {
+            /// Live leases in node-id order.
+            nodes: Vec<NodeEntry>,
+            /// The most recently announced model version, if any.
+            version: Option<String>,
+            /// The shard ring over that membership, so clients route
+            /// shard-aware from the table they already fetch.
+            ring: Option<RingInfo>,
+        },
+        /// `announce` result.
+        Announced "announced" {
+            /// Subscribers the invalidation was pushed to.
+            subscribers: u64,
+        },
+        /// `subscribe` acknowledged; event lines follow on this connection.
+        Subscribed "subscribed" {
+            /// The most recently announced model version, if any.
+            version: Option<String>,
+        },
+        /// `stats` result.
+        Stats "stats" {
+            /// Live leases right now.
+            nodes: u64,
+            /// Registrations granted since start.
+            registers: u64,
+            /// Heartbeats renewed since start.
+            heartbeats: u64,
+            /// Leases expired by the sweeper or lazy reaping since start.
+            expirations: u64,
+            /// Version announcements since start.
+            announcements: u64,
+            /// Milliseconds since the registry started.
+            uptime_ms: u64,
+        },
+        /// `status` result.
+        Status "status" (status: ClusterStatus),
+    }
+
+    /// An unsolicited push line sent to subscribed connections.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Event: Reply {
+        /// A new model version was announced: reload now.
+        Invalidate "invalidate" {
+            /// The announced version label.
+            version: String,
+        },
+        /// Cluster membership changed: this is the new shard ring. Every
+        /// subscribed node recomputes its shard set and starts a rebalance.
+        Ring "ring" {
+            /// The ring over the new membership.
+            ring: RingInfo,
+        },
     }
 }
 
 /// Ring epochs are 64-bit hashes, but wire numbers are capped at 2^53 —
 /// the epoch travels as a 16-digit hex string.
-fn push_ring(out: &mut String, ring: &RingInfo) {
-    out.push_str("{\"epoch\":");
-    json::escape_into(out, &ring.epoch_hex());
-    out.push_str(&format!(",\"replication\":{},\"vnodes\":{},\"nodes\":[", ring.replication, ring.vnodes));
-    for (i, n) in ring.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl Field for RingInfo {
+    fn write(&self, out: &mut String, k: &str) {
+        wire::key(out, k);
+        out.push('{');
+        self.epoch_hex().write(out, "epoch");
+        self.replication.write(out, "replication");
+        self.vnodes.write(out, "vnodes");
+        self.nodes.write(out, "nodes");
+        out.push('}');
+    }
+
+    fn read(obj: &Obj, k: &str, dir: Dir) -> Result<RingInfo, String> {
+        let r = json::get(obj, k).and_then(JsonValue::as_object).ok_or(format!("missing ring {k:?}"))?;
+        let epoch = parse_epoch_hex(&String::read(r, "epoch", dir)?).ok_or("ring epoch is not 16-digit hex")?;
+        let replication = u64::read(r, "replication", dir)?;
+        let vnodes = u64::read(r, "vnodes", dir)?;
+        Ok(RingInfo { epoch, replication, vnodes, nodes: Vec::read(r, "nodes", dir)? })
+    }
+}
+
+/// An optional ring is `null` when absent.
+impl Field for Option<RingInfo> {
+    fn write(&self, out: &mut String, k: &str) {
+        match self {
+            Some(ring) => ring.write(out, k),
+            None => {
+                wire::key(out, k);
+                out.push_str("null");
+            }
         }
-        json::escape_into(out, n);
     }
-    out.push_str("]}");
-}
 
-fn push_opt_ring(out: &mut String, ring: &Option<RingInfo>) {
-    match ring {
-        Some(r) => push_ring(out, r),
-        None => out.push_str("null"),
-    }
-}
-
-fn push_node_entry(s: &mut String, n: &NodeEntry) {
-    s.push_str("{\"node\":");
-    json::escape_into(s, &n.node);
-    s.push_str(",\"addr\":");
-    json::escape_into(s, &n.addr);
-    s.push_str(&format!(",\"epoch\":{},\"fingerprint\":", n.epoch));
-    json::escape_into(s, &n.fingerprint);
-    s.push_str(&format!(
-        ",\"inflight\":{},\"generation\":{},\"age_ms\":{},\"ttl_ms\":{}}}",
-        n.inflight, n.generation, n.age_ms, n.ttl_ms
-    ));
-}
-
-fn push_node_entries(s: &mut String, nodes: &[NodeEntry]) {
-    s.push('[');
-    for (i, n) in nodes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    fn read(obj: &Obj, k: &str, dir: Dir) -> Result<Option<RingInfo>, String> {
+        match json::get(obj, k) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(_) => RingInfo::read(obj, k, dir).map(Some),
         }
-        push_node_entry(s, n);
     }
-    s.push(']');
 }
+
+const ENVELOPE: Envelope = Envelope {
+    version: PROTOCOL_VERSION,
+    name: "registry protocol",
+    shard_key: false,
+    bad_request: codes::BAD_REQUEST,
+    unknown_method: codes::UNKNOWN_METHOD,
+    invalid_params: codes::INVALID_PARAMS,
+    bad_version: codes::BAD_VERSION,
+};
 
 impl Request {
     /// Serialize to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str(&format!("{{\"v\":{PROTOCOL_VERSION},\"id\":{},\"method\":", self.id));
-        json::escape_into(&mut s, self.method.name());
-        let mut params = String::new();
-        {
-            let p = &mut params;
-            let mut first = true;
-            let str_field = |p: &mut String, first: &mut bool, k: &str, v: &str| {
-                if !*first {
-                    p.push(',');
-                }
-                *first = false;
-                json::escape_into(p, k);
-                p.push(':');
-                json::escape_into(p, v);
-            };
-            let int_field = |p: &mut String, first: &mut bool, k: &str, v: u64| {
-                if !*first {
-                    p.push(',');
-                }
-                *first = false;
-                json::escape_into(p, k);
-                p.push_str(&format!(":{v}"));
-            };
-            match &self.method {
-                RegistryMethod::Ping
-                | RegistryMethod::Nodes
-                | RegistryMethod::Stats
-                | RegistryMethod::Status => {}
-                RegistryMethod::Register { node, addr, epoch, fingerprint, inflight, ttl_ms } => {
-                    str_field(p, &mut first, "node", node);
-                    str_field(p, &mut first, "addr", addr);
-                    int_field(p, &mut first, "epoch", *epoch);
-                    str_field(p, &mut first, "fingerprint", fingerprint);
-                    int_field(p, &mut first, "inflight", *inflight);
-                    int_field(p, &mut first, "ttl_ms", *ttl_ms);
-                }
-                RegistryMethod::Heartbeat { node, epoch, fingerprint, inflight } => {
-                    str_field(p, &mut first, "node", node);
-                    int_field(p, &mut first, "epoch", *epoch);
-                    str_field(p, &mut first, "fingerprint", fingerprint);
-                    int_field(p, &mut first, "inflight", *inflight);
-                }
-                RegistryMethod::Deregister { node } | RegistryMethod::Subscribe { node } => {
-                    str_field(p, &mut first, "node", node)
-                }
-                RegistryMethod::Announce { version } => {
-                    str_field(p, &mut first, "version", version)
-                }
-            }
-        }
-        if !params.is_empty() {
-            s.push_str(",\"params\":{");
-            s.push_str(&params);
-            s.push('}');
-        }
-        s.push('}');
-        s
-    }
-}
-
-impl RegistryReply {
-    fn payload_to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        s.push_str("{\"kind\":");
-        match self {
-            RegistryReply::Pong => s.push_str("\"pong\""),
-            RegistryReply::Lease { generation, ttl_ms, version, ring } => {
-                s.push_str(&format!(
-                    "\"lease\",\"generation\":{generation},\"ttl_ms\":{ttl_ms},\"version\":"
-                ));
-                push_opt_str(&mut s, version);
-                s.push_str(",\"ring\":");
-                push_opt_ring(&mut s, ring);
-            }
-            RegistryReply::Deregistered { removed } => {
-                s.push_str(&format!("\"deregistered\",\"removed\":{removed}"))
-            }
-            RegistryReply::Nodes { nodes, version, ring } => {
-                s.push_str("\"nodes\",\"nodes\":");
-                push_node_entries(&mut s, nodes);
-                s.push_str(",\"version\":");
-                push_opt_str(&mut s, version);
-                s.push_str(",\"ring\":");
-                push_opt_ring(&mut s, ring);
-            }
-            RegistryReply::Announced { subscribers } => {
-                s.push_str(&format!("\"announced\",\"subscribers\":{subscribers}"))
-            }
-            RegistryReply::Subscribed { version } => {
-                s.push_str("\"subscribed\",\"version\":");
-                push_opt_str(&mut s, version);
-            }
-            RegistryReply::Stats {
-                nodes,
-                registers,
-                heartbeats,
-                expirations,
-                announcements,
-                uptime_ms,
-            } => s.push_str(&format!(
-                "\"stats\",\"nodes\":{nodes},\"registers\":{registers},\
-                 \"heartbeats\":{heartbeats},\"expirations\":{expirations},\
-                 \"announcements\":{announcements},\"uptime_ms\":{uptime_ms}"
-            )),
-            RegistryReply::Status(status) => {
-                s.push_str("\"status\",\"nodes\":");
-                push_node_entries(&mut s, &status.nodes);
-                s.push_str(",\"ring\":");
-                push_opt_ring(&mut s, &status.ring);
-                s.push_str(",\"version\":");
-                push_opt_str(&mut s, &status.version);
-                s.push_str(&format!(",\"uptime_ms\":{}", status.uptime_ms));
-            }
-        }
-        s.push('}');
-        s
+        ENVELOPE.write_request(self.id, self.method.name(), None, |s| self.method.write_fields(s))
     }
 }
 
 impl Response {
     /// Serialize to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str(&format!("{{\"v\":{PROTOCOL_VERSION},\"id\":{},", self.id));
         match &self.result {
-            Ok(reply) => {
-                s.push_str("\"ok\":");
-                s.push_str(&reply.payload_to_json());
-            }
-            Err(e) => {
-                s.push_str("\"error\":{\"code\":");
-                json::escape_into(&mut s, &e.code);
-                s.push_str(",\"message\":");
-                json::escape_into(&mut s, &e.message);
-                s.push('}');
-            }
+            Ok(reply) => ENVELOPE.write_ok(self.id, reply.name(), |s| reply.write_fields(s)),
+            Err(e) => ENVELOPE.write_error(self.id, &e.code, &e.message),
         }
-        s.push('}');
-        s
     }
 }
 
 impl Event {
     /// Serialize to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        match self {
-            Event::Invalidate { version } => {
-                let mut s = String::with_capacity(64);
-                s.push_str(&format!(
-                    "{{\"v\":{PROTOCOL_VERSION},\"event\":{{\"kind\":\"invalidate\",\"version\":"
-                ));
-                json::escape_into(&mut s, version);
-                s.push_str("}}");
-                s
-            }
-            Event::Ring { ring } => {
-                let mut s = String::with_capacity(128);
-                s.push_str(&format!(
-                    "{{\"v\":{PROTOCOL_VERSION},\"event\":{{\"kind\":\"ring\",\"ring\":"
-                ));
-                push_ring(&mut s, ring);
-                s.push_str("}}");
-                s
-            }
-        }
+        ENVELOPE.write_event(self.name(), |s| self.write_fields(s))
     }
-}
-
-// ---- parsing ----
-
-type Obj = [(String, JsonValue)];
-
-fn get_str(obj: &Obj, key: &str) -> Result<String, RegistryError> {
-    json::get(obj, key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| RegistryError::invalid_params(format!("missing string field {key:?}")))
-}
-
-fn get_u64(obj: &Obj, key: &str) -> Result<u64, RegistryError> {
-    let n = json::get(obj, key)
-        .and_then(JsonValue::as_number)
-        .ok_or_else(|| RegistryError::invalid_params(format!("missing numeric field {key:?}")))?;
-    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
-        return Err(RegistryError::invalid_params(format!("field {key:?} is not a u53 integer")));
-    }
-    Ok(n as u64)
-}
-
-fn opt_str(obj: &Obj, key: &str) -> Option<String> {
-    json::get(obj, key).and_then(JsonValue::as_str).map(str::to_string)
-}
-
-/// Parse an optional `"ring"` object (absent or `null` → `None`).
-fn parse_opt_ring(obj: &Obj, key: &str) -> Result<Option<RingInfo>, String> {
-    let Some(v) = json::get(obj, key) else {
-        return Ok(None);
-    };
-    if matches!(v, JsonValue::Null) {
-        return Ok(None);
-    }
-    let r = v.as_object().ok_or(format!("{key:?} is not an object"))?;
-    parse_ring_obj(r).map(Some)
-}
-
-fn parse_ring_obj(r: &Obj) -> Result<RingInfo, String> {
-    let epoch_hex = opt_str(r, "epoch").ok_or("ring missing epoch")?;
-    let epoch = parse_epoch_hex(&epoch_hex).ok_or("ring epoch is not 16-digit hex")?;
-    let num = |k: &str| -> Result<u64, String> {
-        json::get(r, k)
-            .and_then(JsonValue::as_number)
-            .map(|n| n as u64)
-            .ok_or(format!("ring missing number {k:?}"))
-    };
-    let mut nodes = Vec::new();
-    for v in json::get(r, "nodes").and_then(JsonValue::as_array).ok_or("ring missing nodes")? {
-        nodes.push(v.as_str().ok_or("ring node is not a string")?.to_string());
-    }
-    Ok(RingInfo { epoch, replication: num("replication")?, vnodes: num("vnodes")?, nodes })
 }
 
 /// Parse one request line. On error, the recovered correlation id (if
 /// any) rides along so the daemon can still address its error response.
 pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, RegistryError)> {
-    let v = json::parse(line).map_err(|e| (None, RegistryError::bad_request(e)))?;
-    let obj = v
-        .as_object()
-        .ok_or_else(|| (None, RegistryError::bad_request("request is not a JSON object")))?;
-    let id = json::get(obj, "id")
-        .and_then(JsonValue::as_number)
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64);
-    let fail = |e: RegistryError| (id, e);
-    let id_val =
-        id.ok_or_else(|| fail(RegistryError::bad_request("missing or non-integer \"id\"")))?;
-    let version = json::get(obj, "v").and_then(JsonValue::as_number);
-    if version != Some(PROTOCOL_VERSION as f64) {
-        return Err(fail(RegistryError::new(
-            codes::BAD_VERSION,
-            format!("unsupported registry protocol version (want {PROTOCOL_VERSION})"),
-        )));
-    }
-    let method_name = json::get(obj, "method")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| fail(RegistryError::bad_request("missing \"method\"")))?;
-    static EMPTY: &Obj = &[];
-    let params: &Obj = match json::get(obj, "params") {
-        None => EMPTY,
-        Some(p) => p
-            .as_object()
-            .ok_or_else(|| fail(RegistryError::invalid_params("\"params\" is not an object")))?,
-    };
-    let method = (|| -> Result<RegistryMethod, RegistryError> {
-        Ok(match method_name {
-            "ping" => RegistryMethod::Ping,
-            "register" => RegistryMethod::Register {
-                node: get_str(params, "node")?,
-                addr: get_str(params, "addr")?,
-                epoch: get_u64(params, "epoch")?,
-                fingerprint: get_str(params, "fingerprint")?,
-                inflight: get_u64(params, "inflight")?,
-                ttl_ms: get_u64(params, "ttl_ms")?,
-            },
-            "heartbeat" => RegistryMethod::Heartbeat {
-                node: get_str(params, "node")?,
-                epoch: get_u64(params, "epoch")?,
-                fingerprint: get_str(params, "fingerprint")?,
-                inflight: get_u64(params, "inflight")?,
-            },
-            "deregister" => RegistryMethod::Deregister { node: get_str(params, "node")? },
-            "nodes" => RegistryMethod::Nodes,
-            "announce" => RegistryMethod::Announce { version: get_str(params, "version")? },
-            "subscribe" => RegistryMethod::Subscribe { node: get_str(params, "node")? },
-            "stats" => RegistryMethod::Stats,
-            "status" => RegistryMethod::Status,
-            other => {
-                return Err(RegistryError::new(
-                    codes::UNKNOWN_METHOD,
-                    format!("unknown method {other:?}"),
-                ))
-            }
-        })
-    })()
-    .map_err(fail)?;
-    Ok(Request { id: id_val, method })
-}
-
-fn parse_reply(obj: &Obj) -> Result<RegistryReply, String> {
-    let int = |k: &str| -> Result<u64, String> {
-        json::get(obj, k)
-            .and_then(JsonValue::as_number)
-            .map(|n| n as u64)
-            .ok_or(format!("missing number {k:?}"))
-    };
-    let kind = opt_str(obj, "kind").ok_or("reply has no kind tag")?;
-    Ok(match kind.as_str() {
-        "pong" => RegistryReply::Pong,
-        "lease" => RegistryReply::Lease {
-            generation: int("generation")?,
-            ttl_ms: int("ttl_ms")?,
-            version: opt_str(obj, "version"),
-            ring: parse_opt_ring(obj, "ring")?,
-        },
-        "deregistered" => RegistryReply::Deregistered {
-            removed: json::get(obj, "removed")
-                .and_then(JsonValue::as_bool)
-                .ok_or("missing removed")?,
-        },
-        "nodes" => RegistryReply::Nodes {
-            nodes: parse_node_entries(obj)?,
-            version: opt_str(obj, "version"),
-            ring: parse_opt_ring(obj, "ring")?,
-        },
-        "announced" => RegistryReply::Announced { subscribers: int("subscribers")? },
-        "subscribed" => RegistryReply::Subscribed { version: opt_str(obj, "version") },
-        "stats" => RegistryReply::Stats {
-            nodes: int("nodes")?,
-            registers: int("registers")?,
-            heartbeats: int("heartbeats")?,
-            expirations: int("expirations")?,
-            announcements: int("announcements")?,
-            uptime_ms: int("uptime_ms")?,
-        },
-        "status" => RegistryReply::Status(ClusterStatus {
-            nodes: parse_node_entries(obj)?,
-            ring: parse_opt_ring(obj, "ring")?,
-            version: opt_str(obj, "version"),
-            uptime_ms: int("uptime_ms")?,
-        }),
-        other => return Err(format!("unknown reply kind {other:?}")),
-    })
-}
-
-fn parse_node_entries(obj: &Obj) -> Result<Vec<NodeEntry>, String> {
-    let mut nodes = Vec::new();
-    for v in json::get(obj, "nodes").and_then(JsonValue::as_array).ok_or("missing nodes array")? {
-        let n = v.as_object().ok_or("node entry is not an object")?;
-        let nint = |k: &str| -> Result<u64, String> {
-            json::get(n, k)
-                .and_then(JsonValue::as_number)
-                .map(|x| x as u64)
-                .ok_or(format!("node entry missing {k:?}"))
-        };
-        nodes.push(NodeEntry {
-            node: opt_str(n, "node").ok_or("node entry missing node")?,
-            addr: opt_str(n, "addr").ok_or("node entry missing addr")?,
-            epoch: nint("epoch")?,
-            fingerprint: opt_str(n, "fingerprint").ok_or("node entry missing fingerprint")?,
-            inflight: nint("inflight")?,
-            generation: nint("generation")?,
-            age_ms: nint("age_ms")?,
-            ttl_ms: nint("ttl_ms")?,
-        });
-    }
-    Ok(nodes)
+    ENVELOPE
+        .parse_request(line, RegistryMethod::read_fields)
+        .map(|p| Request { id: p.id, method: p.method })
+        .map_err(|(id, code, message)| (id, RegistryError::new(code, message)))
 }
 
 /// Parse one response line (the client side of the wire).
 pub fn parse_response(line: &str) -> Result<Response, String> {
-    let v = json::parse(line)?;
-    let obj = v.as_object().ok_or("response is not a JSON object")?;
-    let version = json::get(obj, "v").and_then(JsonValue::as_number);
-    if version != Some(PROTOCOL_VERSION as f64) {
-        return Err(format!("unsupported response version {version:?}"));
-    }
-    let id = json::get(obj, "id")
-        .and_then(JsonValue::as_number)
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .ok_or("missing response id")? as u64;
-    if let Some(err) = json::get(obj, "error") {
-        let err = err.as_object().ok_or("error is not an object")?;
-        return Ok(Response::err(
-            id,
-            RegistryError {
-                code: opt_str(err, "code").ok_or("missing error code")?,
-                message: opt_str(err, "message").ok_or("missing error message")?,
-            },
-        ));
-    }
-    let ok = json::get(obj, "ok")
-        .and_then(JsonValue::as_object)
-        .ok_or("response has neither ok nor error")?;
-    Ok(Response::ok(id, parse_reply(ok)?))
+    let (id, result) = ENVELOPE.parse_response(line, RegistryReply::read_fields)?;
+    Ok(Response { id, result: result.map_err(|(code, message)| RegistryError { code, message }) })
 }
 
 /// Probe a line for an unsolicited push event. `Ok(None)` means the line
 /// is not an event (likely a response — try [`parse_response`] next);
 /// `Err` means it claimed to be an event but was malformed.
 pub fn parse_event(line: &str) -> Result<Option<Event>, String> {
-    let v = json::parse(line)?;
-    let obj = v.as_object().ok_or("event line is not a JSON object")?;
-    let Some(ev) = json::get(obj, "event") else {
-        return Ok(None);
-    };
-    let ev = ev.as_object().ok_or("\"event\" is not an object")?;
-    match opt_str(ev, "kind").as_deref() {
-        Some("invalidate") => Ok(Some(Event::Invalidate {
-            version: opt_str(ev, "version").ok_or("invalidate event missing version")?,
-        })),
-        Some("ring") => {
-            let r = json::get(ev, "ring")
-                .and_then(JsonValue::as_object)
-                .ok_or("ring event missing ring object")?;
-            Ok(Some(Event::Ring { ring: parse_ring_obj(r)? }))
-        }
-        Some(other) => Err(format!("unknown event kind {other:?}")),
-        None => Err("event has no kind tag".to_string()),
-    }
+    ENVELOPE.parse_event(line, Event::read_fields)
 }
 
 #[cfg(test)]

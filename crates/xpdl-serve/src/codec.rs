@@ -26,6 +26,16 @@
 //! what parsing the JSON form of the same message yields (property-tested
 //! per method in `tests/codec_prop.rs`).
 //!
+//! Nothing here is written per message. The protocol's message table
+//! (`serve_messages!` in [`protocol`](crate::protocol)) is expanded a
+//! second time by this module's `binary_codec!`, which generates the
+//! frame codes, [`METHOD_TABLE`]/[`REPLY_TABLE`] and each variant's
+//! encode and decode arm; every arm calls the `Bin` impl of its field's
+//! type. A type's encoding depends only on the message direction: request
+//! integers must be u53 and request floats finite, reply floats go as NaN
+//! when non-finite, and a string list's count is a `u16` in requests and
+//! a `u32` in replies (node attributes always `u16`).
+//!
 //! [`StrRef`]: self#string-references
 //!
 //! # String references
@@ -44,12 +54,14 @@
 //! overflow strings simply go inline forever.
 
 use crate::protocol::{
-    codes, AccelInfo, Method, NodeInfo, Reply, Request, Response, ServeError, TransferInfo,
+    serve_messages, AccelInfo, Method, NodeInfo, Reply, Request, Response, ServeError, TransferInfo,
 };
 use crate::stats::StatsSnapshot;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use xpdl_core::diag::json;
+use xpdl_obs::MetricsSnapshot;
+use xpdl_registry::wire::{Dir, Record};
 
 /// Wire encodings this build speaks, in the order the server prefers
 /// them when several are offered.
@@ -115,127 +127,33 @@ pub fn client_hello(id: u64) -> Request {
 
 // ---- method / reply code tables ----
 //
-// Codes are assigned in declaration order of the protocol enums and are
-// frozen: a new method gets the next free code, a removed one leaves a
-// hole. docs/WIRE.md carries the same tables; tests/wire_spec.rs diffs
-// them against these constants.
+// Codes come from the message table and are frozen: a new method gets
+// the next free code, a removed one leaves a hole. docs/WIRE.md carries
+// the same tables; tests/wire_spec.rs diffs them against these constants.
 
 /// `(wire name, frame code)` for every request method of protocol v1.
-pub const METHOD_TABLE: &[(&str, u8)] = &[
-    ("ping", 0x01),
-    ("health", 0x02),
-    ("model_info", 0x03),
-    ("find", 0x04),
-    ("get_attr", 0x05),
-    ("get_number", 0x06),
-    ("elements_of_kind", 0x07),
-    ("num_cores", 0x08),
-    ("num_cuda_devices", 0x09),
-    ("total_static_power", 0x0a),
-    ("has_installed", 0x0b),
-    ("estimate_transfer", 0x0c),
-    ("estimate_accelerator_use", 0x0d),
-    ("estimate_static_energy", 0x0e),
-    ("stats", 0x0f),
-    ("metrics", 0x10),
-    ("reload", 0x11),
-    ("shutdown", 0x12),
-    ("sleep", 0x13),
-    ("shards", 0x14),
-    ("hello", 0x15),
-];
+pub const METHOD_TABLE: &[(&str, u8)] = Method::CODES;
 
 /// `(payload kind, frame code)` for every response of protocol v1.
 /// `error` is `0x00`; success kinds follow in declaration order.
-pub const REPLY_TABLE: &[(&str, u8)] = &[
-    ("error", 0x00),
-    ("pong", 0x01),
-    ("health", 0x02),
-    ("model_info", 0x03),
-    ("node", 0x04),
-    ("attr", 0x05),
-    ("number", 0x06),
-    ("idents", 0x07),
-    ("count", 0x08),
-    ("power", 0x09),
-    ("flag", 0x0a),
-    ("transfer", 0x0b),
-    ("accelerator", 0x0c),
-    ("energy", 0x0d),
-    ("stats", 0x0e),
-    ("metrics", 0x0f),
-    ("reloaded", 0x10),
-    ("shutting_down", 0x11),
-    ("slept", 0x12),
-    ("shards", 0x13),
-    ("hello", 0x14),
-];
+pub const REPLY_TABLE: &[(&str, u8)] = &with_error_row::<{ Reply::CODES.len() + 1 }>(Reply::CODES);
 
 /// Every stable error code of the serving stage, in `docs/WIRE.md` table
 /// order (the `wire_spec` test keeps the two in lockstep).
-pub const ERROR_CODE_TABLE: &[(&str, &str)] = &[
-    (codes::MODEL_IO, "MODEL_IO"),
-    (codes::MODEL_DECODE, "MODEL_DECODE"),
-    (codes::COMPILE_FAILED, "COMPILE_FAILED"),
-    (codes::BAD_REQUEST, "BAD_REQUEST"),
-    (codes::UNKNOWN_METHOD, "UNKNOWN_METHOD"),
-    (codes::INVALID_PARAMS, "INVALID_PARAMS"),
-    (codes::BAD_VERSION, "BAD_VERSION"),
-    (codes::LINE_TOO_LONG, "LINE_TOO_LONG"),
-    (codes::BAD_FRAME, "BAD_FRAME"),
-    (codes::OVERLOADED, "OVERLOADED"),
-    (codes::DEADLINE_EXCEEDED, "DEADLINE_EXCEEDED"),
-    (codes::SHUTTING_DOWN, "SHUTTING_DOWN"),
-    (codes::DEBUG_DISABLED, "DEBUG_DISABLED"),
-    (codes::SHUTDOWN_DISABLED, "SHUTDOWN_DISABLED"),
-    (codes::RELOAD_FAILED, "RELOAD_FAILED"),
-    (codes::DRAINING, "DRAINING"),
-    (codes::NOT_OWNER, "NOT_OWNER"),
-];
+pub const ERROR_CODE_TABLE: &[(&str, &str)] = crate::protocol::ERROR_CODE_TABLE;
 
-const M_PING: u8 = 0x01;
-const M_HEALTH: u8 = 0x02;
-const M_MODEL_INFO: u8 = 0x03;
-const M_FIND: u8 = 0x04;
-const M_GET_ATTR: u8 = 0x05;
-const M_GET_NUMBER: u8 = 0x06;
-const M_ELEMENTS_OF_KIND: u8 = 0x07;
-const M_NUM_CORES: u8 = 0x08;
-const M_NUM_CUDA_DEVICES: u8 = 0x09;
-const M_TOTAL_STATIC_POWER: u8 = 0x0a;
-const M_HAS_INSTALLED: u8 = 0x0b;
-const M_ESTIMATE_TRANSFER: u8 = 0x0c;
-const M_ESTIMATE_ACCELERATOR_USE: u8 = 0x0d;
-const M_ESTIMATE_STATIC_ENERGY: u8 = 0x0e;
-const M_STATS: u8 = 0x0f;
-const M_METRICS: u8 = 0x10;
-const M_RELOAD: u8 = 0x11;
-const M_SHUTDOWN: u8 = 0x12;
-const M_SLEEP: u8 = 0x13;
-const M_SHARDS: u8 = 0x14;
-const M_HELLO: u8 = 0x15;
+/// The frame code of an error response.
+const ERROR: u8 = 0x00;
 
-const R_ERROR: u8 = 0x00;
-const R_PONG: u8 = 0x01;
-const R_HEALTH: u8 = 0x02;
-const R_MODEL_INFO: u8 = 0x03;
-const R_NODE: u8 = 0x04;
-const R_ATTR: u8 = 0x05;
-const R_NUMBER: u8 = 0x06;
-const R_IDENTS: u8 = 0x07;
-const R_COUNT: u8 = 0x08;
-const R_POWER: u8 = 0x09;
-const R_FLAG: u8 = 0x0a;
-const R_TRANSFER: u8 = 0x0b;
-const R_ACCELERATOR: u8 = 0x0c;
-const R_ENERGY: u8 = 0x0d;
-const R_STATS: u8 = 0x0e;
-const R_METRICS: u8 = 0x0f;
-const R_RELOADED: u8 = 0x10;
-const R_SHUTTING_DOWN: u8 = 0x11;
-const R_SLEPT: u8 = 0x12;
-const R_SHARDS: u8 = 0x13;
-const R_HELLO: u8 = 0x14;
+const fn with_error_row<const N: usize>(codes: &[(&'static str, u8)]) -> [(&'static str, u8); N] {
+    let mut out = [("error", ERROR); N];
+    let mut i = 0;
+    while i < codes.len() {
+        out[i + 1] = codes[i];
+        i += 1;
+    }
+    out
+}
 
 const TAG_INLINE: u8 = 0x00;
 const TAG_REF: u8 = 0x01;
@@ -368,25 +286,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// A u64 param constrained like the JSON path's u53 rule, so a value
-    /// is valid on this wire iff it is valid on the JSON wire.
-    fn u53(&mut self, what: &str) -> DResult<u64> {
-        let v = self.u64(what)?;
-        if v > (1u64 << 53) {
-            return Err(DecodeErr::Params(format!("field {what:?} is not a u53 integer")));
-        }
-        Ok(v)
-    }
-
-    /// A float param constrained like the JSON path (finite only).
-    fn finite_f64(&mut self, what: &str) -> DResult<f64> {
-        let v = self.f64(what)?;
-        if !v.is_finite() {
-            return Err(DecodeErr::Params(format!("field {what:?} is not finite")));
-        }
-        Ok(v)
-    }
-
     fn str_ref(&mut self, strings: &mut StrDecoder, what: &str) -> DResult<String> {
         let utf8 = |bytes: &[u8]| -> DResult<String> {
             String::from_utf8(bytes.to_vec())
@@ -422,12 +321,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn opt_str_ref(&mut self, strings: &mut StrDecoder, what: &str) -> DResult<Option<String>> {
-        if self.bool(what)? {
-            Ok(Some(self.str_ref(strings, what)?))
-        } else {
-            Ok(None)
-        }
+    /// A list count: `u16` in requests, `u32` in replies.
+    fn count(&mut self, what: &str, dir: Dir) -> DResult<usize> {
+        Ok(match dir {
+            Dir::Request => self.u16(what)? as usize,
+            Dir::Reply => self.u32(what)? as usize,
+        })
     }
 
     fn finish(self, what: &str) -> DResult<()> {
@@ -441,107 +340,287 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn write_opt_str(out: &mut Vec<u8>, strings: &mut StrEncoder, v: Option<&str>) {
-    match v {
-        Some(s) => {
-            out.push(1);
-            strings.write(out, s);
-        }
-        None => out.push(0),
+// ---- field types ----
+
+/// A field type's binary form (see the module docs for the rules `dir`
+/// selects).
+trait Bin: Sized {
+    fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, dir: Dir);
+    fn get(c: &mut Cursor<'_>, s: &mut StrDecoder, what: &str, dir: Dir) -> DResult<Self>;
+}
+
+impl Bin for String {
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, _: Dir) {
+        s.write(b, self);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>, s: &mut StrDecoder, what: &str, _: Dir) -> DResult<String> {
+        c.str_ref(s, what)
     }
 }
 
-/// Prepend the `u32` length prefix to a finished frame body.
-fn with_len_prefix(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 4);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+impl Bin for Option<String> {
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, dir: Dir) {
+        self.is_some().put(b, s, dir);
+        if let Some(v) = self {
+            s.write(b, v);
+        }
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>, s: &mut StrDecoder, what: &str, _: Dir) -> DResult<Option<String>> {
+        Ok(if c.bool(what)? { Some(c.str_ref(s, what)?) } else { None })
+    }
+}
+
+impl Bin for u64 {
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, _: &mut StrEncoder, _: Dir) {
+        b.extend_from_slice(&self.to_le_bytes());
+    }
+    /// A request integer follows the JSON wire's u53 rule, so a value is
+    /// valid on this wire iff it is valid on the JSON wire.
+    #[inline]
+    fn get(c: &mut Cursor<'_>, _: &mut StrDecoder, what: &str, dir: Dir) -> DResult<u64> {
+        let v = c.u64(what)?;
+        if dir == Dir::Request && v > (1u64 << 53) {
+            return Err(DecodeErr::Params(format!("field {what:?} is not a u53 integer")));
+        }
+        Ok(v)
+    }
+}
+
+impl Bin for f64 {
+    /// A reply float that JSON would write as `null` goes as NaN.
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, _: &mut StrEncoder, dir: Dir) {
+        let x = if dir == Dir::Reply && !self.is_finite() { f64::NAN } else { *self };
+        b.extend_from_slice(&x.to_le_bytes());
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>, _: &mut StrDecoder, what: &str, dir: Dir) -> DResult<f64> {
+        let v = c.f64(what)?;
+        match dir {
+            _ if v.is_finite() => Ok(v),
+            Dir::Request => Err(DecodeErr::Params(format!("field {what:?} is not finite"))),
+            Dir::Reply => Ok(f64::NAN),
+        }
+    }
+}
+
+impl Bin for bool {
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, _: &mut StrEncoder, _: Dir) {
+        b.push(*self as u8);
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>, _: &mut StrDecoder, what: &str, _: Dir) -> DResult<bool> {
+        c.bool(what)
+    }
+}
+
+impl Bin for Vec<String> {
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, dir: Dir) {
+        match dir {
+            Dir::Request => b.extend_from_slice(&(self.len() as u16).to_le_bytes()),
+            Dir::Reply => b.extend_from_slice(&(self.len() as u32).to_le_bytes()),
+        }
+        for v in self {
+            s.write(b, v);
+        }
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>, s: &mut StrDecoder, what: &str, dir: Dir) -> DResult<Vec<String>> {
+        let n = c.count(what, dir)?;
+        let mut out = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            out.push(c.str_ref(s, what)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The `number` reply's value: a non-finite value is sent as absent,
+/// as JSON sends `null`.
+impl Bin for Option<f64> {
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, dir: Dir) {
+        match self {
+            Some(x) if x.is_finite() => {
+                b.push(1);
+                b.extend_from_slice(&x.to_le_bytes());
+            }
+            _ => false.put(b, s, dir),
+        }
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>, _: &mut StrDecoder, what: &str, _: Dir) -> DResult<Option<f64>> {
+        Ok(if c.bool(what)? { Some(c.f64(what)?) } else { None })
+    }
+}
+
+impl Bin for Vec<(String, String)> {
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, _: Dir) {
+        b.extend_from_slice(&(self.len() as u16).to_le_bytes());
+        for (k, v) in self {
+            s.write(b, k);
+            s.write(b, v);
+        }
+    }
+    #[inline]
+    fn get(c: &mut Cursor<'_>, s: &mut StrDecoder, what: &str, _: Dir) -> DResult<Self> {
+        let n = c.u16(what)? as usize;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push((c.str_ref(s, what)?, c.str_ref(s, what)?));
+        }
+        Ok(out)
+    }
+}
+
+/// Introspection payloads are deep maps that change shape with the
+/// metrics registry; they ride as length-prefixed JSON (identical bytes
+/// to the JSON wire's payload) rather than getting a bespoke binary
+/// layout. Hot-path replies never do this.
+macro_rules! embedded_json {
+    ($($T:ty),*) => { $(
+        impl Bin for $T {
+            fn put(&self, b: &mut Vec<u8>, _: &mut StrEncoder, _: Dir) {
+                let mut body = String::from("{");
+                self.write_fields(&mut body);
+                body.push('}');
+                b.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                b.extend_from_slice(body.as_bytes());
+            }
+            fn get(c: &mut Cursor<'_>, _: &mut StrDecoder, what: &str, _: Dir) -> DResult<Self> {
+                let len = c.u32(what)? as usize;
+                let body = std::str::from_utf8(c.take(len, what)?)
+                    .map_err(|_| DecodeErr::Frame(format!("invalid UTF-8 in embedded {what} JSON")))?;
+                let v = json::parse(body).map_err(DecodeErr::Frame)?;
+                let obj = v.as_object().ok_or_else(|| DecodeErr::Frame(format!("{what} is not an object")))?;
+                <$T as Record>::read_fields(obj).map_err(DecodeErr::Frame)
+            }
+        }
+    )* };
+}
+embedded_json!(StatsSnapshot, MetricsSnapshot);
+
+/// Expands the message table into binary codes and field codecs: a
+/// record's fields go in order (an optional record behind a `found`
+/// bool), and each enum gets `CODES`, `code()`, `put_fields` and
+/// `get_fields`.
+macro_rules! binary_codec {
+    () => {};
+    (
+        @record $R:ident { $( $(#[$fm:meta])* $fvis:vis $f:ident : $FT:ty $(= $fkey:literal)? ),* $(,)? }
+    ) => {
+        impl Bin for $R {
+            fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, dir: Dir) {
+                $( self.$f.put(b, s, dir); )*
+            }
+            fn get(c: &mut Cursor<'_>, s: &mut StrDecoder, _: &str, dir: Dir) -> DResult<Self> {
+                Ok($R { $( $f: Bin::get(c, s, stringify!($f), dir)?, )* })
+            }
+        }
+
+        impl Bin for Option<$R> {
+            fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, dir: Dir) {
+                self.is_some().put(b, s, dir);
+                if let Some(r) = self {
+                    r.put(b, s, dir);
+                }
+            }
+            fn get(c: &mut Cursor<'_>, s: &mut StrDecoder, what: &str, dir: Dir) -> DResult<Self> {
+                Ok(if c.bool("found")? { Some(Bin::get(c, s, what, dir)?) } else { None })
+            }
+        }
+    };
+    ($(#[$m:meta])* $vis:vis struct $R:ident { $($body:tt)* } $($rest:tt)*) => {
+        binary_codec!(@record $R { $($body)* });
+        binary_codec!($($rest)*);
+    };
+    ($(#[$m:meta])* $vis:vis flat struct $R:ident { $($body:tt)* } $($rest:tt)*) => {
+        binary_codec!(@record $R { $($body)* });
+        binary_codec!($($rest)*);
+    };
+    (
+        $(#[$m:meta])* $vis:vis enum $E:ident : $dir:ident {
+            $(
+                $(#[$vm:meta])* $V:ident = $code:literal $name:literal
+                $( { $( $(#[$fm:meta])* $f:ident : $FT:ty ),* $(,)? } )?
+                $( ( $t:ident : $TT:ty ) )?
+            ),* $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        impl $E {
+            /// `(wire name, frame code)` of every variant.
+            const CODES: &'static [(&'static str, u8)] = &[$( ($name, $code), )*];
+
+            fn code(&self) -> u8 {
+                match self {
+                    $( Self::$V { .. } => $code, )*
+                }
+            }
+
+            #[allow(unused_variables)]
+            fn put_fields(&self, b: &mut Vec<u8>, s: &mut StrEncoder) {
+                match self {
+                    $( Self::$V $({ $($f),* })? $(($t))? => {
+                        $($( $f.put(b, s, Dir::$dir); )*)?
+                        $( $t.put(b, s, Dir::$dir); )?
+                    } )*
+                }
+            }
+
+            /// The variant with frame code `code`; `None` for an unknown code.
+            #[allow(unused_variables)]
+            fn get_fields(code: u8, c: &mut Cursor<'_>, s: &mut StrDecoder) -> DResult<Option<Self>> {
+                let dir = Dir::$dir;
+                Ok(Some(match code {
+                    $( $code => Self::$V
+                        $({ $( $f: Bin::get(c, s, stringify!($f), dir)? ),* })?
+                        $(( Bin::get(c, s, stringify!($t), dir)? ))?,
+                    )*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+
+        binary_codec!($($rest)*);
+    };
+}
+
+serve_messages!(binary_codec);
+
+/// One frame: length prefix, code, id, then whatever `body` appends.
+fn frame(code: u8, id: u64, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut b = Vec::with_capacity(36);
+    b.extend_from_slice(&[0; 4]);
+    b.push(code);
+    b.extend_from_slice(&id.to_le_bytes());
+    body(&mut b);
+    let len = (b.len() - 4) as u32;
+    b[..4].copy_from_slice(&len.to_le_bytes());
+    b
 }
 
 // ---- requests ----
 
 /// The frame code of a request method (its [`METHOD_TABLE`] row).
 pub fn method_code(method: &Method) -> u8 {
-    match method {
-        Method::Ping => M_PING,
-        Method::Health => M_HEALTH,
-        Method::ModelInfo => M_MODEL_INFO,
-        Method::Find { .. } => M_FIND,
-        Method::GetAttr { .. } => M_GET_ATTR,
-        Method::GetNumber { .. } => M_GET_NUMBER,
-        Method::ElementsOfKind { .. } => M_ELEMENTS_OF_KIND,
-        Method::NumCores => M_NUM_CORES,
-        Method::NumCudaDevices => M_NUM_CUDA_DEVICES,
-        Method::TotalStaticPower => M_TOTAL_STATIC_POWER,
-        Method::HasInstalled { .. } => M_HAS_INSTALLED,
-        Method::EstimateTransfer { .. } => M_ESTIMATE_TRANSFER,
-        Method::EstimateAcceleratorUse { .. } => M_ESTIMATE_ACCELERATOR_USE,
-        Method::EstimateStaticEnergy { .. } => M_ESTIMATE_STATIC_ENERGY,
-        Method::Stats => M_STATS,
-        Method::Metrics => M_METRICS,
-        Method::Reload => M_RELOAD,
-        Method::Shutdown => M_SHUTDOWN,
-        Method::Sleep { .. } => M_SLEEP,
-        Method::Shards => M_SHARDS,
-        Method::Hello { .. } => M_HELLO,
-    }
+    method.code()
 }
 
 /// Encode one request into a complete frame (length prefix included).
 pub fn encode_request(req: &Request, strings: &mut StrEncoder) -> Vec<u8> {
-    let mut b = Vec::with_capacity(32);
-    b.push(method_code(&req.method));
-    b.extend_from_slice(&req.id.to_le_bytes());
-    write_opt_str(&mut b, strings, req.shard_key.as_deref());
-    match &req.method {
-        Method::Ping
-        | Method::Health
-        | Method::ModelInfo
-        | Method::NumCores
-        | Method::NumCudaDevices
-        | Method::TotalStaticPower
-        | Method::Stats
-        | Method::Metrics
-        | Method::Reload
-        | Method::Shutdown
-        | Method::Shards => {}
-        Method::Find { ident } => strings.write(&mut b, ident),
-        Method::GetAttr { ident, attr } | Method::GetNumber { ident, attr } => {
-            strings.write(&mut b, ident);
-            strings.write(&mut b, attr);
-        }
-        Method::ElementsOfKind { kind } => strings.write(&mut b, kind),
-        Method::HasInstalled { prefix } => strings.write(&mut b, prefix),
-        Method::EstimateTransfer { link, bytes } => {
-            strings.write(&mut b, link);
-            b.extend_from_slice(&bytes.to_le_bytes());
-        }
-        Method::EstimateAcceleratorUse {
-            link,
-            upload_bytes,
-            download_bytes,
-            compute_s,
-            dynamic_power_w,
-        } => {
-            strings.write(&mut b, link);
-            b.extend_from_slice(&upload_bytes.to_le_bytes());
-            b.extend_from_slice(&download_bytes.to_le_bytes());
-            b.extend_from_slice(&compute_s.to_le_bytes());
-            b.extend_from_slice(&dynamic_power_w.to_le_bytes());
-        }
-        Method::EstimateStaticEnergy { duration_s } => {
-            b.extend_from_slice(&duration_s.to_le_bytes());
-        }
-        Method::Sleep { ms } => b.extend_from_slice(&ms.to_le_bytes()),
-        Method::Hello { encodings } => {
-            b.extend_from_slice(&(encodings.len() as u16).to_le_bytes());
-            for enc in encodings {
-                strings.write(&mut b, enc);
-            }
-        }
-    }
-    with_len_prefix(b)
+    frame(req.method.code(), req.id, |b| {
+        req.shard_key.put(b, strings, Dir::Request);
+        req.method.put_fields(b, strings);
+    })
 }
 
 /// Decode one request frame body (everything after the length prefix).
@@ -550,8 +629,9 @@ pub fn encode_request(req: &Request, strings: &mut StrEncoder) -> Vec<u8> {
 /// recovered correlation id (readable whenever the fixed header arrived
 /// intact) rides along so the server can address its error response.
 /// Parameter-level faults map to `S412` exactly as on the JSON wire;
-/// structural faults map to [`codes::BAD_FRAME`], after which the caller
-/// must close the connection because framing is lost.
+/// structural faults map to [`codes::BAD_FRAME`](crate::codes::BAD_FRAME),
+/// after which the caller must close the connection because framing is
+/// lost.
 pub fn decode_request(
     body: &[u8],
     strings: &mut StrDecoder,
@@ -568,57 +648,9 @@ pub fn decode_request(
     (|| -> DResult<Request> {
         let code = c.u8("method code")?;
         let id = c.u64("id")?;
-        let shard_key = c.opt_str_ref(strings, "shard")?;
-        let method = match code {
-            M_PING => Method::Ping,
-            M_HEALTH => Method::Health,
-            M_MODEL_INFO => Method::ModelInfo,
-            M_FIND => Method::Find { ident: c.str_ref(strings, "ident")? },
-            M_GET_ATTR => Method::GetAttr {
-                ident: c.str_ref(strings, "ident")?,
-                attr: c.str_ref(strings, "attr")?,
-            },
-            M_GET_NUMBER => Method::GetNumber {
-                ident: c.str_ref(strings, "ident")?,
-                attr: c.str_ref(strings, "attr")?,
-            },
-            M_ELEMENTS_OF_KIND => {
-                Method::ElementsOfKind { kind: c.str_ref(strings, "kind")? }
-            }
-            M_NUM_CORES => Method::NumCores,
-            M_NUM_CUDA_DEVICES => Method::NumCudaDevices,
-            M_TOTAL_STATIC_POWER => Method::TotalStaticPower,
-            M_HAS_INSTALLED => Method::HasInstalled { prefix: c.str_ref(strings, "prefix")? },
-            M_ESTIMATE_TRANSFER => Method::EstimateTransfer {
-                link: c.str_ref(strings, "link")?,
-                bytes: c.u53("bytes")?,
-            },
-            M_ESTIMATE_ACCELERATOR_USE => Method::EstimateAcceleratorUse {
-                link: c.str_ref(strings, "link")?,
-                upload_bytes: c.u53("upload_bytes")?,
-                download_bytes: c.u53("download_bytes")?,
-                compute_s: c.finite_f64("compute_s")?,
-                dynamic_power_w: c.finite_f64("dynamic_power_w")?,
-            },
-            M_ESTIMATE_STATIC_ENERGY => {
-                Method::EstimateStaticEnergy { duration_s: c.finite_f64("duration_s")? }
-            }
-            M_STATS => Method::Stats,
-            M_METRICS => Method::Metrics,
-            M_RELOAD => Method::Reload,
-            M_SHUTDOWN => Method::Shutdown,
-            M_SLEEP => Method::Sleep { ms: c.u53("ms")? },
-            M_SHARDS => Method::Shards,
-            M_HELLO => {
-                let n = c.u16("encoding count")?;
-                let mut encodings = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    encodings.push(c.str_ref(strings, "encoding")?);
-                }
-                Method::Hello { encodings }
-            }
-            other => return frame_err(format!("unknown method code {other:#04x}")),
-        };
+        let shard_key = Bin::get(&mut c, strings, "shard", Dir::Request)?;
+        let method = Method::get_fields(code, &mut c, strings)?
+            .ok_or_else(|| DecodeErr::Frame(format!("unknown method code {code:#04x}")))?;
         c.finish("request")?;
         Ok(Request { id, method, shard_key })
     })()
@@ -630,143 +662,17 @@ pub fn decode_request(
 /// Encode one response into a complete frame (length prefix included).
 ///
 /// Matches the JSON wire's value semantics: a non-finite `number` value
-/// is sent as absent (JSON sends `null`), so both encodings decode to
-/// the same `Reply`.
+/// is sent as absent (JSON sends `null`) and any other non-finite reply
+/// float as NaN (JSON's `null` reads back as NaN), so both encodings
+/// decode to the same `Reply`.
 pub fn encode_response(resp: &Response, strings: &mut StrEncoder) -> Vec<u8> {
-    let mut b = Vec::with_capacity(32);
-    let reply = match &resp.result {
-        Err(e) => {
-            b.push(R_ERROR);
-            b.extend_from_slice(&resp.id.to_le_bytes());
-            strings.write(&mut b, &e.code);
-            strings.write(&mut b, &e.message);
-            return with_len_prefix(b);
-        }
-        Ok(reply) => reply,
-    };
-    b.push(match reply {
-        Reply::Pong => R_PONG,
-        Reply::Health { .. } => R_HEALTH,
-        Reply::ModelInfo { .. } => R_MODEL_INFO,
-        Reply::Node(_) => R_NODE,
-        Reply::Attr(_) => R_ATTR,
-        Reply::Number(_) => R_NUMBER,
-        Reply::Idents { .. } => R_IDENTS,
-        Reply::Count(_) => R_COUNT,
-        Reply::Power(_) => R_POWER,
-        Reply::Flag(_) => R_FLAG,
-        Reply::Transfer(_) => R_TRANSFER,
-        Reply::Accelerator(_) => R_ACCELERATOR,
-        Reply::Energy(_) => R_ENERGY,
-        Reply::Stats(_) => R_STATS,
-        Reply::Metrics(_) => R_METRICS,
-        Reply::Reloaded { .. } => R_RELOADED,
-        Reply::ShuttingDown => R_SHUTTING_DOWN,
-        Reply::Slept { .. } => R_SLEPT,
-        Reply::Shards { .. } => R_SHARDS,
-        Reply::Hello { .. } => R_HELLO,
-    });
-    b.extend_from_slice(&resp.id.to_le_bytes());
-    match reply {
-        Reply::Pong | Reply::ShuttingDown => {}
-        Reply::Health { epoch, fingerprint, inflight, draining } => {
-            b.extend_from_slice(&epoch.to_le_bytes());
-            strings.write(&mut b, fingerprint);
-            b.extend_from_slice(&inflight.to_le_bytes());
-            b.push(*draining as u8);
-        }
-        Reply::ModelInfo { epoch, nodes, root_kind, root_ident, source, fingerprint } => {
-            b.extend_from_slice(&epoch.to_le_bytes());
-            b.extend_from_slice(&nodes.to_le_bytes());
-            strings.write(&mut b, root_kind);
-            write_opt_str(&mut b, strings, root_ident.as_deref());
-            strings.write(&mut b, source);
-            strings.write(&mut b, fingerprint);
-        }
-        Reply::Node(node) => match node {
-            None => b.push(0),
-            Some(n) => {
-                b.push(1);
-                strings.write(&mut b, &n.kind);
-                write_opt_str(&mut b, strings, n.ident.as_deref());
-                write_opt_str(&mut b, strings, n.type_ref.as_deref());
-                b.extend_from_slice(&(n.attrs.len() as u16).to_le_bytes());
-                for (k, v) in &n.attrs {
-                    strings.write(&mut b, k);
-                    strings.write(&mut b, v);
-                }
-            }
-        },
-        Reply::Attr(v) => write_opt_str(&mut b, strings, v.as_deref()),
-        Reply::Number(v) => match v {
-            Some(x) if x.is_finite() => {
-                b.push(1);
-                b.extend_from_slice(&x.to_le_bytes());
-            }
-            _ => b.push(0),
-        },
-        Reply::Idents { idents, count } => {
-            b.extend_from_slice(&(idents.len() as u32).to_le_bytes());
-            for id in idents {
-                strings.write(&mut b, id);
-            }
-            b.extend_from_slice(&count.to_le_bytes());
-        }
-        Reply::Count(n) => b.extend_from_slice(&n.to_le_bytes()),
-        Reply::Power(w) => b.extend_from_slice(&w.to_le_bytes()),
-        Reply::Flag(v) => b.push(*v as u8),
-        Reply::Transfer(t) => match t {
-            None => b.push(0),
-            Some(t) => {
-                b.push(1);
-                b.extend_from_slice(&t.time_s.to_le_bytes());
-                b.extend_from_slice(&t.energy_j.to_le_bytes());
-                b.extend_from_slice(&t.bandwidth_bps.to_le_bytes());
-            }
-        },
-        Reply::Accelerator(a) => match a {
-            None => b.push(0),
-            Some(a) => {
-                b.push(1);
-                b.extend_from_slice(&a.time_s.to_le_bytes());
-                b.extend_from_slice(&a.energy_j.to_le_bytes());
-            }
-        },
-        Reply::Energy(j) => b.extend_from_slice(&j.to_le_bytes()),
-        // Introspection payloads are deep maps that change shape with the
-        // metrics registry; they ride as length-prefixed JSON (identical
-        // bytes to the JSON wire's payload) rather than getting a bespoke
-        // binary layout. Hot-path replies above never do this.
-        Reply::Stats(st) => {
-            let mut fields = String::from("{");
-            st.fields_to_json(&mut fields);
-            fields.push('}');
-            b.extend_from_slice(&(fields.len() as u32).to_le_bytes());
-            b.extend_from_slice(fields.as_bytes());
-        }
-        Reply::Metrics(m) => {
-            let body = m.to_json();
-            b.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            b.extend_from_slice(body.as_bytes());
-        }
-        Reply::Reloaded { epoch, changed } => {
-            b.extend_from_slice(&epoch.to_le_bytes());
-            b.push(*changed as u8);
-        }
-        Reply::Slept { ms } => b.extend_from_slice(&ms.to_le_bytes()),
-        Reply::Shards { enabled, ring_epoch, owned, handoff } => {
-            b.push(*enabled as u8);
-            write_opt_str(&mut b, strings, ring_epoch.as_deref());
-            for list in [owned, handoff] {
-                b.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                for key in list {
-                    strings.write(&mut b, key);
-                }
-            }
-        }
-        Reply::Hello { encoding } => strings.write(&mut b, encoding),
+    match &resp.result {
+        Ok(reply) => frame(reply.code(), resp.id, |b| reply.put_fields(b, strings)),
+        Err(e) => frame(ERROR, resp.id, |b| {
+            strings.write(b, &e.code);
+            strings.write(b, &e.message);
+        }),
     }
-    with_len_prefix(b)
 }
 
 /// Decode one response frame body (everything after the length prefix).
@@ -777,125 +683,19 @@ pub fn decode_response(body: &[u8], strings: &mut StrDecoder) -> Result<Response
     (|| -> DResult<Response> {
         let code = c.u8("reply code")?;
         let id = c.u64("id")?;
-        if code == R_ERROR {
-            let error = ServeError {
-                code: c.str_ref(strings, "error code")?,
-                message: c.str_ref(strings, "error message")?,
-            };
-            c.finish("error")?;
-            return Ok(Response::err(id, error));
-        }
-        let reply = match code {
-            R_PONG => Reply::Pong,
-            R_HEALTH => Reply::Health {
-                epoch: c.u64("epoch")?,
-                fingerprint: c.str_ref(strings, "fingerprint")?,
-                inflight: c.u64("inflight")?,
-                draining: c.bool("draining")?,
-            },
-            R_MODEL_INFO => Reply::ModelInfo {
-                epoch: c.u64("epoch")?,
-                nodes: c.u64("nodes")?,
-                root_kind: c.str_ref(strings, "root_kind")?,
-                root_ident: c.opt_str_ref(strings, "root_ident")?,
-                source: c.str_ref(strings, "source")?,
-                fingerprint: c.str_ref(strings, "fingerprint")?,
-            },
-            R_NODE => Reply::Node(if c.bool("found")? {
-                let kind = c.str_ref(strings, "kind")?;
-                let ident = c.opt_str_ref(strings, "ident")?;
-                let type_ref = c.opt_str_ref(strings, "type")?;
-                let n = c.u16("attr count")?;
-                let mut attrs = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let k = c.str_ref(strings, "attr key")?;
-                    let v = c.str_ref(strings, "attr value")?;
-                    attrs.push((k, v));
-                }
-                Some(NodeInfo { kind, ident, type_ref, attrs })
-            } else {
-                None
-            }),
-            R_ATTR => Reply::Attr(c.opt_str_ref(strings, "value")?),
-            R_NUMBER => Reply::Number(if c.bool("present")? {
-                Some(c.f64("value")?)
-            } else {
-                None
-            }),
-            R_IDENTS => {
-                let n = c.u32("ident count")?;
-                let mut idents = Vec::with_capacity((n as usize).min(4096));
-                for _ in 0..n {
-                    idents.push(c.str_ref(strings, "ident")?);
-                }
-                Reply::Idents { idents, count: c.u64("count")? }
-            }
-            R_COUNT => Reply::Count(c.u64("value")?),
-            R_POWER => Reply::Power(c.f64("watts")?),
-            R_FLAG => Reply::Flag(c.bool("value")?),
-            R_TRANSFER => Reply::Transfer(if c.bool("found")? {
-                Some(TransferInfo {
-                    time_s: c.f64("time_s")?,
-                    energy_j: c.f64("energy_j")?,
-                    bandwidth_bps: c.f64("bandwidth_bps")?,
-                })
-            } else {
-                None
-            }),
-            R_ACCELERATOR => Reply::Accelerator(if c.bool("found")? {
-                Some(AccelInfo { time_s: c.f64("time_s")?, energy_j: c.f64("energy_j")? })
-            } else {
-                None
-            }),
-            R_ENERGY => Reply::Energy(c.f64("joules")?),
-            R_STATS => {
-                let json_body = embedded_json(&mut c, "stats")?;
-                Reply::Stats(
-                    StatsSnapshot::parse(&json_body).map_err(DecodeErr::Frame)?,
-                )
-            }
-            R_METRICS => {
-                let json_body = embedded_json(&mut c, "metrics")?;
-                let v = json::parse(&json_body).map_err(DecodeErr::Frame)?;
-                let obj = v
-                    .as_object()
-                    .ok_or_else(|| DecodeErr::Frame("metrics is not an object".into()))?;
-                Reply::Metrics(crate::protocol::parse_metrics(obj).map_err(DecodeErr::Frame)?)
-            }
-            R_RELOADED => {
-                Reply::Reloaded { epoch: c.u64("epoch")?, changed: c.bool("changed")? }
-            }
-            R_SHUTTING_DOWN => Reply::ShuttingDown,
-            R_SLEPT => Reply::Slept { ms: c.u64("ms")? },
-            R_SHARDS => {
-                let enabled = c.bool("enabled")?;
-                let ring_epoch = c.opt_str_ref(strings, "ring_epoch")?;
-                let mut lists = [Vec::new(), Vec::new()];
-                for list in &mut lists {
-                    let n = c.u32("shard key count")?;
-                    for _ in 0..n {
-                        list.push(c.str_ref(strings, "shard key")?);
-                    }
-                }
-                let [owned, handoff] = lists;
-                Reply::Shards { enabled, ring_epoch, owned, handoff }
-            }
-            R_HELLO => Reply::Hello { encoding: c.str_ref(strings, "encoding")? },
-            other => return frame_err(format!("unknown reply code {other:#04x}")),
+        let result = if code == ERROR {
+            let code = c.str_ref(strings, "error code")?;
+            Err(ServeError { code, message: c.str_ref(strings, "error message")? })
+        } else {
+            Ok(Reply::get_fields(code, &mut c, strings)?
+                .ok_or_else(|| DecodeErr::Frame(format!("unknown reply code {code:#04x}")))?)
         };
         c.finish("response")?;
-        Ok(Response::ok(id, reply))
+        Ok(Response { id, result })
     })()
     .map_err(|e| match e {
         DecodeErr::Frame(msg) | DecodeErr::Params(msg) => msg,
     })
-}
-
-fn embedded_json(c: &mut Cursor<'_>, what: &str) -> DResult<String> {
-    let len = c.u32(what)? as usize;
-    let bytes = c.take(len, what)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| DecodeErr::Frame(format!("invalid UTF-8 in embedded {what} JSON")))
 }
 
 // ---- blocking frame I/O (client side) ----
@@ -934,6 +734,7 @@ pub fn read_frame(r: &mut impl Read, cap: usize) -> io::Result<Option<Vec<u8>>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::codes;
 
     fn roundtrip_request(req: &Request) -> Request {
         let mut enc = StrEncoder::new();

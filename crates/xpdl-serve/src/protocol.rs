@@ -25,6 +25,16 @@
 //! the bench client — so every protocol method is exercisable without a
 //! socket.
 //!
+//! Every method and reply is listed once, in the `serve_messages!`
+//! table below: its variant, frozen binary frame code, wire name and
+//! typed fields. The table is expanded twice — here by
+//! [`xpdl_registry::wire_messages!`], which generates [`Method`],
+//! [`Reply`], the records they carry and their JSON fields (the envelope
+//! and each field kind's JSON form live in [`xpdl_registry::wire`],
+//! shared with the registry daemon), and in [`codec`](crate::codec),
+//! which generates the binary encoder, decoder and code tables. The
+//! error codes are listed once as well, in `error_codes!`.
+//!
 //! # Example
 //!
 //! ```
@@ -78,57 +88,71 @@
 
 use crate::stats::StatsSnapshot;
 use std::fmt;
-use xpdl_core::diag::json::{self, JsonValue};
-use xpdl_obs::{HistogramSnapshot, MetricsSnapshot};
+use xpdl_obs::MetricsSnapshot;
+use xpdl_registry::wire::Envelope;
+use xpdl_registry::wire_messages;
 
 /// The protocol version spoken by this build. Requests with any other
 /// `"v"` are rejected with [`codes::BAD_VERSION`].
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Stable error codes of the serving stage (`S4xx`), following the
-/// `P0xx`/`V1xx`/`E2xx`/`R3xx` taxonomy of the rest of the toolchain.
-pub mod codes {
+/// Generates [`codes`] and the `(code, name)` table `docs/WIRE.md` §7
+/// mirrors, from one list.
+macro_rules! error_codes {
+    ($( $(#[$doc:meta])* $name:ident = $code:literal, )*) => {
+        /// Stable error codes of the serving stage (`S4xx`), following the
+        /// `P0xx`/`V1xx`/`E2xx`/`R3xx` taxonomy of the rest of the toolchain.
+        pub mod codes {
+            $( $(#[$doc])* pub const $name: &str = $code; )*
+        }
+
+        /// Every error code with its name, in declaration order.
+        pub(crate) const ERROR_CODE_TABLE: &[(&str, &str)] = &[$( ($code, stringify!($name)), )*];
+    };
+}
+
+error_codes! {
     /// Model file unreadable (I/O).
-    pub const MODEL_IO: &str = "S400";
+    MODEL_IO = "S400",
     /// Model file read but undecodable (carries the exact decode fault).
-    pub const MODEL_DECODE: &str = "S401";
+    MODEL_DECODE = "S401",
     /// Repository compile (resolve + elaborate) failed.
-    pub const COMPILE_FAILED: &str = "S402";
+    COMPILE_FAILED = "S402",
     /// Request line is not valid protocol JSON.
-    pub const BAD_REQUEST: &str = "S410";
+    BAD_REQUEST = "S410",
     /// Method name not part of this protocol version.
-    pub const UNKNOWN_METHOD: &str = "S411";
+    UNKNOWN_METHOD = "S411",
     /// Method known, params missing or of the wrong type.
-    pub const INVALID_PARAMS: &str = "S412";
+    INVALID_PARAMS = "S412",
     /// Unsupported `"v"` field.
-    pub const BAD_VERSION: &str = "S413";
+    BAD_VERSION = "S413",
     /// Request line exceeds the server's size cap.
-    pub const LINE_TOO_LONG: &str = "S414";
+    LINE_TOO_LONG = "S414",
     /// Malformed binary frame (truncated, trailing bytes, bad string
     /// ref, unknown method code). Framing is lost after this, so the
     /// server sends the error and closes the connection.
-    pub const BAD_FRAME: &str = "S415";
+    BAD_FRAME = "S415",
     /// Load shed: the admission controller refused the request.
-    pub const OVERLOADED: &str = "S420";
+    OVERLOADED = "S420",
     /// The request sat in the queue past its deadline.
-    pub const DEADLINE_EXCEEDED: &str = "S421";
+    DEADLINE_EXCEEDED = "S421",
     /// The server is draining for shutdown.
-    pub const SHUTTING_DOWN: &str = "S422";
+    SHUTTING_DOWN = "S422",
     /// Debug-only method (`sleep`) on a server without `allow_debug`.
-    pub const DEBUG_DISABLED: &str = "S430";
+    DEBUG_DISABLED = "S430",
     /// Remote `shutdown` on a server without `allow_remote_shutdown`.
-    pub const SHUTDOWN_DISABLED: &str = "S431";
+    SHUTDOWN_DISABLED = "S431",
     /// A requested hot reload failed; the old snapshot stays live.
-    pub const RELOAD_FAILED: &str = "S440";
+    RELOAD_FAILED = "S440",
     /// The node is draining (deregistered, finishing in-flight work):
     /// queries are refused so cluster clients fail over to a live node.
     /// `S51x` is the cluster-visible range — `ClusterClient` treats any
     /// `S5`-prefixed code as "try the next node".
-    pub const DRAINING: &str = "S510";
+    DRAINING = "S510",
     /// Sharded request for a model key this node does not own under the
     /// current ring. The message carries a routing hint (the owner node
     /// ids); being `S5`-prefixed, clients fail over to the next replica.
-    pub const NOT_OWNER: &str = "S511";
+    NOT_OWNER = "S511",
 }
 
 /// A structured protocol error: stable code + human-readable message.
@@ -157,10 +181,6 @@ impl ServeError {
     /// Convert into a toolchain diagnostic (for server-side logs).
     pub fn to_diagnostic(&self, path: &str) -> xpdl_core::Diagnostic {
         xpdl_core::Diagnostic::error(path, self.message.clone()).with_code(self.code.clone())
-    }
-
-    pub(crate) fn bad_request(detail: impl fmt::Display) -> ServeError {
-        ServeError::new(codes::BAD_REQUEST, format!("malformed request: {detail}"))
     }
 
     pub(crate) fn bad_frame(detail: impl fmt::Display) -> ServeError {
@@ -205,272 +225,6 @@ impl Request {
     }
 }
 
-/// Every method of protocol version 1 — the full XPDLRT query surface
-/// plus server control.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Method {
-    /// Liveness check.
-    Ping,
-    /// Serving health: epoch, model fingerprint, in-flight count,
-    /// draining flag. Cheaper than `stats` (no ring scan) and richer
-    /// than inferring liveness from connect success — the registry and
-    /// bench harness probe this.
-    Health,
-    /// Snapshot metadata: epoch, node count, source, fingerprint.
-    ModelInfo,
-    /// `xpdl_find`: look up an element by identifier.
-    Find {
-        /// Element identifier (`id=`/`name=`).
-        ident: String,
-    },
-    /// `xpdl_get_attr`: string attribute of a named element.
-    GetAttr {
-        /// Element identifier.
-        ident: String,
-        /// Attribute key.
-        attr: String,
-    },
-    /// `xpdl_get_number`: numeric attribute of a named element.
-    GetNumber {
-        /// Element identifier.
-        ident: String,
-        /// Attribute key.
-        attr: String,
-    },
-    /// All elements of a kind (idents of the named ones + total count).
-    ElementsOfKind {
-        /// Element kind/tag.
-        kind: String,
-    },
-    /// Derived attribute: total core count.
-    NumCores,
-    /// Derived attribute: CUDA-capable device count.
-    NumCudaDevices,
-    /// Derived attribute: total in-line static power, watts.
-    TotalStaticPower,
-    /// Whether software whose type starts with `prefix` is installed.
-    HasInstalled {
-        /// Type prefix to match (e.g. `CUBLAS`).
-        prefix: String,
-    },
-    /// Expected time/energy to move `bytes` over interconnect `link`.
-    EstimateTransfer {
-        /// Interconnect identifier.
-        link: String,
-        /// Payload size in bytes.
-        bytes: u64,
-    },
-    /// Expected cost of using the accelerator behind `link`.
-    EstimateAcceleratorUse {
-        /// Interconnect identifier whose `tail` is the accelerator.
-        link: String,
-        /// Bytes shipped to the accelerator.
-        upload_bytes: u64,
-        /// Bytes shipped back.
-        download_bytes: u64,
-        /// Compute phase duration, seconds.
-        compute_s: f64,
-        /// Dynamic power drawn while computing, watts.
-        dynamic_power_w: f64,
-    },
-    /// Platform static energy over a duration, joules.
-    EstimateStaticEnergy {
-        /// Duration, seconds.
-        duration_s: f64,
-    },
-    /// Server statistics (qps, latency percentiles, epoch, counters).
-    Stats,
-    /// Full unified metrics-registry snapshot: every counter, gauge and
-    /// histogram registered anywhere in the process (repository, disk
-    /// cache, serving layer), aggregated by name.
-    Metrics,
-    /// Force a hot reload from the model source.
-    Reload,
-    /// Ask the server to drain and exit (if enabled).
-    Shutdown,
-    /// Debug-only: hold a worker for `ms` milliseconds (backpressure
-    /// testing; rejected unless the server enables debug methods).
-    Sleep {
-        /// How long to sleep.
-        ms: u64,
-    },
-    /// This node's shard view: ring epoch, keys loaded and owned, keys
-    /// still served during handoff. Peers poll this to ack ownership
-    /// before a predecessor drops a shard.
-    Shards,
-    /// Encoding negotiation. Must be the **first** request on a
-    /// connection (`S412` otherwise): the client lists the wire encodings
-    /// it speaks in preference order, the server answers
-    /// [`Reply::Hello`] with the one it picked, and the connection
-    /// switches to that encoding for every subsequent frame. A client
-    /// that never sends `hello` stays on JSON-lines; a server that does
-    /// not know the method answers `S411` and the client falls back to
-    /// JSON-lines — both directions stay compatible. See `docs/WIRE.md`.
-    Hello {
-        /// Encoding names the client supports, most preferred first
-        /// (`"binary"`, `"json"`).
-        encodings: Vec<String>,
-    },
-}
-
-impl Method {
-    /// The wire name of this method.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Method::Ping => "ping",
-            Method::Health => "health",
-            Method::ModelInfo => "model_info",
-            Method::Find { .. } => "find",
-            Method::GetAttr { .. } => "get_attr",
-            Method::GetNumber { .. } => "get_number",
-            Method::ElementsOfKind { .. } => "elements_of_kind",
-            Method::NumCores => "num_cores",
-            Method::NumCudaDevices => "num_cuda_devices",
-            Method::TotalStaticPower => "total_static_power",
-            Method::HasInstalled { .. } => "has_installed",
-            Method::EstimateTransfer { .. } => "estimate_transfer",
-            Method::EstimateAcceleratorUse { .. } => "estimate_accelerator_use",
-            Method::EstimateStaticEnergy { .. } => "estimate_static_energy",
-            Method::Stats => "stats",
-            Method::Metrics => "metrics",
-            Method::Reload => "reload",
-            Method::Shutdown => "shutdown",
-            Method::Sleep { .. } => "sleep",
-            Method::Shards => "shards",
-            Method::Hello { .. } => "hello",
-        }
-    }
-}
-
-/// A found element, as returned by `find`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeInfo {
-    /// Element kind/tag.
-    pub kind: String,
-    /// Identifier, if the element has one.
-    pub ident: Option<String>,
-    /// `type=` reference, if any.
-    pub type_ref: Option<String>,
-    /// All attributes in document order.
-    pub attrs: Vec<(String, String)>,
-}
-
-/// A transfer estimate, as returned by `estimate_transfer`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransferInfo {
-    /// Expected time, seconds.
-    pub time_s: f64,
-    /// Expected energy, joules.
-    pub energy_j: f64,
-    /// Bandwidth used for the estimate, bytes/second.
-    pub bandwidth_bps: f64,
-}
-
-/// An accelerator-use estimate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccelInfo {
-    /// Total expected time, seconds.
-    pub time_s: f64,
-    /// Total expected energy, joules.
-    pub energy_j: f64,
-}
-
-/// The success payload of a response, tagged by `kind` on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reply {
-    /// `ping` succeeded.
-    Pong,
-    /// `health` result: the node's liveness card.
-    Health {
-        /// Snapshot epoch currently served.
-        epoch: u64,
-        /// FNV-1a fingerprint of the served model, hex.
-        fingerprint: String,
-        /// Requests admitted and not yet answered.
-        inflight: u64,
-        /// Whether the node is draining (queries answer `S510`).
-        draining: bool,
-    },
-    /// Snapshot metadata.
-    ModelInfo {
-        /// Snapshot epoch (increments on every hot reload that swaps).
-        epoch: u64,
-        /// Node count of the runtime model.
-        nodes: u64,
-        /// Root element kind.
-        root_kind: String,
-        /// Root element identifier.
-        root_ident: Option<String>,
-        /// Human-readable model source description.
-        source: String,
-        /// FNV-1a fingerprint of the encoded model, hex.
-        fingerprint: String,
-    },
-    /// `find` result (`found: false` mirrors the paper's NULL).
-    Node(Option<NodeInfo>),
-    /// `get_attr` result.
-    Attr(Option<String>),
-    /// `get_number` result.
-    Number(Option<f64>),
-    /// `elements_of_kind` result.
-    Idents {
-        /// Identifiers of the named matches, document order.
-        idents: Vec<String>,
-        /// Total matches including anonymous elements.
-        count: u64,
-    },
-    /// `num_cores` / `num_cuda_devices` result.
-    Count(u64),
-    /// `total_static_power` result, watts.
-    Power(f64),
-    /// `has_installed` result.
-    Flag(bool),
-    /// `estimate_transfer` result (`None`: no such link / no bandwidth).
-    Transfer(Option<TransferInfo>),
-    /// `estimate_accelerator_use` result.
-    Accelerator(Option<AccelInfo>),
-    /// `estimate_static_energy` result, joules.
-    Energy(f64),
-    /// `stats` result.
-    Stats(StatsSnapshot),
-    /// `metrics` result: the process-wide registry snapshot.
-    Metrics(MetricsSnapshot),
-    /// `reload` result: the epoch now current, and whether it swapped.
-    Reloaded {
-        /// Epoch after the reload.
-        epoch: u64,
-        /// `true` if a new snapshot was installed (content changed).
-        changed: bool,
-    },
-    /// `shutdown` acknowledged; the server drains after responding.
-    ShuttingDown,
-    /// `sleep` completed (debug builds of the protocol only).
-    Slept {
-        /// How long the worker was held.
-        ms: u64,
-    },
-    /// `shards` result: this node's shard view.
-    Shards {
-        /// Whether sharding is enabled on this node at all.
-        enabled: bool,
-        /// Ring epoch the node last applied, as 16-digit hex (`None`
-        /// before the first ring arrives).
-        ring_epoch: Option<String>,
-        /// Keys loaded and owned under the current ring (sorted).
-        owned: Vec<String>,
-        /// Keys no longer owned but still served pending successor
-        /// acknowledgement (sorted).
-        handoff: Vec<String>,
-    },
-    /// `hello` result: the encoding the server picked. The acknowledgement
-    /// itself is sent in the connection's *current* encoding; every frame
-    /// after it uses the chosen one.
-    Hello {
-        /// The negotiated encoding name (`"binary"` or `"json"`).
-        encoding: String,
-    },
-}
-
 /// One response: echoed id + reply or structured error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -492,618 +246,301 @@ impl Response {
     }
 }
 
-// ---- serialization ----
+/// The serve message table, handed to the macro `$expand` (see the
+/// module docs). Field types must be in scope wherever it is expanded.
+macro_rules! serve_messages {
+    ($expand:ident) => { $expand! {
+        /// A found element, as returned by `find`.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct NodeInfo {
+            /// Element kind/tag.
+            pub kind: String,
+            /// Identifier, if the element has one.
+            pub ident: Option<String>,
+            /// `type=` reference, if any.
+            pub type_ref: Option<String> = "type",
+            /// All attributes in document order.
+            pub attrs: Vec<(String, String)>,
+        }
 
-/// Append a finite float (or `null` for the non-finite values JSON cannot
-/// carry; readers treat that as "absent").
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        out.push_str(&format!("{x}"));
-    } else {
-        out.push_str("null");
-    }
-}
+        /// A transfer estimate, as returned by `estimate_transfer`.
+        #[derive(Debug, Clone, PartialEq)]
+        pub flat struct TransferInfo {
+            /// Expected time, seconds.
+            pub time_s: f64,
+            /// Expected energy, joules.
+            pub energy_j: f64,
+            /// Bandwidth used for the estimate, bytes/second.
+            pub bandwidth_bps: f64,
+        }
 
-fn push_opt_str(out: &mut String, v: &Option<String>) {
-    match v {
-        Some(s) => json::escape_into(out, s),
-        None => out.push_str("null"),
-    }
+        /// An accelerator-use estimate.
+        #[derive(Debug, Clone, PartialEq)]
+        pub flat struct AccelInfo {
+            /// Total expected time, seconds.
+            pub time_s: f64,
+            /// Total expected energy, joules.
+            pub energy_j: f64,
+        }
+
+        /// Every method of protocol version 1 — the full XPDLRT query surface
+        /// plus server control.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Method: Request {
+            /// Liveness check.
+            Ping = 0x01 "ping",
+            /// Serving health: epoch, model fingerprint, in-flight count,
+            /// draining flag. Cheaper than `stats` (no ring scan) and richer
+            /// than inferring liveness from connect success — the registry and
+            /// bench harness probe this.
+            Health = 0x02 "health",
+            /// Snapshot metadata: epoch, node count, source, fingerprint.
+            ModelInfo = 0x03 "model_info",
+            /// `xpdl_find`: look up an element by identifier.
+            Find = 0x04 "find" {
+                /// Element identifier (`id=`/`name=`).
+                ident: String,
+            },
+            /// `xpdl_get_attr`: string attribute of a named element.
+            GetAttr = 0x05 "get_attr" {
+                /// Element identifier.
+                ident: String,
+                /// Attribute key.
+                attr: String,
+            },
+            /// `xpdl_get_number`: numeric attribute of a named element.
+            GetNumber = 0x06 "get_number" {
+                /// Element identifier.
+                ident: String,
+                /// Attribute key.
+                attr: String,
+            },
+            /// All elements of a kind (idents of the named ones + total count).
+            ElementsOfKind = 0x07 "elements_of_kind" {
+                /// Element kind/tag.
+                kind: String,
+            },
+            /// Derived attribute: total core count.
+            NumCores = 0x08 "num_cores",
+            /// Derived attribute: CUDA-capable device count.
+            NumCudaDevices = 0x09 "num_cuda_devices",
+            /// Derived attribute: total in-line static power, watts.
+            TotalStaticPower = 0x0a "total_static_power",
+            /// Whether software whose type starts with `prefix` is installed.
+            HasInstalled = 0x0b "has_installed" {
+                /// Type prefix to match (e.g. `CUBLAS`).
+                prefix: String,
+            },
+            /// Expected time/energy to move `bytes` over interconnect `link`.
+            EstimateTransfer = 0x0c "estimate_transfer" {
+                /// Interconnect identifier.
+                link: String,
+                /// Payload size in bytes.
+                bytes: u64,
+            },
+            /// Expected cost of using the accelerator behind `link`.
+            EstimateAcceleratorUse = 0x0d "estimate_accelerator_use" {
+                /// Interconnect identifier whose `tail` is the accelerator.
+                link: String,
+                /// Bytes shipped to the accelerator.
+                upload_bytes: u64,
+                /// Bytes shipped back.
+                download_bytes: u64,
+                /// Compute phase duration, seconds.
+                compute_s: f64,
+                /// Dynamic power drawn while computing, watts.
+                dynamic_power_w: f64,
+            },
+            /// Platform static energy over a duration, joules.
+            EstimateStaticEnergy = 0x0e "estimate_static_energy" {
+                /// Duration, seconds.
+                duration_s: f64,
+            },
+            /// Server statistics (qps, latency percentiles, epoch, counters).
+            Stats = 0x0f "stats",
+            /// Full unified metrics-registry snapshot: every counter, gauge and
+            /// histogram registered anywhere in the process (repository, disk
+            /// cache, serving layer), aggregated by name.
+            Metrics = 0x10 "metrics",
+            /// Force a hot reload from the model source.
+            Reload = 0x11 "reload",
+            /// Ask the server to drain and exit (if enabled).
+            Shutdown = 0x12 "shutdown",
+            /// Debug-only: hold a worker for `ms` milliseconds (backpressure
+            /// testing; rejected unless the server enables debug methods).
+            Sleep = 0x13 "sleep" {
+                /// How long to sleep.
+                ms: u64,
+            },
+            /// This node's shard view: ring epoch, keys loaded and owned, keys
+            /// still served during handoff. Peers poll this to ack ownership
+            /// before a predecessor drops a shard.
+            Shards = 0x14 "shards",
+            /// Encoding negotiation. Must be the **first** request on a
+            /// connection (`S412` otherwise): the client lists the wire encodings
+            /// it speaks in preference order, the server answers
+            /// [`Reply::Hello`] with the one it picked, and the connection
+            /// switches to that encoding for every subsequent frame. A client
+            /// that never sends `hello` stays on JSON-lines; a server that does
+            /// not know the method answers `S411` and the client falls back to
+            /// JSON-lines — both directions stay compatible. See `docs/WIRE.md`.
+            Hello = 0x15 "hello" {
+                /// Encoding names the client supports, most preferred first
+                /// (`"binary"`, `"json"`).
+                encodings: Vec<String>,
+            },
+        }
+
+        /// The success payload of a response, tagged by `kind` on the wire.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Reply: Reply {
+            /// `ping` succeeded.
+            Pong = 0x01 "pong",
+            /// `health` result: the node's liveness card.
+            Health = 0x02 "health" {
+                /// Snapshot epoch currently served.
+                epoch: u64,
+                /// FNV-1a fingerprint of the served model, hex.
+                fingerprint: String,
+                /// Requests admitted and not yet answered.
+                inflight: u64,
+                /// Whether the node is draining (queries answer `S510`).
+                draining: bool,
+            },
+            /// Snapshot metadata.
+            ModelInfo = 0x03 "model_info" {
+                /// Snapshot epoch (increments on every hot reload that swaps).
+                epoch: u64,
+                /// Node count of the runtime model.
+                nodes: u64,
+                /// Root element kind.
+                root_kind: String,
+                /// Root element identifier.
+                root_ident: Option<String>,
+                /// Human-readable model source description.
+                source: String,
+                /// FNV-1a fingerprint of the encoded model, hex.
+                fingerprint: String,
+            },
+            /// `find` result (`found: false` mirrors the paper's NULL).
+            Node = 0x04 "node" (node: Option<NodeInfo>),
+            /// `get_attr` result.
+            Attr = 0x05 "attr" (value: Option<String>),
+            /// `get_number` result.
+            Number = 0x06 "number" (value: Option<f64>),
+            /// `elements_of_kind` result.
+            Idents = 0x07 "idents" {
+                /// Identifiers of the named matches, document order.
+                idents: Vec<String>,
+                /// Total matches including anonymous elements.
+                count: u64,
+            },
+            /// `num_cores` / `num_cuda_devices` result.
+            Count = 0x08 "count" (value: u64),
+            /// `total_static_power` result, watts.
+            Power = 0x09 "power" (watts: f64),
+            /// `has_installed` result.
+            Flag = 0x0a "flag" (value: bool),
+            /// `estimate_transfer` result (`None`: no such link / no bandwidth).
+            Transfer = 0x0b "transfer" (estimate: Option<TransferInfo>),
+            /// `estimate_accelerator_use` result.
+            Accelerator = 0x0c "accelerator" (estimate: Option<AccelInfo>),
+            /// `estimate_static_energy` result, joules.
+            Energy = 0x0d "energy" (joules: f64),
+            /// `stats` result.
+            Stats = 0x0e "stats" (stats: StatsSnapshot),
+            /// `metrics` result: the process-wide registry snapshot.
+            Metrics = 0x0f "metrics" (metrics: MetricsSnapshot),
+            /// `reload` result: the epoch now current, and whether it swapped.
+            Reloaded = 0x10 "reloaded" {
+                /// Epoch after the reload.
+                epoch: u64,
+                /// `true` if a new snapshot was installed (content changed).
+                changed: bool,
+            },
+            /// `shutdown` acknowledged; the server drains after responding.
+            ShuttingDown = 0x11 "shutting_down",
+            /// `sleep` completed (debug builds of the protocol only).
+            Slept = 0x12 "slept" {
+                /// How long the worker was held.
+                ms: u64,
+            },
+            /// `shards` result: this node's shard view.
+            Shards = 0x13 "shards" {
+                /// Whether sharding is enabled on this node at all.
+                enabled: bool,
+                /// Ring epoch the node last applied, as 16-digit hex (`None`
+                /// before the first ring arrives).
+                ring_epoch: Option<String>,
+                /// Keys loaded and owned under the current ring (sorted).
+                owned: Vec<String>,
+                /// Keys no longer owned but still served pending successor
+                /// acknowledgement (sorted).
+                handoff: Vec<String>,
+            },
+            /// `hello` result: the encoding the server picked. The acknowledgement
+            /// itself is sent in the connection's *current* encoding; every frame
+            /// after it uses the chosen one.
+            Hello = 0x14 "hello" {
+                /// The negotiated encoding name (`"binary"` or `"json"`).
+                encoding: String,
+            },
+        }
+    } };
 }
+pub(crate) use serve_messages;
+
+serve_messages!(wire_messages);
+
+const ENVELOPE: Envelope = Envelope {
+    version: PROTOCOL_VERSION,
+    name: "protocol",
+    shard_key: true,
+    bad_request: codes::BAD_REQUEST,
+    unknown_method: codes::UNKNOWN_METHOD,
+    invalid_params: codes::INVALID_PARAMS,
+    bad_version: codes::BAD_VERSION,
+};
 
 impl Request {
     /// Serialize to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str(&format!("{{\"v\":{PROTOCOL_VERSION},\"id\":{},\"method\":", self.id));
-        json::escape_into(&mut s, self.method.name());
-        if let Some(key) = &self.shard_key {
-            s.push_str(",\"shard\":");
-            json::escape_into(&mut s, key);
-        }
-        let mut params = String::new();
-        {
-            let p = &mut params;
-            let mut first = true;
-            let str_field = |p: &mut String, first: &mut bool, k: &str, v: &str| {
-                if !*first {
-                    p.push(',');
-                }
-                *first = false;
-                json::escape_into(p, k);
-                p.push(':');
-                json::escape_into(p, v);
-            };
-            let raw_field = |p: &mut String, first: &mut bool, k: &str, v: &str| {
-                if !*first {
-                    p.push(',');
-                }
-                *first = false;
-                json::escape_into(p, k);
-                p.push(':');
-                p.push_str(v);
-            };
-            match &self.method {
-                Method::Ping
-                | Method::Health
-                | Method::ModelInfo
-                | Method::NumCores
-                | Method::NumCudaDevices
-                | Method::TotalStaticPower
-                | Method::Stats
-                | Method::Metrics
-                | Method::Reload
-                | Method::Shutdown
-                | Method::Shards => {}
-                Method::Find { ident } => str_field(p, &mut first, "ident", ident),
-                Method::GetAttr { ident, attr } | Method::GetNumber { ident, attr } => {
-                    str_field(p, &mut first, "ident", ident);
-                    str_field(p, &mut first, "attr", attr);
-                }
-                Method::ElementsOfKind { kind } => str_field(p, &mut first, "kind", kind),
-                Method::HasInstalled { prefix } => str_field(p, &mut first, "prefix", prefix),
-                Method::EstimateTransfer { link, bytes } => {
-                    str_field(p, &mut first, "link", link);
-                    raw_field(p, &mut first, "bytes", &bytes.to_string());
-                }
-                Method::EstimateAcceleratorUse {
-                    link,
-                    upload_bytes,
-                    download_bytes,
-                    compute_s,
-                    dynamic_power_w,
-                } => {
-                    str_field(p, &mut first, "link", link);
-                    raw_field(p, &mut first, "upload_bytes", &upload_bytes.to_string());
-                    raw_field(p, &mut first, "download_bytes", &download_bytes.to_string());
-                    let mut buf = String::new();
-                    push_f64(&mut buf, *compute_s);
-                    raw_field(p, &mut first, "compute_s", &buf);
-                    buf.clear();
-                    push_f64(&mut buf, *dynamic_power_w);
-                    raw_field(p, &mut first, "dynamic_power_w", &buf);
-                }
-                Method::EstimateStaticEnergy { duration_s } => {
-                    let mut buf = String::new();
-                    push_f64(&mut buf, *duration_s);
-                    raw_field(p, &mut first, "duration_s", &buf);
-                }
-                Method::Sleep { ms } => raw_field(p, &mut first, "ms", &ms.to_string()),
-                Method::Hello { encodings } => {
-                    let mut arr = String::from("[");
-                    for (i, enc) in encodings.iter().enumerate() {
-                        if i > 0 {
-                            arr.push(',');
-                        }
-                        json::escape_into(&mut arr, enc);
-                    }
-                    arr.push(']');
-                    raw_field(p, &mut first, "encodings", &arr);
-                }
-            }
-        }
-        if !params.is_empty() {
-            s.push_str(",\"params\":{");
-            s.push_str(&params);
-            s.push('}');
-        }
-        s.push('}');
-        s
-    }
-}
-
-impl Reply {
-    fn payload_to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        s.push('{');
-        s.push_str("\"kind\":");
-        match self {
-            Reply::Pong => s.push_str("\"pong\""),
-            Reply::Health { epoch, fingerprint, inflight, draining } => {
-                s.push_str(&format!("\"health\",\"epoch\":{epoch},\"fingerprint\":"));
-                json::escape_into(&mut s, fingerprint);
-                s.push_str(&format!(",\"inflight\":{inflight},\"draining\":{draining}"));
-            }
-            Reply::ModelInfo { epoch, nodes, root_kind, root_ident, source, fingerprint } => {
-                s.push_str(&format!("\"model_info\",\"epoch\":{epoch},\"nodes\":{nodes},\"root_kind\":"));
-                json::escape_into(&mut s, root_kind);
-                s.push_str(",\"root_ident\":");
-                push_opt_str(&mut s, root_ident);
-                s.push_str(",\"source\":");
-                json::escape_into(&mut s, source);
-                s.push_str(",\"fingerprint\":");
-                json::escape_into(&mut s, fingerprint);
-            }
-            Reply::Node(node) => {
-                s.push_str("\"node\",\"found\":");
-                match node {
-                    None => s.push_str("false"),
-                    Some(n) => {
-                        s.push_str("true,\"node\":{\"kind\":");
-                        json::escape_into(&mut s, &n.kind);
-                        s.push_str(",\"ident\":");
-                        push_opt_str(&mut s, &n.ident);
-                        s.push_str(",\"type\":");
-                        push_opt_str(&mut s, &n.type_ref);
-                        s.push_str(",\"attrs\":[");
-                        for (i, (k, v)) in n.attrs.iter().enumerate() {
-                            if i > 0 {
-                                s.push(',');
-                            }
-                            s.push('[');
-                            json::escape_into(&mut s, k);
-                            s.push(',');
-                            json::escape_into(&mut s, v);
-                            s.push(']');
-                        }
-                        s.push_str("]}");
-                    }
-                }
-            }
-            Reply::Attr(v) => {
-                s.push_str("\"attr\",\"value\":");
-                push_opt_str(&mut s, v);
-            }
-            Reply::Number(v) => {
-                s.push_str("\"number\",\"value\":");
-                match v {
-                    Some(x) if x.is_finite() => push_f64(&mut s, *x),
-                    _ => s.push_str("null"),
-                }
-            }
-            Reply::Idents { idents, count } => {
-                s.push_str("\"idents\",\"idents\":[");
-                for (i, id) in idents.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    json::escape_into(&mut s, id);
-                }
-                s.push_str(&format!("],\"count\":{count}"));
-            }
-            Reply::Count(n) => s.push_str(&format!("\"count\",\"value\":{n}")),
-            Reply::Power(w) => {
-                s.push_str("\"power\",\"watts\":");
-                push_f64(&mut s, *w);
-            }
-            Reply::Flag(b) => s.push_str(&format!("\"flag\",\"value\":{b}")),
-            Reply::Transfer(t) => {
-                s.push_str("\"transfer\",\"found\":");
-                match t {
-                    None => s.push_str("false"),
-                    Some(t) => {
-                        s.push_str("true,\"time_s\":");
-                        push_f64(&mut s, t.time_s);
-                        s.push_str(",\"energy_j\":");
-                        push_f64(&mut s, t.energy_j);
-                        s.push_str(",\"bandwidth_bps\":");
-                        push_f64(&mut s, t.bandwidth_bps);
-                    }
-                }
-            }
-            Reply::Accelerator(a) => {
-                s.push_str("\"accelerator\",\"found\":");
-                match a {
-                    None => s.push_str("false"),
-                    Some(a) => {
-                        s.push_str("true,\"time_s\":");
-                        push_f64(&mut s, a.time_s);
-                        s.push_str(",\"energy_j\":");
-                        push_f64(&mut s, a.energy_j);
-                    }
-                }
-            }
-            Reply::Energy(j) => {
-                s.push_str("\"energy\",\"joules\":");
-                push_f64(&mut s, *j);
-            }
-            Reply::Stats(st) => {
-                s.push_str("\"stats\",");
-                st.fields_to_json(&mut s);
-            }
-            Reply::Metrics(m) => {
-                // Embed the snapshot's counters/gauges/histograms fields
-                // directly in the payload object (strip its outer braces).
-                let body = m.to_json();
-                s.push_str("\"metrics\",");
-                s.push_str(&body[1..body.len() - 1]);
-            }
-            Reply::Reloaded { epoch, changed } => {
-                s.push_str(&format!("\"reloaded\",\"epoch\":{epoch},\"changed\":{changed}"))
-            }
-            Reply::ShuttingDown => s.push_str("\"shutting_down\""),
-            Reply::Slept { ms } => s.push_str(&format!("\"slept\",\"ms\":{ms}")),
-            Reply::Shards { enabled, ring_epoch, owned, handoff } => {
-                s.push_str(&format!("\"shards\",\"enabled\":{enabled},\"ring_epoch\":"));
-                push_opt_str(&mut s, ring_epoch);
-                let list = |s: &mut String, k: &str, keys: &[String]| {
-                    s.push(',');
-                    json::escape_into(s, k);
-                    s.push_str(":[");
-                    for (i, key) in keys.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        json::escape_into(s, key);
-                    }
-                    s.push(']');
-                };
-                list(&mut s, "owned", owned);
-                list(&mut s, "handoff", handoff);
-            }
-            Reply::Hello { encoding } => {
-                s.push_str("\"hello\",\"encoding\":");
-                json::escape_into(&mut s, encoding);
-            }
-        }
-        s.push('}');
-        s
+        let method = &self.method;
+        ENVELOPE.write_request(self.id, method.name(), self.shard_key.as_deref(), |s| {
+            method.write_fields(s)
+        })
     }
 }
 
 impl Response {
     /// Serialize to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str(&format!("{{\"v\":{PROTOCOL_VERSION},\"id\":{},", self.id));
         match &self.result {
-            Ok(reply) => {
-                s.push_str("\"ok\":");
-                s.push_str(&reply.payload_to_json());
-            }
-            Err(e) => {
-                s.push_str("\"error\":{\"code\":");
-                json::escape_into(&mut s, &e.code);
-                s.push_str(",\"message\":");
-                json::escape_into(&mut s, &e.message);
-                s.push('}');
-            }
+            Ok(reply) => ENVELOPE.write_ok(self.id, reply.name(), |s| reply.write_fields(s)),
+            Err(e) => ENVELOPE.write_error(self.id, &e.code, &e.message),
         }
-        s.push('}');
-        s
     }
-}
-
-// ---- parsing ----
-
-type Obj = [(String, JsonValue)];
-
-fn get_str(obj: &Obj, key: &str) -> Result<String, ServeError> {
-    json::get(obj, key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ServeError::invalid_params(format!("missing string field {key:?}")))
-}
-
-fn get_u64(obj: &Obj, key: &str) -> Result<u64, ServeError> {
-    let n = json::get(obj, key)
-        .and_then(JsonValue::as_number)
-        .ok_or_else(|| ServeError::invalid_params(format!("missing numeric field {key:?}")))?;
-    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
-        return Err(ServeError::invalid_params(format!("field {key:?} is not a u53 integer")));
-    }
-    Ok(n as u64)
-}
-
-fn get_f64(obj: &Obj, key: &str) -> Result<f64, ServeError> {
-    json::get(obj, key)
-        .and_then(JsonValue::as_number)
-        .filter(|n| n.is_finite())
-        .ok_or_else(|| ServeError::invalid_params(format!("missing finite numeric field {key:?}")))
 }
 
 /// Parse one request line. On error, the recovered correlation id (if
 /// any) rides along so the server can still address its error response.
 pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, ServeError)> {
-    let v = json::parse(line).map_err(|e| (None, ServeError::bad_request(e)))?;
-    let obj = v
-        .as_object()
-        .ok_or_else(|| (None, ServeError::bad_request("request is not a JSON object")))?;
-    let id = json::get(obj, "id")
-        .and_then(JsonValue::as_number)
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64);
-    let fail = |e: ServeError| (id, e);
-    let id_val =
-        id.ok_or_else(|| fail(ServeError::bad_request("missing or non-integer \"id\"")))?;
-    let version = json::get(obj, "v").and_then(JsonValue::as_number);
-    if version != Some(PROTOCOL_VERSION as f64) {
-        return Err(fail(ServeError::new(
-            codes::BAD_VERSION,
-            format!("unsupported protocol version (want {PROTOCOL_VERSION})"),
-        )));
-    }
-    let method_name = json::get(obj, "method")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| fail(ServeError::bad_request("missing \"method\"")))?;
-    static EMPTY: &Obj = &[];
-    let params: &Obj = match json::get(obj, "params") {
-        None => EMPTY,
-        Some(p) => p
-            .as_object()
-            .ok_or_else(|| fail(ServeError::invalid_params("\"params\" is not an object")))?,
-    };
-    let method = (|| -> Result<Method, ServeError> {
-        Ok(match method_name {
-            "ping" => Method::Ping,
-            "health" => Method::Health,
-            "model_info" => Method::ModelInfo,
-            "find" => Method::Find { ident: get_str(params, "ident")? },
-            "get_attr" => Method::GetAttr {
-                ident: get_str(params, "ident")?,
-                attr: get_str(params, "attr")?,
-            },
-            "get_number" => Method::GetNumber {
-                ident: get_str(params, "ident")?,
-                attr: get_str(params, "attr")?,
-            },
-            "elements_of_kind" => Method::ElementsOfKind { kind: get_str(params, "kind")? },
-            "num_cores" => Method::NumCores,
-            "num_cuda_devices" => Method::NumCudaDevices,
-            "total_static_power" => Method::TotalStaticPower,
-            "has_installed" => Method::HasInstalled { prefix: get_str(params, "prefix")? },
-            "estimate_transfer" => Method::EstimateTransfer {
-                link: get_str(params, "link")?,
-                bytes: get_u64(params, "bytes")?,
-            },
-            "estimate_accelerator_use" => Method::EstimateAcceleratorUse {
-                link: get_str(params, "link")?,
-                upload_bytes: get_u64(params, "upload_bytes")?,
-                download_bytes: get_u64(params, "download_bytes")?,
-                compute_s: get_f64(params, "compute_s")?,
-                dynamic_power_w: get_f64(params, "dynamic_power_w")?,
-            },
-            "estimate_static_energy" => {
-                Method::EstimateStaticEnergy { duration_s: get_f64(params, "duration_s")? }
-            }
-            "stats" => Method::Stats,
-            "metrics" => Method::Metrics,
-            "reload" => Method::Reload,
-            "shutdown" => Method::Shutdown,
-            "sleep" => Method::Sleep { ms: get_u64(params, "ms")? },
-            "shards" => Method::Shards,
-            "hello" => Method::Hello {
-                encodings: json::get(params, "encodings")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| {
-                        ServeError::invalid_params("missing array field \"encodings\"")
-                    })?
-                    .iter()
-                    .map(|v| {
-                        v.as_str().map(str::to_string).ok_or_else(|| {
-                            ServeError::invalid_params("\"encodings\" entry is not a string")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-            other => {
-                return Err(ServeError::new(
-                    codes::UNKNOWN_METHOD,
-                    format!("unknown method {other:?}"),
-                ))
-            }
-        })
-    })()
-    .map_err(fail)?;
-    let shard_key = match json::get(obj, "shard") {
-        None | Some(JsonValue::Null) => None,
-        Some(v) => Some(
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| fail(ServeError::bad_request("\"shard\" is not a string")))?,
-        ),
-    };
-    Ok(Request { id: id_val, method, shard_key })
-}
-
-fn opt_str(obj: &Obj, key: &str) -> Option<String> {
-    json::get(obj, key).and_then(JsonValue::as_str).map(str::to_string)
-}
-
-fn parse_node(obj: &Obj) -> Result<NodeInfo, String> {
-    let node =
-        json::get(obj, "node").and_then(JsonValue::as_object).ok_or("missing node object")?;
-    let mut attrs = Vec::new();
-    for pair in json::get(node, "attrs").and_then(JsonValue::as_array).ok_or("missing attrs")? {
-        let kv = pair.as_array().filter(|a| a.len() == 2).ok_or("attr is not a pair")?;
-        attrs.push((
-            kv[0].as_str().ok_or("attr key not a string")?.to_string(),
-            kv[1].as_str().ok_or("attr value not a string")?.to_string(),
-        ));
-    }
-    Ok(NodeInfo {
-        kind: opt_str(node, "kind").ok_or("missing node kind")?,
-        ident: opt_str(node, "ident"),
-        type_ref: opt_str(node, "type"),
-        attrs,
-    })
-}
-
-pub(crate) fn parse_metrics(obj: &Obj) -> Result<MetricsSnapshot, String> {
-    let entries = |k: &str| -> Result<&Obj, String> {
-        json::get(obj, k).and_then(JsonValue::as_object).ok_or(format!("missing object {k:?}"))
-    };
-    let int_map = |k: &str| -> Result<std::collections::BTreeMap<String, u64>, String> {
-        entries(k)?
-            .iter()
-            .map(|(name, v)| {
-                let n = v.as_number().ok_or(format!("{k}.{name} is not a number"))?;
-                Ok((name.clone(), n as u64))
-            })
-            .collect()
-    };
-    let mut histograms = std::collections::BTreeMap::new();
-    for (name, v) in entries("histograms")? {
-        let h = v.as_object().ok_or(format!("histogram {name:?} is not an object"))?;
-        let field = |k: &str| -> Result<u64, String> {
-            json::get(h, k)
-                .and_then(JsonValue::as_number)
-                .ok_or(format!("histogram {name:?} missing {k:?}"))
-                .map(|n| n as u64)
-        };
-        let mut buckets = Vec::new();
-        for pair in json::get(h, "buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or(format!("histogram {name:?} missing buckets"))?
-        {
-            let bc = pair.as_array().filter(|a| a.len() == 2).ok_or("bucket is not a pair")?;
-            let idx = bc[0].as_number().ok_or("bucket index not a number")? as u64;
-            let count = bc[1].as_number().ok_or("bucket count not a number")? as u64;
-            buckets.push((idx.min(u8::MAX as u64) as u8, count));
-        }
-        histograms.insert(
-            name.clone(),
-            HistogramSnapshot { count: field("count")?, sum: field("sum")?, buckets },
-        );
-    }
-    Ok(MetricsSnapshot { counters: int_map("counters")?, gauges: int_map("gauges")?, histograms })
-}
-
-fn parse_reply(obj: &Obj) -> Result<Reply, String> {
-    let num = |k: &str| -> Result<f64, String> {
-        json::get(obj, k).and_then(JsonValue::as_number).ok_or(format!("missing number {k:?}"))
-    };
-    let int = |k: &str| -> Result<u64, String> { Ok(num(k)? as u64) };
-    let found = |k: &str| -> Result<bool, String> {
-        json::get(obj, "found").and_then(JsonValue::as_bool).ok_or(format!("missing found in {k}"))
-    };
-    let kind = opt_str(obj, "kind").ok_or("reply has no kind tag")?;
-    Ok(match kind.as_str() {
-        "pong" => Reply::Pong,
-        "health" => Reply::Health {
-            epoch: int("epoch")?,
-            fingerprint: opt_str(obj, "fingerprint").ok_or("missing fingerprint")?,
-            inflight: int("inflight")?,
-            draining: json::get(obj, "draining")
-                .and_then(JsonValue::as_bool)
-                .ok_or("missing draining")?,
-        },
-        "model_info" => Reply::ModelInfo {
-            epoch: int("epoch")?,
-            nodes: int("nodes")?,
-            root_kind: opt_str(obj, "root_kind").ok_or("missing root_kind")?,
-            root_ident: opt_str(obj, "root_ident"),
-            source: opt_str(obj, "source").ok_or("missing source")?,
-            fingerprint: opt_str(obj, "fingerprint").ok_or("missing fingerprint")?,
-        },
-        "node" => Reply::Node(if found("node")? { Some(parse_node(obj)?) } else { None }),
-        "attr" => Reply::Attr(opt_str(obj, "value")),
-        "number" => Reply::Number(json::get(obj, "value").and_then(JsonValue::as_number)),
-        "idents" => Reply::Idents {
-            idents: json::get(obj, "idents")
-                .and_then(JsonValue::as_array)
-                .ok_or("missing idents")?
-                .iter()
-                .map(|v| v.as_str().map(str::to_string).ok_or("ident not a string"))
-                .collect::<Result<Vec<_>, _>>()?,
-            count: int("count")?,
-        },
-        "count" => Reply::Count(int("value")?),
-        "power" => Reply::Power(num("watts")?),
-        "flag" => Reply::Flag(
-            json::get(obj, "value").and_then(JsonValue::as_bool).ok_or("missing flag value")?,
-        ),
-        "transfer" => Reply::Transfer(if found("transfer")? {
-            Some(TransferInfo {
-                time_s: num("time_s")?,
-                energy_j: num("energy_j")?,
-                bandwidth_bps: num("bandwidth_bps")?,
-            })
-        } else {
-            None
-        }),
-        "accelerator" => Reply::Accelerator(if found("accelerator")? {
-            Some(AccelInfo { time_s: num("time_s")?, energy_j: num("energy_j")? })
-        } else {
-            None
-        }),
-        "energy" => Reply::Energy(num("joules")?),
-        "stats" => Reply::Stats(StatsSnapshot::from_json_fields(obj)?),
-        "metrics" => Reply::Metrics(parse_metrics(obj)?),
-        "reloaded" => Reply::Reloaded {
-            epoch: int("epoch")?,
-            changed: json::get(obj, "changed")
-                .and_then(JsonValue::as_bool)
-                .ok_or("missing changed")?,
-        },
-        "shutting_down" => Reply::ShuttingDown,
-        "slept" => Reply::Slept { ms: int("ms")? },
-        "shards" => {
-            let list = |k: &str| -> Result<Vec<String>, String> {
-                json::get(obj, k)
-                    .and_then(JsonValue::as_array)
-                    .ok_or(format!("missing {k}"))?
-                    .iter()
-                    .map(|v| v.as_str().map(str::to_string).ok_or("shard key not a string".into()))
-                    .collect()
-            };
-            Reply::Shards {
-                enabled: json::get(obj, "enabled")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("missing enabled")?,
-                ring_epoch: opt_str(obj, "ring_epoch"),
-                owned: list("owned")?,
-                handoff: list("handoff")?,
-            }
-        }
-        "hello" => {
-            Reply::Hello { encoding: opt_str(obj, "encoding").ok_or("missing encoding")? }
-        }
-        other => return Err(format!("unknown reply kind {other:?}")),
-    })
+    ENVELOPE
+        .parse_request(line, Method::read_fields)
+        .map(|p| Request { id: p.id, method: p.method, shard_key: p.shard })
+        .map_err(|(id, code, message)| (id, ServeError::new(code, message)))
 }
 
 /// Parse one response line (the client side of the wire).
 pub fn parse_response(line: &str) -> Result<Response, String> {
-    let v = json::parse(line)?;
-    let obj = v.as_object().ok_or("response is not a JSON object")?;
-    let version = json::get(obj, "v").and_then(JsonValue::as_number);
-    if version != Some(PROTOCOL_VERSION as f64) {
-        return Err(format!("unsupported response version {version:?}"));
-    }
-    let id = json::get(obj, "id")
-        .and_then(JsonValue::as_number)
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .ok_or("missing response id")? as u64;
-    if let Some(err) = json::get(obj, "error") {
-        let err = err.as_object().ok_or("error is not an object")?;
-        return Ok(Response::err(
-            id,
-            ServeError {
-                code: opt_str(err, "code").ok_or("missing error code")?,
-                message: opt_str(err, "message").ok_or("missing error message")?,
-            },
-        ));
-    }
-    let ok = json::get(obj, "ok")
-        .and_then(JsonValue::as_object)
-        .ok_or("response has neither ok nor error")?;
-    Ok(Response::ok(id, parse_reply(ok)?))
+    let (id, result) = ENVELOPE.parse_response(line, Reply::read_fields)?;
+    Ok(Response { id, result: result.map_err(|(code, message)| ServeError { code, message }) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xpdl_obs::HistogramSnapshot;
 
     #[test]
     fn request_roundtrip_simple() {

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xpdl_core::diag::json::{self, JsonValue};
 use xpdl_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use xpdl_registry::wire::{self, Record};
 
 /// Number of latency samples retained (a power of two).
 const RING: usize = 2048;
@@ -219,10 +220,28 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Append the snapshot's fields (without braces) to a JSON object
-    /// under construction.
-    pub(crate) fn fields_to_json(&self, out: &mut String) {
+    /// Standalone JSON object (used by `BENCH_serve.json`).
+    pub fn to_json(&self) -> String {
+        let mut s = String::from("{");
+        self.write_fields(&mut s);
+        s.push('}');
+        s
+    }
+
+    /// Parse a standalone snapshot object (the `to_json` inverse).
+    pub fn parse(src: &str) -> Result<StatsSnapshot, String> {
+        let v = json::parse(src)?;
+        StatsSnapshot::read_fields(v.as_object().ok_or("stats is not an object")?)
+    }
+}
+
+/// The `stats` reply: the snapshot's fields spread into the reply object.
+impl Record for StatsSnapshot {
+    const FLAT: bool = true;
+
+    fn write_fields(&self, out: &mut String) {
         let qps = if self.qps.is_finite() { self.qps } else { 0.0 };
+        wire::sep(out);
         out.push_str(&format!(
             "\"epoch\":{},\"uptime_ms\":{},\"requests\":{},\"errors\":{},\"shed\":{},\
              \"deadline_exceeded\":{},\"rejected\":{},\"reloads\":{},\"reload_failures\":{},\
@@ -249,15 +268,7 @@ impl StatsSnapshot {
         ));
     }
 
-    /// Standalone JSON object (used by `BENCH_serve.json`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        self.fields_to_json(&mut s);
-        s.push('}');
-        s
-    }
-
-    pub(crate) fn from_json_fields(obj: &[(String, JsonValue)]) -> Result<StatsSnapshot, String> {
+    fn read_fields(obj: &[(String, JsonValue)]) -> Result<StatsSnapshot, String> {
         let int = |k: &str| -> Result<u64, String> {
             json::get(obj, k)
                 .and_then(JsonValue::as_number)
@@ -291,12 +302,6 @@ impl StatsSnapshot {
             max_us: int("max_us")?,
             reject_p99_us: opt_int("reject_p99_us"),
         })
-    }
-
-    /// Parse a standalone snapshot object (the `to_json` inverse).
-    pub fn parse(src: &str) -> Result<StatsSnapshot, String> {
-        let v = json::parse(src)?;
-        StatsSnapshot::from_json_fields(v.as_object().ok_or("stats is not an object")?)
     }
 }
 
