@@ -22,9 +22,48 @@ fn arb_text() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[ -~]{0,20}").unwrap()
 }
 
+/// A request float: both wires reject a non-finite one with `S412`.
 fn arb_f64() -> impl Strategy<Value = f64> {
-    // Finite only: both wires map non-finite to null/absent by design.
     -1e12f64..1e12
+}
+
+/// A reply float, non-finite values included.
+fn arb_reply_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -1e12f64..1e12,
+        -1e12f64..1e12,
+        -1e12f64..1e12,
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+    ]
+}
+
+/// What a response reads back as over either wire: a non-finite reply
+/// float becomes NaN, and a non-finite `number` value becomes absent.
+fn read_back(resp: &Response) -> Response {
+    let nan = |x: f64| if x.is_finite() { x } else { f64::NAN };
+    let reply = match resp.result.clone() {
+        Ok(Reply::Power(w)) => Reply::Power(nan(w)),
+        Ok(Reply::Energy(j)) => Reply::Energy(nan(j)),
+        Ok(Reply::Number(v)) => Reply::Number(v.filter(|x| x.is_finite())),
+        Ok(Reply::Transfer(t)) => Reply::Transfer(t.map(|t| TransferInfo {
+            time_s: nan(t.time_s),
+            energy_j: nan(t.energy_j),
+            bandwidth_bps: nan(t.bandwidth_bps),
+        })),
+        Ok(Reply::Accelerator(a)) => Reply::Accelerator(
+            a.map(|a| AccelInfo { time_s: nan(a.time_s), energy_j: nan(a.energy_j) }),
+        ),
+        Ok(other) => other,
+        Err(e) => return Response::err(resp.id, e),
+    };
+    Response::ok(resp.id, reply)
+}
+
+/// Equality that holds NaN equal to NaN: compare the debug text.
+fn same(a: &Response, b: &Response) -> bool {
+    format!("{a:?}") == format!("{b:?}")
 }
 
 fn arb_u53() -> impl Strategy<Value = u64> {
@@ -83,11 +122,11 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
         Just(Reply::Pong),
         Just(Reply::ShuttingDown),
         arb_u53().prop_map(Reply::Count),
-        arb_f64().prop_map(Reply::Power),
-        arb_f64().prop_map(Reply::Energy),
+        arb_reply_f64().prop_map(Reply::Power),
+        arb_reply_f64().prop_map(Reply::Energy),
         any::<bool>().prop_map(Reply::Flag),
         proptest::option::of(arb_text()).prop_map(Reply::Attr),
-        proptest::option::of(arb_f64()).prop_map(Reply::Number),
+        proptest::option::of(arb_reply_f64()).prop_map(Reply::Number),
         (arb_u53(), proptest::collection::vec(arb_text(), 0..4))
             .prop_map(|(count, idents)| Reply::Idents { idents, count }),
         (arb_u53(), any::<bool>()).prop_map(|(epoch, changed)| Reply::Reloaded { epoch, changed }),
@@ -100,14 +139,14 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 draining,
             }
         ),
-        proptest::option::of((arb_f64(), arb_f64(), arb_f64())).prop_map(|t| {
+        proptest::option::of((arb_reply_f64(), arb_reply_f64(), arb_reply_f64())).prop_map(|t| {
             Reply::Transfer(t.map(|(time_s, energy_j, bandwidth_bps)| TransferInfo {
                 time_s,
                 energy_j,
                 bandwidth_bps,
             }))
         }),
-        proptest::option::of((arb_f64(), arb_f64())).prop_map(|t| {
+        proptest::option::of((arb_reply_f64(), arb_reply_f64())).prop_map(|t| {
             Reply::Accelerator(t.map(|(time_s, energy_j)| AccelInfo { time_s, energy_j }))
         }),
         (
@@ -181,15 +220,16 @@ proptest! {
         prop_assert_eq!(&via_binary, &via_json);
     }
 
-    /// Same agreement for responses, including error responses.
+    /// Same agreement for responses, including error responses and
+    /// non-finite reply floats.
     #[test]
     fn response_binary_json_equivalence(resp in arb_response()) {
         let frame = encode_response(&resp, &mut StrEncoder::new());
         let via_binary = decode_response(&frame[4..], &mut StrDecoder::new()).unwrap();
-        prop_assert_eq!(&via_binary, &resp);
+        prop_assert!(same(&via_binary, &read_back(&resp)), "{via_binary:?} vs {resp:?}");
 
         let via_json = parse_response(&resp.to_json()).unwrap();
-        prop_assert_eq!(&via_binary, &via_json);
+        prop_assert!(same(&via_binary, &via_json), "{via_binary:?} vs {via_json:?}");
     }
 
     /// The stateless (inline-only) encoder used by server worker threads
@@ -198,7 +238,7 @@ proptest! {
     fn inline_only_encoder_is_equivalent(resp in arb_response()) {
         let frame = encode_response(&resp, &mut StrEncoder::inline_only());
         let decoded = decode_response(&frame[4..], &mut StrDecoder::new()).unwrap();
-        prop_assert_eq!(decoded, resp);
+        prop_assert!(same(&decoded, &read_back(&resp)), "{decoded:?} vs {resp:?}");
     }
 
     /// A persistent table pays off: re-encoding the same request against

@@ -108,7 +108,9 @@ impl TestClient {
 }
 
 /// The query mix both clients run for the parity test, covering interned
-/// strings, optionals, floats, and the embedded-JSON payloads.
+/// strings, optionals, floats, and the embedded-JSON payloads. The last
+/// two overflow to an infinite energy (27 W × 1e308 s, and a 1e308 W
+/// compute phase), which both encodings must read back as NaN.
 fn parity_mix() -> Vec<Method> {
     vec![
         Method::Ping,
@@ -125,8 +127,23 @@ fn parity_mix() -> Vec<Method> {
         Method::HasInstalled { prefix: "cuda".into() },
         Method::EstimateTransfer { link: "connection1".into(), bytes: 1 << 20 },
         Method::EstimateStaticEnergy { duration_s: 2.5 },
+        Method::EstimateAcceleratorUse {
+            link: "connection1".into(),
+            upload_bytes: 1 << 20,
+            download_bytes: 1 << 10,
+            compute_s: 0.5,
+            dynamic_power_w: 25.0,
+        },
         Method::Shards,
         Method::Metrics,
+        Method::EstimateStaticEnergy { duration_s: 1e308 },
+        Method::EstimateAcceleratorUse {
+            link: "connection1".into(),
+            upload_bytes: 1 << 20,
+            download_bytes: 1 << 10,
+            compute_s: 1e308,
+            dynamic_power_w: 1e308,
+        },
     ]
 }
 
@@ -141,6 +158,7 @@ fn binary_answers_match_json_answers() {
     // first use, so let `metrics` see itself before comparing shapes.
     let _ = json.call_json(&Request::new(1, Method::Metrics));
 
+    let mut nan_replies = 0;
     for (n, method) in parity_mix().into_iter().enumerate() {
         let id = 1000 + n as u64;
         let via_json = json.call_json(&Request::new(id, method.clone()));
@@ -163,9 +181,15 @@ fn binary_answers_match_json_answers() {
                 };
                 assert_eq!(keys(&a), keys(&b), "metrics shape for {method:?}");
             }
-            (_, j, b) => assert_eq!(j, b, "parity for {method:?}"),
+            // Debug text compares NaN equal to NaN, which `==` does not.
+            (_, j, b) => {
+                let (j, b) = (format!("{j:?}"), format!("{b:?}"));
+                assert_eq!(j, b, "parity for {method:?}");
+                nan_replies += usize::from(j.contains("NaN"));
+            }
         }
     }
+    assert_eq!(nan_replies, 2, "both overflowing estimates reach the wire as NaN");
 }
 
 #[test]

@@ -13,9 +13,41 @@ fn arb_text() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[ -~]{0,20}").unwrap()
 }
 
+/// A request float: the parser rejects a non-finite one with `S412`.
 fn arb_f64() -> impl Strategy<Value = f64> {
-    // Finite values only: the wire maps non-finite to null by design.
     -1e12f64..1e12
+}
+
+/// A reply float, non-finite values included.
+fn arb_reply_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -1e12f64..1e12,
+        -1e12f64..1e12,
+        -1e12f64..1e12,
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+    ]
+}
+
+/// What a reply reads back as: a non-finite float is written as `null`,
+/// which reads as NaN, or as absent for the `number` value.
+fn read_back(reply: Reply) -> Reply {
+    let nan = |x: f64| if x.is_finite() { x } else { f64::NAN };
+    match reply {
+        Reply::Power(w) => Reply::Power(nan(w)),
+        Reply::Energy(j) => Reply::Energy(nan(j)),
+        Reply::Number(v) => Reply::Number(v.filter(|x| x.is_finite())),
+        Reply::Transfer(t) => Reply::Transfer(t.map(|t| TransferInfo {
+            time_s: nan(t.time_s),
+            energy_j: nan(t.energy_j),
+            bandwidth_bps: nan(t.bandwidth_bps),
+        })),
+        Reply::Accelerator(a) => Reply::Accelerator(
+            a.map(|a| AccelInfo { time_s: nan(a.time_s), energy_j: nan(a.energy_j) }),
+        ),
+        other => other,
+    }
 }
 
 fn arb_u53() -> impl Strategy<Value = u64> {
@@ -78,23 +110,23 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
         arb_metrics().prop_map(Reply::Metrics),
         Just(Reply::ShuttingDown),
         arb_u53().prop_map(Reply::Count),
-        arb_f64().prop_map(Reply::Power),
-        arb_f64().prop_map(Reply::Energy),
+        arb_reply_f64().prop_map(Reply::Power),
+        arb_reply_f64().prop_map(Reply::Energy),
         proptest::option::of(arb_text()).prop_map(Reply::Attr),
-        proptest::option::of(arb_f64()).prop_map(Reply::Number),
+        proptest::option::of(arb_reply_f64()).prop_map(Reply::Number),
         (arb_u53(), proptest::collection::vec(arb_text(), 0..4))
             .prop_map(|(count, idents)| Reply::Idents { idents, count }),
         (arb_u53(), any::<bool>()).prop_map(|(epoch, changed)| Reply::Reloaded { epoch, changed }),
         arb_u53().prop_map(|ms| Reply::Slept { ms }),
         any::<bool>().prop_map(Reply::Flag),
-        proptest::option::of((arb_f64(), arb_f64(), arb_f64())).prop_map(|t| {
+        proptest::option::of((arb_reply_f64(), arb_reply_f64(), arb_reply_f64())).prop_map(|t| {
             Reply::Transfer(t.map(|(time_s, energy_j, bandwidth_bps)| TransferInfo {
                 time_s,
                 energy_j,
                 bandwidth_bps,
             }))
         }),
-        proptest::option::of((arb_f64(), arb_f64())).prop_map(|t| {
+        proptest::option::of((arb_reply_f64(), arb_reply_f64())).prop_map(|t| {
             Reply::Accelerator(t.map(|(time_s, energy_j)| AccelInfo { time_s, energy_j }))
         }),
         (
@@ -134,11 +166,13 @@ proptest! {
 
     #[test]
     fn ok_response_roundtrips(id in arb_u53(), reply in arb_reply()) {
-        let resp = Response::ok(id, reply);
+        let resp = Response::ok(id, reply.clone());
         let line = resp.to_json();
         prop_assert!(!line.contains('\n'), "framing: {line:?}");
         let back = parse_response(&line).map_err(|e| e.to_string())?;
-        prop_assert_eq!(back, resp);
+        // Debug text compares NaN equal to NaN, which `==` does not.
+        let want = Response::ok(id, read_back(reply));
+        prop_assert_eq!(format!("{back:?}"), format!("{want:?}"));
     }
 
     #[test]
