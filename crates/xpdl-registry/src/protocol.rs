@@ -23,6 +23,11 @@
 //! [`parse_event`] / [`parse_response`] pair makes that a two-probe
 //! match. The full grammar is documented in DESIGN.md §16.
 //!
+//! Every method, reply and event is listed once, in the
+//! [`wire_messages!`](crate::wire_messages) table below, which generates
+//! the types and their JSON form; the envelope and each field type's
+//! JSON form are in [`wire`](crate::wire), shared with `xpdl-serve`.
+//!
 //! # Example
 //!
 //! ```

@@ -90,11 +90,13 @@ fn push_f64(out: &mut String, x: f64) {
     }
 }
 
-fn array<T>(obj: &Obj, k: &str, item: impl Fn(&JsonValue) -> Option<T>) -> Result<Vec<T>, String> {
+/// Array field `k`, each entry read by `item`, which fails for an entry
+/// that is not `what`.
+fn array<T>(obj: &Obj, k: &str, what: &str, item: impl Fn(&JsonValue) -> Option<T>) -> Result<Vec<T>, String> {
     let items = json::get(obj, k)
         .and_then(JsonValue::as_array)
         .ok_or_else(|| format!("missing array field {k:?}"))?;
-    items.iter().map(|v| item(v).ok_or_else(|| format!("{k:?} entry is not a string"))).collect()
+    items.iter().map(|v| item(v).ok_or_else(|| format!("{k:?} entry is not {what}"))).collect()
 }
 
 fn write_array<T>(out: &mut String, k: &str, items: &[T], item: impl Fn(&mut String, &T)) {
@@ -200,7 +202,7 @@ impl Field for Vec<String> {
     }
     #[inline]
     fn read(obj: &Obj, k: &str, _: Dir) -> Result<Vec<String>, String> {
-        array(obj, k, |v| v.as_str().map(str::to_string))
+        array(obj, k, "a string", |v| v.as_str().map(str::to_string))
     }
 }
 
@@ -231,7 +233,7 @@ impl Field for Vec<(String, String)> {
     }
     #[inline]
     fn read(obj: &Obj, k: &str, _: Dir) -> Result<Vec<(String, String)>, String> {
-        array(obj, k, |v| match v.as_array()? {
+        array(obj, k, "a [key, value] pair", |v| match v.as_array()? {
             [a, b] => Some((a.as_str()?.to_string(), b.as_str()?.to_string())),
             _ => None,
         })

@@ -576,17 +576,20 @@ macro_rules! binary_codec {
                 }
             }
 
-            /// The variant with frame code `code`; `None` for an unknown code.
+            /// The variant with frame code `code`, read from `c`.
             #[allow(unused_variables)]
-            fn get_fields(code: u8, c: &mut Cursor<'_>, s: &mut StrDecoder) -> DResult<Option<Self>> {
+            fn get_fields(code: u8, c: &mut Cursor<'_>, s: &mut StrDecoder) -> DResult<Self> {
                 let dir = Dir::$dir;
-                Ok(Some(match code {
+                Ok(match code {
                     $( $code => Self::$V
                         $({ $( $f: Bin::get(c, s, stringify!($f), dir)? ),* })?
                         $(( Bin::get(c, s, stringify!($t), dir)? ))?,
                     )*
-                    _ => return Ok(None),
-                }))
+                    _ => {
+                        let what = if dir == Dir::Request { "method" } else { "reply" };
+                        return frame_err(format!("unknown {what} code {code:#04x}"));
+                    }
+                })
             }
         }
 
@@ -649,8 +652,7 @@ pub fn decode_request(
         let code = c.u8("method code")?;
         let id = c.u64("id")?;
         let shard_key = Bin::get(&mut c, strings, "shard", Dir::Request)?;
-        let method = Method::get_fields(code, &mut c, strings)?
-            .ok_or_else(|| DecodeErr::Frame(format!("unknown method code {code:#04x}")))?;
+        let method = Method::get_fields(code, &mut c, strings)?;
         c.finish("request")?;
         Ok(Request { id, method, shard_key })
     })()
@@ -687,8 +689,7 @@ pub fn decode_response(body: &[u8], strings: &mut StrDecoder) -> Result<Response
             let code = c.str_ref(strings, "error code")?;
             Err(ServeError { code, message: c.str_ref(strings, "error message")? })
         } else {
-            Ok(Reply::get_fields(code, &mut c, strings)?
-                .ok_or_else(|| DecodeErr::Frame(format!("unknown reply code {code:#04x}")))?)
+            Ok(Reply::get_fields(code, &mut c, strings)?)
         };
         c.finish("response")?;
         Ok(Response { id, result })
