@@ -26,7 +26,7 @@
 //! Every method, reply and event is listed once, in the
 //! [`wire_messages!`](crate::wire_messages) table below, which generates
 //! the types and their JSON form; the envelope and each field type's
-//! JSON form are in [`wire`](crate::wire), shared with `xpdl-serve`.
+//! JSON form are in [`crate::wire`], shared with `xpdl-serve`.
 //!
 //! # Example
 //!
@@ -312,8 +312,11 @@ impl Field for RingInfo {
     }
 
     fn read(obj: &Obj, k: &str, dir: Dir) -> Result<RingInfo, String> {
-        let r = json::get(obj, k).and_then(JsonValue::as_object).ok_or(format!("missing ring {k:?}"))?;
-        let epoch = parse_epoch_hex(&String::read(r, "epoch", dir)?).ok_or("ring epoch is not 16-digit hex")?;
+        let r = json::get(obj, k)
+            .and_then(JsonValue::as_object)
+            .ok_or(format!("missing ring {k:?}"))?;
+        let epoch = parse_epoch_hex(&String::read(r, "epoch", dir)?)
+            .ok_or("ring epoch is not 16-digit hex")?;
         let replication = u64::read(r, "replication", dir)?;
         let vnodes = u64::read(r, "vnodes", dir)?;
         Ok(RingInfo { epoch, replication, vnodes, nodes: Vec::read(r, "nodes", dir)? })

@@ -92,7 +92,12 @@ fn push_f64(out: &mut String, x: f64) {
 
 /// Array field `k`, each entry read by `item`, which fails for an entry
 /// that is not `what`.
-fn array<T>(obj: &Obj, k: &str, what: &str, item: impl Fn(&JsonValue) -> Option<T>) -> Result<Vec<T>, String> {
+fn array<T>(
+    obj: &Obj,
+    k: &str,
+    what: &str,
+    item: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Vec<T>, String> {
     let items = json::get(obj, k)
         .and_then(JsonValue::as_array)
         .ok_or_else(|| format!("missing array field {k:?}"))?;
@@ -191,7 +196,9 @@ impl Field for bool {
     }
     #[inline]
     fn read(obj: &Obj, k: &str, _: Dir) -> Result<bool, String> {
-        json::get(obj, k).and_then(JsonValue::as_bool).ok_or_else(|| format!("missing bool field {k:?}"))
+        json::get(obj, k)
+            .and_then(JsonValue::as_bool)
+            .ok_or_else(|| format!("missing bool field {k:?}"))
     }
 }
 
@@ -295,7 +302,11 @@ impl<R: Record> Field for Vec<R> {
             .ok_or_else(|| format!("missing array field {k:?}"))?;
         items
             .iter()
-            .map(|v| R::read_fields(v.as_object().ok_or_else(|| format!("{k:?} entry is not an object"))?))
+            .map(|v| {
+                R::read_fields(
+                    v.as_object().ok_or_else(|| format!("{k:?} entry is not an object"))?,
+                )
+            })
             .collect()
     }
 }
@@ -341,7 +352,11 @@ impl Record for MetricsSnapshot {
             let sum = u64::read(h, "sum", Dir::Reply)?;
             histograms.insert(name.clone(), HistogramSnapshot { count, sum, buckets });
         }
-        Ok(MetricsSnapshot { counters: int_map("counters")?, gauges: int_map("gauges")?, histograms })
+        Ok(MetricsSnapshot {
+            counters: int_map("counters")?,
+            gauges: int_map("gauges")?,
+            histograms,
+        })
     }
 }
 
@@ -388,7 +403,13 @@ pub type ReadFn<M> = fn(&str, &Obj) -> Result<Option<M>, String>;
 impl Envelope {
     /// `{"v":..,"id":..,"method":..[,"shard":..][,"params":{..}]}`; the
     /// `params` object is left out when `params` writes no field.
-    pub fn write_request(&self, id: u64, method: &str, shard: Option<&str>, params: impl FnOnce(&mut String)) -> String {
+    pub fn write_request(
+        &self,
+        id: u64,
+        method: &str,
+        shard: Option<&str>,
+        params: impl FnOnce(&mut String),
+    ) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(s, "{{\"v\":{},\"id\":{id},\"method\":", self.version);
         json::escape_into(&mut s, method);
@@ -418,7 +439,13 @@ impl Envelope {
         self.write_tagged(None, "event", kind, fields)
     }
 
-    fn write_tagged(&self, id: Option<u64>, tag: &str, kind: &str, fields: impl FnOnce(&mut String)) -> String {
+    fn write_tagged(
+        &self,
+        id: Option<u64>,
+        tag: &str,
+        kind: &str,
+        fields: impl FnOnce(&mut String),
+    ) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(s, "{{\"v\":{},", self.version);
         if let Some(id) = id {
@@ -461,7 +488,8 @@ impl Envelope {
         let name = json::get(obj, "method")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| bad(Some(id), "missing \"method\""))?;
-        let invalid = |detail: &str| (Some(id), self.invalid_params, format!("invalid params: {detail}"));
+        let invalid =
+            |detail: &str| (Some(id), self.invalid_params, format!("invalid params: {detail}"));
         let params = match json::get(obj, "params") {
             None => &[][..],
             Some(p) => p.as_object().ok_or_else(|| invalid("\"params\" is not an object"))?,
@@ -470,9 +498,9 @@ impl Envelope {
             .map_err(|e| invalid(&e))?
             .ok_or_else(|| (Some(id), self.unknown_method, format!("unknown method {name:?}")))?;
         let shard = match json::get(obj, "shard") {
-            Some(v) if self.shard_key && !matches!(v, JsonValue::Null) => {
-                Some(v.as_str().ok_or_else(|| bad(Some(id), "\"shard\" is not a string"))?.to_string())
-            }
+            Some(v) if self.shard_key && !matches!(v, JsonValue::Null) => Some(
+                v.as_str().ok_or_else(|| bad(Some(id), "\"shard\" is not a string"))?.to_string(),
+            ),
             _ => None,
         };
         Ok(Parsed { id, method, shard })
@@ -481,7 +509,11 @@ impl Envelope {
     /// Parse one response line into its id and either the reply or the
     /// error's `(code, message)`.
     #[allow(clippy::type_complexity)]
-    pub fn parse_response<R>(&self, line: &str, read: ReadFn<R>) -> Result<(u64, Result<R, (String, String)>), String> {
+    pub fn parse_response<R>(
+        &self,
+        line: &str,
+        read: ReadFn<R>,
+    ) -> Result<(u64, Result<R, (String, String)>), String> {
         let v = json::parse(line)?;
         let obj = v.as_object().ok_or("response is not a JSON object")?;
         let version = json::get(obj, "v").and_then(JsonValue::as_number);
@@ -497,7 +529,9 @@ impl Envelope {
             let code = String::read(err, "code", Dir::Reply)?;
             return Ok((id, Err((code, String::read(err, "message", Dir::Reply)?))));
         }
-        let ok = json::get(obj, "ok").and_then(JsonValue::as_object).ok_or("response has neither ok nor error")?;
+        let ok = json::get(obj, "ok")
+            .and_then(JsonValue::as_object)
+            .ok_or("response has neither ok nor error")?;
         Ok((id, Ok(read_tagged(ok, "reply", read)?)))
     }
 
@@ -506,14 +540,18 @@ impl Envelope {
     pub fn parse_event<E>(&self, line: &str, read: ReadFn<E>) -> Result<Option<E>, String> {
         let v = json::parse(line)?;
         let obj = v.as_object().ok_or("event line is not a JSON object")?;
-        let Some(ev) = json::get(obj, "event") else { return Ok(None) };
+        let Some(ev) = json::get(obj, "event") else {
+            return Ok(None);
+        };
         read_tagged(ev.as_object().ok_or("\"event\" is not an object")?, "event", read).map(Some)
     }
 }
 
 /// Read a message tagged by its `"kind"` member.
 fn read_tagged<T>(obj: &Obj, what: &str, read: ReadFn<T>) -> Result<T, String> {
-    let kind = json::get(obj, "kind").and_then(JsonValue::as_str).ok_or(format!("{what} has no kind tag"))?;
+    let kind = json::get(obj, "kind")
+        .and_then(JsonValue::as_str)
+        .ok_or(format!("{what} has no kind tag"))?;
     read(kind, obj)?.ok_or_else(|| format!("unknown {what} kind {kind:?}"))
 }
 

@@ -7,8 +7,12 @@
 
 use proptest::prelude::*;
 use xpdl_core::diag::json::{self, JsonValue};
-use xpdl_registry::protocol::{parse_event, parse_request, parse_response, Event, Request, Response};
-use xpdl_registry::{ClusterStatus, NodeEntry, RegistryError, RegistryMethod, RegistryReply, RingInfo};
+use xpdl_registry::protocol::{
+    parse_event, parse_request, parse_response, Event, Request, Response,
+};
+use xpdl_registry::{
+    ClusterStatus, NodeEntry, RegistryError, RegistryMethod, RegistryReply, RingInfo,
+};
 
 /// Printable ASCII including quotes, backslashes and braces.
 fn arb_text() -> impl Strategy<Value = String> {
@@ -26,13 +30,8 @@ fn arb_method() -> impl Strategy<Value = RegistryMethod> {
         Just(RegistryMethod::Stats),
         Just(RegistryMethod::Status),
         (arb_text(), arb_text(), arb_u53(), arb_text(), arb_u53(), arb_u53()).prop_map(
-            |(node, addr, epoch, fingerprint, inflight, ttl_ms)| RegistryMethod::Register {
-                node,
-                addr,
-                epoch,
-                fingerprint,
-                inflight,
-                ttl_ms,
+            |(node, addr, epoch, fingerprint, inflight, ttl_ms)| {
+                RegistryMethod::Register { node, addr, epoch, fingerprint, inflight, ttl_ms }
             }
         ),
         (arb_text(), arb_u53(), arb_text(), arb_u53()).prop_map(
@@ -73,12 +72,17 @@ fn arb_reply() -> impl Strategy<Value = RegistryReply> {
     let ring = || proptest::option::of(arb_ring());
     prop_oneof![
         Just(RegistryReply::Pong),
-        (arb_u53(), arb_u53(), version(), ring()).prop_map(|(generation, ttl_ms, version, ring)| {
-            RegistryReply::Lease { generation, ttl_ms, version, ring }
-        }),
+        (arb_u53(), arb_u53(), version(), ring()).prop_map(
+            |(generation, ttl_ms, version, ring)| {
+                RegistryReply::Lease { generation, ttl_ms, version, ring }
+            }
+        ),
         any::<bool>().prop_map(|removed| RegistryReply::Deregistered { removed }),
-        (entries(), version(), ring())
-            .prop_map(|(nodes, version, ring)| RegistryReply::Nodes { nodes, version, ring }),
+        (entries(), version(), ring()).prop_map(|(nodes, version, ring)| RegistryReply::Nodes {
+            nodes,
+            version,
+            ring
+        }),
         arb_u53().prop_map(|subscribers| RegistryReply::Announced { subscribers }),
         version().prop_map(|version| RegistryReply::Subscribed { version }),
         (arb_u53(), arb_u53(), arb_u53(), arb_u53(), arb_u53(), arb_u53()).prop_map(
@@ -136,8 +140,18 @@ fn check_request_verdict(line: &str) {
 }
 
 /// Replacement values for a type-confused member.
-const CONFUSIONS: &[&str] =
-    &["null", "true", "-1", "1.5", "9007199254740993", "1e999", "\"text\"", "[]", "{}", "[\"a\",1]"];
+const CONFUSIONS: &[&str] = &[
+    "null",
+    "true",
+    "-1",
+    "1.5",
+    "9007199254740993",
+    "1e999",
+    "\"text\"",
+    "[]",
+    "{}",
+    "[\"a\",1]",
+];
 
 fn write_json(v: &JsonValue, out: &mut String) {
     match v {

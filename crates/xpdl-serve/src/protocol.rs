@@ -249,244 +249,246 @@ impl Response {
 /// The serve message table, handed to the macro `$expand` (see the
 /// module docs). Field types must be in scope wherever it is expanded.
 macro_rules! serve_messages {
-    ($expand:ident) => { $expand! {
-        /// A found element, as returned by `find`.
-        #[derive(Debug, Clone, PartialEq, Eq)]
-        pub struct NodeInfo {
-            /// Element kind/tag.
-            pub kind: String,
-            /// Identifier, if the element has one.
-            pub ident: Option<String>,
-            /// `type=` reference, if any.
-            pub type_ref: Option<String> = "type",
-            /// All attributes in document order.
-            pub attrs: Vec<(String, String)>,
-        }
-
-        /// A transfer estimate, as returned by `estimate_transfer`.
-        #[derive(Debug, Clone, PartialEq)]
-        pub flat struct TransferInfo {
-            /// Expected time, seconds.
-            pub time_s: f64,
-            /// Expected energy, joules.
-            pub energy_j: f64,
-            /// Bandwidth used for the estimate, bytes/second.
-            pub bandwidth_bps: f64,
-        }
-
-        /// An accelerator-use estimate.
-        #[derive(Debug, Clone, PartialEq)]
-        pub flat struct AccelInfo {
-            /// Total expected time, seconds.
-            pub time_s: f64,
-            /// Total expected energy, joules.
-            pub energy_j: f64,
-        }
-
-        /// Every method of protocol version 1 — the full XPDLRT query surface
-        /// plus server control.
-        #[derive(Debug, Clone, PartialEq)]
-        pub enum Method: Request {
-            /// Liveness check.
-            Ping = 0x01 "ping",
-            /// Serving health: epoch, model fingerprint, in-flight count,
-            /// draining flag. Cheaper than `stats` (no ring scan) and richer
-            /// than inferring liveness from connect success — the registry and
-            /// bench harness probe this.
-            Health = 0x02 "health",
-            /// Snapshot metadata: epoch, node count, source, fingerprint.
-            ModelInfo = 0x03 "model_info",
-            /// `xpdl_find`: look up an element by identifier.
-            Find = 0x04 "find" {
-                /// Element identifier (`id=`/`name=`).
-                ident: String,
-            },
-            /// `xpdl_get_attr`: string attribute of a named element.
-            GetAttr = 0x05 "get_attr" {
-                /// Element identifier.
-                ident: String,
-                /// Attribute key.
-                attr: String,
-            },
-            /// `xpdl_get_number`: numeric attribute of a named element.
-            GetNumber = 0x06 "get_number" {
-                /// Element identifier.
-                ident: String,
-                /// Attribute key.
-                attr: String,
-            },
-            /// All elements of a kind (idents of the named ones + total count).
-            ElementsOfKind = 0x07 "elements_of_kind" {
+    ($expand:ident) => {
+        $expand! {
+            /// A found element, as returned by `find`.
+            #[derive(Debug, Clone, PartialEq, Eq)]
+            pub struct NodeInfo {
                 /// Element kind/tag.
-                kind: String,
-            },
-            /// Derived attribute: total core count.
-            NumCores = 0x08 "num_cores",
-            /// Derived attribute: CUDA-capable device count.
-            NumCudaDevices = 0x09 "num_cuda_devices",
-            /// Derived attribute: total in-line static power, watts.
-            TotalStaticPower = 0x0a "total_static_power",
-            /// Whether software whose type starts with `prefix` is installed.
-            HasInstalled = 0x0b "has_installed" {
-                /// Type prefix to match (e.g. `CUBLAS`).
-                prefix: String,
-            },
-            /// Expected time/energy to move `bytes` over interconnect `link`.
-            EstimateTransfer = 0x0c "estimate_transfer" {
-                /// Interconnect identifier.
-                link: String,
-                /// Payload size in bytes.
-                bytes: u64,
-            },
-            /// Expected cost of using the accelerator behind `link`.
-            EstimateAcceleratorUse = 0x0d "estimate_accelerator_use" {
-                /// Interconnect identifier whose `tail` is the accelerator.
-                link: String,
-                /// Bytes shipped to the accelerator.
-                upload_bytes: u64,
-                /// Bytes shipped back.
-                download_bytes: u64,
-                /// Compute phase duration, seconds.
-                compute_s: f64,
-                /// Dynamic power drawn while computing, watts.
-                dynamic_power_w: f64,
-            },
-            /// Platform static energy over a duration, joules.
-            EstimateStaticEnergy = 0x0e "estimate_static_energy" {
-                /// Duration, seconds.
-                duration_s: f64,
-            },
-            /// Server statistics (qps, latency percentiles, epoch, counters).
-            Stats = 0x0f "stats",
-            /// Full unified metrics-registry snapshot: every counter, gauge and
-            /// histogram registered anywhere in the process (repository, disk
-            /// cache, serving layer), aggregated by name.
-            Metrics = 0x10 "metrics",
-            /// Force a hot reload from the model source.
-            Reload = 0x11 "reload",
-            /// Ask the server to drain and exit (if enabled).
-            Shutdown = 0x12 "shutdown",
-            /// Debug-only: hold a worker for `ms` milliseconds (backpressure
-            /// testing; rejected unless the server enables debug methods).
-            Sleep = 0x13 "sleep" {
-                /// How long to sleep.
-                ms: u64,
-            },
-            /// This node's shard view: ring epoch, keys loaded and owned, keys
-            /// still served during handoff. Peers poll this to ack ownership
-            /// before a predecessor drops a shard.
-            Shards = 0x14 "shards",
-            /// Encoding negotiation. Must be the **first** request on a
-            /// connection (`S412` otherwise): the client lists the wire encodings
-            /// it speaks in preference order, the server answers
-            /// [`Reply::Hello`] with the one it picked, and the connection
-            /// switches to that encoding for every subsequent frame. A client
-            /// that never sends `hello` stays on JSON-lines; a server that does
-            /// not know the method answers `S411` and the client falls back to
-            /// JSON-lines — both directions stay compatible. See `docs/WIRE.md`.
-            Hello = 0x15 "hello" {
-                /// Encoding names the client supports, most preferred first
-                /// (`"binary"`, `"json"`).
-                encodings: Vec<String>,
-            },
-        }
+                pub kind: String,
+                /// Identifier, if the element has one.
+                pub ident: Option<String>,
+                /// `type=` reference, if any.
+                pub type_ref: Option<String> = "type",
+                /// All attributes in document order.
+                pub attrs: Vec<(String, String)>,
+            }
 
-        /// The success payload of a response, tagged by `kind` on the wire.
-        #[derive(Debug, Clone, PartialEq)]
-        pub enum Reply: Reply {
-            /// `ping` succeeded.
-            Pong = 0x01 "pong",
-            /// `health` result: the node's liveness card.
-            Health = 0x02 "health" {
-                /// Snapshot epoch currently served.
-                epoch: u64,
-                /// FNV-1a fingerprint of the served model, hex.
-                fingerprint: String,
-                /// Requests admitted and not yet answered.
-                inflight: u64,
-                /// Whether the node is draining (queries answer `S510`).
-                draining: bool,
-            },
-            /// Snapshot metadata.
-            ModelInfo = 0x03 "model_info" {
-                /// Snapshot epoch (increments on every hot reload that swaps).
-                epoch: u64,
-                /// Node count of the runtime model.
-                nodes: u64,
-                /// Root element kind.
-                root_kind: String,
-                /// Root element identifier.
-                root_ident: Option<String>,
-                /// Human-readable model source description.
-                source: String,
-                /// FNV-1a fingerprint of the encoded model, hex.
-                fingerprint: String,
-            },
-            /// `find` result (`found: false` mirrors the paper's NULL).
-            Node = 0x04 "node" (node: Option<NodeInfo>),
-            /// `get_attr` result.
-            Attr = 0x05 "attr" (value: Option<String>),
-            /// `get_number` result.
-            Number = 0x06 "number" (value: Option<f64>),
-            /// `elements_of_kind` result.
-            Idents = 0x07 "idents" {
-                /// Identifiers of the named matches, document order.
-                idents: Vec<String>,
-                /// Total matches including anonymous elements.
-                count: u64,
-            },
-            /// `num_cores` / `num_cuda_devices` result.
-            Count = 0x08 "count" (value: u64),
-            /// `total_static_power` result, watts.
-            Power = 0x09 "power" (watts: f64),
-            /// `has_installed` result.
-            Flag = 0x0a "flag" (value: bool),
-            /// `estimate_transfer` result (`None`: no such link / no bandwidth).
-            Transfer = 0x0b "transfer" (estimate: Option<TransferInfo>),
-            /// `estimate_accelerator_use` result.
-            Accelerator = 0x0c "accelerator" (estimate: Option<AccelInfo>),
-            /// `estimate_static_energy` result, joules.
-            Energy = 0x0d "energy" (joules: f64),
-            /// `stats` result.
-            Stats = 0x0e "stats" (stats: StatsSnapshot),
-            /// `metrics` result: the process-wide registry snapshot.
-            Metrics = 0x0f "metrics" (metrics: MetricsSnapshot),
-            /// `reload` result: the epoch now current, and whether it swapped.
-            Reloaded = 0x10 "reloaded" {
-                /// Epoch after the reload.
-                epoch: u64,
-                /// `true` if a new snapshot was installed (content changed).
-                changed: bool,
-            },
-            /// `shutdown` acknowledged; the server drains after responding.
-            ShuttingDown = 0x11 "shutting_down",
-            /// `sleep` completed (debug builds of the protocol only).
-            Slept = 0x12 "slept" {
-                /// How long the worker was held.
-                ms: u64,
-            },
-            /// `shards` result: this node's shard view.
-            Shards = 0x13 "shards" {
-                /// Whether sharding is enabled on this node at all.
-                enabled: bool,
-                /// Ring epoch the node last applied, as 16-digit hex (`None`
-                /// before the first ring arrives).
-                ring_epoch: Option<String>,
-                /// Keys loaded and owned under the current ring (sorted).
-                owned: Vec<String>,
-                /// Keys no longer owned but still served pending successor
-                /// acknowledgement (sorted).
-                handoff: Vec<String>,
-            },
-            /// `hello` result: the encoding the server picked. The acknowledgement
-            /// itself is sent in the connection's *current* encoding; every frame
-            /// after it uses the chosen one.
-            Hello = 0x14 "hello" {
-                /// The negotiated encoding name (`"binary"` or `"json"`).
-                encoding: String,
-            },
+            /// A transfer estimate, as returned by `estimate_transfer`.
+            #[derive(Debug, Clone, PartialEq)]
+            pub flat struct TransferInfo {
+                /// Expected time, seconds.
+                pub time_s: f64,
+                /// Expected energy, joules.
+                pub energy_j: f64,
+                /// Bandwidth used for the estimate, bytes/second.
+                pub bandwidth_bps: f64,
+            }
+
+            /// An accelerator-use estimate.
+            #[derive(Debug, Clone, PartialEq)]
+            pub flat struct AccelInfo {
+                /// Total expected time, seconds.
+                pub time_s: f64,
+                /// Total expected energy, joules.
+                pub energy_j: f64,
+            }
+
+            /// Every method of protocol version 1 — the full XPDLRT query surface
+            /// plus server control.
+            #[derive(Debug, Clone, PartialEq)]
+            pub enum Method: Request {
+                /// Liveness check.
+                Ping = 0x01 "ping",
+                /// Serving health: epoch, model fingerprint, in-flight count,
+                /// draining flag. Cheaper than `stats` (no ring scan) and richer
+                /// than inferring liveness from connect success — the registry and
+                /// bench harness probe this.
+                Health = 0x02 "health",
+                /// Snapshot metadata: epoch, node count, source, fingerprint.
+                ModelInfo = 0x03 "model_info",
+                /// `xpdl_find`: look up an element by identifier.
+                Find = 0x04 "find" {
+                    /// Element identifier (`id=`/`name=`).
+                    ident: String,
+                },
+                /// `xpdl_get_attr`: string attribute of a named element.
+                GetAttr = 0x05 "get_attr" {
+                    /// Element identifier.
+                    ident: String,
+                    /// Attribute key.
+                    attr: String,
+                },
+                /// `xpdl_get_number`: numeric attribute of a named element.
+                GetNumber = 0x06 "get_number" {
+                    /// Element identifier.
+                    ident: String,
+                    /// Attribute key.
+                    attr: String,
+                },
+                /// All elements of a kind (idents of the named ones + total count).
+                ElementsOfKind = 0x07 "elements_of_kind" {
+                    /// Element kind/tag.
+                    kind: String,
+                },
+                /// Derived attribute: total core count.
+                NumCores = 0x08 "num_cores",
+                /// Derived attribute: CUDA-capable device count.
+                NumCudaDevices = 0x09 "num_cuda_devices",
+                /// Derived attribute: total in-line static power, watts.
+                TotalStaticPower = 0x0a "total_static_power",
+                /// Whether software whose type starts with `prefix` is installed.
+                HasInstalled = 0x0b "has_installed" {
+                    /// Type prefix to match (e.g. `CUBLAS`).
+                    prefix: String,
+                },
+                /// Expected time/energy to move `bytes` over interconnect `link`.
+                EstimateTransfer = 0x0c "estimate_transfer" {
+                    /// Interconnect identifier.
+                    link: String,
+                    /// Payload size in bytes.
+                    bytes: u64,
+                },
+                /// Expected cost of using the accelerator behind `link`.
+                EstimateAcceleratorUse = 0x0d "estimate_accelerator_use" {
+                    /// Interconnect identifier whose `tail` is the accelerator.
+                    link: String,
+                    /// Bytes shipped to the accelerator.
+                    upload_bytes: u64,
+                    /// Bytes shipped back.
+                    download_bytes: u64,
+                    /// Compute phase duration, seconds.
+                    compute_s: f64,
+                    /// Dynamic power drawn while computing, watts.
+                    dynamic_power_w: f64,
+                },
+                /// Platform static energy over a duration, joules.
+                EstimateStaticEnergy = 0x0e "estimate_static_energy" {
+                    /// Duration, seconds.
+                    duration_s: f64,
+                },
+                /// Server statistics (qps, latency percentiles, epoch, counters).
+                Stats = 0x0f "stats",
+                /// Full unified metrics-registry snapshot: every counter, gauge and
+                /// histogram registered anywhere in the process (repository, disk
+                /// cache, serving layer), aggregated by name.
+                Metrics = 0x10 "metrics",
+                /// Force a hot reload from the model source.
+                Reload = 0x11 "reload",
+                /// Ask the server to drain and exit (if enabled).
+                Shutdown = 0x12 "shutdown",
+                /// Debug-only: hold a worker for `ms` milliseconds (backpressure
+                /// testing; rejected unless the server enables debug methods).
+                Sleep = 0x13 "sleep" {
+                    /// How long to sleep.
+                    ms: u64,
+                },
+                /// This node's shard view: ring epoch, keys loaded and owned, keys
+                /// still served during handoff. Peers poll this to ack ownership
+                /// before a predecessor drops a shard.
+                Shards = 0x14 "shards",
+                /// Encoding negotiation. Must be the **first** request on a
+                /// connection (`S412` otherwise): the client lists the wire encodings
+                /// it speaks in preference order, the server answers
+                /// [`Reply::Hello`] with the one it picked, and the connection
+                /// switches to that encoding for every subsequent frame. A client
+                /// that never sends `hello` stays on JSON-lines; a server that does
+                /// not know the method answers `S411` and the client falls back to
+                /// JSON-lines — both directions stay compatible. See `docs/WIRE.md`.
+                Hello = 0x15 "hello" {
+                    /// Encoding names the client supports, most preferred first
+                    /// (`"binary"`, `"json"`).
+                    encodings: Vec<String>,
+                },
+            }
+
+            /// The success payload of a response, tagged by `kind` on the wire.
+            #[derive(Debug, Clone, PartialEq)]
+            pub enum Reply: Reply {
+                /// `ping` succeeded.
+                Pong = 0x01 "pong",
+                /// `health` result: the node's liveness card.
+                Health = 0x02 "health" {
+                    /// Snapshot epoch currently served.
+                    epoch: u64,
+                    /// FNV-1a fingerprint of the served model, hex.
+                    fingerprint: String,
+                    /// Requests admitted and not yet answered.
+                    inflight: u64,
+                    /// Whether the node is draining (queries answer `S510`).
+                    draining: bool,
+                },
+                /// Snapshot metadata.
+                ModelInfo = 0x03 "model_info" {
+                    /// Snapshot epoch (increments on every hot reload that swaps).
+                    epoch: u64,
+                    /// Node count of the runtime model.
+                    nodes: u64,
+                    /// Root element kind.
+                    root_kind: String,
+                    /// Root element identifier.
+                    root_ident: Option<String>,
+                    /// Human-readable model source description.
+                    source: String,
+                    /// FNV-1a fingerprint of the encoded model, hex.
+                    fingerprint: String,
+                },
+                /// `find` result (`found: false` mirrors the paper's NULL).
+                Node = 0x04 "node" (node: Option<NodeInfo>),
+                /// `get_attr` result.
+                Attr = 0x05 "attr" (value: Option<String>),
+                /// `get_number` result.
+                Number = 0x06 "number" (value: Option<f64>),
+                /// `elements_of_kind` result.
+                Idents = 0x07 "idents" {
+                    /// Identifiers of the named matches, document order.
+                    idents: Vec<String>,
+                    /// Total matches including anonymous elements.
+                    count: u64,
+                },
+                /// `num_cores` / `num_cuda_devices` result.
+                Count = 0x08 "count" (value: u64),
+                /// `total_static_power` result, watts.
+                Power = 0x09 "power" (watts: f64),
+                /// `has_installed` result.
+                Flag = 0x0a "flag" (value: bool),
+                /// `estimate_transfer` result (`None`: no such link / no bandwidth).
+                Transfer = 0x0b "transfer" (estimate: Option<TransferInfo>),
+                /// `estimate_accelerator_use` result.
+                Accelerator = 0x0c "accelerator" (estimate: Option<AccelInfo>),
+                /// `estimate_static_energy` result, joules.
+                Energy = 0x0d "energy" (joules: f64),
+                /// `stats` result.
+                Stats = 0x0e "stats" (stats: StatsSnapshot),
+                /// `metrics` result: the process-wide registry snapshot.
+                Metrics = 0x0f "metrics" (metrics: MetricsSnapshot),
+                /// `reload` result: the epoch now current, and whether it swapped.
+                Reloaded = 0x10 "reloaded" {
+                    /// Epoch after the reload.
+                    epoch: u64,
+                    /// `true` if a new snapshot was installed (content changed).
+                    changed: bool,
+                },
+                /// `shutdown` acknowledged; the server drains after responding.
+                ShuttingDown = 0x11 "shutting_down",
+                /// `sleep` completed (debug builds of the protocol only).
+                Slept = 0x12 "slept" {
+                    /// How long the worker was held.
+                    ms: u64,
+                },
+                /// `shards` result: this node's shard view.
+                Shards = 0x13 "shards" {
+                    /// Whether sharding is enabled on this node at all.
+                    enabled: bool,
+                    /// Ring epoch the node last applied, as 16-digit hex (`None`
+                    /// before the first ring arrives).
+                    ring_epoch: Option<String>,
+                    /// Keys loaded and owned under the current ring (sorted).
+                    owned: Vec<String>,
+                    /// Keys no longer owned but still served pending successor
+                    /// acknowledgement (sorted).
+                    handoff: Vec<String>,
+                },
+                /// `hello` result: the encoding the server picked. The acknowledgement
+                /// itself is sent in the connection's *current* encoding; every frame
+                /// after it uses the chosen one.
+                Hello = 0x14 "hello" {
+                    /// The negotiated encoding name (`"binary"` or `"json"`).
+                    encoding: String,
+                },
+            }
         }
-    } };
+    };
 }
 pub(crate) use serve_messages;
 
