@@ -15,7 +15,9 @@
 //!   bounded, deterministically jittered backoff.
 //!
 //! The wire protocol ([`protocol`]) is JSON-lines with stable `S5xx`
-//! error codes, framed exactly like the serve protocol; the daemon
+//! error codes, framed exactly like the serve protocol: both daemons
+//! generate their messages' JSON from one table each through the
+//! envelope and field kinds in [`wire`]. The daemon
 //! ([`server`]) is a plain threaded TCP server with a lease sweeper.
 //! Everything is dependency-free beyond the workspace's own crates.
 //!

@@ -641,7 +641,6 @@ macro_rules! wire_messages {
             }
 
             /// Append this message's fields to a JSON object.
-            #[allow(unused_variables)]
             pub(crate) fn write_fields(&self, out: &mut String) {
                 match self {
                     $( Self::$V $({ $($f),* })? $(($t))? => {
@@ -652,7 +651,6 @@ macro_rules! wire_messages {
             }
 
             /// The message named `name`, read from the fields of `obj`.
-            #[allow(unused_variables)]
             pub(crate) fn read_fields(
                 name: &str,
                 obj: &$crate::wire::Obj,

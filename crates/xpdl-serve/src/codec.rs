@@ -566,7 +566,6 @@ macro_rules! binary_codec {
                 }
             }
 
-            #[allow(unused_variables)]
             fn put_fields(&self, b: &mut Vec<u8>, s: &mut StrEncoder) {
                 match self {
                     $( Self::$V $({ $($f),* })? $(($t))? => {
@@ -577,7 +576,6 @@ macro_rules! binary_codec {
             }
 
             /// The variant with frame code `code`, read from `c`.
-            #[allow(unused_variables)]
             fn get_fields(code: u8, c: &mut Cursor<'_>, s: &mut StrDecoder) -> DResult<Self> {
                 let dir = Dir::$dir;
                 Ok(match code {

@@ -11,12 +11,14 @@
 //! Architecture, bottom-up:
 //!
 //! - [`protocol`] — wire types: [`Request`]/[`Response`], the `S4xx`
-//!   serving error codes, parser and serializers over the vendored JSON
-//!   module (no serde).
+//!   serving error codes, and the message table that lists every method
+//!   and reply once; their JSON parser and serializers are generated
+//!   from it over the vendored JSON module (no serde).
 //! - [`codec`] — the negotiated binary fast path: length-prefixed
 //!   `[u32 len][u8 method][payload]` frames with per-connection interned
 //!   string ids, entered by a `hello` handshake and falling back to
-//!   JSON-lines in both directions (spec: `docs/WIRE.md`).
+//!   JSON-lines in both directions (spec: `docs/WIRE.md`), generated
+//!   from the same table.
 //! - [`snapshot`] — the epoch-based [`SnapshotRegistry`]: readers clone
 //!   the current `Arc` snapshot and never wait on a reload's compile;
 //!   the reload path compiles off to the side and swaps one pointer.
