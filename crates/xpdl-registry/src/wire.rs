@@ -92,11 +92,11 @@ fn push_f64(out: &mut String, x: f64) {
 
 /// Array field `k`, each entry read by `item`, which fails for an entry
 /// that is not `what`.
-fn array<T>(
-    obj: &Obj,
+fn array<'a, T>(
+    obj: &'a Obj,
     k: &str,
     what: &str,
-    item: impl Fn(&JsonValue) -> Option<T>,
+    item: impl Fn(&'a JsonValue) -> Option<T>,
 ) -> Result<Vec<T>, String> {
     let items = json::get(obj, k)
         .and_then(JsonValue::as_array)
@@ -297,17 +297,7 @@ impl<R: Record> Field for Vec<R> {
     }
     #[inline]
     fn read(obj: &Obj, k: &str, _: Dir) -> Result<Vec<R>, String> {
-        let items = json::get(obj, k)
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("missing array field {k:?}"))?;
-        items
-            .iter()
-            .map(|v| {
-                R::read_fields(
-                    v.as_object().ok_or_else(|| format!("{k:?} entry is not an object"))?,
-                )
-            })
-            .collect()
+        array(obj, k, "an object", JsonValue::as_object)?.into_iter().map(R::read_fields).collect()
     }
 }
 

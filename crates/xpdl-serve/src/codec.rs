@@ -446,13 +446,13 @@ impl Bin for Vec<String> {
 /// as JSON sends `null`.
 impl Bin for Option<f64> {
     #[inline]
-    fn put(&self, b: &mut Vec<u8>, s: &mut StrEncoder, dir: Dir) {
+    fn put(&self, b: &mut Vec<u8>, _: &mut StrEncoder, _: Dir) {
         match self {
             Some(x) if x.is_finite() => {
                 b.push(1);
                 b.extend_from_slice(&x.to_le_bytes());
             }
-            _ => false.put(b, s, dir),
+            _ => b.push(0),
         }
     }
     #[inline]
@@ -538,11 +538,7 @@ macro_rules! binary_codec {
             }
         }
     };
-    ($(#[$m:meta])* $vis:vis struct $R:ident { $($body:tt)* } $($rest:tt)*) => {
-        binary_codec!(@record $R { $($body)* });
-        binary_codec!($($rest)*);
-    };
-    ($(#[$m:meta])* $vis:vis flat struct $R:ident { $($body:tt)* } $($rest:tt)*) => {
+    ($(#[$m:meta])* $vis:vis $(flat)? struct $R:ident { $($body:tt)* } $($rest:tt)*) => {
         binary_codec!(@record $R { $($body)* });
         binary_codec!($($rest)*);
     };
