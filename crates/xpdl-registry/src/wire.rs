@@ -302,7 +302,10 @@ impl<R: Record> Field for Vec<R> {
 }
 
 /// The `metrics` payload: the snapshot's `counters`, `gauges` and
-/// `histograms` objects, spread into the reply.
+/// `histograms` objects, spread into the reply. It sits here rather
+/// than in `xpdl-serve`, which sends it, because an impl must live in
+/// the crate of the trait or of the type, and `MetricsSnapshot` is
+/// `xpdl-obs`'s.
 impl Record for MetricsSnapshot {
     const FLAT: bool = true;
 
