@@ -380,12 +380,30 @@ fn json_string(out: &mut String, s: &str) {
     json::escape_into(out, s);
 }
 
-/// A minimal recursive-descent JSON reader/writer — just enough to
-/// round-trip the diagnostics format (and other small machine-readable
-/// documents elsewhere in the workspace, e.g. the persistent model-cache
-/// manifest) without an external serialization dependency (the workspace
-/// builds offline; see DESIGN.md "Offline dependency shims").
+/// A minimal JSON reader/writer — just enough for the diagnostics
+/// format, both daemons' wire protocols and other small machine-readable
+/// documents elsewhere in the workspace (e.g. the persistent model-cache
+/// manifest), without an external serialization dependency (the
+/// workspace builds offline; see DESIGN.md "Offline dependency shims").
+///
+/// All reading goes through one pull lexer, [`Reader`](json::Reader),
+/// which looks at each byte once. [`parse`](json::parse) builds a
+/// [`JsonValue`](json::JsonValue) tree from it; the wire codecs pull
+/// their fields from it without building one. The reading rules (listed
+/// for the wire in docs/WIRE.md §2):
+///
+/// - Whitespace is space, tab, `\n` and `\r`. Nothing may follow the
+///   document but whitespace.
+/// - A number is the longest run of `0-9+-.eE`, read by `str::parse` as
+///   an `f64`: `+1`, `.5`, `1.` and `-0` read, `1e999` reads as infinity,
+///   and an integer above 2^53 rounds.
+/// - `\uXXXX` decodes one UTF-16 unit with `u32::from_str_radix` (which
+///   also takes a leading `+`); a surrogate, paired or not, reads as
+///   U+FFFD. Control characters may appear raw in a string.
+/// - Nesting deeper than 64 arrays and objects is an error.
 pub mod json {
+    use std::borrow::Cow;
+
     /// A parsed JSON value.
     pub enum JsonValue {
         /// `null`.
@@ -469,162 +487,363 @@ pub mod json {
 
     /// Parse a complete JSON document (no trailing content allowed).
     pub fn parse(src: &str) -> Result<JsonValue, String> {
-        let bytes = src.as_bytes();
-        let mut i = 0usize;
-        let v = value(bytes, &mut i, 0)?;
-        skip_ws(bytes, &mut i);
-        if i != bytes.len() {
-            return Err(format!("trailing content at byte {i}"));
-        }
+        let mut r = Reader::new(src);
+        let v = r.tree()?;
+        r.finish()?;
         Ok(v)
     }
 
     const MAX_DEPTH: usize = 64;
 
-    fn value(b: &[u8], i: &mut usize, depth: usize) -> Result<JsonValue, String> {
-        if depth > MAX_DEPTH {
-            return Err("JSON nesting too deep".to_string());
+    /// What the next value is, told by its first byte.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Kind {
+        /// `null`.
+        Null,
+        /// `true` or `false`.
+        Bool,
+        /// A number: any first byte not claimed by another kind.
+        Number,
+        /// A string.
+        Str,
+        /// An array.
+        Array,
+        /// An object.
+        Object,
+    }
+
+    /// A pull lexer over one JSON document.
+    ///
+    /// Each call reads the value at the cursor, or one step into or out
+    /// of an array or object, and moves past it. After
+    /// [`begin_array`](Reader::begin_array), call
+    /// [`next_item`](Reader::next_item) before each item and read the
+    /// item; it returns `false` once it has read the closing `]`. Objects
+    /// go the same way with [`begin_object`](Reader::begin_object) and
+    /// [`next_key`](Reader::next_key). A string without escapes comes
+    /// back borrowed from the source, and [`skip`](Reader::skip) checks a
+    /// value without building it. Errors carry the messages of
+    /// [`parse`]; after one, the reader's position is unspecified.
+    ///
+    /// ```
+    /// use xpdl_core::diag::json::{Kind, Reader};
+    ///
+    /// let mut r = Reader::new(r#"{"ids":["a","b\n"],"skip":{"x":[1]},"n":2}"#);
+    /// let mut ids = Vec::new();
+    /// r.begin_object()?;
+    /// while let Some(key) = r.next_key()? {
+    ///     match &*key {
+    ///         "ids" => {
+    ///             r.begin_array()?;
+    ///             while r.next_item()? {
+    ///                 ids.push(r.str()?);
+    ///             }
+    ///         }
+    ///         "n" => assert_eq!(r.num()?, 2.0),
+    ///         _ => assert_eq!(r.skip()?, r#"{"x":[1]}"#),
+    ///     }
+    /// }
+    /// r.finish()?;
+    /// assert_eq!(ids, ["a", "b\n"]);
+    /// assert_eq!(Reader::new(" [] ").peek()?, Kind::Array);
+    /// # Ok::<(), String>(())
+    /// ```
+    #[derive(Debug)]
+    pub struct Reader<'a> {
+        src: &'a str,
+        pos: usize,
+        /// Arrays and objects open around the cursor.
+        depth: usize,
+        /// Set by `begin_*` until the first `next_*`: no comma is due.
+        first: bool,
+    }
+
+    impl<'a> Reader<'a> {
+        /// A reader at the start of `src`.
+        pub fn new(src: &'a str) -> Reader<'a> {
+            Reader { src, pos: 0, depth: 0, first: false }
         }
-        skip_ws(b, i);
-        match b.get(*i) {
-            None => Err("unexpected end of JSON".to_string()),
-            Some(b'n') => lit(b, i, "null", JsonValue::Null),
-            Some(b't') => lit(b, i, "true", JsonValue::Bool(true)),
-            Some(b'f') => lit(b, i, "false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(string(b, i)?)),
-            Some(b'[') => {
-                *i += 1;
-                let mut items = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(JsonValue::Array(items));
+
+        /// The kind of the value at the cursor, without reading it.
+        pub fn peek(&mut self) -> Result<Kind, String> {
+            Ok(match self.start()? {
+                b'n' => Kind::Null,
+                b't' | b'f' => Kind::Bool,
+                b'"' => Kind::Str,
+                b'[' => Kind::Array,
+                b'{' => Kind::Object,
+                _ => Kind::Number,
+            })
+        }
+
+        /// Read `true` or `false`.
+        pub fn bool(&mut self) -> Result<bool, String> {
+            let t = self.start()? == b't';
+            self.word(if t { "true" } else { "false" })?;
+            Ok(t)
+        }
+
+        /// Read a number.
+        pub fn num(&mut self) -> Result<f64, String> {
+            self.start()?;
+            let (b, from) = (self.src.as_bytes(), self.pos);
+            while b.get(self.pos).is_some_and(|c| {
+                c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
+            }) {
+                self.pos += 1;
+            }
+            self.src[from..self.pos].parse().map_err(|_| format!("bad number at byte {from}"))
+        }
+
+        /// Read a string; one without escapes is borrowed from the source.
+        pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+            self.start()?;
+            self.read_str()
+        }
+
+        /// Step into the array at the cursor.
+        pub fn begin_array(&mut self) -> Result<(), String> {
+            self.open(b'[')
+        }
+
+        /// Move to the next item of the innermost open array: `false`
+        /// after its closing `]`.
+        pub fn next_item(&mut self) -> Result<bool, String> {
+            self.more(b']')
+        }
+
+        /// Step into the object at the cursor.
+        pub fn begin_object(&mut self) -> Result<(), String> {
+            self.open(b'{')
+        }
+
+        /// Read the next key of the innermost open object, leaving the
+        /// cursor at its value: `None` after the closing `}`.
+        pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+            if !self.more(b'}')? {
+                return Ok(None);
+            }
+            self.ws();
+            let key = self.read_str()?;
+            self.colon()?;
+            Ok(Some(key))
+        }
+
+        /// Check the value at the cursor and step past it, returning its
+        /// source text.
+        pub fn skip(&mut self) -> Result<&'a str, String> {
+            let kind = self.peek()?;
+            let from = self.pos;
+            match kind {
+                Kind::Null => self.word("null")?,
+                Kind::Bool => {
+                    self.bool()?;
                 }
-                loop {
-                    items.push(value(b, i, depth + 1)?);
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return Ok(JsonValue::Array(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {i}")),
+                Kind::Number => {
+                    self.num()?;
+                }
+                Kind::Str => {
+                    self.scan_str()?;
+                }
+                Kind::Array => {
+                    self.begin_array()?;
+                    while self.next_item()? {
+                        self.skip()?;
+                    }
+                }
+                Kind::Object => {
+                    self.begin_object()?;
+                    while self.more(b'}')? {
+                        self.ws();
+                        self.scan_str()?;
+                        self.colon()?;
+                        self.skip()?;
                     }
                 }
             }
-            Some(b'{') => {
-                *i += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                loop {
-                    skip_ws(b, i);
-                    let k = string(b, i)?;
-                    skip_ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {i}"));
-                    }
-                    *i += 1;
-                    let v = value(b, i, depth + 1)?;
-                    fields.push((k, v));
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return Ok(JsonValue::Object(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                    }
-                }
-            }
-            Some(_) => number(b, i),
+            Ok(&self.src[from..self.pos])
         }
-    }
 
-    fn lit(b: &[u8], i: &mut usize, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if b[*i..].starts_with(word.as_bytes()) {
-            *i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {i}"))
-        }
-    }
-
-    fn number(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
-        let start = *i;
-        while let Some(c) = b.get(*i) {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                *i += 1;
+        /// Check that only whitespace is left.
+        pub fn finish(&mut self) -> Result<(), String> {
+            self.ws();
+            if self.pos == self.src.len() {
+                Ok(())
             } else {
-                break;
+                Err(format!("trailing content at byte {}", self.pos))
             }
         }
-        std::str::from_utf8(&b[start..*i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Number)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
 
-    fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected string at byte {i}"));
-        }
-        *i += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*i) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *i += 1;
-                    return Ok(out);
+        /// Read the value at the cursor as a tree.
+        fn tree(&mut self) -> Result<JsonValue, String> {
+            Ok(match self.peek()? {
+                Kind::Null => {
+                    self.word("null")?;
+                    JsonValue::Null
                 }
-                Some(b'\\') => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*i + 1..*i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {i}"))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            *i += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {i}")),
+                Kind::Bool => JsonValue::Bool(self.bool()?),
+                Kind::Number => JsonValue::Number(self.num()?),
+                Kind::Str => JsonValue::Str(self.str()?.into_owned()),
+                Kind::Array => {
+                    self.begin_array()?;
+                    let mut items = Vec::new();
+                    while self.next_item()? {
+                        items.push(self.tree()?);
                     }
-                    *i += 1;
+                    JsonValue::Array(items)
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&b[*i..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    *i += c.len_utf8();
+                Kind::Object => {
+                    self.begin_object()?;
+                    let mut fields = Vec::new();
+                    while let Some(k) = self.next_key()? {
+                        fields.push((k.into_owned(), self.tree()?));
+                    }
+                    JsonValue::Object(fields)
                 }
+            })
+        }
+
+        /// Check the depth, skip whitespace and return the first byte of
+        /// the value at the cursor.
+        fn start(&mut self) -> Result<u8, String> {
+            if self.depth > MAX_DEPTH {
+                return Err("JSON nesting too deep".to_string());
+            }
+            self.ws();
+            self.src
+                .as_bytes()
+                .get(self.pos)
+                .copied()
+                .ok_or_else(|| "unexpected end of JSON".to_string())
+        }
+
+        fn ws(&mut self) {
+            while matches!(self.src.as_bytes().get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
+            }
+        }
+
+        fn word(&mut self, word: &str) -> Result<(), String> {
+            if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                Ok(())
+            } else {
+                Err(format!("bad literal at byte {}", self.pos))
+            }
+        }
+
+        fn open(&mut self, bracket: u8) -> Result<(), String> {
+            if self.start()? != bracket {
+                return Err(format!("expected '{}' at byte {}", bracket as char, self.pos));
+            }
+            self.pos += 1;
+            self.depth += 1;
+            self.first = true;
+            Ok(())
+        }
+
+        /// Whether another item or member follows in the innermost open
+        /// array or object; reads the comma, or the closing `close`.
+        fn more(&mut self, close: u8) -> Result<bool, String> {
+            self.ws();
+            let first = std::mem::replace(&mut self.first, false);
+            match self.src.as_bytes().get(self.pos) {
+                Some(&c) if c == close => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    Ok(false)
+                }
+                _ if first => Ok(true),
+                Some(b',') => {
+                    self.pos += 1;
+                    Ok(true)
+                }
+                _ => Err(format!("expected ',' or '{}' at byte {}", close as char, self.pos)),
+            }
+        }
+
+        fn colon(&mut self) -> Result<(), String> {
+            self.ws();
+            if self.src.as_bytes().get(self.pos) != Some(&b':') {
+                return Err(format!("expected ':' at byte {}", self.pos));
+            }
+            self.pos += 1;
+            Ok(())
+        }
+
+        /// Read the string at the cursor, decoding its escapes in a
+        /// second pass over it when it has any.
+        fn read_str(&mut self) -> Result<Cow<'a, str>, String> {
+            let from = self.pos + 1;
+            let escaped = self.scan_str()?;
+            let (src, to) = (self.src, self.pos - 1);
+            if !escaped {
+                return Ok(Cow::Borrowed(&src[from..to]));
+            }
+            let mut out = String::with_capacity(to - from);
+            let (mut i, mut run) = (from, from);
+            while i < to {
+                if src.as_bytes()[i] == b'\\' {
+                    out.push_str(&src[run..i]);
+                    out.push(escape(src.as_bytes(), &mut i)?);
+                    run = i;
+                } else {
+                    i += 1;
+                }
+            }
+            out.push_str(&src[run..to]);
+            Ok(Cow::Owned(out))
+        }
+
+        /// Check the string at the cursor and step past it; `true` if it
+        /// holds an escape.
+        fn scan_str(&mut self) -> Result<bool, String> {
+            let b = self.src.as_bytes();
+            if b.get(self.pos) != Some(&b'"') {
+                return Err(format!("expected string at byte {}", self.pos));
+            }
+            self.pos += 1;
+            let mut escaped = false;
+            loop {
+                self.pos += b[self.pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .ok_or("unterminated string")?;
+                if b[self.pos] == b'"' {
+                    self.pos += 1;
+                    return Ok(escaped);
+                }
+                escape(b, &mut self.pos)?;
+                escaped = true;
             }
         }
     }
 
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while matches!(b.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *i += 1;
-        }
+    /// Decode the escape whose backslash is at `b[*i]` and step past it.
+    fn escape(b: &[u8], i: &mut usize) -> Result<char, String> {
+        *i += 1;
+        let c = match b.get(*i) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = b
+                    .get(*i + 1..*i + 5)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {i}"))?;
+                *i += 4;
+                char::from_u32(hex).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(format!("bad escape at byte {i}")),
+        };
+        *i += 1;
+        Ok(c)
     }
 }
 
