@@ -38,9 +38,8 @@
 //! ```
 
 use crate::ring::{parse_epoch_hex, RingInfo};
-use crate::wire::{self, Dir, Envelope, Field, Obj};
+use crate::wire::{self, Dir, Envelope, Field, Obj, Raw};
 use std::fmt;
-use xpdl_core::diag::json::{self, JsonValue};
 
 /// The registry protocol version spoken by this build.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -311,15 +310,13 @@ impl Field for RingInfo {
         out.push('}');
     }
 
-    fn read(obj: &Obj, k: &str, dir: Dir) -> Result<RingInfo, String> {
-        let r = json::get(obj, k)
-            .and_then(JsonValue::as_object)
-            .ok_or(format!("missing ring {k:?}"))?;
-        let epoch = parse_epoch_hex(&String::read(r, "epoch", dir)?)
+    fn read(obj: &Obj<'_>, k: &str, dir: Dir) -> Result<RingInfo, String> {
+        let r = obj.get(k).and_then(Raw::as_object).ok_or(format!("missing ring {k:?}"))?;
+        let epoch = parse_epoch_hex(&String::read(&r, "epoch", dir)?)
             .ok_or("ring epoch is not 16-digit hex")?;
-        let replication = u64::read(r, "replication", dir)?;
-        let vnodes = u64::read(r, "vnodes", dir)?;
-        Ok(RingInfo { epoch, replication, vnodes, nodes: Vec::read(r, "nodes", dir)? })
+        let replication = u64::read(&r, "replication", dir)?;
+        let vnodes = u64::read(&r, "vnodes", dir)?;
+        Ok(RingInfo { epoch, replication, vnodes, nodes: Vec::read(&r, "nodes", dir)? })
     }
 }
 
@@ -335,10 +332,10 @@ impl Field for Option<RingInfo> {
         }
     }
 
-    fn read(obj: &Obj, k: &str, dir: Dir) -> Result<Option<RingInfo>, String> {
-        match json::get(obj, k) {
-            None | Some(JsonValue::Null) => Ok(None),
-            Some(_) => RingInfo::read(obj, k, dir).map(Some),
+    fn read(obj: &Obj<'_>, k: &str, dir: Dir) -> Result<Option<RingInfo>, String> {
+        match obj.get(k) {
+            Some(v) if !v.is_null() => RingInfo::read(obj, k, dir).map(Some),
+            _ => Ok(None),
         }
     }
 }

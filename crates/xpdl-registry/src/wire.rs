@@ -6,8 +6,16 @@
 //! fields (and, for `xpdl-serve`, its frozen binary frame code). The
 //! table generates the message enums, their `name()`, and their JSON
 //! fields through the [`Field`] impls here; `xpdl-serve` expands the same
-//! table a second time into its binary codec. The JSON readers walk the
-//! [`xpdl_core::diag::json`] tree.
+//! table a second time into its binary codec.
+//!
+//! Reading builds no tree. [`Obj::parse`] checks the whole line with the
+//! pull lexer [`json::Reader`] and keeps the object's members as keys
+//! borrowed from the line and [`Raw`] value slices. Each [`Field::read`]
+//! then decodes only its own member's slice, and reads a nested object
+//! into members the same way. So a malformed value anywhere, even in a
+//! member nobody reads, fails the line before its id is read, and a
+//! string is copied once, into the field that owns it. docs/WIRE.md §2
+//! lists the reading rules.
 //!
 //! A field's JSON form depends only on its Rust type and, for two types,
 //! on the message [`Dir`]ection:
@@ -26,12 +34,101 @@
 //! | `Option<` a [`Record`] `>` | `"found":false`, or `"found":true` and the record | required |
 //! | `Vec<` a [`Record`] `>` | array of objects | required |
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
-use xpdl_core::diag::json::{self, JsonValue};
+use xpdl_core::diag::json::{self, Kind, Reader};
 use xpdl_obs::{HistogramSnapshot, MetricsSnapshot};
 
-/// A JSON object's fields, as the tree parser returns them.
-pub type Obj = [(String, JsonValue)];
+/// A JSON object's members in source order: each key, borrowed from the
+/// source unless it holds an escape, and its value's source text.
+#[derive(Debug, Default)]
+pub struct Obj<'a>(Vec<(Cow<'a, str>, Raw<'a>)>);
+
+/// One value's source text, already checked by [`Obj::parse`]. The
+/// accessors decode it on each call, and return `None` when it is of
+/// another kind.
+#[derive(Debug, Clone, Copy)]
+pub struct Raw<'a>(&'a str);
+
+impl<'a> Obj<'a> {
+    /// Check the whole document `src` and read it as an object: `None`
+    /// when it is valid JSON but not an object.
+    pub fn parse(src: &'a str) -> Result<Option<Obj<'a>>, String> {
+        let mut r = Reader::new(src);
+        let obj = if r.peek()? == Kind::Object {
+            Some(Obj::read(&mut r)?)
+        } else {
+            r.skip()?;
+            None
+        };
+        r.finish()?;
+        Ok(obj)
+    }
+
+    fn read(r: &mut Reader<'a>) -> Result<Obj<'a>, String> {
+        let mut members = Vec::new();
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            members.push((key, Raw(r.skip()?)));
+        }
+        Ok(Obj(members))
+    }
+
+    /// The value of the first member named `key`.
+    pub fn get(&self, key: &str) -> Option<Raw<'a>> {
+        self.0.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+}
+
+impl<'a> Raw<'a> {
+    /// Read the value with `read` when it is of `kind`.
+    fn decode<T>(
+        self,
+        kind: Kind,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+    ) -> Option<T> {
+        let mut r = Reader::new(self.0);
+        (r.peek().ok()? == kind).then(|| read(&mut r).ok()).flatten()
+    }
+
+    /// The string, borrowed unless it holds an escape.
+    pub fn as_str(self) -> Option<Cow<'a, str>> {
+        self.decode(Kind::Str, Reader::str)
+    }
+
+    /// The number.
+    pub fn as_number(self) -> Option<f64> {
+        self.decode(Kind::Number, Reader::num)
+    }
+
+    /// `true` or `false`.
+    pub fn as_bool(self) -> Option<bool> {
+        self.decode(Kind::Bool, Reader::bool)
+    }
+
+    /// Whether this is `null`.
+    pub fn is_null(self) -> bool {
+        self.0 == "null"
+    }
+
+    /// The object's members.
+    pub fn as_object(self) -> Option<Obj<'a>> {
+        self.decode(Kind::Object, Obj::read)
+    }
+
+    /// The array's items.
+    pub fn items(self) -> Option<impl Iterator<Item = Raw<'a>>> {
+        let mut r = Reader::new(self.0);
+        if r.peek().ok()? != Kind::Array {
+            return None;
+        }
+        r.begin_array().ok()?;
+        Some(std::iter::from_fn(move || match r.next_item() {
+            Ok(true) => r.skip().ok().map(Raw),
+            _ => None,
+        }))
+    }
+}
 
 /// Which way a message travels. Requests are validated strictly (u53
 /// integers, finite floats); replies and events are read leniently.
@@ -49,7 +146,7 @@ pub trait Field: Sized {
     /// by a comma unless the object was just opened.
     fn write(&self, out: &mut String, key: &str);
     /// Read field `key` of `obj`.
-    fn read(obj: &Obj, key: &str, dir: Dir) -> Result<Self, String>;
+    fn read(obj: &Obj<'_>, key: &str, dir: Dir) -> Result<Self, String>;
 }
 
 /// A struct carried as a JSON object. The table's `struct` items
@@ -61,7 +158,7 @@ pub trait Record: Sized {
     /// Append every field, as [`Field::write`] does.
     fn write_fields(&self, out: &mut String);
     /// Read every field from `obj`.
-    fn read_fields(obj: &Obj) -> Result<Self, String>;
+    fn read_fields(obj: &Obj<'_>) -> Result<Self, String>;
 }
 
 /// Append the comma that separates object members, unless the object
@@ -93,15 +190,14 @@ fn push_f64(out: &mut String, x: f64) {
 /// Array field `k`, each entry read by `item`, which fails for an entry
 /// that is not `what`.
 fn array<'a, T>(
-    obj: &'a Obj,
+    obj: &Obj<'a>,
     k: &str,
     what: &str,
-    item: impl Fn(&'a JsonValue) -> Option<T>,
+    item: impl Fn(Raw<'a>) -> Option<T>,
 ) -> Result<Vec<T>, String> {
-    let items = json::get(obj, k)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("missing array field {k:?}"))?;
-    items.iter().map(|v| item(v).ok_or_else(|| format!("{k:?} entry is not {what}"))).collect()
+    let items =
+        obj.get(k).and_then(Raw::items).ok_or_else(|| format!("missing array field {k:?}"))?;
+    items.map(|v| item(v).ok_or_else(|| format!("{k:?} entry is not {what}"))).collect()
 }
 
 fn write_array<T>(out: &mut String, k: &str, items: &[T], item: impl Fn(&mut String, &T)) {
@@ -123,10 +219,10 @@ impl Field for String {
         json::escape_into(out, self);
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<String, String> {
-        json::get(obj, k)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<String, String> {
+        obj.get(k)
+            .and_then(Raw::as_str)
+            .map(Cow::into_owned)
             .ok_or_else(|| format!("missing string field {k:?}"))
     }
 }
@@ -141,8 +237,8 @@ impl Field for Option<String> {
         }
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<Option<String>, String> {
-        Ok(json::get(obj, k).and_then(JsonValue::as_str).map(str::to_string))
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Option<String>, String> {
+        Ok(obj.get(k).and_then(Raw::as_str).map(Cow::into_owned))
     }
 }
 
@@ -153,8 +249,8 @@ impl Field for u64 {
         let _ = write!(out, "{self}");
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, dir: Dir) -> Result<u64, String> {
-        let n = json::get(obj, k).and_then(JsonValue::as_number);
+    fn read(obj: &Obj<'_>, k: &str, dir: Dir) -> Result<u64, String> {
+        let n = obj.get(k).and_then(Raw::as_number);
         match dir {
             Dir::Reply => n.map(|n| n as u64).ok_or_else(|| format!("missing number {k:?}")),
             Dir::Request => {
@@ -177,13 +273,15 @@ impl Field for f64 {
     /// A reply reads the `null` a non-finite value was written as back
     /// as NaN, which is also what the binary encoding carries.
     #[inline]
-    fn read(obj: &Obj, k: &str, dir: Dir) -> Result<f64, String> {
-        match (dir, json::get(obj, k)) {
-            (Dir::Request, Some(JsonValue::Number(n))) if n.is_finite() => Ok(*n),
+    fn read(obj: &Obj<'_>, k: &str, dir: Dir) -> Result<f64, String> {
+        let v = obj.get(k);
+        match (dir, v.and_then(Raw::as_number)) {
+            (Dir::Request, Some(n)) if n.is_finite() => Ok(n),
             (Dir::Request, _) => Err(format!("missing finite numeric field {k:?}")),
-            (Dir::Reply, Some(JsonValue::Number(n))) if n.is_finite() => Ok(*n),
-            (Dir::Reply, Some(JsonValue::Number(_) | JsonValue::Null)) => Ok(f64::NAN),
-            (Dir::Reply, _) => Err(format!("missing number {k:?}")),
+            (Dir::Reply, Some(n)) if n.is_finite() => Ok(n),
+            (Dir::Reply, Some(_)) => Ok(f64::NAN),
+            (Dir::Reply, None) if v.is_some_and(Raw::is_null) => Ok(f64::NAN),
+            (Dir::Reply, None) => Err(format!("missing number {k:?}")),
         }
     }
 }
@@ -195,10 +293,8 @@ impl Field for bool {
         out.push_str(if *self { "true" } else { "false" });
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<bool, String> {
-        json::get(obj, k)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| format!("missing bool field {k:?}"))
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<bool, String> {
+        obj.get(k).and_then(Raw::as_bool).ok_or_else(|| format!("missing bool field {k:?}"))
     }
 }
 
@@ -208,8 +304,8 @@ impl Field for Vec<String> {
         write_array(out, k, self, |out, s| json::escape_into(out, s));
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<Vec<String>, String> {
-        array(obj, k, "a string", |v| v.as_str().map(str::to_string))
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Vec<String>, String> {
+        array(obj, k, "a string", |v| v.as_str().map(Cow::into_owned))
     }
 }
 
@@ -222,8 +318,8 @@ impl Field for Option<f64> {
         push_f64(out, self.unwrap_or(f64::NAN));
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<Option<f64>, String> {
-        Ok(json::get(obj, k).and_then(JsonValue::as_number))
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Option<f64>, String> {
+        Ok(obj.get(k).and_then(Raw::as_number))
     }
 }
 
@@ -239,10 +335,11 @@ impl Field for Vec<(String, String)> {
         });
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<Vec<(String, String)>, String> {
-        array(obj, k, "a [key, value] pair", |v| match v.as_array()? {
-            [a, b] => Some((a.as_str()?.to_string(), b.as_str()?.to_string())),
-            _ => None,
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Vec<(String, String)>, String> {
+        array(obj, k, "a [key, value] pair", |v| {
+            let mut items = v.items()?;
+            let pair = (items.next()?.as_str()?.into_owned(), items.next()?.as_str()?.into_owned());
+            items.next().is_none().then_some(pair)
         })
     }
 }
@@ -259,13 +356,13 @@ impl<R: Record> Field for R {
         out.push('}');
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<R, String> {
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<R, String> {
         if R::FLAT {
             return R::read_fields(obj);
         }
         R::read_fields(
-            json::get(obj, k)
-                .and_then(JsonValue::as_object)
+            &obj.get(k)
+                .and_then(Raw::as_object)
                 .ok_or_else(|| format!("missing object field {k:?}"))?,
         )
     }
@@ -281,7 +378,7 @@ impl<R: Record> Field for Option<R> {
         }
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, dir: Dir) -> Result<Option<R>, String> {
+    fn read(obj: &Obj<'_>, k: &str, dir: Dir) -> Result<Option<R>, String> {
         Ok(if bool::read(obj, "found", dir)? { Some(R::read(obj, k, dir)?) } else { None })
     }
 }
@@ -296,8 +393,8 @@ impl<R: Record> Field for Vec<R> {
         });
     }
     #[inline]
-    fn read(obj: &Obj, k: &str, _: Dir) -> Result<Vec<R>, String> {
-        array(obj, k, "an object", JsonValue::as_object)?.into_iter().map(R::read_fields).collect()
+    fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Vec<R>, String> {
+        array(obj, k, "an object", Raw::as_object)?.iter().map(R::read_fields).collect()
     }
 }
 
@@ -315,35 +412,41 @@ impl Record for MetricsSnapshot {
         out.push_str(&body[1..body.len() - 1]);
     }
 
-    fn read_fields(obj: &Obj) -> Result<MetricsSnapshot, String> {
-        let entries = |k: &str| -> Result<&Obj, String> {
-            json::get(obj, k).and_then(JsonValue::as_object).ok_or(format!("missing object {k:?}"))
+    fn read_fields(obj: &Obj<'_>) -> Result<MetricsSnapshot, String> {
+        let entries = |k: &str| -> Result<Obj<'_>, String> {
+            obj.get(k).and_then(Raw::as_object).ok_or(format!("missing object {k:?}"))
         };
         let int_map = |k: &str| -> Result<std::collections::BTreeMap<String, u64>, String> {
             entries(k)?
+                .0
                 .iter()
                 .map(|(name, v)| {
                     let n = v.as_number().ok_or(format!("{k}.{name} is not a number"))?;
-                    Ok((name.clone(), n as u64))
+                    Ok((name.to_string(), n as u64))
                 })
                 .collect()
         };
         let mut histograms = std::collections::BTreeMap::new();
-        for (name, v) in entries("histograms")? {
+        for (name, v) in entries("histograms")?.0 {
             let h = v.as_object().ok_or(format!("histogram {name:?} is not an object"))?;
             let mut buckets = Vec::new();
-            for pair in json::get(h, "buckets")
-                .and_then(JsonValue::as_array)
+            for pair in h
+                .get("buckets")
+                .and_then(Raw::items)
                 .ok_or(format!("histogram {name:?} missing buckets"))?
             {
-                let bc = pair.as_array().filter(|a| a.len() == 2).ok_or("bucket is not a pair")?;
+                let bc: Vec<Raw<'_>> = pair
+                    .items()
+                    .map(Iterator::collect)
+                    .filter(|a: &Vec<_>| a.len() == 2)
+                    .ok_or("bucket is not a pair")?;
                 let idx = bc[0].as_number().ok_or("bucket index not a number")? as u64;
                 let count = bc[1].as_number().ok_or("bucket count not a number")? as u64;
                 buckets.push((idx.min(u8::MAX as u64) as u8, count));
             }
-            let count = u64::read(h, "count", Dir::Reply)?;
-            let sum = u64::read(h, "sum", Dir::Reply)?;
-            histograms.insert(name.clone(), HistogramSnapshot { count, sum, buckets });
+            let count = u64::read(&h, "count", Dir::Reply)?;
+            let sum = u64::read(&h, "sum", Dir::Reply)?;
+            histograms.insert(name.into_owned(), HistogramSnapshot { count, sum, buckets });
         }
         Ok(MetricsSnapshot {
             counters: int_map("counters")?,
@@ -391,7 +494,7 @@ pub struct Parsed<M> {
 
 /// Message readers generated by the tables: the message named `name`
 /// from the fields of `obj`, `None` when no message has that name.
-pub type ReadFn<M> = fn(&str, &Obj) -> Result<Option<M>, String>;
+pub type ReadFn<M> = fn(&str, &Obj<'_>) -> Result<Option<M>, String>;
 
 impl Envelope {
     /// `{"v":..,"id":..,"method":..[,"shard":..][,"params":{..}]}`; the
@@ -467,32 +570,35 @@ impl Envelope {
     /// key — and every failure after the id carries it.
     pub fn parse_request<M>(&self, line: &str, read: ReadFn<M>) -> Result<Parsed<M>, RequestError> {
         let bad = |id, detail: &str| (id, self.bad_request, format!("malformed request: {detail}"));
-        let v = json::parse(line).map_err(|e| bad(None, &e))?;
-        let obj = v.as_object().ok_or_else(|| bad(None, "request is not a JSON object"))?;
-        let id = json::get(obj, "id")
-            .and_then(JsonValue::as_number)
+        let obj = Obj::parse(line)
+            .map_err(|e| bad(None, &e))?
+            .ok_or_else(|| bad(None, "request is not a JSON object"))?;
+        let id = obj
+            .get("id")
+            .and_then(Raw::as_number)
             .filter(|n| *n >= 0.0 && n.fract() == 0.0)
             .map(|n| n as u64)
             .ok_or_else(|| bad(None, "missing or non-integer \"id\""))?;
-        if json::get(obj, "v").and_then(JsonValue::as_number) != Some(self.version as f64) {
+        if obj.get("v").and_then(Raw::as_number) != Some(self.version as f64) {
             let msg = format!("unsupported {} version (want {})", self.name, self.version);
             return Err((Some(id), self.bad_version, msg));
         }
-        let name = json::get(obj, "method")
-            .and_then(JsonValue::as_str)
+        let name = obj
+            .get("method")
+            .and_then(Raw::as_str)
             .ok_or_else(|| bad(Some(id), "missing \"method\""))?;
         let invalid =
             |detail: &str| (Some(id), self.invalid_params, format!("invalid params: {detail}"));
-        let params = match json::get(obj, "params") {
-            None => &[][..],
+        let params = match obj.get("params") {
+            None => Obj::default(),
             Some(p) => p.as_object().ok_or_else(|| invalid("\"params\" is not an object"))?,
         };
-        let method = read(name, params)
+        let method = read(&name, &params)
             .map_err(|e| invalid(&e))?
             .ok_or_else(|| (Some(id), self.unknown_method, format!("unknown method {name:?}")))?;
-        let shard = match json::get(obj, "shard") {
-            Some(v) if self.shard_key && !matches!(v, JsonValue::Null) => Some(
-                v.as_str().ok_or_else(|| bad(Some(id), "\"shard\" is not a string"))?.to_string(),
+        let shard = match obj.get("shard") {
+            Some(v) if self.shard_key && !v.is_null() => Some(
+                v.as_str().ok_or_else(|| bad(Some(id), "\"shard\" is not a string"))?.into_owned(),
             ),
             _ => None,
         };
@@ -507,45 +613,41 @@ impl Envelope {
         line: &str,
         read: ReadFn<R>,
     ) -> Result<(u64, Result<R, (String, String)>), String> {
-        let v = json::parse(line)?;
-        let obj = v.as_object().ok_or("response is not a JSON object")?;
-        let version = json::get(obj, "v").and_then(JsonValue::as_number);
+        let obj = Obj::parse(line)?.ok_or("response is not a JSON object")?;
+        let version = obj.get("v").and_then(Raw::as_number);
         if version != Some(self.version as f64) {
             return Err(format!("unsupported response version {version:?}"));
         }
-        let id = json::get(obj, "id")
-            .and_then(JsonValue::as_number)
+        let id = obj
+            .get("id")
+            .and_then(Raw::as_number)
             .filter(|n| *n >= 0.0 && n.fract() == 0.0)
             .ok_or("missing response id")? as u64;
-        if let Some(err) = json::get(obj, "error") {
+        if let Some(err) = obj.get("error") {
             let err = err.as_object().ok_or("error is not an object")?;
-            let code = String::read(err, "code", Dir::Reply)?;
-            return Ok((id, Err((code, String::read(err, "message", Dir::Reply)?))));
+            let code = String::read(&err, "code", Dir::Reply)?;
+            return Ok((id, Err((code, String::read(&err, "message", Dir::Reply)?))));
         }
-        let ok = json::get(obj, "ok")
-            .and_then(JsonValue::as_object)
-            .ok_or("response has neither ok nor error")?;
-        Ok((id, Ok(read_tagged(ok, "reply", read)?)))
+        let ok =
+            obj.get("ok").and_then(Raw::as_object).ok_or("response has neither ok nor error")?;
+        Ok((id, Ok(read_tagged(&ok, "reply", read)?)))
     }
 
     /// Probe a line for a pushed event: `Ok(None)` when it has no
     /// `"event"` member.
     pub fn parse_event<E>(&self, line: &str, read: ReadFn<E>) -> Result<Option<E>, String> {
-        let v = json::parse(line)?;
-        let obj = v.as_object().ok_or("event line is not a JSON object")?;
-        let Some(ev) = json::get(obj, "event") else {
+        let obj = Obj::parse(line)?.ok_or("event line is not a JSON object")?;
+        let Some(ev) = obj.get("event") else {
             return Ok(None);
         };
-        read_tagged(ev.as_object().ok_or("\"event\" is not an object")?, "event", read).map(Some)
+        read_tagged(&ev.as_object().ok_or("\"event\" is not an object")?, "event", read).map(Some)
     }
 }
 
 /// Read a message tagged by its `"kind"` member.
-fn read_tagged<T>(obj: &Obj, what: &str, read: ReadFn<T>) -> Result<T, String> {
-    let kind = json::get(obj, "kind")
-        .and_then(JsonValue::as_str)
-        .ok_or(format!("{what} has no kind tag"))?;
-    read(kind, obj)?.ok_or_else(|| format!("unknown {what} kind {kind:?}"))
+fn read_tagged<T>(obj: &Obj<'_>, what: &str, read: ReadFn<T>) -> Result<T, String> {
+    let kind = obj.get("kind").and_then(Raw::as_str).ok_or(format!("{what} has no kind tag"))?;
+    read(&kind, obj)?.ok_or_else(|| format!("unknown {what} kind {kind:?}"))
 }
 
 /// One daemon's message table: records, then enums. Expands each item
@@ -589,7 +691,7 @@ macro_rules! wire_messages {
             fn write_fields(&self, out: &mut String) {
                 $( $crate::wire::Field::write(&self.$f, out, [$($fkey,)? stringify!($f)][0]); )*
             }
-            fn read_fields(obj: &$crate::wire::Obj) -> Result<Self, String> {
+            fn read_fields(obj: &$crate::wire::Obj<'_>) -> Result<Self, String> {
                 Ok($R { $(
                     $f: $crate::wire::Field::read(
                         obj, [$($fkey,)? stringify!($f)][0], $crate::wire::Dir::Reply,
@@ -646,7 +748,7 @@ macro_rules! wire_messages {
             /// The message named `name`, read from the fields of `obj`.
             pub(crate) fn read_fields(
                 name: &str,
-                obj: &$crate::wire::Obj,
+                obj: &$crate::wire::Obj<'_>,
             ) -> Result<Option<Self>, String> {
                 let dir = $crate::wire::Dir::$dir;
                 Ok(Some(match name {

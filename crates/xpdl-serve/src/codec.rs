@@ -59,9 +59,8 @@ use crate::protocol::{
 use crate::stats::StatsSnapshot;
 use std::collections::HashMap;
 use std::io::{self, Read};
-use xpdl_core::diag::json;
 use xpdl_obs::MetricsSnapshot;
-use xpdl_registry::wire::{Dir, Record};
+use xpdl_registry::wire::{Dir, Obj, Record};
 
 /// Wire encodings this build speaks, in the order the server prefers
 /// them when several are offered.
@@ -499,9 +498,10 @@ macro_rules! embedded_json {
                 let len = c.u32(what)? as usize;
                 let body = std::str::from_utf8(c.take(len, what)?)
                     .map_err(|_| DecodeErr::Frame(format!("invalid UTF-8 in embedded {what} JSON")))?;
-                let v = json::parse(body).map_err(DecodeErr::Frame)?;
-                let obj = v.as_object().ok_or_else(|| DecodeErr::Frame(format!("{what} is not an object")))?;
-                <$T as Record>::read_fields(obj).map_err(DecodeErr::Frame)
+                let obj = Obj::parse(body)
+                    .map_err(DecodeErr::Frame)?
+                    .ok_or_else(|| DecodeErr::Frame(format!("{what} is not an object")))?;
+                <$T as Record>::read_fields(&obj).map_err(DecodeErr::Frame)
             }
         }
     )* };

@@ -20,9 +20,8 @@ use crate::protocol::ServeError;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use xpdl_core::diag::json::{self, JsonValue};
 use xpdl_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use xpdl_registry::wire::{self, Record};
+use xpdl_registry::wire::{self, Obj, Raw, Record};
 
 /// Number of latency samples retained (a power of two).
 const RING: usize = 2048;
@@ -230,8 +229,7 @@ impl StatsSnapshot {
 
     /// Parse a standalone snapshot object (the `to_json` inverse).
     pub fn parse(src: &str) -> Result<StatsSnapshot, String> {
-        let v = json::parse(src)?;
-        StatsSnapshot::read_fields(v.as_object().ok_or("stats is not an object")?)
+        StatsSnapshot::read_fields(&Obj::parse(src)?.ok_or("stats is not an object")?)
     }
 }
 
@@ -268,18 +266,17 @@ impl Record for StatsSnapshot {
         ));
     }
 
-    fn read_fields(obj: &[(String, JsonValue)]) -> Result<StatsSnapshot, String> {
+    fn read_fields(obj: &Obj<'_>) -> Result<StatsSnapshot, String> {
         let int = |k: &str| -> Result<u64, String> {
-            json::get(obj, k)
-                .and_then(JsonValue::as_number)
+            obj.get(k)
+                .and_then(Raw::as_number)
                 .map(|n| n as u64)
                 .ok_or(format!("missing stats field {k:?}"))
         };
         // `rejected`/`reject_p99_us`/`health_checks` default to 0 so
         // snapshots emitted by older servers still parse.
-        let opt_int = |k: &str| -> u64 {
-            json::get(obj, k).and_then(JsonValue::as_number).map(|n| n as u64).unwrap_or(0)
-        };
+        let opt_int =
+            |k: &str| -> u64 { obj.get(k).and_then(Raw::as_number).map(|n| n as u64).unwrap_or(0) };
         Ok(StatsSnapshot {
             epoch: int("epoch")?,
             uptime_ms: int("uptime_ms")?,
@@ -293,9 +290,7 @@ impl Record for StatsSnapshot {
             connections: int("connections")?,
             health_checks: opt_int("health_checks"),
             inflight: int("inflight")?,
-            qps: json::get(obj, "qps")
-                .and_then(JsonValue::as_number)
-                .ok_or("missing stats field \"qps\"")?,
+            qps: obj.get("qps").and_then(Raw::as_number).ok_or("missing stats field \"qps\"")?,
             p50_us: int("p50_us")?,
             p90_us: int("p90_us")?,
             p99_us: int("p99_us")?,

@@ -215,3 +215,19 @@ proptest! {
         }
     }
 }
+
+/// An `idents` reply with 60,000 names (~0.9 MB) parses in linear time:
+/// far under the bound even in a debug build, where the quadratic string
+/// loop of the old JSON parser took tens of seconds.
+#[test]
+fn parse_response_is_linear_in_a_large_idents_reply() {
+    let idents: Vec<String> = (0..60_000).map(|i| format!("core_{i:07}")).collect();
+    let resp = Response::ok(7, Reply::Idents { count: idents.len() as u64, idents });
+    let line = resp.to_json();
+    assert!(line.len() > 800_000);
+    let start = std::time::Instant::now();
+    let parsed = parse_response(&line).unwrap();
+    let took = start.elapsed();
+    assert!(took < std::time::Duration::from_secs(2), "parse_response took {took:?}");
+    assert_eq!(parsed, resp);
+}
