@@ -80,15 +80,22 @@ impl<'a> Obj<'a> {
     }
 }
 
+/// The value at the cursor, read by `read` when it is of `kind`.
+fn take<'a, T>(
+    r: &mut Reader<'a>,
+    kind: Kind,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Option<T> {
+    (r.peek().ok()? == kind).then(|| read(r).ok()).flatten()
+}
+
 impl<'a> Raw<'a> {
-    /// Read the value with `read` when it is of `kind`.
     fn decode<T>(
         self,
         kind: Kind,
         read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
     ) -> Option<T> {
-        let mut r = Reader::new(self.0);
-        (r.peek().ok()? == kind).then(|| read(&mut r).ok()).flatten()
+        take(&mut Reader::new(self.0), kind, read)
     }
 
     /// The string, borrowed unless it holds an escape.
@@ -116,13 +123,16 @@ impl<'a> Raw<'a> {
         self.decode(Kind::Object, Obj::read)
     }
 
+    /// A reader inside the array, before its first item.
+    fn array(self) -> Option<Reader<'a>> {
+        let mut r = Reader::new(self.0);
+        take(&mut r, Kind::Array, Reader::begin_array)?;
+        Some(r)
+    }
+
     /// The array's items.
     pub fn items(self) -> Option<impl Iterator<Item = Raw<'a>>> {
-        let mut r = Reader::new(self.0);
-        if r.peek().ok()? != Kind::Array {
-            return None;
-        }
-        r.begin_array().ok()?;
+        let mut r = self.array()?;
         Some(std::iter::from_fn(move || match r.next_item() {
             Ok(true) => r.skip().ok().map(Raw),
             _ => None,
@@ -187,17 +197,21 @@ fn push_f64(out: &mut String, x: f64) {
     }
 }
 
-/// Array field `k`, each entry read by `item`, which fails for an entry
-/// that is not `what`.
+/// Array field `k`, each entry read from the array's reader by `item`,
+/// which fails for an entry that is not `what`.
 fn array<'a, T>(
     obj: &Obj<'a>,
     k: &str,
     what: &str,
-    item: impl Fn(Raw<'a>) -> Option<T>,
+    item: impl Fn(&mut Reader<'a>) -> Option<T>,
 ) -> Result<Vec<T>, String> {
-    let items =
-        obj.get(k).and_then(Raw::items).ok_or_else(|| format!("missing array field {k:?}"))?;
-    items.map(|v| item(v).ok_or_else(|| format!("{k:?} entry is not {what}"))).collect()
+    let mut r =
+        obj.get(k).and_then(Raw::array).ok_or_else(|| format!("missing array field {k:?}"))?;
+    let mut items = Vec::new();
+    while r.next_item() == Ok(true) {
+        items.push(item(&mut r).ok_or_else(|| format!("{k:?} entry is not {what}"))?);
+    }
+    Ok(items)
 }
 
 fn write_array<T>(out: &mut String, k: &str, items: &[T], item: impl Fn(&mut String, &T)) {
@@ -305,7 +319,7 @@ impl Field for Vec<String> {
     }
     #[inline]
     fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Vec<String>, String> {
-        array(obj, k, "a string", |v| v.as_str().map(Cow::into_owned))
+        array(obj, k, "a string", |r| take(r, Kind::Str, Reader::str).map(Cow::into_owned))
     }
 }
 
@@ -336,10 +350,12 @@ impl Field for Vec<(String, String)> {
     }
     #[inline]
     fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Vec<(String, String)>, String> {
-        array(obj, k, "a [key, value] pair", |v| {
-            let mut items = v.items()?;
-            let pair = (items.next()?.as_str()?.into_owned(), items.next()?.as_str()?.into_owned());
-            items.next().is_none().then_some(pair)
+        array(obj, k, "a [key, value] pair", |r| {
+            take(r, Kind::Array, Reader::begin_array)?;
+            let mut next =
+                || (r.next_item() == Ok(true)).then(|| take(r, Kind::Str, Reader::str)).flatten();
+            let pair = (next()?.into_owned(), next()?.into_owned());
+            (r.next_item() == Ok(false)).then_some(pair)
         })
     }
 }
@@ -394,7 +410,10 @@ impl<R: Record> Field for Vec<R> {
     }
     #[inline]
     fn read(obj: &Obj<'_>, k: &str, _: Dir) -> Result<Vec<R>, String> {
-        array(obj, k, "an object", Raw::as_object)?.iter().map(R::read_fields).collect()
+        array(obj, k, "an object", |r| take(r, Kind::Object, Obj::read))?
+            .iter()
+            .map(R::read_fields)
+            .collect()
     }
 }
 
