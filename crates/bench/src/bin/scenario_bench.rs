@@ -33,13 +33,14 @@
 //!   --expect-clean    exit 1 if any scenario reports errors > 0
 //! ```
 
-use bench::net::{one_shot, LineConn};
+use bench::net::{LineConn, CONNECT_TIMEOUT, IO_TIMEOUT};
 use bench::record::{append_run, ExtraValue, RunRecord, ScenarioRecord};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpdl_fleetgen::{generate, Fleet, FleetShape};
 use xpdl_obs::{Histogram, HistogramSnapshot, MetricsRegistry};
+use xpdl_registry::client::call_line;
 use xpdl_registry::{
     NodeAgent, NodeConfig, NodeReport, RegistryClient, RegistryOptions, RegistryServer, RingFn,
 };
@@ -164,8 +165,8 @@ fn query_storm(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
 
     // The server's own tally, over the wire like any client would get it.
     let server_stats = {
-        let line =
-            one_shot(&addr, r#"{"v":1,"id":1,"method":"stats"}"#).expect("stats round trip");
+        let stats = r#"{"v":1,"id":1,"method":"stats"}"#;
+        let line = call_line(&addr, stats, CONNECT_TIMEOUT, IO_TIMEOUT).expect("stats round trip");
         match parse_response(line.trim()) {
             Ok(resp) => match resp.result {
                 Ok(xpdl_serve::Reply::Stats(s)) => Some(s),
@@ -611,9 +612,9 @@ fn start_shard_node(i: usize, reg_addr: &str, universe: &[String], ttl: Duration
 /// The keys a node currently serves, per its over-the-wire `shards`
 /// reply (what peers and the chaos suite count replicas with).
 fn served_keys(addr: &str) -> Vec<String> {
-    let line = match one_shot(addr, &Request::new(1, Method::Shards).to_json()) {
-        Ok(line) => line.to_string(),
-        Err(_) => return Vec::new(),
+    let req = Request::new(1, Method::Shards).to_json();
+    let Ok(line) = call_line(addr, &req, CONNECT_TIMEOUT, IO_TIMEOUT) else {
+        return Vec::new();
     };
     match parse_response(line.trim()).map(|r| r.result) {
         Ok(Ok(Reply::Shards { owned, .. })) => owned,

@@ -21,11 +21,12 @@
 //!                      as an array when it already holds a record)
 //! ```
 
-use bench::net::{one_shot, BinConn, LineConn};
+use bench::net::{BinConn, LineConn, CONNECT_TIMEOUT, IO_TIMEOUT};
 use bench::record::{ExtraValue, ScenarioRecord};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use xpdl_registry::client::call_line;
 use xpdl_serve::{
     parse_response, Engine, EngineOptions, Method, ModelSource, Request, Server, ServerOptions,
 };
@@ -232,8 +233,8 @@ fn main() {
 
     // Pull the server's own view before shutdown.
     let server_stats = {
-        let line =
-            one_shot(&addr, r#"{"v":1,"id":1,"method":"stats"}"#).expect("stats round trip");
+        let stats = r#"{"v":1,"id":1,"method":"stats"}"#;
+        let line = call_line(&addr, stats, CONNECT_TIMEOUT, IO_TIMEOUT).expect("stats round trip");
         match parse_response(line.trim()) {
             Ok(resp) => match resp.result {
                 Ok(xpdl_serve::Reply::Stats(s)) => Some(s),
@@ -247,8 +248,9 @@ fn main() {
     // registers all its counters there, so a loaded server must report a
     // non-zero serve.requests total.
     let metrics_requests = {
+        let metrics = r#"{"v":1,"id":2,"method":"metrics"}"#;
         let line =
-            one_shot(&addr, r#"{"v":1,"id":2,"method":"metrics"}"#).expect("metrics round trip");
+            call_line(&addr, metrics, CONNECT_TIMEOUT, IO_TIMEOUT).expect("metrics round trip");
         match parse_response(line.trim()) {
             Ok(resp) => match resp.result {
                 Ok(xpdl_serve::Reply::Metrics(m)) => m.counters.get("serve.requests").copied(),

@@ -3,15 +3,19 @@
 //! Every bench binary used to call bare `TcpStream::connect` and
 //! blocking `read_line` — a hung or half-dead server wedged the whole
 //! CI job with no diagnostic. [`LineConn`] gives the load generators
-//! the same discipline the serving stack itself uses: hard connect,
-//! read, and write timeouts on every socket, and errors that say which
-//! address failed, doing what, after how long. [`BinConn`] is its
-//! binary-encoding sibling: it negotiates the frame protocol with a
-//! `hello` at connect time and then speaks typed requests/responses.
+//! the same discipline the serving stack itself uses: it connects
+//! through `xpdl_registry::client::dial` (hard connect, read, and write
+//! timeouts, `TCP_NODELAY`), and its errors say which address failed,
+//! doing what, after how long. A single round trip on a fresh
+//! connection is `xpdl_registry::client::call_line` with [`CONNECT_TIMEOUT`]
+//! and [`IO_TIMEOUT`]. [`BinConn`] is the binary-encoding sibling: it
+//! negotiates the frame protocol with a `hello` at connect time and then
+//! speaks typed requests/responses.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use xpdl_registry::client::dial;
 use xpdl_serve::codec::{self, StrDecoder, StrEncoder};
 use xpdl_serve::{parse_response, Reply, Request, Response};
 
@@ -50,23 +54,7 @@ impl LineConn {
         connect_timeout: Duration,
         io_timeout: Duration,
     ) -> std::io::Result<LineConn> {
-        let sockaddr = addr
-            .to_socket_addrs()
-            .map_err(|e| annotate(addr, "resolve", e))?
-            .next()
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::AddrNotAvailable,
-                    format!("{addr}: resolves to no address"),
-                )
-            })?;
-        let stream = TcpStream::connect_timeout(&sockaddr, connect_timeout)
-            .map_err(|e| annotate(addr, "connect", e))?;
-        stream
-            .set_read_timeout(Some(io_timeout))
-            .and_then(|_| stream.set_write_timeout(Some(io_timeout)))
-            .and_then(|_| stream.set_nodelay(true))
-            .map_err(|e| annotate(addr, "socket options", e))?;
+        let stream = dial(addr, connect_timeout, io_timeout)?;
         let writer = stream.try_clone().map_err(|e| annotate(addr, "clone", e))?;
         Ok(LineConn {
             addr: addr.to_string(),
@@ -119,12 +107,6 @@ impl LineConn {
         self.send_line(line)?;
         self.recv_line()
     }
-}
-
-/// Connect, send one line, read one line, disconnect.
-pub fn one_shot(addr: &str, line: &str) -> std::io::Result<String> {
-    let mut conn = LineConn::connect(addr)?;
-    Ok(conn.call(line)?.to_string())
 }
 
 /// A binary-encoding client connection (`docs/WIRE.md`): negotiates with
@@ -256,7 +238,8 @@ mod tests {
             std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
             std::io::Write::write_all(&mut w, line.as_bytes()).unwrap();
         });
-        let reply = one_shot(&addr, "ping").unwrap();
+        let reply = xpdl_registry::client::call_line(&addr, "ping", CONNECT_TIMEOUT, IO_TIMEOUT)
+            .unwrap();
         assert_eq!(reply, "ping");
         echo.join().unwrap();
     }

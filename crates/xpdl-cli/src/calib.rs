@@ -2,18 +2,15 @@
 //! the optimization scenarios it feeds (paper §IV/§V).
 
 use crate::{flag_value, has_flag, parse_flag, repository, ExitCode};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 use xpdl_calib::{
     announce_version, calibrate_dir, default_fsm, optimize_model, plan_dir, run_plan, CalibOptions,
     WorkUnit, DEFAULT_INITIAL_STATE,
 };
+use xpdl_core::diag::json::escape_into;
 use xpdl_power::InstructionEnergyTable;
-
-/// JSON string escaping for the stable `--diag-format=json` outputs.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Parse calibration knobs shared by both subcommands.
 fn calib_options(rest: &[String]) -> Result<CalibOptions, String> {
@@ -61,39 +58,29 @@ pub(crate) fn calibrate_command(
     if has_flag(rest, "--dry-run") {
         let plan = plan_dir(&dir)?;
         if format == "json" {
-            let units: Vec<String> = plan
-                .units
-                .iter()
-                .map(|u| {
-                    format!(
-                        r#"{{"doc":"{}","table":"{}","suite":"{}","pending":{}}}"#,
-                        esc(&u.doc_key),
-                        esc(&u.table.name),
-                        esc(&u.suite.id),
-                        u.pending.len()
-                    )
-                })
-                .collect();
-            let diags: Vec<String> = plan
-                .diags
-                .iter()
-                .map(|d| {
-                    format!(
-                        r#"{{"code":"{}","doc":"{}","detail":"{}"}}"#,
-                        d.code,
-                        esc(&d.doc_key),
-                        esc(&d.detail)
-                    )
-                })
-                .collect();
-            writeln!(
-                out,
-                r#"{{"scanned_docs":{},"total_pending":{},"units":[{}],"diags":[{}]}}"#,
-                plan.scanned_docs,
-                plan.total_pending,
-                units.join(","),
-                diags.join(",")
-            )?;
+            let mut s = format!(
+                r#"{{"scanned_docs":{},"total_pending":{},"units":["#,
+                plan.scanned_docs, plan.total_pending
+            );
+            for (i, u) in plan.units.iter().enumerate() {
+                s.push_str(if i == 0 { r#"{"doc":"# } else { r#",{"doc":"# });
+                escape_into(&mut s, &u.doc_key);
+                s.push_str(r#","table":"#);
+                escape_into(&mut s, &u.table.name);
+                s.push_str(r#","suite":"#);
+                escape_into(&mut s, &u.suite.id);
+                write!(s, r#","pending":{}}}"#, u.pending.len())?;
+            }
+            s.push_str(r#"],"diags":["#);
+            for (i, d) in plan.diags.iter().enumerate() {
+                let sep = if i == 0 { "" } else { "," };
+                write!(s, r#"{sep}{{"code":"{}","doc":"#, d.code)?;
+                escape_into(&mut s, &d.doc_key);
+                s.push_str(r#","detail":"#);
+                escape_into(&mut s, &d.detail);
+                s.push('}');
+            }
+            writeln!(out, "{s}]}}")?;
         } else {
             for u in &plan.units {
                 writeln!(
@@ -129,46 +116,44 @@ pub(crate) fn calibrate_command(
     }
 
     if format == "json" {
-        let units: Vec<String> = outcome
-            .units
-            .iter()
-            .map(|u| {
-                format!(
-                    r#"{{"doc":"{}","filled":{},"skipped":{},"timed_out":{}}}"#,
-                    esc(&u.doc_key),
-                    u.report.filled.len(),
-                    u.report.skipped.len(),
-                    u.timed_out
-                )
-            })
-            .collect();
-        let diags: Vec<String> = outcome
-            .diags()
-            .iter()
-            .map(|(doc, d)| {
-                format!(
-                    r#"{{"code":"{}","doc":"{}","instruction":"{}","detail":"{}"}}"#,
-                    d.code,
-                    esc(doc),
-                    esc(&d.instruction),
-                    esc(&d.detail)
-                )
-            })
-            .collect();
-        writeln!(
-            out,
-            r#"{{"filled":{},"skipped":{},"total_runs":{},"complete":{},"version":"{}","patched":{},"remaining_placeholders":{},"announced_subscribers":{},"units":[{}],"diags":[{}]}}"#,
+        let mut s = format!(
+            r#"{{"filled":{},"skipped":{},"total_runs":{},"complete":{},"version":"#,
             outcome.filled,
             outcome.skipped,
             outcome.total_runs,
-            outcome.complete(),
-            esc(&summary.version),
+            outcome.complete()
+        );
+        escape_into(&mut s, &summary.version);
+        write!(
+            s,
+            r#","patched":{},"remaining_placeholders":{},"announced_subscribers":{},"units":["#,
             summary.patched.len(),
             summary.remaining_placeholders,
-            subscribers.map(|n| n.to_string()).unwrap_or_else(|| "null".to_string()),
-            units.join(","),
-            diags.join(",")
+            subscribers.map(|n| n.to_string()).unwrap_or_else(|| "null".to_string())
         )?;
+        for (i, u) in outcome.units.iter().enumerate() {
+            s.push_str(if i == 0 { r#"{"doc":"# } else { r#",{"doc":"# });
+            escape_into(&mut s, &u.doc_key);
+            write!(
+                s,
+                r#","filled":{},"skipped":{},"timed_out":{}}}"#,
+                u.report.filled.len(),
+                u.report.skipped.len(),
+                u.timed_out
+            )?;
+        }
+        s.push_str(r#"],"diags":["#);
+        for (i, (doc, d)) in outcome.diags().into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(s, r#"{sep}{{"code":"{}","doc":"#, d.code)?;
+            escape_into(&mut s, doc);
+            s.push_str(r#","instruction":"#);
+            escape_into(&mut s, &d.instruction);
+            s.push_str(r#","detail":"#);
+            escape_into(&mut s, &d.detail);
+            s.push('}');
+        }
+        writeln!(out, "{s}]}}")?;
     } else {
         for u in &outcome.units {
             writeln!(
@@ -353,6 +338,42 @@ mod tests {
         assert!(out.contains(r#""complete":true"#), "{out}");
         assert!(out.contains(r#""remaining_placeholders":0"#), "{out}");
         assert!(out.contains(r#""announced_subscribers":null"#), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dry_run_json_escapes_control_characters() {
+        // A pending table with no `mb=` suite: C702 quotes the table name,
+        // which here holds a tab (XML character reference `&#9;`).
+        let dir = std::env::temp_dir().join(format!("xpdlc_calib_tab_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("isa.xpdl"),
+            r#"<instructions name="a&#9;b"><inst name="fadd" energy="?" energy_unit="pJ"/></instructions>"#,
+        )
+        .unwrap();
+        let (code, out) = run_cli(&[
+            "calibrate",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--dry-run",
+            "--diag-format",
+            "json",
+        ]);
+        assert_eq!(code, 1, "{out}");
+        // Strict JSON forbids raw control characters in strings, and this
+        // crate's reader is lenient about them, so check the bytes too.
+        assert!(!out.trim_end().chars().any(char::is_control), "{out:?}");
+        assert!(out.contains(r"'a\tb'"), "{out}");
+        let doc = xpdl_core::diag::json::parse(out.trim()).expect("dry-run output is JSON");
+        let diags = xpdl_core::diag::json::get(doc.as_object().unwrap(), "diags")
+            .and_then(|d| d.as_array())
+            .unwrap();
+        let diag = diags[0].as_object().unwrap();
+        let field = |k| xpdl_core::diag::json::get(diag, k).and_then(|v| v.as_str());
+        assert_eq!(field("code"), Some("C702"));
+        assert!(field("detail").unwrap().contains("'a\tb'"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,8 +16,10 @@
 //!   (same lease table → byte-identical output on any two processes).
 
 use crate::ExitCode;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use xpdl_core::diag::json::escape_into;
 use xpdl_registry::{
     HashRing, RegistryClient, RegistryMethod, RegistryOptions, RegistryReply, RegistryServer,
     DEFAULT_REPLICATION, DEFAULT_VNODES,
@@ -109,26 +111,6 @@ fn shard_universe(rest: &[String]) -> Vec<String> {
     }
 }
 
-/// Minimal JSON string escaping for the status dump (node ids and
-/// versions are operator-chosen and must not break the output).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn status(
     rest: &[String],
     out: &mut dyn std::io::Write,
@@ -155,48 +137,53 @@ fn status(
         }
     };
     if format == "json" {
+        // Node ids, addresses and versions are operator-chosen: escaped.
         let mut s = String::from("{\"nodes\":[");
         for (i, n) in st.nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"node\":{},\"addr\":{},\"epoch\":{},\"fingerprint\":{},\"inflight\":{},\
-                 \"generation\":{},\"age_ms\":{},\"ttl_ms\":{},\"lease_remaining_ms\":{},\
-                 \"shards\":{}}}",
-                esc(&n.node),
-                esc(&n.addr),
-                n.epoch,
-                esc(&n.fingerprint),
+            s.push_str(if i == 0 { "{\"node\":" } else { ",{\"node\":" });
+            escape_into(&mut s, &n.node);
+            s.push_str(",\"addr\":");
+            escape_into(&mut s, &n.addr);
+            write!(s, ",\"epoch\":{},\"fingerprint\":", n.epoch)?;
+            escape_into(&mut s, &n.fingerprint);
+            write!(
+                s,
+                ",\"inflight\":{},\"generation\":{},\"age_ms\":{},\"ttl_ms\":{},\
+                 \"lease_remaining_ms\":{},\"shards\":{}}}",
                 n.inflight,
                 n.generation,
                 n.age_ms,
                 n.ttl_ms,
                 n.ttl_ms.saturating_sub(n.age_ms),
                 shard_count(&n.node),
-            ));
+            )?;
         }
         s.push_str("],\"ring\":");
         match &st.ring {
             None => s.push_str("null"),
-            Some(r) => s.push_str(&format!(
-                "{{\"epoch\":{},\"replication\":{},\"vnodes\":{},\"members\":{}}}",
-                esc(&r.epoch_hex()),
-                r.replication,
-                r.vnodes,
-                r.nodes.len(),
-            )),
+            Some(r) => {
+                s.push_str("{\"epoch\":");
+                escape_into(&mut s, &r.epoch_hex());
+                write!(
+                    s,
+                    ",\"replication\":{},\"vnodes\":{},\"members\":{}}}",
+                    r.replication,
+                    r.vnodes,
+                    r.nodes.len(),
+                )?;
+            }
         }
         s.push_str(",\"version\":");
         match &st.version {
             None => s.push_str("null"),
-            Some(v) => s.push_str(&esc(v)),
+            Some(v) => escape_into(&mut s, v),
         }
-        s.push_str(&format!(
+        write!(
+            s,
             ",\"uptime_ms\":{},\"shard_universe\":{}}}",
             st.uptime_ms,
             universe.len()
-        ));
+        )?;
         writeln!(out, "{s}")?;
         return Ok(0);
     }
@@ -260,4 +247,46 @@ fn ring(
         writeln!(out, "key {key} -> {}", owners.join(","))?;
     }
     Ok(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xpdl_core::diag::json;
+
+    #[test]
+    fn status_json_escapes_operator_strings() {
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let client = RegistryClient::new(addr.clone());
+        let node = "n\"1\\\t\u{1}é";
+        client
+            .call(RegistryMethod::Register {
+                node: node.into(),
+                addr: "127.0.0.1:9".into(),
+                epoch: 3,
+                fingerprint: "f\n".into(),
+                inflight: 0,
+                ttl_ms: 60_000,
+            })
+            .unwrap();
+        client.announce("v\"2").unwrap();
+        let args = ["status", "--addr", &addr, "--diag-format=json", "--shard-keys", "k1,k2"]
+            .map(String::from);
+        let mut buf = Vec::new();
+        assert_eq!(registry_command(&args, &mut buf).unwrap(), 0);
+        let out = String::from_utf8(buf).unwrap();
+        // The exact bytes every earlier release printed for these fields.
+        let head = r#"{"nodes":[{"node":"n\"1\\\t\u0001é","addr":"127.0.0.1:9","epoch":3,"fingerprint":"f\n","inflight":0,"generation":1,"age_ms":"#;
+        assert!(out.starts_with(head), "{out}");
+        assert!(out.contains(r#","version":"v\"2","uptime_ms":"#), "{out}");
+        assert!(out.trim_end().ends_with(r#","shard_universe":2}"#), "{out}");
+        let doc = json::parse(out.trim()).expect("status output is JSON");
+        let nodes = json::get(doc.as_object().unwrap(), "nodes").unwrap().as_array().unwrap();
+        let first = nodes[0].as_object().unwrap();
+        assert_eq!(json::get(first, "node").and_then(|v| v.as_str()), Some(node));
+        assert_eq!(json::get(first, "shards").and_then(|v| v.as_number()), Some(2.0));
+        server.shutdown();
+        server.join();
+    }
 }

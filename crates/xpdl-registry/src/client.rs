@@ -11,10 +11,17 @@
 //! operator action: surviving nodes re-register within one heartbeat
 //! interval plus backoff.
 //!
+//! The agent never polls: its loops park toward their next deadline,
+//! and stopping unparks them and shuts down the subscriber's socket.
+//!
 //! The agent deliberately knows nothing about serving: it reports
 //! through a health callback and signals invalidations through an
 //! `on_invalidate` callback, so this crate never depends on
 //! `xpdl-serve` (the dependency points the other way).
+//!
+//! [`dial`] and [`call_line`] are how every cluster client — the
+//! registry client, the agent's subscriber, serve's `ClusterClient` and
+//! shard probes, and the bench clients — opens a connection.
 
 use crate::lease::NodeReport;
 use crate::protocol::{
@@ -22,12 +29,76 @@ use crate::protocol::{
     RegistryReply, Request,
 };
 use crate::ring::RingInfo;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use parking_lot::Mutex;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use xpdl_repo::RetryPolicy;
+
+/// Connect to `addr` with `connect_timeout`, then set `TCP_NODELAY` and
+/// `io_timeout` as both the read and the write timeout. Every error
+/// keeps its kind and reads `"{addr}: {step}: {cause}"`, the step being
+/// `resolve`, `connect` or `socket options`.
+pub fn dial(
+    addr: &str,
+    connect_timeout: Duration,
+    io_timeout: Duration,
+) -> std::io::Result<TcpStream> {
+    let sockaddr = addr
+        .to_socket_addrs()
+        .map_err(|e| annotate(addr, "resolve", e))?
+        .next()
+        .ok_or_else(|| {
+            std::io::Error::new(ErrorKind::AddrNotAvailable, format!("{addr}: resolve: no address"))
+        })?;
+    let stream = TcpStream::connect_timeout(&sockaddr, connect_timeout)
+        .map_err(|e| annotate(addr, "connect", e))?;
+    // Requests are one small line each; without this, Nagle plus the
+    // peer's delayed ACK can hold a write for ~40 ms.
+    stream
+        .set_nodelay(true)
+        .and_then(|_| stream.set_read_timeout(Some(io_timeout)))
+        .and_then(|_| stream.set_write_timeout(Some(io_timeout)))
+        .map_err(|e| annotate(addr, "socket options", e))?;
+    Ok(stream)
+}
+
+/// One JSON-lines round trip on a fresh connection: [`dial`], write
+/// `line` and its `\n` in one `write_all`, read one reply line and
+/// return it with trailing whitespace (the line ending) removed. EOF
+/// before the reply is an `UnexpectedEof` error; errors name the
+/// address and the step (`send`, `read`) like [`dial`]'s.
+pub fn call_line(
+    addr: &str,
+    line: &str,
+    connect_timeout: Duration,
+    io_timeout: Duration,
+) -> std::io::Result<String> {
+    let stream = dial(addr, connect_timeout, io_timeout)?;
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    (&stream).write_all(buf.as_bytes()).map_err(|e| annotate(addr, "send", e))?;
+    buf.clear();
+    match BufReader::new(&stream).read_line(&mut buf) {
+        Ok(0) => Err(std::io::Error::new(
+            ErrorKind::UnexpectedEof,
+            format!("{addr}: read: connection closed before the reply"),
+        )),
+        Ok(_) => {
+            buf.truncate(buf.trim_end().len());
+            Ok(buf)
+        }
+        Err(e) => Err(annotate(addr, "read", e)),
+    }
+}
+
+fn annotate(addr: &str, step: &str, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{addr}: {step}: {e}"))
+}
 
 /// Why a registry call failed, from the caller's side of the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,39 +180,13 @@ impl RegistryClient {
         &self.addr
     }
 
-    fn connect(&self) -> Result<TcpStream, ClientError> {
-        let sockaddr = self
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| ClientError::Io(format!("resolve {}: {e}", self.addr)))?
-            .next()
-            .ok_or_else(|| ClientError::Io(format!("{} resolves to no address", self.addr)))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, self.connect_timeout)
-            .map_err(|e| ClientError::Io(format!("connect {}: {e}", self.addr)))?;
-        stream
-            .set_read_timeout(Some(self.io_timeout))
-            .and_then(|_| stream.set_write_timeout(Some(self.io_timeout)))
-            .and_then(|_| stream.set_nodelay(true))
-            .map_err(|e| ClientError::Io(format!("socket options: {e}")))?;
-        Ok(stream)
-    }
-
     /// Execute one method: connect, send, read one response, done.
     pub fn call(&self, method: RegistryMethod) -> Result<RegistryReply, ClientError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut stream = self.connect()?;
-        let req = Request { id, method };
-        stream
-            .write_all(req.to_json().as_bytes())
-            .and_then(|_| stream.write_all(b"\n"))
-            .map_err(|e| ClientError::Io(format!("send: {e}")))?;
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).map_err(|e| ClientError::Io(format!("read: {e}")))?;
-        if n == 0 {
-            return Err(ClientError::Io("registry closed the connection".to_string()));
-        }
-        let resp = parse_response(line.trim()).map_err(ClientError::Malformed)?;
+        let req = Request { id, method }.to_json();
+        let line = call_line(&self.addr, &req, self.connect_timeout, self.io_timeout)
+            .map_err(|e| ClientError::Io(e.to_string()))?;
+        let resp = parse_response(&line).map_err(ClientError::Malformed)?;
         resp.result.map_err(ClientError::Registry)
     }
 
@@ -220,7 +265,9 @@ pub struct NodeAgent {
     client: RegistryClient,
     stop: Arc<AtomicBool>,
     registered: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// The subscriber's live connection, shut down to stop it.
+    subscription: Arc<Mutex<Option<Arc<TcpStream>>>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for NodeAgent {
@@ -258,6 +305,7 @@ impl NodeAgent {
         );
         let stop = Arc::new(AtomicBool::new(false));
         let registered = Arc::new(AtomicBool::new(false));
+        let subscription = Arc::new(Mutex::new(None));
         // Shared across both loops: rings arrive on the heartbeat reply
         // AND the subscribe stream, and the consumer contract is that
         // `on_ring` never fires twice for the same epoch.
@@ -291,18 +339,29 @@ impl NodeAgent {
         }
         {
             let cfg = cfg.clone();
+            let client = client.clone();
             let stop = Arc::clone(&stop);
+            let subscription = Arc::clone(&subscription);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("xpdl-agent-sub-{}", cfg.node))
                     .spawn(move || {
-                        subscribe_loop(&cfg, &stop, &on_invalidate, &on_ring, &last_ring)
+                        let sub = Subscriber {
+                            cfg: &cfg,
+                            client: &client,
+                            stop: &stop,
+                            socket: &subscription,
+                            on_invalidate: &on_invalidate,
+                            on_ring: &on_ring,
+                            last_ring: &last_ring,
+                        };
+                        sub.run()
                     })
                     .expect("spawn subscribe loop"),
             );
         }
 
-        NodeAgent { cfg, client, stop, registered, threads }
+        NodeAgent { cfg, client, stop, registered, subscription, threads }
     }
 
     /// Whether the node currently holds (as far as it knows) a live lease.
@@ -330,10 +389,12 @@ impl NodeAgent {
         }
     }
 
-    /// Graceful stop: deregister (best-effort), then stop the loops.
+    /// Graceful stop: stop the loops, then deregister (best-effort).
+    /// Stopping first means no heartbeat still in flight can put the
+    /// node back after it left.
     pub fn shutdown(mut self) {
-        let _ = self.deregister();
         self.stop_threads();
+        let _ = self.deregister();
     }
 
     /// Hard stop **without** deregistering: the loops die, the lease
@@ -343,8 +404,16 @@ impl NodeAgent {
         self.stop_threads();
     }
 
+    /// Raise the stop flag, wake both loops — unpark the parked ones,
+    /// shut down the socket the subscriber reads — and join them.
     fn stop_threads(&mut self) {
         self.stop.store(true, Ordering::Release);
+        if let Some(socket) = &*self.subscription.lock() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        for t in &self.threads {
+            t.thread().unpark();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -357,19 +426,17 @@ impl Drop for NodeAgent {
     }
 }
 
-/// Sleep `total` in small steps, returning early (false) on stop.
-fn interruptible_sleep(stop: &AtomicBool, total: Duration) -> bool {
-    let step = Duration::from_millis(25);
-    let mut remaining = total;
-    while !remaining.is_zero() {
-        if stop.load(Ordering::Acquire) {
-            return false;
+/// Park until `deadline` or until stop is raised (whoever raises it
+/// unparks this thread). Returns whether the agent is still running.
+fn park_until(stop: &AtomicBool, deadline: Instant) -> bool {
+    while !stop.load(Ordering::Acquire) {
+        let now = Instant::now();
+        if now >= deadline {
+            return true;
         }
-        let chunk = remaining.min(step);
-        std::thread::sleep(chunk);
-        remaining -= chunk;
+        std::thread::park_timeout(deadline - now);
     }
-    !stop.load(Ordering::Acquire)
+    false
 }
 
 /// Fire `on_ring` iff the ring's epoch differs from the last one the
@@ -380,7 +447,7 @@ fn interruptible_sleep(stop: &AtomicBool, total: Duration) -> bool {
 /// the same epoch twice or two rings interleaved.
 fn notify_ring(on_ring: &Option<RingFn>, last: &Mutex<Option<u64>>, ring: &RingInfo) {
     if let Some(cb) = on_ring {
-        let mut last = last.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut last = last.lock();
         if *last != Some(ring.epoch) {
             *last = Some(ring.epoch);
             cb(ring);
@@ -423,14 +490,14 @@ fn heartbeat_loop(
                     // again. The node keeps serving from its snapshot.
                     attempt = attempt.saturating_add(1);
                     let delay = cfg.retry.delay_after(&cfg.node, attempt.min(16));
-                    if !interruptible_sleep(stop, delay) {
+                    if !park_until(stop, Instant::now() + delay) {
                         return;
                     }
                     continue;
                 }
             }
         }
-        if !interruptible_sleep(stop, interval) {
+        if !park_until(stop, Instant::now() + interval) {
             return;
         }
         let report = health();
@@ -445,120 +512,108 @@ fn heartbeat_loop(
                 notify_ring(on_ring, last_ring, &ring);
             }
             Ok(_) => {}
-            Err(e) => {
+            Err(_) => {
                 // Lease gone (S503) or registry unreachable: next iteration
                 // re-registers. Re-registering is always safe (idempotent,
                 // generation-bumping), so both cases take the same path.
-                let _ = e;
                 registered.store(false, Ordering::Release);
             }
         }
     }
 }
 
-fn subscribe_loop(
-    cfg: &NodeConfig,
-    stop: &AtomicBool,
-    on_invalidate: &InvalidateFn,
-    on_ring: &Option<RingFn>,
-    last_ring: &Mutex<Option<u64>>,
-) {
-    let mut last_version: Option<String> = None;
-    let mut attempt: u32 = 0;
-    'reconnect: while !stop.load(Ordering::Acquire) {
-        let stream = (|| -> Result<TcpStream, ClientError> {
-            let sockaddr = cfg
-                .registry_addr
-                .to_socket_addrs()
-                .map_err(|e| ClientError::Io(e.to_string()))?
-                .next()
-                .ok_or_else(|| ClientError::Io("no address".to_string()))?;
-            let s = TcpStream::connect_timeout(&sockaddr, Duration::from_millis(500))
-                .map_err(|e| ClientError::Io(e.to_string()))?;
-            // Short read timeout: the event stream is idle most of the
-            // time, and the loop must notice stop requests promptly.
-            s.set_read_timeout(Some(Duration::from_millis(200)))
-                .and_then(|_| s.set_write_timeout(Some(Duration::from_millis(500))))
-                .and_then(|_| s.set_nodelay(true))
-                .map_err(|e| ClientError::Io(e.to_string()))?;
-            Ok(s)
-        })();
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                attempt = attempt.saturating_add(1);
-                let delay = cfg.retry.delay_after(&cfg.node, attempt.min(16));
-                if !interruptible_sleep(stop, delay) {
-                    return;
-                }
+/// The subscriber thread's state: one connection at a time, blocked in
+/// `read_line` with no read timeout between pushes. [`NodeAgent`]'s stop
+/// shuts down the socket published in `socket`, so the read returns.
+struct Subscriber<'a> {
+    cfg: &'a NodeConfig,
+    client: &'a RegistryClient,
+    stop: &'a AtomicBool,
+    socket: &'a Mutex<Option<Arc<TcpStream>>>,
+    on_invalidate: &'a InvalidateFn,
+    on_ring: &'a Option<RingFn>,
+    last_ring: &'a Mutex<Option<u64>>,
+}
+
+impl Subscriber<'_> {
+    /// Reconnect until stopped. A connection that ends before the
+    /// registry acked `subscribe` is a failed attempt and backs off, so
+    /// a registry that accepts and hangs up is not redialled in a hot
+    /// loop; one that ends after the ack is redialled at once.
+    fn run(&self) {
+        let mut last_version: Option<String> = None;
+        let mut attempt: u32 = 0;
+        while !self.stop.load(Ordering::Acquire) {
+            let acked = self.session(&mut last_version);
+            *self.socket.lock() = None;
+            if acked {
+                attempt = 0;
                 continue;
             }
-        };
-        attempt = 0;
-        let req = Request {
-            id: 1,
-            method: RegistryMethod::Subscribe { node: cfg.node.clone() },
-        };
-        let mut write_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if write_half
-            .write_all(req.to_json().as_bytes())
-            .and_then(|_| write_half.write_all(b"\n"))
-            .is_err()
-        {
-            continue;
-        }
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            if stop.load(Ordering::Acquire) {
+            attempt = attempt.saturating_add(1);
+            let delay = self.cfg.retry.delay_after(&self.cfg.node, attempt.min(16));
+            if !park_until(self.stop, Instant::now() + delay) {
                 return;
             }
+        }
+    }
+
+    /// One connection: dial, subscribe, deliver pushes until the stream
+    /// ends. Returns whether the registry acked the subscription.
+    fn session(&self, last_version: &mut Option<String>) -> bool {
+        let client = self.client;
+        let Ok(stream) = dial(&client.addr, client.connect_timeout, client.io_timeout) else {
+            return false;
+        };
+        let stream = Arc::new(stream);
+        *self.socket.lock() = Some(Arc::clone(&stream));
+        // A stop raised before the socket was published found nothing to
+        // shut down; it is seen here instead.
+        if self.stop.load(Ordering::Acquire) {
+            return false;
+        }
+        let subscribe = RegistryMethod::Subscribe { node: self.cfg.node.clone() };
+        let mut line = Request { id: 1, method: subscribe }.to_json();
+        line.push('\n');
+        // No read timeout: pushes are rare, and stop wakes the read.
+        if stream.set_read_timeout(None).is_err()
+            || (&*stream).write_all(line.as_bytes()).is_err()
+        {
+            return false;
+        }
+        let mut deliver = |version: String| {
+            if last_version.as_deref() != Some(version.as_str()) {
+                (self.on_invalidate)(&version);
+                *last_version = Some(version);
+            }
+        };
+        let mut reader = BufReader::new(&*stream);
+        let mut acked = false;
+        loop {
             line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => continue 'reconnect, // registry gone; reconnect
-                Ok(_) => {
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
+            if !matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+                return acked; // EOF, reset, or shut down by stop
+            }
+            let trimmed = line.trim();
+            if trimmed.is_empty() {
+                continue;
+            }
+            match parse_event(trimmed) {
+                Ok(Some(Event::Invalidate { version })) => deliver(version),
+                Ok(Some(Event::Ring { ring })) => notify_ring(self.on_ring, self.last_ring, &ring),
+                // Not an event: the subscribe ack, which echoes the last
+                // announced version so a node that was disconnected (a
+                // registry restart) catches up.
+                Ok(None) => match parse_response(trimmed).map(|r| r.result) {
+                    Ok(Ok(RegistryReply::Subscribed { version })) => {
+                        acked = true;
+                        if let Some(v) = version {
+                            deliver(v);
+                        }
                     }
-                    match parse_event(trimmed) {
-                        Ok(Some(Event::Invalidate { version })) => {
-                            if last_version.as_deref() != Some(version.as_str()) {
-                                last_version = Some(version.clone());
-                                on_invalidate(&version);
-                            }
-                        }
-                        Ok(Some(Event::Ring { ring })) => {
-                            notify_ring(on_ring, last_ring, &ring);
-                        }
-                        Ok(None) => {
-                            // The subscribe ack. If a version was announced
-                            // while we were disconnected (registry restart),
-                            // catch up from the echoed version.
-                            if let Ok(resp) = parse_response(trimmed) {
-                                if let Ok(RegistryReply::Subscribed { version: Some(v) }) =
-                                    resp.result
-                                {
-                                    if last_version.as_deref() != Some(v.as_str()) {
-                                        last_version = Some(v.clone());
-                                        on_invalidate(&v);
-                                    }
-                                }
-                            }
-                        }
-                        Err(_) => continue 'reconnect, // stream out of sync
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => continue 'reconnect,
+                    _ => return acked, // refused, or out of sync
+                },
+                Err(_) => return acked, // stream out of sync
             }
         }
     }
@@ -697,6 +752,133 @@ mod tests {
         }
         drop(seen);
         agent.shutdown();
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn dial_sets_nodelay_and_both_timeouts() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let io = Duration::from_millis(700);
+        let stream = dial(&addr, Duration::from_millis(300), io).unwrap();
+        assert!(stream.nodelay().unwrap(), "Nagle left on");
+        assert_eq!(stream.read_timeout().unwrap(), Some(io));
+        assert_eq!(stream.write_timeout().unwrap(), Some(io));
+    }
+
+    #[test]
+    fn dial_and_call_line_errors_name_the_address_and_the_step() {
+        let (connect, io) = (Duration::from_millis(300), Duration::from_millis(500));
+        let err = dial("not-an-address", connect, io).unwrap_err();
+        assert!(err.to_string().starts_with("not-an-address: resolve: "), "{err}");
+        // Port 1 on loopback: nothing listens, the connect is refused.
+        let err = dial("127.0.0.1:1", connect, io).unwrap_err();
+        assert!(err.to_string().starts_with("127.0.0.1:1: connect: "), "{err}");
+        let err = call_line("127.0.0.1:1", "{}", connect, io).unwrap_err();
+        assert!(err.to_string().starts_with("127.0.0.1:1: connect: "), "{err}");
+
+        // A peer that reads the request and hangs up without a reply.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let closer = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&s).read_line(&mut line).unwrap();
+            line
+        });
+        let err = call_line(&addr, r#"{"v":1}"#, connect, io).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+        assert!(err.to_string().starts_with(&format!("{addr}: read: ")), "{err}");
+        assert_eq!(closer.join().unwrap(), "{\"v\":1}\n");
+    }
+
+    #[test]
+    fn subscriber_backs_off_until_the_registry_acks() {
+        // A "registry" that accepts, reads one line and hangs up without
+        // answering. Every subscribe attempt fails before the ack, so the
+        // subscriber must back off instead of redialling in a hot loop.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let subscribes = Arc::new(TestCounter::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let subscribes = Arc::clone(&subscribes);
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for s in listener.incoming() {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let Ok(s) = s else { continue };
+                    let mut line = String::new();
+                    let _ = BufReader::new(&s).read_line(&mut line);
+                    if line.contains(r#""method":"subscribe""#) {
+                        subscribes.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            })
+        };
+        let agent = NodeAgent::start(
+            NodeConfig::new(addr.to_string(), "storm", "127.0.0.1:7005"),
+            Arc::new(NodeReport::default),
+            Arc::new(|_| {}),
+        );
+        std::thread::sleep(Duration::from_secs(1));
+        agent.abort();
+        let seen = subscribes.load(Ordering::Relaxed);
+        done.store(true, Ordering::Release);
+        crate::server::wake_accept(addr);
+        acceptor.join().unwrap();
+        assert!((1..=20).contains(&seen), "{seen} subscribe connections in 1 s");
+    }
+
+    #[test]
+    fn idle_agents_stop_within_50ms() {
+        let server = test_server(20);
+        let addr = server.local_addr().to_string();
+        let invalidated = Arc::new(TestCounter::new(0));
+        let agents: Vec<NodeAgent> = (0..10)
+            .map(|i| {
+                let inv = Arc::clone(&invalidated);
+                let advertise = format!("127.0.0.1:{}", 7100 + i);
+                NodeAgent::start(
+                    NodeConfig::new(addr.clone(), format!("idle{i}"), advertise),
+                    Arc::new(NodeReport::default),
+                    Arc::new(move |_| {
+                        inv.fetch_add(1, Ordering::Relaxed);
+                    }),
+                )
+            })
+            .collect();
+        let client = RegistryClient::new(addr);
+        assert!(wait_until(Duration::from_secs(5), || {
+            client.nodes().map(|(n, _, _)| n.len() == agents.len()).unwrap_or(false)
+        }));
+        // One announce reaches every agent only once all ten subscribers
+        // hold the ack; each then goes back to its blocking read.
+        assert!(wait_until(Duration::from_secs(5), || {
+            client.announce("v1").map(|subs| subs == 10).unwrap_or(false)
+        }));
+        assert!(wait_until(Duration::from_secs(5), || {
+            invalidated.load(Ordering::Relaxed) == 10
+        }));
+        std::thread::sleep(Duration::from_millis(50));
+        for (i, agent) in agents.into_iter().enumerate() {
+            let started = Instant::now();
+            let how = if i % 2 == 0 {
+                agent.abort();
+                "abort"
+            } else {
+                agent.shutdown();
+                "shutdown"
+            };
+            let took = started.elapsed();
+            assert!(took < Duration::from_millis(50), "{how}() of agent {i} took {took:?}");
+        }
+        assert!(wait_until(Duration::from_secs(5), || {
+            client.nodes().map(|(n, _, _)| n.len() == 5).unwrap_or(false)
+        }));
         server.shutdown();
         server.join();
     }

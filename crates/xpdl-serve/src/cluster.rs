@@ -24,20 +24,22 @@
 //!    `Freshness::StaleOk`, so an isolated client still answers from
 //!    its warm-start tier.
 //!
-//! Every request carries hard connect and read timeouts; a hung node
-//! costs one timeout, never a wedged caller. Counters register under
-//! `serve.cluster.*`.
+//! Every node attempt is one JSON-lines round trip on a fresh
+//! connection ([`call_line`]), with hard connect and read timeouts: a
+//! hung node costs one timeout, never a wedged caller. The client never
+//! sends `hello`. A connection that carries one request has nothing to
+//! spread a negotiation over, and against one node the binary path (a
+//! pipelined `hello`, then a frame) was never faster than plain JSON,
+//! even on the 2,500-name `elements_of_kind` reply (DESIGN.md §19).
+//! Counters register under `serve.cluster.*`.
 
-use crate::codec::{self, Encoding, StrDecoder, StrEncoder};
 use crate::engine::Engine;
 use crate::protocol::{parse_response, Method, Reply, Request, ServeError};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpdl_obs::{Counter, MetricsRegistry};
+use xpdl_registry::client::call_line;
 use xpdl_registry::{HashRing, NodeEntry, RegistryClient};
 use xpdl_repo::RetryPolicy;
 
@@ -53,10 +55,6 @@ pub struct ClusterOptions {
     pub table_max_age: Duration,
     /// Attempt budget and backoff between failover rounds.
     pub retry: RetryPolicy,
-    /// Offer the binary encoding (`hello`) to nodes and remember per
-    /// address what each negotiated. `false` pins every call to plain
-    /// JSON-lines with no handshake.
-    pub prefer_binary: bool,
 }
 
 impl Default for ClusterOptions {
@@ -71,7 +69,6 @@ impl Default for ClusterOptions {
                 max_delay: Duration::from_millis(100),
                 ..RetryPolicy::default()
             },
-            prefer_binary: true,
         }
     }
 }
@@ -136,10 +133,6 @@ pub struct ClusterClient {
     registry: RegistryClient,
     options: ClusterOptions,
     table: parking_lot::Mutex<Option<CachedTable>>,
-    /// What each node address negotiated (`hello`) on a past connection.
-    /// A `Binary` entry lets later calls pipeline the handshake with the
-    /// request; a `Json` entry skips the handshake entirely.
-    encodings: parking_lot::Mutex<HashMap<String, Encoding>>,
     cursor: AtomicUsize,
     next_id: AtomicU64,
     fallback: Option<Arc<Engine>>,
@@ -171,7 +164,6 @@ impl ClusterClient {
             ),
             options,
             table: parking_lot::Mutex::new(None),
-            encodings: parking_lot::Mutex::new(HashMap::new()),
             cursor: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             fallback: None,
@@ -243,7 +235,7 @@ impl ClusterClient {
                     }
                     Err(NodeError::Transport(detail)) => {
                         self.failovers.inc();
-                        last_detail = format!("{}: {detail}", node.addr);
+                        last_detail = detail; // names the address already
                     }
                     Err(NodeError::Failover(e)) => {
                         // S5xx: the node is draining or cluster-unhappy;
@@ -335,150 +327,27 @@ impl ClusterClient {
         }
     }
 
+    /// One JSON-lines round trip to the node at `addr`, classified for
+    /// the ladder: transport failures and `S5xx` fail over, any other
+    /// error reply is the same answer on every node.
     fn call_node(
         &self,
         addr: &str,
         method: &Method,
         shard_key: Option<&str>,
     ) -> Result<Reply, NodeError> {
-        let sockaddr = addr
-            .to_socket_addrs()
-            .map_err(|e| NodeError::Transport(format!("resolve: {e}")))?
-            .next()
-            .ok_or_else(|| NodeError::Transport("resolves to no address".to_string()))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, self.options.connect_timeout)
-            .map_err(|e| NodeError::Transport(format!("connect: {e}")))?;
-        stream
-            .set_read_timeout(Some(self.options.io_timeout))
-            .and_then(|_| stream.set_write_timeout(Some(self.options.io_timeout)))
-            .and_then(|_| stream.set_nodelay(true))
-            .map_err(|e| NodeError::Transport(format!("socket options: {e}")))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let req = Request { id, method: method.clone(), shard_key: shard_key.map(str::to_string) };
-        let mut write_half = stream
-            .try_clone()
-            .map_err(|e| NodeError::Transport(format!("clone: {e}")))?;
-        let mut reader = BufReader::new(stream);
-
-        // Pick the connection encoding. First contact with an address
-        // negotiates un-pipelined (the ack decides how the request must
-        // be framed); once an address is known to speak binary, the
-        // hello and the request frame ride in a single write.
-        let cached =
-            self.options.prefer_binary.then(|| self.encodings.lock().get(addr).copied()).flatten();
-        let enc = match (self.options.prefer_binary, cached) {
-            (false, _) | (true, Some(Encoding::Json)) => Encoding::Json,
-            (true, Some(Encoding::Binary)) => {
-                let hello_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let mut batch = codec::client_hello(hello_id).to_json().into_bytes();
-                batch.push(b'\n');
-                batch.extend_from_slice(&codec::encode_request(&req, &mut StrEncoder::new()));
-                write_half
-                    .write_all(&batch)
-                    .map_err(|e| NodeError::Transport(format!("send: {e}")))?;
-                match self.read_hello_ack(&mut reader)? {
-                    Some(Encoding::Binary) => {}
-                    // The node changed its answer (rollback, config flip):
-                    // the pipelined binary frame behind the hello is junk
-                    // to it now. Drop the cache entry and let the retry
-                    // ladder renegotiate from scratch.
-                    _ => {
-                        self.encodings.lock().remove(addr);
-                        return Err(NodeError::Transport(
-                            "node stopped speaking binary; renegotiating".to_string(),
-                        ));
-                    }
-                }
-                return self.read_binary_reply(&mut reader);
-            }
-            (true, None) => {
-                let hello_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let mut hello = codec::client_hello(hello_id).to_json().into_bytes();
-                hello.push(b'\n');
-                write_half
-                    .write_all(&hello)
-                    .map_err(|e| NodeError::Transport(format!("send: {e}")))?;
-                let negotiated = self.read_hello_ack(&mut reader)?.unwrap_or(Encoding::Json);
-                self.encodings.lock().insert(addr.to_string(), negotiated);
-                negotiated
-            }
-        };
-
-        match enc {
-            Encoding::Json => {
-                write_half
-                    .write_all(req.to_json().as_bytes())
-                    .and_then(|_| write_half.write_all(b"\n"))
-                    .map_err(|e| NodeError::Transport(format!("send: {e}")))?;
-                let mut line = String::new();
-                let n = reader
-                    .read_line(&mut line)
-                    .map_err(|e| NodeError::Transport(format!("read: {e}")))?;
-                if n == 0 {
-                    return Err(NodeError::Transport("node closed the connection".to_string()));
-                }
-                let resp = parse_response(line.trim())
-                    .map_err(|e| NodeError::Transport(format!("malformed reply: {e}")))?;
-                node_result(resp.result)
-            }
-            Encoding::Binary => {
-                let frame = codec::encode_request(&req, &mut StrEncoder::new());
-                write_half
-                    .write_all(&frame)
-                    .map_err(|e| NodeError::Transport(format!("send: {e}")))?;
-                self.read_binary_reply(&mut reader)
-            }
-        }
-    }
-
-    /// Read the JSON `hello` ack. `Ok(Some(_))` is a negotiated
-    /// encoding; `Ok(None)` means the node refused the handshake (an
-    /// old build answering `S411`, or no overlap) but the connection is
-    /// intact and JSON-lines still works on it. `S5xx` errors fail over
-    /// like on any other reply — a draining node's refusal says nothing
-    /// about what it speaks when healthy, so nothing is cached.
-    fn read_hello_ack(
-        &self,
-        reader: &mut BufReader<TcpStream>,
-    ) -> Result<Option<Encoding>, NodeError> {
-        let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| NodeError::Transport(format!("hello read: {e}")))?;
-        if n == 0 {
-            return Err(NodeError::Transport("node closed during hello".to_string()));
-        }
-        let resp = parse_response(line.trim())
-            .map_err(|e| NodeError::Transport(format!("malformed hello ack: {e}")))?;
+        let (connect, io) = (self.options.connect_timeout, self.options.io_timeout);
+        let line = call_line(addr, &req.to_json(), connect, io)
+            .map_err(|e| NodeError::Transport(e.to_string()))?;
+        let resp = parse_response(&line)
+            .map_err(|e| NodeError::Transport(format!("{addr}: malformed reply: {e}")))?;
         match resp.result {
-            Ok(Reply::Hello { encoding }) => Ok(Encoding::from_name(&encoding)),
-            Ok(other) => {
-                Err(NodeError::Transport(format!("unexpected hello ack: {:?}", other)))
-            }
+            Ok(reply) => Ok(reply),
             Err(e) if e.code.starts_with("S5") => Err(NodeError::Failover(e)),
-            Err(_) => Ok(None),
+            Err(e) => Err(NodeError::Fatal(e)),
         }
-    }
-
-    /// Read and decode one binary response frame.
-    fn read_binary_reply(&self, reader: &mut BufReader<TcpStream>) -> Result<Reply, NodeError> {
-        let body = codec::read_frame(reader, codec::MAX_RESPONSE_FRAME)
-            .map_err(|e| NodeError::Transport(format!("read: {e}")))?
-            .ok_or_else(|| NodeError::Transport("node closed the connection".to_string()))?;
-        let resp = codec::decode_response(&body, &mut StrDecoder::new())
-            .map_err(|e| NodeError::Transport(format!("malformed reply: {e}")))?;
-        node_result(resp.result)
-    }
-}
-
-/// Classify a node's reply: `S5xx` fails over, everything else is final.
-fn node_result(result: Result<Reply, ServeError>) -> Result<Reply, NodeError> {
-    match result {
-        Ok(reply) => Ok(reply),
-        // Any S5xx (draining, cluster-level) is failover-able; every
-        // other code is the same answer on every node.
-        Err(e) if e.code.starts_with("S5") => Err(NodeError::Failover(e)),
-        Err(e) => Err(NodeError::Fatal(e)),
     }
 }
 
@@ -629,7 +498,7 @@ mod tests {
         // mid-rotation and does not know our generation). The client
         // must refresh once per call, fall back to the cached table,
         // and keep routing — not spin against the registry.
-        use std::io::Write as _;
+        use std::io::{BufRead as _, BufReader, Write as _};
         use std::net::TcpListener;
         use xpdl_registry::{
             protocol::codes as reg_codes, RegistryError, RegistryReply,

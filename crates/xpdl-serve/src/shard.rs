@@ -32,13 +32,17 @@
 use crate::protocol::{codes, parse_response, Method, Reply, Request, ServeError};
 use crate::snapshot::ServeSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 use xpdl_obs::{Counter, MetricsRegistry};
+use xpdl_registry::client::call_line;
 use xpdl_registry::{HashRing, RegistryClient, RingInfo};
 use xpdl_runtime::RuntimeModel;
+
+/// Connect timeout of a handoff probe (`shards` on a successor).
+const PROBE_CONNECT_TIMEOUT: Duration = Duration::from_millis(300);
+/// Read/write timeout of a handoff probe.
+const PROBE_IO_TIMEOUT: Duration = Duration::from_millis(1000);
 
 /// Compile one shard key into a model (plus a source description).
 /// Repository-backed in production (resolve + elaborate through the
@@ -65,8 +69,6 @@ pub struct ShardManager {
     universe: Vec<String>,
     compile: ShardCompileFn,
     table: parking_lot::Mutex<ShardTable>,
-    probe_connect_timeout: Duration,
-    probe_io_timeout: Duration,
     ring_applies: Arc<Counter>,
     pulls: Arc<Counter>,
     drops: Arc<Counter>,
@@ -107,8 +109,6 @@ impl ShardManager {
                 loaded: BTreeMap::new(),
                 handoff: BTreeSet::new(),
             }),
-            probe_connect_timeout: Duration::from_millis(300),
-            probe_io_timeout: Duration::from_millis(1000),
             ring_applies: reg.counter("serve.shard.ring_applies"),
             pulls: reg.counter("serve.shard.pulls"),
             drops: reg.counter("serve.shard.drops"),
@@ -262,7 +262,7 @@ impl ShardManager {
                 let Some((_, addr)) = peers.iter().find(|(n, _)| n == owner) else {
                     continue 'keys; // owner not in the table yet: hold
                 };
-                if !self.peer_serves(addr, &key) {
+                if !Self::peer_serves(addr, &key) {
                     self.probe_failures.inc();
                     continue 'keys;
                 }
@@ -282,33 +282,17 @@ impl ShardManager {
     }
 
     /// Ask the peer at `addr` whether it currently serves `key` (lists
-    /// it as owned-and-loaded in its `shards` reply).
-    fn peer_serves(&self, addr: &str, key: &str) -> bool {
-        let Ok(Reply::Shards { owned, .. }) = self.probe(addr) else { return false };
-        owned.iter().any(|k| k == key)
-    }
-
-    fn probe(&self, addr: &str) -> Result<Reply, String> {
-        let sockaddr = addr
-            .to_socket_addrs()
-            .map_err(|e| format!("resolve: {e}"))?
-            .next()
-            .ok_or("resolves to no address")?;
-        let stream = TcpStream::connect_timeout(&sockaddr, self.probe_connect_timeout)
-            .map_err(|e| format!("connect: {e}"))?;
-        stream
-            .set_read_timeout(Some(self.probe_io_timeout))
-            .and_then(|_| stream.set_write_timeout(Some(self.probe_io_timeout)))
-            .map_err(|e| format!("socket options: {e}"))?;
-        let mut write_half = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-        write_half
-            .write_all(Request::new(1, Method::Shards).to_json().as_bytes())
-            .and_then(|_| write_half.write_all(b"\n"))
-            .map_err(|e| format!("send: {e}"))?;
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).map_err(|e| format!("read: {e}"))?;
-        let resp = parse_response(line.trim())?;
-        resp.result.map_err(|e| e.to_string())
+    /// it as owned-and-loaded in its `shards` reply). Any failure reads
+    /// as "no", which holds the key.
+    fn peer_serves(addr: &str, key: &str) -> bool {
+        let req = Request::new(1, Method::Shards).to_json();
+        let Ok(line) = call_line(addr, &req, PROBE_CONNECT_TIMEOUT, PROBE_IO_TIMEOUT) else {
+            return false;
+        };
+        matches!(
+            parse_response(&line).map(|r| r.result),
+            Ok(Ok(Reply::Shards { owned, .. })) if owned.iter().any(|k| k == key)
+        )
     }
 
     /// The `shards` reply body: ring epoch, owned-and-loaded keys, and
