@@ -35,23 +35,20 @@
 
 use bench::net::{LineConn, CONNECT_TIMEOUT, IO_TIMEOUT};
 use bench::record::{append_run, ExtraValue, RunRecord, ScenarioRecord};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpdl_fleetgen::{generate, Fleet, FleetShape};
-use xpdl_obs::{Histogram, HistogramSnapshot, MetricsRegistry};
+use xpdl_obs::metrics::percentile;
 use xpdl_registry::client::call_line;
-use xpdl_registry::{
-    NodeAgent, NodeConfig, NodeReport, RegistryClient, RegistryOptions, RegistryServer, RingFn,
-};
+use xpdl_registry::{NodeAgent, NodeConfig, RegistryClient, RegistryOptions, RegistryServer, RingFn};
 use xpdl_repo::{
     CachingStore, DirStore, DiskCache, FaultConfig, FaultInjectingStore, Freshness, Repository,
     ResolveOptions,
 };
 use xpdl_serve::{
-    codes, parse_response, ClusterClient, ClusterOptions, Engine, EngineOptions, Method,
-    ModelSource, Rebalancer, Reply, Request, Route, ServeError, Server, ServerOptions,
-    ShardManager,
+    compile_key, parse_response, ClusterClient, ClusterOptions, Engine, EngineOptions, Method,
+    ModelSource, Rebalancer, Reply, Request, Route, Server, ServerOptions, ShardManager,
 };
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -90,15 +87,6 @@ const FULL: Matrix = Matrix {
     reps: 20,
 };
 
-/// Snapshot a local histogram through the registry machinery, so the
-/// percentiles come from the same `xpdl-obs` quantile code the daemon
-/// reports over its metrics RPC.
-fn snapshot_of(h: &Arc<Histogram>) -> HistogramSnapshot {
-    let reg = MetricsRegistry::new();
-    reg.register_histogram("scenario", h);
-    reg.snapshot().histograms.remove("scenario").unwrap_or_else(HistogramSnapshot::empty)
-}
-
 /// The ident-free read mix: valid against *any* fleet shape, weighted
 /// toward the cheap calls a runtime system issues in its inner loop.
 const STORM_MIX: &[&str] = &[
@@ -132,31 +120,30 @@ fn query_storm(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     .expect("server");
     let addr = server.local_addr().to_string();
 
-    let hist = Arc::new(Histogram::new());
     let per_thread = m.storm_requests / m.storm_threads.max(1);
     let wall = Instant::now();
-    let tallies: Vec<(u64, u64)> = (0..m.storm_threads)
+    let tallies: Vec<(u64, u64, Vec<u64>)> = (0..m.storm_threads)
         .map(|t| {
             let addr = addr.clone();
-            let hist = Arc::clone(&hist);
             std::thread::spawn(move || {
                 // Timeouts on every socket op (bench::net): a hung node
                 // fails this scenario loudly instead of wedging CI.
                 let mut conn = LineConn::connect(&addr).expect("storm client connect");
                 let (mut ok, mut errors) = (0u64, 0u64);
+                let mut lat = Vec::with_capacity(per_thread as usize);
                 for n in 0..per_thread {
                     let id = t * 10_000_000 + n;
                     let req =
                         STORM_MIX[(n as usize) % STORM_MIX.len()].replace("ID", &id.to_string());
                     let start = Instant::now();
                     let line = conn.call(&req).expect("storm round trip").to_string();
-                    hist.record(start.elapsed().as_micros() as u64);
+                    lat.push(start.elapsed().as_micros() as u64);
                     match parse_response(line.trim()) {
                         Ok(resp) if resp.id == id && resp.result.is_ok() => ok += 1,
                         _ => errors += 1,
                     }
                 }
-                (ok, errors)
+                (ok, errors, lat)
             })
         })
         .map(|h| h.join().expect("client"))
@@ -182,7 +169,7 @@ fn query_storm(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     let errors: u64 = tallies.iter().map(|t| t.1).sum();
     let shed = server_stats.as_ref().map(|s| s.shed).unwrap_or(0);
     let mut rec = ScenarioRecord::new("query_storm");
-    rec.set_latencies(&snapshot_of(&hist));
+    rec.set_latencies(&mut tallies.into_iter().flat_map(|t| t.2).collect::<Vec<_>>());
     rec.qps = (ok + errors) as f64 / wall_s.max(1e-9);
     rec.errors = errors + shed;
     rec.put_extra("ok", ExtraValue::U64(ok));
@@ -215,17 +202,12 @@ fn reload_churn(fleet: &Fleet, m: &Matrix, tmp: &std::path::Path) -> ScenarioRec
     );
 
     let stop = Arc::new(AtomicBool::new(false));
-    let query_errors = Arc::new(AtomicU64::new(0));
-    let queries = Arc::new(AtomicU64::new(0));
-    let hist = Arc::new(Histogram::new());
     let workers: Vec<_> = (0..m.churn_query_threads)
         .map(|t| {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
-            let query_errors = Arc::clone(&query_errors);
-            let queries = Arc::clone(&queries);
-            let hist = Arc::clone(&hist);
             std::thread::spawn(move || {
+                let (mut lat, mut errors) = (Vec::new(), 0u64);
                 let mut n = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     let id = t * 10_000_000 + n;
@@ -234,12 +216,12 @@ fn reload_churn(fleet: &Fleet, m: &Matrix, tmp: &std::path::Path) -> ScenarioRec
                         STORM_MIX[(n as usize) % STORM_MIX.len()].replace("ID", &id.to_string());
                     let start = Instant::now();
                     let resp = engine.handle_line(&req);
-                    hist.record(start.elapsed().as_micros() as u64);
-                    queries.fetch_add(1, Ordering::Relaxed);
+                    lat.push(start.elapsed().as_micros() as u64);
                     if resp.id != id || resp.result.is_err() {
-                        query_errors.fetch_add(1, Ordering::Relaxed);
+                        errors += 1;
                     }
                 }
+                (lat, errors)
             })
         })
         .collect();
@@ -268,15 +250,18 @@ fn reload_churn(fleet: &Fleet, m: &Matrix, tmp: &std::path::Path) -> ScenarioRec
     }
     let wall_s = wall.elapsed().as_secs_f64();
     stop.store(true, Ordering::Release);
+    let (mut lat, mut query_errors) = (Vec::new(), 0u64);
     for w in workers {
-        w.join().expect("query thread");
+        let (samples, errors) = w.join().expect("query thread");
+        lat.extend(samples);
+        query_errors += errors;
     }
 
-    let total_queries = queries.load(Ordering::Relaxed);
+    let total_queries = lat.len() as u64;
     let mut rec = ScenarioRecord::new("reload_churn");
-    rec.set_latencies(&snapshot_of(&hist));
+    rec.set_latencies(&mut lat);
     rec.qps = total_queries as f64 / wall_s.max(1e-9);
-    rec.errors = churn_errors + query_errors.load(Ordering::Relaxed);
+    rec.errors = churn_errors + query_errors;
     rec.put_extra("swaps", ExtraValue::U64(m.churn_swaps));
     rec.put_extra("final_epoch", ExtraValue::U64(last_epoch));
     rec.put_extra("queries", ExtraValue::U64(total_queries));
@@ -298,7 +283,7 @@ fn timed_resolves(
     mut make_repo: impl FnMut(u64) -> Repository,
     key: &str,
 ) -> ScenarioRecord {
-    let hist = Arc::new(Histogram::new());
+    let mut lat = Vec::with_capacity(reps as usize);
     let mut errors = 0u64;
     let wall = Instant::now();
     for rep in 0..reps {
@@ -309,14 +294,14 @@ fn timed_resolves(
             .ok()
             .and_then(|set| xpdl_elab::elaborate(&set).ok())
             .is_some_and(|m| m.is_clean());
-        hist.record(start.elapsed().as_micros() as u64);
+        lat.push(start.elapsed().as_micros() as u64);
         if !ok {
             errors += 1;
         }
     }
     let wall_s = wall.elapsed().as_secs_f64();
     let mut rec = ScenarioRecord::new(name);
-    rec.set_latencies(&snapshot_of(&hist));
+    rec.set_latencies(&mut lat);
     rec.qps = reps as f64 / wall_s.max(1e-9);
     rec.errors = errors;
     rec.put_extra("reps", ExtraValue::U64(reps));
@@ -390,9 +375,9 @@ fn poisoned_keep_going(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     const VICTIMS: usize = 2;
     let poisoned = fleet.poisoned(VICTIMS);
     let expected = poisoned.expected_poisoned(VICTIMS);
-    let hist = Arc::new(Histogram::new());
-    let mut errors = 0u64;
     let reps = m.reps.min(5);
+    let mut lat = Vec::with_capacity(reps as usize);
+    let mut errors = 0u64;
     let wall = Instant::now();
     for _ in 0..reps {
         let repo = poisoned.repository();
@@ -404,14 +389,14 @@ fn poisoned_keep_going(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
             .ok()
             .and_then(|set| xpdl_elab::elaborate_with(&set, &eopts).ok())
             .map(|model| model.poisoned.len());
-        hist.record(start.elapsed().as_micros() as u64);
+        lat.push(start.elapsed().as_micros() as u64);
         if quarantined != Some(expected) {
             errors += 1;
         }
     }
     let wall_s = wall.elapsed().as_secs_f64();
     let mut rec = ScenarioRecord::new("poisoned_keep_going");
-    rec.set_latencies(&snapshot_of(&hist));
+    rec.set_latencies(&mut lat);
     rec.qps = reps as f64 / wall_s.max(1e-9);
     rec.errors = errors;
     rec.put_extra("reps", ExtraValue::U64(reps));
@@ -454,14 +439,9 @@ fn cluster_failover(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
         let mut cfg =
             NodeConfig::new(&reg_addr, format!("bench-node-{i}"), server.local_addr().to_string());
         cfg.ttl = Duration::from_millis(250);
-        let health_engine = Arc::clone(&engine);
         let agent = NodeAgent::start(
             cfg,
-            Arc::new(move || NodeReport {
-                epoch: health_engine.registry().load().epoch,
-                fingerprint: format!("{:016x}", health_engine.registry().load().fingerprint),
-                inflight: health_engine.stats().inflight.get(),
-            }),
+            Arc::new(move || engine.node_report()),
             Arc::new(|_version: &str| {}),
         );
         nodes.push((server, agent));
@@ -480,9 +460,8 @@ fn cluster_failover(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
 
     let total = m.storm_requests.min(2_000);
     let kill_at = total / 2;
-    let hist = Arc::new(Histogram::new());
-    let failover_hist = Arc::new(Histogram::new());
-    let (mut errors, mut failovers, mut degraded) = (0u64, 0u64, 0u64);
+    let (mut lat, mut failover_lat) = (Vec::with_capacity(total as usize), Vec::new());
+    let (mut errors, mut degraded) = (0u64, 0u64);
     let mut victim = None;
     let wall = Instant::now();
     for n in 0..total {
@@ -500,10 +479,9 @@ fn cluster_failover(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
         match client.call(Method::NumCores) {
             Ok(routed) => {
                 let us = start.elapsed().as_micros() as u64;
-                hist.record(us);
+                lat.push(us);
                 if routed.attempts > 1 {
-                    failovers += 1;
-                    failover_hist.record(us);
+                    failover_lat.push(us);
                 }
                 if routed.route == Route::Fallback {
                     degraded += 1;
@@ -522,16 +500,16 @@ fn cluster_failover(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     registry.shutdown();
     registry.join();
 
-    let failover_snap = snapshot_of(&failover_hist);
     let mut rec = ScenarioRecord::new("cluster_failover");
-    rec.set_latencies(&snapshot_of(&hist));
+    rec.set_latencies(&mut lat);
     rec.qps = total as f64 / wall_s.max(1e-9);
     rec.errors = errors + degraded; // in-process fallback never configured here
     rec.put_extra("requests", ExtraValue::U64(total));
     rec.put_extra("killed_at", ExtraValue::U64(victim.unwrap_or(0)));
-    rec.put_extra("failovers", ExtraValue::U64(failovers));
-    rec.put_extra("failover_p50_us", ExtraValue::U64(failover_snap.quantile(0.50)));
-    rec.put_extra("failover_p99_us", ExtraValue::U64(failover_snap.quantile(0.99)));
+    rec.put_extra("failovers", ExtraValue::U64(failover_lat.len() as u64));
+    failover_lat.sort_unstable();
+    rec.put_extra("failover_p50_us", ExtraValue::U64(percentile(&failover_lat, 0.50)));
+    rec.put_extra("failover_p99_us", ExtraValue::U64(percentile(&failover_lat, 0.99)));
     rec
 }
 
@@ -547,16 +525,9 @@ struct ShardNode {
 
 fn start_shard_node(i: usize, reg_addr: &str, universe: &[String], ttl: Duration) -> ShardNode {
     let node_id = format!("shard-node-{i}");
-    let repo = Arc::new(xpdl_models::paper_repository());
-    let compile: xpdl_serve::ShardCompileFn = Box::new(move |key: &str| {
-        let set = repo.resolve_recursive(key).map_err(|e| {
-            ServeError::new(codes::COMPILE_FAILED, format!("resolve '{key}': {e}"))
-        })?;
-        let model = xpdl_elab::elaborate(&set).map_err(|e| {
-            ServeError::new(codes::COMPILE_FAILED, format!("elaborate '{key}': {e}"))
-        })?;
-        Ok((xpdl_runtime::RuntimeModel::from_element(&model.root), format!("repo:{key}")))
-    });
+    let repo = xpdl_models::paper_repository();
+    let compile: xpdl_serve::ShardCompileFn =
+        Box::new(move |key: &str| Ok((compile_key(&repo, key)?, format!("repo:{key}"))));
     // The default (unsharded) snapshot never answers shard traffic; any
     // compilable model will do as the placeholder.
     let (placeholder, _, _) = ModelSource::Repo {
@@ -595,14 +566,9 @@ fn start_shard_node(i: usize, reg_addr: &str, universe: &[String], ttl: Duration
             ring_reb.kick();
         }
     });
-    let health_engine = Arc::clone(&engine);
     let agent = NodeAgent::start_with_ring(
         cfg,
-        Arc::new(move || NodeReport {
-            epoch: health_engine.registry().load().epoch,
-            fingerprint: format!("{:016x}", health_engine.registry().load().fingerprint),
-            inflight: health_engine.stats().inflight.get(),
-        }),
+        Arc::new(move || engine.node_report()),
         Arc::new(|_version: &str| {}),
         Some(on_ring),
     );
@@ -666,7 +632,7 @@ fn shard_rebalance(m: &Matrix) -> ScenarioRecord {
 
     let total = m.storm_requests.min(2_000);
     let kill_at = total / 2;
-    let hist = Arc::new(Histogram::new());
+    let mut lat = Vec::with_capacity(total as usize);
     let (mut errors, mut failovers, mut degraded) = (0u64, 0u64, 0u64);
     let mut kill_time = None;
     let wall = Instant::now();
@@ -686,7 +652,7 @@ fn shard_rebalance(m: &Matrix) -> ScenarioRecord {
         let start = Instant::now();
         match client.call_for_key(key, Method::NumCores) {
             Ok(routed) => {
-                hist.record(start.elapsed().as_micros() as u64);
+                lat.push(start.elapsed().as_micros() as u64);
                 if routed.attempts > 1 {
                     failovers += 1;
                 }
@@ -729,7 +695,7 @@ fn shard_rebalance(m: &Matrix) -> ScenarioRecord {
     registry.join();
 
     let mut rec = ScenarioRecord::new("shard_rebalance");
-    rec.set_latencies(&snapshot_of(&hist));
+    rec.set_latencies(&mut lat);
     rec.qps = total as f64 / wall_s.max(1e-9);
     // Degraded (in-process fallback) answers and a fleet that never
     // heals both count as scenario failures.
@@ -793,11 +759,7 @@ fn calibration_sweep(tmp: &std::path::Path, seed: u64) -> ScenarioRecord {
         let reload_engine = Arc::clone(&engine);
         let agent = NodeAgent::start(
             cfg,
-            Arc::new(move || NodeReport {
-                epoch: health_engine.registry().load().epoch,
-                fingerprint: format!("{:016x}", health_engine.registry().load().fingerprint),
-                inflight: health_engine.stats().inflight.get(),
-            }),
+            Arc::new(move || health_engine.node_report()),
             // The push-invalidation path under test: an announced version
             // makes the node recompile from the (now patched) library.
             Arc::new(move |_version: &str| {
@@ -820,7 +782,7 @@ fn calibration_sweep(tmp: &std::path::Path, seed: u64) -> ScenarioRecord {
 
     // The sweep itself: plan, measure, write back atomically.
     let opts = xpdl_calib::CalibOptions { seed, ..Default::default() };
-    let hist = Arc::new(Histogram::new());
+    let mut lat = Vec::new();
     let wall = Instant::now();
     let swept = xpdl_calib::calibrate_dir(
         &dir,
@@ -831,9 +793,7 @@ fn calibration_sweep(tmp: &std::path::Path, seed: u64) -> ScenarioRecord {
     let wall_s = wall.elapsed().as_secs_f64();
     let (filled, version, subscribers) = match &swept {
         Ok((outcome, summary)) => {
-            for u in &outcome.units {
-                hist.record(u.elapsed.as_micros() as u64);
-            }
+            lat.extend(outcome.units.iter().map(|u| u.elapsed.as_micros() as u64));
             if !outcome.complete() || outcome.filled as u64 != expected {
                 errors += 1;
             }
@@ -901,7 +861,7 @@ fn calibration_sweep(tmp: &std::path::Path, seed: u64) -> ScenarioRecord {
     registry.join();
 
     let mut rec = ScenarioRecord::new("calibration_sweep");
-    rec.set_latencies(&snapshot_of(&hist));
+    rec.set_latencies(&mut lat);
     rec.qps = filled as f64 / wall_s.max(1e-9);
     rec.errors = errors;
     rec.put_extra("placeholders_before", ExtraValue::U64(expected));

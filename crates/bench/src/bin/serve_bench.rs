@@ -131,14 +131,6 @@ fn binary_client_thread(addr: &str, requests: u64, thread_id: u64) -> ClientTall
     tally
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let threads: u64 = flag(&args, "--threads").and_then(|v| v.parse().ok()).unwrap_or(8);
@@ -281,9 +273,13 @@ fn main() {
     let ok: u64 = tallies.iter().map(|t| t.ok).sum();
     let errors: u64 = tallies.iter().map(|t| t.errors).sum();
     let mut lat: Vec<u64> = tallies.iter().flat_map(|t| t.latencies_us.iter().copied()).collect();
-    lat.sort_unstable();
     let qps = sent as f64 / wall_s.max(1e-9);
-    let (p50, p90, p99) = (percentile(&lat, 0.5), percentile(&lat, 0.9), percentile(&lat, 0.99));
+    // The shared scenario record schema (DESIGN.md §15); every pre-§15
+    // top-level key stays as an extra so existing consumers keep parsing
+    // this file unchanged, and its `client_*` percentiles are the record's.
+    let mut rec = ScenarioRecord::new("serve_burst");
+    rec.set_latencies(&mut lat);
+    let (p50, p90, p99) = (rec.p50_us, rec.p90_us, rec.p99_us);
     let max = lat.last().copied().unwrap_or(0);
     let (shed, reloads, epoch) = server_stats
         .as_ref()
@@ -297,24 +293,6 @@ fn main() {
     println!("server: {reloads} hot reloads, final epoch {epoch}");
     println!("metrics rpc: serve.requests={}", metrics_requests.unwrap_or(0));
 
-    // Emit the shared scenario record schema (DESIGN.md §15). The
-    // mandatory fields come from an xpdl-obs histogram of the same
-    // client latencies; every pre-§15 top-level key is preserved as an
-    // extra so existing consumers keep parsing this file unchanged.
-    let hist = xpdl_obs::Histogram::new();
-    for &v in &lat {
-        hist.record(v);
-    }
-    let reg = xpdl_obs::MetricsRegistry::new();
-    let arc = std::sync::Arc::new(hist);
-    reg.register_histogram("serve_burst", &arc);
-    let snap = reg
-        .snapshot()
-        .histograms
-        .remove("serve_burst")
-        .unwrap_or_else(xpdl_obs::HistogramSnapshot::empty);
-    let mut rec = ScenarioRecord::new("serve_burst");
-    rec.set_latencies(&snap);
     rec.qps = qps;
     rec.errors = errors;
     rec.put_extra("encoding", ExtraValue::Str(encoding.clone()));

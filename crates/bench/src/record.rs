@@ -1,7 +1,7 @@
 //! Scenario-keyed benchmark records: the one JSON shape every BENCH file
 //! speaks (DESIGN.md §15).
 //!
-//! A [`ScenarioRecord`] carries the five mandatory fields every scenario
+//! A [`ScenarioRecord`] carries the six mandatory fields every scenario
 //! reports — `name`, `p50_us`, `p90_us`, `p99_us`, `qps`, `errors` —
 //! plus free-form extra fields (server stats, reload counts, compat
 //! keys). `scenario_bench` appends one [`RunRecord`] per invocation to
@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use xpdl_core::diag::json::{self, JsonValue};
-use xpdl_obs::HistogramSnapshot;
+use xpdl_obs::metrics::percentile;
 
 /// One extra (scenario-specific) field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,9 +38,9 @@ pub struct ScenarioRecord {
     /// Scenario name (DESIGN.md §15 naming convention:
     /// `lower_snake_case`, stable across runs — it is the trajectory key).
     pub name: String,
-    /// Client-observed latency percentiles, microseconds. When derived
-    /// from a log2 [`HistogramSnapshot`] these are bucket upper bounds
-    /// (within 2x of the true quantile).
+    /// Client-observed median latency, microseconds: the nearest-rank
+    /// sample of the scenario's raw measurements
+    /// ([`ScenarioRecord::set_latencies`]).
     pub p50_us: u64,
     /// 90th percentile, microseconds.
     pub p90_us: u64,
@@ -69,14 +69,14 @@ impl ScenarioRecord {
         }
     }
 
-    /// Fill the percentile fields from an observability histogram.
-    /// Sub-bucket interpolation, not bucket ceilings — a log2 ceiling
-    /// quantized every percentile in `[32768, 65535]` to 65535µs, which
-    /// made `cold_resolve_*`/`offline_stale` look identically slow.
-    pub fn set_latencies(&mut self, h: &HistogramSnapshot) {
-        self.p50_us = h.quantile(0.50);
-        self.p90_us = h.quantile(0.90);
-        self.p99_us = h.quantile(0.99);
+    /// Fill the percentile fields from the scenario's raw latency
+    /// samples (µs), sorting them in place: each field is a measured
+    /// sample ([`xpdl_obs::metrics::percentile`]), 0 when there are none.
+    pub fn set_latencies(&mut self, samples: &mut [u64]) {
+        samples.sort_unstable();
+        self.p50_us = percentile(samples, 0.50);
+        self.p90_us = percentile(samples, 0.90);
+        self.p99_us = percentile(samples, 0.99);
     }
 
     /// Attach an extra field. Reserved (mandatory-schema) keys are
@@ -262,21 +262,11 @@ mod tests {
     }
 
     #[test]
-    fn latencies_come_from_the_obs_histogram() {
-        let h = xpdl_obs::Histogram::new();
-        for v in [1u64, 2, 3, 100, 1000] {
-            h.record(v);
-        }
-        let mut snap = HistogramSnapshot::empty();
-        let reg = xpdl_obs::MetricsRegistry::new();
-        let arc = std::sync::Arc::new(h);
-        reg.register_histogram("t", &arc);
-        snap = reg.snapshot().histograms.remove("t").unwrap_or(snap);
+    fn latencies_are_nearest_rank_samples() {
         let mut r = ScenarioRecord::new("t");
-        r.set_latencies(&snap);
-        assert!(r.p50_us >= 2 && r.p50_us <= 4, "{}", r.p50_us);
-        // Interpolated within 1000's bucket [512,1023] — not quantized
-        // to the 1023 ceiling.
-        assert!(r.p99_us >= 512 && r.p99_us <= 1023, "{}", r.p99_us);
+        r.set_latencies(&mut [1000, 3, 100, 1, 2]);
+        assert_eq!((r.p50_us, r.p90_us, r.p99_us), (3, 1000, 1000));
+        r.set_latencies(&mut []);
+        assert_eq!((r.p50_us, r.p90_us, r.p99_us), (0, 0, 0));
     }
 }

@@ -100,9 +100,10 @@ fn announce(
     }
 }
 
-/// The shard-key universe used for per-node shard counts: `--shard-keys`
-/// CSV when given, the built-in model-library systems otherwise.
-fn shard_universe(rest: &[String]) -> Vec<String> {
+/// The shard-key universe (a sharded `serve`'s keys, `status`'s per-node
+/// counts): `--shard-keys` CSV when given, the built-in model-library
+/// systems otherwise.
+pub(crate) fn shard_universe(rest: &[String]) -> Vec<String> {
     match crate::flag_value(rest, "--shard-keys") {
         Some(csv) => {
             csv.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect()

@@ -11,9 +11,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xpdl_registry::{NodeAgent, NodeConfig, NodeReport, RegistryClient, RingFn};
+use xpdl_registry::{NodeAgent, NodeConfig, RegistryClient, RingFn};
 use xpdl_serve::{
-    codes, install_termination_handler, spawn_reload_thread, Engine, EngineOptions, Method,
+    compile_key, install_termination_handler, spawn_reload_thread, Engine, EngineOptions, Method,
     ModelSource, Rebalancer, Reply, Request, Response, ServeError, Server, ServerOptions,
     ShardManager,
 };
@@ -102,25 +102,10 @@ pub(crate) fn serve_command(
     let node = crate::flag_value(rest, "--node-id")
         .unwrap_or_else(|| format!("node-{}", std::process::id()));
     let shard_mgr = if crate::has_flag(rest, "--shards") {
-        let universe: Vec<String> = match crate::flag_value(rest, "--shard-keys") {
-            Some(csv) => csv
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(String::from)
-                .collect(),
-            None => xpdl_models::LIBRARY_KEYS.iter().map(|k| k.to_string()).collect(),
-        };
-        let repo = Arc::new(crate::repository_with(rest, None)?);
-        let compile = Box::new(move |key: &str| -> Result<_, ServeError> {
-            let set = repo.resolve_recursive(key).map_err(|e| {
-                ServeError::new(codes::COMPILE_FAILED, format!("resolve '{key}': {e}"))
-            })?;
-            let model = xpdl_elab::elaborate(&set).map_err(|e| {
-                ServeError::new(codes::COMPILE_FAILED, format!("elaborate '{key}': {e}"))
-            })?;
-            Ok((xpdl_runtime::RuntimeModel::from_element(&model.root), format!("repo:{key}")))
-        });
+        let repo = crate::repository_with(rest, None)?;
+        let compile =
+            Box::new(move |key: &str| Ok((compile_key(&repo, key)?, format!("repo:{key}"))));
+        let universe = crate::registry::shard_universe(rest);
         let mgr = Arc::new(ShardManager::new(node.clone(), universe, compile));
         engine.set_shard_manager(Arc::clone(&mgr));
         writeln!(out, "sharding enabled: {} key(s) in universe", mgr.universe().len())?;
@@ -140,14 +125,7 @@ pub(crate) fn serve_command(
             let mut cfg = NodeConfig::new(registry_addr.clone(), node.clone(), advertise);
             cfg.ttl = ttl;
             let health_engine = Arc::clone(&engine);
-            let health = Arc::new(move || {
-                let snap = health_engine.registry().load();
-                NodeReport {
-                    epoch: snap.epoch,
-                    fingerprint: format!("{:016x}", snap.fingerprint),
-                    inflight: health_engine.stats().inflight.get(),
-                }
-            });
+            let health = Arc::new(move || health_engine.node_report());
             let reload_engine = Arc::clone(&engine);
             let on_invalidate = Arc::new(move |_version: &str| {
                 // A fingerprint-unchanged reload is a no-op swap, so a

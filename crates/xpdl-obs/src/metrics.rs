@@ -1,4 +1,5 @@
-//! Counters, gauges, log2-bucket histograms, and the unified registry.
+//! Counters, gauges, log2-bucket histograms, the unified registry, and
+//! the one percentile rule for raw samples.
 //!
 //! Instruments are cheap lock-free atomics owned by the subsystem that
 //! bumps them (`Arc<Counter>` etc.); the [`MetricsRegistry`] holds only
@@ -7,6 +8,14 @@
 //! name — a process with three `Repository` instances has three
 //! `repo.fetch.attempts` counters — and a [`MetricsSnapshot`] sums them.
 //! Instruments whose owners dropped are pruned at snapshot time.
+//!
+//! Two ways to a percentile, by what is held:
+//!
+//! - Raw samples (the serve `stats` ring, bench records): [`percentile`],
+//!   the exact nearest-rank sample.
+//! - A [`Histogram`] (constant memory, no samples kept): read it with
+//!   [`Histogram::snapshot`], then [`HistogramSnapshot::quantile`], an
+//!   estimate interpolated inside one log2 bucket.
 //!
 //! ```
 //! use xpdl_obs::metrics::{Counter, MetricsRegistry};
@@ -27,6 +36,19 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const HISTOGRAM_BUCKETS: usize = 65;
+
+/// Nearest-rank percentile of ascending `sorted` samples: the
+/// ⌈`q`·n⌉-th smallest (at least the first), or 0 when there are none.
+/// Always a value that was measured, never an interpolation.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0;
+    }
+    // The epsilon keeps 0.99 · 1000 at rank 990 despite binary rounding.
+    let rank = ((q.clamp(0.0, 1.0) * n as f64 - 1e-9).ceil() as usize).clamp(1, n);
+    sorted[rank - 1]
+}
 
 /// Monotonic event counter.
 #[derive(Debug, Default)]
@@ -165,9 +187,16 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Copy out the per-bucket counts.
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    /// Copy out the count, the sum and every non-empty bucket.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count(),
+            sum: self.sum(),
+            buckets: (0..HISTOGRAM_BUCKETS)
+                .map(|i| (i as u8, self.buckets[i].load(Ordering::Relaxed)))
+                .filter(|&(_, c)| c > 0)
+                .collect(),
+        }
     }
 }
 
@@ -279,11 +308,7 @@ impl MetricsRegistry {
                     }
                     Instrument::Histogram(w) => {
                         if let Some(h) = w.upgrade() {
-                            let entry = snap
-                                .histograms
-                                .entry(name.clone())
-                                .or_insert_with(HistogramSnapshot::empty);
-                            entry.merge_from(&h);
+                            snap.histograms.entry(name.clone()).or_default().merge(h.snapshot());
                         }
                     }
                 }
@@ -311,53 +336,22 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot.
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-
-    fn merge_from(&mut self, h: &Histogram) {
-        self.count += h.count();
-        self.sum += h.sum();
-        let counts = h.bucket_counts();
-        let mut merged: BTreeMap<u8, u64> = self.buckets.iter().copied().collect();
-        for (i, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                *merged.entry(i as u8).or_insert(0) += c;
-            }
+    fn merge(&mut self, other: HistogramSnapshot) {
+        self.count += other.count;
+        self.sum += other.sum;
+        let mut merged: BTreeMap<u8, u64> = self.buckets.drain(..).collect();
+        for (i, c) in other.buckets {
+            *merged.entry(i).or_insert(0) += c;
         }
         self.buckets = merged.into_iter().collect();
     }
 
-    /// Upper bound of the bucket containing quantile `q` in `[0, 1]`
-    /// (0 when empty). A log2 histogram bounds the true quantile within
-    /// a factor of two — enough to spot order-of-magnitude shifts.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(i, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                return Histogram::bucket_bounds(i as usize).1;
-            }
-        }
-        self.buckets.last().map(|&(i, _)| Histogram::bucket_bounds(i as usize).1).unwrap_or(0)
-    }
-
-    /// Estimated quantile with sub-bucket rank interpolation (0 when
-    /// empty).
+    /// Estimated quantile `q` in `[0, 1]` (0 when empty).
     ///
-    /// [`quantile_upper_bound`](Self::quantile_upper_bound) collapses
-    /// every sample in a bucket to the bucket's top — in a wide log2
-    /// bucket like `[32768, 65535]` that quantizes any p50 to 65535,
-    /// a 2× overstatement. This estimator instead assumes samples are
-    /// uniformly spread across the bucket's value range and places the
-    /// rank proportionally within it, cutting the worst-case error to
-    /// half a bucket with no change to the recording path or the
-    /// `(u8 index, count)` wire format.
+    /// Samples are assumed spread uniformly across their bucket's value
+    /// range, and the rank is placed proportionally within it: the error
+    /// is at most half a bucket, and the `(u8 index, count)` wire format
+    /// needs nothing more. Where raw samples exist, use [`percentile`].
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -498,39 +492,53 @@ mod tests {
     }
 
     #[test]
-    fn histogram_records_and_estimates_quantiles() {
+    fn nearest_rank_picks_a_measured_sample() {
+        assert_eq!(percentile(&[], 0.5), 0);
+        let five = [1u64, 2, 3, 100, 1000];
+        assert_eq!(percentile(&five, 0.0), 1);
+        assert_eq!(percentile(&five, 0.5), 3);
+        assert_eq!(percentile(&five, 0.9), 1000);
+        assert_eq!(percentile(&five, 0.99), 1000);
+        let thousand: Vec<u64> = (1..=1000).collect();
+        assert_eq!(percentile(&thousand, 0.5), 500);
+        assert_eq!(percentile(&thousand, 0.99), 990);
+        assert_eq!(percentile(&thousand, 1.0), 1000);
+    }
+
+    #[test]
+    fn histogram_snapshot_lists_nonempty_buckets() {
         let h = Histogram::new();
         for v in [0u64, 1, 5, 5, 5, 100, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 1116);
-        let counts = h.bucket_counts();
-        assert_eq!(counts[0], 1); // the zero
-        assert_eq!(counts[1], 1); // 1
-        assert_eq!(counts[3], 3); // 5,5,5 in [4,7]
-        let mut snap = HistogramSnapshot::empty();
-        snap.merge_from(&h);
-        // p50 (4th of 7) falls in the [4,7] bucket.
-        assert_eq!(snap.quantile_upper_bound(0.5), 7);
-        // p99 falls in the bucket holding 1000: [512,1023].
-        assert_eq!(snap.quantile_upper_bound(0.99), 1023);
-        assert_eq!(snap.quantile_upper_bound(0.0), 0);
+        let snap = h.snapshot();
+        assert_eq!((snap.count, snap.sum), (7, 1116));
+        // 0; 1; 5,5,5 in [4,7]; 100 in [64,127]; 1000 in [512,1023].
+        assert_eq!(snap.buckets, [(0, 1), (1, 1), (3, 3), (7, 1), (10, 1)]);
+        assert!((4..=7).contains(&snap.quantile(0.5)));
+        assert!((512..=1023).contains(&snap.quantile(0.99)));
+        assert_eq!(snap.quantile(0.0), 0);
+        // Same-name instruments merge bucket-wise in a registry snapshot.
+        let reg = MetricsRegistry::new();
+        let (a, b) = (reg.histogram("t"), reg.histogram("t"));
+        a.record(5);
+        b.record(6);
+        b.record(1000);
+        let merged = &reg.snapshot().histograms["t"];
+        assert_eq!((merged.count, merged.sum), (3, 1011));
+        assert_eq!(merged.buckets, [(3, 2), (10, 1)]);
     }
 
     #[test]
-    fn interpolated_quantile_beats_the_bucket_ceiling() {
+    fn interpolated_quantile_stays_inside_the_bucket() {
         // 1000 samples uniform over [30000, 60000): they straddle the
-        // [16384,32767] and [32768,65535] buckets. The upper bound
-        // quantizes p50 to 65535; interpolation must land near the true
-        // median of ~45000 (within half a bucket).
+        // [16384,32767] and [32768,65535] buckets. Interpolation must
+        // land near the true median of ~45000 (within half a bucket).
         let h = Histogram::new();
         for k in 0..1000u64 {
             h.record(30_000 + k * 30);
         }
-        let mut snap = HistogramSnapshot::empty();
-        snap.merge_from(&h);
-        assert_eq!(snap.quantile_upper_bound(0.50), 65_535);
+        let snap = h.snapshot();
         let p50 = snap.quantile(0.50);
         assert!((40_000..=52_000).contains(&p50), "interpolated p50 {p50}");
         // Monotone in q, and the extremes stay inside the data's buckets.
@@ -541,17 +549,13 @@ mod tests {
         // A single-sample bucket reports its midpoint, not its ceiling.
         let one = Histogram::new();
         one.record(40_000);
-        let mut s1 = HistogramSnapshot::empty();
-        s1.merge_from(&one);
-        let est = s1.quantile(0.50);
+        let est = one.snapshot().quantile(0.50);
         assert!((32_768..=65_535).contains(&est) && est != 65_535, "{est}");
         // Empty and zero-only histograms stay at 0.
-        assert_eq!(HistogramSnapshot::empty().quantile(0.5), 0);
+        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
         let z = Histogram::new();
         z.record(0);
-        let mut sz = HistogramSnapshot::empty();
-        sz.merge_from(&z);
-        assert_eq!(sz.quantile(0.99), 0);
+        assert_eq!(z.snapshot().quantile(0.99), 0);
     }
 
     #[test]

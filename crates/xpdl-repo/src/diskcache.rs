@@ -97,8 +97,16 @@ pub const DIAG_LOCK_TAKEOVER: &str = "R307";
 /// FNV-1a over `bytes` — the manifest's content checksum. No external
 /// dependency, stable across platforms and runs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
+    fnv1a64_seeded(0, &[bytes])
+}
+
+/// FNV-1a over the concatenation of `parts`, starting from the offset
+/// basis XORed with `seed` — the deterministic per-`(seed, key, …)`
+/// hash behind the fault scripts, the retry jitter and the simulated
+/// crash truncation. Seed 0 is plain [`fnv1a64`].
+pub(crate) fn fnv1a64_seeded(seed: u64, parts: &[&[u8]]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ seed;
+    for b in parts.iter().flat_map(|p| p.iter()) {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x100_0000_01B3);
     }
@@ -988,12 +996,7 @@ impl DiskCache {
     pub fn simulate_crash_truncation(&self, seed: u64, rate: f64) -> Vec<String> {
         let mut torn = Vec::new();
         for key in self.manifest.read().entries.keys() {
-            let mut h = 0xCBF2_9CE4_8422_2325u64 ^ seed;
-            for b in key.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100_0000_01B3);
-            }
-            let mut z = h;
+            let mut z = fnv1a64_seeded(seed, &[key.as_bytes()]);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^= z >> 31;

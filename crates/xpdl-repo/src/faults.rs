@@ -18,6 +18,7 @@
 //!   resolvers may load keys in any order, but the n-th fetch *of a
 //!   particular key* always gets the same verdict.
 
+use crate::diskcache::fnv1a64_seeded;
 use crate::store::{ModelStore, StoreError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -208,11 +209,7 @@ impl<S: ModelStore> FaultInjectingStore<S> {
     /// one key decorrelate. Stable across platforms and runs, unlike
     /// `std`'s `DefaultHasher`.
     fn unit_fraction(&self, key: &str, attempt: u64) -> f64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64 ^ self.config.seed;
-        for b in key.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
+        let h = fnv1a64_seeded(self.config.seed, &[key.as_bytes()]);
         let mut z = h ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -420,5 +417,19 @@ mod tests {
         let d = f.describe();
         assert!(d.contains("fault-injecting"), "{d}");
         assert!(d.contains("memory store"), "{d}");
+    }
+
+    #[test]
+    fn fault_script_hash_is_pinned() {
+        // Computed before the script hash moved onto `diskcache`'s
+        // FNV-1a: a change here rewrites every seeded fault script.
+        let frac = |seed: u64, key: &str, attempt: u64| {
+            FaultInjectingStore::new(store(), FaultConfig::failures(0.5, seed))
+                .unit_fraction(key, attempt)
+                .to_bits()
+        };
+        assert_eq!(frac(0, "CpuA", 1), 4_604_846_917_422_355_975);
+        assert_eq!(frac(42, "liu_gpu_server", 3), 4_606_589_357_330_890_035);
+        assert_eq!(frac(u64::MAX, "", 9), 4_604_170_037_062_829_880);
     }
 }

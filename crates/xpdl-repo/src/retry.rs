@@ -22,6 +22,7 @@
 //! key, and the attempt number — so a seeded test run backs off exactly
 //! the same way every time.
 
+use crate::diskcache::fnv1a64_seeded;
 use crate::store::StoreError;
 use std::time::Duration;
 
@@ -93,11 +94,7 @@ impl RetryPolicy {
         let capped = raw.min(self.max_delay.as_secs_f64());
         let jitter = self.jitter.clamp(0.0, 1.0);
         // FNV-1a over (seed, key, attempt) -> uniform fraction in [0, 1).
-        let mut h = 0xCBF2_9CE4_8422_2325u64 ^ self.seed;
-        for b in key.as_bytes().iter().chain(&attempt.to_le_bytes()) {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
+        let h = fnv1a64_seeded(self.seed, &[key.as_bytes(), &attempt.to_le_bytes()]);
         let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 + jitter * (frac - 0.5);
         Duration::from_secs_f64(capped * factor)
@@ -155,5 +152,26 @@ mod tests {
         let lo = plain.as_secs_f64() * 0.75;
         let hi = plain.as_secs_f64() * 1.25;
         assert!((lo..=hi).contains(&jittered.as_secs_f64()), "{jittered:?} vs {plain:?}");
+    }
+
+    #[test]
+    fn jitter_hash_is_pinned() {
+        // Computed before the jitter hash moved onto `diskcache`'s
+        // FNV-1a: a change here reshuffles every seeded retry schedule.
+        // Second-scale delays keep the jitter fraction's bits visible in
+        // the nanosecond count.
+        let delay = |seed: u64, key: &str, attempt: u32| {
+            let p = RetryPolicy {
+                base_delay: Duration::from_secs(1000),
+                max_delay: Duration::from_secs(1 << 30),
+                jitter: 1.0,
+                seed,
+                ..RetryPolicy::default()
+            };
+            p.delay_after(key, attempt).as_nanos()
+        };
+        assert_eq!(delay(0, "Nvidia_K20c", 1), 561_125_855_727);
+        assert_eq!(delay(0x5EED_CAFE, "liu_gpu_server", 2), 1_286_715_266_372);
+        assert_eq!(delay(u64::MAX, "", 7), 92_703_008_905_904);
     }
 }

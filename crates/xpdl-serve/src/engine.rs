@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use xpdl_obs::{trace, Histogram, MetricsRegistry};
+use xpdl_registry::NodeReport;
 use xpdl_repo::diskcache::fnv1a64;
 use xpdl_repo::Repository;
 use xpdl_runtime::{estimate, format, RuntimeModel};
@@ -75,13 +76,7 @@ impl ModelSource {
                 // Drop the in-memory parse cache so a changed descriptor
                 // in any store is actually re-fetched.
                 repo.clear_cache();
-                let set = repo.resolve_recursive(key).map_err(|e| {
-                    ServeError::new(codes::COMPILE_FAILED, format!("resolve '{key}': {e}"))
-                })?;
-                let model = xpdl_elab::elaborate(&set).map_err(|e| {
-                    ServeError::new(codes::COMPILE_FAILED, format!("elaborate '{key}': {e}"))
-                })?;
-                let model = RuntimeModel::from_element(&model.root);
+                let model = compile_key(repo, key)?;
                 let fingerprint = fingerprint_model(&model);
                 Ok((model, format!("repo:{key}"), fingerprint))
             }
@@ -90,6 +85,18 @@ impl ModelSource {
             }
         }
     }
+}
+
+/// Resolve `key` through `repo`, elaborate it and build its runtime
+/// model: the compile step of a repository source and of every shard.
+/// Either failure answers `COMPILE_FAILED`, naming the key and the step.
+pub fn compile_key(repo: &Repository, key: &str) -> Result<RuntimeModel, ServeError> {
+    let set = repo
+        .resolve_recursive(key)
+        .map_err(|e| ServeError::new(codes::COMPILE_FAILED, format!("resolve '{key}': {e}")))?;
+    let model = xpdl_elab::elaborate(&set)
+        .map_err(|e| ServeError::new(codes::COMPILE_FAILED, format!("elaborate '{key}': {e}")))?;
+    Ok(RuntimeModel::from_element(&model.root))
 }
 
 /// Engine behavior switches.
@@ -172,6 +179,17 @@ impl Engine {
         &self.stats
     }
 
+    /// What this node's registry heartbeat carries: the served epoch and
+    /// fingerprint, both from one snapshot, and the in-flight count.
+    pub fn node_report(&self) -> NodeReport {
+        let snap = self.registry.load();
+        NodeReport {
+            epoch: snap.epoch,
+            fingerprint: format!("{:016x}", snap.fingerprint),
+            inflight: self.stats.inflight.get(),
+        }
+    }
+
     /// Whether a `shutdown` request has been accepted.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
@@ -252,7 +270,7 @@ impl Engine {
         match crate::protocol::parse_request(line) {
             Ok(req) => self.handle(&req),
             Err((id, e)) => {
-                self.stats.record(0, true);
+                self.stats.record_unhandled();
                 Response::err(id.unwrap_or(0), e)
             }
         }
@@ -507,6 +525,22 @@ mod tests {
     }
 
     #[test]
+    fn unparsed_requests_leave_no_latency_sample() {
+        let e = fixed_engine();
+        for _ in 0..10 {
+            let _ = ok(&e, Method::Sleep { ms: 5 });
+        }
+        for _ in 0..100 {
+            assert!(e.handle_line("garbage").result.is_err());
+        }
+        let s = e.stats().snapshot(0);
+        assert_eq!((s.requests, s.errors), (110, 100));
+        // Only the ten served sleeps are samples: a garbage line never
+        // reached a handler, so it must not read as a 0 µs request.
+        assert!(s.p50_us >= 5_000 && s.p90_us >= 5_000, "p50 {} p90 {}", s.p50_us, s.p90_us);
+    }
+
+    #[test]
     fn fixed_source_reload_is_a_clean_noop() {
         let e = fixed_engine();
         match ok(&e, Method::Reload) {
@@ -579,6 +613,10 @@ mod tests {
                 assert_eq!(fingerprint.len(), 16);
                 assert_eq!(inflight, 0);
                 assert!(!draining);
+                // The registry heartbeat reports the same snapshot.
+                let report = e.node_report();
+                assert_eq!((report.epoch, report.inflight), (0, 0));
+                assert_eq!(report.fingerprint, fingerprint);
             }
             other => panic!("{other:?}"),
         }

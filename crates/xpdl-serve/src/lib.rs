@@ -57,7 +57,7 @@ pub mod stats;
 
 pub use cluster::{ClusterClient, ClusterError, ClusterOptions, Route, Routed};
 pub use codec::Encoding;
-pub use engine::{Engine, EngineOptions, ModelSource};
+pub use engine::{compile_key, Engine, EngineOptions, ModelSource};
 pub use shard::{Rebalancer, ShardCompileFn, ShardManager};
 pub use protocol::{
     codes, parse_request, parse_response, Method, Reply, Request, Response, ServeError,

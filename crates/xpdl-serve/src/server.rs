@@ -285,7 +285,7 @@ fn serve_step(
         Ok(r) => r,
         Err((id, e)) => {
             conn.saw_traffic = true;
-            engine.stats().record(0, true);
+            engine.stats().record_unhandled();
             // S412 (well-framed, bad params) keeps the connection; S414
             // and S415 mean framing is lost — report, then close.
             let fatal = e.code == codes::BAD_FRAME || e.code == codes::LINE_TOO_LONG;
@@ -306,7 +306,7 @@ fn serve_step(
 /// `hello` answers `S412` and the encoding stays put.
 fn handle_hello(request: &Request, conn: &mut ConnState, engine: &Arc<Engine>) -> bool {
     if conn.saw_traffic {
-        engine.stats().record(0, true);
+        engine.stats().record_unhandled();
         let err =
             ServeError::invalid_params("hello must be the first request on a connection");
         return reply(&Response::err(request.id, err), conn);
@@ -367,7 +367,7 @@ fn dispatch(
     // Every worker is gone (they outlive the senders, so only panics get
     // here): undo the in-flight claim.
     engine.stats().inflight.dec();
-    engine.stats().record(0, true);
+    engine.stats().record_unhandled();
     let resp = Response::err(0, ServeError::new(codes::SHUTTING_DOWN, "server is stopping"));
     reply(&resp, conn)
 }

@@ -7,19 +7,24 @@
 //! repository and cache layers. Served latencies additionally go into a
 //! fixed-size ring of `AtomicU64` microsecond samples (writers claim
 //! slots with a wrapping cursor, so concurrent workers never contend on a
-//! lock); percentiles are computed on demand by copying the ring — an
+//! lock); percentiles are exact nearest-rank samples
+//! ([`xpdl_obs::metrics::percentile`]) over a sorted copy of the ring — an
 //! O(ring) cost paid only by the `stats` method, never by queries.
 //!
-//! Rejected requests — shed by admission control (`S420`) or expired in
-//! the queue (`S421`) — are recorded via [`ServeStats::record_rejected`]
-//! into a *separate* histogram. They never enter the served-latency ring:
-//! a shed storm answering in ~0µs must not drag p99 down while the
-//! requests that actually ran are slow.
+//! Only requests a handler ran leave a sample. Rejected requests — shed
+//! by admission control (`S420`) or expired in the queue (`S421`) — are
+//! recorded via [`ServeStats::record_rejected`] into a *separate*
+//! histogram, and requests refused before any handler (undecodable, a
+//! late `hello`, no worker left) via `ServeStats::record_unhandled`
+//! with no latency at all: a shed storm or a stream of garbage answering
+//! in ~0µs must not drag the percentiles down while the requests that
+//! actually ran are slow.
 
 use crate::protocol::ServeError;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use xpdl_obs::metrics::percentile;
 use xpdl_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use xpdl_registry::wire::{self, Obj, Raw, Record};
 
@@ -30,8 +35,8 @@ const RING: usize = 2048;
 #[derive(Debug)]
 pub struct ServeStats {
     started: Instant,
-    /// Requests that reached a handler (including error replies and
-    /// rejects).
+    /// Requests answered, error replies included (rejects and requests
+    /// refused before a handler too).
     pub requests: Arc<Counter>,
     /// Requests answered with a protocol-level error.
     pub errors: Arc<Counter>,
@@ -105,6 +110,14 @@ impl ServeStats {
         self.latency_us[slot].store(latency_us.min(u64::MAX - 1), Ordering::Relaxed);
     }
 
+    /// Record one request answered with an error before any handler ran
+    /// (undecodable, a late `hello`, no worker left): counted in
+    /// `requests`/`errors`, with no latency sample.
+    pub(crate) fn record_unhandled(&self) {
+        self.requests.inc();
+        self.errors.inc();
+    }
+
     /// Record one rejected request (`S420` shed / `S421` queue-deadline):
     /// counted in `requests`/`errors` like any other answered request,
     /// but its latency goes to the reject histogram instead of the
@@ -125,31 +138,9 @@ impl ServeStats {
             .filter(|&v| v != u64::MAX)
             .collect();
         samples.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if samples.is_empty() {
-                return 0;
-            }
-            let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-            samples[idx.min(samples.len() - 1)]
-        };
         let uptime = self.started.elapsed();
         let requests = self.requests.get();
         let uptime_s = uptime.as_secs_f64().max(1e-9);
-        let mut reject_hist = xpdl_obs::metrics::HistogramSnapshot::empty();
-        {
-            // Merge this instance's reject histogram into a snapshot for
-            // the interpolated quantile.
-            let h = &self.reject_latency_us;
-            reject_hist.count = h.count();
-            reject_hist.sum = h.sum();
-            reject_hist.buckets = h
-                .bucket_counts()
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (i as u8, c))
-                .collect();
-        }
         StatsSnapshot {
             epoch,
             uptime_ms: uptime.as_millis() as u64,
@@ -164,11 +155,11 @@ impl ServeStats {
             health_checks: self.health_checks.get(),
             inflight: self.inflight.get(),
             qps: requests as f64 / uptime_s,
-            p50_us: pct(0.50),
-            p90_us: pct(0.90),
-            p99_us: pct(0.99),
+            p50_us: percentile(&samples, 0.50),
+            p90_us: percentile(&samples, 0.90),
+            p99_us: percentile(&samples, 0.99),
             max_us: samples.last().copied().unwrap_or(0),
-            reject_p99_us: reject_hist.quantile(0.99),
+            reject_p99_us: self.reject_latency_us.snapshot().quantile(0.99),
         }
     }
 }
@@ -181,7 +172,7 @@ pub struct StatsSnapshot {
     pub epoch: u64,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
-    /// Requests handled (including error replies).
+    /// Requests answered (including error replies).
     pub requests: u64,
     /// Requests answered with an error.
     pub errors: u64,
@@ -204,8 +195,9 @@ pub struct StatsSnapshot {
     pub inflight: u64,
     /// Mean requests/second over the whole uptime.
     pub qps: f64,
-    /// Median handler latency over the retained ring, microseconds.
-    /// Served requests only — rejects are windowed separately.
+    /// Median handler latency over the retained ring, microseconds: the
+    /// nearest-rank sample. Served requests only — rejects are windowed
+    /// separately.
     pub p50_us: u64,
     /// 90th-percentile latency, microseconds.
     pub p90_us: u64,
@@ -213,8 +205,9 @@ pub struct StatsSnapshot {
     pub p99_us: u64,
     /// Worst retained latency, microseconds.
     pub max_us: u64,
-    /// Log2-bucket upper bound on the 99th-percentile age of rejected
-    /// requests, microseconds (0 when nothing was rejected).
+    /// Estimated 99th-percentile age of rejected requests,
+    /// microseconds: interpolated inside one log2 bucket of the reject
+    /// histogram (0 when nothing was rejected).
     pub reject_p99_us: u64,
 }
 
