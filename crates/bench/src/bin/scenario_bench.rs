@@ -7,7 +7,9 @@
 //! *trajectory* across commits instead of overwriting a point sample.
 //! Scenarios (each a named lifecycle stress, DESIGN.md §15):
 //!
-//! - `query_storm`        read-heavy TCP query mix via `xpdl-serve`
+//! - `query_storm_parallel` read-heavy TCP query mix via `xpdl-serve`,
+//!   all clients at once (older records named `query_storm` ran their
+//!   clients one after another; the two series do not join)
 //! - `reload_churn`       hot snapshot swaps under concurrent queries
 //! - `cold_resolve_cold`  repo resolve + elaborate, disk cache cold
 //! - `cold_resolve_warm`  same, disk cache warm (no store fetches)
@@ -99,10 +101,11 @@ const STORM_MIX: &[&str] = &[
     r#"{"v":1,"id":ID,"method":"num_cuda_devices"}"#,
 ];
 
-/// `query_storm`: client threads hammer a real TCP server over the
-/// fleet's compiled model; every response is validated for id echo and
-/// protocol correctness.
-fn query_storm(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
+/// `query_storm_parallel`: client threads hammer a real TCP server over
+/// the fleet's compiled model at once; every response is validated for
+/// id echo and protocol correctness. Records named `query_storm` come
+/// from builds whose clients ran one after another.
+fn query_storm_parallel(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     let model = xpdl_fleetgen::elaborate_fleet(fleet).expect("elaborate fleet");
     let rt = xpdl_runtime::RuntimeModel::from_element(&model.root);
     let engine = Arc::new(
@@ -122,7 +125,8 @@ fn query_storm(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
 
     let per_thread = m.storm_requests / m.storm_threads.max(1);
     let wall = Instant::now();
-    let tallies: Vec<(u64, u64, Vec<u64>)> = (0..m.storm_threads)
+    // Every client is spawned before any is joined, so they overlap.
+    let clients: Vec<_> = (0..m.storm_threads)
         .map(|t| {
             let addr = addr.clone();
             std::thread::spawn(move || {
@@ -146,8 +150,9 @@ fn query_storm(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
                 (ok, errors, lat)
             })
         })
-        .map(|h| h.join().expect("client"))
         .collect();
+    let tallies: Vec<(u64, u64, Vec<u64>)> =
+        clients.into_iter().map(|h| h.join().expect("client")).collect();
     let wall_s = wall.elapsed().as_secs_f64();
 
     // The server's own tally, over the wire like any client would get it.
@@ -168,7 +173,7 @@ fn query_storm(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     let ok: u64 = tallies.iter().map(|t| t.0).sum();
     let errors: u64 = tallies.iter().map(|t| t.1).sum();
     let shed = server_stats.as_ref().map(|s| s.shed).unwrap_or(0);
-    let mut rec = ScenarioRecord::new("query_storm");
+    let mut rec = ScenarioRecord::new("query_storm_parallel");
     rec.set_latencies(&mut tallies.into_iter().flat_map(|t| t.2).collect::<Vec<_>>());
     rec.qps = (ok + errors) as f64 / wall_s.max(1e-9);
     rec.errors = errors + shed;
@@ -915,8 +920,8 @@ fn main() {
     // the trajectory record still appends, carrying just that scenario.
     let wanted = |name: &str| only.as_deref().is_none_or(|o| o == name);
     let mut scenarios = Vec::new();
-    if wanted("query_storm") {
-        scenarios.push(query_storm(&fleet, matrix));
+    if wanted("query_storm_parallel") {
+        scenarios.push(query_storm_parallel(&fleet, matrix));
     }
     if wanted("reload_churn") {
         scenarios.push(reload_churn(&fleet, matrix, &tmp));

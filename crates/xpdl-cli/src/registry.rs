@@ -54,7 +54,6 @@ pub(crate) fn registry_command(
         max_ttl: crate::parse_flag::<u64>(rest, "--max-ttl-ms")?
             .map(Duration::from_millis)
             .unwrap_or(defaults.max_ttl),
-        max_line_bytes: defaults.max_line_bytes,
         replication: crate::parse_flag::<usize>(rest, "--replication")?
             .unwrap_or(DEFAULT_REPLICATION)
             .max(1),
@@ -70,7 +69,7 @@ pub(crate) fn registry_command(
     while !TERM.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(50));
     }
-    let live = server.state().live_nodes();
+    let live = server.live_nodes();
     server.shutdown();
     server.join();
     writeln!(out, "registry shutdown: {live} live node(s)")?;

@@ -17,9 +17,14 @@
 //! The wire protocol ([`protocol`]) is JSON-lines with stable `S5xx`
 //! error codes, framed exactly like the serve protocol: both daemons
 //! generate their messages' JSON from one table each through the
-//! envelope and field kinds in [`wire`]. The daemon
-//! ([`server`]) is a plain threaded TCP server with a lease sweeper.
-//! Everything is dependency-free beyond the workspace's own crates.
+//! envelope and field kinds in [`wire`]. The membership rules live in
+//! [`state`], a state machine that takes the time from its caller and
+//! returns the event to push, with no lock, clock or socket, so tests
+//! replay it in virtual time from a seed. The daemon ([`server`]) is a
+//! plain threaded TCP server with a lease sweeper: it reads the clock,
+//! holds the state and the push list behind one mutex, and writes the
+//! pushes. Everything is dependency-free beyond the workspace's own
+//! crates.
 //!
 //! The grammar, lease state machine, and failover ladder are documented
 //! in DESIGN.md §16; `xpdlc registry` runs the daemon from the CLI.
@@ -29,6 +34,7 @@ pub mod lease;
 pub mod protocol;
 pub mod ring;
 pub mod server;
+pub mod state;
 pub mod wire;
 
 pub use client::{ClientError, HealthFn, InvalidateFn, NodeAgent, NodeConfig, RegistryClient, RingFn};
@@ -38,4 +44,5 @@ pub use protocol::{
     RegistryMethod, RegistryReply, Request, Response, PROTOCOL_VERSION,
 };
 pub use ring::{parse_epoch_hex, HashRing, RingInfo, DEFAULT_REPLICATION, DEFAULT_VNODES};
-pub use server::{RegistryOptions, RegistryServer, RegistryState, RegistryStats};
+pub use server::{RegistryOptions, RegistryServer, RegistryStats};
+pub use state::RegistryState;

@@ -1,6 +1,13 @@
 //! The registry daemon: accept loop, per-connection handlers, lease
 //! sweeper, and subscriber push.
 //!
+//! This is the only registry code that reads the clock or writes to a
+//! socket. The state machine ([`RegistryState`]) takes `now` and returns
+//! the event its change produced; one mutex holds that state together
+//! with the push list, and every push is written before the mutex is
+//! released. A state change and its push are therefore one step, and
+//! subscribers see events in the order the state produced them.
+//!
 //! Thread model: registry operations are table mutations measured in
 //! nanoseconds, so there is no worker pool — each connection gets one
 //! thread that reads a request, executes it inline and writes the reply.
@@ -9,7 +16,7 @@
 //! straight to it. Replies and pushes share the connection's write
 //! mutex, so lines never tear, and every write times out after 50 ms: a
 //! subscriber that stops reading is shut down and dropped from the push
-//! list instead of stalling the pusher. A sweeper thread expires stale
+//! list instead of stalling the registry. A sweeper thread expires stale
 //! leases every [`RegistryOptions::sweep_interval`], so a SIGKILLed node
 //! disappears from the routing table within `ttl + sweep_interval` even
 //! though it never said goodbye.
@@ -23,12 +30,11 @@
 //! [`xpdl_obs`] metrics registry, and every handled request opens a
 //! `registry.request` span (free when tracing is disabled).
 
-use crate::lease::{HeartbeatOutcome, LeaseTable, NodeReport};
 use crate::protocol::{
-    codes, parse_request, ClusterStatus, Event, NodeEntry, RegistryError, RegistryMethod,
-    RegistryReply, Request, Response,
+    codes, parse_request, Event, RegistryError, RegistryMethod, RegistryReply, Request, Response,
 };
-use crate::ring::{RingInfo, DEFAULT_REPLICATION, DEFAULT_VNODES};
+use crate::ring::{DEFAULT_REPLICATION, DEFAULT_VNODES};
+use crate::state::RegistryState;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,6 +47,9 @@ use xpdl_obs::{Counter, Gauge, MetricsRegistry};
 /// node's `register` or `heartbeat` call, so this sits well under the
 /// agent's 250 ms I/O floor (DESIGN.md §16).
 const WRITE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Longest accepted request line in bytes (`S505` beyond).
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// A connection's write half. Every reply — and, in the registry, every
 /// push — is written through this lock, so lines and frames never tear.
@@ -55,8 +64,6 @@ pub struct RegistryOptions {
     pub min_ttl: Duration,
     /// Upper clamp on requested lease TTLs.
     pub max_ttl: Duration,
-    /// Longest accepted request line in bytes (`S505` beyond).
-    pub max_line_bytes: usize,
     /// Replication factor of the shard ring computed over the live
     /// membership: every model key is owned by this many nodes.
     pub replication: usize,
@@ -70,7 +77,6 @@ impl Default for RegistryOptions {
             sweep_interval: Duration::from_millis(100),
             min_ttl: Duration::from_millis(50),
             max_ttl: Duration::from_secs(60),
-            max_line_bytes: 64 * 1024,
             replication: DEFAULT_REPLICATION,
             vnodes: DEFAULT_VNODES,
         }
@@ -79,7 +85,7 @@ impl Default for RegistryOptions {
 
 /// `registry.*` instruments, registered into the process-wide metrics
 /// surface (DESIGN.md §14).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RegistryStats {
     /// Registrations granted (including re-registrations).
     pub registers: Arc<Counter>,
@@ -128,236 +134,40 @@ impl RegistryStats {
     }
 }
 
-/// Shared daemon state: the lease table, the last announced version,
-/// and the push-subscriber fan-out list.
-///
-/// Public so in-process harnesses (scenario_bench, tests) can drive the
-/// same state machine the TCP daemon serves.
-pub struct RegistryState {
-    table: parking_lot::Mutex<LeaseTable>,
-    version: parking_lot::Mutex<Option<String>>,
-    subscribers: parking_lot::Mutex<Vec<(String, WriteHalf)>>,
-    /// Epoch of the last ring published (None before the first member).
-    ring_epoch: parking_lot::Mutex<Option<u64>>,
-    stats: RegistryStats,
-    started: Instant,
-    options: RegistryOptions,
+/// The registry's one lock: the state machine and the connections
+/// subscribed to its pushes. A state change and the push it produced
+/// happen under one acquisition, so pushes leave in state order.
+struct Registry {
+    state: RegistryState,
+    subscribers: Vec<WriteHalf>,
 }
 
-impl std::fmt::Debug for RegistryState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegistryState").field("nodes", &self.table.lock().len()).finish()
-    }
-}
-
-impl RegistryState {
-    /// Fresh state with the given options.
-    pub fn new(options: RegistryOptions) -> RegistryState {
-        RegistryState {
-            table: parking_lot::Mutex::new(LeaseTable::new()),
-            version: parking_lot::Mutex::new(None),
-            subscribers: parking_lot::Mutex::new(Vec::new()),
-            ring_epoch: parking_lot::Mutex::new(None),
-            stats: RegistryStats::new(),
-            started: Instant::now(),
-            options,
-        }
-    }
-
-    /// The daemon's instruments.
-    pub fn stats(&self) -> &RegistryStats {
-        &self.stats
-    }
-
-    /// Execute one method against the state. `conn` is the calling
-    /// connection's write half — only `subscribe` uses it, adding it to
-    /// the push list.
-    pub fn dispatch(
-        &self,
+impl Registry {
+    /// Execute one method at the current time and push the event it
+    /// produced. `conn` is the calling connection's write half: a
+    /// `subscribe` adds it to the push list.
+    fn dispatch(
+        &mut self,
         method: &RegistryMethod,
         conn: &WriteHalf,
     ) -> Result<RegistryReply, RegistryError> {
-        let mut span = xpdl_obs::span("registry.request");
-        span.record_attr("method", method.name());
-        let now = Instant::now();
-        match method {
-            RegistryMethod::Ping => Ok(RegistryReply::Pong),
-            RegistryMethod::Register { node, addr, epoch, fingerprint, inflight, ttl_ms } => {
-                let ttl = Duration::from_millis(*ttl_ms)
-                    .clamp(self.options.min_ttl, self.options.max_ttl);
-                let report =
-                    NodeReport { epoch: *epoch, fingerprint: fingerprint.clone(), inflight: *inflight };
-                let (generation, members) = {
-                    let mut table = self.table.lock();
-                    let generation = table.register(node, addr, &report, ttl, now);
-                    self.stats.registers.inc();
-                    self.stats.nodes.set(table.live(now).len() as u64);
-                    (generation, Self::live_ids(&table, now))
-                };
-                let ring = self.ring_of(members);
-                self.publish_ring(&ring);
-                Ok(RegistryReply::Lease {
-                    generation,
-                    ttl_ms: ttl.as_millis() as u64,
-                    version: self.version.lock().clone(),
-                    ring,
-                })
-            }
-            RegistryMethod::Heartbeat { node, epoch, fingerprint, inflight } => {
-                let report =
-                    NodeReport { epoch: *epoch, fingerprint: fingerprint.clone(), inflight: *inflight };
-                let mut table = self.table.lock();
-                match table.heartbeat(node, &report, now) {
-                    HeartbeatOutcome::Renewed { generation } => {
-                        self.stats.heartbeats.inc();
-                        let ttl_ms = table
-                            .get(node)
-                            .map(|l| l.ttl.as_millis() as u64)
-                            .unwrap_or(0);
-                        let members = Self::live_ids(&table, now);
-                        drop(table);
-                        Ok(RegistryReply::Lease {
-                            generation,
-                            ttl_ms,
-                            version: self.version.lock().clone(),
-                            ring: self.ring_of(members),
-                        })
-                    }
-                    HeartbeatOutcome::Unknown => {
-                        // The lease died between sweeps and was lazily
-                        // reaped by the heartbeat itself.
-                        self.stats.expirations.inc();
-                        self.stats.nodes.set(table.live(now).len() as u64);
-                        let members = Self::live_ids(&table, now);
-                        drop(table);
-                        self.publish_ring(&self.ring_of(members));
-                        Err(RegistryError::unknown_node(node))
-                    }
-                }
-            }
-            RegistryMethod::Deregister { node } => {
-                let (removed, members) = {
-                    let mut table = self.table.lock();
-                    let removed = table.deregister(node);
-                    if removed {
-                        self.stats.deregisters.inc();
-                    }
-                    self.stats.nodes.set(table.live(now).len() as u64);
-                    (removed, Self::live_ids(&table, now))
-                };
-                if removed {
-                    self.publish_ring(&self.ring_of(members));
-                }
-                Ok(RegistryReply::Deregistered { removed })
-            }
-            RegistryMethod::Nodes => {
-                let (nodes, members) = {
-                    let table = self.table.lock();
-                    (Self::entries(&table, now), Self::live_ids(&table, now))
-                };
-                Ok(RegistryReply::Nodes {
-                    nodes,
-                    version: self.version.lock().clone(),
-                    ring: self.ring_of(members),
-                })
-            }
-            RegistryMethod::Announce { version } => {
-                // An empty version would poison the subscribe catch-up
-                // (late subscribers would "catch up" to nothing) — the
-                // calibration publisher must always name the new epoch.
-                if version.is_empty() {
-                    return Err(RegistryError::new(
-                        codes::INVALID_PARAMS,
-                        "announce requires a non-empty version",
-                    ));
-                }
-                *self.version.lock() = Some(version.clone());
-                self.stats.announcements.inc();
-                let delivered = self.push(&Event::Invalidate { version: version.clone() });
-                Ok(RegistryReply::Announced { subscribers: delivered })
-            }
-            RegistryMethod::Subscribe { node } => {
-                self.subscribers.lock().push((node.clone(), Arc::clone(conn)));
-                Ok(RegistryReply::Subscribed { version: self.version.lock().clone() })
-            }
-            RegistryMethod::Stats => {
-                let table = self.table.lock();
-                Ok(RegistryReply::Stats {
-                    nodes: table.live(now).len() as u64,
-                    registers: self.stats.registers.get(),
-                    heartbeats: self.stats.heartbeats.get(),
-                    expirations: self.stats.expirations.get(),
-                    announcements: self.stats.announcements.get(),
-                    uptime_ms: self.started.elapsed().as_millis() as u64,
-                })
-            }
-            RegistryMethod::Status => {
-                let (nodes, members) = {
-                    let table = self.table.lock();
-                    (Self::entries(&table, now), Self::live_ids(&table, now))
-                };
-                Ok(RegistryReply::Status(ClusterStatus {
-                    nodes,
-                    ring: self.ring_of(members),
-                    version: self.version.lock().clone(),
-                    uptime_ms: self.started.elapsed().as_millis() as u64,
-                }))
+        let (mut result, event) = self.state.dispatch(Instant::now(), method);
+        if let RegistryMethod::Subscribe { .. } = method {
+            self.subscribers.push(Arc::clone(conn));
+        }
+        if let Some(event) = event {
+            let delivered = self.push(&event);
+            if let Ok(RegistryReply::Announced { subscribers }) = &mut result {
+                *subscribers = delivered;
             }
         }
+        result
     }
 
-    fn live_ids(table: &LeaseTable, now: Instant) -> Vec<String> {
-        table.live(now).into_iter().map(|l| l.node.clone()).collect()
-    }
-
-    fn entries(table: &LeaseTable, now: Instant) -> Vec<NodeEntry> {
-        table
-            .live(now)
-            .into_iter()
-            .map(|l| NodeEntry {
-                node: l.node.clone(),
-                addr: l.addr.clone(),
-                epoch: l.epoch,
-                fingerprint: l.fingerprint.clone(),
-                inflight: l.inflight,
-                generation: l.generation,
-                age_ms: l.age_ms(now),
-                ttl_ms: l.ttl.as_millis() as u64,
-            })
-            .collect()
-    }
-
-    /// The ring over a member set (`None` for an empty fleet).
-    fn ring_of(&self, members: Vec<String>) -> Option<RingInfo> {
-        if members.is_empty() {
-            None
-        } else {
-            Some(RingInfo::compute(&members, self.options.replication, self.options.vnodes))
-        }
-    }
-
-    /// The current shard ring over the live membership.
-    pub fn current_ring(&self) -> Option<RingInfo> {
-        let now = Instant::now();
-        let members = Self::live_ids(&self.table.lock(), now);
-        self.ring_of(members)
-    }
-
-    /// Push a `ring` event to every subscriber iff the epoch moved since
-    /// the last publication. Callers must NOT hold the table lock (the
-    /// subscriber lock is always taken without it, same as `announce`).
-    fn publish_ring(&self, ring: &Option<RingInfo>) {
-        let epoch = ring.as_ref().map(|r| r.epoch);
-        {
-            let mut last = self.ring_epoch.lock();
-            if *last == epoch {
-                return;
-            }
-            *last = epoch;
-        }
-        self.stats.ring_changes.inc();
-        if let Some(ring) = ring {
-            self.push(&Event::Ring { ring: ring.clone() });
+    /// One sweeper pass at the current time.
+    fn sweep(&mut self) {
+        if let (_, Some(event)) = self.state.sweep(Instant::now()) {
+            self.push(&event);
         }
     }
 
@@ -365,46 +175,20 @@ impl RegistryState {
     /// A subscriber whose write fails or times out has had its socket
     /// shut down and leaves the list; its agent reconnects and catches up
     /// from the version echoed on `subscribe` and from its next lease.
-    fn push(&self, event: &Event) -> u64 {
+    fn push(&mut self, event: &Event) -> u64 {
         let mut line = event.to_json();
         line.push('\n');
-        let mut subs = self.subscribers.lock();
-        subs.retain(|(_, conn)| write_or_shutdown(conn, line.as_bytes()));
-        let delivered = subs.len() as u64;
-        self.stats.pushes.add(delivered);
+        self.subscribers.retain(|conn| write_or_shutdown(conn, line.as_bytes()));
+        let delivered = self.subscribers.len() as u64;
+        self.state.stats().pushes.add(delivered);
         delivered
-    }
-
-    /// One sweeper pass: expire stale leases at `now`. Returns the
-    /// expired node ids. An expiry shrinks the membership, so the new
-    /// shard ring is pushed to subscribers — this is what starts the
-    /// self-healing rebalance after a SIGKILL.
-    pub fn sweep(&self, now: Instant) -> Vec<String> {
-        let (dead, members) = {
-            let mut table = self.table.lock();
-            let dead = table.sweep(now);
-            if !dead.is_empty() {
-                self.stats.expirations.add(dead.len() as u64);
-            }
-            self.stats.nodes.set(table.live(now).len() as u64);
-            (dead, Self::live_ids(&table, now))
-        };
-        if !dead.is_empty() {
-            self.publish_ring(&self.ring_of(members));
-        }
-        dead
-    }
-
-    /// Number of live leases right now.
-    pub fn live_nodes(&self) -> usize {
-        self.table.lock().live(Instant::now()).len()
     }
 }
 
 /// A running registry daemon. Dropping it (or [`RegistryServer::shutdown`]
 /// then [`RegistryServer::join`]) stops all threads.
 pub struct RegistryServer {
-    state: Arc<RegistryState>,
+    registry: Arc<parking_lot::Mutex<Registry>>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -426,14 +210,17 @@ impl RegistryServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
 
-        let state = Arc::new(RegistryState::new(options.clone()));
+        let interval = options.sweep_interval;
+        let state = RegistryState::new(options, Instant::now());
+        let stats = state.stats().clone();
+        let registry = Registry { state, subscribers: Vec::new() };
+        let registry = Arc::new(parking_lot::Mutex::new(registry));
         let stop = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
 
         {
-            let state = Arc::clone(&state);
+            let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
-            let interval = options.sweep_interval;
             threads.push(
                 std::thread::Builder::new()
                     .name("xpdl-registry-sweep".to_string())
@@ -442,7 +229,7 @@ impl RegistryServer {
                         // never waits out a sweep interval.
                         while !stop.load(Ordering::Acquire) {
                             std::thread::park_timeout(interval);
-                            state.sweep(Instant::now());
+                            registry.lock().sweep();
                         }
                     })
                     .expect("spawn sweeper"),
@@ -450,7 +237,7 @@ impl RegistryServer {
         }
 
         {
-            let state = Arc::clone(&state);
+            let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
             threads.push(
                 std::thread::Builder::new()
@@ -462,8 +249,8 @@ impl RegistryServer {
                             WRITE_TIMEOUT,
                             || stop.load(Ordering::Acquire),
                             move |stream, conn| {
-                                state.stats.connections.inc();
-                                connection_loop(stream, &conn, &state);
+                                stats.connections.inc();
+                                connection_loop(stream, &conn, &registry, &stats);
                             },
                         )
                     })
@@ -471,7 +258,7 @@ impl RegistryServer {
             );
         }
 
-        Ok(RegistryServer { state, addr: local, stop, threads })
+        Ok(RegistryServer { registry, addr: local, stop, threads })
     }
 
     /// The address actually bound (resolves `:0` to the real port).
@@ -479,9 +266,9 @@ impl RegistryServer {
         self.addr
     }
 
-    /// The shared daemon state (for in-process harnesses and tests).
-    pub fn state(&self) -> &Arc<RegistryState> {
-        &self.state
+    /// Number of leases live right now.
+    pub fn live_nodes(&self) -> usize {
+        self.registry.lock().state.live_nodes(Instant::now())
     }
 
     /// Ask all daemon threads to wind down, waking the ones that block.
@@ -600,19 +387,23 @@ pub fn write_or_shutdown(conn: &WriteHalf, bytes: &[u8]) -> bool {
 
 /// Serve one connection — read a request, execute it, write the reply —
 /// until the peer leaves, a write fails, or framing is lost.
-fn connection_loop(stream: TcpStream, conn: &WriteHalf, state: &RegistryState) {
-    let cap = state.options.max_line_bytes;
+fn connection_loop(
+    stream: TcpStream,
+    conn: &WriteHalf,
+    registry: &parking_lot::Mutex<Registry>,
+    stats: &RegistryStats,
+) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
         line.clear();
-        match (&mut reader).take(cap as u64 + 1).read_until(b'\n', &mut line) {
+        match (&mut reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line) {
             Ok(_) if line.ends_with(b"\n") => {}
-            Ok(_) if line.len() > cap => {
-                state.stats.errors.inc();
+            Ok(_) if line.len() > MAX_LINE_BYTES => {
+                stats.errors.inc();
                 let err = RegistryError::new(
                     codes::LINE_TOO_LONG,
-                    format!("request line exceeds {cap} bytes"),
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
                 write_line(conn, Response::err(0, err).to_json());
                 break; // framing is lost; drop the connection
@@ -626,15 +417,20 @@ fn connection_loop(stream: TcpStream, conn: &WriteHalf, state: &RegistryState) {
             continue;
         }
         let response = match parse_request(trimmed) {
-            Ok(Request { id, method }) => match state.dispatch(&method, conn) {
-                Ok(reply) => Response::ok(id, reply),
-                Err(e) => {
-                    state.stats.errors.inc();
-                    Response::err(id, e)
+            Ok(Request { id, method }) => {
+                let mut span = xpdl_obs::span("registry.request");
+                span.record_attr("method", method.name());
+                let result = registry.lock().dispatch(&method, conn);
+                match result {
+                    Ok(reply) => Response::ok(id, reply),
+                    Err(e) => {
+                        stats.errors.inc();
+                        Response::err(id, e)
+                    }
                 }
-            },
+            }
             Err((id, e)) => {
-                state.stats.errors.inc();
+                stats.errors.inc();
                 Response::err(id.unwrap_or(0), e)
             }
         };
@@ -657,39 +453,7 @@ fn write_line(conn: &WriteHalf, mut json: String) -> bool {
 mod tests {
     use super::*;
     use crate::protocol::{parse_event, parse_response};
-
-    /// A connected loopback pair: the daemon-side write half `dispatch`
-    /// takes, and the peer reading whatever is pushed to it.
-    fn socket_pair() -> (WriteHalf, BufReader<TcpStream>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let (daemon_side, _) = listener.accept().unwrap();
-        (Arc::new(parking_lot::Mutex::new(daemon_side)), BufReader::new(peer))
-    }
-
-    fn next_event(peer: &mut BufReader<TcpStream>) -> Event {
-        let mut line = String::new();
-        peer.read_line(&mut line).unwrap();
-        parse_event(line.trim()).unwrap().expect("an event line")
-    }
-
-    fn register(state: &RegistryState, node: &str, addr: &str, ttl_ms: u64) -> RegistryReply {
-        let (conn, _peer) = socket_pair();
-        state
-            .dispatch(
-                &RegistryMethod::Register {
-                    node: node.into(),
-                    addr: addr.into(),
-                    epoch: 1,
-                    fingerprint: "f".into(),
-                    inflight: 0,
-                    ttl_ms,
-                },
-                &conn,
-            )
-            .unwrap()
-    }
+    use crate::ring::RingInfo;
 
     /// A client connection to a running daemon that sorts what it reads
     /// into replies and pushed events.
@@ -732,6 +496,13 @@ mod tests {
                 }
             }
         }
+
+        /// Read the next line, which must be a pushed event.
+        fn next_event(&mut self) -> Event {
+            let mut line = String::new();
+            self.reader.read_line(&mut line).unwrap();
+            parse_event(line.trim()).unwrap().expect("an event line")
+        }
     }
 
     /// Run `f` on its own thread and fail if it outlives `limit`, so a
@@ -746,169 +517,108 @@ mod tests {
         t.join().unwrap();
     }
 
-    #[test]
-    fn register_heartbeat_nodes_deregister() {
-        let state = RegistryState::new(RegistryOptions::default());
-        let (conn, _peer) = socket_pair();
-        let lease = register(&state, "n1", "127.0.0.1:7001", 1000);
-        assert!(matches!(lease, RegistryReply::Lease { generation: 1, ttl_ms: 1000, .. }));
-        let hb = state
-            .dispatch(
-                &RegistryMethod::Heartbeat {
-                    node: "n1".into(),
-                    epoch: 2,
-                    fingerprint: "g".into(),
-                    inflight: 3,
-                },
-                &conn,
-            )
-            .unwrap();
-        assert!(matches!(hb, RegistryReply::Lease { generation: 1, .. }));
-        match state.dispatch(&RegistryMethod::Nodes, &conn).unwrap() {
-            RegistryReply::Nodes { nodes, .. } => {
-                assert_eq!(nodes.len(), 1);
-                assert_eq!(nodes[0].epoch, 2);
-                assert_eq!(nodes[0].inflight, 3);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        match state.dispatch(&RegistryMethod::Deregister { node: "n1".into() }, &conn) {
-            Ok(RegistryReply::Deregistered { removed }) => assert!(removed),
-            other => panic!("unexpected reply {other:?}"),
-        }
-        assert_eq!(state.live_nodes(), 0);
+    fn no_push(e: Event) {
+        panic!("unexpected push {e:?}")
     }
 
-    #[test]
-    fn heartbeat_without_lease_is_unknown_node() {
-        let state = RegistryState::new(RegistryOptions::default());
-        let (conn, _peer) = socket_pair();
-        let err = state
-            .dispatch(
-                &RegistryMethod::Heartbeat {
-                    node: "ghost".into(),
-                    epoch: 0,
-                    fingerprint: String::new(),
-                    inflight: 0,
-                },
-                &conn,
-            )
-            .unwrap_err();
-        assert_eq!(err.code, codes::UNKNOWN_NODE);
-    }
-
-    #[test]
-    fn ttl_clamped_to_options() {
-        let state = RegistryState::new(RegistryOptions {
-            min_ttl: Duration::from_millis(100),
-            max_ttl: Duration::from_millis(1000),
-            ..RegistryOptions::default()
-        });
-        match register(&state, "n1", "a", 5) {
-            RegistryReply::Lease { ttl_ms, .. } => assert_eq!(ttl_ms, 100),
-            other => panic!("unexpected reply {other:?}"),
-        }
-        match register(&state, "n2", "b", 90_000) {
-            RegistryReply::Lease { ttl_ms, .. } => assert_eq!(ttl_ms, 1000),
-            other => panic!("unexpected reply {other:?}"),
+    fn register(node: &str) -> RegistryMethod {
+        RegistryMethod::Register {
+            node: node.into(),
+            addr: "127.0.0.1:7001".into(),
+            epoch: 0,
+            fingerprint: "f".into(),
+            inflight: 0,
+            ttl_ms: 60_000,
         }
     }
 
     #[test]
     fn announce_pushes_to_subscribers_and_prunes_dead() {
-        let state = RegistryState::new(RegistryOptions::default());
-        let (live, mut live_peer) = socket_pair();
-        state.dispatch(&RegistryMethod::Subscribe { node: "n1".into() }, &live).unwrap();
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let addr = server.local_addr();
+        let mut live = Peer::connect(addr);
+        live.call(1, RegistryMethod::Subscribe { node: "n1".into() }, no_push);
         // A subscriber whose connection has ended: its handler shut the
-        // socket down, so the next push fails and prunes it.
-        let (dead, _dead_peer) = socket_pair();
-        state.dispatch(&RegistryMethod::Subscribe { node: "n2".into() }, &dead).unwrap();
-        dead.lock().shutdown(Shutdown::Both).unwrap();
-        let (caller, _caller_peer) = socket_pair();
-        match state.dispatch(&RegistryMethod::Announce { version: "v7".into() }, &caller).unwrap()
-        {
-            RegistryReply::Announced { subscribers } => assert_eq!(subscribers, 1),
+        // socket down, so the next push fails and prunes it. Reading the
+        // handler's EOF proves the socket is down before the announce.
+        let mut dead = Peer::connect(addr);
+        dead.call(1, RegistryMethod::Subscribe { node: "n2".into() }, no_push);
+        dead.writer.shutdown(Shutdown::Write).unwrap();
+        assert_eq!(dead.reader.read_line(&mut String::new()).unwrap(), 0);
+        let mut caller = Peer::connect(addr);
+        match caller.call(1, RegistryMethod::Announce { version: "v7".into() }, no_push).result {
+            Ok(RegistryReply::Announced { subscribers }) => assert_eq!(subscribers, 1),
             other => panic!("unexpected reply {other:?}"),
         }
-        assert_eq!(next_event(&mut live_peer), Event::Invalidate { version: "v7".into() });
+        assert_eq!(live.next_event(), Event::Invalidate { version: "v7".into() });
         // Late subscribers catch up via the version echoed on subscribe.
-        let (late, _late_peer) = socket_pair();
-        match state.dispatch(&RegistryMethod::Subscribe { node: "n3".into() }, &late).unwrap() {
-            RegistryReply::Subscribed { version } => assert_eq!(version.as_deref(), Some("v7")),
+        let mut late = Peer::connect(addr);
+        match late.call(1, RegistryMethod::Subscribe { node: "n3".into() }, no_push).result {
+            Ok(RegistryReply::Subscribed { version }) => assert_eq!(version.as_deref(), Some("v7")),
             other => panic!("unexpected reply {other:?}"),
         }
+        server.shutdown();
+        server.join();
     }
 
+    /// Membership changes race on several connections, and after each
+    /// round the last ring the subscriber read must be the one `status`
+    /// reports. A push is written under the lock that made its change,
+    /// so no change's ring can overtake a later one's.
     #[test]
-    fn empty_announce_rejected_without_touching_state() {
-        let state = RegistryState::new(RegistryOptions::default());
-        let (conn, _peer) = socket_pair();
-        state.dispatch(&RegistryMethod::Announce { version: "v1".into() }, &conn).unwrap();
-        let err = state
-            .dispatch(&RegistryMethod::Announce { version: String::new() }, &conn)
-            .unwrap_err();
-        assert_eq!(err.code, codes::INVALID_PARAMS);
-        // The last good version survives for subscriber catch-up.
-        match state.dispatch(&RegistryMethod::Subscribe { node: "n9".into() }, &conn).unwrap() {
-            RegistryReply::Subscribed { version } => assert_eq!(version.as_deref(), Some("v1")),
-            other => panic!("unexpected reply {other:?}"),
-        }
-    }
-
-    #[test]
-    fn lease_and_status_carry_the_ring_and_membership_changes_push_it() {
-        let state = RegistryState::new(RegistryOptions::default());
-        let (watcher, mut peer) = socket_pair();
-        state.dispatch(&RegistryMethod::Subscribe { node: "watcher".into() }, &watcher).unwrap();
-        match register(&state, "n1", "a", 1000) {
-            RegistryReply::Lease { ring: Some(r), .. } => {
-                assert_eq!(r.nodes, vec!["n1".to_string()]);
-                assert_eq!(r.replication, DEFAULT_REPLICATION as u64);
+    fn pushes_leave_in_state_order() {
+        const THREADS: usize = 4;
+        const ROUNDS: u64 = 500;
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let addr = server.local_addr();
+        let mut sub = Peer::connect(addr);
+        let mut last: Option<RingInfo> = None;
+        sub.call(1, RegistryMethod::Subscribe { node: "sub".into() }, no_push);
+        // An anchor keeps the fleet non-empty, so every change has a ring.
+        sub.call(2, register("anchor"), |e| {
+            if let Event::Ring { ring } = e {
+                last = Some(ring)
             }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        // First member → a ring event.
-        assert!(matches!(next_event(&mut peer), Event::Ring { .. }));
-        register(&state, "n2", "b", 1000);
-        match next_event(&mut peer) {
-            Event::Ring { ring } => {
-                assert_eq!(ring.nodes, vec!["n1".to_string(), "n2".to_string()])
+        });
+        let rounds = Arc::new(std::sync::Barrier::new(THREADS + 1));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let rounds = Arc::clone(&rounds);
+                std::thread::spawn(move || {
+                    let mut peer = Peer::connect(addr);
+                    let node = format!("w{t}");
+                    for round in 0..ROUNDS {
+                        rounds.wait();
+                        peer.call(2 * round, register(&node), no_push);
+                        let deregister = RegistryMethod::Deregister { node: node.clone() };
+                        peer.call(2 * round + 1, deregister, no_push);
+                        rounds.wait();
+                    }
+                })
+            })
+            .collect();
+        let mut stale = 0;
+        for round in 0..ROUNDS {
+            rounds.wait();
+            rounds.wait();
+            // Each push is written before the reply to the change that
+            // made it, so all of this round's precede the status reply.
+            let resp = sub.call(3 + round, RegistryMethod::Status, |e| {
+                if let Event::Ring { ring } = e {
+                    last = Some(ring)
+                }
+            });
+            match resp.result {
+                Ok(RegistryReply::Status(st)) => stale += usize::from(st.ring != last),
+                other => panic!("unexpected reply {other:?}"),
             }
-            other => panic!("unexpected event {other:?}"),
         }
-        // Re-registering an existing member does not move the ring, so
-        // the next event on the wire is the deregistration's.
-        register(&state, "n2", "b", 1000);
-        state.dispatch(&RegistryMethod::Deregister { node: "n2".into() }, &watcher).unwrap();
-        match next_event(&mut peer) {
-            Event::Ring { ring } => assert_eq!(ring.nodes, vec!["n1".to_string()]),
-            other => panic!("unexpected event {other:?}"),
+        for w in workers {
+            w.join().unwrap();
         }
-        // `status` reports the table with lease deadlines plus the ring.
-        match state.dispatch(&RegistryMethod::Status, &watcher).unwrap() {
-            RegistryReply::Status(st) => {
-                assert_eq!(st.nodes.len(), 1);
-                assert_eq!(st.nodes[0].ttl_ms, 1000);
-                assert_eq!(st.ring.unwrap().nodes, vec!["n1".to_string()]);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sweep_expiry_publishes_the_new_ring() {
-        let state = RegistryState::new(RegistryOptions::default());
-        register(&state, "doomed", "a", 100);
-        register(&state, "survivor", "b", 60_000);
-        let (watcher, mut peer) = socket_pair();
-        state.dispatch(&RegistryMethod::Subscribe { node: "watcher".into() }, &watcher).unwrap();
-        let dead = state.sweep(Instant::now() + Duration::from_millis(200));
-        assert_eq!(dead, vec!["doomed".to_string()]);
-        match next_event(&mut peer) {
-            Event::Ring { ring } => assert_eq!(ring.nodes, vec!["survivor".to_string()]),
-            other => panic!("unexpected event {other:?}"),
-        }
-        assert_eq!(state.current_ring().unwrap().nodes, vec!["survivor".to_string()]);
+        assert_eq!(stale, 0, "{stale} of {ROUNDS} rounds ended on a stale ring");
+        server.shutdown();
+        server.join();
     }
 
     #[test]
