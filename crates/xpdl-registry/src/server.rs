@@ -44,8 +44,9 @@ use xpdl_obs::{Counter, Gauge, MetricsRegistry};
 
 /// How long one reply or push may block on a peer that stopped reading
 /// before that connection is shut down. A ring push runs inside another
-/// node's `register` or `heartbeat` call, so this sits well under the
-/// agent's 250 ms I/O floor (DESIGN.md §16).
+/// node's `register` or `heartbeat` call, and every other request waits
+/// for the registry's lock while it is written, so this sits well under
+/// the agent's 250 ms I/O floor (DESIGN.md §16).
 const WRITE_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Longest accepted request line in bytes (`S505` beyond).
