@@ -152,6 +152,7 @@ impl Registry {
         method: &RegistryMethod,
         conn: &WriteHalf,
     ) -> Result<RegistryReply, RegistryError> {
+        // Read under the lock, so the state never sees time run backwards.
         let (mut result, event) = self.state.dispatch(Instant::now(), method);
         if let RegistryMethod::Subscribe { .. } = method {
             self.subscribers.push(Arc::clone(conn));
