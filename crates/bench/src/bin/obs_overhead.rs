@@ -19,14 +19,11 @@
 //!
 //! Results land in `BENCH_obs.json`; exits 1 if the bound is violated.
 
+use bench::flag;
 use std::time::Instant;
 use xpdl_obs::trace;
 use xpdl_repo::ResolveOptions;
 use xpdl_serve::{Engine, EngineOptions, Method, ModelSource, Request};
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
 
 fn median(mut v: Vec<u64>) -> u64 {
     if v.is_empty() {

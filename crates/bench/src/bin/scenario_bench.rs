@@ -35,7 +35,8 @@
 //!   --expect-clean    exit 1 if any scenario reports errors > 0
 //! ```
 
-use bench::net::{LineConn, CONNECT_TIMEOUT, IO_TIMEOUT};
+use bench::flag;
+use bench::net::{fetch_stats, json_client, run_clients, CONNECT_TIMEOUT, IO_TIMEOUT};
 use bench::record::{append_run, ExtraValue, RunRecord, ScenarioRecord};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,10 +53,6 @@ use xpdl_serve::{
     compile_key, parse_response, ClusterClient, ClusterOptions, Engine, EngineOptions, Method,
     ModelSource, Rebalancer, Reply, Request, Route, Server, ServerOptions, ShardManager,
 };
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
 
 /// Per-matrix sizing. `smoke` is the CI gate (seconds, not minutes);
 /// `full` is the local soak.
@@ -118,63 +115,29 @@ fn query_storm_parallel(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     let server = Server::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
-        ServerOptions { workers: 4, max_inflight: 4096, ..Default::default() },
+        ServerOptions { max_inflight: 4096, ..Default::default() },
     )
     .expect("server");
     let addr = server.local_addr().to_string();
 
     let per_thread = m.storm_requests / m.storm_threads.max(1);
     let wall = Instant::now();
-    // Every client is spawned before any is joined, so they overlap.
-    let clients: Vec<_> = (0..m.storm_threads)
-        .map(|t| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                // Timeouts on every socket op (bench::net): a hung node
-                // fails this scenario loudly instead of wedging CI.
-                let mut conn = LineConn::connect(&addr).expect("storm client connect");
-                let (mut ok, mut errors) = (0u64, 0u64);
-                let mut lat = Vec::with_capacity(per_thread as usize);
-                for n in 0..per_thread {
-                    let id = t * 10_000_000 + n;
-                    let req =
-                        STORM_MIX[(n as usize) % STORM_MIX.len()].replace("ID", &id.to_string());
-                    let start = Instant::now();
-                    let line = conn.call(&req).expect("storm round trip").to_string();
-                    lat.push(start.elapsed().as_micros() as u64);
-                    match parse_response(line.trim()) {
-                        Ok(resp) if resp.id == id && resp.result.is_ok() => ok += 1,
-                        _ => errors += 1,
-                    }
-                }
-                (ok, errors, lat)
-            })
-        })
-        .collect();
-    let tallies: Vec<(u64, u64, Vec<u64>)> =
-        clients.into_iter().map(|h| h.join().expect("client")).collect();
+    // Every client runs at once; timeouts on every socket op
+    // (bench::net) fail this scenario loudly instead of wedging CI.
+    let client_addr = addr.clone();
+    let mut tally =
+        run_clients(m.storm_threads, move |t| json_client(&client_addr, STORM_MIX, per_thread, t));
     let wall_s = wall.elapsed().as_secs_f64();
 
     // The server's own tally, over the wire like any client would get it.
-    let server_stats = {
-        let stats = r#"{"v":1,"id":1,"method":"stats"}"#;
-        let line = call_line(&addr, stats, CONNECT_TIMEOUT, IO_TIMEOUT).expect("stats round trip");
-        match parse_response(line.trim()) {
-            Ok(resp) => match resp.result {
-                Ok(xpdl_serve::Reply::Stats(s)) => Some(s),
-                _ => None,
-            },
-            Err(_) => None,
-        }
-    };
+    let server_stats = fetch_stats(&addr);
     server.shutdown();
     server.join();
 
-    let ok: u64 = tallies.iter().map(|t| t.0).sum();
-    let errors: u64 = tallies.iter().map(|t| t.1).sum();
+    let (ok, errors) = (tally.ok, tally.errors);
     let shed = server_stats.as_ref().map(|s| s.shed).unwrap_or(0);
     let mut rec = ScenarioRecord::new("query_storm_parallel");
-    rec.set_latencies(&mut tallies.into_iter().flat_map(|t| t.2).collect::<Vec<_>>());
+    rec.set_latencies(&mut tally.latencies_us);
     rec.qps = (ok + errors) as f64 / wall_s.max(1e-9);
     rec.errors = errors + shed;
     rec.put_extra("ok", ExtraValue::U64(ok));
@@ -438,7 +401,7 @@ fn cluster_failover(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
         let server = Server::start(
             Arc::clone(&engine),
             "127.0.0.1:0",
-            ServerOptions { workers: 2, max_inflight: 1024, ..Default::default() },
+            ServerOptions { max_inflight: 1024, ..Default::default() },
         )
         .expect("server");
         let mut cfg =
@@ -553,7 +516,7 @@ fn start_shard_node(i: usize, reg_addr: &str, universe: &[String], ttl: Duration
     let server = Server::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
-        ServerOptions { workers: 2, max_inflight: 1024, ..Default::default() },
+        ServerOptions { max_inflight: 1024, ..Default::default() },
     )
     .expect("server");
     let addr = server.local_addr().to_string();
@@ -754,7 +717,7 @@ fn calibration_sweep(tmp: &std::path::Path, seed: u64) -> ScenarioRecord {
         let server = Server::start(
             Arc::clone(&engine),
             "127.0.0.1:0",
-            ServerOptions { workers: 2, max_inflight: 1024, ..Default::default() },
+            ServerOptions { max_inflight: 1024, ..Default::default() },
         )
         .expect("server");
         let mut cfg =

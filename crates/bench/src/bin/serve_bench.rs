@@ -21,7 +21,10 @@
 //!                      as an array when it already holds a record)
 //! ```
 
-use bench::net::{BinConn, LineConn, CONNECT_TIMEOUT, IO_TIMEOUT};
+use bench::flag;
+use bench::net::{
+    fetch_stats, json_client, run_clients, BinConn, Tally, CONNECT_TIMEOUT, IO_TIMEOUT,
+};
 use bench::record::{ExtraValue, ScenarioRecord};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,10 +33,6 @@ use xpdl_registry::client::call_line;
 use xpdl_serve::{
     parse_response, Engine, EngineOptions, Method, ModelSource, Request, Server, ServerOptions,
 };
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
 
 /// The request mix one client thread cycles through: the full read-side
 /// query surface, weighted toward the cheap calls a runtime system makes
@@ -69,64 +68,17 @@ fn mix_method(n: usize) -> Method {
     }
 }
 
-struct ClientTally {
-    sent: u64,
-    ok: u64,
-    errors: u64,
-    latencies_us: Vec<u64>,
-}
-
-/// One client: a pipelined connection issuing its share of the mix and
-/// validating every response (id echo, protocol version, ok/error).
-fn client_thread(addr: &str, requests: u64, thread_id: u64) -> ClientTally {
-    let mut tally =
-        ClientTally { sent: 0, ok: 0, errors: 0, latencies_us: Vec::with_capacity(requests as usize) };
-    // Hard timeouts on every socket op: a wedged server fails this run
-    // with a which-address-doing-what diagnostic instead of hanging CI.
-    let mut conn = LineConn::connect(addr).expect("bench client connect");
-    for n in 0..requests {
-        let id = thread_id * 10_000_000 + n;
-        let template = MIX[(n as usize) % MIX.len()];
-        let req = template.replace("ID", &id.to_string());
-        let start = Instant::now();
-        conn.send_line(&req).expect("bench client send");
-        tally.sent += 1;
-        let line = conn.recv_line().expect("bench client recv").to_string();
-        tally.latencies_us.push(start.elapsed().as_micros() as u64);
-        match parse_response(line.trim()) {
-            Ok(resp) => {
-                assert_eq!(resp.id, id, "response correlated to the wrong request");
-                if resp.result.is_ok() {
-                    tally.ok += 1;
-                } else {
-                    tally.errors += 1;
-                }
-            }
-            Err(e) => panic!("malformed response: {e}: {line}"),
-        }
-    }
-    tally
-}
-
-/// The binary-encoding twin of [`client_thread`]: same mix, same
+/// The binary-encoding twin of [`json_client`]: same mix, same
 /// validation, typed frames over a negotiated [`BinConn`].
-fn binary_client_thread(addr: &str, requests: u64, thread_id: u64) -> ClientTally {
-    let mut tally =
-        ClientTally { sent: 0, ok: 0, errors: 0, latencies_us: Vec::with_capacity(requests as usize) };
+fn binary_client(addr: &str, requests: u64, thread_id: u64) -> Tally {
+    let mut tally = Tally::with_capacity(requests);
     let mut conn = BinConn::connect(addr).expect("bench client connect (binary)");
     for n in 0..requests {
         let id = thread_id * 10_000_000 + n;
         let req = Request::new(id, mix_method(n as usize));
         let start = Instant::now();
-        tally.sent += 1;
         let resp = conn.call(&req).expect("bench client call (binary)");
-        tally.latencies_us.push(start.elapsed().as_micros() as u64);
-        assert_eq!(resp.id, id, "response correlated to the wrong request");
-        if resp.result.is_ok() {
-            tally.ok += 1;
-        } else {
-            tally.errors += 1;
-        }
+        tally.add(start.elapsed(), resp.id == id && resp.result.is_ok());
     }
     tally
 }
@@ -171,7 +123,7 @@ fn main() {
             let server = Server::start(
                 Arc::clone(&engine),
                 "127.0.0.1:0",
-                ServerOptions { workers: 4, max_inflight: 4096, ..Default::default() },
+                ServerOptions { max_inflight: 4096, ..Default::default() },
             )
             .expect("server");
             let addr = server.local_addr().to_string();
@@ -208,33 +160,18 @@ fn main() {
     let per_thread = total / threads.max(1);
     println!("serve_bench: {threads} threads x {per_thread} requests ({encoding}) -> {addr}");
     let wall = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                if binary {
-                    binary_client_thread(&addr, per_thread, t)
-                } else {
-                    client_thread(&addr, per_thread, t)
-                }
-            })
-        })
-        .collect();
-    let tallies: Vec<ClientTally> = handles.into_iter().map(|h| h.join().expect("client")).collect();
+    let client_addr = addr.clone();
+    let tally = run_clients(threads, move |t| {
+        if binary {
+            binary_client(&client_addr, per_thread, t)
+        } else {
+            json_client(&client_addr, MIX, per_thread, t)
+        }
+    });
     let wall_s = wall.elapsed().as_secs_f64();
 
     // Pull the server's own view before shutdown.
-    let server_stats = {
-        let stats = r#"{"v":1,"id":1,"method":"stats"}"#;
-        let line = call_line(&addr, stats, CONNECT_TIMEOUT, IO_TIMEOUT).expect("stats round trip");
-        match parse_response(line.trim()) {
-            Ok(resp) => match resp.result {
-                Ok(xpdl_serve::Reply::Stats(s)) => Some(s),
-                _ => None,
-            },
-            Err(_) => None,
-        }
-    };
+    let server_stats = fetch_stats(&addr);
 
     // And the unified metrics registry over the wire: the serving layer
     // registers all its counters there, so a loaded server must report a
@@ -269,10 +206,8 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&tmp);
 
-    let sent: u64 = tallies.iter().map(|t| t.sent).sum();
-    let ok: u64 = tallies.iter().map(|t| t.ok).sum();
-    let errors: u64 = tallies.iter().map(|t| t.errors).sum();
-    let mut lat: Vec<u64> = tallies.iter().flat_map(|t| t.latencies_us.iter().copied()).collect();
+    let Tally { ok, errors, latencies_us: mut lat } = tally;
+    let sent = ok + errors;
     let qps = sent as f64 / wall_s.max(1e-9);
     // The shared scenario record schema (DESIGN.md §15); every pre-§15
     // top-level key stays as an extra so existing consumers keep parsing

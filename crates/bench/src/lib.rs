@@ -9,3 +9,8 @@ pub mod synth;
 
 pub use experiments::*;
 pub use synth::synthetic_system;
+
+/// The value after `name` in `args` (`--flag value`), if both are there.
+pub fn flag(args: &[String], name: &str) -> Option<String> {
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+}

@@ -11,13 +11,17 @@
 //! and [`IO_TIMEOUT`]. [`BinConn`] is the binary-encoding sibling: it
 //! negotiates the frame protocol with a `hello` at connect time and then
 //! speaks typed requests/responses.
+//!
+//! The load generators share one JSON client loop ([`json_client`]), one
+//! way to run clients at once ([`run_clients`]) and one `stats` fetch
+//! ([`fetch_stats`]).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use xpdl_registry::client::dial;
+use xpdl_registry::client::{call_line, dial};
 use xpdl_serve::codec::{self, StrDecoder, StrEncoder};
-use xpdl_serve::{parse_response, Reply, Request, Response};
+use xpdl_serve::{parse_response, Reply, Request, Response, StatsSnapshot};
 
 /// Default connect timeout for bench clients.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -182,6 +186,87 @@ impl BinConn {
 
 fn annotate(addr: &str, op: &str, e: std::io::Error) -> std::io::Error {
     std::io::Error::new(e.kind(), format!("{addr}: {op}: {e}"))
+}
+
+/// What a load-generating client saw.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Replies that answered the request they were sent for with `ok`.
+    pub ok: u64,
+    /// Error replies, replies carrying the wrong id and malformed replies.
+    pub errors: u64,
+    /// Client-observed round-trip time of every request, µs.
+    pub latencies_us: Vec<u64>,
+}
+
+impl Tally {
+    /// An empty tally with room for `requests` round trips.
+    pub fn with_capacity(requests: u64) -> Tally {
+        Tally { latencies_us: Vec::with_capacity(requests as usize), ..Tally::default() }
+    }
+
+    /// Count one round trip that took `elapsed`.
+    pub fn add(&mut self, elapsed: Duration, ok: bool) {
+        self.latencies_us.push(elapsed.as_micros() as u64);
+        if ok {
+            self.ok += 1;
+        } else {
+            self.errors += 1;
+        }
+    }
+}
+
+/// A JSON-lines client: `requests` round trips on one [`LineConn`],
+/// cycling through `mix`, request templates whose `ID` is replaced by
+/// `thread_id * 10_000_000 + n`. A transport failure panics with the
+/// connection's diagnostic; any reply but `ok` for the right id is an
+/// error.
+pub fn json_client(addr: &str, mix: &[&str], requests: u64, thread_id: u64) -> Tally {
+    let mut tally = Tally::with_capacity(requests);
+    let mut conn = LineConn::connect(addr).expect("bench client connect");
+    for n in 0..requests {
+        let id = thread_id * 10_000_000 + n;
+        let req = mix[n as usize % mix.len()].replace("ID", &id.to_string());
+        let start = Instant::now();
+        let line = conn.call(&req).expect("bench client round trip");
+        let elapsed = start.elapsed();
+        let ok = matches!(parse_response(line), Ok(resp) if resp.id == id && resp.result.is_ok());
+        tally.add(elapsed, ok);
+    }
+    tally
+}
+
+/// Run `clients` client threads at once (every one is spawned before
+/// any is joined), `client(t)` on thread `t`, and merge their tallies.
+pub fn run_clients<F>(clients: u64, client: F) -> Tally
+where
+    F: Fn(u64) -> Tally + Clone + Send + 'static,
+{
+    let threads: Vec<_> = (0..clients)
+        .map(|t| {
+            let client = client.clone();
+            std::thread::spawn(move || client(t))
+        })
+        .collect();
+    let mut total = Tally::default();
+    for t in threads {
+        let tally = t.join().expect("bench client thread");
+        total.ok += tally.ok;
+        total.errors += tally.errors;
+        total.latencies_us.extend(tally.latencies_us);
+    }
+    total
+}
+
+/// The daemon's own counters, from a `stats` call on a fresh
+/// connection; `None` when the reply is not a `stats` reply.
+pub fn fetch_stats(addr: &str) -> Option<StatsSnapshot> {
+    let stats = r#"{"v":1,"id":1,"method":"stats"}"#;
+    let line = call_line(addr, stats, CONNECT_TIMEOUT, IO_TIMEOUT).expect("stats round trip");
+    match parse_response(line.trim()).ok()?.result {
+        Ok(Reply::Stats(s)) => Some(s),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

@@ -912,9 +912,7 @@ fn write_usage(out: &mut dyn std::io::Write) -> std::io::Result<()> {
          \x20 serve --model F|--repo KEY     TCP model-serving daemon (JSON-lines protocol)\n\
          \x20   --addr HOST:PORT             listen address (default 127.0.0.1:7433; :0 = ephemeral)\n\
          \x20   --addr-file PATH             write the bound address (for --addr with port 0)\n\
-         \x20   --workers N                  pool threads for sleep/reload/shutdown (default 4)\n\
          \x20   --max-inflight N             admission limit; beyond it requests shed S420 (default 256)\n\
-         \x20   --deadline-ms MS             pool queue deadline, S421 beyond; 0 disables (default 2000)\n\
          \x20   --reload-interval SECS       hot-reload the model every SECS; 0 disables (default 0)\n\
          \x20   --allow-remote-shutdown      permit the protocol 'shutdown' method\n\
          \x20   --allow-debug                permit debug methods ('sleep'; testing only)\n\

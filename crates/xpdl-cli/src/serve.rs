@@ -67,18 +67,10 @@ pub(crate) fn serve_command(
     )?);
     let defaults = ServerOptions::default();
     let options = ServerOptions {
-        workers: crate::parse_flag::<usize>(rest, "--workers")?
-            .unwrap_or(defaults.workers)
-            .max(1),
         max_inflight: crate::parse_flag::<usize>(rest, "--max-inflight")?
             .unwrap_or(defaults.max_inflight)
             .max(1),
-        deadline: match crate::parse_flag::<u64>(rest, "--deadline-ms")? {
-            None => defaults.deadline,
-            Some(0) => None,
-            Some(ms) => Some(Duration::from_millis(ms)),
-        },
-        max_line_bytes: defaults.max_line_bytes,
+        ..defaults
     };
     let server = Server::start(Arc::clone(&engine), &addr, options)?;
     let bound = server.local_addr();

@@ -4,7 +4,7 @@
 //! Instruments are cheap lock-free atomics owned by the subsystem that
 //! bumps them (`Arc<Counter>` etc.); the [`MetricsRegistry`] holds only
 //! `Weak` references under stable dotted names (`repo.fetch.attempts`,
-//! `serve.queue.wait_us`, …). Several instances may register the same
+//! `serve.handler.time_us`, …). Several instances may register the same
 //! name — a process with three `Repository` instances has three
 //! `repo.fetch.attempts` counters — and a [`MetricsSnapshot`] sums them.
 //! Instruments whose owners dropped are pruned at snapshot time.

@@ -17,8 +17,9 @@
 //!      │   deregister   │
 //!      ├────────────────┤
 //!      │                │ sweep/heartbeat with age > ttl
-//!      └────────────────┴──► EXPIRED (removed; next heartbeat
-//!                             answers S503 → node re-registers)
+//!      └────────────────┴──► EXPIRED (removed; that heartbeat and
+//!                             later ones answer S503 → node
+//!                             re-registers)
 //! ```
 //!
 //! A heartbeat arriving *exactly* at the TTL boundary (`age == ttl`)
@@ -86,8 +87,11 @@ pub enum HeartbeatOutcome {
         /// Generation of the renewed lease.
         generation: u64,
     },
-    /// No live lease for this node (never registered, expired, or the
-    /// registry restarted) — the node must re-register.
+    /// The lease had expired and the sweeper had not removed it yet: this
+    /// heartbeat removed it, and the node must re-register.
+    Expired,
+    /// No lease for this node (never registered, deregistered, already
+    /// swept, or the registry restarted) — the node must re-register.
     Unknown,
 }
 
@@ -156,7 +160,7 @@ impl LeaseTable {
             Some(_) => {
                 // Lazily reap: the lease died between sweeps.
                 self.leases.remove(node);
-                HeartbeatOutcome::Unknown
+                HeartbeatOutcome::Expired
             }
             None => HeartbeatOutcome::Unknown,
         }
@@ -244,7 +248,7 @@ mod tests {
         t2.register("n1", "a", &report(0), TTL, t0);
         assert_eq!(
             t2.heartbeat("n1", &report(1), t0 + TTL + Duration::from_nanos(1)),
-            HeartbeatOutcome::Unknown
+            HeartbeatOutcome::Expired
         );
     }
 
@@ -300,8 +304,10 @@ mod tests {
         // No sweep has run; the stale lease is still in the table.
         assert_eq!(t.len(), 1);
         let late = t0 + TTL * 2;
-        assert_eq!(t.heartbeat("n1", &report(0), late), HeartbeatOutcome::Unknown);
+        assert_eq!(t.heartbeat("n1", &report(0), late), HeartbeatOutcome::Expired);
         assert_eq!(t.len(), 0, "the dead lease is removed on contact");
+        // The next heartbeat finds nothing to reap.
+        assert_eq!(t.heartbeat("n1", &report(0), late), HeartbeatOutcome::Unknown);
     }
 
     #[test]

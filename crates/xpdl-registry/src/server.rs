@@ -13,13 +13,15 @@
 //! thread that reads a request, executes it inline and writes the reply.
 //! Once a connection subscribes, its socket has a second producer: the
 //! thread handling an `announce` or a membership change writes the push
-//! straight to it. Replies and pushes share the connection's write
-//! mutex, so lines never tear, and every write times out after 50 ms: a
-//! subscriber that stops reading is shut down and dropped from the push
-//! list instead of stalling the registry. A sweeper thread expires stale
-//! leases every [`RegistryOptions::sweep_interval`], so a SIGKILLed node
-//! disappears from the routing table within `ttl + sweep_interval` even
-//! though it never said goodbye.
+//! straight to it. The `subscribe` ack is written under the registry's
+//! mutex before the connection joins the push list, so it precedes every
+//! push. Replies and pushes share the connection's write mutex, so lines
+//! never tear, and every write times out after 50 ms: a subscriber that
+//! stops reading is shut down and dropped from the push list instead of
+//! stalling the registry. A sweeper thread expires stale leases every
+//! [`RegistryOptions::sweep_interval`], so a SIGKILLed node disappears
+//! from the routing table within `ttl + sweep_interval` even though it
+//! never said goodbye.
 //!
 //! All socket I/O blocks, and stopping wakes it rather than a timer:
 //! [`wake_accept`] unblocks the listener, and [`accept_loop`] then shuts
@@ -144,26 +146,33 @@ struct Registry {
 }
 
 impl Registry {
-    /// Execute one method at the current time and push the event it
-    /// produced. `conn` is the calling connection's write half: a
-    /// `subscribe` adds it to the push list.
-    fn dispatch(
-        &mut self,
-        method: &RegistryMethod,
-        conn: &WriteHalf,
-    ) -> Result<RegistryReply, RegistryError> {
+    /// Execute one request at the current time, push the event it
+    /// produced, and return the reply for the caller to write once the
+    /// lock is released. A `subscribe` is answered here instead, on
+    /// `conn` (the calling connection's write half), and only then does
+    /// `conn` join the push list: no push can reach a subscriber before
+    /// its ack, so the version the ack echoes is never older than a push
+    /// the subscriber reads. It returns `None`.
+    fn dispatch(&mut self, request: &Request, conn: &WriteHalf) -> Option<Response> {
         // Read under the lock, so the state never sees time run backwards.
-        let (mut result, event) = self.state.dispatch(Instant::now(), method);
-        if let RegistryMethod::Subscribe { .. } = method {
-            self.subscribers.push(Arc::clone(conn));
-        }
+        let (mut result, event) = self.state.dispatch(Instant::now(), &request.method);
         if let Some(event) = event {
             let delivered = self.push(&event);
             if let Ok(RegistryReply::Announced { subscribers }) = &mut result {
                 *subscribers = delivered;
             }
         }
-        result
+        if result.is_err() {
+            self.state.stats().errors.inc();
+        }
+        let response = Response { id: request.id, result };
+        if let RegistryMethod::Subscribe { .. } = request.method {
+            if write_line(conn, response.to_json()) {
+                self.subscribers.push(Arc::clone(conn));
+            }
+            return None;
+        }
+        Some(response)
     }
 
     /// One sweeper pass at the current time.
@@ -419,17 +428,13 @@ fn connection_loop(
             continue;
         }
         let response = match parse_request(trimmed) {
-            Ok(Request { id, method }) => {
+            Ok(request) => {
                 let mut span = xpdl_obs::span("registry.request");
-                span.record_attr("method", method.name());
-                let result = registry.lock().dispatch(&method, conn);
-                match result {
-                    Ok(reply) => Response::ok(id, reply),
-                    Err(e) => {
-                        stats.errors.inc();
-                        Response::err(id, e)
-                    }
-                }
+                span.record_attr("method", request.method.name());
+                let Some(response) = registry.lock().dispatch(&request, conn) else {
+                    continue; // a subscribe, answered under the lock
+                };
+                response
             }
             Err((id, e)) => {
                 stats.errors.inc();
@@ -559,6 +564,62 @@ mod tests {
             Ok(RegistryReply::Subscribed { version }) => assert_eq!(version.as_deref(), Some("v7")),
             other => panic!("unexpected reply {other:?}"),
         }
+        server.shutdown();
+        server.join();
+    }
+
+    /// A fresh subscriber races a burst of announces on another
+    /// connection, round after round, and the first line it reads must be
+    /// its ack. A push that overtook the ack would reach the agent before
+    /// the ack's version, which is then the older one.
+    #[test]
+    fn subscribe_ack_precedes_every_push() {
+        const ROUNDS: u64 = 4_000;
+        const BURST: u64 = 8;
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let addr = server.local_addr();
+        let rounds = Arc::new(std::sync::Barrier::new(2));
+        let announcer = {
+            let rounds = Arc::clone(&rounds);
+            std::thread::spawn(move || {
+                let mut peer = Peer::connect(addr);
+                // A burst of announces per round keeps pushes going out
+                // while the subscribe is handled.
+                let burst: String = (0..BURST)
+                    .map(|i| {
+                        let version = format!("v{i}");
+                        Request { id: i, method: RegistryMethod::Announce { version } }.to_json()
+                            + "\n"
+                    })
+                    .collect();
+                for _ in 0..ROUNDS {
+                    rounds.wait();
+                    peer.writer.write_all(burst.as_bytes()).unwrap();
+                    for _ in 0..BURST {
+                        peer.reader.read_line(&mut String::new()).unwrap();
+                    }
+                    rounds.wait();
+                }
+            })
+        };
+        let mut overtaken = 0;
+        for _ in 0..ROUNDS {
+            let mut sub = Peer::connect(addr);
+            // A round trip first, so the connection's handler is running.
+            sub.call(0, RegistryMethod::Ping, no_push);
+            let subscribe = RegistryMethod::Subscribe { node: "s".into() };
+            let req = Request { id: 1, method: subscribe }.to_json() + "\n";
+            rounds.wait();
+            sub.writer.write_all(req.as_bytes()).unwrap();
+            let mut line = String::new();
+            sub.reader.read_line(&mut line).unwrap();
+            if parse_event(line.trim()).unwrap().is_some() {
+                overtaken += 1;
+            }
+            rounds.wait();
+        }
+        announcer.join().unwrap();
+        assert_eq!(overtaken, 0, "a push came before the ack in {overtaken} of {ROUNDS} rounds");
         server.shutdown();
         server.join();
     }

@@ -87,10 +87,13 @@ impl RegistryState {
                         let ttl = self.table.get(node).map_or(Duration::ZERO, |l| l.ttl);
                         (Ok(self.lease(generation, ttl, now)), None)
                     }
-                    HeartbeatOutcome::Unknown => {
-                        // The lease died between sweeps and was lazily
-                        // reaped by the heartbeat itself.
-                        self.stats.expirations.inc();
+                    outcome => {
+                        // Only a lease the heartbeat itself reaped (it
+                        // died between sweeps) is an expiry; a node with
+                        // no lease has nothing to expire.
+                        if outcome == HeartbeatOutcome::Expired {
+                            self.stats.expirations.inc();
+                        }
                         (Err(RegistryError::unknown_node(node)), self.membership_changed(now))
                     }
                 }
@@ -294,6 +297,8 @@ mod tests {
         };
         let err = state.dispatch(t0, &heartbeat).0.unwrap_err();
         assert_eq!(err.code, codes::UNKNOWN_NODE);
+        // A node that held no lease has nothing to expire.
+        assert_eq!(state.stats().expirations.get(), 0);
     }
 
     #[test]

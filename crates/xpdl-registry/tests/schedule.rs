@@ -1,8 +1,8 @@
 //! Seeded schedules over the registry's state machine in virtual time.
 //!
 //! Each seed drives one [`RegistryState`] through random register,
-//! heartbeat, deregister, nodes, status, announce, subscribe and sweep
-//! steps, moving a virtual clock forward between them (often to a
+//! heartbeat, deregister, nodes, status, announce, subscribe, stats and
+//! sweep steps, moving a virtual clock forward between them (often to a
 //! lease's exact deadline or one millisecond past it). A small reference
 //! model predicts every reply, and after every step the test checks:
 //!
@@ -12,6 +12,10 @@
 //!   and one within it (the boundary included) renews;
 //! - every registration's generation is higher than the node's earlier
 //!   ones;
+//! - `stats` counts every registration, renewal, expiry (a sweep's, or
+//!   a heartbeat's that found its lease past the deadline) and
+//!   announcement, and nothing else: a heartbeat from a node with no
+//!   lease expires nothing;
 //! - after every register, deregister, reaping heartbeat and sweep, the
 //!   last ring event is the ring over the live members, and two ring
 //!   events in a row never share an epoch (an empty fleet has no ring to
@@ -25,8 +29,8 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use xpdl_registry::protocol::codes;
 use xpdl_registry::{
-    Event, NodeEntry, RegistryMethod, RegistryOptions, RegistryReply, RegistryState, RingInfo,
-    DEFAULT_REPLICATION, DEFAULT_VNODES,
+    Event, NodeEntry, RegistryError, RegistryMethod, RegistryOptions, RegistryReply, RegistryState,
+    RingInfo, DEFAULT_REPLICATION, DEFAULT_VNODES,
 };
 
 const SEEDS: u64 = 300;
@@ -83,6 +87,9 @@ struct Model {
     /// the deadline, a heartbeat past it, a sweep that expired a lease,
     /// and a re-registration.
     edges: [u64; 4],
+    /// What `stats` must report: registrations, renewals, expirations
+    /// and announcements.
+    counts: [u64; 4],
 }
 
 /// The ring the registry must compute over `members` (none when empty).
@@ -120,6 +127,33 @@ impl Model {
                 l.generation
             );
         }
+        Ok(())
+    }
+
+    fn check_stats(
+        &self,
+        now: u64,
+        reply: Result<RegistryReply, RegistryError>,
+    ) -> Result<(), String> {
+        let Ok(RegistryReply::Stats {
+            nodes,
+            registers,
+            heartbeats,
+            expirations,
+            announcements,
+            uptime_ms,
+        }) = reply
+        else {
+            return Err(format!("stats answered {reply:?}"));
+        };
+        let counts = [registers, heartbeats, expirations, announcements];
+        check!(
+            counts == self.counts,
+            "registers, renewals, expirations, announcements read {counts:?}, expected {:?}",
+            self.counts
+        );
+        let live = self.live(now).len() as u64;
+        check!(nodes == live && uptime_ms == now, "{nodes} nodes at {uptime_ms} ms");
         Ok(())
     }
 
@@ -174,7 +208,7 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
         let at = base + Duration::from_millis(now);
         let node = rng.pick(&NODES).to_string();
         let head = format!("#{step} t={now}ms");
-        let line = match rng.below(16) {
+        let line = match rng.below(17) {
             0..=3 => {
                 let ttl_ms = *rng.pick(&TTLS);
                 let method = RegistryMethod::Register {
@@ -194,6 +228,7 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
                 };
                 check!(generation > earlier, "{line}: generation {generation} after {earlier}");
                 model.edges[3] += u64::from(earlier > 0);
+                model.counts[0] += 1;
                 check!(ttl_ms == ttl && version == model.version, "{line}");
                 model.generations.insert(node.clone(), generation);
                 model.leases.insert(node, Lease { renewed: now, ttl, generation });
@@ -215,10 +250,14 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
                         check!(generation == l.generation && ttl_ms == l.ttl, "{line}");
                         check!(event.is_none(), "a renewal pushed {event:?}");
                         model.edges[0] += u64::from(now - l.renewed == l.ttl);
+                        model.counts[1] += 1;
                         l.renewed = now;
                     }
                     (None, Err(e)) if e.code == codes::UNKNOWN_NODE => {
-                        model.edges[1] += u64::from(model.leases.remove(&node).is_some());
+                        // Past its deadline and not yet swept: reaped.
+                        let reaped = u64::from(model.leases.remove(&node).is_some());
+                        model.edges[1] += reaped;
+                        model.counts[2] += reaped;
                         model.check_ring(now, event).map_err(|e| format!("{line}: {e}"))?;
                     }
                     (lease, _) => {
@@ -273,6 +312,7 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
                     let pushed = event == Some(Event::Invalidate { version: version.clone() });
                     check!(announced && pushed, "{line}");
                     model.version = Some(version);
+                    model.counts[3] += 1;
                 }
                 line
             }
@@ -282,6 +322,13 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
                 let line = format!("{head} {method:?} -> {reply:?} {event:?}");
                 let expected = RegistryReply::Subscribed { version: model.version.clone() };
                 check!(reply.as_ref() == Ok(&expected) && event.is_none(), "{line}");
+                line
+            }
+            15 => {
+                let (reply, event) = state.dispatch(at, &RegistryMethod::Stats);
+                let line = format!("{head} stats -> {reply:?} {event:?}");
+                check!(event.is_none(), "{line}");
+                model.check_stats(now, reply).map_err(|e| format!("{line}: {e}"))?;
                 line
             }
             _ => {
@@ -295,17 +342,21 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
                     .collect();
                 check!(dead == expected, "{line}: expected {expected:?} to expire");
                 model.edges[2] += u64::from(!dead.is_empty());
+                model.counts[2] += dead.len() as u64;
                 model.leases.retain(|n, _| !dead.contains(n));
                 model.check_ring(now, event).map_err(|e| format!("{line}: {e}"))?;
                 line
             }
         };
-        // Whatever the step, `status` now lists exactly the live leases.
+        // Whatever the step, `status` now lists exactly the live leases,
+        // and `stats` counts exactly what happened.
         let Ok(RegistryReply::Status(st)) = state.dispatch(at, &RegistryMethod::Status).0 else {
             return Err(format!("{line}: status failed"));
         };
         model.check_entries(now, &st.nodes).map_err(|e| format!("{line}: status: {e}"))?;
         check!(state.live_nodes(at) == st.nodes.len(), "{line}: live count");
+        let stats = state.dispatch(at, &RegistryMethod::Stats).0;
+        model.check_stats(now, stats).map_err(|e| format!("{line}: stats: {e}"))?;
         transcript.push(line);
     }
     Ok((transcript, model.edges))

@@ -164,8 +164,8 @@ const TAG_DEFINE: u8 = 0x02;
 #[derive(Debug)]
 pub struct StrEncoder {
     ids: HashMap<String, u32>,
-    /// When set, never intern (used by worker threads that share a
-    /// connection but not its table — inline frames are always valid).
+    /// When set, never intern: a stateless sender (WIRE.md §4.3), whose
+    /// inline frames are always valid.
     inline_only: bool,
 }
 
@@ -175,8 +175,8 @@ impl StrEncoder {
         StrEncoder { ids: HashMap::new(), inline_only: false }
     }
 
-    /// An encoder that sends every string inline. Stateless, so multiple
-    /// threads may encode frames for one connection without sharing it.
+    /// An encoder that sends every string inline. Stateless, so its
+    /// frames are valid whatever the receiver's table holds.
     pub fn inline_only() -> StrEncoder {
         StrEncoder { ids: HashMap::new(), inline_only: true }
     }

@@ -438,7 +438,7 @@ impl Engine {
     }
 }
 
-// Engine is shared across worker threads behind an Arc.
+// Engine is shared across connection threads behind an Arc.
 const fn static_assert_sync<T: Send + Sync>() {}
 const _: () = static_assert_sync::<Engine>();
 

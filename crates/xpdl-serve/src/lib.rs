@@ -29,17 +29,16 @@
 //!   fingerprinting, and [`Engine::handle`] dispatching every protocol
 //!   method. `xpdlc query` drives this directly; the daemon wraps it.
 //! - [`server`] — the TCP layer: accept loop, one reader thread per
-//!   connection that executes cheap methods inline in either encoding,
-//!   a bounded worker pool for `sleep`/`reload`/`shutdown`, admission
-//!   control before execution (`S420`), queue deadlines for pool
-//!   methods (`S421`), and SIGTERM-driven clean shutdown.
+//!   connection that executes every request and writes its reply in
+//!   receipt order, in either encoding, admission control before
+//!   execution (`S420`), and SIGTERM-driven clean shutdown.
 //! - [`cluster`] — the fleet-aware client: routing table from
 //!   `xpdl-registry`, per-request timeouts, automatic failover on
 //!   connection errors and `S5xx`, and degradation to a local fallback
 //!   engine when the whole cluster is unreachable (DESIGN.md §16).
 //!
 //! Observability: every request is wrapped in a `serve.request` tracing
-//! span, queue wait and handler time are recorded into histograms, and
+//! span, handler time is recorded into histograms, and
 //! all counters register with the process-wide
 //! `xpdl_obs::MetricsRegistry` — queryable over the
 //! wire via the `metrics` method. See DESIGN.md §14.

@@ -367,8 +367,9 @@ macro_rules! serve_messages {
                 Reload = 0x11 "reload",
                 /// Ask the server to drain and exit (if enabled).
                 Shutdown = 0x12 "shutdown",
-                /// Debug-only: hold a worker for `ms` milliseconds (backpressure
-                /// testing; rejected unless the server enables debug methods).
+                /// Debug-only: hold the connection for `ms` milliseconds
+                /// (backpressure testing; rejected unless the server enables
+                /// debug methods).
                 Sleep = 0x13 "sleep" {
                     /// How long to sleep.
                     ms: u64,
@@ -463,7 +464,7 @@ macro_rules! serve_messages {
                 ShuttingDown = 0x11 "shutting_down",
                 /// `sleep` completed (debug builds of the protocol only).
                 Slept = 0x12 "slept" {
-                    /// How long the worker was held.
+                    /// How long the connection was held.
                     ms: u64,
                 },
                 /// `shards` result: this node's shard view.

@@ -1,38 +1,29 @@
-//! The TCP daemon: listener, worker pool, admission control, deadlines.
+//! The TCP daemon: listener, connection readers, admission control.
 //!
-//! Thread model: one accept loop, one reader thread per connection, and
-//! a global bounded worker pool. Every request, in either encoding,
-//! takes the same path on its connection's reader thread: read one line
-//! or frame, decode, admit, execute, encode, write. Cheap methods execute
-//! right there; only methods that block or rebuild the model (`sleep`,
-//! `reload`, `shutdown`) are handed to the worker pool, and the worker
-//! that runs one writes its reply itself. Pool replies may therefore
-//! overtake or trail inline ones — the protocol's `id` correlation is
-//! what makes that safe. The socket's write half sits behind a mutex
-//! shared by the reader and the workers, so replies never tear, and
-//! every write is bounded by [`WRITE_TIMEOUT`].
+//! Thread model: one accept loop and one reader thread per connection,
+//! as in the registry daemon (DESIGN.md §16). Every request, in either
+//! encoding, takes one path on its connection's reader thread: read one
+//! line or frame, decode, admit, execute, encode, write. Replies
+//! therefore leave in the order their requests arrived (`docs/WIRE.md`
+//! §1), and only the reader defines binary string ids. Each write is
+//! bounded by [`WRITE_TIMEOUT`].
 //!
 //! All socket I/O blocks, and stopping wakes it rather than a timer:
-//! [`Server::shutdown`], or the worker that runs the protocol
-//! `shutdown`, connects once to unblock `accept`; the accept loop (shared
-//! with the registry daemon, [`xpdl_registry::server::accept_loop`])
-//! then shuts down the read half of every live connection, whose reader
-//! sees EOF while in-flight replies still go out. Workers block on the
-//! job queue and exit when its last sender, a connection, is gone.
+//! [`Server::shutdown`], or the reader that runs the protocol `shutdown`
+//! once its reply is written, connects once to unblock `accept`; the
+//! accept loop (shared with the registry daemon,
+//! [`xpdl_registry::server::accept_loop`]) then shuts down the read half
+//! of every live connection, whose reader sees EOF.
 //!
 //! Every connection starts in JSON-lines; a `hello` as the very first
 //! message may switch it to the binary framing of [`crate::codec`]
 //! (spec: `docs/WIRE.md`). Only framing, decode and encode depend on the
 //! encoding, and JSON replies are byte-for-byte the pre-negotiation wire.
 //!
-//! Admission control happens *before* a request is executed or
-//! enqueued: if the in-flight gauge is at `max_inflight` the request is
-//! shed immediately with `S420` rather than queued behind work the
-//! server cannot finish in time. Requests handed to the pool carry their
-//! arrival instant; a worker that dequeues one past its deadline answers
-//! `S421` without touching the model. Load is therefore bounded in both
-//! depth (permits) and time (deadline), and overload degrades into fast,
-//! explicit errors instead of unbounded queueing.
+//! Admission control happens *before* a request is executed: if the
+//! in-flight gauge is at `max_inflight` the request is shed immediately
+//! with `S420`, so overload degrades into fast, explicit errors instead
+//! of requests waiting on work the server cannot finish.
 
 use crate::codec::{self, Encoding, StrDecoder, StrEncoder};
 use crate::engine::Engine;
@@ -41,28 +32,21 @@ use crate::stats::InflightPermit;
 use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use xpdl_registry::server::{accept_loop, wake_accept, write_or_shutdown, WriteHalf};
 
 /// How long one reply may block on a client that stopped reading before
 /// that connection is shut down. A reading client drains its socket
 /// buffer far faster; without a bound, a stalled client pins its reader
-/// thread, or the pool worker answering its `sleep`/`reload`, and
-/// [`Server::join`] never returns.
+/// thread and [`Server::join`] never returns.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Worker threads executing `sleep`/`reload`/`shutdown` (min 1).
-    pub workers: usize,
     /// Maximum requests admitted concurrently; beyond this, shed `S420`.
     pub max_inflight: usize,
-    /// Deadline for pool requests measured from admission; exceeded in
-    /// queue → `S421`. `None` disables queue deadlines.
-    pub deadline: Option<Duration>,
     /// Longest accepted request line — or binary frame body — in bytes
     /// (`S414` beyond).
     pub max_line_bytes: usize,
@@ -70,41 +54,21 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        ServerOptions {
-            workers: 4,
-            max_inflight: 256,
-            deadline: Some(Duration::from_millis(2000)),
-            max_line_bytes: 64 * 1024,
-        }
+        ServerOptions { max_inflight: 256, max_line_bytes: 64 * 1024 }
     }
 }
 
-/// One admitted request travelling to the worker pool.
-struct Job {
-    request: Request,
-    admitted_at: Instant,
-    /// Encoding the response must be serialized in. Fixed at admission:
-    /// a connection's encoding can only change on its first message, and
-    /// by then no job from it can be in flight.
-    enc: Encoding,
-    /// The connection the worker writes its reply to.
-    write_half: WriteHalf,
-}
-
 /// A running daemon. Dropping it (or calling [`Server::shutdown`] and
-/// then [`Server::join`]) stops the accept loop and the worker pool.
+/// then [`Server::join`]) stops the accept loop and every reader.
 pub struct Server {
     engine: Arc<Engine>,
     addr: SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    accept: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server")
-            .field("addr", &self.addr)
-            .field("threads", &self.threads.len())
-            .finish()
+        f.debug_struct("Server").field("addr", &self.addr).finish()
     }
 }
 
@@ -118,46 +82,24 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(parking_lot::Mutex::new(job_rx));
-        let mut threads = Vec::new();
-
-        for w in 0..options.workers.max(1) {
-            let engine = Arc::clone(&engine);
-            let job_rx = Arc::clone(&job_rx);
-            let deadline = options.deadline;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("xpdl-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&engine, &job_rx, deadline, local))
-                    .expect("spawn worker"),
-            );
-        }
-
-        {
-            let engine = Arc::clone(&engine);
-            let conn_engine = Arc::clone(&engine);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("xpdl-serve-accept".to_string())
-                    .spawn(move || {
-                        accept_loop(
-                            &listener,
-                            "xpdl-serve-conn",
-                            WRITE_TIMEOUT,
-                            || engine.shutdown_requested(),
-                            move |stream, conn| {
-                                conn_engine.stats().connections.inc();
-                                connection_loop(stream, conn, &conn_engine, &options, &job_tx);
-                            },
-                        )
-                    })
-                    .expect("spawn accept loop"),
-            );
-        }
-
-        Ok(Server { engine, addr: local, threads })
+        let conn_engine = Arc::clone(&engine);
+        let accept = std::thread::Builder::new()
+            .name("xpdl-serve-accept".to_string())
+            .spawn(move || {
+                let stopping = Arc::clone(&conn_engine);
+                accept_loop(
+                    &listener,
+                    "xpdl-serve-conn",
+                    WRITE_TIMEOUT,
+                    || stopping.shutdown_requested(),
+                    move |stream, conn| {
+                        conn_engine.stats().connections.inc();
+                        connection_loop(stream, conn, local, &conn_engine, &options);
+                    },
+                )
+            })
+            .expect("spawn accept loop");
+        Ok(Server { engine, addr: local, accept: Some(accept) })
     }
 
     /// The address actually bound (resolves `:0` to the real port).
@@ -185,20 +127,17 @@ impl Server {
     /// Block until every server thread has exited. Call
     /// [`Server::shutdown`] first (or have a client send `shutdown`).
     pub fn join(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.threads.is_empty() {
-            return; // already joined
-        }
-        self.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(accept) = self.accept.take() {
+            self.shutdown();
+            let _ = accept.join();
         }
     }
 }
@@ -208,18 +147,17 @@ struct ConnState {
     /// Current encoding; starts JSON, switched at most once by `hello`.
     enc: Encoding,
     /// Whether any message (even an unparseable one) has been received.
-    /// `hello` may only negotiate while this is false — after any other
-    /// traffic a pool reply could still be in flight, and switching
-    /// encodings under it would corrupt the stream.
+    /// `hello` may only negotiate while this is false (WIRE.md §3.2).
     saw_traffic: bool,
     /// Request-direction intern table (client-driven defines).
     req_strings: StrDecoder,
-    /// Response-direction intern table. Reader-thread exclusive: inline
-    /// replies intern through it; worker replies are encoded inline-only
-    /// so they never touch (or depend on) this table.
+    /// Response-direction intern table; every reply interns through it.
     resp_strings: StrEncoder,
-    /// Shared with every pool job this connection enqueues.
+    /// The socket's write half; every reply is written under its lock.
     write_half: WriteHalf,
+    /// The listener's address: a protocol `shutdown` connects to it once
+    /// to wake the blocked `accept`.
+    listener: SocketAddr,
 }
 
 /// Serve one connection until the client leaves, framing is lost, a
@@ -227,9 +165,9 @@ struct ConnState {
 fn connection_loop(
     stream: TcpStream,
     write_half: WriteHalf,
-    engine: &Arc<Engine>,
+    listener: SocketAddr,
+    engine: &Engine,
     options: &ServerOptions,
-    job_tx: &mpsc::Sender<Job>,
 ) {
     let mut conn = ConnState {
         enc: Encoding::Json,
@@ -237,21 +175,21 @@ fn connection_loop(
         req_strings: StrDecoder::new(),
         resp_strings: StrEncoder::new(),
         write_half,
+        listener,
     };
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
-    while serve_step(&mut reader, &mut line, &mut conn, engine, options, job_tx) {}
+    while serve_step(&mut reader, &mut line, &mut conn, engine, options) {}
 }
 
-/// Read, decode and answer (or enqueue) one message in the connection's
-/// current encoding. Returns false when the connection is done.
+/// Read, decode and answer one message in the connection's current
+/// encoding. Returns false when the connection is done.
 fn serve_step(
     reader: &mut BufReader<TcpStream>,
     line: &mut Vec<u8>,
     conn: &mut ConnState,
-    engine: &Arc<Engine>,
+    engine: &Engine,
     options: &ServerOptions,
-    job_tx: &mpsc::Sender<Job>,
 ) -> bool {
     let cap = options.max_line_bytes;
     let too_long = |message: String| Err((None, ServeError::new(codes::LINE_TOO_LONG, message)));
@@ -296,15 +234,14 @@ fn serve_step(
         return handle_hello(&request, conn, engine);
     }
     conn.saw_traffic = true;
-    dispatch(request, conn, engine, options, job_tx)
+    dispatch(&request, conn, engine, options.max_inflight)
 }
 
 /// Handle a `hello`. Negotiation is only allowed as the connection's
-/// first message: then no pool reply can be in flight, so the ack
-/// (always in the pre-switch encoding) is the last byte in the old
-/// encoding and every later reply lands after it. After any traffic,
-/// `hello` answers `S412` and the encoding stays put.
-fn handle_hello(request: &Request, conn: &mut ConnState, engine: &Arc<Engine>) -> bool {
+/// first message; the ack goes out in the pre-switch encoding, and every
+/// later reply lands after it. After any traffic, `hello` answers `S412`
+/// and the encoding stays put.
+fn handle_hello(request: &Request, conn: &mut ConnState, engine: &Engine) -> bool {
     if conn.saw_traffic {
         engine.stats().record_unhandled();
         let err =
@@ -325,124 +262,40 @@ fn handle_hello(request: &Request, conn: &mut ConnState, engine: &Arc<Engine>) -
     true
 }
 
-/// Admit one request, then execute it inline and reply, or hand it to
-/// the worker pool. Returns false when the socket is gone.
-fn dispatch(
-    request: Request,
-    conn: &mut ConnState,
-    engine: &Arc<Engine>,
-    options: &ServerOptions,
-    job_tx: &mpsc::Sender<Job>,
-) -> bool {
-    let permit = match InflightPermit::try_acquire(engine.stats(), options.max_inflight) {
-        Ok(permit) => permit,
+/// Admit one request, execute it and write its reply. Returns false when
+/// the socket is gone.
+fn dispatch(request: &Request, conn: &mut ConnState, engine: &Engine, max_inflight: usize) -> bool {
+    let resp = match InflightPermit::try_acquire(engine.stats(), max_inflight) {
+        // The permit is held while the handler runs, not while the
+        // reply is written.
+        Ok(_permit) => engine.handle(request),
         Err(shed) => {
-            // Shed at the door: rejected, never served — keep it out of
-            // the served-latency percentiles (see ServeStats docs).
-            engine.stats().record_rejected(0);
-            return reply(&Response::err(request.id, shed), conn);
+            // Shed at the door: never served, so it leaves no latency
+            // sample (see ServeStats docs).
+            engine.stats().record_unhandled();
+            Response::err(request.id, shed)
         }
     };
-    if !matches!(request.method, Method::Sleep { .. } | Method::Reload | Method::Shutdown) {
-        // Inline execution never queues; the zero keeps the queue-wait
-        // histogram honest about what this path skips.
-        engine.stats().queue_wait_us.record(0);
-        let resp = engine.handle(&request);
-        drop(permit);
-        return reply(&resp, conn);
+    let written = reply(&resp, conn);
+    if matches!(resp.result, Ok(Reply::ShuttingDown)) {
+        // The engine flag cannot reach a blocked `accept`.
+        wake_accept(conn.listener);
     }
-    // Blocking or model-rebuilding: keep off the reader. The job owns
-    // the in-flight slot until a worker finishes it, so forget the RAII
-    // guard here; the worker decrements the gauge.
-    std::mem::forget(permit);
-    let job = Job {
-        request,
-        admitted_at: Instant::now(),
-        enc: conn.enc,
-        write_half: Arc::clone(&conn.write_half),
-    };
-    if job_tx.send(job).is_ok() {
-        return true;
-    }
-    // Every worker is gone (they outlive the senders, so only panics get
-    // here): undo the in-flight claim.
-    engine.stats().inflight.dec();
-    engine.stats().record_unhandled();
-    let resp = Response::err(0, ServeError::new(codes::SHUTTING_DOWN, "server is stopping"));
-    reply(&resp, conn)
+    written
 }
 
-/// Worker: dequeue jobs, enforce deadlines, run the engine, reply.
-fn worker_loop(
-    engine: &Arc<Engine>,
-    job_rx: &parking_lot::Mutex<mpsc::Receiver<Job>>,
-    deadline: Option<Duration>,
-    addr: SocketAddr,
-) {
-    loop {
-        // Hold the receiver lock only for the dequeue, never during
-        // request execution. `recv` fails once every sender — the accept
-        // loop and its connections — is gone.
-        let Ok(job) = job_rx.lock().recv() else { return };
-        if engine.shutdown_requested() {
-            // Dequeued after stop: dropped unanswered.
-            engine.stats().inflight.dec();
-            continue;
-        }
-        let queue_wait = job.admitted_at.elapsed();
-        let wait_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
-        engine.stats().queue_wait_us.record(wait_us);
-        let response = match deadline {
-            Some(d) if queue_wait > d => {
-                engine.stats().deadline_exceeded.inc();
-                // A queue-expired request was never served; recording it
-                // as a 0µs sample in the latency ring skewed p99 under
-                // shed. It goes to the reject histogram instead.
-                engine.stats().record_rejected(wait_us);
-                Response::err(
-                    job.request.id,
-                    ServeError::new(
-                        codes::DEADLINE_EXCEEDED,
-                        format!("request spent more than {} ms queued", d.as_millis()),
-                    ),
-                )
-            }
-            _ => engine.handle(&job.request),
-        };
-        // The job held the in-flight slot transferred in `dispatch`.
-        engine.stats().inflight.dec();
-        // Inline-only binary frames never define string ids, so they are
-        // valid against the client's decoder however they interleave
-        // with the reader's interned frames.
-        let bytes = encode(&response, job.enc, &mut StrEncoder::inline_only());
-        write_or_shutdown(&job.write_half, &bytes);
-        if matches!(response.result, Ok(Reply::ShuttingDown)) {
-            // The engine flag cannot reach a blocked `accept`.
-            wake_accept(addr);
-        }
-    }
-}
-
-/// Serialize a response for the wire: a JSON line (newline included) or
-/// a binary frame interned through `strings`.
-fn encode(resp: &Response, enc: Encoding, strings: &mut StrEncoder) -> Vec<u8> {
-    match enc {
+/// Encode a response in the connection's encoding — a JSON line, or a
+/// binary frame interned through the reader's table — and write it.
+/// Returns false when the socket is gone.
+fn reply(resp: &Response, conn: &mut ConnState) -> bool {
+    let bytes = match conn.enc {
         Encoding::Json => {
             let mut out = resp.to_json().into_bytes();
             out.push(b'\n');
             out
         }
-        Encoding::Binary => codec::encode_response(resp, strings),
-    }
-}
-
-/// Encode a response with the reader-owned interning table and write it
-/// under the shared lock. Reader-thread only — interleaving with
-/// worker-produced inline-only frames is safe because only this thread
-/// ever *defines* string ids, in the order it writes them. Returns false
-/// when the socket is gone.
-fn reply(resp: &Response, conn: &mut ConnState) -> bool {
-    let bytes = encode(resp, conn.enc, &mut conn.resp_strings);
+        Encoding::Binary => codec::encode_response(resp, &mut conn.resp_strings),
+    };
     write_or_shutdown(&conn.write_half, &bytes)
 }
 

@@ -6,19 +6,17 @@
 //! (DESIGN.md §14), so the daemon reports through the same surface as the
 //! repository and cache layers. Served latencies additionally go into a
 //! fixed-size ring of `AtomicU64` microsecond samples (writers claim
-//! slots with a wrapping cursor, so concurrent workers never contend on a
-//! lock); percentiles are exact nearest-rank samples
+//! slots with a wrapping cursor, so concurrent connections never contend
+//! on a lock); percentiles are exact nearest-rank samples
 //! ([`xpdl_obs::metrics::percentile`]) over a sorted copy of the ring — an
 //! O(ring) cost paid only by the `stats` method, never by queries.
 //!
-//! Only requests a handler ran leave a sample. Rejected requests — shed
-//! by admission control (`S420`) or expired in the queue (`S421`) — are
-//! recorded via [`ServeStats::record_rejected`] into a *separate*
-//! histogram, and requests refused before any handler (undecodable, a
-//! late `hello`, no worker left) via `ServeStats::record_unhandled`
-//! with no latency at all: a shed storm or a stream of garbage answering
-//! in ~0µs must not drag the percentiles down while the requests that
-//! actually ran are slow.
+//! Only requests a handler ran leave a sample. Requests answered before
+//! any handler ran — shed by admission control (`S420`), undecodable, a
+//! late `hello` — are counted by `ServeStats::record_unhandled` with no
+//! latency at all: a shed storm or a stream of garbage answering in ~0µs
+//! must not drag the percentiles down while the requests that actually
+//! ran are slow.
 
 use crate::protocol::ServeError;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,18 +33,13 @@ const RING: usize = 2048;
 #[derive(Debug)]
 pub struct ServeStats {
     started: Instant,
-    /// Requests answered, error replies included (rejects and requests
-    /// refused before a handler too).
+    /// Requests answered, error replies included (requests refused
+    /// before a handler too).
     pub requests: Arc<Counter>,
     /// Requests answered with a protocol-level error.
     pub errors: Arc<Counter>,
     /// Requests refused by admission control (`S420`).
     pub shed: Arc<Counter>,
-    /// Requests expired in the queue (`S421`).
-    pub deadline_exceeded: Arc<Counter>,
-    /// Requests rejected before reaching a handler (`S420` + `S421`);
-    /// their latencies live in the reject histogram, not the served ring.
-    pub rejected: Arc<Counter>,
     /// Hot reloads that installed a new snapshot.
     pub reloads: Arc<Counter>,
     /// Hot reload attempts that failed (old snapshot stayed live).
@@ -57,13 +50,8 @@ pub struct ServeStats {
     pub health_checks: Arc<Counter>,
     /// Requests currently admitted and not yet answered.
     pub inflight: Arc<Gauge>,
-    /// Time requests spent queued before a worker picked them up, µs.
-    pub queue_wait_us: Arc<Histogram>,
-    /// Handler execution time (excluding queue wait), µs.
+    /// Handler execution time, µs.
     pub handler_time_us: Arc<Histogram>,
-    /// Age of rejected requests when refused, µs — the separate reject
-    /// window keeping shed storms out of the served percentiles.
-    pub reject_latency_us: Arc<Histogram>,
     latency_us: Box<[AtomicU64]>,
     cursor: AtomicUsize,
 }
@@ -84,16 +72,12 @@ impl ServeStats {
             requests: reg.counter("serve.requests"),
             errors: reg.counter("serve.errors"),
             shed: reg.counter("serve.shed"),
-            deadline_exceeded: reg.counter("serve.deadline_exceeded"),
-            rejected: reg.counter("serve.rejected"),
             reloads: reg.counter("serve.reloads"),
             reload_failures: reg.counter("serve.reload_failures"),
             connections: reg.counter("serve.connections"),
             health_checks: reg.counter("serve.health_checks"),
             inflight: reg.gauge("serve.inflight"),
-            queue_wait_us: reg.histogram("serve.queue.wait_us"),
             handler_time_us: reg.histogram("serve.handler.time_us"),
-            reject_latency_us: reg.histogram("serve.reject.latency_us"),
             latency_us: (0..RING).map(|_| AtomicU64::new(u64::MAX)).collect(),
             cursor: AtomicUsize::new(0),
         }
@@ -111,22 +95,11 @@ impl ServeStats {
     }
 
     /// Record one request answered with an error before any handler ran
-    /// (undecodable, a late `hello`, no worker left): counted in
-    /// `requests`/`errors`, with no latency sample.
+    /// (shed, undecodable, a late `hello`): counted in `requests`/
+    /// `errors`, with no latency sample.
     pub(crate) fn record_unhandled(&self) {
         self.requests.inc();
         self.errors.inc();
-    }
-
-    /// Record one rejected request (`S420` shed / `S421` queue-deadline):
-    /// counted in `requests`/`errors` like any other answered request,
-    /// but its latency goes to the reject histogram instead of the
-    /// served-percentile ring.
-    pub fn record_rejected(&self, age_us: u64) {
-        self.requests.inc();
-        self.errors.inc();
-        self.rejected.inc();
-        self.reject_latency_us.record(age_us);
     }
 
     /// Point-in-time snapshot (percentiles over the retained ring).
@@ -141,14 +114,15 @@ impl ServeStats {
         let uptime = self.started.elapsed();
         let requests = self.requests.get();
         let uptime_s = uptime.as_secs_f64().max(1e-9);
+        let shed = self.shed.get();
         StatsSnapshot {
             epoch,
             uptime_ms: uptime.as_millis() as u64,
             requests,
             errors: self.errors.get(),
-            shed: self.shed.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            rejected: self.rejected.get(),
+            shed,
+            deadline_exceeded: 0,
+            rejected: shed,
             reloads: self.reloads.get(),
             reload_failures: self.reload_failures.get(),
             connections: self.connections.get(),
@@ -159,7 +133,7 @@ impl ServeStats {
             p90_us: percentile(&samples, 0.90),
             p99_us: percentile(&samples, 0.99),
             max_us: samples.last().copied().unwrap_or(0),
-            reject_p99_us: self.reject_latency_us.snapshot().quantile(0.99),
+            reject_p99_us: 0,
         }
     }
 }
@@ -178,10 +152,11 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// Requests shed by admission control.
     pub shed: u64,
-    /// Requests expired in the queue.
+    /// Requests expired in a queue. This server has none, so it sends 0;
+    /// the field stays for the wire (WIRE.md §9).
     pub deadline_exceeded: u64,
-    /// Rejected requests (shed + queue-expired) kept out of the served
-    /// percentiles.
+    /// Requests refused before a handler by admission control, kept out
+    /// of the served percentiles. This server sends `shed` here.
     pub rejected: u64,
     /// Hot reloads that swapped the snapshot.
     pub reloads: u64,
@@ -196,8 +171,7 @@ pub struct StatsSnapshot {
     /// Mean requests/second over the whole uptime.
     pub qps: f64,
     /// Median handler latency over the retained ring, microseconds: the
-    /// nearest-rank sample. Served requests only — rejects are windowed
-    /// separately.
+    /// nearest-rank sample. Served requests only.
     pub p50_us: u64,
     /// 90th-percentile latency, microseconds.
     pub p90_us: u64,
@@ -205,9 +179,8 @@ pub struct StatsSnapshot {
     pub p99_us: u64,
     /// Worst retained latency, microseconds.
     pub max_us: u64,
-    /// Estimated 99th-percentile age of rejected requests,
-    /// microseconds: interpolated inside one log2 bucket of the reject
-    /// histogram (0 when nothing was rejected).
+    /// 99th-percentile age of rejected requests, microseconds. Every
+    /// reject here is an `S420` at the door, so this server sends 0.
     pub reject_p99_us: u64,
 }
 
@@ -362,25 +335,28 @@ mod tests {
         }
         // ...and a shed storm of instant rejects (the old bug recorded
         // these as 0µs samples in the same ring, dragging p99 to 0).
+        let _held = InflightPermit::try_acquire(&s, 1).unwrap();
         for _ in 0..10_000 {
-            s.record_rejected(3);
+            InflightPermit::try_acquire(&s, 1).unwrap_err();
+            s.record_unhandled();
         }
         let snap = s.snapshot(0);
         assert_eq!(snap.p50_us, 5_000, "served percentiles unpolluted");
         assert_eq!(snap.p99_us, 5_000);
-        assert_eq!(snap.rejected, 10_000);
+        assert_eq!(snap.shed, 10_000);
+        assert_eq!(snap.rejected, snap.shed);
         assert_eq!(snap.requests, 10_100);
         assert_eq!(snap.errors, 10_000);
-        // Reject ages are tracked in their own histogram window.
-        assert!(snap.reject_p99_us >= 3 && snap.reject_p99_us <= 4, "{}", snap.reject_p99_us);
-        assert_eq!(s.reject_latency_us.count(), 10_000);
+        // No queue: nothing expires and no reject waits.
+        assert_eq!(snap.deadline_exceeded, 0);
+        assert_eq!(snap.reject_p99_us, 0);
     }
 
     #[test]
     fn snapshot_roundtrips_through_json() {
         let s = ServeStats::new();
         s.record(42, false);
-        s.record_rejected(9);
+        s.record_unhandled();
         s.shed.add(3);
         let snap = s.snapshot(9);
         let back = StatsSnapshot::parse(&snap.to_json()).unwrap();
@@ -428,10 +404,10 @@ mod tests {
     fn stats_register_into_the_global_metrics_surface() {
         let s = ServeStats::new();
         s.record(10, false);
-        s.queue_wait_us.record(5);
+        s.handler_time_us.record(5);
         let snap = MetricsRegistry::global().snapshot();
         assert!(snap.counters["serve.requests"] >= 1, "{snap:?}");
-        assert!(snap.histograms.contains_key("serve.queue.wait_us"));
+        assert!(snap.histograms.contains_key("serve.handler.time_us"));
         assert!(snap.gauges.contains_key("serve.inflight"));
     }
 }

@@ -232,8 +232,8 @@ proptest! {
         prop_assert!(same(&via_binary, &via_json), "{via_binary:?} vs {via_json:?}");
     }
 
-    /// The stateless (inline-only) encoder used by server worker threads
-    /// must be wire-equivalent to the interning one.
+    /// The stateless (inline-only) encoder WIRE.md §4.3 allows must be
+    /// wire-equivalent to the interning one.
     #[test]
     fn inline_only_encoder_is_equivalent(resp in arb_response()) {
         let frame = encode_response(&resp, &mut StrEncoder::inline_only());

@@ -1,16 +1,17 @@
 //! End-to-end tests of the TCP daemon: correctness against the direct
-//! query API, protocol error handling, backpressure, queue deadlines,
-//! hot reload under live traffic, and clean remote shutdown.
+//! query API, protocol error handling, backpressure, reply order, hot
+//! reload under live traffic, and clean remote shutdown.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpdl_runtime::{RuntimeModel, XpdlHandle};
+use xpdl_serve::codec::{StrDecoder, StrEncoder};
 use xpdl_serve::server::WRITE_TIMEOUT;
 use xpdl_serve::{
-    codec, codes, parse_response, Engine, EngineOptions, ModelSource, Reply, Server,
-    ServerOptions,
+    codec, codes, parse_response, Engine, EngineOptions, Method, ModelSource, Reply, Request,
+    Server, ServerOptions,
 };
 
 /// The paper's GPU server model (Listing 7 lineage): 2500 cores, one
@@ -139,13 +140,14 @@ fn protocol_errors_keep_the_connection_alive() {
 fn overload_sheds_instead_of_queueing() {
     let server = start_server(
         EngineOptions { allow_debug: true, allow_shutdown: true },
-        ServerOptions { workers: 2, max_inflight: 2, deadline: None, ..Default::default() },
+        ServerOptions { max_inflight: 2, ..Default::default() },
     );
 
-    // Two debug sleeps occupy both permits (and both workers).
-    let mut sleeper = Client::connect(&server);
-    sleeper.send(r#"{"v":1,"id":1,"method":"sleep","params":{"ms":600}}"#);
-    sleeper.send(r#"{"v":1,"id":2,"method":"sleep","params":{"ms":600}}"#);
+    // Two debug sleeps occupy both permits. They go out on two
+    // connections, since one connection runs its requests in turn.
+    let mut sleepers = [Client::connect(&server), Client::connect(&server)];
+    sleepers[0].send(r#"{"v":1,"id":1,"method":"sleep","params":{"ms":600}}"#);
+    sleepers[1].send(r#"{"v":1,"id":2,"method":"sleep","params":{"ms":600}}"#);
 
     // Give the reader threads a moment to admit both.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -163,61 +165,49 @@ fn overload_sheds_instead_of_queueing() {
     assert!(err.message.contains("overloaded"), "{err}");
 
     // After the sleeps drain, admission reopens.
-    assert_eq!(sleeper.recv().result.unwrap(), Reply::Slept { ms: 600 });
-    assert_eq!(sleeper.recv().result.unwrap(), Reply::Slept { ms: 600 });
+    for sleeper in &mut sleepers {
+        assert_eq!(sleeper.recv().result.unwrap(), Reply::Slept { ms: 600 });
+    }
     let resp = victim.call(r#"{"v":1,"id":4,"method":"ping"}"#);
     assert_eq!(resp.result.unwrap(), Reply::Pong);
     assert!(server.engine().stats().shed.get() >= 1);
 }
 
 #[test]
-fn queued_requests_past_their_deadline_get_s421() {
+fn replies_leave_in_receipt_order() {
     let server = start_server(
         EngineOptions { allow_debug: true, allow_shutdown: true },
-        ServerOptions {
-            workers: 1,
-            max_inflight: 64,
-            deadline: Some(Duration::from_millis(100)),
-            ..Default::default()
-        },
+        ServerOptions::default(),
     );
-    let mut client = Client::connect(&server);
-    // One sleep monopolizes the only worker; the second sleep sits in
-    // the queue past its 100ms deadline. (Cheap methods run inline on
-    // the reader thread and never queue, so only pool methods expire.)
-    client.send(r#"{"v":1,"id":1,"method":"sleep","params":{"ms":500}}"#);
-    client.send(r#"{"v":1,"id":2,"method":"sleep","params":{"ms":1}}"#);
-    let mut by_id = std::collections::BTreeMap::new();
-    for _ in 0..2 {
-        let resp = client.recv();
-        by_id.insert(resp.id, resp.result);
-    }
-    assert_eq!(by_id.remove(&1).unwrap().unwrap(), Reply::Slept { ms: 500 });
-    let err = by_id.remove(&2).unwrap().unwrap_err();
-    assert_eq!(err.code, codes::DEADLINE_EXCEEDED);
-    assert_eq!(
-        server.engine().stats().deadline_exceeded.get(),
-        1
-    );
-}
+    let sleep = Request::new(1, Method::Sleep { ms: 300 });
+    let ping = Request::new(2, Method::Ping);
+    let expected = [(1, Reply::Slept { ms: 300 }), (2, Reply::Pong)];
 
-#[test]
-fn json_cheap_calls_do_not_queue_behind_the_pool() {
-    let server = start_server(
-        EngineOptions { allow_debug: true, allow_shutdown: true },
-        ServerOptions { workers: 1, ..Default::default() },
-    );
-    let mut client = Client::connect(&server);
-    // The sleep occupies the only worker; the ping behind it on the same
-    // JSON connection runs inline and must be answered first.
-    client.send(r#"{"v":1,"id":1,"method":"sleep","params":{"ms":300}}"#);
-    client.send(r#"{"v":1,"id":2,"method":"ping"}"#);
-    let first = client.recv();
-    assert_eq!(first.id, 2, "ping waited behind the sleep");
-    assert_eq!(first.result.unwrap(), Reply::Pong);
-    let second = client.recv();
-    assert_eq!(second.id, 1);
-    assert_eq!(second.result.unwrap(), Reply::Slept { ms: 300 });
+    // JSON: both lines in one write, so the ping is waiting to be read
+    // while the sleep runs; its reply must still come second.
+    let mut json = Client::connect(&server);
+    json.send(&format!("{}\n{}", sleep.to_json(), ping.to_json()));
+    let replies = [json.recv(), json.recv()].map(|r| (r.id, r.result.unwrap()));
+    assert_eq!(replies, expected, "JSON replies overtook each other");
+
+    // Binary: the same pair as two frames after the hello.
+    let mut binary = Client::connect(&server);
+    let ack = binary.call(&codec::client_hello(3).to_json());
+    assert_eq!(ack.result.unwrap(), Reply::Hello { encoding: codec::BINARY.to_string() });
+    let mut strings = StrEncoder::new();
+    let mut frames = codec::encode_request(&sleep, &mut strings);
+    frames.extend(codec::encode_request(&ping, &mut strings));
+    binary.writer.write_all(&frames).expect("send");
+    let mut strings = StrDecoder::new();
+    let mut recv = || {
+        let body = codec::read_frame(&mut binary.reader, codec::MAX_RESPONSE_FRAME)
+            .expect("recv")
+            .expect("a reply frame");
+        let resp = codec::decode_response(&body, &mut strings).expect("a valid frame");
+        (resp.id, resp.result.unwrap())
+    };
+    let replies = [recv(), recv()];
+    assert_eq!(replies, expected, "binary replies overtook each other");
 }
 
 #[test]

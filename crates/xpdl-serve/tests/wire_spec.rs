@@ -99,9 +99,16 @@ fn spec_documents_the_negotiation_contract() {
     // clients must at least be mentioned. (Tables above are exact; for
     // prose we only pin the anchors.)
     let doc = spec();
-    for needle in
-        ["hello", "S412", "S415", "first request", "little-endian", "binary2", "MAX_RESPONSE_FRAME"]
-    {
+    for needle in [
+        "hello",
+        "S412",
+        "S415",
+        "first request",
+        "little-endian",
+        "binary2",
+        "MAX_RESPONSE_FRAME",
+        "order of receipt",
+    ] {
         assert!(doc.contains(needle), "WIRE.md lost its {needle:?} anchor");
     }
 }
