@@ -115,7 +115,7 @@ fn query_storm_parallel(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     let server = Server::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
-        ServerOptions { max_inflight: 4096, ..Default::default() },
+        ServerOptions { max_inflight: 4096 },
     )
     .expect("server");
     let addr = server.local_addr().to_string();
@@ -382,11 +382,8 @@ fn cluster_failover(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
     let model = xpdl_fleetgen::elaborate_fleet(fleet).expect("elaborate fleet");
     let rt = xpdl_runtime::RuntimeModel::from_element(&model.root);
 
-    let registry = RegistryServer::start(
-        "127.0.0.1:0",
-        RegistryOptions { sweep_interval: Duration::from_millis(20), ..Default::default() },
-    )
-    .expect("registry");
+    let registry =
+        RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).expect("registry");
     let reg_addr = registry.local_addr().to_string();
 
     let mut nodes = Vec::new();
@@ -401,7 +398,7 @@ fn cluster_failover(fleet: &Fleet, m: &Matrix) -> ScenarioRecord {
         let server = Server::start(
             Arc::clone(&engine),
             "127.0.0.1:0",
-            ServerOptions { max_inflight: 1024, ..Default::default() },
+            ServerOptions { max_inflight: 1024 },
         )
         .expect("server");
         let mut cfg =
@@ -516,17 +513,14 @@ fn start_shard_node(i: usize, reg_addr: &str, universe: &[String], ttl: Duration
     let server = Server::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
-        ServerOptions { max_inflight: 1024, ..Default::default() },
+        ServerOptions { max_inflight: 1024 },
     )
     .expect("server");
     let addr = server.local_addr().to_string();
     let mut cfg = NodeConfig::new(reg_addr, node_id, addr.clone());
     cfg.ttl = ttl;
-    let rebalancer = Arc::new(Rebalancer::spawn(
-        Arc::clone(&mgr),
-        RegistryClient::new(reg_addr.to_string()),
-        Duration::from_millis(50),
-    ));
+    let rebalancer =
+        Arc::new(Rebalancer::spawn(Arc::clone(&mgr), RegistryClient::new(reg_addr.to_string())));
     let ring_mgr = Arc::clone(&mgr);
     let ring_reb = Arc::clone(&rebalancer);
     let on_ring: RingFn = Arc::new(move |info| {
@@ -572,11 +566,7 @@ fn shard_rebalance(m: &Matrix) -> ScenarioRecord {
 
     let registry = RegistryServer::start(
         "127.0.0.1:0",
-        RegistryOptions {
-            sweep_interval: Duration::from_millis(20),
-            replication: R,
-            ..Default::default()
-        },
+        RegistryOptions { replication: R, ..Default::default() },
     )
     .expect("registry");
     let reg_addr = registry.local_addr().to_string();
@@ -695,11 +685,8 @@ fn calibration_sweep(tmp: &std::path::Path, seed: u64) -> ScenarioRecord {
     fleet.write_dir(&dir).expect("write fleet library");
     let mut errors = 0u64;
 
-    let registry = RegistryServer::start(
-        "127.0.0.1:0",
-        RegistryOptions { sweep_interval: Duration::from_millis(20), ..Default::default() },
-    )
-    .expect("registry");
+    let registry =
+        RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).expect("registry");
     let reg_addr = registry.local_addr().to_string();
 
     let mut nodes = Vec::new();
@@ -717,7 +704,7 @@ fn calibration_sweep(tmp: &std::path::Path, seed: u64) -> ScenarioRecord {
         let server = Server::start(
             Arc::clone(&engine),
             "127.0.0.1:0",
-            ServerOptions { max_inflight: 1024, ..Default::default() },
+            ServerOptions { max_inflight: 1024 },
         )
         .expect("server");
         let mut cfg =

@@ -123,7 +123,7 @@ fn main() {
             let server = Server::start(
                 Arc::clone(&engine),
                 "127.0.0.1:0",
-                ServerOptions { max_inflight: 4096, ..Default::default() },
+                ServerOptions { max_inflight: 4096 },
             )
             .expect("server");
             let addr = server.local_addr().to_string();
@@ -202,6 +202,7 @@ fn main() {
         s.join();
     }
     if let Some(r) = reload_interval {
+        r.thread().unpark();
         let _ = r.join();
     }
     let _ = std::fs::remove_dir_all(&tmp);

@@ -51,7 +51,7 @@ mod serve;
 /// |---|---|
 /// | 0 | success, no diagnostics worth acting on |
 /// | 1 | errors reported (validation/elaboration/resolution failures) |
-/// | 2 | usage error (bad subcommand, bad flag value) |
+/// | 2 | usage error (bad subcommand, unknown flag, missing or bad flag value) |
 /// | 3 | warnings only (`validate`: no errors, but the model is suspect) |
 /// | 4 | internal fault — the toolchain itself panicked (always a bug) |
 pub type ExitCode = i32;
@@ -140,45 +140,38 @@ impl TraceFormat {
     }
 }
 
-/// Strip the global tracing flags (`--trace[=FMT]`, `--trace-format FMT`,
-/// `--trace-out FILE`) and the `trace <cmd>` wrapper subcommand out of the
-/// argument list, returning the cleaned args plus the requested trace
-/// configuration (if any). These are global because they can appear
-/// before the subcommand (`xpdlc --trace-format=json compose x`).
+/// Strip the global tracing flags ([`TRACE_FLAGS`]: `--trace[=FMT]`,
+/// `--trace-format FMT`, `--trace-out FILE`) and the `trace <cmd>`
+/// wrapper subcommand out of the argument list, returning the cleaned
+/// args plus the requested trace configuration (if any). These are
+/// global because they can appear before the subcommand
+/// (`xpdlc --trace-format=json compose x`).
 fn extract_trace_config(args: &[String]) -> Result<(Vec<String>, Option<TraceConfig>), String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut enabled = false;
     let mut format: Option<TraceFormat> = None;
     let mut out_file: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--trace" {
-            enabled = true;
-        } else if let Some(v) = a.strip_prefix("--trace=") {
-            enabled = true;
-            format = Some(TraceFormat::parse(v)?);
-        } else if a == "--trace-format" || a == "--trace-out" {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{a} requires a value"))?;
-            enabled = true;
-            if a == "--trace-format" {
-                format = Some(TraceFormat::parse(v)?);
-            } else {
-                out_file = Some(PathBuf::from(v));
-            }
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--trace-format=") {
-            enabled = true;
-            format = Some(TraceFormat::parse(v)?);
-        } else if let Some(v) = a.strip_prefix("--trace-out=") {
-            enabled = true;
-            out_file = Some(PathBuf::from(v));
-        } else {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        let (name, inline) = split_flag(a);
+        let Some(&(name, check)) = TRACE_FLAGS.iter().find(|(f, _)| *f == name) else {
             rest.push(a.clone());
+            continue;
+        };
+        enabled = true;
+        // `--trace` takes an optional `=FMT`; the others a value.
+        let value = match (inline, check) {
+            (Some(v), _) => Some(v),
+            (None, Some(_)) => {
+                Some(args.next().ok_or_else(|| format!("{name} requires a value"))?.as_str())
+            }
+            (None, None) => None,
+        };
+        match (name, value) {
+            ("--trace-out", Some(v)) => out_file = Some(PathBuf::from(v)),
+            (_, Some(v)) => format = Some(TraceFormat::parse(v)?),
+            _ => {}
         }
-        i += 1;
     }
     // `xpdlc trace compose x` — the wrapper form, equivalent to --trace.
     if rest.first().map(String::as_str) == Some("trace") {
@@ -268,6 +261,14 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
         return Ok(2);
     };
     let rest = &args[1..];
+    // Every flag is checked before any work starts.
+    let pos = match positionals(rest, flags_of(cmd, rest)) {
+        Ok(pos) => pos,
+        Err(e) => {
+            writeln!(out, "error: xpdlc {cmd}: {e} (see xpdlc help)")?;
+            return Ok(2);
+        }
+    };
     match cmd.as_str() {
         "help" | "--help" | "-h" => {
             write_usage(out)?;
@@ -279,12 +280,12 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
             }
             Ok(0)
         }
-        "validate" => validate(rest, out),
+        "validate" => validate(rest, &pos, out),
         // Hidden: deliberately panic so tests (and packagers) can check
         // that the internal-fault exit path really yields code 4.
         "selftest-panic" => panic!("deliberate panic requested via selftest-panic"),
         "compose" => {
-            let key = arg_at(rest, 0, "compose <key>")?;
+            let key = arg_at(&pos, 0, "compose <key>")?;
             let (model, metrics) = compose(&key, rest)?;
             writeln!(
                 out,
@@ -314,14 +315,14 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
             Ok(if model.is_clean() { 0 } else { 1 })
         }
         "dump" => {
-            let key = arg_at(rest, 0, "dump <key>")?;
+            let key = arg_at(&pos, 0, "dump <key>")?;
             let (model, _) = compose(&key, rest)?;
             let xml = xpdl_xml::write_element(&model.root.to_xml(), &xpdl_xml::WriteOptions::pretty());
             writeln!(out, "{xml}")?;
             Ok(0)
         }
         "build" => {
-            let key = arg_at(rest, 0, "build <key> -o <file> [--filter deployment]")?;
+            let key = arg_at(&pos, 0, "build <key> -o <file> [--filter deployment]")?;
             let out_path = flag_value(rest, "-o")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| PathBuf::from(format!("{key}.xpdlrt")));
@@ -351,18 +352,18 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
             )?;
             Ok(0)
         }
-        "query" => serve::query_command(rest, out),
+        "query" => serve::query_command(rest, &pos, out),
         "serve" => serve::serve_command(rest, out),
         "registry" => registry::registry_command(rest, out),
         "bootstrap" => {
-            let key = if rest.is_empty() { "x86_base_isa".to_string() } else { rest[0].clone() };
-            bootstrap(&key, rest, out)
+            let key = pos.first().map_or("x86_base_isa", String::as_str);
+            bootstrap(key, rest, out)
         }
         "calibrate" => calib::calibrate_command(rest, out),
         "optimize" => calib::optimize_command(rest, out),
         "diff" => {
-            let a = arg_at(rest, 0, "diff <old.xpdl> <new.xpdl>")?;
-            let b = arg_at(rest, 1, "diff <old.xpdl> <new.xpdl>")?;
+            let a = arg_at(&pos, 0, "diff <old.xpdl> <new.xpdl>")?;
+            let b = arg_at(&pos, 1, "diff <old.xpdl> <new.xpdl>")?;
             let old = XpdlDocument::parse_named(&std::fs::read_to_string(&a)?, &a)?;
             let new = XpdlDocument::parse_named(&std::fs::read_to_string(&b)?, &b)?;
             let entries = xpdl_core::diff_models(old.root(), new.root());
@@ -373,10 +374,18 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
             Ok(if entries.is_empty() { 0 } else { 1 })
         }
         "route" => {
-            let key = arg_at(rest, 0, "route <key> <from> <to> [bytes]")?;
-            let from = arg_at(rest, 1, "route <key> <from> <to> [bytes]")?;
-            let to = arg_at(rest, 2, "route <key> <from> <to> [bytes]")?;
-            let bytes: u64 = rest.get(3).and_then(|b| b.parse().ok()).unwrap_or(1 << 20);
+            let usage = "route <key> <from> <to> [bytes]";
+            let key = arg_at(&pos, 0, usage)?;
+            let from = arg_at(&pos, 1, usage)?;
+            let to = arg_at(&pos, 2, usage)?;
+            let bytes: u64 = match pos.get(3).map(|b| (b, b.parse())) {
+                None => 1 << 20,
+                Some((_, Ok(bytes))) => bytes,
+                Some((b, Err(_))) => {
+                    writeln!(out, "error: xpdlc route: invalid byte count '{b}' (see xpdlc help)")?;
+                    return Ok(2);
+                }
+            };
             let (model, _) = compose(&key, rest)?;
             let graph = xpdl_elab::LinkGraph::build(&model.root);
             match graph.route(&model.root, &from, &to) {
@@ -405,20 +414,18 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
             }
         }
         "uml" => {
-            let what = rest.first().map(String::as_str).unwrap_or("schema");
+            let what = pos.first().map_or("schema", String::as_str);
             if what == "schema" {
                 writeln!(out, "{}", xpdl_codegen::schema_to_plantuml(&Schema::core()))?;
             } else {
                 let (model, _) = compose(what, rest)?;
-                let cap = flag_value(rest, "--max")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(200);
+                let cap = parse_flag(rest, "--max")?.unwrap_or(200);
                 writeln!(out, "{}", xpdl_codegen::model_to_plantuml(&model.root, cap))?;
             }
             Ok(0)
         }
         "export" => {
-            let dir = PathBuf::from(arg_at(rest, 0, "export <dir>")?);
+            let dir = PathBuf::from(arg_at(&pos, 0, "export <dir>")?);
             std::fs::create_dir_all(&dir)?;
             let mut n = 0;
             for (key, src) in xpdl_models::library::LIBRARY {
@@ -431,17 +438,14 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
         }
         "fleetgen" => {
             let seed = parse_flag::<u64>(rest, "--seed")?.unwrap_or(42);
-            let shape = match rest.iter().position(|a| a == "--shape") {
-                Some(i) => {
-                    let spec = rest.get(i + 1).map(String::as_str).unwrap_or("");
-                    match xpdl_fleetgen::FleetShape::parse(spec) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            writeln!(out, "bad --shape: {e}")?;
-                            return Ok(2);
-                        }
+            let shape = match flag_value(rest, "--shape") {
+                Some(spec) => match xpdl_fleetgen::FleetShape::parse(&spec) {
+                    Ok(s) => s,
+                    Err(e) => {
+                        writeln!(out, "bad --shape: {e}")?;
+                        return Ok(2);
                     }
-                }
+                },
                 None => xpdl_fleetgen::FleetShape::default(),
             };
             let fleet = xpdl_fleetgen::generate(seed, &shape);
@@ -489,7 +493,7 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
         }
         "cache" => cache_command(rest, out),
         "codegen" => {
-            let lang = rest.first().map(String::as_str).unwrap_or("rust");
+            let lang = pos.first().map_or("rust", String::as_str);
             let schema = Schema::core();
             match lang {
                 "rust" => writeln!(out, "{}", xpdl_codegen::generate_rust_api(&schema))?,
@@ -519,11 +523,12 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
 /// elaboration — so a single run reports *all* faults with source spans.
 fn validate(
     rest: &[String],
+    pos: &[String],
     out: &mut dyn std::io::Write,
 ) -> Result<ExitCode, Box<dyn std::error::Error>> {
     use xpdl_core::diag::{diagnostics_to_json, DiagSink};
 
-    let path = arg_at(rest, 0, "validate <file.xpdl> [--keep-going] [--max-errors N] [--diag-format text|json]")?;
+    let path = arg_at(pos, 0, "validate <file.xpdl> [--keep-going] [--max-errors N] [--diag-format text|json]")?;
     let keep_going = has_flag(rest, "--keep-going");
     let max_errors = parse_flag::<usize>(rest, "--max-errors")?.unwrap_or(0);
     let format = flag_value(rest, "--diag-format").unwrap_or_else(|| "text".to_string());
@@ -857,37 +862,167 @@ fn arg_at(args: &[String], i: usize, usage: &str) -> Result<String, String> {
     args.get(i).cloned().ok_or_else(|| format!("usage: xpdlc {usage}"))
 }
 
-/// Is a boolean flag present? (exact match only — `--keep-going`)
+/// The check a flag's value must pass: `None` for a switch
+/// (`--offline`), which takes no value.
+type Check = Option<fn(&str) -> bool>;
+
+/// A flag a subcommand takes, and the check on its value, which follows
+/// it (`--jobs 4`) or is attached (`--jobs=4`).
+type Flag = (&'static str, Check);
+
+/// Whether `value` parses as a `T`.
+fn parses<T: std::str::FromStr>(value: &str) -> bool {
+    value.parse::<T>().is_ok()
+}
+
+const SWITCH: Check = None;
+const TEXT: Check = Some(parses::<String>);
+const COUNT: Check = Some(parses::<usize>);
+const U64: Check = Some(parses::<u64>);
+
+/// Tracing: any subcommand, before or after it; `run` strips them.
+const TRACE_FLAGS: &[Flag] =
+    &[("--trace", SWITCH), ("--trace-format", TEXT), ("--trace-out", TEXT)];
+
+/// Repository resolution: every subcommand that loads models.
+const RESOLUTION_FLAGS: &[Flag] = &[
+    ("--models", TEXT),
+    ("--jobs", COUNT),
+    ("--retries", Some(parses::<u32>)),
+    ("--fault-rate", Some(parses::<f64>)),
+    ("--fault-seed", U64),
+];
+
+/// The persistent cache under resolution.
+const CACHE_FLAGS: &[Flag] =
+    &[("--cache-dir", TEXT), ("--cache-ttl", U64), ("--max-stale", U64), ("--offline", SWITCH)];
+
+/// `--keep-going`, for every subcommand that runs [`compose`].
+const KEEP_GOING: &[Flag] = &[("--keep-going", SWITCH)];
+
+/// Everything [`compose`] reads.
+const COMPOSE_FLAGS: &[&[Flag]] = &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING];
+
+/// The calibration sweep's knobs (`calibrate`, `optimize`).
+const CALIB_FLAGS: &[Flag] = &[
+    ("--seed", U64),
+    ("--jobs", COUNT),
+    ("--repetitions", Some(parses::<u32>)),
+    ("--timeout-ms", U64),
+];
+
+/// The flags each subcommand takes, besides [`TRACE_FLAGS`]. `registry`
+/// and `cache` name their action first (`registry status`, `cache gc`),
+/// and an action without an entry takes its subcommand's flags. A
+/// subcommand not listed takes none.
+const SUBCOMMAND_FLAGS: &[(&str, &[&[Flag]])] = &[
+    ("keys", &[RESOLUTION_FLAGS, CACHE_FLAGS]),
+    ("bootstrap", &[RESOLUTION_FLAGS, CACHE_FLAGS]),
+    ("compose", COMPOSE_FLAGS),
+    ("dump", COMPOSE_FLAGS),
+    ("route", COMPOSE_FLAGS),
+    ("validate", &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[
+        ("--max-errors", COUNT), ("--diag-format", TEXT),
+    ]]),
+    ("build", &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[("-o", TEXT), ("--filter", TEXT)]]),
+    ("uml", &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[("--max", COUNT)]]),
+    ("query", &[RESOLUTION_FLAGS, CACHE_FLAGS, &[
+        ("--model", TEXT), ("--repo", TEXT), ("--rpc", TEXT), ("--encoding", TEXT),
+    ]]),
+    ("serve", &[RESOLUTION_FLAGS, CACHE_FLAGS, &[
+        ("--model", TEXT), ("--repo", TEXT), ("--addr", TEXT), ("--addr-file", TEXT),
+        ("--max-inflight", COUNT), ("--reload-interval", U64),
+        ("--allow-remote-shutdown", SWITCH), ("--allow-debug", SWITCH),
+        ("--registry", TEXT), ("--node-id", TEXT), ("--advertise", TEXT), ("--ttl-ms", U64),
+        ("--drain-grace-ms", U64), ("--shards", SWITCH), ("--shard-keys", TEXT),
+    ]]),
+    ("registry", &[&[
+        ("--addr", TEXT), ("--addr-file", TEXT), ("--replication", COUNT), ("--vnodes", COUNT),
+    ]]),
+    ("registry announce", &[&[("--addr", TEXT), ("--version", TEXT)]]),
+    ("registry status", &[&[("--addr", TEXT), ("--diag-format", TEXT), ("--shard-keys", TEXT)]]),
+    ("registry ring", &[&[
+        ("--nodes", TEXT), ("--replication", COUNT), ("--vnodes", COUNT), ("--shard-keys", TEXT),
+    ]]),
+    ("calibrate", &[CALIB_FLAGS, &[
+        ("--dir", TEXT), ("--dry-run", SWITCH), ("--registry", TEXT), ("--diag-format", TEXT),
+    ]]),
+    ("optimize", &[RESOLUTION_FLAGS, CACHE_FLAGS, CALIB_FLAGS, &[
+        ("--isa", TEXT), ("--diag-format", TEXT),
+    ]]),
+    ("fleetgen", &[&[("--seed", U64), ("--shape", TEXT), ("--check", SWITCH), ("--out", TEXT)]]),
+    ("cache", &[&[("--cache-dir", TEXT)]]),
+    ("cache gc", &[&[("--cache-dir", TEXT), ("--max-age", U64)]]),
+];
+
+/// The flags `cmd` takes, given the arguments after it.
+fn flags_of(cmd: &str, rest: &[String]) -> &'static [&'static [Flag]] {
+    let entry = |key: &str| SUBCOMMAND_FLAGS.iter().find(|(k, _)| *k == key).map(|(_, f)| *f);
+    let action = rest.first().map(|a| format!("{cmd} {a}"));
+    action.as_deref().and_then(entry).or_else(|| entry(cmd)).unwrap_or(&[])
+}
+
+/// `--name=value` as `("--name", Some("value"))`, anything else as is.
+fn split_flag(arg: &str) -> (&str, Option<&str>) {
+    arg.split_once('=').map_or((arg, None), |(name, value)| (name, Some(value)))
+}
+
+/// Check `args` against the flags a subcommand takes, and return the
+/// positional arguments: those that are neither a flag nor a flag's
+/// value. The error names an unknown flag, a valued flag with no value or
+/// a bad one, or a switch given a value.
+fn positionals(args: &[String], flags: &[&[Flag]]) -> Result<Vec<String>, String> {
+    let mut positional = Vec::new();
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with('-') {
+            positional.push(a.clone());
+            continue;
+        }
+        let (name, inline) = split_flag(a);
+        let Some(&(_, check)) = flags.iter().flat_map(|g| g.iter()).find(|(f, _)| *f == name)
+        else {
+            return Err(format!("unknown flag '{name}'"));
+        };
+        match (check, inline) {
+            (None, None) => {}
+            (None, Some(_)) => return Err(format!("{name} takes no value")),
+            (Some(check), inline) => {
+                let value = inline
+                    .or_else(|| args.next().map(String::as_str))
+                    .ok_or_else(|| format!("{name} requires a value"))?;
+                if !check(value) {
+                    return Err(format!("invalid value '{value}' for {name}"));
+                }
+            }
+        }
+    }
+    Ok(positional)
+}
+
+/// Is a switch present? (exact match only — `--keep-going`)
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Locate a valued flag, accepting both `--flag value` and `--flag=value`.
-/// `Err` if the flag is present but the value is missing.
-fn flag_lookup(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    for (i, a) in args.iter().enumerate() {
+/// The value of the first `flag` in `args` (`--flag value` or
+/// `--flag=value`); [`positionals`] has already checked it.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
         if a == flag {
-            return match args.get(i + 1) {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{flag} requires a value")),
-            };
+            return args.next().cloned();
         }
         if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-            return Ok(Some(v.to_string()));
+            return Some(v.to_string());
         }
     }
-    Ok(None)
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    flag_lookup(args, flag).ok().flatten()
+    None
 }
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match flag_lookup(args, flag)? {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| format!("invalid value '{v}' for {flag}")),
-    }
+    let parse = |v: String| v.parse().map_err(|_| format!("invalid value '{v}' for {flag}"));
+    flag_value(args, flag).map(parse).transpose()
 }
 
 fn write_usage(out: &mut dyn std::io::Write) -> std::io::Result<()> {
@@ -906,6 +1041,8 @@ fn write_usage(out: &mut dyn std::io::Write) -> std::io::Result<()> {
          \x20   --keep-going                 poison failing subtrees instead of aborting\n\
          \x20 dump <key>                     print the composed model as XML\n\
          \x20 build <key> -o <file>          write the runtime data structure\n\
+         \x20   --filter deployment          drop microbenchmarks and build-host details\n\
+         \x20   --filter deployment-strict   also drop '?' placeholders\n\
          \x20 query <file|key> [id [at]]     runtime query API (.xpdlrt file or library key)\n\
          \x20   --rpc JSON                   feed one raw protocol request line, print raw response\n\
          \x20   --encoding json|binary       --rpc wire encoding; binary round-trips the frame codec\n\
@@ -923,10 +1060,8 @@ fn write_usage(out: &mut dyn std::io::Write) -> std::io::Result<()> {
          \x20   --drain-grace-ms MS          SIGTERM: answer S510 this long before closing (default 200)\n\
          \x20   --shards                     shard the model universe across the cluster ring\n\
          \x20   --shard-keys K1,K2           shard-key universe (default: the built-in library keys)\n\
-         \x20   --rebalance-interval-ms MS   self-healing rebalance tick (default 500)\n\
          \x20 registry [--addr HOST:PORT]    cluster membership daemon (default 127.0.0.1:7434)\n\
          \x20   --addr-file PATH             write the bound address (for --addr with port 0)\n\
-         \x20   --sweep-interval-ms MS       lease sweeper period (default 100)\n\
          \x20   --replication N              ring replicas per shard key (default 2)\n\
          \x20   --vnodes N                   ring virtual nodes per member (default 32)\n\
          \x20 registry announce --addr A --version V   push a model version to all subscribed nodes\n\
@@ -964,7 +1099,7 @@ fn write_usage(out: &mut dyn std::io::Write) -> std::io::Result<()> {
          \x20 --trace-format FMT summary|json|chrome (chrome output loads in Perfetto)\n\
          \x20 --trace-out FILE   write the rendered trace to FILE instead of stdout\n\
          \n\
-         RESOLUTION FLAGS (compose/dump/build/route/uml/keys):\n\
+         RESOLUTION FLAGS (every subcommand that loads models):\n\
          \x20 --models DIR       prepend a local .xpdl directory to the search path\n\
          \x20 --jobs N           parallel resolution workers (default 1)\n\
          \x20 --retries N        fetch attempts per store; 0/1 = fail fast (default 4)\n\
@@ -1346,16 +1481,110 @@ mod tests {
 
     #[test]
     fn bad_flag_values_are_reported() {
+        // A value that does not parse is a usage error.
         let (code, out) = run_cli(&["compose", "liu_gpu_server", "--fault-rate", "lots"]);
-        assert_eq!(code, 1);
+        assert_eq!(code, 2);
         assert!(out.contains("invalid value 'lots' for --fault-rate"), "{out}");
         let (code, out) = run_cli(&["compose", "liu_gpu_server", "--fault-rate", "7"]);
         assert_eq!(code, 1);
         assert!(out.contains("outside [0, 1]"), "{out}");
         // A trailing flag with no value must not be silently ignored.
         let (code, out) = run_cli(&["compose", "liu_gpu_server", "--retries"]);
-        assert_eq!(code, 1);
+        assert_eq!(code, 2);
         assert!(out.contains("--retries requires a value"), "{out}");
+        // Neither may a bad `uml --max` or `route` byte count.
+        let (code, out) = run_cli(&["uml", "myriad_server", "--max", "abc"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("invalid value 'abc' for --max"), "{out}");
+        let (code, out) = run_cli(&["route", "XScluster", "n0.gpu1", "n3", "junk"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("invalid byte count 'junk'"), "{out}");
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_that_name_the_flag() {
+        // The first unknown flag is named, and nothing starts.
+        let (code, out) = run_cli(&[
+            "serve", "--repo", "liu_gpu_server", "--addr", "127.0.0.1:0",
+            "--workers", "4", "--deadline-ms", "5", "--wrokers", "9",
+        ]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unknown flag '--workers'"), "{out}");
+        assert!(!out.contains("serving"), "{out}");
+        let (code, out) = run_cli(&["compose", "liu_gpu_server", "--bogus"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("'--bogus'"), "{out}");
+        // The action picks the list: `--max-age` is gc's alone.
+        let (code, out) = run_cli(&["cache", "stats", "--cache-dir", "d", "--max-age", "1"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("'--max-age'"), "{out}");
+        // A valued flag with no value writes nothing...
+        let (code, out) = run_cli(&["build", "liu_gpu_server", "-o"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("-o requires a value") && !out.contains("wrote"), "{out}");
+        // ...and a switch takes none.
+        let (code, out) = run_cli(&["compose", "liu_gpu_server", "--keep-going=yes"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--keep-going takes no value"), "{out}");
+    }
+
+    #[test]
+    fn deleted_timer_flags_are_refused() {
+        let lines: [&[&str]; 4] = [
+            &["registry", "--addr", "127.0.0.1:0", "--sweep-interval-ms", "20"],
+            &["registry", "--addr", "127.0.0.1:0", "--min-ttl-ms", "5"],
+            &["registry", "--addr", "127.0.0.1:0", "--max-ttl-ms", "60000"],
+            &["serve", "--repo", "liu_gpu_server", "--addr", "127.0.0.1:0", "--shards",
+              "--rebalance-interval-ms", "100"],
+        ];
+        for args in lines {
+            let flag = args[args.len() - 2];
+            let (code, out) = run_cli(args);
+            assert_eq!(code, 2, "{args:?}: {out}");
+            assert!(out.contains(&format!("unknown flag '{flag}'")), "{out}");
+        }
+    }
+
+    /// Every flag in `xpdlc help` is one some subcommand takes, and every
+    /// flag a subcommand takes is in `xpdlc help`.
+    #[test]
+    fn help_prints_exactly_the_listed_flags() {
+        let (_, help) = run_cli(&["help"]);
+        let mut printed = std::collections::BTreeSet::new();
+        for (i, c) in help.char_indices() {
+            let starts = !help[..i].ends_with(|p: char| p.is_alphanumeric() || p == '-');
+            if c == '-' && starts {
+                let flag: String =
+                    help[i..].chars().take_while(|c| c.is_alphanumeric() || *c == '-').collect();
+                printed.insert(flag);
+            }
+        }
+        let listed: std::collections::BTreeSet<String> = SUBCOMMAND_FLAGS
+            .iter()
+            .flat_map(|(_, groups)| groups.iter())
+            .chain([&TRACE_FLAGS])
+            .flat_map(|group| group.iter().map(|(flag, _)| flag.to_string()))
+            .collect();
+        assert_eq!(printed, listed);
+    }
+
+    #[test]
+    fn the_first_non_flag_argument_is_the_positional() {
+        // A flag's value is not a positional: the default ISA is used.
+        let dir = std::env::temp_dir().join(format!("xpdlc_pos_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (code, out) = run_cli(&["bootstrap", "--models", dir.to_str().unwrap()]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("pending after: []"), "{out}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        // `uml --max 50` is the schema view, not a model named `--max`.
+        let (code, out) = run_cli(&["uml", "--max", "50"]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("class Cpu"), "{out}");
+        // A flag before the query target.
+        let (code, out) = run_cli(&["query", "--jobs", "2", "liu_gpu_server"]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("num_cores: 2500"), "{out}");
     }
 
     #[test]
@@ -1466,7 +1695,7 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("2500 cores"), "{out}");
         let (code, out) = run_cli(&["compose", "liu_gpu_server", "--jobs=lots"]);
-        assert_eq!(code, 1, "{out}");
+        assert_eq!(code, 2, "{out}");
         assert!(out.contains("invalid value 'lots' for --jobs"), "{out}");
     }
 

@@ -43,17 +43,7 @@ pub(crate) fn registry_command(
         _ => {}
     }
     let addr = crate::flag_value(rest, "--addr").unwrap_or_else(|| "127.0.0.1:7434".to_string());
-    let defaults = RegistryOptions::default();
     let options = RegistryOptions {
-        sweep_interval: crate::parse_flag::<u64>(rest, "--sweep-interval-ms")?
-            .map(Duration::from_millis)
-            .unwrap_or(defaults.sweep_interval),
-        min_ttl: crate::parse_flag::<u64>(rest, "--min-ttl-ms")?
-            .map(Duration::from_millis)
-            .unwrap_or(defaults.min_ttl),
-        max_ttl: crate::parse_flag::<u64>(rest, "--max-ttl-ms")?
-            .map(Duration::from_millis)
-            .unwrap_or(defaults.max_ttl),
         replication: crate::parse_flag::<usize>(rest, "--replication")?
             .unwrap_or(DEFAULT_REPLICATION)
             .max(1),

@@ -65,12 +65,10 @@ pub(crate) fn serve_command(
             allow_shutdown: crate::has_flag(rest, "--allow-remote-shutdown"),
         },
     )?);
-    let defaults = ServerOptions::default();
     let options = ServerOptions {
         max_inflight: crate::parse_flag::<usize>(rest, "--max-inflight")?
-            .unwrap_or(defaults.max_inflight)
+            .unwrap_or(ServerOptions::default().max_inflight)
             .max(1),
-        ..defaults
     };
     let server = Server::start(Arc::clone(&engine), &addr, options)?;
     let bound = server.local_addr();
@@ -126,19 +124,15 @@ pub(crate) fn serve_command(
             });
             let (on_ring, rebalancer) = match &shard_mgr {
                 Some(mgr) => {
-                    let interval = Duration::from_millis(
-                        crate::parse_flag::<u64>(rest, "--rebalance-interval-ms")?.unwrap_or(500),
-                    );
                     let reb = Arc::new(Rebalancer::spawn(
                         Arc::clone(mgr),
                         RegistryClient::new(registry_addr.clone()),
-                        interval,
                     ));
                     let ring_mgr = Arc::clone(mgr);
                     let ring_reb = Arc::clone(&reb);
                     // A pushed ring epoch re-partitions immediately: apply
                     // the new ownership, then wake the rebalancer so pulls
-                    // and handoff acks happen now, not at the next tick.
+                    // and handoff acks happen now.
                     let on_ring: RingFn = Arc::new(move |info| {
                         if ring_mgr.apply_ring(info) {
                             ring_reb.kick();
@@ -178,6 +172,7 @@ pub(crate) fn serve_command(
     server.shutdown();
     server.join();
     if let Some(t) = reload_thread {
+        t.thread().unpark();
         let _ = t.join();
     }
     let stats = engine.stats().snapshot(engine.registry().current_epoch());
@@ -191,8 +186,8 @@ pub(crate) fn serve_command(
 
 /// `xpdlc query`: the daemon's request handler, in-process.
 ///
-/// Positional arguments come before any `--` flag: a compiled `.xpdlrt`
-/// file or a library key, then optionally an identifier and an attribute.
+/// The positional arguments (`positional`) are a compiled `.xpdlrt` file
+/// or a library key, then optionally an identifier and an attribute.
 /// `--rpc '<json>'` bypasses the friendly output and feeds one raw
 /// protocol line through the engine, printing the raw response — the
 /// same bytes a TCP client would receive. `--encoding binary` routes the
@@ -201,10 +196,10 @@ pub(crate) fn serve_command(
 /// and prints the frame sizes plus the decoded response as JSON.
 pub(crate) fn query_command(
     rest: &[String],
+    positional: &[String],
     out: &mut dyn std::io::Write,
 ) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let usage = "query <file.xpdlrt|key> [ident [attr]] [--rpc JSON [--encoding json|binary]]";
-    let positional: Vec<&String> = rest.iter().take_while(|a| !a.starts_with("--")).collect();
     let Some(target) = positional.first() else {
         return Err(format!("usage: xpdlc {usage}").into());
     };
@@ -231,7 +226,7 @@ pub(crate) fn query_command(
     }
 
     let ask = |method: Method| engine.handle(&Request::new(0, method)).result;
-    run_friendly_query(&engine, &positional, out, &ask)
+    run_friendly_query(&engine, positional, out, &ask)
 }
 
 /// Serve one `--rpc` line through the binary codec: parse the JSON
@@ -268,7 +263,7 @@ fn rpc_via_binary_codec(
 /// The human-readable (non `--rpc`) query output.
 fn run_friendly_query(
     _engine: &Engine,
-    positional: &[&String],
+    positional: &[String],
     out: &mut dyn std::io::Write,
     ask: &dyn Fn(Method) -> Result<Reply, ServeError>,
 ) -> Result<ExitCode, Box<dyn std::error::Error>> {

@@ -147,8 +147,6 @@ impl Cluster {
             "127.0.0.1:0".to_string(),
             "--addr-file".to_string(),
             reg_file.to_str().unwrap().to_string(),
-            "--sweep-interval-ms".to_string(),
-            "20".to_string(),
         ];
         if sharded {
             reg_args.extend(["--replication".to_string(), "2".to_string()]);
@@ -191,11 +189,7 @@ impl Cluster {
             "150".to_string(),
         ];
         if self.sharded {
-            args.extend([
-                "--shards".to_string(),
-                "--rebalance-interval-ms".to_string(),
-                "100".to_string(),
-            ]);
+            args.push("--shards".to_string());
         }
         let mut child = xpdlc().args(&args).spawn().expect("spawn serve node");
         let addr = wait_addr(&addr_file, &mut child, node_id);
@@ -384,8 +378,6 @@ fn chaos_sigkill_node_registry_restart_and_push_reload() {
                 &cluster.registry_addr,
                 "--addr-file",
                 reg_file.to_str().unwrap(),
-                "--sweep-interval-ms",
-                "20",
             ])
             .spawn()
             .expect("respawn registry");
@@ -575,7 +567,7 @@ fn chaos_sigterm_drains_before_closing() {
     let status = Command::new("kill").args(["-TERM", &pid]).status().expect("send SIGTERM");
     assert!(status.success(), "kill -TERM failed");
     // Deregistration is an explicit RPC in the drain path, so the lease
-    // disappears well before it could possibly expire (TTL + sweep).
+    // disappears well before its TTL could run out.
     let drain_deadline = Duration::from_millis(3 * NODE_TTL_MS / 4);
     wait_until("drained node leaves the table", drain_deadline, || {
         !registered_addrs(&reg_client).contains(&victim_addr)

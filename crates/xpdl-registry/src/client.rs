@@ -625,15 +625,8 @@ mod tests {
     use crate::server::{RegistryOptions, RegistryServer};
     use std::sync::atomic::AtomicU64 as TestCounter;
 
-    fn test_server(ttl_sweep_ms: u64) -> RegistryServer {
-        RegistryServer::start(
-            "127.0.0.1:0",
-            RegistryOptions {
-                sweep_interval: Duration::from_millis(ttl_sweep_ms),
-                ..Default::default()
-            },
-        )
-        .unwrap()
+    fn test_server() -> RegistryServer {
+        RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap()
     }
 
     fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -649,7 +642,7 @@ mod tests {
 
     #[test]
     fn agent_registers_heartbeats_and_survives_registry_restart() {
-        let server = test_server(20);
+        let server = test_server();
         let addr = server.local_addr().to_string();
         let mut cfg = NodeConfig::new(addr.clone(), "n1", "127.0.0.1:7001");
         cfg.ttl = Duration::from_millis(200);
@@ -682,10 +675,7 @@ mod tests {
         // Rebind the same concrete port (retry covers TIME_WAIT hiccups).
         let mut server2 = None;
         assert!(wait_until(Duration::from_secs(5), || {
-            match RegistryServer::start(
-                &concrete.to_string(),
-                RegistryOptions { sweep_interval: Duration::from_millis(20), ..Default::default() },
-            ) {
+            match RegistryServer::start(&concrete.to_string(), RegistryOptions::default()) {
                 Ok(s) => {
                     server2 = Some(s);
                     true
@@ -710,7 +700,7 @@ mod tests {
 
     #[test]
     fn agent_sees_ring_changes_from_lease_and_push() {
-        let server = test_server(20);
+        let server = test_server();
         let addr = server.local_addr().to_string();
         let mut cfg = NodeConfig::new(addr.clone(), "r1", "127.0.0.1:7003");
         cfg.ttl = Duration::from_millis(200);
@@ -835,7 +825,7 @@ mod tests {
 
     #[test]
     fn idle_agents_stop_within_50ms() {
-        let server = test_server(20);
+        let server = test_server();
         let addr = server.local_addr().to_string();
         let invalidated = Arc::new(TestCounter::new(0));
         let agents: Vec<NodeAgent> = (0..10)
@@ -885,7 +875,7 @@ mod tests {
 
     #[test]
     fn aborted_agent_expires_by_ttl() {
-        let server = test_server(20);
+        let server = test_server();
         let addr = server.local_addr().to_string();
         let mut cfg = NodeConfig::new(addr.clone(), "doomed", "127.0.0.1:7002");
         cfg.ttl = Duration::from_millis(150);

@@ -187,6 +187,13 @@ impl LeaseTable {
         dead
     }
 
+    /// The first instant at which some lease is no longer live: the
+    /// earliest deadline plus one nanosecond, as a lease is live through
+    /// its deadline. `None` for an empty table.
+    pub fn next_expiry(&self) -> Option<Instant> {
+        self.leases.values().map(|l| l.renewed_at + l.ttl + Duration::from_nanos(1)).min()
+    }
+
     /// Live leases at `now`, in node-id order. Leases that expired since
     /// the last sweep are filtered (but not removed — `sweep` owns that).
     pub fn live(&self, now: Instant) -> Vec<&Lease> {

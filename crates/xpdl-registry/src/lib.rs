@@ -5,8 +5,8 @@
 //!
 //! * **Membership** — nodes hold TTL leases ([`lease`]) renewed by
 //!   heartbeats; a node that stops heartbeating (crash, SIGKILL,
-//!   partition) drops out of the routing table within one TTL plus a
-//!   sweep interval, with no wall-clock dependence.
+//!   partition) drops out of the routing table when its TTL runs out,
+//!   with no wall-clock dependence.
 //! * **Push invalidation** — a model-version [`announce`](protocol::RegistryMethod::Announce)
 //!   is pushed to every subscribed node the moment it happens, replacing
 //!   the per-process polling interval as the reload trigger.
@@ -21,7 +21,8 @@
 //! [`state`], a state machine that takes the time from its caller and
 //! returns the event to push, with no lock, clock or socket, so tests
 //! replay it in virtual time from a seed. The daemon ([`server`]) is a
-//! plain threaded TCP server with a lease sweeper: it reads the clock,
+//! plain threaded TCP server with a lease sweeper that wakes when the
+//! next lease is due: it reads the clock,
 //! holds the state and the push list behind one mutex, and writes the
 //! pushes. Everything is dependency-free beyond the workspace's own
 //! crates.

@@ -18,10 +18,12 @@
 //! push. Replies and pushes share the connection's write mutex, so lines
 //! never tear, and every write times out after 50 ms: a subscriber that
 //! stops reading is shut down and dropped from the push list instead of
-//! stalling the registry. A sweeper thread expires stale leases every
-//! [`RegistryOptions::sweep_interval`], so a SIGKILLed node disappears
-//! from the routing table within `ttl + sweep_interval` even though it
-//! never said goodbye.
+//! stalling the registry. A sweeper thread parks until the first lease
+//! is due to expire ([`RegistryState::next_expiry`]) and expires it
+//! then, so a SIGKILLed node leaves the routing table as its TTL runs
+//! out even though it never said goodbye. A `register`, the only change
+//! that can bring that instant forward, unparks the sweeper; with no
+//! leases it parks with no timeout.
 //!
 //! All socket I/O blocks, and stopping wakes it rather than a timer:
 //! [`wake_accept`] unblocks the listener, and [`accept_loop`] then shuts
@@ -51,22 +53,19 @@ use xpdl_obs::{Counter, Gauge, MetricsRegistry};
 /// the agent's 250 ms I/O floor (DESIGN.md §16).
 const WRITE_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Longest accepted request line in bytes (`S505` beyond).
-const MAX_LINE_BYTES: usize = 64 * 1024;
+/// Longest accepted request line in bytes, in both daemons: `S505`
+/// beyond it here, `S414` in the serve daemon, which also caps binary
+/// frame bodies with it.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// A connection's write half. Every reply — and, in the registry, every
 /// push — is written through this lock, so lines and frames never tear.
 pub type WriteHalf = Arc<parking_lot::Mutex<TcpStream>>;
 
-/// Tuning knobs for [`RegistryServer::start`].
+/// The shard ring [`RegistryServer::start`] computes over the live
+/// membership.
 #[derive(Debug, Clone)]
 pub struct RegistryOptions {
-    /// How often the sweeper scans for expired leases.
-    pub sweep_interval: Duration,
-    /// Lower clamp on requested lease TTLs.
-    pub min_ttl: Duration,
-    /// Upper clamp on requested lease TTLs.
-    pub max_ttl: Duration,
     /// Replication factor of the shard ring computed over the live
     /// membership: every model key is owned by this many nodes.
     pub replication: usize,
@@ -76,13 +75,7 @@ pub struct RegistryOptions {
 
 impl Default for RegistryOptions {
     fn default() -> Self {
-        RegistryOptions {
-            sweep_interval: Duration::from_millis(100),
-            min_ttl: Duration::from_millis(50),
-            max_ttl: Duration::from_secs(60),
-            replication: DEFAULT_REPLICATION,
-            vnodes: DEFAULT_VNODES,
-        }
+        RegistryOptions { replication: DEFAULT_REPLICATION, vnodes: DEFAULT_VNODES }
     }
 }
 
@@ -175,11 +168,13 @@ impl Registry {
         Some(response)
     }
 
-    /// One sweeper pass at the current time.
-    fn sweep(&mut self) {
+    /// One sweeper pass at the current time. Returns when the next lease
+    /// expires (`None` with no leases).
+    fn sweep(&mut self) -> Option<Instant> {
         if let (_, Some(event)) = self.state.sweep(Instant::now()) {
             self.push(&event);
         }
+        self.state.next_expiry()
     }
 
     /// Write `event` to every subscriber and return how many it reached.
@@ -221,31 +216,34 @@ impl RegistryServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
 
-        let interval = options.sweep_interval;
         let state = RegistryState::new(options, Instant::now());
         let stats = state.stats().clone();
         let registry = Registry { state, subscribers: Vec::new() };
         let registry = Arc::new(parking_lot::Mutex::new(registry));
         let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
 
-        {
+        let sweeper = {
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("xpdl-registry-sweep".to_string())
-                    .spawn(move || {
-                        // `shutdown` unparks this thread, so stopping
-                        // never waits out a sweep interval.
-                        while !stop.load(Ordering::Acquire) {
-                            std::thread::park_timeout(interval);
-                            registry.lock().sweep();
+            std::thread::Builder::new()
+                .name("xpdl-registry-sweep".to_string())
+                .spawn(move || {
+                    // Park until the next lease is due; `register` and
+                    // `shutdown` unpark this thread.
+                    while !stop.load(Ordering::Acquire) {
+                        let due = registry.lock().sweep();
+                        match due {
+                            Some(due) => std::thread::park_timeout(
+                                due.saturating_duration_since(Instant::now()),
+                            ),
+                            None => std::thread::park(),
                         }
-                    })
-                    .expect("spawn sweeper"),
-            );
-        }
+                    }
+                })
+                .expect("spawn sweeper")
+        };
+        let wake_sweeper = sweeper.thread().clone();
+        let mut threads = vec![sweeper];
 
         {
             let registry = Arc::clone(&registry);
@@ -261,7 +259,7 @@ impl RegistryServer {
                             || stop.load(Ordering::Acquire),
                             move |stream, conn| {
                                 stats.connections.inc();
-                                connection_loop(stream, &conn, &registry, &stats);
+                                connection_loop(stream, &conn, &registry, &stats, &wake_sweeper);
                             },
                         )
                     })
@@ -397,12 +395,14 @@ pub fn write_or_shutdown(conn: &WriteHalf, bytes: &[u8]) -> bool {
 }
 
 /// Serve one connection — read a request, execute it, write the reply —
-/// until the peer leaves, a write fails, or framing is lost.
+/// until the peer leaves, a write fails, or framing is lost. A
+/// `register` may bring the next expiry forward, so it unparks `sweeper`.
 fn connection_loop(
     stream: TcpStream,
     conn: &WriteHalf,
     registry: &parking_lot::Mutex<Registry>,
     stats: &RegistryStats,
+    sweeper: &std::thread::Thread,
 ) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
@@ -434,6 +434,9 @@ fn connection_loop(
                 let Some(response) = registry.lock().dispatch(&request, conn) else {
                     continue; // a subscribe, answered under the lock
                 };
+                if let RegistryMethod::Register { .. } = request.method {
+                    sweeper.unpark();
+                }
                 response
             }
             Err((id, e)) => {
@@ -686,11 +689,7 @@ mod tests {
 
     #[test]
     fn tcp_end_to_end_register_and_nodes() {
-        let server = RegistryServer::start(
-            "127.0.0.1:0",
-            RegistryOptions { sweep_interval: Duration::from_millis(20), ..Default::default() },
-        )
-        .unwrap();
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
         let mut peer = Peer::connect(server.local_addr());
         let no_events = |e: Event| panic!("unexpected push {e:?}");
         let resp = peer.call(
@@ -716,6 +715,37 @@ mod tests {
             Ok(RegistryReply::Nodes { nodes, .. }) => assert!(nodes.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
+        server.shutdown();
+        server.join();
+    }
+
+    /// With no leases the sweeper parks with no timeout, and after the
+    /// anchor's 60 s lease it parks for a minute: only the `register`
+    /// unparking it gets the short lease swept, and its ring is pushed
+    /// as the lease runs out, with no request to trigger it.
+    #[test]
+    fn a_short_lease_is_swept_as_it_runs_out() {
+        let server = RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let mut sub = Peer::connect(server.local_addr());
+        sub.call(1, RegistryMethod::Subscribe { node: "sub".into() }, no_push);
+        sub.call(2, register("anchor"), |_| {});
+        let doomed = RegistryMethod::Register {
+            node: "doomed".into(),
+            addr: "127.0.0.1:7002".into(),
+            epoch: 0,
+            fingerprint: "f".into(),
+            inflight: 0,
+            ttl_ms: 100,
+        };
+        let registered = Instant::now();
+        sub.call(3, doomed, |_| {});
+        match sub.next_event() {
+            Event::Ring { ring } => assert_eq!(ring.nodes, ["anchor".to_string()]),
+            other => panic!("unexpected push {other:?}"),
+        }
+        let took = registered.elapsed();
+        assert!(took >= Duration::from_millis(100), "swept after {took:?}, before the TTL");
+        assert!(took < Duration::from_secs(1), "swept {took:?} after a 100 ms lease");
         server.shutdown();
         server.join();
     }

@@ -18,6 +18,11 @@ use crate::ring::RingInfo;
 use crate::server::{RegistryOptions, RegistryStats};
 use std::time::{Duration, Instant};
 
+/// Shortest lease a `register` is granted, whatever TTL it asks for.
+const MIN_TTL: Duration = Duration::from_millis(50);
+/// Longest lease a `register` is granted, whatever TTL it asks for.
+const MAX_TTL: Duration = Duration::from_secs(60);
+
 /// The registry's membership, version and ring bookkeeping.
 #[derive(Debug)]
 pub struct RegistryState {
@@ -63,8 +68,7 @@ impl RegistryState {
         match method {
             RegistryMethod::Ping => (Ok(RegistryReply::Pong), None),
             RegistryMethod::Register { node, addr, epoch, fingerprint, inflight, ttl_ms } => {
-                let ttl = Duration::from_millis(*ttl_ms)
-                    .clamp(self.options.min_ttl, self.options.max_ttl);
+                let ttl = Duration::from_millis(*ttl_ms).clamp(MIN_TTL, MAX_TTL);
                 let report = NodeReport {
                     epoch: *epoch,
                     fingerprint: fingerprint.clone(),
@@ -163,6 +167,12 @@ impl RegistryState {
         self.stats.expirations.add(dead.len() as u64);
         let event = self.membership_changed(now);
         (dead, event)
+    }
+
+    /// The first instant at which some lease is no longer live, which is
+    /// when the next sweep has work (`None` with no leases).
+    pub fn next_expiry(&self) -> Option<Instant> {
+        self.table.next_expiry()
     }
 
     /// Number of leases live at `now`.
@@ -302,20 +312,20 @@ mod tests {
     }
 
     #[test]
-    fn ttl_clamped_to_options() {
+    fn ttl_clamped_to_constants() {
         let t0 = Instant::now();
-        let options = RegistryOptions {
-            min_ttl: Duration::from_millis(100),
-            max_ttl: Duration::from_millis(1000),
-            ..RegistryOptions::default()
-        };
-        let mut state = RegistryState::new(options, t0);
+        let mut state = RegistryState::new(RegistryOptions::default(), t0);
         match register(&mut state, t0, "n1", 5).0 {
-            RegistryReply::Lease { ttl_ms, .. } => assert_eq!(ttl_ms, 100),
+            RegistryReply::Lease { ttl_ms, .. } => assert_eq!(ttl_ms, 50),
             other => panic!("unexpected reply {other:?}"),
         }
         match register(&mut state, t0, "n2", 90_000).0 {
-            RegistryReply::Lease { ttl_ms, .. } => assert_eq!(ttl_ms, 1000),
+            RegistryReply::Lease { ttl_ms, .. } => assert_eq!(ttl_ms, 60_000),
+            other => panic!("unexpected reply {other:?}"),
+        }
+        // A requested TTL between the bounds is granted as asked.
+        match register(&mut state, t0, "n3", 1_500).0 {
+            RegistryReply::Lease { ttl_ms, .. } => assert_eq!(ttl_ms, 1_500),
             other => panic!("unexpected reply {other:?}"),
         }
     }

@@ -3,8 +3,10 @@
 //! Each seed drives one [`RegistryState`] through random register,
 //! heartbeat, deregister, nodes, status, announce, subscribe, stats and
 //! sweep steps, moving a virtual clock forward between them (often to a
-//! lease's exact deadline or one millisecond past it). A small reference
-//! model predicts every reply, and after every step the test checks:
+//! lease's exact deadline or one millisecond past it). One more step
+//! moves the clock to the state's next expiry, which is where the
+//! daemon's sweeper wakes, and sweeps there. A small reference model
+//! predicts every reply, and after every step the test checks:
 //!
 //! - `nodes` and `status` list exactly the leases renewed within their
 //!   TTL, each with `age_ms <= ttl_ms`;
@@ -16,6 +18,10 @@
 //!   a heartbeat's that found its lease past the deadline) and
 //!   announcement, and nothing else: a heartbeat from a node with no
 //!   lease expires nothing;
+//! - the next expiry is one nanosecond past the earliest deadline of
+//!   the leases not yet removed, and there is none without leases; one
+//!   nanosecond before it every lease is still live, and a sweep there
+//!   expires exactly the leases that are due;
 //! - after every register, deregister, reaping heartbeat and sweep, the
 //!   last ring event is the ring over the live members, and two ring
 //!   events in a row never share an epoch (an empty fleet has no ring to
@@ -85,8 +91,8 @@ struct Model {
     emptied: bool,
     /// How often the schedule reached each edge: a heartbeat exactly at
     /// the deadline, a heartbeat past it, a sweep that expired a lease,
-    /// and a re-registration.
-    edges: [u64; 4],
+    /// a re-registration, and a next expiry still ahead of the clock.
+    edges: [u64; 5],
     /// What `stats` must report: registrations, renewals, expirations
     /// and announcements.
     counts: [u64; 4],
@@ -189,7 +195,7 @@ impl Model {
 
 /// Run one seeded schedule from `base` and return its transcript and
 /// how often it reached each edge.
-fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
+fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 5]), String> {
     let mut rng = Rng(seed);
     let mut state = RegistryState::new(RegistryOptions::default(), base);
     let mut model = Model::default();
@@ -208,7 +214,7 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
         let at = base + Duration::from_millis(now);
         let node = rng.pick(&NODES).to_string();
         let head = format!("#{step} t={now}ms");
-        let line = match rng.below(17) {
+        let line = match rng.below(18) {
             0..=3 => {
                 let ttl_ms = *rng.pick(&TTLS);
                 let method = RegistryMethod::Register {
@@ -331,23 +337,33 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
                 model.check_stats(now, reply).map_err(|e| format!("{line}: {e}"))?;
                 line
             }
-            _ => {
-                let (dead, event) = state.sweep(at);
-                let line = format!("{head} sweep -> {dead:?} {event:?}");
-                let expected: Vec<String> = model
-                    .leases
-                    .iter()
-                    .filter(|(_, l)| now - l.renewed > l.ttl)
-                    .map(|(n, _)| n.clone())
-                    .collect();
-                check!(dead == expected, "{line}: expected {expected:?} to expire");
-                model.edges[2] += u64::from(!dead.is_empty());
-                model.counts[2] += dead.len() as u64;
-                model.leases.retain(|n, _| !dead.contains(n));
-                model.check_ring(now, event).map_err(|e| format!("{line}: {e}"))?;
-                line
+            16 => {
+                let deadline = model.leases.values().map(|l| l.renewed + l.ttl).min();
+                match (state.next_expiry(), deadline) {
+                    (None, None) => format!("{head} next_expiry -> None"),
+                    (Some(next), Some(deadline)) => {
+                        let head = format!("{head} next_expiry -> {:?},", next - base);
+                        let just_past =
+                            base + Duration::from_millis(deadline) + Duration::from_nanos(1);
+                        check!(next == just_past, "{head} the earliest deadline is {deadline} ms");
+                        let live = state.live_nodes(next - Duration::from_nanos(1));
+                        let leases = model.leases.len();
+                        check!(live == leases, "{head} {live} of {leases} leases live 1 ns earlier");
+                        // The clock never runs backwards: a deadline that
+                        // already passed is swept now.
+                        model.edges[4] += u64::from(next > at);
+                        now = now.max(deadline + 1);
+                        sweep(&mut state, &mut model, base, now, next.max(at), &head)?
+                    }
+                    (next, _) => {
+                        let next = next.map(|t| t - base);
+                        return Err(format!("{head} next_expiry -> {next:?}, deadline {deadline:?}"));
+                    }
+                }
             }
+            _ => sweep(&mut state, &mut model, base, now, at, &head)?,
         };
+        let at = base + Duration::from_millis(now);
         // Whatever the step, `status` now lists exactly the live leases,
         // and `stats` counts exactly what happened.
         let Ok(RegistryReply::Status(st)) = state.dispatch(at, &RegistryMethod::Status).0 else {
@@ -362,11 +378,37 @@ fn run(seed: u64, base: Instant) -> Result<(Vec<String>, [u64; 4]), String> {
     Ok((transcript, model.edges))
 }
 
+/// Sweep at `at`, which the model's clock reads as `now` ms: exactly the
+/// leases past their deadline expire, and the ring follows.
+fn sweep(
+    state: &mut RegistryState,
+    model: &mut Model,
+    base: Instant,
+    now: u64,
+    at: Instant,
+    head: &str,
+) -> Result<String, String> {
+    let (dead, event) = state.sweep(at);
+    let line = format!("{head} sweep -> {dead:?} {event:?}");
+    let expected: Vec<String> = model
+        .leases
+        .iter()
+        .filter(|(_, l)| base + Duration::from_millis(l.renewed + l.ttl) < at)
+        .map(|(n, _)| n.clone())
+        .collect();
+    check!(dead == expected, "{line}: expected {expected:?} to expire");
+    model.edges[2] += u64::from(!dead.is_empty());
+    model.counts[2] += dead.len() as u64;
+    model.leases.retain(|n, _| !dead.contains(n));
+    model.check_ring(now, event).map_err(|e| format!("{line}: {e}"))?;
+    Ok(line)
+}
+
 #[test]
 fn seeded_schedules_keep_the_lease_and_ring_invariants() {
     let base = Instant::now();
     let shifted = base + Duration::from_secs(3600);
-    let mut edges = [0u64; 4];
+    let mut edges = [0u64; 5];
     for seed in 0..SEEDS {
         let first = run(seed, base).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let again = run(seed, shifted).unwrap_or_else(|e| panic!("seed {seed} (replay): {e}"));

@@ -400,14 +400,7 @@ mod tests {
     }
 
     fn registry() -> RegistryServer {
-        RegistryServer::start(
-            "127.0.0.1:0",
-            RegistryOptions {
-                sweep_interval: Duration::from_millis(20),
-                ..Default::default()
-            },
-        )
-        .unwrap()
+        RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap()
     }
 
     #[test]

@@ -33,8 +33,10 @@ use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use xpdl_registry::server::{accept_loop, wake_accept, write_or_shutdown, WriteHalf};
+use std::time::{Duration, Instant};
+use xpdl_registry::server::{
+    accept_loop, wake_accept, write_or_shutdown, WriteHalf, MAX_LINE_BYTES,
+};
 
 /// How long one reply may block on a client that stopped reading before
 /// that connection is shut down. A reading client drains its socket
@@ -42,19 +44,17 @@ use xpdl_registry::server::{accept_loop, wake_accept, write_or_shutdown, WriteHa
 /// thread and [`Server::join`] never returns.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Tuning knobs for [`Server::start`].
+/// Admission control for [`Server::start`]. A request line or binary
+/// frame body over [`MAX_LINE_BYTES`] (64 KiB) is refused with `S414`.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Maximum requests admitted concurrently; beyond this, shed `S420`.
     pub max_inflight: usize,
-    /// Longest accepted request line — or binary frame body — in bytes
-    /// (`S414` beyond).
-    pub max_line_bytes: usize,
 }
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        ServerOptions { max_inflight: 256, max_line_bytes: 64 * 1024 }
+        ServerOptions { max_inflight: 256 }
     }
 }
 
@@ -94,7 +94,7 @@ impl Server {
                     || stopping.shutdown_requested(),
                     move |stream, conn| {
                         conn_engine.stats().connections.inc();
-                        connection_loop(stream, conn, local, &conn_engine, &options);
+                        connection_loop(stream, conn, local, &conn_engine, options.max_inflight);
                     },
                 )
             })
@@ -167,7 +167,7 @@ fn connection_loop(
     write_half: WriteHalf,
     listener: SocketAddr,
     engine: &Engine,
-    options: &ServerOptions,
+    max_inflight: usize,
 ) {
     let mut conn = ConnState {
         enc: Encoding::Json,
@@ -179,7 +179,7 @@ fn connection_loop(
     };
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
-    while serve_step(&mut reader, &mut line, &mut conn, engine, options) {}
+    while serve_step(&mut reader, &mut line, &mut conn, engine, max_inflight) {}
 }
 
 /// Read, decode and answer one message in the connection's current
@@ -189,9 +189,9 @@ fn serve_step(
     line: &mut Vec<u8>,
     conn: &mut ConnState,
     engine: &Engine,
-    options: &ServerOptions,
+    max_inflight: usize,
 ) -> bool {
-    let cap = options.max_line_bytes;
+    let cap = MAX_LINE_BYTES;
     let too_long = |message: String| Err((None, ServeError::new(codes::LINE_TOO_LONG, message)));
     let decoded = match conn.enc {
         Encoding::Json => {
@@ -234,7 +234,7 @@ fn serve_step(
         return handle_hello(&request, conn, engine);
     }
     conn.saw_traffic = true;
-    dispatch(&request, conn, engine, options.max_inflight)
+    dispatch(&request, conn, engine, max_inflight)
 }
 
 /// Handle a `hello`. Negotiation is only allowed as the connection's
@@ -301,7 +301,9 @@ fn reply(resp: &Response, conn: &mut ConnState) -> bool {
 
 /// Spawn a thread that calls [`Engine::reload`] every `interval` until
 /// the engine shuts down. Reload failures are counted in stats and leave
-/// the previous snapshot serving.
+/// the previous snapshot serving. The thread parks until its next reload
+/// is due: whoever shuts the engine down must unpark it
+/// (`handle.thread().unpark()`) before joining it.
 pub fn spawn_reload_thread(
     engine: Arc<Engine>,
     interval: Duration,
@@ -309,17 +311,14 @@ pub fn spawn_reload_thread(
     std::thread::Builder::new()
         .name("xpdl-serve-reload".to_string())
         .spawn(move || {
-            let step = Duration::from_millis(50).min(interval);
-            let mut elapsed = Duration::ZERO;
-            loop {
-                if engine.shutdown_requested() {
-                    break;
-                }
-                std::thread::sleep(step);
-                elapsed += step;
-                if elapsed >= interval {
-                    elapsed = Duration::ZERO;
+            let mut due = Instant::now() + interval;
+            while !engine.shutdown_requested() {
+                let now = Instant::now();
+                if now < due {
+                    std::thread::park_timeout(due - now);
+                } else {
                     let _ = engine.reload();
+                    due = Instant::now() + interval;
                 }
             }
         })

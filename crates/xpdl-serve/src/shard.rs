@@ -25,13 +25,15 @@
 //!   plus a routing hint naming the owners, which shard-aware clients
 //!   treat as failover and others surface verbatim.
 //!
-//! [`Rebalancer`] is the background half: a thread that re-runs the
+//! [`Rebalancer`] is the background half: a thread that runs the
 //! rebalance step on every ring change (kicked by the node agent's ring
-//! callback) and on a slow periodic tick as a safety net.
+//! callback), and again after a fixed 100 ms only while a pass leaves
+//! work pending. Otherwise it parks with no timeout.
 
 use crate::protocol::{codes, parse_response, Method, Reply, Request, ServeError};
 use crate::snapshot::ServeSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xpdl_obs::{Counter, MetricsRegistry};
@@ -43,6 +45,10 @@ use xpdl_runtime::RuntimeModel;
 const PROBE_CONNECT_TIMEOUT: Duration = Duration::from_millis(300);
 /// Read/write timeout of a handoff probe.
 const PROBE_IO_TIMEOUT: Duration = Duration::from_millis(1000);
+/// How long the [`Rebalancer`] waits before it retries a pass that left
+/// work pending: a successor that has not loaded a handoff key yet, an
+/// unreachable peer or registry, or an owned key that failed to compile.
+const RETRY_DELAY: Duration = Duration::from_millis(100);
 
 /// Compile one shard key into a model (plus a source description).
 /// Repository-backed in production (resolve + elaborate through the
@@ -281,6 +287,16 @@ impl ShardManager {
         (pulled, dropped)
     }
 
+    /// Whether a rebalance pass has work left: a handoff key no successor
+    /// has acked yet, or an owned key not loaded yet.
+    fn pending(&self) -> bool {
+        let t = self.table.lock();
+        let unloaded = |ring: &HashRing| {
+            self.universe.iter().any(|k| ring.owns(&self.node, k) && !t.loaded.contains_key(k))
+        };
+        !t.handoff.is_empty() || t.ring.as_ref().is_some_and(unloaded)
+    }
+
     /// Ask the peer at `addr` whether it currently serves `key` (lists
     /// it as owned-and-loaded in its `shards` reply). Any failure reads
     /// as "no", which holds the key.
@@ -321,82 +337,65 @@ impl ShardManager {
 /// The background rebalance thread: runs
 /// [`ShardManager::rebalance_step`] with peer addresses from the
 /// registry whenever [`kick`](Rebalancer::kick)ed (the node agent's ring
-/// callback) and on a periodic safety-net tick.
+/// callback), and 100 ms after a pass that left work pending. With
+/// nothing pending it parks until the next kick.
 pub struct Rebalancer {
-    state: Arc<(std::sync::Mutex<RebalanceSignal>, std::sync::Condvar)>,
+    stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-#[derive(Default)]
-struct RebalanceSignal {
-    stop: bool,
-    kicked: bool,
-}
-
 impl Rebalancer {
-    /// Spawn the thread. `interval` is the safety-net tick — rebalance
-    /// work normally starts within milliseconds of a ring push via
+    /// Spawn the thread. Its first pass runs on the first
     /// [`kick`](Rebalancer::kick).
-    pub fn spawn(
-        mgr: Arc<ShardManager>,
-        registry: RegistryClient,
-        interval: Duration,
-    ) -> Rebalancer {
-        let state = Arc::new((
-            std::sync::Mutex::new(RebalanceSignal::default()),
-            std::sync::Condvar::new(),
-        ));
-        let thread_state = Arc::clone(&state);
+    pub fn spawn(mgr: Arc<ShardManager>, registry: RegistryClient) -> Rebalancer {
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("xpdl-rebalance".to_string())
             .spawn(move || {
-                let (lock, cvar) = &*thread_state;
+                let mut pending = false;
                 loop {
-                    {
-                        let mut sig = lock.lock().unwrap();
-                        if !sig.stop && !sig.kicked {
-                            sig = cvar.wait_timeout(sig, interval).unwrap().0;
-                        }
-                        if sig.stop {
-                            return;
-                        }
-                        sig.kicked = false;
+                    // A kick or a stop unparks; a kick that lands during
+                    // a pass makes this park return at once.
+                    if pending {
+                        std::thread::park_timeout(RETRY_DELAY);
+                    } else {
+                        std::thread::park();
+                    }
+                    if thread_stop.load(Ordering::Acquire) {
+                        return;
                     }
                     // Peers come from the routing table; a registry
                     // hiccup just means this pass probes nobody and the
-                    // next tick retries — handoff keys stay held.
+                    // handoff keys stay held until the retry.
                     let peers: Vec<(String, String)> = registry
                         .nodes()
                         .map(|(nodes, _, _)| {
                             nodes.into_iter().map(|n| (n.node, n.addr)).collect()
                         })
                         .unwrap_or_default();
-                    let _ = mgr.rebalance_step(&peers);
+                    mgr.rebalance_step(&peers);
+                    pending = mgr.pending();
                 }
             })
             .expect("spawn rebalancer thread");
-        Rebalancer { state, handle: Some(handle) }
+        Rebalancer { stop, handle: Some(handle) }
     }
 
     /// Wake the thread for an immediate pass (call on every ring change).
     pub fn kick(&self) {
-        let (lock, cvar) = &*self.state;
-        lock.lock().unwrap().kicked = true;
-        cvar.notify_one();
-    }
-
-    /// Stop the thread and wait for it to exit.
-    pub fn shutdown(self) {
-        // Drop does the work; this name documents intent at call sites.
+        if let Some(h) = &self.handle {
+            h.thread().unpark();
+        }
     }
 }
 
 impl Drop for Rebalancer {
+    /// Stop the thread and wait for it to exit.
     fn drop(&mut self) {
-        let (lock, cvar) = &*self.state;
-        lock.lock().unwrap().stop = true;
-        cvar.notify_one();
+        self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -408,7 +407,7 @@ mod tests {
     use crate::engine::{Engine, EngineOptions, ModelSource};
     use crate::server::{Server, ServerOptions};
     use xpdl_core::XpdlDocument;
-    use xpdl_registry::RingInfo;
+    use xpdl_registry::{RegistryMethod, RegistryOptions, RegistryServer, RingInfo};
 
     /// A compile function producing a distinct tiny model per key.
     fn toy_compile() -> ShardCompileFn {
@@ -500,18 +499,8 @@ mod tests {
         let mut peers: Vec<(String, String)> = Vec::new();
         let mut servers = Vec::new();
         for peer in ["n2", "n3"] {
-            let peer_mgr = Arc::new(ShardManager::new(peer, universe(), toy_compile()));
-            peer_mgr.apply_ring(&ring(&["n1", "n2", "n3"]));
+            let (peer_mgr, server) = successor(peer);
             peer_mgr.rebalance_step(&[]);
-            let seed = toy_compile()("seed").unwrap();
-            let engine = Arc::new(
-                Engine::new(ModelSource::Fixed(Box::new(seed.0)), EngineOptions::default())
-                    .unwrap(),
-            );
-            engine.set_shard_manager(Arc::clone(&peer_mgr));
-            let server =
-                Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerOptions::default())
-                    .unwrap();
             peers.push((peer.to_string(), server.local_addr().to_string()));
             servers.push(server);
         }
@@ -525,6 +514,94 @@ mod tests {
             s.shutdown();
             s.join();
         }
+    }
+
+    /// A serving node `peer` on the three-node ring that has not loaded
+    /// any of its keys yet: its `shards` reply lists none until
+    /// `rebalance_step` pulls them.
+    fn successor(peer: &str) -> (Arc<ShardManager>, Server) {
+        let peer_mgr = Arc::new(ShardManager::new(peer, universe(), toy_compile()));
+        peer_mgr.apply_ring(&ring(&["n1", "n2", "n3"]));
+        let seed = toy_compile()("seed").unwrap();
+        let engine = Arc::new(
+            Engine::new(ModelSource::Fixed(Box::new(seed.0)), EngineOptions::default()).unwrap(),
+        );
+        engine.set_shard_manager(Arc::clone(&peer_mgr));
+        let server =
+            Server::start(engine, "127.0.0.1:0", ServerOptions::default()).unwrap();
+        (peer_mgr, server)
+    }
+
+    fn handoff_keys(mgr: &ShardManager) -> Vec<String> {
+        match mgr.shard_info() {
+            Reply::Shards { handoff, .. } => handoff,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// One kick, then successors that start serving only after the first
+    /// pass: the pass leaves the handoff keys held, and the rebalancer
+    /// retries on its own until it drops them.
+    #[test]
+    fn rebalancer_retries_held_handoff_keys_without_a_kick() {
+        let registry =
+            RegistryServer::start("127.0.0.1:0", RegistryOptions::default()).unwrap();
+        let mgr = Arc::new(ShardManager::new("n1", universe(), toy_compile()));
+        mgr.apply_ring(&ring(&["n1"]));
+        mgr.rebalance_step(&[]);
+        mgr.apply_ring(&ring(&["n1", "n2", "n3"]));
+        let lost = handoff_keys(&mgr);
+        assert!(!lost.is_empty(), "with R=2 over 3 nodes some keys must move");
+        let client = RegistryClient::new(registry.local_addr().to_string());
+        let successors: Vec<_> = ["n2", "n3"]
+            .into_iter()
+            .map(|peer| {
+                let (peer_mgr, server) = successor(peer);
+                client
+                    .call(RegistryMethod::Register {
+                        node: peer.into(),
+                        addr: server.local_addr().to_string(),
+                        epoch: 0,
+                        fingerprint: "f".into(),
+                        inflight: 0,
+                        ttl_ms: 60_000,
+                    })
+                    .unwrap();
+                (peer_mgr, server)
+            })
+            .collect();
+        let failures = mgr.probe_failures.get();
+        let rebalancer = Rebalancer::spawn(Arc::clone(&mgr), client);
+        rebalancer.kick();
+        // The first pass probes each lost key once, finds its first owner
+        // not serving it, and holds it.
+        wait_until("the first pass's probes", || {
+            mgr.probe_failures.get() >= failures + lost.len() as u64
+        });
+        assert_eq!(handoff_keys(&mgr), lost);
+        for (peer_mgr, _) in &successors {
+            peer_mgr.rebalance_step(&[]);
+        }
+        wait_until("the held keys to drop", || handoff_keys(&mgr).is_empty());
+        for key in &lost {
+            assert_eq!(mgr.snapshot_for(key).unwrap_err().code, codes::NOT_OWNER);
+        }
+        assert!(!mgr.pending());
+        drop(rebalancer);
+        for (_, server) in successors {
+            server.shutdown();
+            server.join();
+        }
+        registry.shutdown();
+        registry.join();
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
+use xpdl_registry::server::MAX_LINE_BYTES;
 use xpdl_runtime::RuntimeModel;
 use xpdl_serve::codec::{self, StrDecoder, StrEncoder};
 use xpdl_serve::{
@@ -319,14 +320,14 @@ fn structural_frame_faults_close_the_connection_with_s415() {
 
 #[test]
 fn oversize_frames_are_rejected_with_s414_and_closed() {
-    let server =
-        start_server(ServerOptions { max_line_bytes: 256, ..ServerOptions::default() });
+    let server = start_server(ServerOptions::default());
     let mut client = TestClient::connect(&server);
     client.switch_to_binary();
 
-    // Declare a body far over the cap; the server must refuse on the
-    // declared length alone, without waiting for the bytes.
-    client.writer.write_all(&(1_000_000u32).to_le_bytes()).expect("send prefix");
+    // Declare a body one byte over the 64 KiB cap; the server must refuse
+    // on the declared length alone, without waiting for the bytes.
+    let len = MAX_LINE_BYTES as u32 + 1;
+    client.writer.write_all(&len.to_le_bytes()).expect("send prefix");
     let resp = client.recv_binary().expect("error frame before close");
     assert_eq!(resp.result.unwrap_err().code, codes::LINE_TOO_LONG);
     client.assert_closed();

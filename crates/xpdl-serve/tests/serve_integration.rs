@@ -6,6 +6,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use xpdl_registry::server::MAX_LINE_BYTES;
 use xpdl_runtime::{RuntimeModel, XpdlHandle};
 use xpdl_serve::codec::{StrDecoder, StrEncoder};
 use xpdl_serve::server::WRITE_TIMEOUT;
@@ -140,7 +141,7 @@ fn protocol_errors_keep_the_connection_alive() {
 fn overload_sheds_instead_of_queueing() {
     let server = start_server(
         EngineOptions { allow_debug: true, allow_shutdown: true },
-        ServerOptions { max_inflight: 2, ..Default::default() },
+        ServerOptions { max_inflight: 2 },
     );
 
     // Two debug sleeps occupy both permits. They go out on two
@@ -367,15 +368,18 @@ fn shutdown_is_refused_when_disabled() {
 
 #[test]
 fn oversized_lines_are_rejected_with_s414() {
-    let server = start_server(
-        EngineOptions::default(),
-        ServerOptions { max_line_bytes: 256, ..Default::default() },
-    );
+    let server = start_server(EngineOptions::default(), ServerOptions::default());
     let mut client = Client::connect(&server);
-    let huge = format!(
-        r#"{{"v":1,"id":1,"method":"find","params":{{"ident":"{}"}}}}"#,
-        "x".repeat(1024)
-    );
-    let resp = client.call(&huge);
+    // A `find` request padded to `len` bytes, newline excluded.
+    let find = |len: usize| {
+        let frame = r#"{"v":1,"id":1,"method":"find","params":{"ident":""}}"#;
+        let ident = "x".repeat(len - frame.len());
+        format!(r#"{{"v":1,"id":1,"method":"find","params":{{"ident":"{ident}"}}}}"#)
+    };
+    // The cap is 64 KiB: a line of exactly that is served...
+    let resp = client.call(&find(MAX_LINE_BYTES));
+    assert_eq!(resp.result.unwrap(), Reply::Node(None));
+    // ...and one byte more is refused.
+    let resp = client.call(&find(MAX_LINE_BYTES + 1));
     assert_eq!(resp.result.unwrap_err().code, codes::LINE_TOO_LONG);
 }
