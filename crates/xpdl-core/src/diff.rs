@@ -110,9 +110,9 @@ fn diff_inner(old: &XpdlElement, new: &XpdlElement, path: &str, out: &mut Vec<Di
     // Attributes, including the lifted `type`.
     let attrs = |e: &XpdlElement| -> Vec<(String, String)> {
         let mut v: Vec<(String, String)> =
-            e.attrs.iter().map(|(k, val)| (k.clone(), val.clone())).collect();
+            e.attrs.iter().map(|(k, val)| (k.to_string(), val.to_string())).collect();
         if let Some(t) = &e.type_ref {
-            v.push(("type".to_string(), t.clone()));
+            v.push(("type".to_string(), t.to_string()));
         }
         if !e.extends.is_empty() {
             v.push(("extends".to_string(), e.extends.join(", ")));

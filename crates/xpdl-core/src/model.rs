@@ -5,6 +5,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::kind::ElementKind;
 use crate::units::Quantity;
 use crate::value::AttrValue;
+use std::sync::Arc;
 use xpdl_xml::{Element, Span};
 
 /// How an element is identified, following the paper's convention (§III-A):
@@ -15,12 +16,15 @@ use xpdl_xml::{Element, Span};
 /// caches `L1`/`L2`/`L3` in Listing 1, power states `P1`..`P3` in
 /// Listing 13); whether a `name` is a repository-level meta-model key or a
 /// local name is decided by context (top-level descriptor vs. nested child).
+///
+/// Identifiers are shared (`Arc<str>`): a copied element shares its
+/// template's identifier instead of allocating its own.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Declared with `name=…`.
-    Meta(String),
+    Meta(Arc<str>),
     /// Declared with `id=…`.
-    Instance(String),
+    Instance(Arc<str>),
     /// No identifier.
     Anonymous,
 }
@@ -41,6 +45,11 @@ impl ModelKind {
 ///
 /// Equality compares content only; `span` is provenance and is ignored, so
 /// a reparsed serialization compares equal to its source tree.
+///
+/// Every string but `text` is a shared, immutable `Arc<str>`, so cloning
+/// an element (as elaboration does for each instance of a type or group
+/// member) bumps reference counts instead of copying strings. `text` is
+/// empty on almost every element, and an empty `String` clones for free.
 #[derive(Debug, Clone)]
 pub struct XpdlElement {
     /// The element's kind (tag).
@@ -50,12 +59,12 @@ pub struct XpdlElement {
     /// The `type` attribute: a reference to a meta-model for hardware
     /// elements (`<cpu id="gpu_host" type="Intel_Xeon_E5_2630L"/>`), or a
     /// data-type name on `param` elements (`type="msize"`).
-    pub type_ref: Option<String>,
+    pub type_ref: Option<Arc<str>>,
     /// The `extends` attribute, split on commas: supertypes for (multiple)
     /// inheritance (Listing 8: `extends="Nvidia_GPU"`).
-    pub extends: Vec<String>,
+    pub extends: Vec<Arc<str>>,
     /// All remaining attributes, raw, in document order.
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Vec<(Arc<str>, Arc<str>)>,
     /// Child elements in document order.
     pub children: Vec<XpdlElement>,
     /// Text content (constraint expressions may appear as text).
@@ -66,7 +75,9 @@ pub struct XpdlElement {
     /// `name`/`id`/`type`/`extends`), so diagnostics can point at the
     /// offending attribute rather than the whole element. Provenance only:
     /// like `span`, excluded from equality; empty on synthesized trees.
-    pub attr_spans: Vec<(String, Span)>,
+    /// Never changed after parsing, so copies share it; each name shares
+    /// its attribute's `Arc`.
+    pub attr_spans: Arc<[(Arc<str>, Span)]>,
 }
 
 impl XpdlElement {
@@ -81,30 +92,30 @@ impl XpdlElement {
             children: Vec::new(),
             text: String::new(),
             span: Span::default(),
-            attr_spans: Vec::new(),
+            attr_spans: Arc::default(),
         }
     }
 
     /// Builder: set the meta-model name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+    pub fn with_name(mut self, name: impl Into<Arc<str>>) -> Self {
         self.model_kind = ModelKind::Meta(name.into());
         self
     }
 
     /// Builder: set the instance id.
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
+    pub fn with_id(mut self, id: impl Into<Arc<str>>) -> Self {
         self.model_kind = ModelKind::Instance(id.into());
         self
     }
 
     /// Builder: set the `type` reference.
-    pub fn with_type(mut self, ty: impl Into<String>) -> Self {
+    pub fn with_type(mut self, ty: impl Into<Arc<str>>) -> Self {
         self.type_ref = Some(ty.into());
         self
     }
 
     /// Builder: add an attribute.
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, key: impl Into<Arc<str>>, value: impl Into<Arc<str>>) -> Self {
         self.attrs.push((key.into(), value.into()));
         self
     }
@@ -153,30 +164,35 @@ impl XpdlElement {
                     .with_span(attr_span_of(e, "id").unwrap_or(e.span))
                     .with_note("keeping name and ignoring id"),
                 );
-                ModelKind::Meta(n.to_string())
+                ModelKind::Meta(n.into())
             }
-            (Some(n), None) => ModelKind::Meta(n.to_string()),
-            (None, Some(i)) => ModelKind::Instance(i.to_string()),
+            (Some(n), None) => ModelKind::Meta(n.into()),
+            (None, Some(i)) => ModelKind::Instance(i.into()),
             (None, None) => ModelKind::Anonymous,
         };
-        let type_ref = e.attr("type").map(str::to_string);
+        let type_ref = e.attr("type").map(Arc::from);
         let extends = e
             .attr("extends")
             .map(|s| {
                 s.split(',')
                     .map(str::trim)
                     .filter(|t| !t.is_empty() && *t != "...")
-                    .map(str::to_string)
+                    .map(Arc::from)
                     .collect()
             })
             .unwrap_or_default();
+        let attr_spans: Arc<[(Arc<str>, Span)]> = if e.attrs.is_empty() {
+            Arc::default()
+        } else {
+            e.attrs.iter().map(|a| (Arc::from(a.name.as_str()), a.span)).collect()
+        };
         let attrs = e
             .attrs
             .iter()
-            .filter(|a| !matches!(a.name.as_str(), "name" | "id" | "type" | "extends"))
-            .map(|a| (a.name.clone(), a.value.clone()))
+            .zip(attr_spans.iter())
+            .filter(|(a, _)| !matches!(a.name.as_str(), "name" | "id" | "type" | "extends"))
+            .map(|(a, (name, _))| (Arc::clone(name), Arc::from(a.value.as_str())))
             .collect();
-        let attr_spans = e.attrs.iter().map(|a| (a.name.clone(), a.span)).collect();
         let children =
             e.child_elements().map(|c| XpdlElement::from_xml_lossy(c, diags)).collect();
         XpdlElement {
@@ -199,21 +215,21 @@ impl XpdlElement {
         let mut e = Element::new(self.kind.tag().to_string());
         match &self.model_kind {
             ModelKind::Meta(n) => {
-                e.set_attr("name", n.clone());
+                e.set_attr("name", n.to_string());
             }
             ModelKind::Instance(i) => {
-                e.set_attr("id", i.clone());
+                e.set_attr("id", i.to_string());
             }
             ModelKind::Anonymous => {}
         }
         if let Some(t) = &self.type_ref {
-            e.set_attr("type", t.clone());
+            e.set_attr("type", t.to_string());
         }
         if !self.extends.is_empty() {
             e.set_attr("extends", self.extends.join(", "));
         }
         for (k, v) in &self.attrs {
-            e.set_attr(k.clone(), v.clone());
+            e.set_attr(k.to_string(), v.to_string());
         }
         for c in &self.children {
             e.push_child(c.to_xml());
@@ -255,22 +271,22 @@ impl XpdlElement {
             "name" => self.meta_name(),
             "id" => self.instance_id(),
             "type" => self.type_ref.as_deref(),
-            _ => self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str()),
+            _ => self.attrs.iter().find(|(k, _)| &**k == key).map(|(_, v)| &**v),
         }
     }
 
     /// Set or replace an attribute (handles the lifted special attributes).
-    pub fn set_attr(&mut self, key: &str, value: impl Into<String>) {
+    pub fn set_attr(&mut self, key: &str, value: impl Into<Arc<str>>) {
         let value = value.into();
         match key {
             "name" => self.model_kind = ModelKind::Meta(value),
             "id" => self.model_kind = ModelKind::Instance(value),
             "type" => self.type_ref = Some(value),
             _ => {
-                if let Some(slot) = self.attrs.iter_mut().find(|(k, _)| k == key) {
+                if let Some(slot) = self.attrs.iter_mut().find(|(k, _)| &**k == key) {
                     slot.1 = value;
                 } else {
-                    self.attrs.push((key.to_string(), value));
+                    self.attrs.push((key.into(), value));
                 }
             }
         }
@@ -280,7 +296,7 @@ impl XpdlElement {
     /// element was parsed (covers the lifted `name`/`id`/`type`/`extends`
     /// too). `None` on synthesized trees.
     pub fn attr_span(&self, key: &str) -> Option<Span> {
-        self.attr_spans.iter().find(|(k, _)| k == key).map(|(_, s)| *s)
+        self.attr_spans.iter().find(|(k, _)| &**k == key).map(|(_, s)| *s)
     }
 
     /// The best source span for a diagnostic about attribute `key`: the
@@ -484,7 +500,7 @@ mod tests {
     #[test]
     fn extends_splits_multiple_inheritance() {
         let d = elem(r#"<device name="K20c" extends="Nvidia_Kepler, Pci_Device"/>"#);
-        assert_eq!(d.extends, vec!["Nvidia_Kepler", "Pci_Device"]);
+        assert_eq!(d.extends, [Arc::from("Nvidia_Kepler"), Arc::from("Pci_Device")]);
     }
 
     #[test]

@@ -18,9 +18,9 @@ pub fn check_constraints(
     for cs in e.children_of_kind(ElementKind::Constraints) {
         for c in cs.children_of_kind(ElementKind::Constraint) {
             let span = c.attr_span("expr").unwrap_or(c.span);
-            let Some(expr) = c.attr("expr").map(str::to_string).or_else(|| {
-                (!c.text.is_empty()).then(|| c.text.clone())
-            }) else {
+            let Some(expr) =
+                c.attr("expr").or_else(|| (!c.text.is_empty()).then_some(c.text.as_str()))
+            else {
                 diags.push(
                     Diagnostic::error(path, "constraint without 'expr'")
                         .with_code("E205")
@@ -29,7 +29,7 @@ pub fn check_constraints(
                 continue;
             };
             let env = ScopeEnv::new(scope);
-            match eval_str(&expr, &env) {
+            match eval_str(expr, &env) {
                 Ok(Value::Bool(true)) => {}
                 Ok(Value::Bool(false)) => diags.push(
                     Diagnostic::error(path, format!("constraint violated: {expr}"))
@@ -91,13 +91,13 @@ pub fn check_param_ranges(
         };
         // Range entries are written in the param's own declared unit, so
         // compare raw magnitudes.
-        if !allowed.iter().any(|a| (a - bound.value).abs() < 1e-9) {
+        if !allowed.iter().any(|a| (a - bound.value()).abs() < 1e-9) {
             diags.push(
                 Diagnostic::error(
                     path,
                     format!(
                         "parameter '{name}' = {} is outside its configurable range {range_raw}",
-                        bound.value
+                        bound.value()
                     ),
                 )
                 .with_code("E209")

@@ -112,7 +112,7 @@ pub fn elaborate_with(set: &ResolvedSet, opts: &ElabOptions) -> ElabResult<Elabo
         let table = MetaTable::new(set);
         // Types referenced anywhere in the closure: inline definitions of
         // these names are consumed rather than kept as physical components.
-        let referenced: BTreeSet<String> = set
+        let referenced: BTreeSet<&str> = set
             .documents()
             .flat_map(|(_, d)| references_of(d.root()))
             .collect();

@@ -6,6 +6,8 @@ use crate::error::{ElabError, ElabResult};
 use crate::inherit::{instantiate_ref, MetaTable};
 use crate::scope::Scope;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::sync::Arc;
 use xpdl_core::{ElementKind, ModelKind, XpdlElement};
 use xpdl_schema::Diagnostic;
 
@@ -47,6 +49,9 @@ const NON_SUBSTITUTABLE: &[&str] = &[
     "replacement", "write_policy", "range", "configurable", "enableSwitchOff", "power_domain",
 ];
 
+/// The consumed-definition set of an expander that has not started.
+static NO_DEFS: BTreeSet<&str> = BTreeSet::new();
+
 /// Walk state.
 pub struct Expander<'t, 'a> {
     table: &'t mut MetaTable<'a>,
@@ -57,6 +62,13 @@ pub struct Expander<'t, 'a> {
     /// one segment is appended on entering an element and truncated on
     /// leaving it, so a path is copied only into what reports it.
     path: String,
+    /// Id qualifier of the group member being expanded (`n0.c1.`), kept
+    /// like `path`: a member appends `<prefix><i>.` and truncates it on
+    /// leaving, so only the ids made from it allocate.
+    qualifier: String,
+    /// The unit attribute of each metric a parameter was substituted into
+    /// (`frequency` → `frequency_unit`), built once per metric name.
+    unit_attrs: BTreeMap<Arc<str>, Arc<str>>,
     /// Diagnostics collected during expansion (constraint violations,
     /// unbound parameters, …).
     pub diags: Vec<Diagnostic>,
@@ -64,7 +76,7 @@ pub struct Expander<'t, 'a> {
     /// mode, where the first such error aborts instead).
     pub poisoned: Vec<String>,
     /// Meta names consumed as inline definitions (dropped from the tree).
-    consumed_defs: BTreeSet<String>,
+    consumed_defs: &'t BTreeSet<&'t str>,
 }
 
 impl<'t, 'a> Expander<'t, 'a> {
@@ -76,9 +88,11 @@ impl<'t, 'a> Expander<'t, 'a> {
             produced: 0,
             depth: 0,
             path: String::new(),
+            qualifier: String::new(),
+            unit_attrs: BTreeMap::new(),
             diags: Vec::new(),
             poisoned: Vec::new(),
-            consumed_defs: BTreeSet::new(),
+            consumed_defs: &NO_DEFS,
         }
     }
 
@@ -89,12 +103,13 @@ impl<'t, 'a> Expander<'t, 'a> {
     pub fn expand_root(
         &mut self,
         root: &XpdlElement,
-        referenced_types: &BTreeSet<String>,
+        referenced_types: &'t BTreeSet<&'t str>,
     ) -> ElabResult<XpdlElement> {
-        self.consumed_defs = referenced_types.clone();
+        self.consumed_defs = referenced_types;
         self.path.clear();
+        self.qualifier.clear();
         let mut scope = Scope::new();
-        self.expand_element(root.clone(), &mut scope, "", false)
+        self.expand_element(root.clone(), &mut scope, false)
     }
 
     fn budget(&mut self) -> ElabResult<()> {
@@ -151,7 +166,6 @@ impl<'t, 'a> Expander<'t, 'a> {
         &mut self,
         e: XpdlElement,
         scope: &mut Scope,
-        qualifier: &str,
         in_power_domain: bool,
     ) -> ElabResult<XpdlElement> {
         let mark = self.enter(&e);
@@ -164,7 +178,7 @@ impl<'t, 'a> Expander<'t, 'a> {
                 Err(err)
             }
         } else {
-            self.expand_element_inner(e, scope, qualifier, in_power_domain)
+            self.expand_element_inner(e, scope, in_power_domain)
         };
         self.depth -= 1;
         self.path.truncate(mark);
@@ -175,7 +189,6 @@ impl<'t, 'a> Expander<'t, 'a> {
         &mut self,
         mut e: XpdlElement,
         scope: &mut Scope,
-        qualifier: &str,
         in_power_domain: bool,
     ) -> ElabResult<XpdlElement> {
         self.budget()?;
@@ -213,24 +226,7 @@ impl<'t, 'a> Expander<'t, 'a> {
 
         // 3. Substitute bound parameter names in attribute values
         //    (Listing 8: `<core frequency="cfrq"/>`, `size="L1size"`).
-        let mut unit_fixes: Vec<(String, String)> = Vec::new();
-        for (k, v) in &mut e.attrs {
-            if NON_SUBSTITUTABLE.contains(&k.as_str()) || k.ends_with("_unit") || k == "unit" {
-                continue;
-            }
-            if let Some(pv) = scope.get(v.as_str()) {
-                *v = fmt_num(pv.value);
-                if !pv.unit.is_empty() {
-                    let unit_attr = XpdlElement::unit_attr_for(k);
-                    unit_fixes.push((unit_attr, pv.unit.clone()));
-                }
-            }
-        }
-        for (k, v) in unit_fixes {
-            if e.attr(&k).is_none() {
-                e.attrs.push((k, v));
-            }
-        }
+        self.substitute(&mut e, scope);
 
         // 4. Constraint and range checking in the current scope.
         check_constraints(&e, scope, &self.path, &mut self.diags);
@@ -239,6 +235,7 @@ impl<'t, 'a> Expander<'t, 'a> {
         // 5. Children: drop consumed inline definitions, expand groups,
         //    recurse into the rest.
         let children = std::mem::take(&mut e.children);
+        e.children.reserve(children.len());
         for child in children {
             if let Some(name) = child.meta_name() {
                 if self.consumed_defs.contains(name) && child.kind.is_hardware() {
@@ -248,14 +245,42 @@ impl<'t, 'a> Expander<'t, 'a> {
                 }
             }
             if child.kind == ElementKind::Group {
-                self.expand_group(child, &mut e, scope, qualifier, in_power_domain)?;
+                self.expand_group(child, &mut e, scope, in_power_domain)?;
             } else {
-                let expanded = self.expand_element(child, scope, qualifier, in_power_domain)?;
+                let expanded = self.expand_element(child, scope, in_power_domain)?;
                 e.children.push(expanded);
             }
         }
         scope.pop();
         Ok(e)
+    }
+
+    /// Replace each attribute value that names a bound parameter with the
+    /// parameter's text, and add the parameter's unit under the metric's
+    /// unit attribute unless the element already has one.
+    fn substitute(&mut self, e: &mut XpdlElement, scope: &Scope) {
+        // Unit attributes pushed here are never substitution targets.
+        for i in 0..e.attrs.len() {
+            let (k, v) = &e.attrs[i];
+            if NON_SUBSTITUTABLE.contains(&&**k) || k.ends_with("_unit") || &**k == "unit" {
+                continue;
+            }
+            let Some(pv) = scope.get(v) else { continue };
+            let metric = Arc::clone(k);
+            e.attrs[i].1 = Arc::clone(pv.text());
+            if pv.unit().is_empty() || e.attrs.iter().any(|(k, _)| is_unit_attr(k, &metric)) {
+                continue;
+            }
+            let unit_attr = match self.unit_attrs.get(&metric) {
+                Some(name) => Arc::clone(name),
+                None => {
+                    let name: Arc<str> = XpdlElement::unit_attr_for(&metric).into();
+                    self.unit_attrs.insert(metric, Arc::clone(&name));
+                    name
+                }
+            };
+            e.attrs.push((unit_attr, Arc::clone(pv.unit())));
+        }
     }
 
     /// Expand a `group` child into `parent`'s children. Each member gets
@@ -266,7 +291,6 @@ impl<'t, 'a> Expander<'t, 'a> {
         mut group: XpdlElement,
         parent: &mut XpdlElement,
         scope: &mut Scope,
-        qualifier: &str,
         in_power_domain: bool,
     ) -> ElabResult<()> {
         // Resolve the quantity, possibly through a parameter (Listing 8:
@@ -274,7 +298,7 @@ impl<'t, 'a> Expander<'t, 'a> {
         let quantity: Option<usize> = match group.attr("quantity") {
             None => None,
             Some(raw) => match scope.resolve_numeric(raw) {
-                Some(pv) if pv.value >= 0.0 && pv.value.fract() == 0.0 => Some(pv.value as usize),
+                Some(n) if n >= 0.0 && n.fract() == 0.0 => Some(n as usize),
                 _ => {
                     let mark = self.enter(&group);
                     let err = ElabError::UnresolvedQuantity {
@@ -298,13 +322,13 @@ impl<'t, 'a> Expander<'t, 'a> {
         let Some(n) = quantity else {
             // Ungrouped `group` (Listing 11 `<group id="cpu1">`): keep the
             // element, expand its content in place.
-            let expanded = self.expand_element(group, scope, qualifier, in_power_domain)?;
+            let expanded = self.expand_element(group, scope, in_power_domain)?;
             parent.children.push(expanded);
             return Ok(());
         };
 
-        let prefix = group.group_prefix().unwrap_or("member").to_string();
         let mut content = std::mem::take(&mut group.children);
+        let prefix = group.group_prefix().unwrap_or("member");
         // Single-element content: each member *is* that element, with the
         // generated id (paper: "identifiers … assigned as core0, core1,
         // core2 and core3"). Multi-element content keeps a group wrapper
@@ -314,19 +338,18 @@ impl<'t, 'a> Expander<'t, 'a> {
             // qualified so expanded copies stay globally unique.
             let local = local_instance_ids(&content[0].children);
             for i in 0..n {
-                let member_id = format!("{qualifier}{prefix}{i}");
-                let member_qualifier = format!("{member_id}.");
                 let mut member = if i + 1 == n {
                     content.pop().expect("one element")
                 } else {
                     content[0].clone()
                 };
-                qualify_member_ids(&mut member.children, &member_qualifier, &local);
+                let mark = self.enter_member(prefix, i);
                 if member.ident().is_none() {
-                    member.model_kind = ModelKind::Instance(member_id);
+                    member.model_kind = ModelKind::Instance(self.member_id());
                 }
-                let expanded =
-                    self.expand_element(member, scope, &member_qualifier, in_power_domain)?;
+                qualify_member_ids(&mut member.children, &mut self.qualifier, &local);
+                let expanded = self.expand_element(member, scope, in_power_domain)?;
+                self.qualifier.truncate(mark);
                 parent.children.push(expanded);
             }
             return Ok(());
@@ -337,61 +360,95 @@ impl<'t, 'a> Expander<'t, 'a> {
         let part_ids = anonymous_part_ids(&content);
         let local = local_instance_ids(&content);
         for i in 0..n {
-            let member_id = format!("{qualifier}{prefix}{i}");
-            let member_qualifier = format!("{member_id}.");
+            let last = i + 1 == n;
+            let mark = self.enter_member(prefix, i);
             let mut wrapper = XpdlElement::new(ElementKind::Group);
-            wrapper.model_kind = ModelKind::Instance(member_id);
-            let mut members =
-                if i + 1 == n { std::mem::take(&mut content) } else { content.clone() };
-            qualify_member_ids(&mut members, &member_qualifier, &local);
-            let mark = self.enter(&wrapper);
+            wrapper.model_kind = ModelKind::Instance(self.member_id());
+            wrapper.children.reserve(content.len());
+            let path_mark = self.enter(&wrapper);
             scope.push();
-            for (mut c, part_id) in members.into_iter().zip(&part_ids) {
-                if c.kind == ElementKind::Group {
-                    self.expand_group(c, &mut wrapper, scope, &member_qualifier, in_power_domain)?;
+            // Members are copied one at a time; the last member moves the
+            // content instead.
+            for (slot, part_id) in content.iter_mut().zip(&part_ids) {
+                let mut c = if last {
+                    std::mem::replace(slot, XpdlElement::new(ElementKind::Group))
                 } else {
-                    if let Some(part_id) = part_id {
-                        c.model_kind = ModelKind::Instance(format!("{member_qualifier}{part_id}"));
-                    }
-                    let expanded =
-                        self.expand_element(c, scope, &member_qualifier, in_power_domain)?;
-                    wrapper.children.push(expanded);
+                    slot.clone()
+                };
+                qualify_member_ids(std::slice::from_mut(&mut c), &mut self.qualifier, &local);
+                if c.kind == ElementKind::Group {
+                    self.expand_group(c, &mut wrapper, scope, in_power_domain)?;
+                    continue;
                 }
+                if let Some(occurrence) = part_id {
+                    let part_mark = self.qualifier.len();
+                    self.qualifier.push_str(c.kind.tag());
+                    if let Some(k) = occurrence {
+                        write!(self.qualifier, "{k}").expect("write to String");
+                    }
+                    c.model_kind = ModelKind::Instance(self.qualifier.as_str().into());
+                    self.qualifier.truncate(part_mark);
+                }
+                let expanded = self.expand_element(c, scope, in_power_domain)?;
+                wrapper.children.push(expanded);
             }
             scope.pop();
-            self.path.truncate(mark);
+            self.path.truncate(path_mark);
+            self.qualifier.truncate(mark);
             parent.children.push(wrapper);
         }
         Ok(())
     }
+
+    /// Append member `i`'s qualifier segment (`<prefix><i>.`); returns the
+    /// length to truncate back to on leaving the member.
+    fn enter_member(&mut self, prefix: &str, i: usize) -> usize {
+        let mark = self.qualifier.len();
+        write!(self.qualifier, "{prefix}{i}.").expect("write to String");
+        mark
+    }
+
+    /// The id of the member being expanded: its qualifier without the
+    /// final dot, in one allocation.
+    fn member_id(&self) -> Arc<str> {
+        self.qualifier[..self.qualifier.len() - 1].into()
+    }
 }
 
-/// The member-local id of each anonymous hardware part of a group's
-/// content (`None` for every other element): the kind tag, with an
-/// occurrence suffix when the content holds more than one anonymous part
-/// of that kind.
-fn anonymous_part_ids(content: &[XpdlElement]) -> Vec<Option<String>> {
+/// Whether attribute `key` is `metric`'s unit attribute
+/// ([`XpdlElement::unit_attr_for`]), checked without building its name.
+fn is_unit_attr(key: &str, metric: &str) -> bool {
+    if metric == "size" {
+        return key == "unit";
+    }
+    key.strip_suffix("_unit") == Some(metric)
+}
+
+/// For each element of a group's content: `None` unless it is an
+/// anonymous hardware part, which gets a member-local id from its kind
+/// tag; then `Some` of its occurrence among the content's anonymous parts
+/// of that kind, when there is more than one (`cache0`, `cache1`), or
+/// `Some(None)` for the tag alone.
+fn anonymous_part_ids(content: &[XpdlElement]) -> Vec<Option<Option<usize>>> {
     let anonymous = |c: &XpdlElement| c.ident().is_none() && c.kind.is_hardware();
-    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
     content
         .iter()
-        .map(|c| {
+        .enumerate()
+        .map(|(i, c)| {
             if !anonymous(c) {
                 return None;
             }
-            let tag = c.kind.tag();
-            let occ = seen.entry(tag).or_insert(0);
-            let same_kind = content.iter().filter(|x| x.kind == c.kind && x.ident().is_none());
-            let id = if same_kind.count() > 1 { format!("{tag}{occ}") } else { tag.to_string() };
-            *occ += 1;
-            Some(id)
+            let same_kind = |x: &&XpdlElement| x.kind == c.kind && x.ident().is_none();
+            let total = content.iter().filter(same_kind).count();
+            let occurrence = content[..i].iter().filter(same_kind).count();
+            Some((total > 1).then_some(occurrence))
         })
         .collect()
 }
 
 /// The explicit instance ids declared inside a group's content: the ids a
-/// member copy qualifies.
-fn local_instance_ids(content: &[XpdlElement]) -> BTreeSet<String> {
+/// member copy qualifies. The set shares the content's strings.
+fn local_instance_ids(content: &[XpdlElement]) -> BTreeSet<Arc<str>> {
     let mut local = BTreeSet::new();
     for e in content {
         collect_instance_ids(e, &mut local);
@@ -403,8 +460,12 @@ fn local_instance_ids(content: &[XpdlElement]) -> BTreeSet<String> {
 /// member qualifier, and rewrite intra-member `head`/`tail` references to
 /// match. Without this, Listing 11's node template (`<device id="gpu1">`,
 /// `<interconnect head="cpu1" tail="gpu1">`) would produce four colliding
-/// `gpu1`s across `n0..n3`.
-fn qualify_member_ids(subtree: &mut [XpdlElement], qualifier: &str, local: &BTreeSet<String>) {
+/// `gpu1`s across `n0..n3`. `qualifier` is left as it was given.
+fn qualify_member_ids(
+    subtree: &mut [XpdlElement],
+    qualifier: &mut String,
+    local: &BTreeSet<Arc<str>>,
+) {
     if local.is_empty() {
         return;
     }
@@ -413,24 +474,24 @@ fn qualify_member_ids(subtree: &mut [XpdlElement], qualifier: &str, local: &BTre
     }
 }
 
-fn collect_instance_ids(e: &XpdlElement, out: &mut BTreeSet<String>) {
+fn collect_instance_ids(e: &XpdlElement, out: &mut BTreeSet<Arc<str>>) {
     if let ModelKind::Instance(id) = &e.model_kind {
-        out.insert(id.clone());
+        out.insert(Arc::clone(id));
     }
     for c in &e.children {
         collect_instance_ids(c, out);
     }
 }
 
-fn rewrite_ids(e: &mut XpdlElement, qualifier: &str, local: &BTreeSet<String>) {
+fn rewrite_ids(e: &mut XpdlElement, qualifier: &mut String, local: &BTreeSet<Arc<str>>) {
     if let ModelKind::Instance(id) = &e.model_kind {
         if local.contains(id) {
-            e.model_kind = ModelKind::Instance(format!("{qualifier}{id}"));
+            e.model_kind = ModelKind::Instance(qualified(qualifier, id));
         }
     }
     for (k, v) in &mut e.attrs {
-        if matches!(k.as_str(), "head" | "tail") && local.contains(v.as_str()) {
-            *v = format!("{qualifier}{v}");
+        if matches!(&**k, "head" | "tail") && local.contains(v) {
+            *v = qualified(qualifier, v);
         }
     }
     for c in &mut e.children {
@@ -438,13 +499,14 @@ fn rewrite_ids(e: &mut XpdlElement, qualifier: &str, local: &BTreeSet<String>) {
     }
 }
 
-/// Number formatting matching attribute conventions (no trailing `.0`).
-fn fmt_num(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
+/// `qualifier` followed by `id`, in one allocation; `qualifier` is left as
+/// it was given.
+fn qualified(qualifier: &mut String, id: &str) -> Arc<str> {
+    let mark = qualifier.len();
+    qualifier.push_str(id);
+    let out = Arc::from(qualifier.as_str());
+    qualifier.truncate(mark);
+    out
 }
 
 #[cfg(test)]
@@ -463,7 +525,7 @@ mod tests {
     fn expand(entries: &[(&str, &str)]) -> (XpdlElement, Vec<Diagnostic>) {
         let set = resolved(entries);
         let mut table = MetaTable::new(&set);
-        let refs: BTreeSet<String> = set
+        let refs: BTreeSet<&str> = set
             .documents()
             .flat_map(|(_, d)| xpdl_repo::repository::references_of(d.root()))
             .collect();
@@ -482,13 +544,18 @@ mod tests {
         assert_eq!(cores.len(), 4);
         let ids: Vec<_> = cores.iter().map(|c| c.instance_id().unwrap()).collect();
         assert_eq!(ids, ["core0", "core1", "core2", "core3"]);
+        // The members share one allocation for each copied value.
+        let frequency = attr_arc(cores[0], "frequency");
+        assert!(cores.iter().all(|c| Arc::ptr_eq(attr_arc(c, "frequency"), frequency)));
     }
 
-    #[test]
-    fn listing1_nested_groups() {
-        let (root, _) = expand(&[(
-            "Intel_Xeon_E5_2630L",
-            r#"<cpu name="Intel_Xeon_E5_2630L">
+    /// The shared string behind a plain attribute.
+    fn attr_arc<'e>(e: &'e XpdlElement, key: &str) -> &'e Arc<str> {
+        &e.attrs.iter().find(|(k, _)| &**k == key).expect(key).1
+    }
+
+    /// Listing 1 without its power model, which names another document.
+    const LISTING_1: &str = r#"<cpu name="Intel_Xeon_E5_2630L">
                  <group prefix="core_group" quantity="2">
                    <group prefix="core" quantity="2">
                      <core frequency="2" frequency_unit="GHz"/>
@@ -497,8 +564,11 @@ mod tests {
                    <cache name="L2" size="256" unit="KiB"/>
                  </group>
                  <cache name="L3" size="15" unit="MiB"/>
-               </cpu>"#,
-        )]);
+               </cpu>"#;
+
+    #[test]
+    fn listing1_nested_groups() {
+        let (root, _) = expand(&[("Intel_Xeon_E5_2630L", LISTING_1)]);
         // 4 cores, 4 private L1s, 2 L2s, 1 L3.
         assert_eq!(root.find_kind(ElementKind::Core).count(), 4);
         let caches: Vec<_> = root.find_kind(ElementKind::Cache).collect();
@@ -522,6 +592,52 @@ mod tests {
             .collect();
         assert_eq!(core_ids.len(), 4, "{core_ids:?}");
         assert!(core_ids.contains("core_group0.core0.core"), "{core_ids:?}");
+    }
+
+    #[test]
+    fn listing1_members_share_the_template_strings() {
+        let set = resolved(&[("Intel_Xeon_E5_2630L", LISTING_1)]);
+        let refs = BTreeSet::new();
+        let mut table = MetaTable::new(&set);
+        let mut ex = Expander::new(&mut table, ExpandOptions::default());
+        let root = ex.expand_root(set.root().root(), &refs).unwrap();
+        let is_l1 = |c: &&XpdlElement| c.attr("name") == Some("L1");
+        let template = set.root().root();
+        let frequency = attr_arc(template.find_kind(ElementKind::Core).next().unwrap(), "frequency");
+        let size = attr_arc(template.find_kind(ElementKind::Cache).find(is_l1).unwrap(), "size");
+        // Every member copy holds the definition's allocation, not a copy.
+        let cores: Vec<_> = root.find_kind(ElementKind::Core).collect();
+        let l1s: Vec<_> = root.find_kind(ElementKind::Cache).filter(is_l1).collect();
+        assert_eq!((cores.len(), l1s.len()), (4, 4));
+        assert!(cores.iter().all(|c| Arc::ptr_eq(attr_arc(c, "frequency"), frequency)));
+        assert!(l1s.iter().all(|c| Arc::ptr_eq(attr_arc(c, "size"), size)));
+    }
+
+    #[test]
+    fn substituted_numbers_print_without_a_trailing_zero() {
+        // (bound value as written, attribute text after substitution)
+        let cases = [
+            ("706", "706"),
+            ("1.6", "1.6"),
+            ("0.5", "0.5"),
+            ("-3", "-3"),
+            ("1e15", "1000000000000000"),
+            ("1e16", "10000000000000000"),
+            ("2.5e-7", "0.00000025"),
+        ];
+        let mut src = String::from(r#"<device name="d">"#);
+        for (i, (value, _)) in cases.iter().enumerate() {
+            src.push_str(&format!(r#"<param name="p{i}" value="{value}"/>"#));
+        }
+        for i in 0..cases.len() {
+            src.push_str(&format!(r#"<core id="c{i}" frequency="p{i}"/>"#));
+        }
+        src.push_str("</device>");
+        let (root, _) = expand(&[("d", &src)]);
+        for (i, (value, text)) in cases.iter().enumerate() {
+            let core = root.find_ident(&format!("c{i}")).unwrap();
+            assert_eq!(core.attr("frequency"), Some(*text), "bound to {value}");
+        }
     }
 
     #[test]
@@ -695,7 +811,7 @@ mod tests {
             )
             .unwrap();
         let mut table = MetaTable::new(&set);
-        let refs: BTreeSet<String> = set
+        let refs: BTreeSet<&str> = set
             .documents()
             .flat_map(|(_, d)| xpdl_repo::repository::references_of(d.root()))
             .collect();
@@ -756,7 +872,7 @@ mod tests {
             ("B", r#"<device name="B"><device type="A"/></device>"#),
         ];
         let set = resolved(entries);
-        let refs: BTreeSet<String> = set
+        let refs: BTreeSet<&str> = set
             .documents()
             .flat_map(|(_, d)| xpdl_repo::repository::references_of(d.root()))
             .collect();

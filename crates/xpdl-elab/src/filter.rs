@@ -79,6 +79,7 @@ impl ModelFilter {
 
         let attrs_before = e.attrs.len();
         e.attrs.retain(|(k, v)| {
+            let k: &str = k;
             if self.drop_attrs.iter().any(|d| d == k) {
                 return false;
             }

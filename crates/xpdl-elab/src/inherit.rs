@@ -86,7 +86,8 @@ impl<'a> MetaTable<'a> {
 
 impl Hierarchy for MetaTable<'_> {
     fn supers(&self, name: &str) -> Vec<String> {
-        self.defs.get(name).map(|d| d.extends.clone()).unwrap_or_default()
+        let Some(def) = self.defs.get(name) else { return Vec::new() };
+        def.extends.iter().map(|s| s.to_string()).collect()
     }
 }
 

@@ -1,29 +1,50 @@
 //! Lexical parameter scopes built from `const` and `param` elements.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use xpdl_core::units::{Quantity, Unit};
 use xpdl_core::value::AttrValue;
-use xpdl_core::{ElementKind, XpdlElement};
+use xpdl_core::{ElementKind, ModelKind, XpdlElement};
 use xpdl_expr::{DomainState, Env, Value};
 
 /// A bound parameter/constant value.
+///
+/// Its unit and its substituted text are shared strings made once, when
+/// the value is made, so substituting the parameter into an attribute
+/// costs one `Arc` clone. The fields are private because `text` must stay
+/// the formatting of `value`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamValue {
-    /// Magnitude as written.
-    pub value: f64,
-    /// Unit string as written (empty = dimensionless).
-    pub unit: String,
+    value: f64,
+    unit: Arc<str>,
+    text: Arc<str>,
 }
 
 impl ParamValue {
     /// A dimensionless value.
     pub fn number(value: f64) -> ParamValue {
-        ParamValue { value, unit: String::new() }
+        ParamValue::with_unit(value, Arc::<str>::default())
     }
 
     /// With a unit.
-    pub fn with_unit(value: f64, unit: impl Into<String>) -> ParamValue {
-        ParamValue { value, unit: unit.into() }
+    pub fn with_unit(value: f64, unit: impl Into<Arc<str>>) -> ParamValue {
+        ParamValue { value, unit: unit.into(), text: fmt_num(value).into() }
+    }
+
+    /// Magnitude as written.
+    pub fn value(&self) -> f64 {
+        self.value
+    }
+
+    /// Unit string as written (empty = dimensionless).
+    pub fn unit(&self) -> &Arc<str> {
+        &self.unit
+    }
+
+    /// The attribute text a substitution writes: the value without a
+    /// trailing `.0` (`706`, `1.6`, `0.00000025`).
+    pub fn text(&self) -> &Arc<str> {
+        &self.text
     }
 
     /// The value normalized to its dimension's base unit (falls back to the
@@ -44,9 +65,12 @@ impl ParamValue {
 /// shadow outer ones, mirroring the hierarchical scoping the paper uses for
 /// memory sharing ("the sharing of memory is given implicitly by the
 /// hierarchical scoping in XPDL").
+///
+/// Frames key on the parameter's shared name, so binding one copies no
+/// string.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
-    frames: Vec<BTreeMap<String, ParamValue>>,
+    frames: Vec<BTreeMap<Arc<str>, ParamValue>>,
 }
 
 impl Scope {
@@ -68,7 +92,7 @@ impl Scope {
     }
 
     /// Bind a value in the innermost frame.
-    pub fn bind(&mut self, name: impl Into<String>, value: ParamValue) {
+    pub fn bind(&mut self, name: impl Into<Arc<str>>, value: ParamValue) {
         self.frames.last_mut().expect("the root frame is pushed in new() and never popped").insert(name.into(), value);
     }
 
@@ -99,9 +123,9 @@ impl Scope {
             if !matches!(child.kind, ElementKind::Param | ElementKind::Const) {
                 continue;
             }
-            let Some(name) = child.meta_name() else { continue };
+            let ModelKind::Meta(name) = &child.model_kind else { continue };
             match extract_param_value(child) {
-                Some(v) => self.bind(name.to_string(), v),
+                Some(v) => self.bind(Arc::clone(name), v),
                 None => {
                     if !self.contains(name) {
                         unbound.push(name.to_string());
@@ -112,35 +136,54 @@ impl Scope {
         unbound
     }
 
-    /// Resolve a raw attribute value: a number stays a number, a bound
-    /// parameter name becomes its value, anything else is `None`.
-    pub fn resolve_numeric(&self, raw: &str) -> Option<ParamValue> {
+    /// Resolve a raw attribute value to a magnitude: a number stays a
+    /// number, a bound parameter name becomes its value, anything else is
+    /// `None`.
+    pub fn resolve_numeric(&self, raw: &str) -> Option<f64> {
         match AttrValue::interpret(raw) {
-            AttrValue::Number(n) => Some(ParamValue::number(n)),
-            AttrValue::Str(s) => self.get(&s).cloned(),
+            AttrValue::Number(n) => Some(n),
+            AttrValue::Str(s) => self.get(&s).map(ParamValue::value),
             _ => None,
         }
     }
 }
 
 /// Extract a param/const element's value, if bound.
+///
+/// The unit shares the element's attribute string, and so does the text
+/// when the value is written the way a substitution would print it.
 pub fn extract_param_value(e: &XpdlElement) -> Option<ParamValue> {
-    for value_attr in ["value", "size", "frequency", "power", "energy", "time"] {
-        let Some(raw) = e.attr(value_attr) else { continue };
+    for metric in ["value", "size", "frequency", "power", "energy", "time"] {
+        let Some(raw) = attr_where(e, |k| k == metric) else { continue };
         let AttrValue::Number(n) = AttrValue::interpret(raw) else { continue };
         // Unit lookup: the metric's own `<metric>_unit` first, then the
         // bare `unit` attribute (Listing 9 writes `frequency="706"
         // unit="MHz"`). Only a unit that parses is kept; otherwise the raw
         // magnitude stands alone.
-        let unit = [format!("{value_attr}_unit"), "unit".to_string()]
-            .into_iter()
-            .find_map(|ua| e.attr(&ua))
+        let unit = attr_where(e, |k| k.strip_suffix("_unit") == Some(metric))
+            .or_else(|| attr_where(e, |k| k == "unit"))
             .filter(|u| Unit::parse(u).is_ok())
-            .unwrap_or("")
-            .to_string();
-        return Some(ParamValue { value: n, unit });
+            .cloned()
+            .unwrap_or_default();
+        let text = fmt_num(n);
+        let text = if *text == **raw { Arc::clone(raw) } else { text.into() };
+        return Some(ParamValue { value: n, unit, text });
     }
     None
+}
+
+/// The value of `e`'s first plain attribute whose name satisfies `pick`.
+fn attr_where(e: &XpdlElement, pick: impl Fn(&str) -> bool) -> Option<&Arc<str>> {
+    e.attrs.iter().find(|(k, _)| pick(k)).map(|(_, v)| v)
+}
+
+/// Number formatting matching attribute conventions (no trailing `.0`).
+fn fmt_num(n: f64) -> String {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
 }
 
 /// Expression-evaluation environment over a scope (unit-normalized).
@@ -184,10 +227,10 @@ mod tests {
         s.bind("x", ParamValue::number(1.0));
         s.push();
         s.bind("x", ParamValue::number(2.0));
-        assert_eq!(s.get("x").unwrap().value, 2.0);
+        assert_eq!(s.get("x").unwrap().value(), 2.0);
         assert_eq!(s.depth(), 2);
         s.pop();
-        assert_eq!(s.get("x").unwrap().value, 1.0);
+        assert_eq!(s.get("x").unwrap().value(), 1.0);
         assert!(!s.contains("y"));
     }
 
@@ -211,7 +254,7 @@ mod tests {
         let mut s = Scope::new();
         let unbound = s.bind_element_params(&dev);
         assert!(unbound.is_empty());
-        assert_eq!(s.get("num_SM").unwrap().value, 13.0);
+        assert_eq!(s.get("num_SM").unwrap().value(), 13.0);
         assert_eq!(s.get("cfrq").unwrap().to_base(), 706e6);
         assert_eq!(s.get("gmsz").unwrap().to_base(), 5e9);
     }
@@ -243,8 +286,8 @@ mod tests {
     fn resolve_numeric_literal_and_param() {
         let mut s = Scope::new();
         s.bind("cfrq", ParamValue::with_unit(706.0, "MHz"));
-        assert_eq!(s.resolve_numeric("42").unwrap().value, 42.0);
-        assert_eq!(s.resolve_numeric("cfrq").unwrap().value, 706.0);
+        assert_eq!(s.resolve_numeric("42"), Some(42.0));
+        assert_eq!(s.resolve_numeric("cfrq"), Some(706.0));
         assert!(s.resolve_numeric("missing").is_none());
         assert!(s.resolve_numeric("?").is_none());
     }

@@ -77,7 +77,8 @@ impl MicrobenchmarkSuite {
             let bid = mb.ident().unwrap_or("<anonymous>").to_string();
             let instruction = mb
                 .type_ref
-                .clone()
+                .as_deref()
+                .map(str::to_string)
                 .ok_or(SuiteError::MissingAttr { bench: bid.clone(), attr: "type" })?;
             let file = mb
                 .attr("file")

@@ -301,7 +301,7 @@ mod tests {
     fn listing8_paper_dialect_features() {
         let doc = XpdlDocument::parse_str(LISTING_08_KEPLER).unwrap();
         let root = doc.root();
-        assert_eq!(root.extends, vec!["Nvidia_GPU"]);
+        assert_eq!(root.extends, [std::sync::Arc::from("Nvidia_GPU")]);
         // Value-only element became value="3.0".
         let cc = root
             .children

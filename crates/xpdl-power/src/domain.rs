@@ -130,7 +130,7 @@ impl PowerDomainSet {
         let component_types = pd
             .children
             .iter()
-            .filter_map(|c| c.type_ref.clone().or_else(|| c.ident().map(str::to_string)))
+            .filter_map(|c| c.type_ref.as_deref().or_else(|| c.ident()).map(str::to_string))
             .collect();
         if let Some(g) = &group {
             self.groups.entry(g.clone()).or_default().push(name.clone());

@@ -512,21 +512,16 @@ impl Repository {
                     }
                     Err(e) => return Err(e),
                 };
-                let refs = references_of(doc.root());
+                docs.insert(k.clone(), Arc::clone(&doc));
                 // A document's local identifiers satisfy references before
                 // the repository is consulted (in-line definitions, paper
                 // §III-A).
-                let local: BTreeSet<String> = doc
-                    .root()
-                    .descendants()
-                    .filter_map(|e| e.ident())
-                    .map(str::to_string)
-                    .collect();
-                docs.insert(k.clone(), doc);
-                for r in refs {
-                    if !local.contains(&r) && !docs.contains_key(&r) && enqueued.insert(r.clone())
-                    {
-                        next.push((r, Some(k.clone())));
+                let local: BTreeSet<&str> =
+                    doc.root().descendants().filter_map(|e| e.ident()).collect();
+                for r in references_of(doc.root()) {
+                    if !local.contains(r) && !docs.contains_key(r) && !enqueued.contains(r) {
+                        enqueued.insert(r.to_string());
+                        next.push((r.to_string(), Some(k.clone())));
                     }
                 }
             }
@@ -678,23 +673,23 @@ pub fn type_is_model_ref(kind: &ElementKind) -> bool {
 ///   surrounding model, not the repository;
 /// * per-instruction `mb=` (on `inst`) — those are benchmark-entry ids
 ///   *within* the suite the instruction set already references.
-pub fn references_of(root: &XpdlElement) -> Vec<String> {
-    fn walk(
-        e: &XpdlElement,
+pub fn references_of(root: &XpdlElement) -> Vec<&str> {
+    fn walk<'e>(
+        e: &'e XpdlElement,
         in_power_domain: bool,
-        seen: &mut BTreeSet<String>,
-        out: &mut Vec<String>,
+        seen: &mut BTreeSet<&'e str>,
+        out: &mut Vec<&'e str>,
     ) {
         if !in_power_domain && type_is_model_ref(&e.kind) {
             if let Some(t) = &e.type_ref {
-                if seen.insert(t.clone()) {
-                    out.push(t.clone());
+                if seen.insert(t) {
+                    out.push(t);
                 }
             }
         }
         for sup in &e.extends {
-            if seen.insert(sup.clone()) {
-                out.push(sup.clone());
+            if seen.insert(sup) {
+                out.push(sup);
             }
         }
         let suite_attr = match e.kind {
@@ -704,8 +699,8 @@ pub fn references_of(root: &XpdlElement) -> Vec<String> {
         };
         if let Some(attr) = suite_attr {
             if let Some(v) = e.attr(attr) {
-                if seen.insert(v.to_string()) {
-                    out.push(v.to_string());
+                if seen.insert(v) {
+                    out.push(v);
                 }
             }
         }
@@ -728,7 +723,7 @@ fn check_extends_acyclic(
     let mut edges: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for doc in docs.values() {
         if let Some(name) = doc.root().meta_name() {
-            edges.insert(name, doc.root().extends.iter().map(String::as_str).collect());
+            edges.insert(name, doc.root().extends.iter().map(|s| &**s).collect());
         }
     }
     #[derive(Clone, Copy, PartialEq)]
@@ -1154,10 +1149,10 @@ mod tests {
         )
         .unwrap();
         let refs = references_of(doc.root());
-        assert!(refs.contains(&"mb_x86_base_1".to_string()));
+        assert!(refs.contains(&"mb_x86_base_1"));
         // Per-instruction mb refs are entry ids inside the suite — not
         // repository keys.
-        assert!(!refs.contains(&"fa1".to_string()));
+        assert!(!refs.contains(&"fa1"));
     }
 
     #[test]

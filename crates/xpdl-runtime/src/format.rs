@@ -725,7 +725,7 @@ mod tests {
         assert_eq!(n.ident(), e.ident(), "node {idx}");
         assert_eq!(n.is_instance(), matches!(e.model_kind, ModelKind::Instance(_)));
         assert_eq!(n.type_ref(), e.type_ref.as_deref(), "node {idx}");
-        assert!(n.attrs().eq(e.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()))));
+        assert!(n.attrs().eq(e.attrs.iter().map(|(k, v)| (&**k, &**v))));
         assert_eq!(n.parent().map(|p| p.index()), parent, "node {idx}");
         let own = power.len();
         let watts = e.attr("static_power").and_then(|v| v.trim().parse::<f64>().ok());
