@@ -268,7 +268,7 @@ impl<'t, 'a> Expander<'t, 'a> {
             let Some(pv) = scope.get(v) else { continue };
             let metric = Arc::clone(k);
             e.attrs[i].1 = Arc::clone(pv.text());
-            if pv.unit().is_empty() || e.attrs.iter().any(|(k, _)| is_unit_attr(k, &metric)) {
+            if pv.unit().is_empty() {
                 continue;
             }
             let unit_attr = match self.unit_attrs.get(&metric) {
@@ -279,7 +279,9 @@ impl<'t, 'a> Expander<'t, 'a> {
                     name
                 }
             };
-            e.attrs.push((unit_attr, Arc::clone(pv.unit())));
+            if e.attrs.iter().all(|(k, _)| *k != unit_attr) {
+                e.attrs.push((unit_attr, Arc::clone(pv.unit())));
+            }
         }
     }
 
@@ -413,15 +415,6 @@ impl<'t, 'a> Expander<'t, 'a> {
     fn member_id(&self) -> Arc<str> {
         self.qualifier[..self.qualifier.len() - 1].into()
     }
-}
-
-/// Whether attribute `key` is `metric`'s unit attribute
-/// ([`XpdlElement::unit_attr_for`]), checked without building its name.
-fn is_unit_attr(key: &str, metric: &str) -> bool {
-    if metric == "size" {
-        return key == "unit";
-    }
-    key.strip_suffix("_unit") == Some(metric)
 }
 
 /// For each element of a group's content: `None` unless it is an
