@@ -261,8 +261,8 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
         return Ok(2);
     };
     let rest = &args[1..];
-    // Every flag is checked before any work starts.
-    let pos = match positionals(rest, flags_of(cmd, rest)) {
+    // Every flag and positional is checked before any work starts.
+    let pos = match check_command_line(cmd, rest) {
         Ok(pos) => pos,
         Err(e) => {
             writeln!(out, "error: xpdlc {cmd}: {e} (see xpdlc help)")?;
@@ -911,55 +911,87 @@ const CALIB_FLAGS: &[Flag] = &[
     ("--timeout-ms", U64),
 ];
 
-/// The flags each subcommand takes, besides [`TRACE_FLAGS`]. `registry`
-/// and `cache` name their action first (`registry status`, `cache gc`),
-/// and an action without an entry takes its subcommand's flags. A
-/// subcommand not listed takes none.
-const SUBCOMMAND_FLAGS: &[(&str, &[&[Flag]])] = &[
-    ("keys", &[RESOLUTION_FLAGS, CACHE_FLAGS]),
-    ("bootstrap", &[RESOLUTION_FLAGS, CACHE_FLAGS]),
-    ("compose", COMPOSE_FLAGS),
-    ("dump", COMPOSE_FLAGS),
-    ("route", COMPOSE_FLAGS),
-    ("validate", &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[
+/// Each subcommand's most positional arguments and the flags it takes,
+/// besides [`TRACE_FLAGS`]. `registry` and `cache` name their action
+/// first (`registry status`, `cache gc`), and the action counts as a
+/// positional; an action without an entry takes its subcommand's entry.
+/// A subcommand not listed is not checked: `dispatch` reports it as
+/// unknown.
+const SUBCOMMANDS: &[(&str, usize, &[&[Flag]])] = &[
+    ("help", 0, &[]),
+    ("selftest-panic", 0, &[]),
+    ("keys", 0, &[RESOLUTION_FLAGS, CACHE_FLAGS]),
+    ("bootstrap", 1, &[RESOLUTION_FLAGS, CACHE_FLAGS]),
+    ("compose", 1, COMPOSE_FLAGS),
+    ("dump", 1, COMPOSE_FLAGS),
+    ("route", 4, COMPOSE_FLAGS),
+    ("validate", 1, &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[
         ("--max-errors", COUNT), ("--diag-format", TEXT),
     ]]),
-    ("build", &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[("-o", TEXT), ("--filter", TEXT)]]),
-    ("uml", &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[("--max", COUNT)]]),
-    ("query", &[RESOLUTION_FLAGS, CACHE_FLAGS, &[
+    ("build", 1, &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[
+        ("-o", TEXT), ("--filter", TEXT),
+    ]]),
+    ("uml", 1, &[RESOLUTION_FLAGS, CACHE_FLAGS, KEEP_GOING, &[("--max", COUNT)]]),
+    ("diff", 2, &[]),
+    ("export", 1, &[]),
+    ("codegen", 1, &[]),
+    ("query", 3, &[RESOLUTION_FLAGS, CACHE_FLAGS, &[
         ("--model", TEXT), ("--repo", TEXT), ("--rpc", TEXT), ("--encoding", TEXT),
     ]]),
-    ("serve", &[RESOLUTION_FLAGS, CACHE_FLAGS, &[
+    ("serve", 0, &[RESOLUTION_FLAGS, CACHE_FLAGS, &[
         ("--model", TEXT), ("--repo", TEXT), ("--addr", TEXT), ("--addr-file", TEXT),
         ("--max-inflight", COUNT), ("--reload-interval", U64),
         ("--allow-remote-shutdown", SWITCH), ("--allow-debug", SWITCH),
         ("--registry", TEXT), ("--node-id", TEXT), ("--advertise", TEXT), ("--ttl-ms", U64),
         ("--drain-grace-ms", U64), ("--shards", SWITCH), ("--shard-keys", TEXT),
     ]]),
-    ("registry", &[&[
+    ("registry", 0, &[&[
         ("--addr", TEXT), ("--addr-file", TEXT), ("--replication", COUNT), ("--vnodes", COUNT),
     ]]),
-    ("registry announce", &[&[("--addr", TEXT), ("--version", TEXT)]]),
-    ("registry status", &[&[("--addr", TEXT), ("--diag-format", TEXT), ("--shard-keys", TEXT)]]),
-    ("registry ring", &[&[
+    ("registry announce", 1, &[&[("--addr", TEXT), ("--version", TEXT)]]),
+    ("registry status", 1, &[&[
+        ("--addr", TEXT), ("--diag-format", TEXT), ("--shard-keys", TEXT),
+    ]]),
+    ("registry ring", 1, &[&[
         ("--nodes", TEXT), ("--replication", COUNT), ("--vnodes", COUNT), ("--shard-keys", TEXT),
     ]]),
-    ("calibrate", &[CALIB_FLAGS, &[
+    ("calibrate", 0, &[CALIB_FLAGS, &[
         ("--dir", TEXT), ("--dry-run", SWITCH), ("--registry", TEXT), ("--diag-format", TEXT),
     ]]),
-    ("optimize", &[RESOLUTION_FLAGS, CACHE_FLAGS, CALIB_FLAGS, &[
+    ("optimize", 0, &[RESOLUTION_FLAGS, CACHE_FLAGS, CALIB_FLAGS, &[
         ("--isa", TEXT), ("--diag-format", TEXT),
     ]]),
-    ("fleetgen", &[&[("--seed", U64), ("--shape", TEXT), ("--check", SWITCH), ("--out", TEXT)]]),
-    ("cache", &[&[("--cache-dir", TEXT)]]),
-    ("cache gc", &[&[("--cache-dir", TEXT), ("--max-age", U64)]]),
+    ("fleetgen", 0, &[&[
+        ("--seed", U64), ("--shape", TEXT), ("--check", SWITCH), ("--out", TEXT),
+    ]]),
+    ("cache", 1, &[&[("--cache-dir", TEXT)]]),
+    ("cache gc", 1, &[&[("--cache-dir", TEXT), ("--max-age", U64)]]),
 ];
 
-/// The flags `cmd` takes, given the arguments after it.
-fn flags_of(cmd: &str, rest: &[String]) -> &'static [&'static [Flag]] {
-    let entry = |key: &str| SUBCOMMAND_FLAGS.iter().find(|(k, _)| *k == key).map(|(_, f)| *f);
+/// Check `cmd`'s arguments against its [`SUBCOMMANDS`] entry, and return
+/// the positionals. The error names an unknown flag, a flag's bad or
+/// missing value, or the first positional past the entry's count; for
+/// `registry`, a first word that is no action lists the actions.
+fn check_command_line(cmd: &str, rest: &[String]) -> Result<Vec<String>, String> {
+    let entry = |key: &str| SUBCOMMANDS.iter().find(|(k, ..)| *k == key);
     let action = rest.first().map(|a| format!("{cmd} {a}"));
-    action.as_deref().and_then(entry).or_else(|| entry(cmd)).unwrap_or(&[])
+    let Some(&(name, most, flags)) = action.as_deref().and_then(entry).or_else(|| entry(cmd))
+    else {
+        return positionals(rest, &[]);
+    };
+    let pos = positionals(rest, flags)?;
+    match pos.get(most) {
+        None => Ok(pos),
+        Some(word) if most == 0 && name == "registry" => {
+            let actions: Vec<&str> =
+                SUBCOMMANDS.iter().filter_map(|(k, ..)| k.strip_prefix("registry ")).collect();
+            Err(format!(
+                "unknown action '{word}' (the first argument is one of: {})",
+                actions.join(", ")
+            ))
+        }
+        Some(extra) => Err(format!("unexpected argument '{extra}'")),
+    }
 }
 
 /// `--name=value` as `("--name", Some("value"))`, anything else as is.
@@ -1545,6 +1577,45 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_unknown_registry_action_is_refused() {
+        // A typo of `status` used to start the daemon.
+        let (code, out) = run_cli(&["registry", "statsu", "--addr", "127.0.0.1:0"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unknown action 'statsu'"), "{out}");
+        assert!(out.contains("announce, status, ring"), "{out}");
+        assert!(!out.contains("registry on"), "{out}");
+    }
+
+    #[test]
+    fn compose_refuses_an_extra_positional() {
+        let (code, out) = run_cli(&["compose", "liu_gpu_server", "extra"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unexpected argument 'extra'"), "{out}");
+        assert!(!out.contains("composed"), "{out}");
+    }
+
+    #[test]
+    fn build_refuses_an_extra_positional() {
+        let file =
+            std::env::temp_dir().join(format!("xpdlc_extra_{}.xpdlrt", std::process::id()));
+        let (code, out) =
+            run_cli(&["build", "liu_gpu_server", "-o", file.to_str().unwrap(), "extra"]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unexpected argument 'extra'"), "{out}");
+        assert!(!file.exists(), "nothing is written");
+    }
+
+    #[test]
+    fn cache_action_refuses_an_extra_positional() {
+        let dir = std::env::temp_dir().join(format!("xpdlc_extra_cache_{}", std::process::id()));
+        let (code, out) =
+            run_cli(&["cache", "stats", "extra", "--cache-dir", dir.to_str().unwrap()]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unexpected argument 'extra'"), "{out}");
+        assert!(!dir.exists(), "the cache is not opened");
+    }
+
     /// Every flag in `xpdlc help` is one some subcommand takes, and every
     /// flag a subcommand takes is in `xpdlc help`.
     #[test]
@@ -1559,9 +1630,9 @@ mod tests {
                 printed.insert(flag);
             }
         }
-        let listed: std::collections::BTreeSet<String> = SUBCOMMAND_FLAGS
+        let listed: std::collections::BTreeSet<String> = SUBCOMMANDS
             .iter()
-            .flat_map(|(_, groups)| groups.iter())
+            .flat_map(|(_, _, groups)| groups.iter())
             .chain([&TRACE_FLAGS])
             .flat_map(|group| group.iter().map(|(flag, _)| flag.to_string()))
             .collect();
