@@ -178,7 +178,7 @@ fn attr_where(e: &XpdlElement, pick: impl Fn(&str) -> bool) -> Option<&Arc<str>>
 }
 
 /// Number formatting matching attribute conventions (no trailing `.0`).
-fn fmt_num(n: f64) -> String {
+pub(crate) fn fmt_num(n: f64) -> String {
     if n.fract() == 0.0 && n.abs() < 1e15 {
         format!("{}", n as i64)
     } else {

@@ -8,6 +8,7 @@
 //! model elicitation rules can be tailored", §IV): built-in rules cover the
 //! aggregates the paper names; callers register their own.
 
+use crate::scope::fmt_num;
 use std::collections::BTreeMap;
 use xpdl_core::units::{Dimension, Quantity, Unit};
 use xpdl_core::{ElementKind, XpdlElement};
@@ -120,7 +121,7 @@ impl RuleSet {
         // `sum_metric`.
         let results = self.evaluate(root);
         for (name, q) in results {
-            root.set_attr(format!("derived_{name}").as_str(), fmt(q.value));
+            root.set_attr(format!("derived_{name}").as_str(), fmt_num(q.value));
             if !q.unit.symbol.is_empty() {
                 root.set_attr(
                     XpdlElement::unit_attr_for(&format!("derived_{name}")).as_str(),
@@ -149,14 +150,6 @@ fn sum_metric(root: &XpdlElement, metric: &str, dimension: Dimension) -> f64 {
         }
     }
     total
-}
-
-fn fmt(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
 }
 
 #[cfg(test)]
