@@ -16,7 +16,7 @@ use xpdl_hwsim::{GroundTruth, SimMachine};
 use xpdl_mb::bootstrap::codes as mb_codes;
 use xpdl_mb::{bootstrap_energy_table, BootstrapDiag, BootstrapReport};
 use xpdl_power::{InstructionEnergyTable, PowerState, PowerStateMachine, Transition};
-use xpdl_repo::diskcache::fnv1a64;
+use xpdl_repo::hash::fnv1a64;
 
 /// The state every calibration machine starts in (see [`default_fsm`]).
 pub const DEFAULT_INITIAL_STATE: &str = "P1";

@@ -16,6 +16,7 @@
 
 use crate::CalibError;
 use std::fmt::Write as _;
+use xpdl_core::diag::json::escape_into;
 use xpdl_hwsim::kernels::{spmv_stream, KernelSpec, SpmvVariant};
 use xpdl_power::{DvfsChoice, DvfsOptimizer, InstructionEnergyTable, PowerStateMachine, Workload};
 
@@ -183,43 +184,38 @@ impl OptimizeReport {
     /// JSON rendering (deterministic; consumed by `--diag-format=json` and
     /// the CI golden check).
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let choice = |c: &DvfsChoice| {
-            format!(
-                r#"{{"state":"{}","run_time_s":{},"energy_j":{},"feasible":{}}}"#,
-                esc(&c.state),
-                c.run_time_s,
-                c.energy_j,
-                c.feasible
-            )
-        };
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            r#"{{"model":"{}","fsm":"{}","price_freq_hz":{},"dvfs":["#,
-            esc(&self.model),
-            esc(&self.fsm),
-            self.price_freq_hz
-        );
+        fn choice(s: &mut String, c: &DvfsChoice) {
+            s.push_str(r#"{"state":"#);
+            escape_into(s, &c.state);
+            let _ = write!(
+                s,
+                r#","run_time_s":{},"energy_j":{},"feasible":{}}}"#,
+                c.run_time_s, c.energy_j, c.feasible
+            );
+        }
+        let mut s = String::from(r#"{"model":"#);
+        escape_into(&mut s, &self.model);
+        s.push_str(r#","fsm":"#);
+        escape_into(&mut s, &self.fsm);
+        let _ = write!(s, r#","price_freq_hz":{},"dvfs":["#, self.price_freq_hz);
         for (i, r) in self.dvfs.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
+            s.push_str(r#"{"scenario":"#);
+            escape_into(&mut s, &r.scenario);
             let _ = write!(
                 s,
-                r#"{{"scenario":"{}","cycles":{},"deadline_s":{},"idle_power_w":{},"best":{}"#,
-                esc(&r.scenario),
-                r.cycles,
-                r.deadline_s,
-                r.idle_power_w,
-                choice(&r.best)
+                r#","cycles":{},"deadline_s":{},"idle_power_w":{},"best":"#,
+                r.cycles, r.deadline_s, r.idle_power_w
             );
+            choice(&mut s, &r.best);
+            s.push_str(r#","with_sleep":"#);
             match &r.with_sleep {
-                Some(c) => {
-                    let _ = write!(s, r#","with_sleep":{}}}"#, choice(c));
-                }
-                None => s.push_str(r#","with_sleep":null}"#),
+                Some(c) => choice(&mut s, c),
+                None => s.push_str("null"),
             }
+            s.push('}');
         }
         s.push_str(r#"],"spmv":["#);
         for (i, r) in self.spmv.iter().enumerate() {
@@ -235,9 +231,12 @@ impl OptimizeReport {
                 if j > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, r#""{name}":{e}"#);
+                escape_into(&mut s, name);
+                let _ = write!(s, ":{e}");
             }
-            let _ = write!(s, r#"}},"chosen":"{}"}}"#, r.chosen);
+            s.push_str(r#"},"chosen":"#);
+            escape_into(&mut s, r.chosen);
+            s.push('}');
         }
         s.push_str("]}");
         s
@@ -320,6 +319,22 @@ mod tests {
         let err = optimize_model(&table, &default_fsm(), DEFAULT_INITIAL_STATE).unwrap_err();
         assert!(matches!(err, CalibError::Optimize(_)), "{err}");
         assert!(err.to_string().contains("load"), "{err}");
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_names() {
+        let mut table = calibrated_table();
+        table.name = "evil\nisa".into();
+        let mut fsm = default_fsm();
+        fsm.name = "psm\tx".into();
+        let json = optimize_model(&table, &fsm, DEFAULT_INITIAL_STATE).unwrap().to_json();
+        // Strict JSON forbids raw control characters in strings, and this
+        // crate's reader is lenient about them, so check the bytes too.
+        assert!(!json.chars().any(char::is_control), "{json:?}");
+        let doc = xpdl_core::diag::json::parse(&json).expect("report is JSON");
+        let field = |k| xpdl_core::diag::json::get(doc.as_object().unwrap(), k)?.as_str();
+        assert_eq!(field("model"), Some("evil\nisa"));
+        assert_eq!(field("fsm"), Some("psm\tx"));
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::CalibError;
 use std::fmt::Write as _;
 use std::path::Path;
 use xpdl_power::{InstructionEnergyTable, PowerStateMachine};
-use xpdl_repo::diskcache::{atomic_write, fnv1a64};
+use xpdl_repo::diskcache::atomic_write;
+use xpdl_repo::hash::fnv1a64;
 
 /// Render a (possibly calibrated) instruction-energy table as a root-level
 /// `instructions` descriptor.

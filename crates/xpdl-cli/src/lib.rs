@@ -1362,6 +1362,37 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_power_metrics_exit_1_naming_the_attribute() {
+        let base = std::env::temp_dir().join(format!("xpdlc_nan_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        // An instruction table whose second `<data>` row has a NaN frequency.
+        let isa = base.join("isa");
+        std::fs::create_dir_all(&isa).unwrap();
+        std::fs::write(
+            isa.join("isa.xpdl"),
+            r#"<instructions name="isa"><inst name="divsd">
+                 <data frequency="2.8" frequency_unit="GHz" energy="18.625" energy_unit="nJ"/>
+                 <data frequency="NaN" frequency_unit="GHz" energy="19.573" energy_unit="nJ"/>
+               </inst></instructions>"#,
+        )
+        .unwrap();
+        let (code, out) = run_cli(&["calibrate", "--dir", isa.to_str().unwrap(), "--dry-run"]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains(r#"frequency="NaN""#), "{out}");
+        // The library's Xeon power model with one transition's energy NaN.
+        let models = base.join("models");
+        std::fs::create_dir_all(&models).unwrap();
+        let key = "power_model_E5_2630L";
+        let (_, src) = xpdl_models::library::LIBRARY.iter().find(|(k, _)| *k == key).unwrap();
+        let src = src.replacen(r#"energy="2""#, r#"energy="NaN""#, 1);
+        std::fs::write(models.join(format!("{key}.xpdl")), src).unwrap();
+        let (code, out) = run_cli(&["bootstrap", "--models", models.to_str().unwrap()]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains(r#"energy="NaN""#), "{out}");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
     fn codegen_both_languages() {
         let (code, out) = run_cli(&["codegen", "rust"]);
         assert_eq!(code, 0);

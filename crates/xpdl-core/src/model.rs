@@ -334,14 +334,24 @@ impl XpdlElement {
         }
     }
 
+    /// Whether attribute `key` is `metric`'s unit attribute
+    /// ([`unit_attr_for`](Self::unit_attr_for)), checked without building
+    /// its name.
+    pub fn is_unit_attr(key: &str, metric: &str) -> bool {
+        if metric == "size" {
+            return key == "unit";
+        }
+        key.len() == metric.len() + 5 && key.starts_with(metric) && key.ends_with("_unit")
+    }
+
     /// A metric as a [`Quantity`]: reads `<metric>` and its unit attribute.
     ///
     /// Returns `Ok(None)` when the metric is absent or `?`; a missing unit
     /// attribute yields a dimensionless quantity.
     pub fn quantity(&self, metric: &str) -> CoreResult<Option<Quantity>> {
         let Some(v) = self.number(metric)? else { return Ok(None) };
-        let unit = self.attr(&Self::unit_attr_for(metric)).unwrap_or("");
-        Ok(Some(Quantity::parse(v, unit)?))
+        let unit = self.attrs.iter().find(|(k, _)| Self::is_unit_attr(k, metric));
+        Ok(Some(Quantity::parse(v, unit.map_or("", |(_, u)| u))?))
     }
 
     /// Whether the metric is present but marked `?` (to be microbenchmarked).
@@ -516,6 +526,18 @@ mod tests {
         assert_eq!(m.quantity("static_power").unwrap().unwrap().to_base(), 4.0);
         assert_eq!(m.quantity("size").unwrap().unwrap().to_base(), 16e9);
         assert_eq!(m.type_ref, None);
+    }
+
+    #[test]
+    fn unit_attr_matches_the_naming_convention() {
+        for metric in ["size", "static_power", "frequency", "s", ""] {
+            let name = XpdlElement::unit_attr_for(metric);
+            assert!(XpdlElement::is_unit_attr(&name, metric), "{metric}");
+            for other in [metric, "unit", "_unit", "size_unit", "static_power_units", "frequency_unit"] {
+                let want = other == name;
+                assert_eq!(XpdlElement::is_unit_attr(other, metric), want, "{metric} {other}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::analysis::{bandwidth_downgrade, default_domain_static_power, LinkAnalysis};
 use crate::error::ElabResult;
-use crate::expand::{ExpandOptions, Expander};
+use crate::expand::Expander;
 use crate::inherit::MetaTable;
 use crate::synth::RuleSet;
 use std::collections::BTreeSet;
@@ -13,35 +13,29 @@ use xpdl_repo::repository::references_of;
 use xpdl_repo::ResolvedSet;
 use xpdl_schema::Diagnostic;
 
-/// Pipeline options.
+/// Pipeline options; the expansion walk ([`Expander`]) reads them too.
 #[derive(Debug, Clone)]
 pub struct ElabOptions {
-    /// Error on unknown `type=` references (default true).
+    /// Error on `type=` references to unknown meta-models (default true).
     pub strict_types: bool,
-    /// Element budget for expansion.
+    /// Upper bound on produced elements (guards runaway quantities).
     pub max_elements: usize,
-    /// Run the bandwidth-downgrade analysis (default true).
-    pub analyze_bandwidth: bool,
-    /// Annotate built-in synthesized attributes on the root (default true).
-    pub synthesize: bool,
-    /// Nesting-depth budget for expansion (guards type-reference cycles).
+    /// Upper bound on expansion nesting depth (guards type-reference
+    /// cycles, which would otherwise recurse until stack overflow long
+    /// before exhausting the element budget).
     pub max_depth: usize,
-    /// Fail-soft mode: accumulate diagnostics and poison failing subtrees
-    /// instead of aborting on the first elaboration error (default false).
-    /// See [`ExpandOptions::keep_going`].
+    /// Fail-soft mode (default false): instead of aborting on the first
+    /// elaboration error, mark the failing element *poisoned* (attribute
+    /// `poisoned="true"`), quarantine its subtree (no recursion into it),
+    /// record a diagnostic, and keep elaborating siblings and ancestors.
+    /// Resource-exhaustion errors ([`ElabError::TooLarge`](crate::ElabError::TooLarge))
+    /// stay fatal in both modes.
     pub keep_going: bool,
 }
 
 impl Default for ElabOptions {
     fn default() -> Self {
-        ElabOptions {
-            strict_types: true,
-            max_elements: 1_000_000,
-            analyze_bandwidth: true,
-            synthesize: true,
-            max_depth: 256,
-            keep_going: false,
-        }
+        ElabOptions { strict_types: true, max_elements: 1_000_000, max_depth: 256, keep_going: false }
     }
 }
 
@@ -118,15 +112,7 @@ pub fn elaborate_with(set: &ResolvedSet, opts: &ElabOptions) -> ElabResult<Elabo
             .collect();
         (table, referenced)
     };
-    let mut expander = Expander::new(
-        &mut table,
-        ExpandOptions {
-            strict_types: opts.strict_types,
-            max_elements: opts.max_elements,
-            max_depth: opts.max_depth,
-            keep_going: opts.keep_going,
-        },
-    );
+    let mut expander = Expander::new(&mut table, opts);
     let mut root = {
         let _xsp = trace::span("elab.expand");
         expander.expand_root(set.root().root(), &referenced)?
@@ -142,13 +128,11 @@ pub fn elaborate_with(set: &ResolvedSet, opts: &ElabOptions) -> ElabResult<Elabo
             .with_code("E214"),
         );
     }
-    let links = if opts.analyze_bandwidth {
+    let links = {
         let _asp = trace::span("elab.analyze");
         bandwidth_downgrade(&mut root, &mut diagnostics)
-    } else {
-        Vec::new()
     };
-    if opts.synthesize {
+    {
         let _ssp = trace::span("elab.synthesize");
         RuleSet::builtin().annotate(&mut root);
     }
@@ -312,18 +296,6 @@ mod tests {
         // 15 W host + 8 W GPU global memory.
         assert_eq!(model.root.attr("derived_total_static_power"), Some("23"));
         assert_eq!(model.default_domain_power.value, 23.0);
-    }
-
-    #[test]
-    fn options_can_disable_stages() {
-        let set = gpu_server();
-        let model = elaborate_with(
-            &set,
-            &ElabOptions { analyze_bandwidth: false, synthesize: false, ..Default::default() },
-        )
-        .unwrap();
-        assert!(model.links.is_empty());
-        assert!(model.root.attr("derived_num_cores").is_none());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! group expansion.
 
 use crate::constraints::{check_constraints, check_param_ranges};
+use crate::elaborate::ElabOptions;
 use crate::error::{ElabError, ElabResult};
 use crate::inherit::{instantiate_ref, MetaTable};
 use crate::scope::Scope;
@@ -10,36 +11,6 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use xpdl_core::{ElementKind, ModelKind, XpdlElement};
 use xpdl_schema::Diagnostic;
-
-/// Options for the expansion walk.
-#[derive(Debug, Clone)]
-pub struct ExpandOptions {
-    /// Error on `type=` references to unknown meta-models (default true).
-    pub strict_types: bool,
-    /// Upper bound on produced elements (guards runaway quantities).
-    pub max_elements: usize,
-    /// Upper bound on expansion nesting depth (guards type-reference
-    /// cycles, which would otherwise recurse until stack overflow long
-    /// before exhausting the element budget).
-    pub max_depth: usize,
-    /// Fail-soft mode: instead of aborting on the first elaboration error,
-    /// mark the failing element *poisoned* (attribute `poisoned="true"`),
-    /// quarantine its subtree (no recursion into it), record a diagnostic,
-    /// and keep elaborating siblings and ancestors. Resource-exhaustion
-    /// errors ([`ElabError::TooLarge`]) stay fatal in both modes.
-    pub keep_going: bool,
-}
-
-impl Default for ExpandOptions {
-    fn default() -> Self {
-        ExpandOptions {
-            strict_types: true,
-            max_elements: 1_000_000,
-            max_depth: 256,
-            keep_going: false,
-        }
-    }
-}
 
 /// Attributes whose values are names/references, never parameter
 /// substitution targets.
@@ -55,7 +26,7 @@ static NO_DEFS: BTreeSet<&str> = BTreeSet::new();
 /// Walk state.
 pub struct Expander<'t, 'a> {
     table: &'t mut MetaTable<'a>,
-    opts: ExpandOptions,
+    opts: ElabOptions,
     produced: usize,
     depth: usize,
     /// Display path of the element being expanded (`system[s]/cpu[h]`):
@@ -80,11 +51,12 @@ pub struct Expander<'t, 'a> {
 }
 
 impl<'t, 'a> Expander<'t, 'a> {
-    /// Create an expander over a meta table.
-    pub fn new(table: &'t mut MetaTable<'a>, opts: ExpandOptions) -> Expander<'t, 'a> {
+    /// Create an expander over a meta table, with the pipeline's budgets
+    /// and modes.
+    pub fn new(table: &'t mut MetaTable<'a>, opts: &ElabOptions) -> Expander<'t, 'a> {
         Expander {
             table,
-            opts,
+            opts: opts.clone(),
             produced: 0,
             depth: 0,
             path: String::new(),
@@ -522,7 +494,7 @@ mod tests {
             .documents()
             .flat_map(|(_, d)| xpdl_repo::repository::references_of(d.root()))
             .collect();
-        let mut ex = Expander::new(&mut table, ExpandOptions::default());
+        let mut ex = Expander::new(&mut table, &ElabOptions::default());
         let root = ex.expand_root(set.root().root(), &refs).unwrap();
         (root, ex.diags.clone())
     }
@@ -592,7 +564,7 @@ mod tests {
         let set = resolved(&[("Intel_Xeon_E5_2630L", LISTING_1)]);
         let refs = BTreeSet::new();
         let mut table = MetaTable::new(&set);
-        let mut ex = Expander::new(&mut table, ExpandOptions::default());
+        let mut ex = Expander::new(&mut table, &ElabOptions::default());
         let root = ex.expand_root(set.root().root(), &refs).unwrap();
         let is_l1 = |c: &&XpdlElement| c.attr("name") == Some("L1");
         let template = set.root().root();
@@ -652,7 +624,7 @@ mod tests {
             r#"<device name="d"><group quantity="nope"><core/></group></device>"#,
         )]);
         let mut table = MetaTable::new(&set);
-        let mut ex = Expander::new(&mut table, ExpandOptions::default());
+        let mut ex = Expander::new(&mut table, &ElabOptions::default());
         let err = ex.expand_root(set.root().root(), &BTreeSet::new()).unwrap_err();
         assert!(matches!(err, ElabError::UnresolvedQuantity { .. }), "{err}");
     }
@@ -786,7 +758,7 @@ mod tests {
         )]);
         let mut table = MetaTable::new(&set);
         let mut ex =
-            Expander::new(&mut table, ExpandOptions { max_elements: 10, ..Default::default() });
+            Expander::new(&mut table, &ElabOptions { max_elements: 10, ..Default::default() });
         let err = ex.expand_root(set.root().root(), &BTreeSet::new()).unwrap_err();
         assert!(matches!(err, ElabError::TooLarge { .. }));
     }
@@ -808,8 +780,8 @@ mod tests {
             .documents()
             .flat_map(|(_, d)| xpdl_repo::repository::references_of(d.root()))
             .collect();
-        let opts = ExpandOptions { keep_going: true, ..Default::default() };
-        let mut ex = Expander::new(&mut table, opts);
+        let opts = ElabOptions { keep_going: true, ..Default::default() };
+        let mut ex = Expander::new(&mut table, &opts);
         let root = ex.expand_root(set.root().root(), &refs).unwrap();
         (root, ex.diags.clone(), ex.poisoned.clone())
     }
@@ -873,7 +845,7 @@ mod tests {
         let mut table = MetaTable::new(&set);
         let mut ex = Expander::new(
             &mut table,
-            ExpandOptions { max_depth: 32, ..Default::default() },
+            &ElabOptions { max_depth: 32, ..Default::default() },
         );
         let err = ex.expand_root(set.root().root(), &refs).unwrap_err();
         assert!(matches!(err, ElabError::TooDeep { .. }), "{err}");
@@ -881,7 +853,7 @@ mod tests {
         let mut table = MetaTable::new(&set);
         let mut ex = Expander::new(
             &mut table,
-            ExpandOptions { max_depth: 32, keep_going: true, ..Default::default() },
+            &ElabOptions { max_depth: 32, keep_going: true, ..Default::default() },
         );
         let root = ex.expand_root(set.root().root(), &refs).unwrap();
         assert_eq!(root.kind, ElementKind::System);
@@ -898,7 +870,7 @@ mod tests {
         let mut table = MetaTable::new(&set);
         let mut ex = Expander::new(
             &mut table,
-            ExpandOptions { max_elements: 10, keep_going: true, ..Default::default() },
+            &ElabOptions { max_elements: 10, keep_going: true, ..Default::default() },
         );
         let err = ex.expand_root(set.root().root(), &BTreeSet::new()).unwrap_err();
         assert!(matches!(err, ElabError::TooLarge { .. }));

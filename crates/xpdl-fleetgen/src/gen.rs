@@ -270,7 +270,7 @@ fn gen_system(families: &[FamilyPlan], device_leaf: &str) -> String {
 
 /// Derive the sub-RNG for one document.
 fn doc_rng(seed: u64, key: &str) -> SplitMix64 {
-    SplitMix64::new(seed ^ xpdl_repo::diskcache::fnv1a64(key.as_bytes()))
+    SplitMix64::new(seed ^ xpdl_repo::hash::fnv1a64(key.as_bytes()))
 }
 
 impl Fleet {
@@ -296,7 +296,7 @@ impl Fleet {
             buf.push_str(v);
             buf.push('\n');
         }
-        xpdl_repo::diskcache::fnv1a64(buf.as_bytes())
+        xpdl_repo::hash::fnv1a64(buf.as_bytes())
     }
 
     /// An in-memory store serving the whole library.

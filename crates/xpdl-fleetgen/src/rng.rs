@@ -3,6 +3,8 @@
 //! vendored `rand` shim is for tests; fleet generation must never drift
 //! with a dependency update.
 
+use xpdl_repo::hash::{fraction, mix64};
+
 /// SplitMix64: 64 bits of state, passes BigCrush, two multiplications per
 /// draw. Good enough to decorrelate descriptor content; never used where
 /// cryptographic quality matters.
@@ -18,10 +20,7 @@ impl SplitMix64 {
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(self.0)
     }
 
     /// Uniform draw in `[lo, hi]` (inclusive). `lo > hi` is a programmer
@@ -32,7 +31,7 @@ impl SplitMix64 {
 
     /// Uniform `f64` in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        fraction(self.next_u64())
     }
 
     /// Bernoulli draw with probability `p`.

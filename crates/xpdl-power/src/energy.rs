@@ -81,25 +81,21 @@ impl InstructionEnergyTable {
             let energy = if !data_rows.is_empty() {
                 let mut points = Vec::with_capacity(data_rows.len());
                 for d in data_rows {
-                    let f = d
-                        .quantity("frequency")
-                        .map_err(|e| EnergyError::BadElement(e.to_string()))?
-                        .ok_or_else(|| EnergyError::BadElement("data row without frequency".into()))?;
-                    let en = d
-                        .quantity("energy")
-                        .map_err(|e| EnergyError::BadElement(e.to_string()))?
-                        .ok_or_else(|| EnergyError::BadElement("data row without energy".into()))?;
-                    points.push((f.to_base(), en.to_base()));
+                    let row = |attr: &str| match crate::finite_metric(d, attr) {
+                        Ok(Some(v)) => Ok(v),
+                        Ok(None) => Err(EnergyError::BadElement(format!("data row without {attr}"))),
+                        Err(m) => Err(EnergyError::BadElement(m)),
+                    };
+                    points.push((row("frequency")?, row("energy")?));
                 }
-                points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite frequencies"));
+                points.sort_by(|a, b| a.0.total_cmp(&b.0));
                 InstEnergy::Table(points)
             } else if inst.is_unknown("energy") {
                 InstEnergy::Unknown
             } else {
-                match inst.quantity("energy") {
-                    Ok(Some(q)) => InstEnergy::Constant(q.to_base()),
-                    Ok(None) => InstEnergy::Unknown,
-                    Err(e) => return Err(EnergyError::BadElement(e.to_string())),
+                match crate::finite_metric(inst, "energy").map_err(EnergyError::BadElement)? {
+                    Some(j) => InstEnergy::Constant(j),
+                    None => InstEnergy::Unknown,
                 }
             };
             entries.insert(iname, energy);
@@ -148,7 +144,7 @@ impl InstructionEnergyTable {
 
     /// Write back a measured frequency table.
     pub fn set_energy_table(&mut self, inst: &str, mut points: Vec<(f64, f64)>) {
-        points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite frequencies"));
+        points.sort_by(|a, b| a.0.total_cmp(&b.0));
         self.entries.insert(inst.to_string(), InstEnergy::Table(points));
     }
 
@@ -297,6 +293,25 @@ mod tests {
         assert_eq!(t.energy_of("fadd", 2.5e9).unwrap(), 1.5e-10);
         assert_eq!(t.table_of("fadd").unwrap().len(), 2);
         assert!(t.table_of("fmul").is_none());
+    }
+
+    #[test]
+    fn non_finite_metrics_are_rejected() {
+        let rows = r#"<instructions name="isa"><inst name="divsd">
+                 <data frequency="2.8" frequency_unit="GHz" energy="18.625" energy_unit="nJ"/>
+                 <data frequency="NaN" frequency_unit="GHz" energy="19.573" energy_unit="nJ"/>
+               </inst></instructions>"#;
+        let constant = r#"<instructions name="isa">
+                 <inst name="fadd" energy="inf" energy_unit="pJ"/>
+               </instructions>"#;
+        let cases = [(rows, r#"<data> frequency="NaN""#), (constant, r#"<inst> energy="inf""#)];
+        for (src, needle) in cases {
+            let doc = XpdlDocument::parse_str(src).unwrap();
+            match InstructionEnergyTable::from_element(doc.root()) {
+                Err(EnergyError::BadElement(m)) => assert!(m.contains(needle), "{m}"),
+                other => panic!("expected BadElement naming {needle}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

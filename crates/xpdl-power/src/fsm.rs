@@ -50,7 +50,7 @@ pub enum FsmError {
         /// Goal state.
         to: String,
     },
-    /// A numeric field failed to parse.
+    /// A numeric field failed to parse or is not finite.
     BadElement(String),
 }
 
@@ -185,14 +185,12 @@ impl PowerStateMachine {
 
     /// The state with the highest frequency.
     pub fn fastest(&self) -> Option<&PowerState> {
-        self.states
-            .iter()
-            .max_by(|a, b| a.frequency_hz.partial_cmp(&b.frequency_hz).expect("finite"))
+        self.states.iter().max_by(|a, b| a.frequency_hz.total_cmp(&b.frequency_hz))
     }
 
     /// The state with the lowest power.
     pub fn most_frugal(&self) -> Option<&PowerState> {
-        self.states.iter().min_by(|a, b| a.power_w.partial_cmp(&b.power_w).expect("finite"))
+        self.states.iter().min_by(|a, b| a.power_w.total_cmp(&b.power_w))
     }
 
     /// Cheapest-energy transition cost from `from` to `to` (Dijkstra over
@@ -213,9 +211,7 @@ impl PowerStateMachine {
         while let Some(&u) = frontier
             .iter()
             .filter(|s| !settled.contains(*s))
-            .min_by(|a, b| {
-                best[**a].energy_j.partial_cmp(&best[**b].energy_j).expect("finite")
-            })
+            .min_by(|a, b| best[**a].energy_j.total_cmp(&best[**b].energy_j))
         {
             settled.push(u);
             if u == to {
@@ -240,11 +236,7 @@ impl PowerStateMachine {
 }
 
 fn metric(e: &XpdlElement, name: &str) -> Result<f64, FsmError> {
-    match e.quantity(name) {
-        Ok(Some(q)) => Ok(q.to_base()),
-        Ok(None) => Ok(0.0),
-        Err(err) => Err(FsmError::BadElement(err.to_string())),
-    }
+    Ok(crate::finite_metric(e, name).map_err(FsmError::BadElement)?.unwrap_or(0.0))
 }
 
 #[cfg(test)]
@@ -385,6 +377,31 @@ mod tests {
             PowerStateMachine::from_element(doc.root()),
             Err(FsmError::BadElement(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_metrics_are_rejected() {
+        let cases = [("energy", "2", "NaN"), ("time", "1", "inf"), ("power", "20", "-inf")];
+        for (attr, good, bad) in cases {
+            let src = r#"<power_state_machine name="m">
+                   <power_states>
+                     <power_state name="P1" frequency="1" frequency_unit="GHz" power="20" power_unit="W"/>
+                     <power_state name="P2" frequency="2" frequency_unit="GHz" power="40" power_unit="W"/>
+                   </power_states>
+                   <transitions>
+                     <transition head="P1" tail="P2" time="1" time_unit="us" energy="2" energy_unit="nJ"/>
+                   </transitions>
+                 </power_state_machine>"#
+                .replacen(&format!(r#"{attr}="{good}""#), &format!(r#"{attr}="{bad}""#), 1);
+            let doc = XpdlDocument::parse_str(&src).unwrap();
+            match PowerStateMachine::from_element(doc.root()) {
+                Err(FsmError::BadElement(m)) => {
+                    assert!(m.contains(&format!(r#"{attr}="{bad}""#)), "{m}");
+                    assert!(m.contains("not a finite number"), "{m}");
+                }
+                other => panic!("{attr}={bad}: expected BadElement, got {other:?}"),
+            }
+        }
     }
 
     #[test]

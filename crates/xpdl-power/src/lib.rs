@@ -28,3 +28,18 @@ pub use domain::{DomainError, PowerDomainModel, PowerDomainSet};
 pub use energy::{EnergyError, InstructionEnergyTable, WorkloadEnergy};
 pub use fsm::{FsmError, PowerState, PowerStateMachine, Transition};
 pub use optimizer::{DvfsChoice, DvfsOptimizer, Workload};
+
+use xpdl_core::XpdlElement;
+
+/// `e`'s `attr` metric in base units, or `None` when it is absent. A value
+/// that is not finite (NaN, an infinity, or a number its unit overflows)
+/// is refused with a message naming the element and the attribute.
+fn finite_metric(e: &XpdlElement, attr: &str) -> Result<Option<f64>, String> {
+    let Some(q) = e.quantity(attr).map_err(|err| err.to_string())? else { return Ok(None) };
+    let v = q.to_base();
+    if v.is_finite() {
+        return Ok(Some(v));
+    }
+    let raw = e.attr(attr).unwrap_or_default();
+    Err(format!("<{}> {attr}=\"{raw}\" is not a finite number", e.kind.tag()))
+}

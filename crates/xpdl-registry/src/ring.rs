@@ -25,9 +25,8 @@
 //! epoch, and nobody rebalances. Epochs travel on the wire as 16-digit
 //! hex strings (JSON numbers are capped at 2^53 by the parser).
 
-// FNV-1a comes from the disk cache, which the serve tier's model
-// fingerprints use too: one hash for the cache, serve and registry tiers.
-use xpdl_repo::diskcache::fnv1a64;
+// One hash for the cache, serve and registry tiers.
+use xpdl_repo::hash::{fnv1a64, mix64};
 
 /// Default replication factor: every key is owned by this many nodes.
 pub const DEFAULT_REPLICATION: usize = 2;
@@ -43,13 +42,7 @@ pub const DEFAULT_VNODES: usize = 32;
 /// vnodes of one member clump together and ownership skews badly; the
 /// finalizer's avalanche spreads them uniformly.
 fn position(bytes: &[u8]) -> u64 {
-    let mut h = fnv1a64(bytes);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    h
+    mix64(fnv1a64(bytes))
 }
 
 /// The wire-level description of a ring: everything a peer needs to

@@ -60,11 +60,12 @@
 //! let caching = CachingStore::new(store, Arc::clone(&cache), Freshness::Strict)
 //!     .with_source_id("doc-example");
 //!
-//! assert!(caching.fetch("mini").is_some()); // fetched and written through,
-//! assert_eq!(cache.len(), 1);               // so the entry is now on disk
+//! assert!(caching.try_fetch("mini").unwrap().is_some()); // fetched and written
+//! assert_eq!(cache.len(), 1);                             // through to disk
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
+use crate::hash::{fnv1a64, fnv1a64_seeded, fraction, mix64};
 use crate::store::{ModelStore, StoreError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -93,25 +94,6 @@ pub const DIAG_QUARANTINED: &str = "R305";
 pub const DIAG_MANIFEST_RESET: &str = "R306";
 /// Diagnostic code: a stale lock (dead owner) was taken over.
 pub const DIAG_LOCK_TAKEOVER: &str = "R307";
-
-/// FNV-1a over `bytes` — the manifest's content checksum. No external
-/// dependency, stable across platforms and runs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_seeded(0, &[bytes])
-}
-
-/// FNV-1a over the concatenation of `parts`, starting from the offset
-/// basis XORed with `seed` — the deterministic per-`(seed, key, …)`
-/// hash behind the fault scripts, the retry jitter and the simulated
-/// crash truncation. Seed 0 is plain [`fnv1a64`].
-pub(crate) fn fnv1a64_seeded(seed: u64, parts: &[&[u8]]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ seed;
-    for b in parts.iter().flat_map(|p| p.iter()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
 
 /// When may a cached entry be served instead of (or as a fallback to)
 /// the backing store? See the module docs for the full policy.
@@ -996,12 +978,7 @@ impl DiskCache {
     pub fn simulate_crash_truncation(&self, seed: u64, rate: f64) -> Vec<String> {
         let mut torn = Vec::new();
         for key in self.manifest.read().entries.keys() {
-            let mut z = fnv1a64_seeded(seed, &[key.as_bytes()]);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-            if u < rate {
+            if fraction(mix64(fnv1a64_seeded(seed, &[key.as_bytes()]))) < rate {
                 let path = self.entry_path(key);
                 if let Ok(meta) = fs::metadata(&path) {
                     let cut = meta.len() / 2;
@@ -1076,10 +1053,6 @@ impl<S: ModelStore> CachingStore<S> {
 }
 
 impl<S: ModelStore> ModelStore for CachingStore<S> {
-    fn fetch(&self, key: &str) -> Option<String> {
-        self.try_fetch(key).ok().flatten()
-    }
-
     fn try_fetch(&self, key: &str) -> Result<Option<String>, StoreError> {
         let now = now_ms();
         let cached = self.cache.get(key, Some(&self.source_id));
@@ -1183,14 +1156,6 @@ mod tests {
         m.insert("CpuB", "<cpu name=\"CpuB\"/>");
         m.insert("Dev", "<device name=\"Dev\" extends=\"CpuB\"/>");
         m
-    }
-
-    #[test]
-    fn fnv1a64_is_stable() {
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-        // Known FNV-1a test vector.
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 
     #[test]

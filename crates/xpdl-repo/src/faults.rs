@@ -18,7 +18,7 @@
 //!   resolvers may load keys in any order, but the n-th fetch *of a
 //!   particular key* always gets the same verdict.
 
-use crate::diskcache::fnv1a64_seeded;
+use crate::hash::{fnv1a64_seeded, fraction, mix64};
 use crate::store::{ModelStore, StoreError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -210,21 +210,11 @@ impl<S: ModelStore> FaultInjectingStore<S> {
     /// `std`'s `DefaultHasher`.
     fn unit_fraction(&self, key: &str, attempt: u64) -> f64 {
         let h = fnv1a64_seeded(self.config.seed, &[key.as_bytes()]);
-        let mut z = h ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        fraction(mix64(h ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
     }
 }
 
 impl<S: ModelStore> ModelStore for FaultInjectingStore<S> {
-    fn fetch(&self, key: &str) -> Option<String> {
-        // The infallible entry point swallows injected errors into misses;
-        // the repository resolves through `try_fetch`, which keeps them.
-        self.try_fetch(key).ok().flatten()
-    }
-
     fn try_fetch(&self, key: &str) -> Result<Option<String>, StoreError> {
         let attempt = self.next_attempt(key);
         let u = self.unit_fraction(key, attempt);
@@ -317,8 +307,6 @@ mod tests {
             ));
         }
         assert_eq!(f.stats().injected_unavailable, 5);
-        // The infallible path degrades injected errors to misses.
-        assert!(f.fetch("CpuA").is_none());
     }
 
     #[test]
@@ -379,7 +367,7 @@ mod tests {
     fn torn_mode_serves_a_strict_prefix_that_fails_to_parse() {
         let f = FaultInjectingStore::new(store(), FaultConfig::torn_writes(1.0, 5));
         let torn = f.try_fetch("CpuA").unwrap().unwrap();
-        let full = store().fetch("CpuA").unwrap();
+        let full = store().try_fetch("CpuA").unwrap().unwrap();
         assert!(torn.len() < full.len(), "torn {torn:?} vs full {full:?}");
         assert!(full.starts_with(&torn), "torn payload must be a prefix");
         assert!(xpdl_xml::parse(&torn).is_err(), "torn XML must be rejected: {torn:?}");
@@ -421,8 +409,9 @@ mod tests {
 
     #[test]
     fn fault_script_hash_is_pinned() {
-        // Computed before the script hash moved onto `diskcache`'s
-        // FNV-1a: a change here rewrites every seeded fault script.
+        // Computed before the script hash moved onto the shared FNV-1a
+        // (`crate::hash`): a change here rewrites every seeded fault
+        // script.
         let frac = |seed: u64, key: &str, attempt: u64| {
             FaultInjectingStore::new(store(), FaultConfig::failures(0.5, seed))
                 .unit_fraction(key, attempt)

@@ -27,6 +27,8 @@
 //!   cross-process lockfile, corruption quarantine) with an explicit
 //!   [`Freshness`] degradation policy for stale-if-unavailable and
 //!   fully-offline operation.
+//! * [`hash`] — the seeded FNV-1a, SplitMix64 finalizer and `[0, 1)`
+//!   fraction behind the cache checksums, fault scripts and retry jitter.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@
 
 pub mod diskcache;
 pub mod faults;
+pub mod hash;
 pub mod metrics;
 pub mod repository;
 pub mod retry;

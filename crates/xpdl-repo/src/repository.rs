@@ -7,6 +7,7 @@ use crate::store::ModelStore;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xpdl_core::diag::Diagnostic;
 use xpdl_core::{CoreError, ElementKind, XpdlDocument, XpdlElement};
@@ -192,7 +193,6 @@ pub struct Repository {
     /// a fact worth caching: `allow_missing` resolutions re-request the
     /// same elided names over and over.
     negative: RwLock<BTreeSet<String>>,
-    negative_enabled: bool,
     retry: RetryPolicy,
     metrics: MetricCounters,
     /// Registered persistent caches whose counters are merged into
@@ -209,7 +209,6 @@ impl Repository {
             cache: RwLock::new(BTreeMap::new()),
             cache_enabled: true,
             negative: RwLock::new(BTreeSet::new()),
-            negative_enabled: true,
             retry: RetryPolicy::default(),
             metrics: MetricCounters::default(),
             disk_caches: Vec::new(),
@@ -240,20 +239,9 @@ impl Repository {
         self.retry = policy;
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Disable the parse cache (ablation benchmarks).
     pub fn without_cache(mut self) -> Repository {
         self.cache_enabled = false;
-        self
-    }
-
-    /// Disable the confirmed-missing negative cache.
-    pub fn without_negative_cache(mut self) -> Repository {
-        self.negative_enabled = false;
         self
     }
 
@@ -316,7 +304,7 @@ impl Repository {
             }
         }
         self.metrics.cache_misses.inc();
-        if self.negative_enabled && self.negative.read().contains(key) {
+        if self.negative.read().contains(key) {
             self.metrics.negative_hits.inc();
             sp.record_attr("tier", "negative");
             return Err(self.not_found(key));
@@ -365,7 +353,7 @@ impl Repository {
                     Ok(None) => break,
                     Err(error) => {
                         self.metrics.fetch_failures.inc();
-                        if self.retry.should_retry_store_error(&error, attempt) {
+                        if self.retry.should_retry_store_error(attempt) {
                             self.metrics.retries.inc();
                             self.backoff(key, attempt);
                             continue;
@@ -387,9 +375,7 @@ impl Repository {
                 detail,
             });
         }
-        if self.negative_enabled {
-            self.negative.write().insert(key.to_string());
-        }
+        self.negative.write().insert(key.to_string());
         Err(self.not_found(key))
     }
 
@@ -432,25 +418,11 @@ impl Repository {
     /// Fetch and parse many descriptors concurrently, warming the cache.
     ///
     /// Vendor sites are slow relative to local stores; preloading a known
-    /// working set in parallel (scoped threads — stores are `Sync`) hides
+    /// working set on up to eight scoped threads (stores are `Sync`) hides
     /// that latency before a batch of resolutions. Returns how many keys
     /// loaded successfully.
     pub fn preload_parallel(&self, keys: &[&str]) -> usize {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let loaded = AtomicUsize::new(0);
-        let counter = &loaded;
-        std::thread::scope(|s| {
-            for chunk in keys.chunks(keys.len().div_ceil(8).max(1)) {
-                s.spawn(move || {
-                    for key in chunk {
-                        if self.load(key).is_ok() {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        loaded.load(Ordering::Relaxed)
+        fan_out(keys, 8, |k| self.load(k).is_ok()).into_iter().filter(|&ok| ok).count()
     }
 
     /// Resolve `key` and everything transitively referenced via
@@ -484,7 +456,7 @@ impl Repository {
         enqueued.insert(key.to_string());
         let mut frontier: Vec<(String, Option<String>)> = vec![(key.to_string(), None)];
         while !frontier.is_empty() {
-            let loaded = self.load_frontier(&frontier, opts.jobs);
+            let loaded = fan_out(&frontier, opts.jobs, |(k, _)| self.load(k));
             let mut next: Vec<(String, Option<String>)> = Vec::new();
             for ((k, referenced_by), result) in frontier.into_iter().zip(loaded) {
                 if docs.len() >= opts.max_models {
@@ -533,108 +505,61 @@ impl Repository {
         Ok(ResolvedSet { root_key: key.to_string(), docs, missing })
     }
 
-    /// Load one BFS frontier, optionally across scoped worker threads.
-    ///
-    /// Returns results in frontier order so the caller's processing (and
-    /// therefore which error wins) is deterministic. Workers pull the
-    /// next index from a shared atomic cursor — cheap work-stealing
-    /// without a channel.
-    fn load_frontier(
-        &self,
-        frontier: &[(String, Option<String>)],
-        jobs: usize,
-    ) -> Vec<Result<Arc<XpdlDocument>, ResolveError>> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let workers = jobs.max(1).min(frontier.len());
-        if workers <= 1 {
-            return frontier.iter().map(|(k, _)| self.load(k)).collect();
-        }
-        let mut slots: Vec<Option<Result<Arc<XpdlDocument>, ResolveError>>> =
-            (0..frontier.len()).map(|_| None).collect();
-        let cursor = AtomicUsize::new(0);
-        // Workers run on fresh threads with an empty span context; hand
-        // them the caller's span id so their loads stay in the tree.
-        let parent_span = trace::current_span_id();
-        std::thread::scope(|s| {
-            let outputs: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let _wsp = trace::span_with_parent("repo.worker", parent_span);
-                        let mut out: Vec<(usize, Result<Arc<XpdlDocument>, ResolveError>)> =
-                            Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((k, _)) = frontier.get(i) else { break };
-                            out.push((i, self.load(k)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in outputs {
-                for (i, r) in handle.join().expect("resolver worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every frontier slot claimed by exactly one worker"))
-            .collect()
-    }
-
     /// Resolve several roots, sharing this repository's caches.
     ///
-    /// With `opts.jobs > 1` the roots themselves are resolved across
-    /// scoped worker threads (each root's own frontier is then loaded
-    /// serially — the parallelism budget is spent once, at the batch
-    /// level). Results come back in input order, one per root, so callers
-    /// can pair them back up with their keys.
+    /// With `opts.jobs > 1` and several roots, the roots themselves are
+    /// resolved across scoped worker threads (each root's own frontier is
+    /// then loaded serially — the parallelism budget is spent once, at the
+    /// batch level); a single root spends it on its frontiers. Results come
+    /// back in input order, one per root, so callers can pair them back up
+    /// with their keys.
     pub fn resolve_batch(
         &self,
         keys: &[&str],
         opts: &ResolveOptions,
     ) -> Vec<Result<ResolvedSet, ResolveError>> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let mut sp = trace::span("repo.resolve_batch");
         sp.record_attr("roots", keys.len());
-        let workers = opts.jobs.max(1).min(keys.len());
-        if workers <= 1 {
-            return keys.iter().map(|k| self.resolve_with(k, opts)).collect();
-        }
-        let inner = ResolveOptions { jobs: 1, ..opts.clone() };
-        let mut slots: Vec<Option<Result<ResolvedSet, ResolveError>>> =
-            (0..keys.len()).map(|_| None).collect();
-        let cursor = AtomicUsize::new(0);
-        let parent_span = trace::current_span_id();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let inner = &inner;
-                    let cursor = &cursor;
-                    s.spawn(move || {
-                        let _wsp = trace::span_with_parent("repo.worker", parent_span);
-                        let mut out: Vec<(usize, Result<ResolvedSet, ResolveError>)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(k) = keys.get(i) else { break };
-                            out.push((i, self.resolve_with(k, inner)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, r) in handle.join().expect("batch resolver worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every batch slot claimed by exactly one worker"))
-            .collect()
+        let jobs = if keys.len() > 1 { 1 } else { opts.jobs };
+        let inner = ResolveOptions { jobs, ..opts.clone() };
+        fan_out(keys, opts.jobs, |k| self.resolve_with(k, &inner))
     }
+}
+
+/// Map `items` through `f` on at most `jobs` scoped worker threads and
+/// return the results in input order. With `jobs <= 1`, or a single
+/// item, it maps on the caller's thread and spawns nothing.
+///
+/// Workers pull the next index from a shared atomic cursor (cheap work
+/// stealing without a channel), so which thread ran an item never shows
+/// in the result. Each runs under a `repo.worker` span whose parent is
+/// the caller's span: a fresh thread starts with an empty span context.
+fn fan_out<T: Sync, R: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = jobs.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let parent_span = trace::current_span_id();
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let _wsp = trace::span_with_parent("repo.worker", parent_span);
+                    let mut out = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        out.push((i, f(item)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("repository worker panicked")).collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Whether the `type=` attribute of this element kind references a
@@ -952,6 +877,31 @@ mod tests {
     }
 
     #[test]
+    fn preload_workers_nest_under_the_callers_span() {
+        let mut m = MemoryStore::new();
+        let keys = ["W0", "W1", "W2", "W3"];
+        for k in keys {
+            m.insert(k, format!("<cpu name=\"{k}\"/>"));
+        }
+        let repo = Repository::new().with_store(m);
+        trace::set_enabled(true);
+        let root = trace::span("repo_test.preload");
+        let root_id = root.id();
+        assert_eq!(repo.preload_parallel(&keys), 4);
+        drop(root);
+        trace::set_enabled(false);
+        let records = trace::global_collector().drain();
+        let workers: BTreeSet<u64> = records
+            .iter()
+            .filter(|r| r.name == "repo.worker" && r.parent == root_id)
+            .map(|r| r.id)
+            .collect();
+        assert!(!workers.is_empty(), "no repo.worker span under the caller's span");
+        let loads = records.iter().filter(|r| r.name == "repo.load" && workers.contains(&r.parent));
+        assert_eq!(loads.count(), 4);
+    }
+
+    #[test]
     fn clear_cache_resets() {
         let mut m = MemoryStore::new();
         m.insert("X", r#"<cpu name="X"/>"#);
@@ -987,17 +937,6 @@ mod tests {
         second.insert("Late", r#"<cpu name="Late"/>"#);
         repo.push_store(Box::new(second));
         assert!(repo.load("Late").is_ok(), "new store must be consulted");
-    }
-
-    #[test]
-    fn without_negative_cache_reconsults_stores() {
-        let repo = Repository::new()
-            .with_store(MemoryStore::new())
-            .without_negative_cache();
-        assert!(repo.load("Ghost").is_err());
-        assert!(repo.load("Ghost").is_err());
-        assert_eq!(repo.negative_cache_len(), 0);
-        assert_eq!(repo.metrics().negative_hits, 0);
     }
 
     #[test]

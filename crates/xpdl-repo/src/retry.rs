@@ -6,9 +6,8 @@
 //! [`RetryPolicy`] tells the [`Repository`](crate::Repository) how to
 //! handle each failure class:
 //!
-//! * **transient store errors** ([`StoreError::Unavailable`],
-//!   [`StoreError::Timeout`]) are always
-//!   retried up to [`RetryPolicy::max_attempts`];
+//! * **transient store errors** (every [`StoreError`](crate::StoreError)
+//!   class) are always retried up to [`RetryPolicy::max_attempts`];
 //! * **corrupted payloads** (fetched text that fails to parse) are
 //!   re-fetched when [`RetryPolicy::retry_parse_errors`] is set — a flaky
 //!   mirror can serve garbage once and the real descriptor on the next
@@ -22,8 +21,7 @@
 //! key, and the attempt number — so a seeded test run backs off exactly
 //! the same way every time.
 
-use crate::diskcache::fnv1a64_seeded;
-use crate::store::StoreError;
+use crate::hash::{fnv1a64_seeded, fraction};
 use std::time::Duration;
 
 /// When (and how fast) the repository retries a failed fetch.
@@ -73,11 +71,10 @@ impl RetryPolicy {
         RetryPolicy { max_attempts: max_attempts.max(1), ..RetryPolicy::default() }
     }
 
-    /// Whether a transient store error on attempt `attempt` (1-based)
-    /// warrants another try.
-    pub fn should_retry_store_error(&self, _error: &StoreError, attempt: u32) -> bool {
-        // Both store-error classes (unavailable, timeout) are transient by
-        // definition; only the attempt budget gates them.
+    /// Whether a store error on attempt `attempt` (1-based) warrants
+    /// another try. Every [`StoreError`](crate::StoreError) class is
+    /// transient, so only the attempt budget gates it.
+    pub fn should_retry_store_error(&self, attempt: u32) -> bool {
         attempt < self.max_attempts
     }
 
@@ -93,10 +90,8 @@ impl RetryPolicy {
         let raw = self.base_delay.as_secs_f64() * exp;
         let capped = raw.min(self.max_delay.as_secs_f64());
         let jitter = self.jitter.clamp(0.0, 1.0);
-        // FNV-1a over (seed, key, attempt) -> uniform fraction in [0, 1).
         let h = fnv1a64_seeded(self.seed, &[key.as_bytes(), &attempt.to_le_bytes()]);
-        let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 1.0 + jitter * (frac - 0.5);
+        let factor = 1.0 + jitter * (fraction(h) - 0.5);
         Duration::from_secs_f64(capped * factor)
     }
 
@@ -116,10 +111,9 @@ mod tests {
     #[test]
     fn default_policy_retries_transients_and_parses() {
         let p = RetryPolicy::default();
-        let err = StoreError::Unavailable { detail: "503".into() };
-        assert!(p.should_retry_store_error(&err, 1));
-        assert!(p.should_retry_store_error(&err, 3));
-        assert!(!p.should_retry_store_error(&err, 4));
+        assert!(p.should_retry_store_error(1));
+        assert!(p.should_retry_store_error(3));
+        assert!(!p.should_retry_store_error(4));
         assert!(p.should_retry_parse_error(1));
         assert!(!p.should_retry_parse_error(4));
     }
@@ -127,8 +121,7 @@ mod tests {
     #[test]
     fn none_policy_never_retries() {
         let p = RetryPolicy::none();
-        let err = StoreError::Timeout { waited_ms: 100 };
-        assert!(!p.should_retry_store_error(&err, 1));
+        assert!(!p.should_retry_store_error(1));
         assert!(!p.should_retry_parse_error(1));
     }
 
@@ -156,8 +149,9 @@ mod tests {
 
     #[test]
     fn jitter_hash_is_pinned() {
-        // Computed before the jitter hash moved onto `diskcache`'s
-        // FNV-1a: a change here reshuffles every seeded retry schedule.
+        // Computed before the jitter hash moved onto the shared FNV-1a
+        // (`crate::hash`): a change here reshuffles every seeded retry
+        // schedule.
         // Second-scale delays keep the jitter fraction's bits visible in
         // the nanosecond count.
         let delay = |seed: u64, key: &str, attempt: u32| {

@@ -7,11 +7,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A transient store failure, distinct from an authoritative miss.
 ///
-/// `fetch` returning `None` means "this store does not have the key" —
-/// a definitive answer that is never worth retrying. A `StoreError`
-/// means "this store could not answer *right now*": the repository's
-/// [`RetryPolicy`](crate::RetryPolicy) treats both variants as
-/// retryable.
+/// [`ModelStore::try_fetch`] returning `Ok(None)` means "this store does
+/// not have the key" — a definitive answer that is never worth retrying.
+/// A `StoreError` means "this store could not answer *right now*": the
+/// repository's [`RetryPolicy`](crate::RetryPolicy) retries every class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// The store refused or failed to serve the request (e.g. an HTTP
@@ -36,18 +35,6 @@ pub enum StoreError {
     },
 }
 
-impl StoreError {
-    /// Whether a retry could plausibly succeed. All current classes are
-    /// transient; the method exists so future permanent classes (auth
-    /// failure, schema rejection) slot into the retry logic cleanly.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            StoreError::Unavailable { .. } | StoreError::Timeout { .. } | StoreError::Io { .. }
-        )
-    }
-}
-
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -68,17 +55,9 @@ impl std::error::Error for StoreError {}
 /// (meta-model) or `id` (concrete model). File-backed stores map keys to
 /// `<key>.xpdl` files.
 pub trait ModelStore: Send + Sync {
-    /// Fetch the descriptor source for a key.
-    fn fetch(&self, key: &str) -> Option<String>;
-
-    /// Fetch, distinguishing transient failures ([`StoreError`]) from
-    /// authoritative misses (`Ok(None)`). The default treats the store
-    /// as perfectly reliable and delegates to [`fetch`](Self::fetch);
-    /// stores that can actually fail (remote mirrors, fault injectors)
-    /// override it.
-    fn try_fetch(&self, key: &str) -> Result<Option<String>, StoreError> {
-        Ok(self.fetch(key))
-    }
+    /// Fetch the descriptor source for a key, distinguishing transient
+    /// failures ([`StoreError`]) from authoritative misses (`Ok(None)`).
+    fn try_fetch(&self, key: &str) -> Result<Option<String>, StoreError>;
 
     /// Enumerate available keys (sorted).
     fn keys(&self) -> Vec<String>;
@@ -88,10 +67,6 @@ pub trait ModelStore: Send + Sync {
 }
 
 impl ModelStore for Box<dyn ModelStore> {
-    fn fetch(&self, key: &str) -> Option<String> {
-        (**self).fetch(key)
-    }
-
     fn try_fetch(&self, key: &str) -> Result<Option<String>, StoreError> {
         (**self).try_fetch(key)
     }
@@ -135,8 +110,8 @@ impl MemoryStore {
 }
 
 impl ModelStore for MemoryStore {
-    fn fetch(&self, key: &str) -> Option<String> {
-        self.entries.get(key).cloned()
+    fn try_fetch(&self, key: &str) -> Result<Option<String>, StoreError> {
+        Ok(self.entries.get(key).cloned())
     }
 
     fn keys(&self) -> Vec<String> {
@@ -175,13 +150,6 @@ impl DirStore {
 }
 
 impl ModelStore for DirStore {
-    fn fetch(&self, key: &str) -> Option<String> {
-        // The infallible entry point keeps its historical "unreadable ==
-        // missing" behavior; resolution goes through `try_fetch`, which
-        // distinguishes the two.
-        self.try_fetch(key).ok().flatten()
-    }
-
     /// Fetch, reporting "file exists but cannot be read" as
     /// [`StoreError::Io`] instead of folding it into `Ok(None)`. Only a
     /// genuine `NotFound` is an authoritative miss — a transient
@@ -217,25 +185,6 @@ impl ModelStore for DirStore {
     }
 }
 
-impl DirStore {
-    /// Verify that every `<key>.xpdl` file's root identifier matches its
-    /// file name (the repository convention), using the fast root scanner —
-    /// no full parses. Returns the mismatches as (key, actual-root-ident).
-    pub fn verify_keys(&self) -> Vec<(String, Option<String>)> {
-        let mut mismatches = Vec::new();
-        for key in self.keys() {
-            let Some(src) = self.fetch(&key) else { continue };
-            let actual = xpdl_xml::root_info(&src)
-                .ok()
-                .and_then(|i| i.key().map(str::to_string));
-            if actual.as_deref() != Some(key.as_str()) {
-                mismatches.push((key, actual));
-            }
-        }
-        mismatches
-    }
-}
-
 /// A simulated remote (vendor) repository.
 ///
 /// The paper envisions descriptors "provided for download e.g. at hardware
@@ -253,9 +202,6 @@ pub struct RemoteStore {
     /// would show, and the number the concurrent resolver's benchmarks
     /// compare against.
     attempts: AtomicUsize,
-    /// Simulated per-fetch latency (spin-free: just recorded, not slept,
-    /// except in benchmarks that opt in).
-    pub simulated_latency_us: u64,
 }
 
 impl RemoteStore {
@@ -266,7 +212,6 @@ impl RemoteStore {
             catalog: MemoryStore::new(),
             fetches: AtomicUsize::new(0),
             attempts: AtomicUsize::new(0),
-            simulated_latency_us: 200,
         }
     }
 
@@ -305,7 +250,7 @@ impl RemoteStore {
 }
 
 impl ModelStore for RemoteStore {
-    fn fetch(&self, key: &str) -> Option<String> {
+    fn try_fetch(&self, key: &str) -> Result<Option<String>, StoreError> {
         // Each counter is bumped by exactly one `fetch_add`, so counts
         // stay exact when the concurrent resolver hammers this store
         // from many threads. `Relaxed` suffices: the counters are
@@ -315,11 +260,11 @@ impl ModelStore for RemoteStore {
         // the happens-before edge, not the counter ordering).
         self.attempts.fetch_add(1, Ordering::Relaxed);
         let local = if self.serves(key) { self.local_key(key) } else { key };
-        let result = self.catalog.fetch(local);
+        let result = self.catalog.entries.get(local).cloned();
         if result.is_some() {
             self.fetches.fetch_add(1, Ordering::Relaxed);
         }
-        result
+        Ok(result)
     }
 
     fn keys(&self) -> Vec<String> {
@@ -341,8 +286,8 @@ mod tests {
         s.insert("b", "<cpu name=\"b\"/>").insert("a", "<cpu name=\"a\"/>");
         assert_eq!(s.len(), 2);
         assert_eq!(s.keys(), vec!["a", "b"]);
-        assert!(s.fetch("a").is_some());
-        assert!(s.fetch("c").is_none());
+        assert!(s.try_fetch("a").unwrap().is_some());
+        assert!(s.try_fetch("c").unwrap().is_none());
         assert!(!s.is_empty());
     }
 
@@ -354,32 +299,17 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
         let s = DirStore::new(&dir);
         assert_eq!(s.keys(), vec!["Xeon1"]);
-        assert!(s.fetch("Xeon1").unwrap().contains("Xeon1"));
-        assert!(s.fetch("missing").is_none());
+        assert!(s.try_fetch("Xeon1").unwrap().unwrap().contains("Xeon1"));
+        assert!(s.try_fetch("missing").unwrap().is_none());
         assert!(s.describe().contains("directory"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dir_store_verify_keys_flags_mismatches() {
-        let dir = std::env::temp_dir().join(format!("xpdl_verify_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("Good.xpdl"), "<cpu name=\"Good\"/>").unwrap();
-        std::fs::write(dir.join("Renamed.xpdl"), "<cpu name=\"Original\"/>").unwrap();
-        std::fs::write(dir.join("Broken.xpdl"), "not xml at all").unwrap();
-        let s = DirStore::new(&dir);
-        let bad = s.verify_keys();
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad.contains(&("Renamed".to_string(), Some("Original".to_string()))));
-        assert!(bad.contains(&("Broken".to_string(), None)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn dir_store_rejects_traversal_keys() {
         let s = DirStore::new("/tmp");
-        assert!(s.fetch("../etc/passwd").is_none());
-        assert!(s.fetch("a/b").is_none());
+        assert!(s.try_fetch("../etc/passwd").unwrap().is_none());
+        assert!(s.try_fetch("a/b").unwrap().is_none());
     }
 
     #[test]
@@ -388,10 +318,10 @@ mod tests {
         r.publish("K20c", "<device name=\"K20c\"/>");
         assert_eq!(r.fetch_count(), 0);
         assert_eq!(r.attempt_count(), 0);
-        assert!(r.fetch("K20c").is_some());
-        assert!(r.fetch("K20c").is_some());
+        assert!(r.try_fetch("K20c").unwrap().is_some());
+        assert!(r.try_fetch("K20c").unwrap().is_some());
         assert_eq!(r.fetch_count(), 2);
-        assert!(r.fetch("missing").is_none());
+        assert!(r.try_fetch("missing").unwrap().is_none());
         assert_eq!(r.fetch_count(), 2, "misses are not served");
         assert_eq!(r.attempt_count(), 3, "misses still count as attempts");
     }
@@ -407,9 +337,9 @@ mod tests {
                 s.spawn(|| {
                     for i in 0..per_thread {
                         if i % 4 == 0 {
-                            assert!(r.fetch("missing").is_none());
+                            assert!(r.try_fetch("missing").unwrap().is_none());
                         } else {
-                            assert!(r.fetch("K20c").is_some());
+                            assert!(r.try_fetch("K20c").unwrap().is_some());
                         }
                     }
                 });
@@ -426,9 +356,6 @@ mod tests {
         let u = StoreError::Unavailable { detail: "503 from vendor".into() };
         let t = StoreError::Timeout { waited_ms: 250 };
         let i = StoreError::Io { detail: "/models/X.xpdl: permission denied".into() };
-        assert!(u.is_transient());
-        assert!(t.is_transient());
-        assert!(i.is_transient());
         assert!(u.to_string().contains("503"));
         assert!(t.to_string().contains("250ms"));
         assert!(i.to_string().contains("permission denied"));
@@ -448,8 +375,6 @@ mod tests {
         }
         // A genuinely absent key stays an authoritative miss.
         assert!(s.try_fetch("Absent").unwrap().is_none());
-        // The infallible path degrades the I/O error to a miss.
-        assert!(s.fetch("Squatter").is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -477,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn try_fetch_default_wraps_fetch() {
+    fn boxed_store_delegates() {
         let mut s = MemoryStore::new();
         s.insert("a", "<cpu name=\"a\"/>");
         assert!(s.try_fetch("a").unwrap().is_some());
@@ -495,6 +420,6 @@ mod tests {
         assert!(r.serves("https://vendor.example/xpdl/K20c.xpdl"));
         assert!(!r.serves("https://other.example/K20c.xpdl"));
         assert_eq!(r.local_key("https://vendor.example/xpdl/K20c.xpdl"), "K20c");
-        assert!(r.fetch("https://vendor.example/xpdl/K20c.xpdl").is_some());
+        assert!(r.try_fetch("https://vendor.example/xpdl/K20c.xpdl").unwrap().is_some());
     }
 }

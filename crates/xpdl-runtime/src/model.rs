@@ -449,15 +449,6 @@ impl<'e> Builder<'e> {
     }
 }
 
-/// Whether attribute `key` is `metric`'s unit attribute
-/// ([`XpdlElement::unit_attr_for`]), checked without building its name.
-fn is_unit_attr(key: &[u8], metric: &str) -> bool {
-    if metric == "size" {
-        return key == b"unit";
-    }
-    key.len() == metric.len() + 5 && key.starts_with(metric.as_bytes()) && key.ends_with(b"_unit")
-}
-
 /// A borrowed reference to one node — the object the generated getters of
 /// the paper's C++ API correspond to.
 #[derive(Debug, Clone, Copy)]
@@ -538,7 +529,7 @@ impl<'m> NodeRef<'m> {
         let unit = self
             .attr_ids()
             .iter()
-            .find(|&&(k, _)| is_unit_attr(strings.bytes(k), metric))
+            .find(|&&(k, _)| XpdlElement::is_unit_attr(strings.get(k), metric))
             .map_or("", |&(_, v)| strings.get(v));
         Quantity::parse(v, unit).ok()
     }
@@ -744,17 +735,6 @@ mod tests {
             assert!(!x.has_installed(|t| t.contains("cusparse")));
         }
         assert_eq!(back.total_static_power_w().to_bits(), m.total_static_power_w().to_bits());
-    }
-
-    #[test]
-    fn unit_attr_matches_the_naming_convention() {
-        for metric in ["size", "static_power", "frequency", "s", ""] {
-            let name = XpdlElement::unit_attr_for(metric);
-            assert!(is_unit_attr(name.as_bytes(), metric), "{metric}");
-            for other in [metric, "unit", "_unit", "size_unit", "static_power_units", "frequency_unit"] {
-                assert_eq!(is_unit_attr(other.as_bytes(), metric), other == name, "{metric} {other}");
-            }
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use xpdl_obs::{trace, Histogram, MetricsRegistry};
 use xpdl_registry::NodeReport;
-use xpdl_repo::diskcache::fnv1a64;
+use xpdl_repo::hash::fnv1a64;
 use xpdl_repo::Repository;
 use xpdl_runtime::{estimate, format, RuntimeModel};
 

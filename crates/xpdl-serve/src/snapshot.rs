@@ -89,7 +89,7 @@ impl ServeSnapshot {
 
 /// FNV-1a over the model's canonical encoding.
 pub fn fingerprint_model(model: &RuntimeModel) -> u64 {
-    xpdl_repo::diskcache::fnv1a64(format::encode(model).as_ref())
+    xpdl_repo::hash::fnv1a64(format::encode(model).as_ref())
 }
 
 /// The swap point between the reload path and every reader.

@@ -37,14 +37,12 @@ pub mod escape;
 pub mod lexer;
 pub mod parser;
 pub mod pos;
-pub mod scan;
 pub mod writer;
 
 pub use dom::{Attribute, Document, Element, Node, NodeKind};
 pub use error::{XmlError, XmlErrorKind, XmlResult};
 pub use parser::{parse, parse_with, ParseOptions};
 pub use pos::{Pos, Span};
-pub use scan::{root_info, RootInfo};
 pub use writer::{write_document, write_element, WriteOptions};
 
 /// Convenience: parse in lenient mode (accepts the paper-listing dialect).

@@ -73,6 +73,6 @@ fn main() {
 
 fn nvidia_fetch(store: &xpdl::repo::RemoteStore, url: &str) -> String {
     use xpdl::repo::ModelStore;
-    let src = store.fetch(url).expect("hyperlink fetch");
+    let src = store.try_fetch(url).expect("a simulated site always answers").expect("hyperlink fetch");
     XpdlDocument::parse_str(&src).expect("parses").key().unwrap_or("?").to_string()
 }

@@ -152,7 +152,7 @@ proptest! {
                         let (_, original) = LIBRARY.iter().find(|(k, _)| k == key).unwrap();
                         prop_assert_eq!(&text, *original, "surviving entry corrupt");
                         prop_assert_eq!(
-                            xpdl::repo::diskcache::fnv1a64(text.as_bytes()),
+                            xpdl::repo::hash::fnv1a64(text.as_bytes()),
                             entry.checksum
                         );
                     }

@@ -9,7 +9,7 @@ use xpdl::hwsim::{GroundTruth, SimMachine};
 use xpdl::mb::{bootstrap_energy_table, MicrobenchmarkSuite};
 use xpdl::models::paper_repository;
 use xpdl::power::{InstructionEnergyTable, PowerStateMachine, WorkloadEnergy};
-use xpdl::repo::diskcache::fnv1a64;
+use xpdl::repo::hash::fnv1a64;
 use xpdl::runtime::{format, RuntimeModel, XpdlHandle};
 
 /// The whole §IV pipeline in one test: browse → parse → compose → analyze
