@@ -225,42 +225,52 @@ pub(crate) fn optimize_command(
     let Some(format) = diag_format(rest, out)? else { return Ok(2) };
     let opts = calib_options(rest)?;
 
+    let fsm = default_fsm();
     let unit = match flag_value(rest, "--isa") {
         None => builtin_unit(),
         Some(key) => {
             let repo = repository(rest)?;
             let isa_doc = repo.load(&key)?;
             let table = InstructionEnergyTable::from_element(isa_doc.root())?;
+            let pending: Vec<String> = table.pending().iter().map(|s| s.to_string()).collect();
+            if pending.is_empty() {
+                // Every entry is priced: nothing to calibrate, no suite needed.
+                return optimize_report(&table, &fsm, &format, out);
+            }
             let suite_ref =
                 table.suite_mb.clone().ok_or("instruction set has no mb= suite reference")?;
             let suite_doc = repo.load(&suite_ref)?;
             let suite = xpdl_mb::MicrobenchmarkSuite::from_element(suite_doc.root())?;
-            let pending = table.pending().iter().map(|s| s.to_string()).collect();
             WorkUnit { doc_key: key, table, suite, pending }
         }
     };
 
-    let fsm = default_fsm();
-    let table = if unit.pending.is_empty() {
-        unit.table
-    } else {
-        let plan = xpdl_calib::CalibrationPlan {
-            total_pending: unit.pending.len(),
-            units: vec![unit],
-            ..Default::default()
-        };
-        let outcome = run_plan(&plan, &fsm, DEFAULT_INITIAL_STATE, &opts);
-        if !outcome.complete() {
-            for (doc, d) in outcome.diags() {
-                writeln!(out, "  [{doc}] {d}")?;
-            }
-            writeln!(out, "optimize: calibration incomplete; cannot price workloads")?;
-            return Ok(1);
-        }
-        outcome.units.into_iter().next().expect("one unit").table
+    let plan = xpdl_calib::CalibrationPlan {
+        total_pending: unit.pending.len(),
+        units: vec![unit],
+        ..Default::default()
     };
+    let outcome = run_plan(&plan, &fsm, DEFAULT_INITIAL_STATE, &opts);
+    if !outcome.complete() {
+        for (doc, d) in outcome.diags() {
+            writeln!(out, "  [{doc}] {d}")?;
+        }
+        writeln!(out, "optimize: calibration incomplete; cannot price workloads")?;
+        return Ok(1);
+    }
+    let table = outcome.units.into_iter().next().expect("one unit").table;
+    optimize_report(&table, &fsm, &format, out)
+}
 
-    let report = optimize_model(&table, &fsm, DEFAULT_INITIAL_STATE)?;
+/// Price the optimization scenarios over a fully priced `table` and print
+/// the report in `format` (`text` or `json`).
+fn optimize_report(
+    table: &InstructionEnergyTable,
+    fsm: &xpdl_power::PowerStateMachine,
+    format: &str,
+    out: &mut dyn std::io::Write,
+) -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let report = optimize_model(table, fsm, DEFAULT_INITIAL_STATE)?;
     if format == "json" {
         writeln!(out, "{}", report.to_json())?;
     } else {
@@ -415,6 +425,26 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("model 'fg_isa_0'"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn optimize_needs_no_suite_when_nothing_is_pending() {
+        let dir = std::env::temp_dir().join(format!("xpdlc_calib_priced_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let ops = ["fadd", "fmul", "fma", "add", "mov", "load", "store", "branch"];
+        let insts: String = ops
+            .iter()
+            .zip(1..)
+            .map(|(op, e)| format!("  <inst name=\"{op}\" energy=\"{e}\" energy_unit=\"pJ\"/>\n"))
+            .collect();
+        let isa = format!("<instructions name=\"K\">\n{insts}</instructions>\n");
+        std::fs::write(dir.join("K.xpdl"), isa).unwrap();
+        let (code, out) = run_cli(&["optimize", "--isa", "K", "--models", dir.to_str().unwrap()]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("model 'K'"), "{out}");
+        assert!(out.contains("dvfs schedule search"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,10 +1,11 @@
 //! Whole-document handling: parsing descriptor files and identifier indices.
 
+use crate::builder::build;
 use crate::diag::Diagnostic;
 use crate::error::{CoreError, CoreResult};
-use crate::model::XpdlElement;
+use crate::model::{first_fault, XpdlElement};
 use std::collections::BTreeMap;
-use xpdl_xml::{parse_with, write_element, ParseOptions, WriteOptions};
+use xpdl_xml::{write_element, ParseOptions, WriteOptions};
 
 /// One parsed `.xpdl` descriptor.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,20 +29,12 @@ impl XpdlDocument {
 
     /// Parse with strict XML conformance.
     pub fn parse_strict(src: &str) -> CoreResult<XpdlDocument> {
-        let doc = parse_with(src, ParseOptions::strict())?;
-        Ok(XpdlDocument {
-            root: XpdlElement::from_xml(doc.root())?,
-            origin: String::from("<string>"),
-        })
+        Self::parse_checked(src, ParseOptions::strict(), "<string>")
     }
 
     /// Parse descriptor text, recording its origin.
     pub fn parse_named(src: &str, origin: &str) -> CoreResult<XpdlDocument> {
-        let doc = parse_with(src, ParseOptions::lenient())?;
-        Ok(XpdlDocument {
-            root: XpdlElement::from_xml(doc.root())?,
-            origin: origin.to_string(),
-        })
+        Self::parse_checked(src, ParseOptions::lenient(), origin)
     }
 
     /// Parse descriptor text fail-soft: structural conversion faults (e.g.
@@ -53,10 +46,19 @@ impl XpdlDocument {
         src: &str,
         origin: &str,
     ) -> CoreResult<(XpdlDocument, Vec<Diagnostic>)> {
-        let doc = parse_with(src, ParseOptions::lenient())?;
         let mut diags = Vec::new();
-        let root = XpdlElement::from_xml_lossy(doc.root(), &mut diags);
+        let root = build(src, ParseOptions::lenient(), &mut diags)?;
         Ok((XpdlDocument { root, origin: origin.to_string() }, diags))
+    }
+
+    /// Parse, failing on the first structural fault as
+    /// [`XpdlElement::from_xml`] does, but only once the whole text is
+    /// well-formed XML.
+    fn parse_checked(src: &str, opts: ParseOptions, origin: &str) -> CoreResult<XpdlDocument> {
+        let mut diags = Vec::new();
+        let root = build(src, opts, &mut diags)?;
+        first_fault(diags)?;
+        Ok(XpdlDocument { root, origin: origin.to_string() })
     }
 
     /// The root element.

@@ -14,7 +14,8 @@
 //!   device, interconnect, group, power\_\*, …).
 //! * [`model`] — [`model::XpdlElement`], the typed tree, with the paper's
 //!   `name`/`id`/`type`/`extends` conventions made explicit.
-//! * [`doc`] — whole-document handling and indices.
+//! * [`doc`] — whole-document handling and indices. A document's tree is
+//!   built straight from the XML reader's events, with no DOM.
 //! * [`diag`] — the unified diagnostics type shared by every pipeline
 //!   stage (validation, resolution, elaboration), with source spans and
 //!   a stable JSON serialization.
@@ -40,6 +41,7 @@
 //! assert_eq!(size.to_base(), 15.0 * 1024.0 * 1024.0);
 //! ```
 
+mod builder;
 pub mod diag;
 pub mod diff;
 pub mod doc;

@@ -5,8 +5,9 @@ use crate::error::{CoreError, CoreResult};
 use crate::kind::ElementKind;
 use crate::units::Quantity;
 use crate::value::AttrValue;
+use std::borrow::Cow;
 use std::sync::Arc;
-use xpdl_xml::{Element, Span};
+use xpdl_xml::{Attr, Attribute, Element, Span};
 
 /// How an element is identified, following the paper's convention (§III-A):
 /// `name` declares a meta-model (a reusable type), `id` declares a concrete
@@ -131,13 +132,8 @@ impl XpdlElement {
     pub fn from_xml(e: &Element) -> CoreResult<XpdlElement> {
         let mut diags = Vec::new();
         let converted = XpdlElement::from_xml_lossy(e, &mut diags);
-        match diags.into_iter().find(Diagnostic::is_error) {
-            Some(d) if d.code == "P001" => Err(CoreError::BothNameAndId {
-                element: d.path.split('[').next().unwrap_or("").to_string(),
-            }),
-            Some(d) => Err(CoreError::Invalid { context: d.path, message: d.message }),
-            None => Ok(converted),
-        }
+        first_fault(diags)?;
+        Ok(converted)
     }
 
     /// Convert from a parsed XML element without bailing: structural faults
@@ -146,64 +142,89 @@ impl XpdlElement {
     /// both `name` and `id` keeps the `name` (meta-model identity wins, as
     /// repositories key on it) and reports code `P001`.
     pub fn from_xml_lossy(e: &Element, diags: &mut Vec<Diagnostic>) -> XpdlElement {
-        let kind = ElementKind::from_tag(e.name());
-        let name = e.attr("name");
-        let id = e.attr("id");
+        let mut out = XpdlElement::from_tag(e.name(), &e.attrs, &mut |s: &str| Arc::from(s), diags);
+        out.children = e.child_elements().map(|c| XpdlElement::from_xml_lossy(c, diags)).collect();
+        out.text = e.text();
+        out.span = e.span;
+        out
+    }
+
+    /// An element of tag `tag` with `attrs` as written, and no children,
+    /// text or span yet: `name`/`id`/`type`/`extends` lifted, the rest kept
+    /// in order, and every attribute's span recorded. Both `name` and `id`
+    /// is `P001` (see [`Self::from_xml_lossy`]). `key` makes each attribute
+    /// name's string.
+    pub(crate) fn from_tag<A: Written>(
+        tag: &str,
+        attrs: &[A],
+        key: &mut impl FnMut(&str) -> Arc<str>,
+        diags: &mut Vec<Diagnostic>,
+    ) -> XpdlElement {
+        // The first `name`, `id`, `type` and `extends`, and how many
+        // attributes carry one of those names.
+        let (mut name, mut id, mut ty, mut ext, mut lifted) = (None, None, None, None, 0);
+        for a in attrs {
+            let first = match a.name() {
+                "name" => &mut name,
+                "id" => &mut id,
+                "type" => &mut ty,
+                "extends" => &mut ext,
+                _ => continue,
+            };
+            first.get_or_insert(a);
+            lifted += 1;
+        }
         let model_kind = match (name, id) {
-            (Some(n), Some(_)) => {
+            (Some(n), Some(i)) => {
+                let n = n.value();
                 diags.push(
                     Diagnostic::error(
-                        format!("{}[{}]", e.name(), n),
+                        format!("{tag}[{n}]"),
                         format!(
-                            "element <{}> declares both name and id; an element is either \
-                             a meta-model (name) or an instance (id)",
-                            e.name()
+                            "element <{tag}> declares both name and id; an element is either \
+                             a meta-model (name) or an instance (id)"
                         ),
                     )
                     .with_code("P001")
-                    .with_span(attr_span_of(e, "id").unwrap_or(e.span))
+                    .with_span(i.span())
                     .with_note("keeping name and ignoring id"),
                 );
-                ModelKind::Meta(n.into())
+                ModelKind::Meta(Arc::from(&*n))
             }
-            (Some(n), None) => ModelKind::Meta(n.into()),
-            (None, Some(i)) => ModelKind::Instance(i.into()),
+            (Some(n), None) => ModelKind::Meta(Arc::from(&*n.value())),
+            (None, Some(i)) => ModelKind::Instance(Arc::from(&*i.value())),
             (None, None) => ModelKind::Anonymous,
         };
-        let type_ref = e.attr("type").map(Arc::from);
-        let extends = e
-            .attr("extends")
+        let extends = ext
             .map(|s| {
-                s.split(',')
+                s.value()
+                    .split(',')
                     .map(str::trim)
                     .filter(|t| !t.is_empty() && *t != "...")
                     .map(Arc::from)
                     .collect()
             })
             .unwrap_or_default();
-        let attr_spans: Arc<[(Arc<str>, Span)]> = if e.attrs.is_empty() {
+        let attr_spans: Arc<[(Arc<str>, Span)]> = if attrs.is_empty() {
             Arc::default()
         } else {
-            e.attrs.iter().map(|a| (Arc::from(a.name.as_str()), a.span)).collect()
+            attrs.iter().map(|a| (key(a.name()), a.span())).collect()
         };
-        let attrs = e
-            .attrs
-            .iter()
-            .zip(attr_spans.iter())
-            .filter(|(a, _)| !matches!(a.name.as_str(), "name" | "id" | "type" | "extends"))
-            .map(|(a, (name, _))| (Arc::clone(name), Arc::from(a.value.as_str())))
-            .collect();
-        let children =
-            e.child_elements().map(|c| XpdlElement::from_xml_lossy(c, diags)).collect();
+        let mut plain = Vec::with_capacity(attrs.len() - lifted);
+        for (a, (key, _)) in attrs.iter().zip(attr_spans.iter()) {
+            if !matches!(a.name(), "name" | "id" | "type" | "extends") {
+                plain.push((Arc::clone(key), Arc::from(&*a.value())));
+            }
+        }
         XpdlElement {
-            kind,
+            kind: ElementKind::from_tag(tag),
             model_kind,
-            type_ref,
+            type_ref: ty.map(|t| Arc::from(&*t.value())),
             extends,
-            attrs,
-            children,
-            text: e.text(),
-            span: e.span,
+            attrs: plain,
+            children: Vec::new(),
+            text: String::new(),
+            span: Span::default(),
             attr_spans,
         }
     }
@@ -417,8 +438,50 @@ impl XpdlElement {
     }
 }
 
-fn attr_span_of(e: &Element, key: &str) -> Option<Span> {
-    e.attrs.iter().find(|a| a.name == key).map(|a| a.span)
+/// The first error among conversion diagnostics, as a [`CoreError`].
+pub(crate) fn first_fault(diags: Vec<Diagnostic>) -> CoreResult<()> {
+    match diags.into_iter().find(Diagnostic::is_error) {
+        Some(d) if d.code == "P001" => Err(CoreError::BothNameAndId {
+            element: d.path.split('[').next().unwrap_or("").to_string(),
+        }),
+        Some(d) => Err(CoreError::Invalid { context: d.path, message: d.message }),
+        None => Ok(()),
+    }
+}
+
+/// An attribute as written: a DOM [`Attribute`] or a reader's [`Attr`].
+pub(crate) trait Written {
+    fn name(&self) -> &str;
+    fn value(&self) -> Cow<'_, str>;
+    fn span(&self) -> Span;
+}
+
+impl Written for Attribute {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn value(&self) -> Cow<'_, str> {
+        Cow::Borrowed(&self.value)
+    }
+
+    fn span(&self) -> Span {
+        self.span
+    }
+}
+
+impl Written for Attr<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn value(&self) -> Cow<'_, str> {
+        Attr::value(self)
+    }
+
+    fn span(&self) -> Span {
+        self.span
+    }
 }
 
 impl PartialEq for XpdlElement {

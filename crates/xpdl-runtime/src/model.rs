@@ -293,11 +293,22 @@ impl StrTable {
 impl RuntimeModel {
     /// Build from an (elaborated) element tree.
     pub fn from_element(root: &XpdlElement) -> RuntimeModel {
+        /// Nodes and attributes in `e`'s subtree.
+        fn count(e: &XpdlElement) -> (usize, usize) {
+            let own = (1, e.attrs.len());
+            e.children.iter().map(count).fold(own, |(n, a), (cn, ca)| (n + cn, a + ca))
+        }
+        let (nodes, attrs) = count(root);
         let mut b = Builder {
-            strings: Strings::with_capacity(0),
-            interner: HashMap::new(),
-            nodes: Vec::new(),
-            attrs: Vec::new(),
+            // Room for half as many addresses and texts as nodes, which
+            // the tables round up to a power of two: the 2,260 nodes of
+            // the CI fleet use 1,991 addresses and 1,476 texts, and fit.
+            // More regrow.
+            strings: Strings::with_capacity(nodes),
+            by_addr: ByAddr::with_capacity(nodes / 2),
+            by_text: HashMap::with_capacity(nodes / 2),
+            nodes: Vec::with_capacity(nodes),
+            attrs: Vec::with_capacity(attrs),
         };
         b.add(root, NONE);
         RuntimeModel::new(b.strings, b.nodes, b.attrs)
@@ -407,24 +418,33 @@ impl Iterator for ChildIndices<'_> {
     }
 }
 
-/// Flattens an element tree in pre-order. The interner is keyed by the
-/// tree's own strings, so each distinct string is copied once, into the
-/// blob, in first-seen order.
+/// Flattens an element tree in pre-order. Each distinct string is copied
+/// once, into the blob, in first-seen order (see [`Builder::intern`]).
 struct Builder<'e> {
     strings: Strings,
-    interner: HashMap<&'e str, u32>,
+    by_addr: ByAddr,
+    by_text: HashMap<&'e str, u32>,
     nodes: Vec<Node>,
     attrs: Vec<(u32, u32)>,
 }
 
 impl<'e> Builder<'e> {
+    /// The id of `s`'s text, in first-seen order. An elaborated tree
+    /// shares its strings (`Arc<str>` identifiers and attributes,
+    /// `&'static str` tags), so most strings are found by address; the
+    /// text is hashed only the first time an address is seen.
     fn intern(&mut self, s: &'e str) -> u32 {
+        let slot = match self.by_addr.find(s) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
         let next = self.strings.len() as u32;
-        let i = *self.interner.entry(s).or_insert(next);
-        if i == next {
+        let id = *self.by_text.entry(s).or_insert(next);
+        if id == next {
             self.strings.push(s);
         }
-        i
+        self.by_addr.fill(slot, s, id);
+        id
     }
 
     fn add(&mut self, e: &'e XpdlElement, parent: u32) {
@@ -446,6 +466,62 @@ impl<'e> Builder<'e> {
             self.add(c, idx);
         }
         self.nodes[idx as usize].end = self.nodes.len() as u32;
+    }
+}
+
+/// String id by address and length, for one [`RuntimeModel::from_element`]:
+/// while the tree is borrowed, one address and length always hold the same
+/// text. Open addressing with linear probing over a power-of-two slot
+/// array at most half full. Addresses are not input, so a plain
+/// multiplicative hash serves; the texts stay in the keyed map.
+struct ByAddr {
+    /// `(address, length, id)`; address 0, which no `&str` has, is empty.
+    slots: Vec<(usize, usize, u32)>,
+    len: usize,
+}
+
+impl ByAddr {
+    /// Room for `n` addresses before the first doubling.
+    fn with_capacity(n: usize) -> ByAddr {
+        ByAddr { slots: vec![(0, 0, 0); (2 * n).next_power_of_two().max(16)], len: 0 }
+    }
+
+    /// `Ok(id)` of `s`, or `Err(slot)`: the empty slot where it belongs.
+    #[inline]
+    fn find(&self, s: &str) -> Result<u32, usize> {
+        self.probe(s.as_ptr() as usize, s.len())
+    }
+
+    #[inline]
+    fn probe(&self, addr: usize, len: usize) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the product's top bits, which every bit of the
+        // address reaches (a heap address's low bits are all zero).
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut slot = ((addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            match self.slots[slot] {
+                (0, _, _) => return Err(slot),
+                (a, l, id) if (a, l) == (addr, len) => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Record `s`'s id in the empty slot [`Self::find`] returned, and
+    /// double the slots when they are half full.
+    fn fill(&mut self, slot: usize, s: &str, id: u32) {
+        self.slots[slot] = (s.as_ptr() as usize, s.len(), id);
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let grown = vec![(0, 0, 0); 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for (addr, len, id) in old.into_iter().filter(|e| e.0 != 0) {
+                if let Err(slot) = self.probe(addr, len) {
+                    self.slots[slot] = (addr, len, id);
+                }
+            }
+        }
     }
 }
 

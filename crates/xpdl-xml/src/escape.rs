@@ -1,7 +1,6 @@
 //! Entity escaping and unescaping for text and attribute values.
 
-use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use crate::pos::Pos;
+use crate::error::XmlErrorKind;
 use std::borrow::Cow;
 
 /// Escape a string for use as element text content.
@@ -71,50 +70,51 @@ pub fn resolve_char_ref(body: &str) -> Option<char> {
     }
 }
 
-/// Unescape entity and character references in a string.
-///
-/// `pos` is the position of the start of `s`, used for error reporting.
-pub fn unescape(s: &str, mut pos: Pos) -> XmlResult<Cow<'_, str>> {
-    if !s.contains('&') {
-        return Ok(Cow::Borrowed(s));
-    }
+/// `s` with its entity and character references replaced (borrowed when
+/// it has none), or the byte offset and kind of its first bad reference.
+pub(crate) fn unescape_refs(s: &str) -> Result<Cow<'_, str>, (usize, XmlErrorKind)> {
+    let Some(mut at) = s.find('&') else { return Ok(Cow::Borrowed(s)) };
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            pos.advance(c);
-            continue;
-        }
-        let err_pos = pos;
-        // Find the terminating ';'.
-        let rest = &s[i + 1..];
-        let Some(end) = rest.find(';') else {
-            return Err(XmlError::new(
-                XmlErrorKind::UnexpectedEof { expected: "';' terminating entity reference" },
-                err_pos,
-            ));
-        };
-        let body = &rest[..end];
-        let resolved = if let Some(cr) = body.strip_prefix('#') {
-            resolve_char_ref(cr).ok_or_else(|| {
-                XmlError::new(XmlErrorKind::InvalidCharRef { raw: body.to_string() }, err_pos)
-            })?
-        } else {
-            resolve_entity(body).ok_or_else(|| {
-                XmlError::new(XmlErrorKind::UnknownEntity { name: body.to_string() }, err_pos)
-            })?
-        };
-        out.push(resolved);
-        // Skip over the entity body and ';' in the iterator and position.
-        pos.advance('&');
-        for _ in 0..=body.chars().count() {
-            if let Some((_, sc)) = chars.next() {
-                pos.advance(sc);
-            }
+    let mut done = 0;
+    loop {
+        out.push_str(&s[done..at]);
+        let (c, len) = reference(&s[at..]).map_err(|kind| (at, kind))?;
+        out.push(c);
+        done = at + len;
+        match s[done..].find('&') {
+            Some(next) => at = done + next,
+            None => break,
         }
     }
+    out.push_str(&s[done..]);
     Ok(Cow::Owned(out))
+}
+
+/// Check `s`'s references without replacing them: the byte offset and
+/// kind of the first bad one.
+pub(crate) fn check_refs(s: &str) -> Result<(), (usize, XmlErrorKind)> {
+    let mut done = 0;
+    while let Some(next) = s[done..].find('&') {
+        let at = done + next;
+        done = at + reference(&s[at..]).map_err(|kind| (at, kind))?.1;
+    }
+    Ok(())
+}
+
+/// The reference `s` starts with (`&name;` or `&#n;`): its character and
+/// its length in bytes. It ends at the first `;` after the `&`.
+fn reference(s: &str) -> Result<(char, usize), XmlErrorKind> {
+    let Some(end) = s[1..].find(';') else {
+        return Err(XmlErrorKind::UnexpectedEof { expected: "';' terminating entity reference" });
+    };
+    let body = &s[1..1 + end];
+    let c = match body.strip_prefix('#') {
+        Some(cr) => resolve_char_ref(cr)
+            .ok_or_else(|| XmlErrorKind::InvalidCharRef { raw: body.to_string() })?,
+        None => resolve_entity(body)
+            .ok_or_else(|| XmlErrorKind::UnknownEntity { name: body.to_string() })?,
+    };
+    Ok((c, end + 2))
 }
 
 #[cfg(test)]
@@ -172,33 +172,45 @@ mod tests {
 
     #[test]
     fn unescape_mixed() {
-        let got = unescape("a&amp;b &#x41;&#66; &lt;x&gt;", Pos::START).unwrap();
+        let got = unescape_refs("a&amp;b &#x41;&#66; &lt;x&gt;").unwrap();
         assert_eq!(got, "a&b AB <x>");
     }
 
     #[test]
     fn unescape_no_entities_borrows() {
-        assert!(matches!(unescape("abc", Pos::START).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(unescape_refs("abc").unwrap(), Cow::Borrowed(_)));
     }
 
     #[test]
-    fn unescape_unknown_entity_errors_with_position() {
-        let err = unescape("ab&bogus;", Pos::START).unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::UnknownEntity { name: "bogus".into() });
-        assert_eq!(err.pos.col, 3);
+    fn unescape_unknown_entity_errors_with_offset() {
+        let err = unescape_refs("ab&bogus;").unwrap_err();
+        assert_eq!(err, (2, XmlErrorKind::UnknownEntity { name: "bogus".into() }));
     }
 
     #[test]
     fn unescape_unterminated_entity_errors() {
-        let err = unescape("&amp", Pos::START).unwrap_err();
-        assert!(matches!(err.kind, XmlErrorKind::UnexpectedEof { .. }));
+        let err = unescape_refs("&amp").unwrap_err();
+        assert!(matches!(err.1, XmlErrorKind::UnexpectedEof { .. }));
+    }
+
+    #[test]
+    fn check_refs_finds_the_first_bad_reference() {
+        assert_eq!(check_refs("a&amp;b&#x41;"), Ok(()));
+        assert_eq!(
+            check_refs("a&amp;b&#x41;&lt"),
+            Err((13, XmlErrorKind::UnexpectedEof { expected: "';' terminating entity reference" }))
+        );
+        assert_eq!(
+            check_refs("é&#1;"),
+            Err((2, XmlErrorKind::InvalidCharRef { raw: "#1".into() }))
+        );
     }
 
     #[test]
     fn escape_unescape_roundtrip() {
         let original = "x < y && y > \"z\" 'w'\n\tend";
         let esc = escape_attr(original);
-        let back = unescape(&esc, Pos::START).unwrap();
+        let back = unescape_refs(&esc).unwrap();
         assert_eq!(back, original);
     }
 }

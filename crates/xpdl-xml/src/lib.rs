@@ -11,6 +11,10 @@
 //! * a canonical writer / pretty printer whose output re-parses to the same
 //!   document (round-trip property-tested).
 //!
+//! One byte-level pull [`Reader`] reads every document; [`parse_with`]
+//! builds the DOM from its events, and other crates build their own trees
+//! from them without a DOM.
+//!
 //! Two parsing modes are provided (see [`ParseOptions`]):
 //!
 //! * **strict** — well-formed XML only; the default.
@@ -34,15 +38,14 @@
 pub mod dom;
 pub mod error;
 pub mod escape;
-pub mod lexer;
-pub mod parser;
 pub mod pos;
+pub mod reader;
 pub mod writer;
 
-pub use dom::{Attribute, Document, Element, Node, NodeKind};
+pub use dom::{parse, parse_with, Attribute, Document, Element, Node, NodeKind};
 pub use error::{XmlError, XmlErrorKind, XmlResult};
-pub use parser::{parse, parse_with, ParseOptions};
 pub use pos::{Pos, Span};
+pub use reader::{Attr, Event, ParseOptions, Reader};
 pub use writer::{write_document, write_element, WriteOptions};
 
 /// Convenience: parse in lenient mode (accepts the paper-listing dialect).

@@ -34,6 +34,25 @@ impl Pos {
     }
 }
 
+impl Pos {
+    /// This position moved forward over `bytes` of UTF-8 text: a line per
+    /// `\n`, a column per character. The same as [`Pos::advance`] over
+    /// each character, without decoding them.
+    pub(crate) fn advanced(mut self, bytes: &[u8]) -> Pos {
+        for &b in bytes {
+            if b == b'\n' {
+                self.line += 1;
+                self.col = 1;
+            } else if (b as i8) >= -0x40 {
+                // Not a continuation byte: a character starts here.
+                self.col += 1;
+            }
+        }
+        self.offset += bytes.len();
+        self
+    }
+}
+
 impl Default for Pos {
     fn default() -> Self {
         Pos::START
@@ -116,6 +135,17 @@ mod tests {
         p.advance('é');
         assert_eq!(p.offset, 2);
         assert_eq!(p.col, 2);
+    }
+
+    #[test]
+    fn advanced_matches_advance_per_character() {
+        for text in ["", "ab", "a\nbc", "é\n\nxé", "\n", "日本\r\nz\u{FEFF}"] {
+            let mut p = Pos::new(3, 2, 4);
+            for c in text.chars() {
+                p.advance(c);
+            }
+            assert_eq!(Pos::new(3, 2, 4).advanced(text.as_bytes()), p, "{text:?}");
+        }
     }
 
     #[test]

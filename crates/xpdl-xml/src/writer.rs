@@ -143,7 +143,7 @@ fn write_node(node: &Node, depth: usize, opts: &WriteOptions, out: &mut String) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::parse;
 
     #[test]
     fn compact_roundtrip() {

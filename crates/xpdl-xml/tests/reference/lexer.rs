@@ -5,8 +5,8 @@
 //! low-level scanning primitives (peek/bump/eat/expect, name and whitespace
 //! scanning) with precise positions for diagnostics.
 
-use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use crate::pos::{Pos, Span};
+use xpdl_xml::error::{XmlError, XmlErrorKind, XmlResult};
+use xpdl_xml::pos::{Pos, Span};
 
 /// Character cursor with line/column tracking.
 #[derive(Debug, Clone)]

@@ -1,45 +1,11 @@
 //! Recursive-descent XML parser producing a [`Document`].
 
-use crate::dom::{Attribute, Document, Element, Node, NodeKind};
-use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use crate::escape::unescape;
-use crate::lexer::{is_name_char, Cursor};
-use crate::pos::Span;
-
-/// Parser configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseOptions {
-    /// Accept the paper-listing dialect (see crate docs): unquoted attribute
-    /// values, value-only elements, and `...` elision markers.
-    pub lenient: bool,
-    /// Drop whitespace-only text nodes between elements and trim
-    /// leading/trailing whitespace of remaining text nodes (default true;
-    /// XPDL is data-oriented, indentation whitespace is never meaningful).
-    pub trim_whitespace_nodes: bool,
-    /// Keep comment nodes in the tree (default true).
-    pub keep_comments: bool,
-    /// Maximum element nesting depth, a guard against stack exhaustion on
-    /// adversarial inputs.
-    pub max_depth: usize,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions { lenient: false, trim_whitespace_nodes: true, keep_comments: true, max_depth: 256 }
-    }
-}
-
-impl ParseOptions {
-    /// Strict, standard-conforming mode (the default).
-    pub fn strict() -> Self {
-        Self::default()
-    }
-
-    /// Lenient mode accepting the paper-listing dialect.
-    pub fn lenient() -> Self {
-        ParseOptions { lenient: true, ..Self::default() }
-    }
-}
+use super::escape::unescape;
+use super::lexer::{is_name_char, Cursor};
+use xpdl_xml::dom::{Attribute, Document, Element, Node, NodeKind};
+use xpdl_xml::error::{XmlError, XmlErrorKind, XmlResult};
+use xpdl_xml::pos::Span;
+use xpdl_xml::ParseOptions;
 
 /// Parse a document in strict mode.
 pub fn parse(input: &str) -> XmlResult<Document> {
@@ -325,179 +291,5 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn minimal_document() {
-        let doc = parse("<a/>").unwrap();
-        assert_eq!(doc.root().name(), "a");
-        assert!(doc.root().attrs.is_empty());
-        assert!(doc.root().children.is_empty());
-    }
-
-    #[test]
-    fn prolog_and_comments() {
-        let doc = parse("<?xml version=\"1.0\"?><!-- hi --><a/><!-- bye -->").unwrap();
-        assert_eq!(doc.prolog.len(), 2);
-        assert_eq!(doc.epilog.len(), 1);
-        assert!(matches!(&doc.prolog[0].kind, NodeKind::Pi { target, .. } if target == "xml"));
-        assert!(matches!(&doc.prolog[1].kind, NodeKind::Comment(c) if c.trim() == "hi"));
-    }
-
-    #[test]
-    fn attributes_parsed_in_order() {
-        let doc = parse(r#"<m a="1" b='2' c="x &amp; y"/>"#).unwrap();
-        let r = doc.root();
-        assert_eq!(r.attrs.len(), 3);
-        assert_eq!(r.attr("a"), Some("1"));
-        assert_eq!(r.attr("b"), Some("2"));
-        assert_eq!(r.attr("c"), Some("x & y"));
-        assert_eq!(r.attrs[0].name, "a");
-        assert_eq!(r.attrs[2].name, "c");
-    }
-
-    #[test]
-    fn nested_elements_and_text() {
-        let doc = parse("<a><b>hi</b><c/></a>").unwrap();
-        let r = doc.root();
-        assert_eq!(r.child_elements().count(), 2);
-        assert_eq!(r.child("b").unwrap().text(), "hi");
-    }
-
-    #[test]
-    fn cdata_preserved_verbatim() {
-        let doc = parse("<a><![CDATA[x < y && z]]></a>").unwrap();
-        assert_eq!(doc.root().text(), "x < y && z");
-    }
-
-    #[test]
-    fn whitespace_nodes_dropped_by_default() {
-        let doc = parse("<a>\n  <b/>\n</a>").unwrap();
-        assert_eq!(doc.root().children.len(), 1);
-        let opts = ParseOptions { trim_whitespace_nodes: false, ..Default::default() };
-        let doc2 = parse_with("<a>\n  <b/>\n</a>", opts).unwrap();
-        assert_eq!(doc2.root().children.len(), 3);
-    }
-
-    #[test]
-    fn mismatched_close_tag() {
-        let err = parse("<a><b></a></b>").unwrap_err();
-        assert_eq!(
-            err.kind,
-            XmlErrorKind::MismatchedCloseTag { open: "b".into(), close: "a".into() }
-        );
-    }
-
-    #[test]
-    fn unclosed_element() {
-        let err = parse("<a><b>").unwrap_err();
-        assert!(matches!(err.kind, XmlErrorKind::UnclosedElement { .. }));
-    }
-
-    #[test]
-    fn duplicate_attribute_rejected() {
-        let err = parse(r#"<a x="1" x="2"/>"#).unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::DuplicateAttribute { name: "x".into() });
-    }
-
-    #[test]
-    fn trailing_content_rejected() {
-        let err = parse("<a/>junk").unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::TrailingContent);
-    }
-
-    #[test]
-    fn no_root_rejected() {
-        let err = parse("  <!-- only comments -->  ").unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::NoRootElement);
-    }
-
-    #[test]
-    fn doctype_skipped() {
-        let doc = parse("<!DOCTYPE system><a/>").unwrap();
-        assert_eq!(doc.root().name(), "a");
-    }
-
-    #[test]
-    fn strict_rejects_unquoted_value() {
-        let err = parse("<g quantity=2/>").unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::StrictViolation { what: "unquoted attribute value" });
-    }
-
-    #[test]
-    fn lenient_accepts_unquoted_value() {
-        let doc = parse_lenient_str("<group prefix=\"core\" quantity=2><core/></group>");
-        assert_eq!(doc.root().attr("quantity"), Some("2"));
-    }
-
-    #[test]
-    fn lenient_accepts_value_only_element() {
-        // Listing 8: <compute_capability="3.0" />
-        let doc = parse_lenient_str(r#"<d><compute_capability="3.0" /></d>"#);
-        let cc = doc.root().child("compute_capability").unwrap();
-        assert_eq!(cc.attr(LENIENT_VALUE_ATTR), Some("3.0"));
-    }
-
-    #[test]
-    fn lenient_skips_ellipsis_attr_markers() {
-        // Listing 3: <channel name="down_link" ... />
-        let doc = parse_lenient_str(r#"<i><channel name="down_link" ... /></i>"#);
-        let ch = doc.root().child("channel").unwrap();
-        assert_eq!(ch.attrs.len(), 1);
-        // Listing 9: glued form `...unit="MHz"`.
-        let doc2 = parse_lenient_str(r#"<param name="cfrq" frequency="706" ...unit="MHz"/>"#);
-        assert_eq!(doc2.root().attr("unit"), Some("MHz"));
-    }
-
-    #[test]
-    fn lenient_question_mark_placeholder_value() {
-        let doc = parse_lenient_str(r#"<inst name="fmul" energy="?" energy_unit="pJ"/>"#);
-        assert_eq!(doc.root().attr("energy"), Some("?"));
-    }
-
-    #[test]
-    fn depth_limit_enforced() {
-        let mut s = String::new();
-        for _ in 0..100 {
-            s.push_str("<a>");
-        }
-        s.push_str("<b/>");
-        for _ in 0..100 {
-            s.push_str("</a>");
-        }
-        let err =
-            parse_with(&s, ParseOptions { max_depth: 50, ..Default::default() }).unwrap_err();
-        assert!(matches!(err.kind, XmlErrorKind::StrictViolation { .. }));
-        assert!(parse_with(&s, ParseOptions { max_depth: 150, ..Default::default() }).is_ok());
-    }
-
-    #[test]
-    fn strict_rejects_double_dash_comment_lenient_allows() {
-        assert!(parse("<a><!-- x -- y --></a>").is_err());
-        assert!(parse_with("<a><!-- x -- y --></a>", ParseOptions::lenient()).is_ok());
-    }
-
-    #[test]
-    fn spans_cover_elements() {
-        let src = "<a><b/></a>";
-        let doc = parse(src).unwrap();
-        assert_eq!(doc.root().span.slice(src), src);
-        let b = doc.root().child("b").unwrap();
-        assert_eq!(b.span.slice(src), "<b/>");
-    }
-
-    #[test]
-    fn close_tag_allows_trailing_ws() {
-        let doc = parse("<a></a >").unwrap();
-        assert_eq!(doc.root().name(), "a");
-    }
-
-    fn parse_lenient_str(s: &str) -> Document {
-        parse_with(s, ParseOptions::lenient()).unwrap()
     }
 }

@@ -1,11 +1,12 @@
 //! Allocation counts per build stage, pinned in `tests/golden/allocs.txt`.
 //!
 //! A counting global allocator tallies the allocations made on the
-//! calling thread while one stage runs: `resolve_recursive` over a
-//! `MemoryStore`, `elaborate`, `RuntimeModel::from_element`,
-//! `format::encode` and `format::decode`. The inputs are fixed: the
-//! seed-42 fleet in the shape of CI's build pin, and the paper's
-//! `liu_gpu_server`. Each stage runs once untimed before it is counted,
+//! calling thread while one stage runs: `XpdlDocument::parse_named` over
+//! the resolved documents' texts (the parsing share of the next stage),
+//! `resolve_recursive` over a `MemoryStore`, `elaborate`,
+//! `RuntimeModel::from_element`, `format::encode` and `format::decode`.
+//! The inputs are fixed: the seed-42 fleet in the shape of CI's build
+//! pin, and the paper's `liu_gpu_server`. Each stage runs once untimed before it is counted,
 //! so lazy set-up does not enter the count.
 //!
 //! The counter is per thread, so tests running in parallel do not add to
@@ -19,9 +20,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
+use xpdl::core::XpdlDocument;
 use xpdl::elab::{elaborate, Elaborated};
 use xpdl::fleetgen::FleetShape;
-use xpdl::repo::{MemoryStore, Repository};
+use xpdl::repo::{MemoryStore, ModelStore, Repository};
 use xpdl::runtime::{format, RuntimeModel};
 
 /// The fleet shape CI's `xpdlc build` sha256 pin uses.
@@ -93,6 +95,15 @@ fn render_stages(text: &mut String, title: &str, store: &MemoryStore, key: &str)
     // stages.
     let fresh = || Repository::new().with_store(store.clone());
     let set = fresh().resolve_recursive(key).expect("the input resolves");
+    let texts: Vec<(&str, String)> = set
+        .documents()
+        .map(|(k, _)| (k, store.try_fetch(k).ok().flatten().expect("a resolved key is stored")))
+        .collect();
+    let (_, parse_allocs) = warm_count(|| {
+        for (k, text) in &texts {
+            drop(XpdlDocument::parse_named(text, k).expect("a resolved document parses"));
+        }
+    });
     let repo = fresh();
     let (_, resolve_allocs) = count(|| repo.resolve_recursive(key).expect("the input resolves"));
     let (model, elab_allocs) =
@@ -112,6 +123,7 @@ fn render_stages(text: &mut String, title: &str, store: &MemoryStore, key: &str)
     )
     .expect("write to String");
     for (stage, n) in [
+        ("parse", parse_allocs),
         ("resolve_recursive", resolve_allocs),
         ("elaborate", elab_allocs),
         ("from_element", from_element_allocs),
