@@ -1,5 +1,5 @@
-//! Query plans over a loaded model are the model's own load-time indexes:
-//! [`xpdl_runtime::ModelIndex::compile`] is the builder every
-//! [`xpdl_runtime::RuntimeModel`] constructor runs.
+//! Query plans over a loaded model are the model's own indexes:
+//! [`xpdl_runtime::ModelIndex::compile`] is the builder a
+//! [`xpdl_runtime::RuntimeModel`] runs on its first query, or at load.
 
 pub use xpdl_runtime::ModelIndex as CompiledGetters;

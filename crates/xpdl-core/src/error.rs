@@ -17,6 +17,9 @@ pub enum CoreError {
     DimensionMismatch { left: String, right: String },
     /// An attribute expected to be numeric is not.
     BadNumber { attr: String, value: String },
+    /// A numeric attribute whose value is not finite (`NaN`, `inf`, or
+    /// past `f64`'s range in its base unit).
+    NotFinite { attr: String },
     /// An element carries both `name` and `id` (meta and instance markers).
     BothNameAndId { element: String },
     /// A `group` with `quantity` but an invalid count.
@@ -38,6 +41,7 @@ impl fmt::Display for CoreError {
             CoreError::BadNumber { attr, value } => {
                 write!(f, "attribute {attr:?} is not numeric: {value:?}")
             }
+            CoreError::NotFinite { attr } => write!(f, "attribute {attr:?} is not a finite number"),
             CoreError::BothNameAndId { element } => {
                 write!(f, "element <{element}> has both 'name' (meta-model) and 'id' (instance)")
             }
@@ -64,6 +68,7 @@ impl CoreError {
             CoreError::BadQuantity { .. } => "P005",
             CoreError::DuplicateIdentifier { .. } => "P006",
             CoreError::Invalid { .. } => "P007",
+            CoreError::NotFinite { .. } => "P008",
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::diag::Diagnostic;
 use crate::error::{CoreError, CoreResult};
 use crate::kind::ElementKind;
-use crate::units::Quantity;
+use crate::units::{Dimension, Quantity, Unit};
 use crate::value::AttrValue;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -373,6 +373,23 @@ impl XpdlElement {
         let Some(v) = self.number(metric)? else { return Ok(None) };
         let unit = self.attrs.iter().find(|(k, _)| Self::is_unit_attr(k, metric));
         Ok(Some(Quantity::parse(v, unit.map_or("", |(_, u)| u))?))
+    }
+
+    /// A metric in its dimension's base unit (`frequency="2"
+    /// frequency_unit="GHz"` reads `(2e9, Frequency)`), as
+    /// [`quantity`](Self::quantity) would give it but without building a
+    /// [`Unit`]. `Ok(None)` when the metric is absent
+    /// or `?`; an error when its number or unit does not parse, or when
+    /// the value in base units is not finite.
+    pub fn metric_base(&self, metric: &str) -> CoreResult<Option<(f64, Dimension)>> {
+        let Some(v) = self.number(metric)? else { return Ok(None) };
+        let unit = self.attrs.iter().find(|(k, _)| Self::is_unit_attr(k, metric));
+        let (dimension, factor) = Unit::scale(unit.map_or("", |(_, u)| u))?;
+        let base = v * factor;
+        if !base.is_finite() {
+            return Err(CoreError::NotFinite { attr: metric.to_string() });
+        }
+        Ok(Some((base, dimension)))
     }
 
     /// Whether the metric is present but marked `?` (to be microbenchmarked).

@@ -98,21 +98,23 @@ impl Unit {
 
     /// Parse a unit string such as `KiB`, `GHz`, `pJ`, `us`, `GiB/s`, `W`.
     pub fn parse(s: &str) -> CoreResult<Unit> {
+        let (dimension, factor) = Unit::scale(s)?;
+        Ok(Unit { dimension, factor, symbol: s.trim().to_string() })
+    }
+
+    /// A unit string's dimension and factor to the base unit, as
+    /// [`parse`](Self::parse) reads them, without copying the symbol.
+    pub fn scale(s: &str) -> CoreResult<(Dimension, f64)> {
         let raw = s.trim();
         if raw.is_empty() {
-            return Ok(Unit::base(Dimension::Dimensionless));
+            return Ok((Dimension::Dimensionless, 1.0));
         }
         // Bandwidth: `<size-unit>/s`.
         if let Some(num) = raw.strip_suffix("/s") {
-            let inner = Unit::parse(num)?;
-            if inner.dimension == Dimension::Size {
-                return Ok(Unit {
-                    dimension: Dimension::Bandwidth,
-                    factor: inner.factor,
-                    symbol: raw.to_string(),
-                });
-            }
-            return Err(CoreError::BadUnit { unit: raw.to_string() });
+            return match Unit::scale(num)? {
+                (Dimension::Size, factor) => Ok((Dimension::Bandwidth, factor)),
+                _ => Err(CoreError::BadUnit { unit: raw.to_string() }),
+            };
         }
         for (suffix, dim) in [
             ("iB", Dimension::Size), // IEC binary, e.g. KiB/MiB/GiB
@@ -126,7 +128,7 @@ impl Unit {
             if let Some(prefix) = raw.strip_suffix(suffix) {
                 let binary = suffix == "iB";
                 let Some(factor) = prefix_factor(prefix, binary) else { continue };
-                return Ok(Unit { dimension: dim, factor, symbol: raw.to_string() });
+                return Ok((dim, factor));
             }
         }
         Err(CoreError::BadUnit { unit: raw.to_string() })

@@ -7,7 +7,7 @@
 //! involved in a communication link)".
 
 use xpdl_core::units::{Dimension, Quantity};
-use xpdl_core::{ElementKind, XpdlElement};
+use xpdl_core::{CoreError, ElementKind, XpdlElement};
 use xpdl_schema::Diagnostic;
 
 /// Result of analyzing one interconnect instance.
@@ -111,23 +111,66 @@ fn bandwidth_of(e: &XpdlElement) -> Option<f64> {
 /// Summed static power of the default power domain (everything not inside
 /// an explicit `power_domain`), attributed to the node per §III-A: "its
 /// static energy share will be derived and associated with the node".
-pub fn default_domain_static_power(root: &XpdlElement) -> Quantity {
-    fn walk(e: &XpdlElement, inside_domain: bool, total: &mut f64) {
+///
+/// Pushes an `E215` error onto `diags` for each value a metric sum reads
+/// that is not finite: `static_power` on any element and `size` on a
+/// cache (the built-in `derived_*` totals). The error names the element's
+/// path and the attribute; every sum leaves the value out.
+pub fn default_domain_static_power(root: &XpdlElement, diags: &mut Vec<Diagnostic>) -> Quantity {
+    fn walk<'e>(
+        e: &'e XpdlElement,
+        inside_domain: bool,
+        stack: &mut Vec<&'e XpdlElement>,
+        total: &mut f64,
+        diags: &mut Vec<Diagnostic>,
+    ) {
+        stack.push(e);
         let inside = inside_domain || e.kind == ElementKind::PowerDomain;
-        if !inside {
-            if let Ok(Some(q)) = e.quantity("static_power") {
-                *total += q.to_base();
+        let metrics: &[&str] = if e.kind == ElementKind::Cache {
+            &["static_power", "size"]
+        } else {
+            &["static_power"]
+        };
+        for &metric in metrics {
+            match e.metric_base(metric) {
+                Ok(Some((watts, _))) if metric == "static_power" && !inside => *total += watts,
+                Err(err @ CoreError::NotFinite { .. }) => diags.push(
+                    Diagnostic::error(path_of(stack), err.to_string())
+                        .with_code("E215")
+                        .with_span(e.span_for_attr(metric))
+                        .with_note("left out of the default-domain power and the derived totals"),
+                ),
+                _ => {}
             }
         }
         for c in &e.children {
-            walk(c, inside, total);
+            walk(c, inside, stack, total, diags);
         }
+        stack.pop();
     }
     let mut total = 0.0;
-    walk(root, false, &mut total);
+    walk(root, false, &mut Vec::new(), &mut total, diags);
     // Provably in-domain: "W" is a literal from the static unit table, so
     // parse cannot fail for any descriptor content.
     Quantity::parse(total, "W").expect("literal unit \"W\" is always parseable")
+}
+
+/// The display path of the last element of `stack`, whose ancestors are
+/// the rest: `system[s]/socket/cpu[h]`, as elaboration names elements.
+fn path_of(stack: &[&XpdlElement]) -> String {
+    let mut path = String::new();
+    for e in stack {
+        if !path.is_empty() {
+            path.push('/');
+        }
+        path.push_str(e.kind.tag());
+        if let Some(id) = e.ident() {
+            path.push('[');
+            path.push_str(id);
+            path.push(']');
+        }
+    }
+    path
 }
 
 #[cfg(test)]
@@ -244,7 +287,40 @@ mod tests {
                  <memory id="m" static_power="4" static_power_unit="W"/>
                </system>"#,
         );
-        let q = default_domain_static_power(&root);
+        let mut diags = Vec::new();
+        let q = default_domain_static_power(&root, &mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(q.value, 14.0);
+    }
+
+    #[test]
+    fn non_finite_metrics_are_reported_and_left_out_of_every_sum() {
+        let root = parse(
+            r#"<system id="s">
+                 <cpu id="c" static_power="NaN" static_power_unit="W">
+                   <cache id="L1" size="inf" unit="KiB"/>
+                   <cache id="L2" size="1" unit="KiB"/>
+                 </cpu>
+                 <memory id="m" static_power="4" static_power_unit="W"/>
+               </system>"#,
+        );
+        let mut diags = Vec::new();
+        assert_eq!(default_domain_static_power(&root, &mut diags).value, 4.0);
+        let found: Vec<_> =
+            diags.iter().map(|d| (d.code.as_str(), d.path.as_str(), d.message.as_str())).collect();
+        assert_eq!(
+            found,
+            [
+                ("E215", "system[s]/cpu[c]", r#"attribute "static_power" is not a finite number"#),
+                (
+                    "E215",
+                    "system[s]/cpu[c]/cache[L1]",
+                    r#"attribute "size" is not a finite number"#
+                ),
+            ]
+        );
+        let totals = crate::synth::RuleSet::builtin().evaluate(&root);
+        assert_eq!(totals["total_static_power"].value, 4.0);
+        assert_eq!(totals["total_cache_size"].value, 1024.0);
     }
 }

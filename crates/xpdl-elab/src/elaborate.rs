@@ -136,7 +136,7 @@ pub fn elaborate_with(set: &ResolvedSet, opts: &ElabOptions) -> ElabResult<Elabo
         let _ssp = trace::span("elab.synthesize");
         RuleSet::builtin().annotate(&mut root);
     }
-    let default_domain_power = default_domain_static_power(&root);
+    let default_domain_power = default_domain_static_power(&root, &mut diagnostics);
     sp.record_attr("diagnostics", diagnostics.len());
     Ok(Elaborated { root, diagnostics, links, default_domain_power, poisoned })
 }

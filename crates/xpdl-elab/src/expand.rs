@@ -6,8 +6,8 @@ use crate::elaborate::ElabOptions;
 use crate::error::{ElabError, ElabResult};
 use crate::inherit::{instantiate_ref, MetaTable};
 use crate::scope::Scope;
+use crate::stamp::MemberIds;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use xpdl_core::{ElementKind, ModelKind, XpdlElement};
 use xpdl_schema::Diagnostic;
@@ -33,10 +33,8 @@ pub struct Expander<'t, 'a> {
     /// one segment is appended on entering an element and truncated on
     /// leaving it, so a path is copied only into what reports it.
     path: String,
-    /// Id qualifier of the group member being expanded (`n0.c1.`), kept
-    /// like `path`: a member appends `<prefix><i>.` and truncates it on
-    /// leaving, so only the ids made from it allocate.
-    qualifier: String,
+    /// The member qualifier, kept like `path`, and the ids made from it.
+    ids: MemberIds,
     /// The unit attribute of each metric a parameter was substituted into
     /// (`frequency` → `frequency_unit`), built once per metric name.
     unit_attrs: BTreeMap<Arc<str>, Arc<str>>,
@@ -60,7 +58,7 @@ impl<'t, 'a> Expander<'t, 'a> {
             produced: 0,
             depth: 0,
             path: String::new(),
-            qualifier: String::new(),
+            ids: MemberIds::default(),
             unit_attrs: BTreeMap::new(),
             diags: Vec::new(),
             poisoned: Vec::new(),
@@ -79,7 +77,7 @@ impl<'t, 'a> Expander<'t, 'a> {
     ) -> ElabResult<XpdlElement> {
         self.consumed_defs = referenced_types;
         self.path.clear();
-        self.qualifier.clear();
+        self.ids.reset();
         let mut scope = Scope::new();
         self.expand_element(root.clone(), &mut scope, false)
     }
@@ -169,6 +167,7 @@ impl<'t, 'a> Expander<'t, 'a> {
         //    (Listing 12) — never a meta-model to instantiate.
         let in_power_domain = in_power_domain || e.kind == ElementKind::PowerDomain;
         if !in_power_domain {
+            self.ids.check_merge(&e);
             if let Err(err) = instantiate_ref(&mut e, self.table, self.opts.strict_types) {
                 // Unknown types, broken inheritance (cyclic or
                 // non-linearizable `extends`) and malformed meta-models are
@@ -257,9 +256,7 @@ impl<'t, 'a> Expander<'t, 'a> {
         }
     }
 
-    /// Expand a `group` child into `parent`'s children. Each member gets
-    /// its own copy of the group's content; the last member takes the
-    /// original.
+    /// Expand a `group` child into `parent`'s children.
     fn expand_group(
         &mut self,
         mut group: XpdlElement,
@@ -307,86 +304,114 @@ impl<'t, 'a> Expander<'t, 'a> {
         // generated id (paper: "identifiers … assigned as core0, core1,
         // core2 and core3"). Multi-element content keeps a group wrapper
         // per member so siblings stay associated (core + its private L1).
-        if content.len() == 1 && content[0].kind != ElementKind::Group {
-            // The member's own ids (and intra-member references) get
-            // qualified so expanded copies stay globally unique.
-            let local = local_instance_ids(&content[0].children);
-            for i in 0..n {
-                let mut member = if i + 1 == n {
-                    content.pop().expect("one element")
-                } else {
-                    content[0].clone()
-                };
-                let mark = self.enter_member(prefix, i);
-                if member.ident().is_none() {
-                    member.model_kind = ModelKind::Instance(self.member_id());
-                }
-                qualify_member_ids(&mut member.children, &mut self.qualifier, &local);
-                let expanded = self.expand_element(member, scope, in_power_domain)?;
-                self.qualifier.truncate(mark);
-                parent.children.push(expanded);
-            }
-            return Ok(());
-        }
-
+        let single = content.len() == 1 && content[0].kind != ElementKind::Group;
+        // The member's own ids (and intra-member references) get qualified
+        // so expanded copies stay globally unique.
+        let qualified = if single { &content[0].children[..] } else { &content[..] };
+        let local = local_instance_ids(qualified);
         // Anonymous hardware parts get a member-qualified id; same-kind
         // siblings get an occurrence suffix (`cache0`, `cache1`).
-        let part_ids = anonymous_part_ids(&content);
-        let local = local_instance_ids(&content);
-        for i in 0..n {
-            let last = i + 1 == n;
-            let mark = self.enter_member(prefix, i);
-            let mut wrapper = XpdlElement::new(ElementKind::Group);
-            wrapper.model_kind = ModelKind::Instance(self.member_id());
-            wrapper.children.reserve(content.len());
-            let path_mark = self.enter(&wrapper);
-            scope.push();
-            // Members are copied one at a time; the last member moves the
-            // content instead.
-            for (slot, part_id) in content.iter_mut().zip(&part_ids) {
-                let mut c = if last {
-                    std::mem::replace(slot, XpdlElement::new(ElementKind::Group))
-                } else {
-                    slot.clone()
-                };
-                qualify_member_ids(std::slice::from_mut(&mut c), &mut self.qualifier, &local);
-                if c.kind == ElementKind::Group {
-                    self.expand_group(c, &mut wrapper, scope, in_power_domain)?;
-                    continue;
-                }
-                if let Some(occurrence) = part_id {
-                    let part_mark = self.qualifier.len();
-                    self.qualifier.push_str(c.kind.tag());
-                    if let Some(k) = occurrence {
-                        write!(self.qualifier, "{k}").expect("write to String");
+        let part_ids = if single { Vec::new() } else { anonymous_part_ids(&content) };
+        let member = Member { single, local: &local, part_ids: &part_ids, prefix };
+
+        // Member 0 is expanded. If it added no diagnostic and no id
+        // comparison in it could come out differently in another member,
+        // the others are stamped from it (see `crate::stamp`); otherwise
+        // each is expanded too, and the last one takes the content itself.
+        let first_at = parent.children.len();
+        let first = (n > 1).then(|| (self.ids.open_first(prefix), self.diags.len(), self.produced));
+        let mut next = 0;
+        if n > 0 {
+            let m0 =
+                self.expand_member(&mut content, &member, 0, n == 1, scope, in_power_domain)?;
+            parent.children.push(m0);
+            next = 1;
+        }
+        if let Some((first, diags, produced)) = first {
+            if self.ids.close_first(first) && self.diags.len() == diags {
+                let size = self.produced - produced;
+                for i in 1..n {
+                    // The count a one-by-one expansion stops at.
+                    self.produced += size;
+                    if self.produced > self.opts.max_elements {
+                        let limit = self.opts.max_elements;
+                        return Err(ElabError::TooLarge { produced: limit + 1, limit });
                     }
-                    c.model_kind = ModelKind::Instance(self.qualifier.as_str().into());
-                    self.qualifier.truncate(part_mark);
+                    let stamped = self.ids.stamp(first, &parent.children[first_at], prefix, i);
+                    parent.children.push(stamped);
                 }
-                let expanded = self.expand_element(c, scope, in_power_domain)?;
-                wrapper.children.push(expanded);
+                next = n;
             }
-            scope.pop();
-            self.path.truncate(path_mark);
-            self.qualifier.truncate(mark);
-            parent.children.push(wrapper);
+            self.ids.release();
+        }
+        for i in next..n {
+            let last = i + 1 == n;
+            let m = self.expand_member(&mut content, &member, i, last, scope, in_power_domain)?;
+            parent.children.push(m);
         }
         Ok(())
     }
 
-    /// Append member `i`'s qualifier segment (`<prefix><i>.`); returns the
-    /// length to truncate back to on leaving the member.
-    fn enter_member(&mut self, prefix: &str, i: usize) -> usize {
-        let mark = self.qualifier.len();
-        write!(self.qualifier, "{prefix}{i}.").expect("write to String");
-        mark
+    /// Expand member `i` of a group from a copy of its content, or from
+    /// the content itself for the `last` member.
+    fn expand_member(
+        &mut self,
+        content: &mut Vec<XpdlElement>,
+        member: &Member<'_>,
+        i: usize,
+        last: bool,
+        scope: &mut Scope,
+        in_power_domain: bool,
+    ) -> ElabResult<XpdlElement> {
+        let mark = self.ids.enter(member.prefix, i);
+        if member.single {
+            let mut m = if last { content.pop().expect("one element") } else { content[0].clone() };
+            if m.ident().is_none() {
+                m.model_kind = ModelKind::Instance(self.ids.member_id());
+            }
+            self.ids.qualify(&mut m.children, member.local);
+            let expanded = self.expand_element(m, scope, in_power_domain)?;
+            self.ids.leave(mark);
+            return Ok(expanded);
+        }
+        let mut wrapper = XpdlElement::new(ElementKind::Group);
+        wrapper.model_kind = ModelKind::Instance(self.ids.member_id());
+        wrapper.children.reserve(content.len());
+        let path_mark = self.enter(&wrapper);
+        scope.push();
+        for (slot, part_id) in content.iter_mut().zip(member.part_ids) {
+            let mut c = if last {
+                std::mem::replace(slot, XpdlElement::new(ElementKind::Group))
+            } else {
+                slot.clone()
+            };
+            self.ids.qualify(std::slice::from_mut(&mut c), member.local);
+            if c.kind == ElementKind::Group {
+                self.expand_group(c, &mut wrapper, scope, in_power_domain)?;
+                continue;
+            }
+            if let Some(occurrence) = part_id {
+                c.model_kind = ModelKind::Instance(self.ids.part_id(c.kind.tag(), *occurrence));
+            }
+            let expanded = self.expand_element(c, scope, in_power_domain)?;
+            wrapper.children.push(expanded);
+        }
+        scope.pop();
+        self.path.truncate(path_mark);
+        self.ids.leave(mark);
+        Ok(wrapper)
     }
+}
 
-    /// The id of the member being expanded: its qualifier without the
-    /// final dot, in one allocation.
-    fn member_id(&self) -> Arc<str> {
-        self.qualifier[..self.qualifier.len() - 1].into()
-    }
+/// What every member of one group is expanded with.
+struct Member<'g> {
+    /// The content is one non-group element, which each member is.
+    single: bool,
+    /// The explicit instance ids a member copy qualifies.
+    local: &'g BTreeSet<Arc<str>>,
+    /// Per content element, [`anonymous_part_ids`] (empty when `single`).
+    part_ids: &'g [Option<Option<usize>>],
+    prefix: &'g str,
 }
 
 /// For each element of a group's content: `None` unless it is an
@@ -421,24 +446,6 @@ fn local_instance_ids(content: &[XpdlElement]) -> BTreeSet<Arc<str>> {
     local
 }
 
-/// Qualify the `local` instance ids of a copied member subtree with the
-/// member qualifier, and rewrite intra-member `head`/`tail` references to
-/// match. Without this, Listing 11's node template (`<device id="gpu1">`,
-/// `<interconnect head="cpu1" tail="gpu1">`) would produce four colliding
-/// `gpu1`s across `n0..n3`. `qualifier` is left as it was given.
-fn qualify_member_ids(
-    subtree: &mut [XpdlElement],
-    qualifier: &mut String,
-    local: &BTreeSet<Arc<str>>,
-) {
-    if local.is_empty() {
-        return;
-    }
-    for e in subtree.iter_mut() {
-        rewrite_ids(e, qualifier, local);
-    }
-}
-
 fn collect_instance_ids(e: &XpdlElement, out: &mut BTreeSet<Arc<str>>) {
     if let ModelKind::Instance(id) = &e.model_kind {
         out.insert(Arc::clone(id));
@@ -446,32 +453,6 @@ fn collect_instance_ids(e: &XpdlElement, out: &mut BTreeSet<Arc<str>>) {
     for c in &e.children {
         collect_instance_ids(c, out);
     }
-}
-
-fn rewrite_ids(e: &mut XpdlElement, qualifier: &mut String, local: &BTreeSet<Arc<str>>) {
-    if let ModelKind::Instance(id) = &e.model_kind {
-        if local.contains(id) {
-            e.model_kind = ModelKind::Instance(qualified(qualifier, id));
-        }
-    }
-    for (k, v) in &mut e.attrs {
-        if matches!(&**k, "head" | "tail") && local.contains(v) {
-            *v = qualified(qualifier, v);
-        }
-    }
-    for c in &mut e.children {
-        rewrite_ids(c, qualifier, local);
-    }
-}
-
-/// `qualifier` followed by `id`, in one allocation; `qualifier` is left as
-/// it was given.
-fn qualified(qualifier: &mut String, id: &str) -> Arc<str> {
-    let mark = qualifier.len();
-    qualifier.push_str(id);
-    let out = Arc::from(qualifier.as_str());
-    qualifier.truncate(mark);
-    out
 }
 
 #[cfg(test)]

@@ -56,6 +56,7 @@ pub mod routes;
 pub mod inherit;
 pub mod linearize;
 pub mod scope;
+mod stamp;
 pub mod synth;
 
 pub use elaborate::{elaborate, elaborate_with, ElabOptions, Elaborated};

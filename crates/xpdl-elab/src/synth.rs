@@ -133,7 +133,8 @@ impl RuleSet {
 }
 
 /// Sum a metric over every element of a subtree that defines it, with unit
-/// normalization to the dimension's base unit.
+/// normalization to the dimension's base unit. A value that does not
+/// parse or is not finite is left out (elaboration reports the latter).
 ///
 /// For the metric `size` only cache elements contribute (the natural
 /// reading of "total cache size"); every other metric sums over all kinds.
@@ -143,9 +144,9 @@ fn sum_metric(root: &XpdlElement, metric: &str, dimension: Dimension) -> f64 {
         if metric == "size" && e.kind != ElementKind::Cache {
             continue;
         }
-        if let Ok(Some(q)) = e.quantity(metric) {
-            if q.dimension() == dimension || q.dimension() == Dimension::Dimensionless {
-                total += q.to_base();
+        if let Ok(Some((base, dim))) = e.metric_base(metric) {
+            if dim == dimension || dim == Dimension::Dimensionless {
+                total += base;
             }
         }
     }

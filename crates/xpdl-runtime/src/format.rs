@@ -313,7 +313,10 @@ pub fn decode(mut data: &[u8]) -> Result<RuntimeModel, FormatError> {
         }
         nodes[p as usize].end = n_nodes as u32;
     }
-    Ok(RuntimeModel::new(strings, nodes, attrs))
+    // A decoded model is about to be queried: index it now.
+    let model = RuntimeModel::new(strings, nodes, attrs);
+    model.index();
+    Ok(model)
 }
 
 /// Write a model to a file.

@@ -18,7 +18,8 @@
 //!   attribute), one shared attribute array — so every subtree is an
 //!   index range and a child walk needs no stored list. Navigation
 //!   (parent/children/descendants) and typed getters read those arrays. A
-//!   [`ModelIndex`] built once at load adds the identifier and kind table
+//!   [`ModelIndex`], built once on the first query (at load for a decoded
+//!   model), adds the identifier and kind table
 //!   (keyed by string id, hashed with std's `RandomState`), per-kind node
 //!   lists, the document-order list of in-line static powers that subtree
 //!   sums read, and the analysis results of the paper's category 4

@@ -5,12 +5,14 @@
 //! `i + 1`, each later child starts where its previous sibling's subtree
 //! ends, and no child list is stored. A model is a handful of flat
 //! arrays — the string blob and its offsets, the node records, one shared
-//! attribute array — plus the [`ModelIndex`], whatever its size.
+//! attribute array — plus the [`ModelIndex`], whatever its size, built on
+//! the first query.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::ops::Range;
+use std::sync::OnceLock;
 use xpdl_core::units::Quantity;
 use xpdl_core::{ModelKind, XpdlElement};
 
@@ -104,9 +106,11 @@ pub(crate) struct Node {
     pub is_instance: bool,
 }
 
-/// The loaded runtime model: immutable once built, with its query indexes
-/// built in the one constructor that [`RuntimeModel::from_element`] and
-/// [`crate::format::decode`] share.
+/// The loaded runtime model: immutable once built. Its query indexes are
+/// built on the first query, so a model that is only encoded (`xpdlc
+/// build`) never builds them; [`crate::format::decode`] and
+/// [`crate::XpdlHandle::from_model`] build them at once, so a loaded or
+/// served model answers its first query without that wait.
 #[derive(Debug, Clone)]
 pub struct RuntimeModel {
     pub(crate) strings: Strings,
@@ -115,10 +119,10 @@ pub struct RuntimeModel {
     /// Attribute (key, value) string-id pairs of every node, in node order
     /// and document order within a node.
     pub(crate) attrs: Vec<(u32, u32)>,
-    index: ModelIndex,
+    index: OnceLock<ModelIndex>,
 }
 
-/// The query indexes of one [`RuntimeModel`], built once at load: the
+/// The query indexes of one [`RuntimeModel`], built once: the
 /// identifier and kind table, the per-kind node lists, the static-power
 /// list and the category-4 analyses.
 #[derive(Debug, Clone, Default)]
@@ -185,10 +189,13 @@ impl ModelIndex {
             by_kind[*end as usize] = idx;
             *end += 1;
         }
+        // A non-finite value is left out, as elaboration leaves it out of
+        // its totals.
         let static_power: Vec<(u32, f64)> = (0..nodes.len() as u32)
             .filter_map(|idx| {
                 NodeRef { model, idx }.quantity("static_power").map(|q| (idx, q.to_base()))
             })
+            .filter(|(_, w)| w.is_finite())
             .collect();
         let mut index = ModelIndex {
             table,
@@ -314,12 +321,14 @@ impl RuntimeModel {
         RuntimeModel::new(b.strings, b.nodes, b.attrs)
     }
 
-    /// The one constructor: takes a validated pre-order tree and indexes
-    /// it.
+    /// The one constructor: takes a validated pre-order tree.
     pub(crate) fn new(strings: Strings, nodes: Vec<Node>, attrs: Vec<(u32, u32)>) -> RuntimeModel {
-        let mut model = RuntimeModel { strings, nodes, attrs, index: ModelIndex::default() };
-        model.index = ModelIndex::compile(&model);
-        model
+        RuntimeModel { strings, nodes, attrs, index: OnceLock::new() }
+    }
+
+    /// The query indexes, built on the first call.
+    pub(crate) fn index(&self) -> &ModelIndex {
+        self.index.get_or_init(|| ModelIndex::compile(self))
     }
 
     /// Number of nodes.
@@ -350,30 +359,31 @@ impl RuntimeModel {
     /// Find a node by identifier (category 2 of the query API); the first
     /// occurrence in document order wins.
     pub fn find(&self, ident: &str) -> Option<NodeRef<'_>> {
-        let idx = self.index.first_node(&self.strings, ident)?;
+        let idx = self.index().first_node(&self.strings, ident)?;
         Some(NodeRef { model: self, idx })
     }
 
     /// All nodes of a kind, in document order.
     pub fn nodes_of_kind(&self, kind: &str) -> impl ExactSizeIterator<Item = NodeRef<'_>> + '_ {
-        self.index.of_kind(&self.strings, kind).iter().map(move |&idx| NodeRef { model: self, idx })
+        let nodes = self.index().of_kind(&self.strings, kind);
+        nodes.iter().map(move |&idx| NodeRef { model: self, idx })
     }
 
     // ---- category 4: analysis functions for derived attributes ----
 
     /// Total number of cores.
     pub fn num_cores(&self) -> usize {
-        self.index.num_cores
+        self.index().num_cores
     }
 
     /// Number of CUDA-capable devices.
     pub fn num_cuda_devices(&self) -> usize {
-        self.index.num_cuda_devices
+        self.index().num_cuda_devices
     }
 
     /// Sum of in-line `static_power` metrics over the whole model, watts.
     pub fn total_static_power_w(&self) -> f64 {
-        self.index.total_static_power_w
+        self.index().total_static_power_w
     }
 
     /// Whether any installed software entry matches a predicate — the
@@ -638,7 +648,7 @@ impl<'m> NodeRef<'m> {
     /// It adds the subtree's entries in document order, as a walk would;
     /// a difference of prefix sums would round differently.
     pub fn subtree_static_power_w(&self) -> f64 {
-        let list = &self.model.index.static_power;
+        let list = &self.model.index().static_power;
         let end = self.node().end;
         let lo = list.partition_point(|&(n, _)| n < self.idx);
         let len = list[lo..].partition_point(|&(n, _)| n < end);

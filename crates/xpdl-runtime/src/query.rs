@@ -39,8 +39,11 @@ impl XpdlHandle {
         Ok(XpdlHandle { model: Arc::new(format::load_file(path)?) })
     }
 
-    /// Initialize from an in-memory model (tests, generated code).
+    /// Initialize from an in-memory model (tests, generated code, the
+    /// serve daemon's snapshots). The model's query indexes are built
+    /// here, before the handle is shared, so no query waits on them.
     pub fn from_model(model: RuntimeModel) -> XpdlHandle {
+        model.index();
         XpdlHandle { model: Arc::new(model) }
     }
 

@@ -7,6 +7,7 @@
 
 use crate::diag::Diagnostic;
 use crate::schema::{AttrDomain, ChildPolicy, ElementSpec, Schema};
+use std::collections::HashMap;
 use xpdl_core::units::Unit;
 use xpdl_core::value::AttrValue;
 use xpdl_core::{XpdlDocument, XpdlElement};
@@ -71,6 +72,22 @@ fn walk(e: &XpdlElement, schema: &Schema, path: &str, diags: &mut Vec<Diagnostic
     }
 }
 
+/// Past a few attributes, the position in `e.attr_spans` of the first
+/// span recorded under each name, which [`XpdlElement::span_for_attr`]
+/// would scan for; with it, validating an element is linear in its
+/// attributes.
+fn attr_span_index(e: &XpdlElement) -> Option<HashMap<&str, usize>> {
+    // Up to this many attributes a scan is cheaper than a map.
+    const SCAN: usize = 16;
+    (e.attr_spans.len() > SCAN).then(|| {
+        let mut index = HashMap::with_capacity(e.attr_spans.len());
+        for (i, (name, _)) in e.attr_spans.iter().enumerate() {
+            index.entry(&**name).or_insert(i);
+        }
+        index
+    })
+}
+
 fn check_element(
     e: &XpdlElement,
     spec: &ElementSpec,
@@ -123,8 +140,13 @@ fn check_element(
     }
 
     // Attribute domains.
+    let index = attr_span_index(e);
+    let span_of = |key: &str| match &index {
+        Some(index) => index.get(key).map_or(e.span, |&i| e.attr_spans[i].1),
+        None => e.span_for_attr(key),
+    };
     for (key, raw) in &e.attrs {
-        let span = e.span_for_attr(key);
+        let span = span_of(key);
         let Some(a) = spec.attr(key) else {
             diags.push(
                 Diagnostic::info(

@@ -4,7 +4,9 @@
 //! calling thread while one stage runs: `XpdlDocument::parse_named` over
 //! the resolved documents' texts (the parsing share of the next stage),
 //! `resolve_recursive` over a `MemoryStore`, `elaborate`,
-//! `RuntimeModel::from_element`, `format::encode` and `format::decode`.
+//! `RuntimeModel::from_element`, `ModelIndex::compile` (the query index a
+//! model builds on its first query), `format::encode` and `format::decode`
+//! (which builds the index too).
 //! The inputs are fixed: the seed-42 fleet in the shape of CI's build
 //! pin, and the paper's `liu_gpu_server`. Each stage runs once untimed before it is counted,
 //! so lazy set-up does not enter the count.
@@ -24,7 +26,7 @@ use xpdl::core::XpdlDocument;
 use xpdl::elab::{elaborate, Elaborated};
 use xpdl::fleetgen::FleetShape;
 use xpdl::repo::{MemoryStore, ModelStore, Repository};
-use xpdl::runtime::{format, RuntimeModel};
+use xpdl::runtime::{format, ModelIndex, RuntimeModel};
 
 /// The fleet shape CI's `xpdlc build` sha256 pin uses.
 const FLEET_SHAPE: &str = "nodes=32,depth=8,chain=12,width=10,unknown=0.3";
@@ -110,6 +112,7 @@ fn render_stages(text: &mut String, title: &str, store: &MemoryStore, key: &str)
         warm_count(|| -> Elaborated { elaborate(&set).expect("the input elaborates") });
     assert!(model.is_clean(), "{title}: {:?}", model.diagnostics);
     let (rt, from_element_allocs) = warm_count(|| RuntimeModel::from_element(&model.root));
+    let (_, index_allocs) = warm_count(|| ModelIndex::compile(&rt));
     let (bytes, encode_allocs) = warm_count(|| format::encode(&rt));
     let (back, decode_allocs) =
         warm_count(|| format::decode(&bytes).expect("the encoding decodes"));
@@ -127,6 +130,7 @@ fn render_stages(text: &mut String, title: &str, store: &MemoryStore, key: &str)
         ("resolve_recursive", resolve_allocs),
         ("elaborate", elab_allocs),
         ("from_element", from_element_allocs),
+        ("index", index_allocs),
         ("encode", encode_allocs),
         ("decode", decode_allocs),
     ] {

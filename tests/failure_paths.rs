@@ -206,3 +206,44 @@ fn strict_types_toggle_controls_failure_mode() {
     assert!(model.is_clean());
     assert!(model.diagnostics.iter().any(|d| d.message.contains("Ghost")));
 }
+
+/// `xpdlc` on the exported library with one static power set to `NaN`:
+/// composing reports the value as an elaboration error naming the
+/// attribute and exits 1, and no total the toolchain prints reads `NaN`.
+#[test]
+fn non_finite_static_power_is_an_error_not_a_total() {
+    fn run_cli(args: &[&str]) -> (i32, String) {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let mut buf = Vec::new();
+        let code = xpdl_cli::run(&args, &mut buf);
+        (code, String::from_utf8(buf).expect("utf8 output"))
+    }
+    let dir = std::env::temp_dir().join(format!("xpdl_nan_power_{}", std::process::id()));
+    let models = dir.join("models");
+    let (code, out) = run_cli(&["export", models.to_str().unwrap()]);
+    assert_eq!(code, 0, "{out}");
+    let xeon = models.join("Intel_Xeon_E5_2630L.xpdl");
+    let src = std::fs::read_to_string(&xeon).unwrap();
+    assert!(src.contains(r#"static_power="15""#), "{src}");
+    std::fs::write(&xeon, src.replace(r#"static_power="15""#, r#"static_power="NaN""#)).unwrap();
+
+    let models = models.to_str().unwrap();
+    let (code, out) = run_cli(&["compose", "liu_gpu_server", "--models", models]);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains("error[E215]: system[liu_gpu_server]/socket/cpu[gpu_host]")
+            && out.contains(r#"attribute "static_power" is not a finite number"#),
+        "{out}"
+    );
+    assert!(!out.contains("NaN"), "{out}");
+
+    let file = dir.join("server.xpdlrt");
+    let file = file.to_str().unwrap();
+    let (code, out) = run_cli(&["build", "liu_gpu_server", "--models", models, "-o", file]);
+    assert_eq!(code, 0, "{out}");
+    let (code, out) = run_cli(&["query", file]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("total_static_power_w: 12\n"), "{out}");
+    assert!(!out.contains("NaN"), "{out}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
