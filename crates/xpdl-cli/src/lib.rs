@@ -296,12 +296,7 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
                 model.default_domain_power,
             )?;
             writeln!(out, "repository: {metrics}")?;
-            for d in &model.diagnostics {
-                writeln!(out, "{d}")?;
-            }
-            for p in &model.poisoned {
-                writeln!(out, "poisoned: {p}")?;
-            }
+            write_findings(&model, out)?;
             for link in &model.links {
                 if let (Some(bw), Some(by)) = (link.effective_bandwidth, link.limited_by.as_ref()) {
                     writeln!(
@@ -327,6 +322,15 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
                 .map(PathBuf::from)
                 .unwrap_or_else(|| PathBuf::from(format!("{key}.xpdlrt")));
             let (mut model, _) = compose(&key, rest)?;
+            // A model with errors is written only under --keep-going, and
+            // exits 1 either way.
+            write_findings(&model, out)?;
+            let clean = model.is_clean();
+            if !clean && !has_flag(rest, "--keep-going") {
+                let path = out_path.display();
+                writeln!(out, "error: '{key}' elaborated with errors; not writing {path}")?;
+                return Ok(1);
+            }
             if let Some(profile) = flag_value(rest, "--filter") {
                 let filter = match profile.as_str() {
                     "deployment" => xpdl_elab::ModelFilter::deployment(),
@@ -350,7 +354,7 @@ fn dispatch(args: &[String], out: &mut dyn std::io::Write) -> Result<ExitCode, B
                 rt.len(),
                 std::fs::metadata(&out_path)?.len()
             )?;
-            Ok(0)
+            Ok(if clean { 0 } else { 1 })
         }
         "query" => serve::query_command(rest, &pos, out),
         "serve" => serve::serve_command(rest, out),
@@ -781,6 +785,20 @@ fn resolve_options(args: &[String]) -> Result<ResolveOptions, String> {
     Ok(ResolveOptions::with_jobs(jobs))
 }
 
+/// Print a composed model's diagnostics and poisoned paths, one a line.
+fn write_findings(
+    model: &xpdl_elab::Elaborated,
+    out: &mut dyn std::io::Write,
+) -> std::io::Result<()> {
+    for d in &model.diagnostics {
+        writeln!(out, "{d}")?;
+    }
+    for p in &model.poisoned {
+        writeln!(out, "poisoned: {p}")?;
+    }
+    Ok(())
+}
+
 fn compose(
     key: &str,
     args: &[String],
@@ -1072,7 +1090,8 @@ fn write_usage(out: &mut dyn std::io::Write) -> std::io::Result<()> {
          \x20 compose <key> [--models DIR]   resolve + elaborate a system model\n\
          \x20   --keep-going                 poison failing subtrees instead of aborting\n\
          \x20 dump <key>                     print the composed model as XML\n\
-         \x20 build <key> -o <file>          write the runtime data structure\n\
+         \x20 build <key> -o <file>          write the runtime data structure (not on errors)\n\
+         \x20   --keep-going                 write it despite elaboration errors (still exit 1)\n\
          \x20   --filter deployment          drop microbenchmarks and build-host details\n\
          \x20   --filter deployment-strict   also drop '?' placeholders\n\
          \x20 query <file|key> [id [at]]     runtime query API (.xpdlrt file or library key)\n\

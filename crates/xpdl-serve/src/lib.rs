@@ -30,8 +30,10 @@
 //!   method. `xpdlc query` drives this directly; the daemon wraps it.
 //! - [`server`] — the TCP layer: accept loop, one reader thread per
 //!   connection that executes every request and writes its reply in
-//!   receipt order, in either encoding, admission control before
-//!   execution (`S420`), and SIGTERM-driven clean shutdown.
+//!   receipt order, in either encoding, and that polls briefly for the
+//!   next request before it blocks when its connection is the daemon's
+//!   only active one; admission control before execution (`S420`), and
+//!   SIGTERM-driven clean shutdown.
 //! - [`cluster`] — the fleet-aware client: routing table from
 //!   `xpdl-registry`, per-request timeouts, automatic failover on
 //!   connection errors and `S5xx`, and degradation to a local fallback

@@ -52,6 +52,18 @@ pub struct ServeStats {
     pub inflight: Arc<Gauge>,
     /// Handler execution time, µs.
     pub handler_time_us: Arc<Histogram>,
+    /// Reader waits whose spin saw the next request (or the end of the
+    /// connection) arrive before the budget ran out. This and the next
+    /// two counters are in the `metrics` reply only: the `stats`
+    /// payload's layout is frozen (WIRE.md §9).
+    pub spin_caught: Arc<Counter>,
+    /// Reader waits whose spin ended without that, on the budget or
+    /// because another connection read a request, and then blocked.
+    pub spin_expired: Arc<Counter>,
+    /// Reader waits that blocked without spinning. A reader adds these
+    /// at most once per gate window and when its connection ends, so the
+    /// count trails by up to a window's worth of waits.
+    pub spin_skipped: Arc<Counter>,
     latency_us: Box<[AtomicU64]>,
     cursor: AtomicUsize,
 }
@@ -78,6 +90,9 @@ impl ServeStats {
             health_checks: reg.counter("serve.health_checks"),
             inflight: reg.gauge("serve.inflight"),
             handler_time_us: reg.histogram("serve.handler.time_us"),
+            spin_caught: reg.counter("serve.read.spin_caught"),
+            spin_expired: reg.counter("serve.read.spin_expired"),
+            spin_skipped: reg.counter("serve.read.spin_skipped"),
             latency_us: (0..RING).map(|_| AtomicU64::new(u64::MAX)).collect(),
             cursor: AtomicUsize::new(0),
         }

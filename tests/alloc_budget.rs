@@ -1,4 +1,5 @@
-//! Allocation counts per build stage, pinned in `tests/golden/allocs.txt`.
+//! Allocation counts per build stage and per request stage, pinned in
+//! `tests/golden/allocs.txt`.
 //!
 //! A counting global allocator tallies the allocations made on the
 //! calling thread while one stage runs: `XpdlDocument::parse_named` over
@@ -6,10 +7,17 @@
 //! `resolve_recursive` over a `MemoryStore`, `elaborate`,
 //! `RuntimeModel::from_element`, `ModelIndex::compile` (the query index a
 //! model builds on its first query), `format::encode` and `format::decode`
-//! (which builds the index too).
+//! (which builds the index too). On the served model, each method of the
+//! benchmark's query mix is counted through the daemon's request path:
+//! decoding the request (`parse_request`, `codec::decode_request`),
+//! `Engine::handle`, and encoding the reply (`Response::to_json`,
+//! `codec::encode_response`).
 //! The inputs are fixed: the seed-42 fleet in the shape of CI's build
-//! pin, and the paper's `liu_gpu_server`. Each stage runs once untimed before it is counted,
-//! so lazy set-up does not enter the count.
+//! pin, the paper's `liu_gpu_server`, and one request per method with
+//! fixed arguments. Each stage runs once untimed before it is counted,
+//! so lazy set-up does not enter the count; on the binary wire, that
+//! first run also interns the strings, so the counted one reads and
+//! writes string references, as a connection's later requests do.
 //!
 //! The counter is per thread, so tests running in parallel do not add to
 //! each other's counts. Counts on fixed inputs repeat exactly; they move
@@ -27,6 +35,8 @@ use xpdl::elab::{elaborate, Elaborated};
 use xpdl::fleetgen::FleetShape;
 use xpdl::repo::{MemoryStore, ModelStore, Repository};
 use xpdl::runtime::{format, ModelIndex, RuntimeModel};
+use xpdl::serve::codec::{self, StrDecoder, StrEncoder};
+use xpdl::serve::{parse_request, Engine, EngineOptions, Method, ModelSource, Request};
 
 /// The fleet shape CI's `xpdlc build` sha256 pin uses.
 const FLEET_SHAPE: &str = "nodes=32,depth=8,chain=12,width=10,unknown=0.3";
@@ -84,14 +94,14 @@ fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Run `f` once to warm it up, then count a second run.
-fn warm_count<T>(f: impl Fn() -> T) -> (T, u64) {
+fn warm_count<T>(mut f: impl FnMut() -> T) -> (T, u64) {
     drop(f());
     count(f)
 }
 
-/// Count each build stage for `key` resolved from `store`, and append
-/// one line per stage to `text`.
-fn render_stages(text: &mut String, title: &str, store: &MemoryStore, key: &str) {
+/// Count each build stage for `key` resolved from `store`, append one
+/// line per stage to `text`, and return the runtime model.
+fn render_stages(text: &mut String, title: &str, store: &MemoryStore, key: &str) -> RuntimeModel {
     // A fresh repository per run: its parse cache would turn a second
     // resolution into cache hits. The warm-up run's set feeds the later
     // stages.
@@ -136,6 +146,70 @@ fn render_stages(text: &mut String, title: &str, store: &MemoryStore, key: &str)
     ] {
         writeln!(text, "  {stage:<18} {n:>7}").expect("write to String");
     }
+    rt
+}
+
+/// One request per method of the benchmark's query mix, with fixed
+/// arguments on `liu_gpu_server`.
+fn query_mix() -> Vec<Method> {
+    let link = || "connection1".to_string();
+    vec![
+        Method::NumCores,
+        Method::NumCudaDevices,
+        Method::TotalStaticPower,
+        Method::ModelInfo,
+        Method::Find { ident: "gpu1".into() },
+        Method::GetAttr { ident: "gpu1".into(), attr: "id".into() },
+        Method::GetNumber { ident: link(), attr: "max_bandwidth".into() },
+        Method::HasInstalled { prefix: "cuda".into() },
+        Method::EstimateTransfer { link: link(), bytes: 1 << 20 },
+        Method::EstimateAcceleratorUse {
+            link: link(),
+            upload_bytes: 1 << 20,
+            download_bytes: 1 << 10,
+            compute_s: 0.5,
+            dynamic_power_w: 25.0,
+        },
+        Method::EstimateStaticEnergy { duration_s: 2.5 },
+        Method::ElementsOfKind { kind: "interconnect".into() },
+    ]
+}
+
+/// Count each request stage of every method in [`query_mix`] served
+/// from `rt`, in both encodings, and append one line per stage to `text`.
+fn render_requests(text: &mut String, rt: RuntimeModel) {
+    let engine = Engine::new(ModelSource::Fixed(Box::new(rt)), EngineOptions::default())
+        .expect("the engine boots");
+    writeln!(text, "liu_gpu_server requests: decode, handle and encode per method")
+        .expect("write to String");
+    for method in query_mix() {
+        let req = Request::new(7, method);
+        let line = req.to_json();
+        let (_, decode_json) = warm_count(|| parse_request(&line).expect("the request parses"));
+        let mut client = StrEncoder::new();
+        let (first, again) =
+            (codec::encode_request(&req, &mut client), codec::encode_request(&req, &mut client));
+        let mut strings = StrDecoder::new();
+        codec::decode_request(&first[4..], &mut strings).expect("the request decodes");
+        let (_, decode_binary) = warm_count(|| {
+            codec::decode_request(&again[4..], &mut strings).expect("the request decodes")
+        });
+        let (resp, handle) = warm_count(|| engine.handle(&req));
+        assert!(resp.result.is_ok(), "{resp:?}");
+        let (_, encode_json) = warm_count(|| resp.to_json());
+        let mut server = StrEncoder::new();
+        let (_, encode_binary) = warm_count(|| codec::encode_response(&resp, &mut server));
+        for (stage, n) in [
+            ("decode_json", decode_json),
+            ("decode_binary", decode_binary),
+            ("handle", handle),
+            ("encode_json", encode_json),
+            ("encode_binary", encode_binary),
+        ] {
+            let row = format!("{}.{stage}", req.method.name());
+            writeln!(text, "  {row:<38} {n:>7}").expect("write to String");
+        }
+    }
 }
 
 /// The compiler's version line, for the golden file's header.
@@ -164,7 +238,8 @@ fn render() -> String {
     for (key, src) in xpdl::models::library::LIBRARY {
         library.insert(*key, *src);
     }
-    render_stages(&mut text, "liu_gpu_server", &library, "liu_gpu_server");
+    let rt = render_stages(&mut text, "liu_gpu_server", &library, "liu_gpu_server");
+    render_requests(&mut text, rt);
     text
 }
 
@@ -198,7 +273,8 @@ fn build_stage_allocations_match_the_golden_file() {
     if body == golden_body {
         return;
     }
-    let header = format!("# allocations per build stage (warm, one run each); {version}");
+    let header =
+        format!("# allocations per build and request stage (warm, one run each); {version}");
     std::fs::write(actual_path, format!("{header}\n{body}")).expect("write the rendered counts");
     let (actual_lines, golden_lines): (Vec<&str>, Vec<&str>) =
         (body.lines().collect(), golden_body.lines().collect());

@@ -210,6 +210,8 @@ fn strict_types_toggle_controls_failure_mode() {
 /// `xpdlc` on the exported library with one static power set to `NaN`:
 /// composing reports the value as an elaboration error naming the
 /// attribute and exits 1, and no total the toolchain prints reads `NaN`.
+/// Building reports the same error and exits 1; it writes the runtime
+/// file only under `--keep-going`.
 #[test]
 fn non_finite_static_power_is_an_error_not_a_total() {
     fn run_cli(args: &[&str]) -> (i32, String) {
@@ -237,10 +239,16 @@ fn non_finite_static_power_is_an_error_not_a_total() {
     );
     assert!(!out.contains("NaN"), "{out}");
 
-    let file = dir.join("server.xpdlrt");
-    let file = file.to_str().unwrap();
-    let (code, out) = run_cli(&["build", "liu_gpu_server", "--models", models, "-o", file]);
-    assert_eq!(code, 0, "{out}");
+    let path = dir.join("server.xpdlrt");
+    let file = path.to_str().unwrap();
+    let build = ["build", "liu_gpu_server", "--models", models, "-o", file];
+    let (code, out) = run_cli(&build);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains(r#"attribute "static_power" is not a finite number"#), "{out}");
+    assert!(!path.exists(), "a build with errors wrote its file: {out}");
+    let (code, out) = run_cli(&[&build[..], &["--keep-going"]].concat());
+    assert_eq!(code, 1, "{out}");
+    assert!(path.exists() && out.contains("wrote "), "{out}");
     let (code, out) = run_cli(&["query", file]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("total_static_power_w: 12\n"), "{out}");
