@@ -383,7 +383,7 @@ fn json_string(out: &mut String, s: &str) {
 /// A minimal JSON reader/writer — just enough for the diagnostics
 /// format, both daemons' wire protocols and other small machine-readable
 /// documents elsewhere in the workspace (e.g. the persistent model-cache
-/// manifest), without an external serialization dependency (the
+/// entry header), without an external serialization dependency (the
 /// workspace builds offline; see DESIGN.md "Offline dependency shims").
 ///
 /// All reading goes through one pull lexer, [`Reader`](json::Reader),

@@ -1,4 +1,4 @@
-//! Crash-safe persistent model cache.
+//! Crash-only persistent model cache.
 //!
 //! The paper's repository is explicitly distributed — descriptors live in
 //! local search paths *and* at vendor web sites — so losing a process
@@ -10,26 +10,27 @@
 //!
 //! # Durability mechanics
 //!
-//! * **Atomic writes.** Every entry and every manifest revision is
-//!   written to a temp file, fsync'd, and atomically renamed into place
-//!   (then the directory is fsync'd). A crash at any instant leaves
-//!   either the old or the new content — never a torn file that the
-//!   cache itself wrote.
-//! * **Checksums.** `manifest.json` (versioned) records an FNV-1a
-//!   content checksum, byte length, source-store identity, fetch
-//!   timestamp, and optional TTL per entry. Checksums are verified on
-//!   open *and* on every read.
-//! * **Lockfile.** Writers across *processes* serialize on a
-//!   create-exclusive `.lock` file carrying the owner PID; a lock whose
-//!   owner is dead is taken over (emitting an `R307` diagnostic).
-//!   Readers never take the lock.
-//! * **Quarantine.** An entry whose bytes do not match its manifest
-//!   checksum (a torn write that survived a power cut, bit rot, a
-//!   concurrent partial copy) is *moved* to `quarantine/` — preserved
-//!   for post-mortem, never served — and reported as an `R305`
-//!   diagnostic rather than an error. The next fetch self-heals it from
-//!   the backing store. A corrupt manifest itself is quarantined
-//!   (`R306`) and rebuilt from whichever entry files still parse.
+//! * **Self-describing entries.** Each file `entries/<key>.xpdl` is one
+//!   header line, then the descriptor text. The header ([`EntryHeader`])
+//!   is a JSON object with the format version, the FNV-1a checksum and
+//!   byte length of the text, the source-store identity, the fetch time
+//!   and an optional TTL. There is no index to keep in step with the
+//!   entries: the directory listing is the set of entries, so every
+//!   handle on a directory sees every other handle's writes at once.
+//! * **One atomic rename per update.** An entry is written to a temp
+//!   file, fsync'd, and renamed into place (then the directory is
+//!   fsync'd). A crash at any instant leaves the old or the new entry,
+//!   never a torn file that the cache itself wrote. Two writers of one
+//!   key each leave a valid entry and the last rename wins, so there is
+//!   no lock, across threads or processes.
+//! * **Checked reads.** Every read checks the text against the header it
+//!   read with it, at open *and* on every lookup. Reads take no lock.
+//! * **Quarantine.** An entry that fails its header (a torn write that
+//!   survived a power cut, bit rot, a concurrent partial copy, a file in
+//!   an older layout) is *moved* to `quarantine/` — preserved for
+//!   post-mortem, never served — and reported as an `R305` diagnostic
+//!   rather than an error. The next fetch self-heals it from the backing
+//!   store.
 //!
 //! # Degradation policy
 //!
@@ -67,33 +68,29 @@
 
 use crate::hash::{fnv1a64, fnv1a64_seeded, fraction, mix64};
 use crate::store::{ModelStore, StoreError};
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use parking_lot::Mutex;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use xpdl_core::diag::json::{self, JsonValue};
 use xpdl_core::diag::Diagnostic;
+use xpdl_xml::{ParseOptions, Reader};
 
-/// Manifest format version; bumped on incompatible layout changes.
-pub const MANIFEST_VERSION: u64 = 1;
-const MANIFEST_FILE: &str = "manifest.json";
-const LOCK_FILE: &str = ".lock";
+/// Entry header format version; bumped on incompatible layout changes.
+const HEADER_VERSION: u64 = 1;
 const ENTRIES_DIR: &str = "entries";
 const QUARANTINE_DIR: &str = "quarantine";
-/// A lock this old whose owner cannot be probed is presumed stale.
-const STALE_LOCK_AGE: Duration = Duration::from_secs(60);
+/// A temp file at least this old was left by a writer that died
+/// mid-write: a live writer renames its own within milliseconds.
+const STALE_TMP_AGE: Duration = Duration::from_secs(60);
 
-/// Diagnostic code: a cache entry failed its checksum and was quarantined.
+/// Diagnostic code: a cache entry failed its header check and was
+/// quarantined.
 pub const DIAG_QUARANTINED: &str = "R305";
-/// Diagnostic code: the manifest itself was corrupt and was rebuilt.
-pub const DIAG_MANIFEST_RESET: &str = "R306";
-/// Diagnostic code: a stale lock (dead owner) was taken over.
-pub const DIAG_LOCK_TAKEOVER: &str = "R307";
 
 /// When may a cached entry be served instead of (or as a fallback to)
 /// the backing store? See the module docs for the full policy.
@@ -123,13 +120,13 @@ impl fmt::Display for Freshness {
     }
 }
 
-/// One manifest record: the integrity and provenance metadata for a
-/// cached descriptor.
+/// The header line of a cache entry: the integrity and provenance
+/// metadata of the descriptor text that follows it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// FNV-1a checksum of the entry file's exact bytes.
+pub struct EntryHeader {
+    /// FNV-1a checksum of the text's exact bytes.
     pub checksum: u64,
-    /// Entry byte length (a cheap second torn-write tripwire).
+    /// Text byte length (a cheap second torn-write tripwire).
     pub len: u64,
     /// Identity of the store the entry was fetched from.
     pub source: String,
@@ -139,7 +136,7 @@ pub struct ManifestEntry {
     pub ttl_ms: Option<u64>,
 }
 
-impl ManifestEntry {
+impl EntryHeader {
     /// Age of the entry relative to `now_ms` (zero if clocks regressed).
     pub fn age(&self, now_ms: u64) -> Duration {
         Duration::from_millis(now_ms.saturating_sub(self.fetched_at_ms))
@@ -152,102 +149,76 @@ impl ManifestEntry {
             Some(ttl) => self.age(now_ms) < Duration::from_millis(ttl),
         }
     }
-}
 
-/// Counters that survive across processes (persisted in the manifest).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PersistentStats {
-    stale_served: u64,
-    quarantined_total: u64,
-}
-
-#[derive(Debug, Default)]
-struct Manifest {
-    entries: BTreeMap<String, ManifestEntry>,
-    stats: PersistentStats,
-}
-
-impl Manifest {
-    fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128 + self.entries.len() * 160);
-        s.push_str(&format!("{{\"version\":{MANIFEST_VERSION},\"entries\":{{"));
-        for (i, (key, e)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json::escape_into(&mut s, key);
-            // The checksum is a full u64: serialized as a hex string, not
-            // a JSON number, so it survives the f64 reader losslessly.
-            s.push_str(&format!(":{{\"checksum\":\"{:016x}\",\"len\":{},", e.checksum, e.len));
-            s.push_str("\"source\":");
-            json::escape_into(&mut s, &e.source);
-            s.push_str(&format!(",\"fetched_at_ms\":{}", e.fetched_at_ms));
-            match e.ttl_ms {
-                Some(ttl) => s.push_str(&format!(",\"ttl_ms\":{ttl}}}")),
-                None => s.push_str(",\"ttl_ms\":null}"),
-            }
+    /// The header as one JSON line, its newline included; escaping keeps
+    /// any newline in `source` off the line. The checksum is a full u64,
+    /// so it is a hex string, not a JSON number, to survive the f64
+    /// reader losslessly.
+    fn to_line(&self) -> String {
+        let mut s = format!(
+            "{{\"v\":{HEADER_VERSION},\"checksum\":\"{:016x}\",\"len\":{},\"source\":",
+            self.checksum, self.len
+        );
+        json::escape_into(&mut s, &self.source);
+        s.push_str(&format!(",\"fetched_at_ms\":{},\"ttl_ms\":", self.fetched_at_ms));
+        match self.ttl_ms {
+            Some(ttl) => s.push_str(&format!("{ttl}}}\n")),
+            None => s.push_str("null}\n"),
         }
-        s.push_str(&format!(
-            "}},\"stats\":{{\"stale_served\":{},\"quarantined_total\":{}}}}}",
-            self.stats.stale_served, self.stats.quarantined_total
-        ));
         s
     }
 
-    fn parse(src: &str) -> Result<Manifest, String> {
-        let value = json::parse(src)?;
-        let obj = value.as_object().ok_or("manifest is not an object")?;
-        let version = json::get(obj, "version")
-            .and_then(JsonValue::as_number)
-            .ok_or("manifest missing version")? as u64;
-        if version != MANIFEST_VERSION {
-            return Err(format!("unsupported manifest version {version}"));
-        }
-        let mut entries = BTreeMap::new();
-        for (key, v) in
-            json::get(obj, "entries").and_then(JsonValue::as_object).ok_or("missing entries")?
-        {
-            let e = v.as_object().ok_or_else(|| format!("entry {key:?} is not an object"))?;
-            let checksum = json::get(e, "checksum")
-                .and_then(JsonValue::as_str)
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| format!("entry {key:?}: bad checksum"))?;
-            let num = |f: &str| json::get(e, f).and_then(JsonValue::as_number);
-            let ttl_ms = match json::get(e, "ttl_ms") {
-                None | Some(JsonValue::Null) => None,
-                Some(v) => {
-                    Some(v.as_number().ok_or_else(|| format!("entry {key:?}: bad ttl"))? as u64)
-                }
-            };
-            entries.insert(
-                key.clone(),
-                ManifestEntry {
-                    checksum,
-                    len: num("len").ok_or_else(|| format!("entry {key:?}: bad len"))? as u64,
-                    source: json::get(e, "source")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    fetched_at_ms: num("fetched_at_ms")
-                        .ok_or_else(|| format!("entry {key:?}: bad fetched_at_ms"))?
-                        as u64,
-                    ttl_ms,
-                },
-            );
-        }
-        let stats = match json::get(obj, "stats").and_then(JsonValue::as_object) {
-            None => PersistentStats::default(),
-            Some(s) => PersistentStats {
-                stale_served: json::get(s, "stale_served")
-                    .and_then(JsonValue::as_number)
-                    .unwrap_or(0.0) as u64,
-                quarantined_total: json::get(s, "quarantined_total")
-                    .and_then(JsonValue::as_number)
-                    .unwrap_or(0.0) as u64,
-            },
+    fn parse(line: &str) -> Result<EntryHeader, String> {
+        let value = json::parse(line)?;
+        let obj = value.as_object().ok_or("header is not an object")?;
+        let num = |f: &str| {
+            json::get(obj, f).and_then(JsonValue::as_number).ok_or(format!("header: bad {f}"))
         };
-        Ok(Manifest { entries, stats })
+        let version = num("v")?;
+        if version != HEADER_VERSION as f64 {
+            return Err(format!("unsupported header version {version}"));
+        }
+        let checksum = json::get(obj, "checksum")
+            .and_then(JsonValue::as_str)
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or("header: bad checksum")?;
+        let source =
+            json::get(obj, "source").and_then(JsonValue::as_str).ok_or("header: bad source")?;
+        let ttl_ms = match json::get(obj, "ttl_ms") {
+            Some(JsonValue::Null) => None,
+            _ => Some(num("ttl_ms")? as u64),
+        };
+        Ok(EntryHeader {
+            checksum,
+            len: num("len")? as u64,
+            source: source.to_string(),
+            fetched_at_ms: num("fetched_at_ms")? as u64,
+            ttl_ms,
+        })
     }
+}
+
+/// Split an entry file into its text and header, and check the text
+/// against the header.
+fn decode_entry(mut bytes: Vec<u8>) -> Result<(String, EntryHeader), String> {
+    let nl = bytes.iter().position(|&b| b == b'\n').ok_or("no header line")?;
+    let line = std::str::from_utf8(&bytes[..nl]).map_err(|_| "header is not UTF-8")?;
+    let header = EntryHeader::parse(line)?;
+    bytes.drain(..=nl);
+    if bytes.len() as u64 != header.len || fnv1a64(&bytes) != header.checksum {
+        return Err("text does not match its header checksum".to_string());
+    }
+    let text = String::from_utf8(bytes).map_err(|_| "text is not UTF-8")?;
+    Ok((text, header))
+}
+
+/// Whether `text` is well-formed XML, which [`CachingStore`] requires of
+/// a payload before it persists it. It drains a [`Reader`] to the end and
+/// builds no tree; the DOM is built from the same reader's events, so
+/// both accept exactly the same inputs.
+pub fn is_well_formed(text: &str) -> bool {
+    let mut reader = Reader::new(text, ParseOptions::default());
+    std::iter::from_fn(|| reader.next_event().transpose()).all(|event| event.is_ok())
 }
 
 /// A cache-layer failure. Cache faults are deliberately *not*
@@ -264,14 +235,6 @@ pub enum CacheError {
         /// OS error detail.
         detail: String,
     },
-    /// The directory lock is held by a live writer and the wait budget
-    /// ran out.
-    Locked {
-        /// Lockfile path.
-        path: PathBuf,
-        /// PID recorded in the lockfile, when readable.
-        holder: Option<u32>,
-    },
 }
 
 impl fmt::Display for CacheError {
@@ -279,13 +242,6 @@ impl fmt::Display for CacheError {
         match self {
             CacheError::Io { path, detail } => {
                 write!(f, "cache I/O failure at {}: {detail}", path.display())
-            }
-            CacheError::Locked { path, holder } => {
-                write!(f, "cache lock {} held", path.display())?;
-                if let Some(pid) = holder {
-                    write!(f, " by pid {pid}")?;
-                }
-                Ok(())
             }
         }
     }
@@ -302,18 +258,17 @@ fn now_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
 
-/// Is the process with this PID alive? On Linux, `/proc/<pid>` is
-/// authoritative. Elsewhere we cannot probe without libc, so the caller
-/// falls back to lock-age heuristics (`None` = unknown).
-fn pid_alive(pid: u32) -> Option<bool> {
-    #[cfg(target_os = "linux")]
-    {
-        Some(Path::new(&format!("/proc/{pid}")).exists())
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = pid;
-        None
+/// The paths in `dir`; an unreadable directory lists as empty.
+fn list(dir: &Path) -> impl Iterator<Item = PathBuf> {
+    fs::read_dir(dir).into_iter().flatten().filter_map(|e| e.ok()).map(|e| e.path())
+}
+
+/// Unlink `path`: `Ok(false)` when it is already gone.
+fn remove_file(path: &Path) -> Result<bool, CacheError> {
+    match fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(io_err(path, e)),
     }
 }
 
@@ -354,95 +309,23 @@ pub fn atomic_write(dest: &Path, bytes: &[u8]) -> Result<(), CacheError> {
     Ok(())
 }
 
-/// An exclusive cross-process writer lock on the cache directory,
-/// released (unlinked) on drop.
-struct DirLock {
-    path: PathBuf,
-}
-
-impl DirLock {
-    /// Acquire the lock, taking over stale (dead-owner) locks. Returns
-    /// the lock plus whether a takeover happened (for diagnostics).
-    fn acquire(dir: &Path, timeout: Duration) -> Result<(DirLock, Option<u32>), CacheError> {
-        let path = dir.join(LOCK_FILE);
-        let deadline = Instant::now() + timeout;
-        let mut took_over = None;
-        loop {
-            match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    let _ = write!(f, "{}", std::process::id());
-                    let _ = f.sync_all();
-                    return Ok((DirLock { path }, took_over));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let holder = fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
-                    let stale = match holder.and_then(pid_alive) {
-                        Some(alive) => !alive,
-                        // Unreadable PID or unprobeable platform: presume
-                        // stale only once the lock is old enough that any
-                        // honest writer would long have finished.
-                        None => fs::metadata(&path)
-                            .and_then(|m| m.modified())
-                            .ok()
-                            .and_then(|t| t.elapsed().ok())
-                            .is_some_and(|age| age > STALE_LOCK_AGE),
-                    };
-                    if stale {
-                        // Re-read before unlinking: if the contents moved
-                        // under us, a new (live) writer holds it now.
-                        let still = fs::read_to_string(&path)
-                            .ok()
-                            .and_then(|s| s.trim().parse::<u32>().ok());
-                        if still == holder {
-                            let _ = fs::remove_file(&path);
-                            took_over = holder;
-                            continue;
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(CacheError::Locked { path, holder });
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(io_err(&path, e)),
-            }
-        }
-    }
-}
-
-impl Drop for DirLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
 /// Point-in-time view of the cache directory, for `xpdlc cache stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Live entries in the manifest.
+    /// Entries that pass their header check.
     pub entries: u64,
-    /// Sum of live entry byte lengths.
+    /// Sum of those entries' text byte lengths.
     pub total_bytes: u64,
     /// Files currently sitting in `quarantine/`.
     pub quarantine_files: u64,
-    /// Stale serves, cumulative across processes.
-    pub stale_served: u64,
-    /// Entries ever quarantined, cumulative across processes.
-    pub quarantined_total: u64,
 }
 
 impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "entries={} bytes={} quarantine_files={} stale_served={} quarantined_total={}",
-            self.entries,
-            self.total_bytes,
-            self.quarantine_files,
-            self.stale_served,
-            self.quarantined_total
+            "entries={} bytes={} quarantine_files={}",
+            self.entries, self.total_bytes, self.quarantine_files
         )
     }
 }
@@ -456,18 +339,15 @@ pub struct GcReport {
     pub quarantine_removed: u64,
 }
 
-/// The crash-safe persistent cache directory. See the module docs for
-/// the durability mechanics. Cheap to share: wrap in an [`Arc`] and hand
-/// clones to any number of [`CachingStore`]s (and to
+/// The crash-only persistent cache directory. See the module docs for
+/// the durability mechanics. It keeps no index in memory, so any number
+/// of handles, in any number of processes, may share one directory.
+/// Cheap to share: wrap in an [`Arc`] and hand clones to any number of
+/// [`CachingStore`]s (and to
 /// [`Repository::register_disk_cache`](crate::Repository::register_disk_cache)
 /// for metrics).
 pub struct DiskCache {
     dir: PathBuf,
-    manifest: RwLock<Manifest>,
-    /// In-process writer serialization; the `.lock` file extends the
-    /// exclusion across processes.
-    writer: Mutex<()>,
-    lock_timeout: Duration,
     disk_hits: Arc<xpdl_obs::Counter>,
     stale_served_session: Arc<xpdl_obs::Counter>,
     quarantined_session: Arc<xpdl_obs::Counter>,
@@ -476,70 +356,33 @@ pub struct DiskCache {
 
 impl fmt::Debug for DiskCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DiskCache")
-            .field("dir", &self.dir)
-            .field("entries", &self.manifest.read().entries.len())
-            .finish()
+        f.debug_struct("DiskCache").field("dir", &self.dir).finish_non_exhaustive()
     }
 }
 
 impl DiskCache {
-    /// Open (creating if necessary) the cache at `dir`, verify every
-    /// entry's checksum, and quarantine whatever fails. Corruption is
-    /// *not* an error — it produces `R3xx` diagnostics (see
+    /// Open (creating if necessary) the cache at `dir`, check every
+    /// entry against its header, and quarantine whatever fails.
+    /// Corruption is *not* an error — it produces `R305` diagnostics (see
     /// [`DiskCache::take_diagnostics`]) and the cache self-heals on the
-    /// next fetch of the affected keys.
+    /// next fetch of the affected keys. Temp files that writers which
+    /// died mid-write left behind are removed once they are 60 s old.
     pub fn open(dir: impl AsRef<Path>) -> Result<DiskCache, CacheError> {
-        DiskCache::open_with_lock_timeout(dir, Duration::from_secs(5))
-    }
-
-    /// [`DiskCache::open`] with an explicit writer-lock wait budget.
-    pub fn open_with_lock_timeout(
-        dir: impl AsRef<Path>,
-        lock_timeout: Duration,
-    ) -> Result<DiskCache, CacheError> {
         let dir = dir.as_ref().to_path_buf();
         for sub in [ENTRIES_DIR, QUARANTINE_DIR] {
             let p = dir.join(sub);
             fs::create_dir_all(&p).map_err(|e| io_err(&p, e))?;
         }
-        let mut diags = Vec::new();
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let manifest = match fs::read_to_string(&manifest_path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Manifest::default(),
-            Err(e) => return Err(io_err(&manifest_path, e)),
-            Ok(src) => match Manifest::parse(&src) {
-                Ok(m) => m,
-                Err(why) => {
-                    // The manifest itself is torn/corrupt: preserve it for
-                    // post-mortem and rebuild from the entry files.
-                    let dest = dir.join(QUARANTINE_DIR).join(format!("manifest.{}.json", now_ms()));
-                    let _ = fs::rename(&manifest_path, &dest);
-                    diags.push(
-                        Diagnostic::warning(
-                            dir.display().to_string(),
-                            format!("cache manifest corrupt ({why}); rebuilding from entries"),
-                        )
-                        .with_code(DIAG_MANIFEST_RESET)
-                        .with_note(format!("corrupt manifest preserved at {}", dest.display())),
-                    );
-                    Manifest::default()
-                }
-            },
-        };
+        let registry = xpdl_obs::MetricsRegistry::global();
         let cache = DiskCache {
             dir,
-            manifest: RwLock::new(manifest),
-            writer: Mutex::new(()),
-            lock_timeout,
-            disk_hits: xpdl_obs::MetricsRegistry::global().counter("cache.disk.hits"),
-            stale_served_session: xpdl_obs::MetricsRegistry::global()
-                .counter("cache.disk.stale_served"),
-            quarantined_session: xpdl_obs::MetricsRegistry::global()
-                .counter("cache.disk.quarantined"),
-            diags: Mutex::new(diags),
+            disk_hits: registry.counter("cache.disk.hits"),
+            stale_served_session: registry.counter("cache.disk.stale_served"),
+            quarantined_session: registry.counter("cache.disk.quarantined"),
+            diags: Mutex::new(Vec::new()),
         };
-        cache.recover_and_verify()?;
+        cache.remove_stale_temp_files();
+        cache.verify();
         Ok(cache)
     }
 
@@ -548,29 +391,26 @@ impl DiskCache {
         &self.dir
     }
 
-    /// Number of live entries.
+    /// Number of entries that pass their header check.
     pub fn len(&self) -> usize {
-        self.manifest.read().entries.len()
+        self.scan().len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.manifest.read().entries.is_empty()
+        self.len() == 0
     }
 
-    /// Live keys, optionally restricted to one source identity (sorted).
+    /// Keys of the entries that pass their header check, optionally
+    /// restricted to one source identity (sorted).
     pub fn keys(&self, source: Option<&str>) -> Vec<String> {
-        self.manifest
-            .read()
-            .entries
-            .iter()
-            .filter(|(_, e)| source.is_none_or(|s| e.source == s))
-            .map(|(k, _)| k.clone())
-            .collect()
+        let mut entries = self.scan();
+        entries.retain(|(_, h)| source.is_none_or(|s| h.source == s));
+        entries.into_iter().map(|(k, _)| k).collect()
     }
 
-    /// Diagnostics accumulated since the last take (open-time verification,
-    /// runtime quarantines, lock takeovers).
+    /// Diagnostics accumulated since the last take (open-time verification
+    /// and runtime quarantines).
     pub fn take_diagnostics(&self) -> Vec<Diagnostic> {
         std::mem::take(&mut self.diags.lock())
     }
@@ -605,85 +445,53 @@ impl DiskCache {
             && !key.starts_with('.')
     }
 
-    /// Look up `key`: manifest record + verified content. A checksum or
-    /// length mismatch at read time quarantines the entry and reports a
-    /// miss (the caller then self-heals from the backing store). When
-    /// `source` is given, entries fetched from a different store are
-    /// ignored — search-path precedence survives the shared cache.
-    pub fn get(&self, key: &str, source: Option<&str>) -> Option<(String, ManifestEntry)> {
-        let entry = {
-            let m = self.manifest.read();
-            let e = m.entries.get(key)?.clone();
-            if let Some(want) = source {
-                if e.source != want {
-                    return None;
-                }
-            }
-            e
-        };
-        let path = self.entry_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.quarantine(key, "entry file unreadable or missing");
-                return None;
-            }
-        };
-        if text.len() as u64 != entry.len || fnv1a64(text.as_bytes()) != entry.checksum {
-            self.quarantine(key, "content does not match manifest checksum");
+    /// Keys of the entry files under `entries/`, sorted. Temp files start
+    /// with a dot, so they are not keys.
+    fn listed_keys(&self) -> Vec<String> {
+        let mut keys: Vec<String> = list(&self.dir.join(ENTRIES_DIR))
+            .filter_map(|p| Some(p.file_name()?.to_str()?.strip_suffix(".xpdl")?.to_string()))
+            .filter(|k| Self::key_is_cacheable(k))
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    /// The listed entries that pass their header check; the rest are
+    /// quarantined on the way.
+    fn scan(&self) -> Vec<(String, EntryHeader)> {
+        let keys = self.listed_keys().into_iter();
+        keys.filter_map(|k| self.get(&k, None).map(|(_, header)| (k, header))).collect()
+    }
+
+    /// Look up `key` and check its text against the header read with it.
+    /// A missing file is a miss. A file that fails the check (or cannot
+    /// be read) is quarantined and reported as a miss; the caller then
+    /// self-heals from the backing store. When `source` is given, entries
+    /// fetched from a different store are ignored — search-path
+    /// precedence survives the shared cache.
+    pub fn get(&self, key: &str, source: Option<&str>) -> Option<(String, EntryHeader)> {
+        if !Self::key_is_cacheable(key) {
             return None;
         }
-        Some((text, entry))
-    }
-
-    /// Record a disk hit (served without touching the backing store).
-    pub(crate) fn note_disk_hit(&self) {
-        self.disk_hits.inc();
-    }
-
-    /// Record a stale serve; the cumulative count is persisted so
-    /// `xpdlc cache stats` sees it from a later process.
-    pub(crate) fn note_stale_served(&self) {
-        self.stale_served_session.inc();
-        let _guard = self.writer.lock();
-        if let Ok((_lock, takeover)) = DirLock::acquire(&self.dir, self.lock_timeout) {
-            self.note_takeover(takeover);
-            self.reload_locked();
-            self.manifest.write().stats.stale_served += 1;
-            let _ = self.flush_manifest();
-        }
-    }
-
-    /// Refresh the in-memory manifest from disk. Mutations are
-    /// read-modify-write transactions — reload under the cross-process
-    /// lock, apply, flush — so concurrent processes never clobber each
-    /// other's manifest revisions. Callers hold the writer mutex and the
-    /// directory lock. A missing or unparseable on-disk manifest (only
-    /// possible outside our own atomic-write discipline) keeps the
-    /// in-memory state.
-    fn reload_locked(&self) {
-        if let Ok(src) = fs::read_to_string(self.dir.join(MANIFEST_FILE)) {
-            if let Ok(m) = Manifest::parse(&src) {
-                *self.manifest.write() = m;
+        let path = self.entry_path(key);
+        let checked = match fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(e) => Err(format!("entry file unreadable: {e}")),
+            Ok(bytes) => decode_entry(bytes),
+        };
+        match checked {
+            Ok((text, header)) => {
+                source.is_none_or(|s| header.source == s).then_some((text, header))
+            }
+            Err(why) => {
+                self.quarantine(key, &path, &why);
+                None
             }
         }
     }
 
-    fn note_takeover(&self, takeover: Option<u32>) {
-        if let Some(pid) = takeover {
-            self.diags.lock().push(
-                Diagnostic::warning(
-                    self.dir.display().to_string(),
-                    format!("took over stale cache lock held by dead pid {pid}"),
-                )
-                .with_code(DIAG_LOCK_TAKEOVER),
-            );
-        }
-    }
-
-    /// Store `text` under `key`, durably. Writes the entry file
-    /// atomically, then the manifest revision atomically, both under the
-    /// cross-process lock. Uncacheable keys are a silent no-op.
+    /// Store `text` under `key`, durably: its header line and the text in
+    /// one [`atomic_write`]. Uncacheable keys are a silent no-op.
     pub fn put(
         &self,
         key: &str,
@@ -694,85 +502,37 @@ impl DiskCache {
         if !Self::key_is_cacheable(key) {
             return Ok(());
         }
-        let _guard = self.writer.lock();
-        let (_lock, takeover) = DirLock::acquire(&self.dir, self.lock_timeout)?;
-        self.note_takeover(takeover);
-        self.reload_locked();
-        atomic_write(&self.entry_path(key), text.as_bytes())?;
-        self.manifest.write().entries.insert(
-            key.to_string(),
-            ManifestEntry {
-                checksum: fnv1a64(text.as_bytes()),
-                len: text.len() as u64,
-                source: source.to_string(),
-                fetched_at_ms: now_ms(),
-                ttl_ms: ttl.map(|d| d.as_millis() as u64),
-            },
-        );
-        self.flush_manifest()
+        let header = EntryHeader {
+            checksum: fnv1a64(text.as_bytes()),
+            len: text.len() as u64,
+            source: source.to_string(),
+            fetched_at_ms: now_ms(),
+            ttl_ms: ttl.map(|d| d.as_millis() as u64),
+        };
+        let mut entry = header.to_line();
+        entry.push_str(text);
+        atomic_write(&self.entry_path(key), entry.as_bytes())
     }
 
     /// Remove `key` (e.g. after the backing store authoritatively
-    /// reported it gone). Only removes the record if it came from
-    /// `source`, when given.
+    /// reported it gone). Only removes an entry fetched from `source`,
+    /// when given.
     pub fn remove(&self, key: &str, source: Option<&str>) -> Result<bool, CacheError> {
-        let _guard = self.writer.lock();
-        if !self.manifest.read().entries.contains_key(key) {
+        if self.get(key, source).is_none() {
             return Ok(false);
         }
-        let (_lock, takeover) = DirLock::acquire(&self.dir, self.lock_timeout)?;
-        self.note_takeover(takeover);
-        self.reload_locked();
-        let present = {
-            let m = self.manifest.read();
-            match m.entries.get(key) {
-                None => false,
-                Some(e) => source.is_none_or(|s| e.source == s),
-            }
-        };
-        if !present {
-            return Ok(false);
-        }
-        self.manifest.write().entries.remove(key);
-        let _ = fs::remove_file(self.entry_path(key));
-        self.flush_manifest()?;
-        Ok(true)
+        remove_file(&self.entry_path(key))
     }
 
-    /// Move `key`'s entry file into `quarantine/`, drop its manifest
-    /// record, bump the counters, and emit an `R305` diagnostic. Never
-    /// fails: quarantine is a best-effort salvage path.
-    fn quarantine(&self, key: &str, why: &str) {
-        let _guard = self.writer.lock();
-        // Two racing readers may both detect the same corruption; only
-        // the first to get here does the work.
-        if !self.manifest.read().entries.contains_key(key) {
-            return;
-        }
-        let Ok((_lock, takeover)) = DirLock::acquire(&self.dir, self.lock_timeout) else {
-            // Can't coordinate cross-process right now: at minimum stop
-            // serving the suspect entry from this process.
-            self.manifest.write().entries.remove(key);
-            return;
-        };
-        self.note_takeover(takeover);
-        self.reload_locked();
-        // Re-check under the lock: another process may have quarantined
-        // it already (key gone) or healed it (entry re-written and its
-        // bytes verify again).
-        let Some(entry) = self.manifest.read().entries.get(key).cloned() else { return };
-        let src = self.entry_path(key);
-        if let Ok(text) = fs::read_to_string(&src) {
-            if text.len() as u64 == entry.len && fnv1a64(text.as_bytes()) == entry.checksum {
-                return;
-            }
-        }
+    /// Move `key`'s entry file at `path` into `quarantine/`, count it and
+    /// emit an `R305` diagnostic. Only the reader whose rename succeeds
+    /// does so; one that finds the file gone lost the race to another and
+    /// does nothing. Never fails: quarantine is a best-effort salvage
+    /// path.
+    fn quarantine(&self, key: &str, path: &Path, why: &str) {
         let dest = self.dir.join(QUARANTINE_DIR).join(format!("{key}.{}.xpdl", now_ms()));
-        let _ = fs::rename(&src, &dest);
-        {
-            let mut m = self.manifest.write();
-            m.entries.remove(key);
-            m.stats.quarantined_total += 1;
+        if fs::rename(path, &dest).is_err() {
+            return;
         }
         self.quarantined_session.inc();
         self.diags.lock().push(
@@ -783,101 +543,20 @@ impl DiskCache {
             .with_code(DIAG_QUARANTINED)
             .with_note(format!("preserved at {}", dest.display())),
         );
-        let _ = self.flush_manifest();
     }
 
-    /// Write the current manifest revision atomically. Callers hold the
-    /// writer mutex and the directory lock.
-    fn flush_manifest(&self) -> Result<(), CacheError> {
-        let body = self.manifest.read().to_json();
-        atomic_write(&self.dir.join(MANIFEST_FILE), body.as_bytes())
-    }
-
-    /// Open-time integrity pass: verify every manifest entry against its
-    /// file; adopt parseable orphan entry files (manifest-rebuild path);
-    /// quarantine the rest.
-    fn recover_and_verify(&self) -> Result<(), CacheError> {
-        // Adopt orphans: entry files with no manifest record (a corrupt
-        // manifest was reset, or a crash hit between entry write and
-        // manifest flush). Only well-formed XML is adopted; anything
-        // else is quarantined as a torn write. One locked transaction so
-        // a concurrent process can neither clobber nor be clobbered.
-        let _guard = self.writer.lock();
-        let (_lock, takeover) = DirLock::acquire(&self.dir, self.lock_timeout)?;
-        self.note_takeover(takeover);
-        // Don't reload over a manifest we deliberately reset (R306): the
-        // corrupt file is already gone, so reload is a no-op then.
-        self.reload_locked();
-        let entries_dir = self.dir.join(ENTRIES_DIR);
-        let mut changed = false;
-        if let Ok(listing) = fs::read_dir(&entries_dir) {
-            for f in listing.filter_map(|e| e.ok()) {
-                let path = f.path();
-                let Some(stem) = path.file_stem().and_then(|s| s.to_str()).map(str::to_string)
-                else {
-                    continue;
-                };
-                if path.extension().and_then(|x| x.to_str()) != Some("xpdl") {
-                    // Leftover temp file from a crashed writer: discard.
-                    let _ = fs::remove_file(&path);
-                    continue;
-                }
-                if self.manifest.read().entries.contains_key(&stem) {
-                    continue;
-                }
-                changed = true;
-                let adoptable = fs::read_to_string(&path)
-                    .ok()
-                    .filter(|text| xpdl_xml::parse(text).is_ok());
-                match adoptable {
-                    Some(text) => {
-                        self.manifest.write().entries.insert(
-                            stem,
-                            ManifestEntry {
-                                checksum: fnv1a64(text.as_bytes()),
-                                len: text.len() as u64,
-                                source: "recovered".to_string(),
-                                fetched_at_ms: now_ms(),
-                                ttl_ms: None,
-                            },
-                        );
-                    }
-                    None => {
-                        let dest = self
-                            .dir
-                            .join(QUARANTINE_DIR)
-                            .join(format!("{stem}.{}.xpdl", now_ms()));
-                        let _ = fs::rename(&path, &dest);
-                        {
-                            let mut m = self.manifest.write();
-                            m.stats.quarantined_total += 1;
-                        }
-                        self.quarantined_session.inc();
-                        self.diags.lock().push(
-                            Diagnostic::warning(
-                                stem,
-                                "orphan cache entry is not well-formed XML; quarantined",
-                            )
-                            .with_code(DIAG_QUARANTINED)
-                            .with_note(format!("preserved at {}", dest.display())),
-                        );
-                    }
-                }
+    /// Remove the temp files that writers which died mid-write left in
+    /// `entries/`. A younger one may be a live writer's, about to be
+    /// renamed into place, so it stays.
+    fn remove_stale_temp_files(&self) {
+        for path in list(&self.dir.join(ENTRIES_DIR)) {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            let modified = fs::metadata(&path).and_then(|m| m.modified());
+            let age = modified.ok().and_then(|t| t.elapsed().ok());
+            if name.starts_with(".tmp.") && age.is_some_and(|a| a >= STALE_TMP_AGE) {
+                let _ = fs::remove_file(&path);
             }
         }
-        if changed {
-            self.flush_manifest()?;
-        }
-        // Release the lock before verification: `get` quarantines (which
-        // locks) as a side effect, and readers must never need the lock.
-        drop(_lock);
-        drop(_guard);
-        let keys: Vec<String> = self.manifest.read().entries.keys().cloned().collect();
-        for key in keys {
-            // `get` verifies checksum + length and quarantines on mismatch.
-            let _ = self.get(&key, None);
-        }
-        Ok(())
     }
 
     /// Re-verify every entry now; returns the diagnostics produced (also
@@ -885,106 +564,67 @@ impl DiskCache {
     /// the return value should drain via take to avoid double-reporting).
     pub fn verify(&self) -> Vec<Diagnostic> {
         let before = self.diags.lock().len();
-        let keys: Vec<String> = self.manifest.read().entries.keys().cloned().collect();
-        for key in keys {
-            let _ = self.get(&key, None);
-        }
+        self.scan();
         self.diags.lock()[before..].to_vec()
     }
 
     /// Garbage-collect: drop TTL-expired entries (plus anything older
-    /// than `max_age`, when given) and purge `quarantine/`.
+    /// than `max_age`, when given), remove stale temp files and purge
+    /// `quarantine/`.
     pub fn gc(&self, max_age: Option<Duration>) -> Result<GcReport, CacheError> {
         let now = now_ms();
         let mut report = GcReport::default();
-        {
-            let _guard = self.writer.lock();
-            let (_lock, takeover) = DirLock::acquire(&self.dir, self.lock_timeout)?;
-            self.note_takeover(takeover);
-            self.reload_locked();
-            let expired: Vec<String> = self
-                .manifest
-                .read()
-                .entries
-                .iter()
-                .filter(|(_, e)| {
-                    !e.is_fresh(now) || max_age.is_some_and(|cap| e.age(now) > cap)
-                })
-                .map(|(k, _)| k.clone())
-                .collect();
-            if !expired.is_empty() {
-                for key in &expired {
-                    self.manifest.write().entries.remove(key);
-                    let _ = fs::remove_file(self.entry_path(key));
-                    report.expired_removed += 1;
-                }
-                self.flush_manifest()?;
+        for (key, h) in self.scan() {
+            if !h.is_fresh(now) || max_age.is_some_and(|cap| h.age(now) > cap) {
+                report.expired_removed += u64::from(remove_file(&self.entry_path(&key))?);
             }
         }
-        if let Ok(listing) = fs::read_dir(self.dir.join(QUARANTINE_DIR)) {
-            for f in listing.filter_map(|e| e.ok()) {
-                if fs::remove_file(f.path()).is_ok() {
-                    report.quarantine_removed += 1;
-                }
-            }
+        self.remove_stale_temp_files();
+        for path in list(&self.dir.join(QUARANTINE_DIR)) {
+            report.quarantine_removed += u64::from(remove_file(&path)?);
         }
         Ok(report)
     }
 
-    /// Wipe the cache: entries, manifest, quarantine. The persistent
-    /// stats reset with it.
+    /// Wipe the cache: entries, temp files and quarantine.
     pub fn clear(&self) -> Result<(), CacheError> {
-        let _guard = self.writer.lock();
-        let (_lock, takeover) = DirLock::acquire(&self.dir, self.lock_timeout)?;
-        self.note_takeover(takeover);
-        {
-            let mut m = self.manifest.write();
-            m.entries.clear();
-            m.stats = PersistentStats::default();
-        }
         for sub in [ENTRIES_DIR, QUARANTINE_DIR] {
-            if let Ok(listing) = fs::read_dir(self.dir.join(sub)) {
-                for f in listing.filter_map(|e| e.ok()) {
-                    let _ = fs::remove_file(f.path());
-                }
+            for path in list(&self.dir.join(sub)) {
+                remove_file(&path)?;
             }
         }
-        self.flush_manifest()
+        Ok(())
     }
 
-    /// Current stats (manifest counts plus a quarantine directory scan).
+    /// Current stats: the entries that pass their header check, and the
+    /// files in `quarantine/`.
     pub fn stats(&self) -> CacheStats {
-        let m = self.manifest.read();
-        let quarantine_files = fs::read_dir(self.dir.join(QUARANTINE_DIR))
-            .map(|l| l.filter_map(|e| e.ok()).count() as u64)
-            .unwrap_or(0);
+        let live = self.scan();
         CacheStats {
-            entries: m.entries.len() as u64,
-            total_bytes: m.entries.values().map(|e| e.len).sum(),
-            quarantine_files,
-            stale_served: m.stats.stale_served,
-            quarantined_total: m.stats.quarantined_total,
+            entries: live.len() as u64,
+            total_bytes: live.iter().map(|(_, h)| h.len).sum(),
+            quarantine_files: list(&self.dir.join(QUARANTINE_DIR)).count() as u64,
         }
     }
 
     /// Test instrumentation: simulate the torn writes a power cut can
-    /// leave behind. Each entry file is truncated in place (bypassing
-    /// the manifest — exactly what a crash does) with deterministic
-    /// per-`(seed, key)` selection at `rate`. Returns the affected keys;
-    /// a subsequent [`DiskCache::open`] must quarantine every one of
-    /// them. Public for the same reason [`FaultInjectingStore`](crate::FaultInjectingStore)
-    /// (crate::FaultInjectingStore) is: durability claims are only worth
-    /// making if they are reproducible.
+    /// leave behind. Each listed entry file is truncated in place to half
+    /// its length, with deterministic per-`(seed, key)` selection at
+    /// `rate`. Returns the affected keys; a subsequent
+    /// [`DiskCache::open`] must quarantine every one of them. Public for
+    /// the same reason [`FaultInjectingStore`](crate::FaultInjectingStore)
+    /// is: durability claims are only worth making if they are
+    /// reproducible.
     pub fn simulate_crash_truncation(&self, seed: u64, rate: f64) -> Vec<String> {
         let mut torn = Vec::new();
-        for key in self.manifest.read().entries.keys() {
+        for key in self.listed_keys() {
             if fraction(mix64(fnv1a64_seeded(seed, &[key.as_bytes()]))) < rate {
-                let path = self.entry_path(key);
+                let path = self.entry_path(&key);
                 if let Ok(meta) = fs::metadata(&path) {
                     let cut = meta.len() / 2;
                     if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
                         if f.set_len(cut).is_ok() {
-                            torn.push(key.clone());
+                            torn.push(key);
                         }
                     }
                 }
@@ -999,9 +639,9 @@ impl DiskCache {
 /// Fetches consult the shared [`DiskCache`] per the configured
 /// [`Freshness`] policy; successful upstream fetches are persisted
 /// (best-effort — a cache-write failure never fails the fetch). Only
-/// well-formed XML is persisted, so a torn or corrupted upstream payload
-/// can never become a "valid" cache entry that would defeat the
-/// repository's retry loop.
+/// well-formed XML is persisted ([`is_well_formed`]), so a torn or
+/// corrupted upstream payload can never become a "valid" cache entry
+/// that would defeat the repository's retry loop.
 pub struct CachingStore<S: ModelStore> {
     inner: S,
     cache: Arc<DiskCache>,
@@ -1020,10 +660,9 @@ impl<S: ModelStore> CachingStore<S> {
         CachingStore { inner, cache, freshness, ttl: None, source_id }
     }
 
-    /// Builder: a stable source identity for manifest records. Entries
-    /// are only served back through a wrapper carrying the *same*
-    /// identity, so a shared cache directory cannot violate search-path
-    /// precedence.
+    /// Builder: a stable source identity for entry headers. Entries are
+    /// only served back through a wrapper carrying the *same* identity,
+    /// so a shared cache directory cannot violate search-path precedence.
     pub fn with_source_id(mut self, source_id: impl Into<String>) -> CachingStore<S> {
         self.source_id = source_id.into();
         self
@@ -1059,7 +698,7 @@ impl<S: ModelStore> ModelStore for CachingStore<S> {
         if let Freshness::OfflineOnly = self.freshness {
             return match cached {
                 Some((text, _)) => {
-                    self.cache.note_disk_hit();
+                    self.cache.disk_hits.inc();
                     Ok(Some(text))
                 }
                 // A cache miss offline is NOT an authoritative miss: the
@@ -1079,7 +718,7 @@ impl<S: ModelStore> ModelStore for CachingStore<S> {
         if matches!(self.freshness, Freshness::Strict) {
             if let Some((text, entry)) = &cached {
                 if entry.is_fresh(now) {
-                    self.cache.note_disk_hit();
+                    self.cache.disk_hits.inc();
                     return Ok(Some(text.clone()));
                 }
             }
@@ -1089,7 +728,7 @@ impl<S: ModelStore> ModelStore for CachingStore<S> {
                 // Persist only well-formed payloads; a torn/corrupt
                 // upstream response must stay retryable, not get frozen
                 // into the cache.
-                if xpdl_xml::parse(&text).is_ok() {
+                if is_well_formed(&text) {
                     let _ = self.cache.put(key, &text, &self.source_id, self.ttl);
                 }
                 Ok(Some(text))
@@ -1103,7 +742,7 @@ impl<S: ModelStore> ModelStore for CachingStore<S> {
                 if let Freshness::StaleOk { max_age } = self.freshness {
                     if let Some((text, entry)) = cached {
                         if entry.age(now) <= max_age {
-                            self.cache.note_stale_served();
+                            self.cache.stale_served_session.inc();
                             return Ok(Some(text));
                         }
                     }
@@ -1158,41 +797,49 @@ mod tests {
         m
     }
 
+    /// Leave a temp file in `entries/` whose mtime is `age` ago.
+    fn plant_temp_file(dir: &Path, name: &str, age: Duration) -> PathBuf {
+        let path = dir.join(ENTRIES_DIR).join(name);
+        fs::write(&path, "partial").unwrap();
+        let f = fs::File::options().write(true).open(&path).unwrap();
+        f.set_modified(SystemTime::now() - age).unwrap();
+        path
+    }
+
     #[test]
-    fn manifest_roundtrips_losslessly() {
-        let mut m = Manifest::default();
-        m.entries.insert(
-            "Key \"quoted\"".to_string(),
-            ManifestEntry {
+    fn header_roundtrips_losslessly() {
+        for header in [
+            EntryHeader {
                 checksum: u64::MAX - 3, // beyond f64 precision: hex string survives
                 len: 42,
-                source: "dir:/tmp/models".to_string(),
+                source: "dir:/tmp/\"models\"\nsecond line".to_string(),
                 fetched_at_ms: 1_700_000_000_123,
                 ttl_ms: Some(60_000),
             },
-        );
-        m.entries.insert(
-            "NoTtl".to_string(),
-            ManifestEntry {
+            EntryHeader {
                 checksum: 7,
                 len: 1,
                 source: "library".to_string(),
                 fetched_at_ms: 5,
                 ttl_ms: None,
             },
-        );
-        m.stats = PersistentStats { stale_served: 9, quarantined_total: 2 };
-        let back = Manifest::parse(&m.to_json()).expect("parses");
-        assert_eq!(back.entries, m.entries);
-        assert_eq!(back.stats, m.stats);
+        ] {
+            let line = header.to_line();
+            assert_eq!(line.find('\n'), Some(line.len() - 1), "one line: {line:?}");
+            assert_eq!(EntryHeader::parse(&line).expect("parses"), header);
+        }
     }
 
     #[test]
-    fn manifest_rejects_garbage_and_future_versions() {
-        assert!(Manifest::parse("").is_err());
-        assert!(Manifest::parse("{}").is_err());
-        assert!(Manifest::parse("{\"version\":99,\"entries\":{}}").is_err());
-        assert!(Manifest::parse("{\"version\":1,\"entries\":{\"k\":{\"checksum\":\"zz\"}}}").is_err());
+    fn header_rejects_garbage_and_future_versions() {
+        let good = "{\"v\":1,\"checksum\":\"0000000000000007\",\"len\":1,\"source\":\"s\",\
+                    \"fetched_at_ms\":5,\"ttl_ms\":null}";
+        assert!(EntryHeader::parse(good).is_ok());
+        assert!(EntryHeader::parse("").is_err());
+        assert!(EntryHeader::parse("<cpu name=\"CpuA\"/>").is_err());
+        assert!(EntryHeader::parse("{}").is_err());
+        assert!(EntryHeader::parse(&good.replace("\"v\":1", "\"v\":99")).is_err());
+        assert!(EntryHeader::parse(&good.replace("0000000000000007", "zz")).is_err());
     }
 
     #[test]
@@ -1214,14 +861,44 @@ mod tests {
     }
 
     #[test]
+    fn two_handles_on_one_dir_see_each_other_at_once() {
+        let dir = tmp("twohandles");
+        let a = DiskCache::open(&dir).unwrap();
+        let b = DiskCache::open(&dir).unwrap();
+        a.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
+        let (text, _) = b.get("CpuA", None).expect("B sees A's put without reopening");
+        assert_eq!(text, "<cpu name=\"CpuA\"/>");
+        assert_eq!(b.len(), 1);
+        assert!(b.remove("CpuA", None).unwrap(), "B removes A's entry");
+        assert!(a.get("CpuA", None).is_none(), "A sees B's remove");
+        // A tears the entry it wrote; B finds it and quarantines it once.
+        a.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
+        let path = a.entry_path("CpuA");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
+        assert!(b.get("CpuA", None).is_none());
+        assert_eq!(b.quarantined_session(), 1);
+        assert_eq!(b.take_diagnostics()[0].code, DIAG_QUARANTINED);
+        // A reader that lost the race finds the file gone and does nothing.
+        assert!(a.get("CpuA", None).is_none());
+        a.quarantine("CpuA", &path, "read torn before B moved it");
+        assert_eq!(a.quarantined_session(), 0);
+        assert!(a.take_diagnostics().is_empty());
+        assert_eq!(b.stats().quarantine_files, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_entry_is_quarantined_on_open_and_self_heals() {
         let dir = tmp("quarantine");
         let cache = DiskCache::open(&dir).unwrap();
         cache.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
         cache.put("CpuB", "<cpu name=\"CpuB\"/>", "library", None).unwrap();
         drop(cache);
-        // Tear CpuA's entry behind the manifest's back.
-        fs::write(dir.join(ENTRIES_DIR).join("CpuA.xpdl"), "<cpu nam").unwrap();
+        // Tear CpuA's text behind the cache's back; its header survives.
+        let path = dir.join(ENTRIES_DIR).join("CpuA.xpdl");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let cache = DiskCache::open(&dir).unwrap();
         assert_eq!(cache.len(), 1, "torn entry dropped");
         assert!(cache.get("CpuA", None).is_none());
@@ -1231,7 +908,6 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, DIAG_QUARANTINED);
         assert_eq!(cache.stats().quarantine_files, 1);
-        assert_eq!(cache.stats().quarantined_total, 1);
         // Self-heal: a CachingStore re-fetches and re-persists.
         let store = CachingStore::new(library(), Arc::new(cache), Freshness::Strict)
             .with_source_id("library");
@@ -1240,39 +916,53 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A directory in the previous layout: an index file, a lock file of a
+    /// dead writer, entries with no header line, and temp files.
     #[test]
-    fn corrupt_manifest_is_rebuilt_from_entries() {
-        let dir = tmp("manifest");
-        let cache = DiskCache::open(&dir).unwrap();
-        cache.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
-        cache.put("CpuB", "<cpu name=\"CpuB\"/>", "library", None).unwrap();
-        drop(cache);
-        fs::write(dir.join(MANIFEST_FILE), "{\"version\":1,\"entr").unwrap();
-        // Also leave one torn orphan to prove recovery distinguishes.
-        fs::write(dir.join(ENTRIES_DIR).join("Torn.xpdl"), "<cpu nam").unwrap();
-        let cache = DiskCache::open(&dir).unwrap();
-        let diags = cache.take_diagnostics();
-        assert!(diags.iter().any(|d| d.code == DIAG_MANIFEST_RESET), "{diags:?}");
-        assert!(diags.iter().any(|d| d.code == DIAG_QUARANTINED), "{diags:?}");
-        // Both well-formed entries were re-adopted with fresh checksums.
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("CpuA", None).is_some());
-        let (_, entry) = cache.get("CpuB", None).unwrap();
-        assert_eq!(entry.source, "recovered");
-        let _ = fs::remove_dir_all(&dir);
-    }
+    fn old_layout_dir_opens_quarantines_and_heals() {
+        let dir = tmp("oldlayout");
+        fs::create_dir_all(dir.join(ENTRIES_DIR)).unwrap();
+        let text = |key| library().try_fetch(key).unwrap().expect("library key");
+        let (cpu_a, cpu_b) = (text("CpuA"), text("CpuB"));
+        let index = format!(
+            "{{\"version\":1,\"entries\":{{\
+             \"CpuA\":{{\"checksum\":\"{:016x}\",\"len\":{},\"source\":\"library\",\
+             \"fetched_at_ms\":1700000000000,\"ttl_ms\":null}},\
+             \"CpuB\":{{\"checksum\":\"{:016x}\",\"len\":{},\"source\":\"library\",\
+             \"fetched_at_ms\":1700000000000,\"ttl_ms\":null}}}},\
+             \"stats\":{{\"stale_served\":3,\"quarantined_total\":1}}}}",
+            fnv1a64(cpu_a.as_bytes()),
+            cpu_a.len(),
+            fnv1a64(cpu_b.as_bytes()),
+            cpu_b.len()
+        );
+        fs::write(dir.join("manifest.json"), &index).unwrap();
+        // PID u32::MAX exceeds every Linux pid_max: a dead writer's lock.
+        fs::write(dir.join(".lock"), u32::MAX.to_string()).unwrap();
+        fs::write(dir.join(ENTRIES_DIR).join("CpuA.xpdl"), &cpu_a).unwrap();
+        fs::write(dir.join(ENTRIES_DIR).join("CpuB.xpdl"), &cpu_b).unwrap();
+        let old_tmp = plant_temp_file(&dir, ".tmp.999.7", Duration::from_secs(2 * 3600));
+        let fresh_tmp = plant_temp_file(&dir, ".tmp.999.8", Duration::ZERO);
 
-    #[test]
-    fn leftover_temp_files_are_discarded_on_open() {
-        let dir = tmp("tmpfiles");
-        let cache = DiskCache::open(&dir).unwrap();
-        cache.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
-        drop(cache);
-        // A writer crashed mid-write: its temp file survived.
-        fs::write(dir.join(ENTRIES_DIR).join(".tmp.999.7"), "partial").unwrap();
-        let cache = DiskCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(!dir.join(ENTRIES_DIR).join(".tmp.999.7").exists());
+        let cache = Arc::new(DiskCache::open(&dir).expect("old layout opens"));
+        let diags = cache.take_diagnostics();
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert!(diags.iter().all(|d| d.code == DIAG_QUARANTINED), "{diags:?}");
+        assert_eq!(cache.quarantined_session(), 2);
+        assert!(cache.is_empty());
+        assert!(!old_tmp.exists(), "a dead writer's temp file is removed");
+        assert!(fresh_tmp.exists(), "a live writer's temp file stays");
+        // The next fetch heals both entries, and the old lock blocks no put.
+        let store = CachingStore::new(library(), Arc::clone(&cache), Freshness::Strict)
+            .with_source_id("library");
+        for (key, text) in [("CpuA", &cpu_a), ("CpuB", &cpu_b)] {
+            assert_eq!(store.try_fetch(key).unwrap().as_ref(), Some(text));
+            assert_eq!(&cache.get(key, Some("library")).expect("healed").0, text);
+        }
+        cache.put("Dev", "<device name=\"Dev\"/>", "library", None).unwrap();
+        assert_eq!(cache.len(), 3);
+        assert!(cache.take_diagnostics().is_empty());
+        assert_eq!(fs::read_to_string(dir.join("manifest.json")).unwrap(), index, "ignored");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1311,6 +1001,7 @@ mod tests {
         let warm = CachingStore::new(library(), cache.clone(), Freshness::Strict)
             .with_source_id("library");
         assert!(warm.try_fetch("CpuA").unwrap().is_some());
+        let written = fs::read(cache.entry_path("CpuA")).unwrap();
         // Now the backing store is fully down.
         let dead = FaultInjectingStore::new(library(), FaultConfig::failures(1.0, 3));
         let store = CachingStore::new(
@@ -1322,7 +1013,9 @@ mod tests {
         let text = store.try_fetch("CpuA").unwrap().expect("stale copy served");
         assert!(text.contains("CpuA"));
         assert_eq!(cache.stale_served_session(), 1);
-        assert_eq!(cache.stats().stale_served, 1, "persisted");
+        // The count is per run: the serve wrote nothing to disk.
+        assert_eq!(fs::read(cache.entry_path("CpuA")).unwrap(), written);
+        assert_eq!(DiskCache::open(&dir).unwrap().stale_served_session(), 0);
         // An entry older than max_age is NOT served: the error propagates.
         let tight = CachingStore::new(
             FaultInjectingStore::new(library(), FaultConfig::failures(1.0, 3)),
@@ -1400,6 +1093,11 @@ mod tests {
         let store = CachingStore::new(m, cache.clone(), Freshness::Strict);
         assert!(store.try_fetch("https://vendor.example/xpdl/K20c.xpdl").unwrap().is_some());
         assert_eq!(cache.len(), 0, "URL-shaped keys are not materialized as files");
+        // A path-like key never reaches a file outside `entries/`.
+        fs::write(dir.join("outside.xpdl"), "not an entry").unwrap();
+        assert!(cache.get("../outside", None).is_none());
+        assert!(dir.join("outside.xpdl").exists(), "not quarantined");
+        assert_eq!(cache.quarantined_session(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1410,12 +1108,15 @@ mod tests {
         cache.put("Old", "<cpu name=\"Old\"/>", "library", Some(Duration::ZERO)).unwrap();
         cache.put("Live", "<cpu name=\"Live\"/>", "library", None).unwrap();
         fs::write(dir.join(QUARANTINE_DIR).join("junk.0.xpdl"), "x").unwrap();
+        let old_tmp = plant_temp_file(&dir, ".tmp.999.1", Duration::from_secs(2 * 3600));
+        let fresh_tmp = plant_temp_file(&dir, ".tmp.999.2", Duration::ZERO);
         std::thread::sleep(Duration::from_millis(5));
         let report = cache.gc(None).unwrap();
         assert_eq!(report.expired_removed, 1);
         assert_eq!(report.quarantine_removed, 1);
         assert_eq!(cache.len(), 1);
         assert!(cache.get("Live", None).is_some());
+        assert!(!old_tmp.exists() && fresh_tmp.exists(), "only the dead writer's temp file goes");
         // max_age sweeps even never-expiring entries.
         let report = cache.gc(Some(Duration::ZERO)).unwrap();
         assert_eq!(report.expired_removed, 1);
@@ -1428,44 +1129,14 @@ mod tests {
         let dir = tmp("clear");
         let cache = DiskCache::open(&dir).unwrap();
         cache.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
+        let fresh_tmp = plant_temp_file(&dir, ".tmp.999.3", Duration::ZERO);
         cache.clear().unwrap();
         assert!(cache.is_empty());
+        assert!(!fresh_tmp.exists(), "clear removes every temp file");
         assert_eq!(cache.stats(), CacheStats::default());
         drop(cache);
         let cache = DiskCache::open(&dir).unwrap();
         assert!(cache.is_empty(), "clear persisted");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_lock_with_dead_pid_is_taken_over() {
-        let dir = tmp("lock");
-        fs::create_dir_all(&dir).unwrap();
-        // PID u32::MAX exceeds every Linux pid_max: guaranteed dead.
-        fs::write(dir.join(LOCK_FILE), format!("{}", u32::MAX)).unwrap();
-        let cache =
-            DiskCache::open_with_lock_timeout(&dir, Duration::from_millis(500)).unwrap();
-        cache.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
-        assert!(!dir.join(LOCK_FILE).exists(), "lock released after put");
-        let diags = cache.take_diagnostics();
-        assert!(diags.iter().any(|d| d.code == DIAG_LOCK_TAKEOVER), "{diags:?}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn live_lock_blocks_writers_until_released() {
-        let dir = tmp("livelock");
-        let cache = DiskCache::open_with_lock_timeout(&dir, Duration::from_millis(80)).unwrap();
-        // Our own (live) PID holds the lock.
-        fs::write(dir.join(LOCK_FILE), format!("{}", std::process::id())).unwrap();
-        match cache.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None) {
-            Err(CacheError::Locked { holder, .. }) => {
-                assert_eq!(holder, Some(std::process::id()))
-            }
-            other => panic!("expected Locked, got {other:?}"),
-        }
-        fs::remove_file(dir.join(LOCK_FILE)).unwrap();
-        cache.put("CpuA", "<cpu name=\"CpuA\"/>", "library", None).unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 

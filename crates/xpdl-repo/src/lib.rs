@@ -22,11 +22,12 @@
 //! * [`metrics`] — [`RepoMetrics`]: counters for fetches, retries, cache
 //!   hits/misses, negative-cache hits, and failures, snapshotted via
 //!   [`Repository::metrics`].
-//! * [`diskcache`] — [`DiskCache`] / [`CachingStore`]: a crash-safe
-//!   persistent cache layer (atomic writes, checksummed manifest,
-//!   cross-process lockfile, corruption quarantine) with an explicit
-//!   [`Freshness`] degradation policy for stale-if-unavailable and
-//!   fully-offline operation.
+//! * [`diskcache`] — [`DiskCache`] / [`CachingStore`]: a crash-only
+//!   persistent cache layer (one self-describing entry file per
+//!   descriptor, each written by one atomic rename and checked against
+//!   its own header on every read; no index and no lock; corruption
+//!   quarantine) with an explicit [`Freshness`] degradation policy for
+//!   stale-if-unavailable and fully-offline operation.
 //! * [`hash`] — the seeded FNV-1a, SplitMix64 finalizer and `[0, 1)`
 //!   fraction behind the cache checksums, fault scripts and retry jitter.
 //!
